@@ -5,10 +5,9 @@
 use crate::{
     run_experiment, ExperimentConfig, FinetuneConfig, MetaLoss, MetalearnConfig, Result,
 };
-use serde::{Deserialize, Serialize};
 
 /// One row of the ablation table: which components are enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AblationVariant {
     /// AG: traditional augmentation + Mixup/CutMix feature interpolation.
     pub augmentation: bool,
@@ -108,7 +107,7 @@ impl AblationVariant {
 }
 
 /// One ablation measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AblationResult {
     /// Which components were enabled.
     pub variant: AblationVariant,

@@ -3,10 +3,9 @@
 use crate::{FinetuneConfig, MetalearnConfig, PretrainConfig};
 use ofscil_data::FscilConfig;
 use ofscil_nn::models::BackboneKind;
-use serde::{Deserialize, Serialize};
 
 /// Numerical precision of the evaluated (deployed) model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvalPrecision {
     /// Floating-point evaluation (the paper's FP32 rows, run on a GPU).
     Fp32,
@@ -16,7 +15,7 @@ pub enum EvalPrecision {
 }
 
 /// The loss used during metalearning (Table III compares the two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MetaLoss {
     /// The paper's multi-margin loss on ReLU-sharpened cosine logits (Eq. 4).
     MultiMargin,

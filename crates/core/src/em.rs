@@ -4,7 +4,6 @@
 use crate::{CoreError, Result};
 use ofscil_quant::{ExplicitMemoryFootprint, PrototypePrecision};
 use ofscil_tensor::cosine_similarity;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// The Explicit Memory.
@@ -17,7 +16,7 @@ use std::collections::BTreeMap;
 /// Prototypes may be stored at reduced precision (Fig. 3); the reduction is
 /// applied when the prototype is written, matching the on-device bit-shift
 /// division.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExplicitMemory {
     dim: usize,
     precision: PrototypePrecision,

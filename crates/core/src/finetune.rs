@@ -14,10 +14,9 @@ use crate::{CoreError, OFscilModel, Result};
 use ofscil_nn::optim::Sgd;
 use ofscil_nn::Mode;
 use ofscil_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// FCR fine-tuning hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FinetuneConfig {
     /// Number of passes over the stored class activations (paper: 100).
     pub epochs: usize,
@@ -41,7 +40,7 @@ impl FinetuneConfig {
 }
 
 /// Summary of a fine-tuning run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FinetuneReport {
     /// Mean cosine alignment between `FCR(θ_a,i)` and the bipolarised
     /// prototypes before fine-tuning.

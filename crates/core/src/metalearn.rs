@@ -13,10 +13,9 @@ use ofscil_nn::loss::{accuracy, cross_entropy, multi_margin_loss};
 use ofscil_nn::optim::{clip_gradient_norm, Sgd};
 use ofscil_nn::Mode;
 use ofscil_tensor::{SeedRng, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Metalearning hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetalearnConfig {
     /// Number of metalearning iterations.
     pub iterations: usize,
@@ -62,7 +61,7 @@ impl MetalearnConfig {
 }
 
 /// Summary of a metalearning run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetalearnReport {
     /// Loss value per iteration.
     pub iteration_losses: Vec<f32>,

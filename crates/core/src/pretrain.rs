@@ -12,10 +12,9 @@ use ofscil_nn::loss::{accuracy, cross_entropy_soft, one_hot, orthogonality_loss}
 use ofscil_nn::optim::{clip_gradient_norm, Sgd};
 use ofscil_nn::{Layer, Mode};
 use ofscil_tensor::SeedRng;
-use serde::{Deserialize, Serialize};
 
 /// Pretraining hyperparameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PretrainConfig {
     /// Number of passes over the base session.
     pub epochs: usize,
@@ -73,7 +72,7 @@ impl PretrainConfig {
 }
 
 /// Summary of a pretraining run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PretrainReport {
     /// Mean total loss per epoch.
     pub epoch_losses: Vec<f32>,

@@ -3,10 +3,9 @@
 
 use crate::{FinetuneConfig, OFscilModel, Result};
 use ofscil_data::FscilBenchmark;
-use serde::{Deserialize, Serialize};
 
 /// Per-session accuracies of one FSCIL run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionResults {
     /// Accuracy after each session, starting with the base session (index 0).
     pub accuracies: Vec<f32>,

@@ -82,7 +82,7 @@ impl FollowerProcess {
     /// Promotes the replica: stops the tail (the primary it followed is
     /// presumed dead), then boots a **writable** store-backed primary over
     /// the replicated registry via
-    /// [`Follower::promote_observed`] — bootstrapping `store_dir` so the
+    /// [`Follower::promote`] — bootstrapping `store_dir` so the
     /// new primary adopts the replica's sequence numbers and emits one
     /// `Promotion` event per deployment into `obs`.
     ///
@@ -143,7 +143,7 @@ impl PrimaryProcess {
     }
 
     /// Common spawn path; `promoting` picks between
-    /// [`Follower::promote_observed`] (emits per-deployment `Promotion`
+    /// [`Follower::promote`] (emits per-deployment `Promotion`
     /// events) and a plain bootstrap + observed serve (restart).
     fn spawn(
         registry: Arc<LearnerRegistry>,
@@ -163,7 +163,7 @@ impl PrimaryProcess {
                 let _ = stop_rx.recv();
             };
             if promoting {
-                Follower::promote_observed(&registry, &store, &wire, obs.as_ref(), |handle| {
+                Follower::promote(&registry, &store, &wire, obs.as_ref(), |handle| {
                     body(handle.addr())
                 })
             } else {

@@ -4,10 +4,9 @@
 
 use crate::{Batch, DataError, Result};
 use ofscil_tensor::{SeedRng, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the per-image augmentation pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AugmenterConfig {
     /// Probability of a horizontal flip.
     pub flip_probability: f32,

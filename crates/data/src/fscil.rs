@@ -8,10 +8,9 @@
 //! every class seen so far.
 
 use crate::{DataError, Dataset, Result, SyntheticCifar, SyntheticConfig};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of an FSCIL benchmark instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FscilConfig {
     /// Generator configuration for the synthetic imagery.
     pub synthetic: SyntheticConfig,

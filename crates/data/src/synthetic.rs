@@ -11,10 +11,9 @@
 
 use crate::{Dataset, Result, Sample};
 use ofscil_tensor::{SeedRng, Tensor};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the synthetic CIFAR-like generator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Total number of classes.
     pub num_classes: usize,

@@ -1,6 +1,5 @@
 //! GAP9 hardware description and calibrated model constants.
 
-use serde::{Deserialize, Serialize};
 
 /// Hardware parameters and cost-model constants of a GAP9-class device at its
 /// most energy-efficient operating point (650 mV / 240 MHz, paper §VI-C).
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// GAP9 product brief; the throughput, bandwidth and power constants are
 /// calibrated once so the modelled MobileNetV2 row of Table IV lands near the
 /// paper's measurement, and are then held fixed for every other experiment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gap9Config {
     /// Cluster compute cores available for parallel kernels (GAP9: 8 worker
     /// cores + 1 cluster controller; the controller is not counted here).

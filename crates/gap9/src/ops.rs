@@ -4,11 +4,10 @@
 use crate::{
     deploy_fcr, estimate_execution, Gap9Config, NetworkWorkload, PowerModel, Result,
 };
-use serde::{Deserialize, Serialize};
 
 /// Latency / power / energy of one deployed operation (one Table IV cell
 /// group).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperationCost {
     /// Operation name (e.g. "EM update").
     pub operation: String,

@@ -1,10 +1,9 @@
 //! Latency model: per-layer compute, DMA and overhead cycles.
 
 use crate::{Gap9Config, Gap9Error, KernelClass, NetworkWorkload, Result};
-use serde::{Deserialize, Serialize};
 
 /// Cycle breakdown of one deployed layer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerCost {
     /// Layer name.
     pub name: String,
@@ -26,7 +25,7 @@ impl LayerCost {
 }
 
 /// The execution estimate of one network on the modelled device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionEstimate {
     /// Per-layer breakdown.
     pub layers: Vec<LayerCost>,

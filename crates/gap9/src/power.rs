@@ -1,10 +1,9 @@
 //! Power and energy model at the 650 mV / 240 MHz operating point.
 
 use crate::{ExecutionEstimate, Gap9Config};
-use serde::{Deserialize, Serialize};
 
 /// Converts execution estimates into power and energy figures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     config: Gap9Config,
 }

@@ -1,10 +1,9 @@
 //! Deployment workload descriptors.
 
-use serde::{Deserialize, Serialize};
 
 /// Kernel family of a deployed layer; determines the sustained throughput and
 /// the unit of parallelisation used by the latency model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// Standard or pointwise convolution (including inverted-residual blocks).
     Convolution,
@@ -17,7 +16,7 @@ pub enum KernelClass {
 }
 
 /// One deployed layer: everything the latency and power models need.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerWorkload {
     /// Layer display name.
     pub name: String,
@@ -49,7 +48,7 @@ impl LayerWorkload {
 }
 
 /// A deployed network: an ordered list of layer workloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkWorkload {
     /// Network display name.
     pub name: String,

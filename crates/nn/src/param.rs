@@ -1,14 +1,13 @@
 //! Trainable parameters: a value tensor paired with its gradient accumulator.
 
 use ofscil_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter: the value tensor plus an accumulated gradient of the
 /// same shape.
 ///
 /// Layers own their `Parameter`s; optimizers visit them through
 /// [`crate::Layer::visit_params`] in a deterministic order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Parameter {
     /// Human-readable name, unique within its owning layer.
     name: String,

@@ -1,10 +1,9 @@
 //! Model profiling: parameter and MAC counting for Table I.
 
 use crate::models::Backbone;
-use serde::{Deserialize, Serialize};
 
 /// A cost summary of a backbone (one row of the paper's Table I).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelProfile {
     /// Backbone name.
     pub name: String,
@@ -78,7 +77,7 @@ pub fn per_layer_macs(backbone: &Backbone, height: usize, width: usize) -> Vec<(
 
 /// Deployment-oriented description of one top-level layer (or block) of a
 /// backbone: its cost and the activation shapes it consumes and produces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LayerSummary {
     /// Layer display name.
     pub name: String,

@@ -1,5 +1,7 @@
 //! The event schema: one row per thing the cluster did.
 
+use ofscil_tensor::bytes::{put_f32, put_f64, put_str16, put_u32, put_u64, DecodeError, Reader};
+
 /// What happened. The discriminants double as wire codes and as bit
 /// positions in a query's kind mask ([`EventKind::bit`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -224,6 +226,69 @@ impl Event {
     pub fn order_key(&self) -> (u64, u64) {
         (self.time_us, self.seq)
     }
+
+    /// Smallest encoded row: name prefix (2) + kind (1) + seq/time/latency/
+    /// wal (4×8) + energy (8) + accuracy (4). What a decoder multiplies a
+    /// declared row count by before allocating.
+    pub const MIN_ENCODED_BYTES: usize = 47;
+
+    /// Appends the row's byte layout — the one layout spill chunks, query
+    /// responses and tail batches all carry.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_str16(out, &self.deployment);
+        out.push(self.kind.code());
+        put_u64(out, self.seq);
+        put_u64(out, self.time_us);
+        put_f64(out, self.energy_mj);
+        put_u64(out, self.latency_us);
+        put_f32(out, self.accuracy);
+        put_u64(out, self.wal_bytes);
+    }
+
+    /// Inverse of [`Event::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`] for short rows, bad UTF-8 and unknown
+    /// kind codes.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
+        let deployment = r.str16()?;
+        let tag = r.u8()?;
+        let kind = EventKind::from_code(tag)
+            .ok_or(DecodeError::BadTag { field: "event kind", tag })?;
+        Ok(Event {
+            deployment,
+            kind,
+            seq: r.u64()?,
+            time_us: r.u64()?,
+            energy_mj: r.f64()?,
+            latency_us: r.u64()?,
+            accuracy: r.f32()?,
+            wal_bytes: r.u64()?,
+        })
+    }
+
+    /// Appends a counted run of rows (`u32` count, then each row) after one
+    /// `reserve` — the body of a spill chunk record and the event list of a
+    /// query response or tail batch.
+    pub fn encode_all(events: &[Event], out: &mut Vec<u8>) {
+        out.reserve(4 + events.len() * 64);
+        put_u32(out, events.len() as u32);
+        for event in events {
+            event.encode(out);
+        }
+    }
+
+    /// Inverse of [`Event::encode_all`]. The declared count is proved
+    /// against the remaining bytes before the row vector is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::LengthOverflow`] for a count the body cannot
+    /// hold, or the first row's decode error.
+    pub fn decode_all(r: &mut Reader<'_>) -> Result<Vec<Event>, DecodeError> {
+        r.list("events", Event::MIN_ENCODED_BYTES, Event::decode)
+    }
 }
 
 #[cfg(test)]
@@ -242,6 +307,46 @@ mod tests {
         }
         assert_eq!(EventKind::from_code(15), None);
         assert_eq!(EventKind::from_code(255), None);
+    }
+
+    #[test]
+    fn row_codec_roundtrips_bit_exactly_and_min_size_is_the_minimal_row() {
+        let mut minimal = Vec::new();
+        Event::new(EventKind::Infer, "").encode(&mut minimal);
+        assert_eq!(minimal.len(), Event::MIN_ENCODED_BYTES);
+
+        let events = vec![
+            Event::new(EventKind::Infer, "tenant-a")
+                .with_seq(4)
+                .with_time_us(1_000)
+                .with_energy_mj(0.5)
+                .with_latency_us(120)
+                .with_accuracy(0.875),
+            // NaN accuracy: compared through Debug, which prints NaN alike.
+            Event::new(EventKind::Migration, "tenant-a").with_wal_bytes(4096),
+        ];
+        let mut body = Vec::new();
+        Event::encode_all(&events, &mut body);
+        let mut r = Reader::new(&body);
+        let back = Event::decode_all(&mut r).unwrap();
+        r.finish().unwrap();
+        assert_eq!(format!("{back:?}"), format!("{events:?}"));
+
+        // A count the body cannot hold is refused before allocation.
+        let mut hostile = Vec::new();
+        put_u32(&mut hostile, u32::MAX);
+        hostile.extend_from_slice(&minimal);
+        assert!(matches!(
+            Event::decode_all(&mut Reader::new(&hostile)),
+            Err(DecodeError::LengthOverflow { field: "events", .. })
+        ));
+        // An unknown kind code is a typed tag error.
+        let mut bad = minimal.clone();
+        bad[2] = 0xff;
+        assert!(matches!(
+            Event::decode(&mut Reader::new(&bad)),
+            Err(DecodeError::BadTag { field: "event kind", tag: 0xff })
+        ));
     }
 
     #[test]

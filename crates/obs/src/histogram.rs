@@ -1,6 +1,8 @@
 //! Log-bucketed latency histograms: fixed power-of-2 buckets, so p50/p99
 //! estimates cost 32 counters per event kind instead of retained samples.
 
+use ofscil_tensor::bytes::{put_u64, DecodeError, Reader};
+
 /// Number of buckets in a [`LatencyHistogram`]. Bucket 0 holds exact zeros,
 /// bucket `i ≥ 1` holds latencies in `[2^(i-1), 2^i)` microseconds, and the
 /// last bucket absorbs everything from `2^30` µs (~18 minutes) up.
@@ -89,6 +91,27 @@ impl LatencyHistogram {
     /// 99th-percentile estimate (bucket upper bound), microseconds.
     pub fn p99_us(&self) -> u64 {
         self.quantile_us(0.99)
+    }
+
+    /// Appends the [`LATENCY_BUCKETS`] counts, bucket order.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(LATENCY_BUCKETS * 8);
+        for &count in &self.counts {
+            put_u64(out, count);
+        }
+    }
+
+    /// Inverse of [`LatencyHistogram::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Truncated`] when a bucket is missing.
+    pub fn decode(r: &mut Reader<'_>) -> Result<LatencyHistogram, DecodeError> {
+        let mut histogram = LatencyHistogram::empty();
+        for count in histogram.counts.iter_mut() {
+            *count = r.u64()?;
+        }
+        Ok(histogram)
     }
 }
 

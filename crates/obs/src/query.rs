@@ -4,6 +4,7 @@ use crate::event::{Event, EventKind};
 use crate::histogram::LatencyHistogram;
 use crate::rollup::{Rollup, ROLLUP_BUCKET_US};
 use crate::tail::ObsCursor;
+use ofscil_tensor::bytes::{put_f64, put_str, put_u32, put_u64, DecodeError, Reader};
 
 /// Default cap on the number of events a query materializes. Aggregates are
 /// always computed over **every** matching row; the cap only bounds the
@@ -156,6 +157,45 @@ impl ObsQuery {
     }
 }
 
+impl ObsQuery {
+    /// Appends the filter: deployment first (`u32`-prefixed, so a router's
+    /// `peek_request` reads it like any other request's routing key), then
+    /// the time and sequence windows, kind mask, row limit and resolution.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.deployment);
+        put_u64(out, self.time_min);
+        put_u64(out, self.time_max);
+        put_u64(out, self.seq_min);
+        put_u64(out, self.seq_max);
+        put_u32(out, u32::from(self.kinds));
+        put_u32(out, self.limit);
+        out.push(self.resolution.code());
+    }
+
+    /// Inverse of [`ObsQuery::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`]: a kind mask wider than 16 bits is a
+    /// [`DecodeError::ValueOverflow`], an unknown resolution a
+    /// [`DecodeError::BadTag`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<ObsQuery, DecodeError> {
+        let deployment = r.str()?;
+        let time_min = r.u64()?;
+        let time_max = r.u64()?;
+        let seq_min = r.u64()?;
+        let seq_max = r.u64()?;
+        let kinds = r.u32()?;
+        let kinds = u16::try_from(kinds)
+            .map_err(|_| DecodeError::ValueOverflow { field: "kinds", value: u64::from(kinds) })?;
+        let limit = r.u32()?;
+        let tag = r.u8()?;
+        let resolution = Resolution::from_code(tag)
+            .ok_or(DecodeError::BadTag { field: "obs resolution", tag })?;
+        Ok(ObsQuery { deployment, time_min, time_max, seq_min, seq_max, kinds, limit, resolution })
+    }
+}
+
 impl Default for ObsQuery {
     fn default() -> Self {
         ObsQuery::all()
@@ -208,6 +248,23 @@ impl Summary {
         } else {
             self.sum / self.count as f64
         }
+    }
+
+    /// Appends min, max, sum (IEEE-754 bits) and count: 32 bytes.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_f64(out, self.min);
+        put_f64(out, self.max);
+        put_f64(out, self.sum);
+        put_u64(out, self.count);
+    }
+
+    /// Inverse of [`Summary::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Truncated`] for a short body.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Summary, DecodeError> {
+        Ok(Summary { min: r.f64()?, max: r.f64()?, sum: r.f64()?, count: r.u64()? })
     }
 }
 
@@ -471,6 +528,50 @@ impl ObsResult {
     /// [`trailing_rates_of`] over the result's events.
     pub fn trailing_rates(&self, window_us: u64) -> Vec<DeploymentRate> {
         trailing_rates_of(&self.events, window_us)
+    }
+
+    /// Appends the result: rows, aggregates (matched + three summaries),
+    /// truncated flag, completeness counters, rollup cells, histogram.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        Event::encode_all(&self.events, out);
+        put_u64(out, self.aggregates.matched);
+        self.aggregates.energy_mj.encode(out);
+        self.aggregates.latency_us.encode(out);
+        self.aggregates.accuracy.encode(out);
+        out.push(u8::from(self.truncated));
+        put_u64(out, self.appended);
+        put_u64(out, self.dropped);
+        put_u32(out, self.shards_ok);
+        put_u32(out, self.shards_err);
+        Rollup::encode_all(&self.rollups, out);
+        self.latency_hist.encode(out);
+    }
+
+    /// Inverse of [`ObsResult::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`]; row and cell counts are proved
+    /// against the body before their vectors are allocated.
+    pub fn decode(r: &mut Reader<'_>) -> Result<ObsResult, DecodeError> {
+        let events = Event::decode_all(r)?;
+        let aggregates = ObsAggregates {
+            matched: r.u64()?,
+            energy_mj: Summary::decode(r)?,
+            latency_us: Summary::decode(r)?,
+            accuracy: Summary::decode(r)?,
+        };
+        Ok(ObsResult {
+            events,
+            aggregates,
+            truncated: r.flag("truncated")?,
+            appended: r.u64()?,
+            dropped: r.u64()?,
+            shards_ok: r.u32()?,
+            shards_err: r.u32()?,
+            rollups: Rollup::decode_all(r)?,
+            latency_hist: LatencyHistogram::decode(r)?,
+        })
     }
 }
 

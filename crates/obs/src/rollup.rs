@@ -10,6 +10,7 @@
 
 use crate::event::{Event, EventKind};
 use crate::query::Summary;
+use ofscil_tensor::bytes::{put_str16, put_u32, put_u64, DecodeError, Reader};
 
 /// Width of one rollup bucket: a minute of microseconds.
 pub const ROLLUP_BUCKET_US: u64 = 60_000_000;
@@ -79,6 +80,65 @@ impl Rollup {
     pub fn key(&self) -> (u64, String, u8) {
         (self.bucket_us, self.deployment.clone(), self.kind.code())
     }
+
+    /// Smallest encoded cell: bucket (8) + name prefix (2) + kind (1) +
+    /// count (8) + three 32-byte summaries.
+    pub const MIN_ENCODED_BYTES: usize = 115;
+
+    /// Appends the cell's byte layout — the body of a spill rollup record
+    /// and the rollup rows of a query response or tail batch.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(Rollup::MIN_ENCODED_BYTES + self.deployment.len());
+        put_u64(out, self.bucket_us);
+        put_str16(out, &self.deployment);
+        out.push(self.kind.code());
+        put_u64(out, self.count);
+        self.energy_mj.encode(out);
+        self.latency_us.encode(out);
+        self.accuracy.encode(out);
+    }
+
+    /// Inverse of [`Rollup::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`] for short cells, bad UTF-8 and
+    /// unknown kind codes.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Rollup, DecodeError> {
+        let bucket_us = r.u64()?;
+        let deployment = r.str16()?;
+        let tag = r.u8()?;
+        let kind = EventKind::from_code(tag)
+            .ok_or(DecodeError::BadTag { field: "rollup kind", tag })?;
+        Ok(Rollup {
+            bucket_us,
+            deployment,
+            kind,
+            count: r.u64()?,
+            energy_mj: Summary::decode(r)?,
+            latency_us: Summary::decode(r)?,
+            accuracy: Summary::decode(r)?,
+        })
+    }
+
+    /// Appends a counted run of cells (`u32` count, then each cell).
+    pub fn encode_all(rollups: &[Rollup], out: &mut Vec<u8>) {
+        put_u32(out, rollups.len() as u32);
+        for rollup in rollups {
+            rollup.encode(out);
+        }
+    }
+
+    /// Inverse of [`Rollup::encode_all`]; the declared count is proved
+    /// before the vector is allocated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::LengthOverflow`] for a count the body cannot
+    /// hold, or the first cell's decode error.
+    pub fn decode_all(r: &mut Reader<'_>) -> Result<Vec<Rollup>, DecodeError> {
+        r.list("rollups", Rollup::MIN_ENCODED_BYTES, Rollup::decode)
+    }
 }
 
 #[cfg(test)]
@@ -91,6 +151,30 @@ mod tests {
         assert_eq!(Rollup::bucket_of(ROLLUP_BUCKET_US - 1), 0);
         assert_eq!(Rollup::bucket_of(ROLLUP_BUCKET_US), ROLLUP_BUCKET_US);
         assert_eq!(Rollup::bucket_of(3 * ROLLUP_BUCKET_US + 17), 3 * ROLLUP_BUCKET_US);
+    }
+
+    #[test]
+    fn cell_codec_roundtrips_and_min_size_is_the_minimal_cell() {
+        let mut minimal = Vec::new();
+        Rollup::new(0, "", EventKind::Infer).encode(&mut minimal);
+        assert_eq!(minimal.len(), Rollup::MIN_ENCODED_BYTES);
+
+        let mut cell = Rollup::new(ROLLUP_BUCKET_US, "tenant-a", EventKind::Learn);
+        cell.observe(&Event::new(EventKind::Learn, "tenant-a").with_energy_mj(0.5));
+        let cells = vec![Rollup::new(0, "t", EventKind::Infer), cell];
+        let mut body = Vec::new();
+        Rollup::encode_all(&cells, &mut body);
+        let mut r = Reader::new(&body);
+        assert_eq!(Rollup::decode_all(&mut r).unwrap(), cells);
+        r.finish().unwrap();
+
+        let mut hostile = Vec::new();
+        put_u32(&mut hostile, 2);
+        hostile.extend_from_slice(&minimal);
+        assert!(matches!(
+            Rollup::decode_all(&mut Reader::new(&hostile)),
+            Err(DecodeError::LengthOverflow { field: "rollups", declared: 2 })
+        ));
     }
 
     #[test]

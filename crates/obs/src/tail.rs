@@ -26,6 +26,7 @@
 use crate::event::Event;
 use crate::query::ObsResult;
 use crate::rollup::Rollup;
+use ofscil_tensor::bytes::{put_u64, DecodeError, Reader};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -68,6 +69,21 @@ impl ObsCursor {
             self.seq = key.1;
         }
     }
+
+    /// Appends the cursor: time, then sequence number.
+    pub fn encode(self, out: &mut Vec<u8>) {
+        put_u64(out, self.time_us);
+        put_u64(out, self.seq);
+    }
+
+    /// Inverse of [`ObsCursor::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Truncated`] for a short body.
+    pub fn decode(r: &mut Reader<'_>) -> Result<ObsCursor, DecodeError> {
+        Ok(ObsCursor { time_us: r.u64()?, seq: r.u64()? })
+    }
 }
 
 /// One batch of a tail stream — the unit a wire server frames and a router
@@ -98,6 +114,39 @@ impl TailBatch {
             cursor.advance(event.order_key());
         }
         cursor.advance(self.cursor.key());
+    }
+
+    /// Appends the batch: flags (bit 0 back-fill, bit 1 truncated), cursor,
+    /// dropped count, rows, rollup cells.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(self.backfill) | u8::from(self.truncated) << 1);
+        self.cursor.encode(out);
+        put_u64(out, self.dropped);
+        Event::encode_all(&self.events, out);
+        Rollup::encode_all(&self.rollups, out);
+    }
+
+    /// Inverse of [`TailBatch::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`]; unknown flag bits are a
+    /// [`DecodeError::BadTag`].
+    pub fn decode(r: &mut Reader<'_>) -> Result<TailBatch, DecodeError> {
+        let flags = r.u8()?;
+        if flags & !3 != 0 {
+            return Err(DecodeError::BadTag { field: "tail flags", tag: flags });
+        }
+        let cursor = ObsCursor::decode(r)?;
+        let dropped = r.u64()?;
+        Ok(TailBatch {
+            events: Event::decode_all(r)?,
+            rollups: Rollup::decode_all(r)?,
+            cursor,
+            backfill: flags & 1 != 0,
+            truncated: flags & 2 != 0,
+            dropped,
+        })
     }
 }
 

@@ -114,7 +114,7 @@ pub mod prelude {
         decode_explicit_memory, encode_explicit_memory, BudgetPolicy, CommitJournal,
         DeploymentExport, DeploymentSpec, DeploymentStats, DurabilityStats, LearnCommit,
         LearnerRegistry, PendingResponse, ServeClient, ServeConfig, ServeError, ServeRequest,
-        ServeResponse, ServeRuntime,
+        ServeHooks, ServeResponse, ServeRuntime,
     };
     pub use ofscil_store::{
         ObsSpill, RecoveryReport, SpillRecovery, Store, StoreConfig, StoreError, SyncPolicy,

@@ -9,10 +9,9 @@
 //! few kilobytes.
 
 use crate::{QuantError, Result};
-use serde::{Deserialize, Serialize};
 
 /// Quantizer simulating prototype storage at a reduced bit width.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PrototypePrecision {
     bits: u8,
 }
@@ -101,7 +100,7 @@ impl PrototypePrecision {
 /// Size accounting for an explicit memory holding `num_classes` prototypes of
 /// dimension `dim` stored at `bits` per element — the x-axis annotations of
 /// the paper's Fig. 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExplicitMemoryFootprint {
     /// Number of stored class prototypes.
     pub num_classes: usize,

@@ -2,10 +2,9 @@
 
 use crate::{QuantError, Result};
 use ofscil_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Symmetric per-tensor quantization parameters: `real ≈ scale * q`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     /// Scale factor mapping integer values back to real values.
     pub scale: f32,
@@ -30,7 +29,7 @@ impl QuantParams {
 }
 
 /// A dense int8 tensor with a shared symmetric scale.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantTensor {
     data: Vec<i8>,
     dims: Vec<usize>,

@@ -94,5 +94,8 @@ mod tail;
 pub use error::RouterError;
 pub use pool::{PoolConfig, ShardHealth, ShardPool};
 pub use ring::HashRing;
-pub use server::{MigrationReport, RouterConfig, RouterHandle, RouterServer, ShardStats};
+pub use server::{
+    decode_override, encode_override, MigrationReport, RouterConfig, RouterHandle, RouterServer,
+    ShardStats,
+};
 pub use tail::ClusterTail;

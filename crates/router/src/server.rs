@@ -30,6 +30,7 @@ use crate::tail::{spawn_cluster_tail, stream_cluster_tail, ClusterTail};
 use ofscil_obs::{Event, EventKind, EventSink, Obs, ObsCursor, ObsQuery, ObsResult};
 use ofscil_serve::{DeploymentStats, ServeError, ServeRequest, ServeResponse};
 use ofscil_store::OpLog;
+use ofscil_tensor::bytes::{decode_exact, put_str, put_u64};
 use ofscil_wire::codec::{decode_request, encode_response, WireRequest};
 use ofscil_wire::{
     peek_request, read_frame_verbatim, BoundAddr, ShutdownOnDrop, VerbatimEvent, VerbatimFrame,
@@ -198,31 +199,20 @@ pub(crate) struct Shared {
 /// Record kind of a placement override in the journal.
 const PLACEMENT_KIND_OVERRIDE: u8 = 0x01;
 
-/// Body of an override record: deployment string (u32 LE length + UTF-8
-/// bytes) followed by the owning shard id (u64 LE).
-fn encode_override(deployment: &str, shard: usize) -> Vec<u8> {
+/// Body of a placement-journal override record: deployment string (u32 LE
+/// length + UTF-8 bytes) followed by the owning shard id (u64 LE).
+pub fn encode_override(deployment: &str, shard: usize) -> Vec<u8> {
     let mut body = Vec::with_capacity(12 + deployment.len());
-    body.extend_from_slice(&(deployment.len() as u32).to_le_bytes());
-    body.extend_from_slice(deployment.as_bytes());
-    body.extend_from_slice(&(shard as u64).to_le_bytes());
+    put_str(&mut body, deployment);
+    put_u64(&mut body, shard as u64);
     body
 }
 
 /// Inverse of [`encode_override`]; `None` for malformed bodies (skipped on
 /// replay — the journal's per-record checksum already filtered corruption,
 /// so this only guards against foreign records).
-fn decode_override(body: &[u8]) -> Option<(String, usize)> {
-    if body.len() < 12 {
-        return None;
-    }
-    let len = u32::from_le_bytes(body[0..4].try_into().ok()?) as usize;
-    if body.len() != 12 + len {
-        return None;
-    }
-    let name = std::str::from_utf8(&body[4..4 + len]).ok()?.to_string();
-    let shard =
-        usize::try_from(u64::from_le_bytes(body[4 + len..].try_into().ok()?)).ok()?;
-    Some((name, shard))
+pub fn decode_override(body: &[u8]) -> Option<(String, usize)> {
+    decode_exact(body, |r| Ok((r.str()?, r.usize("shard")?))).ok()
 }
 
 /// Appends one override record to the journal, if one is configured.

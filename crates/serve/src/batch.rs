@@ -6,8 +6,8 @@
 //! reached, an ordering barrier for that deployment arrives (a `LearnOnline`
 //! or `Snapshot` must observe every inference admitted before it), or the
 //! drain cycle ends. One coalesced job costs one deployment-lock acquisition
-//! and one batched backbone + FCR forward instead of `n`, which is where the
-//! `serve_throughput` bench's speedup comes from.
+//! and one batched backbone + FCR forward instead of `n` (the perf ledger's
+//! `serve.batch_gain` measures what that buys).
 //!
 //! Ordering is enforced by construction, not by luck of the worker race:
 //! jobs land in a per-deployment FIFO [`WorkQueue`], and the global queue

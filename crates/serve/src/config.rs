@@ -43,18 +43,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A request-at-a-time configuration: one worker, no coalescing. This is
-    /// the baseline the `serve_throughput` bench compares batching against.
-    pub fn sequential() -> Self {
-        ServeConfig {
-            workers: 1,
-            max_batch: 1,
-            drain_limit: 1,
-            queue_depth: None,
-            read_only: false,
-        }
-    }
-
     /// Sets the worker count (builder style).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
@@ -116,8 +104,6 @@ mod tests {
     #[test]
     fn defaults_are_valid() {
         ServeConfig::default().validate().unwrap();
-        ServeConfig::sequential().validate().unwrap();
-        assert_eq!(ServeConfig::sequential().max_batch, 1);
     }
 
     #[test]

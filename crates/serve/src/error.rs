@@ -3,6 +3,7 @@
 use crate::snapshot::SnapshotError;
 use ofscil_core::CoreError;
 use ofscil_gap9::Gap9Error;
+use ofscil_tensor::bytes::{put_f64, put_str, put_u64, DecodeError, Reader};
 use ofscil_tensor::TensorError;
 use std::error::Error;
 use std::fmt;
@@ -78,6 +79,91 @@ pub enum ServeError {
     Gap9(Gap9Error),
     /// A tensor operation failed outside the request path.
     Tensor(TensorError),
+}
+
+// Byte tags of the variants that cross a wire structurally.
+const TAG_UNKNOWN_DEPLOYMENT: u8 = 0;
+const TAG_DUPLICATE_DEPLOYMENT: u8 = 1;
+const TAG_BUDGET_EXHAUSTED: u8 = 2;
+const TAG_INVALID_REQUEST: u8 = 3;
+const TAG_INVALID_CONFIG: u8 = 4;
+const TAG_EXECUTION: u8 = 5;
+const TAG_SHUTTING_DOWN: u8 = 6;
+const TAG_QUEUE_FULL: u8 = 7;
+const TAG_READ_ONLY_REPLICA: u8 = 8;
+const TAG_SHARD_UNAVAILABLE: u8 = 9;
+const TAG_REPLICATION_LAGGED: u8 = 10;
+
+impl ServeError {
+    /// Appends the error: a tag byte, then the variant's fields. The variants
+    /// a client acts on programmatically survive structurally; wrapped
+    /// library errors (snapshot codec, model, device pricing, tensor) are
+    /// folded into [`ServeError::Execution`] with their display string.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let tagged = |out: &mut Vec<u8>, tag: u8, text: &str| {
+            out.push(tag);
+            put_str(out, text);
+        };
+        match self {
+            ServeError::UnknownDeployment(name) => tagged(out, TAG_UNKNOWN_DEPLOYMENT, name),
+            ServeError::DuplicateDeployment(name) => tagged(out, TAG_DUPLICATE_DEPLOYMENT, name),
+            ServeError::BudgetExhausted { deployment, required_mj, remaining_mj } => {
+                tagged(out, TAG_BUDGET_EXHAUSTED, deployment);
+                put_f64(out, *required_mj);
+                put_f64(out, *remaining_mj);
+            }
+            ServeError::InvalidRequest(msg) => tagged(out, TAG_INVALID_REQUEST, msg),
+            ServeError::InvalidConfig(msg) => tagged(out, TAG_INVALID_CONFIG, msg),
+            ServeError::Execution(msg) => tagged(out, TAG_EXECUTION, msg),
+            ServeError::ShuttingDown => out.push(TAG_SHUTTING_DOWN),
+            ServeError::QueueFull { depth } => {
+                out.push(TAG_QUEUE_FULL);
+                put_u64(out, *depth as u64);
+            }
+            ServeError::ReadOnlyReplica { deployment } => {
+                tagged(out, TAG_READ_ONLY_REPLICA, deployment)
+            }
+            ServeError::ShardUnavailable { shard, detail } => {
+                tagged(out, TAG_SHARD_UNAVAILABLE, shard);
+                put_str(out, detail);
+            }
+            ServeError::ReplicationLagged { deployment } => {
+                tagged(out, TAG_REPLICATION_LAGGED, deployment)
+            }
+            ServeError::Snapshot(_)
+            | ServeError::Core(_)
+            | ServeError::Gap9(_)
+            | ServeError::Tensor(_) => tagged(out, TAG_EXECUTION, &self.to_string()),
+        }
+    }
+
+    /// Inverse of [`ServeError::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::BadTag`] for an unknown variant tag.
+    pub fn decode(r: &mut Reader<'_>) -> std::result::Result<ServeError, DecodeError> {
+        Ok(match r.u8()? {
+            TAG_UNKNOWN_DEPLOYMENT => ServeError::UnknownDeployment(r.str()?),
+            TAG_DUPLICATE_DEPLOYMENT => ServeError::DuplicateDeployment(r.str()?),
+            TAG_BUDGET_EXHAUSTED => ServeError::BudgetExhausted {
+                deployment: r.str()?,
+                required_mj: r.f64()?,
+                remaining_mj: r.f64()?,
+            },
+            TAG_INVALID_REQUEST => ServeError::InvalidRequest(r.str()?),
+            TAG_INVALID_CONFIG => ServeError::InvalidConfig(r.str()?),
+            TAG_EXECUTION => ServeError::Execution(r.str()?),
+            TAG_SHUTTING_DOWN => ServeError::ShuttingDown,
+            TAG_QUEUE_FULL => ServeError::QueueFull { depth: r.usize("depth")? },
+            TAG_READ_ONLY_REPLICA => ServeError::ReadOnlyReplica { deployment: r.str()? },
+            TAG_SHARD_UNAVAILABLE => {
+                ServeError::ShardUnavailable { shard: r.str()?, detail: r.str()? }
+            }
+            TAG_REPLICATION_LAGGED => ServeError::ReplicationLagged { deployment: r.str()? },
+            tag => return Err(DecodeError::BadTag { field: "serve error", tag }),
+        })
+    }
 }
 
 impl fmt::Display for ServeError {

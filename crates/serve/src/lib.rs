@@ -17,7 +17,7 @@
 //!   [`ServeRuntime::run`],
 //! * a coalescing batcher — concurrent `Infer` requests for one deployment
 //!   merge into a single batched forward pass, amortizing the matmul (the
-//!   `serve_throughput` bench prints the batched-vs-sequential ratio),
+//!   perf ledger's `serve.batch_gain` is the batched-vs-sequential ratio),
 //! * energy-budget admission — every request is priced in millijoules on the
 //!   GAP9 cost model ([`RequestPricing`]); once a deployment's budget is
 //!   spent, work is rejected or deferred per [`BudgetPolicy`], turning the
@@ -25,19 +25,19 @@
 //!   are settled at their **amortized** energy after running: the batch
 //!   streams the weights once, so the meter refunds the difference to `n`
 //!   independent passes,
-//! * [`snapshot`] — an in-tree binary codec that round-trips the explicit
-//!   memory bit-exactly for warm restart and replication (the workspace's
-//!   `serde` stand-in is marker-only, so the wire format lives here),
-//! * replication hooks — [`ServeRuntime::run_replicated`] streams every
-//!   committed `LearnOnline` as a sequence-numbered [`LearnCommit`], and a
-//!   runtime configured [`read_only`](ServeConfig::read_only) serves replica
-//!   traffic while rejecting writes (`ofscil_wire` builds its socket server
-//!   and follower mode on these),
-//! * durability hooks — [`ServeRuntime::run_journaled`] additionally writes
-//!   every commit and budget top-up to a [`CommitJournal`] (journaled under
-//!   the deployment's model lock, so record order provably matches mutation
-//!   order); `ofscil_store` implements the trait with a WAL + checkpoint
-//!   store and recovers deployments bit-exactly after a crash,
+//! * [`snapshot`] — the byte layouts of everything this system persists or
+//!   replicates: the explicit-memory snapshot (bit-exact round trip for warm
+//!   restart), the prototype list of one committed learn, the energy budget,
+//! * [`ServeHooks`] — what [`ServeRuntime::run_with`] attaches to a session:
+//!   `commits` streams every committed `LearnOnline` as a sequence-numbered
+//!   [`LearnCommit`] (with a runtime configured
+//!   [`read_only`](ServeConfig::read_only) serving replica traffic,
+//!   `ofscil_wire` builds its socket server and follower mode on this);
+//!   `journal` writes every commit and budget top-up to a [`CommitJournal`]
+//!   under the deployment's model lock, so record order provably matches
+//!   mutation order (`ofscil_store` implements the trait with a WAL +
+//!   checkpoint store and recovers deployments bit-exactly after a crash);
+//!   `obs` emits one observability event per unit of work,
 //! * backpressure — [`ServeConfig::queue_depth`] bounds the dispatcher queue
 //!   and sheds excess submissions with [`ServeError::QueueFull`].
 //!
@@ -90,8 +90,11 @@ pub use registry::{
     LearnerRegistry, RequestPricing,
 };
 pub use request::{PendingResponse, ServeRequest, ServeResponse};
-pub use runtime::{LearnCommit, ServeClient, ServeRuntime};
-pub use snapshot::{decode_explicit_memory, encode_explicit_memory, SnapshotError};
+pub use runtime::{LearnCommit, ServeClient, ServeHooks, ServeRuntime};
+pub use snapshot::{
+    decode_budget, decode_explicit_memory, decode_prototypes, encode_budget,
+    encode_explicit_memory, encode_prototypes, SnapshotError,
+};
 
 /// Result alias used across the serve crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

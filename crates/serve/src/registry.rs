@@ -1,12 +1,15 @@
 //! The multi-tenant learner registry: named [`OFscilModel`] deployments
 //! behind sharded locks, each with its own energy budget and statistics.
 
-use crate::snapshot::{decode_explicit_memory, encode_explicit_memory};
+use crate::snapshot::{
+    decode_budget, decode_explicit_memory, encode_budget, encode_explicit_memory,
+};
 use crate::{Result, ServeError};
 use ofscil_core::OFscilModel;
 use ofscil_gap9::{
     deploy_backbone, deploy_fcr, estimate_execution, Gap9Config, NetworkWorkload, PowerModel,
 };
+use ofscil_tensor::bytes::{put_bytes, put_f64, put_str, put_u64, DecodeError, Reader};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -198,6 +201,42 @@ pub struct ExportStats {
     pub deferred: u64,
 }
 
+impl ExportStats {
+    /// Appends the eight counters, declaration order.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        for counter in [
+            self.infer_requests,
+            self.infer_batches,
+            self.largest_batch,
+            self.learn_requests,
+            self.snapshots,
+            self.rejected_infer,
+            self.rejected_learn,
+            self.deferred,
+        ] {
+            put_u64(out, counter);
+        }
+    }
+
+    /// Inverse of [`ExportStats::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Truncated`] for a short body.
+    pub fn decode(r: &mut Reader<'_>) -> std::result::Result<ExportStats, DecodeError> {
+        Ok(ExportStats {
+            infer_requests: r.u64()?,
+            infer_batches: r.u64()?,
+            largest_batch: r.u64()?,
+            learn_requests: r.u64()?,
+            snapshots: r.u64()?,
+            rejected_infer: r.u64()?,
+            rejected_learn: r.u64()?,
+            deferred: r.u64()?,
+        })
+    }
+}
+
 /// A deployment's migratable serving state, as produced by
 /// [`LearnerRegistry::export_deployment`] and consumed by
 /// [`LearnerRegistry::import_deployment`]: the bit-exact explicit-memory
@@ -218,6 +257,38 @@ pub struct DeploymentExport {
     pub budget_mj: Option<f64>,
     /// Throughput/admission counters at export time.
     pub stats: ExportStats,
+}
+
+impl DeploymentExport {
+    /// Appends the export: name first (the routing key a router peeks),
+    /// sequence number, snapshot bytes, then the billing state — meter and
+    /// lifetime counters — so a live migration moves them with the model.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        out.reserve(self.name.len() + self.snapshot.len() + 96);
+        put_str(out, &self.name);
+        put_u64(out, self.seq);
+        put_bytes(out, &self.snapshot);
+        put_f64(out, self.spent_mj);
+        encode_budget(self.budget_mj, out);
+        self.stats.encode(out);
+    }
+
+    /// Inverse of [`DeploymentExport::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`]; the snapshot length is proved
+    /// against the body before it is copied.
+    pub fn decode(r: &mut Reader<'_>) -> std::result::Result<DeploymentExport, DecodeError> {
+        Ok(DeploymentExport {
+            name: r.str()?,
+            seq: r.u64()?,
+            snapshot: r.bytes("snapshot")?,
+            spent_mj: r.f64()?,
+            budget_mj: decode_budget(r)?,
+            stats: ExportStats::decode(r)?,
+        })
+    }
 }
 
 /// Point-in-time statistics of one deployment.
@@ -274,6 +345,62 @@ impl DeploymentStats {
     /// Total requests accepted and served, across request types.
     pub fn accepted(&self) -> u64 {
         self.infer_requests + self.learn_requests
+    }
+
+    /// Appends the statistics: name, counters, meter, then the optional
+    /// durability counters behind a 0/1 tag.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, &self.name);
+        put_u64(out, self.classes as u64);
+        put_u64(out, self.infer_requests);
+        put_u64(out, self.infer_batches);
+        put_u64(out, self.largest_batch as u64);
+        put_u64(out, self.learn_requests);
+        put_u64(out, self.snapshots);
+        put_u64(out, self.rejected_infer);
+        put_u64(out, self.rejected_learn);
+        put_u64(out, self.deferred);
+        put_f64(out, self.energy_spent_mj);
+        encode_budget(self.energy_budget_mj, out);
+        out.push(u8::from(self.durability.is_some()));
+        if let Some(d) = &self.durability {
+            put_u64(out, d.wal_records);
+            put_u64(out, d.wal_bytes);
+            put_u64(out, d.compactions);
+            put_u64(out, d.last_checkpoint_seq);
+        }
+    }
+
+    /// Inverse of [`DeploymentStats::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`].
+    pub fn decode(r: &mut Reader<'_>) -> std::result::Result<DeploymentStats, DecodeError> {
+        Ok(DeploymentStats {
+            name: r.str()?,
+            classes: r.usize("classes")?,
+            infer_requests: r.u64()?,
+            infer_batches: r.u64()?,
+            largest_batch: r.usize("largest_batch")?,
+            learn_requests: r.u64()?,
+            snapshots: r.u64()?,
+            rejected_infer: r.u64()?,
+            rejected_learn: r.u64()?,
+            deferred: r.u64()?,
+            energy_spent_mj: r.f64()?,
+            energy_budget_mj: decode_budget(r)?,
+            durability: if r.flag("durability")? {
+                Some(crate::DurabilityStats {
+                    wal_records: r.u64()?,
+                    wal_bytes: r.u64()?,
+                    compactions: r.u64()?,
+                    last_checkpoint_seq: r.u64()?,
+                })
+            } else {
+                None
+            },
+        })
     }
 }
 

@@ -37,7 +37,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 /// One committed `LearnOnline`, as delivered to a replication sink (see
-/// [`ServeRuntime::run_replicated`]).
+/// [`ServeHooks::commits`]).
 ///
 /// The sequence number is assigned under the deployment's model lock, so for
 /// one deployment commits are numbered in exactly the order their memory
@@ -143,6 +143,37 @@ impl ServeClient {
 #[derive(Debug)]
 pub struct ServeRuntime;
 
+/// The optional outputs of a serving session: where committed learns are
+/// streamed, where durable state changes are journaled, and where
+/// observability events are emitted. `ServeHooks::default()` attaches none.
+#[derive(Clone, Copy, Default)]
+pub struct ServeHooks<'a> {
+    /// Every committed `LearnOnline` is delivered here as a
+    /// sequence-numbered [`LearnCommit`] — the hook a replication frontend
+    /// tails to stream snapshot deltas to followers. Read from the worker
+    /// pool; a receiver that disconnects mid-run is ignored (commits are
+    /// dropped, serving continues).
+    pub commits: Option<&'a mpsc::Sender<LearnCommit>>,
+    /// Every committed `LearnOnline` and budget top-up is written here
+    /// before its reply is sent — commits **under the deployment's model
+    /// lock**, so the journal's record order provably matches the order of
+    /// memory mutations. `ofscil_store` implements [`CommitJournal`] with a
+    /// per-deployment WAL + checkpoint store that recovers every deployment
+    /// bit-exactly after a crash. A failed journal write fails the request
+    /// it was part of (the client must not believe an unjournaled commit is
+    /// durable) but leaves the runtime serving.
+    pub journal: Option<&'a dyn CommitJournal>,
+    /// One observability [`Event`] per unit of work is emitted here: an
+    /// `Infer` per served item (amortized batch energy, batch latency,
+    /// prediction similarity as the accuracy proxy), a `Learn` per commit
+    /// (with its replication sequence number), a `Reject` per admission
+    /// refusal, and a `TopUp` per accepted budget top-up. The sink is
+    /// **never waited on**: emission is a `try_send` into a bounded channel,
+    /// and a full channel drops the event and counts it
+    /// ([`EventSink::dropped`]) instead of stalling the hot path.
+    pub obs: Option<&'a EventSink>,
+}
+
 impl ServeRuntime {
     /// Runs a serving session: workers and dispatcher live for exactly the
     /// duration of `body`, which receives the client handle. Returns the
@@ -156,82 +187,20 @@ impl ServeRuntime {
     where
         F: FnOnce(&ServeClient) -> T,
     {
-        ServeRuntime::run_replicated(registry, config, None, body)
+        ServeRuntime::run_with(registry, config, ServeHooks::default(), body)
     }
 
-    /// Like [`ServeRuntime::run`], but every committed `LearnOnline` is also
-    /// delivered to `sink` as a sequence-numbered [`LearnCommit`] — the hook
-    /// a replication frontend tails to stream snapshot deltas to followers.
-    ///
-    /// The sink is read from the worker pool; a receiver that disconnects
-    /// mid-run is ignored (commits are dropped, serving continues).
+    /// Like [`ServeRuntime::run`], with replication, durability and
+    /// observability attached through `hooks` (see [`ServeHooks`]).
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::InvalidConfig`] when the configuration is
     /// invalid; the body itself is infallible from the runtime's view.
-    pub fn run_replicated<T, F>(
+    pub fn run_with<T, F>(
         registry: &LearnerRegistry,
         config: &ServeConfig,
-        sink: Option<mpsc::Sender<LearnCommit>>,
-        body: F,
-    ) -> Result<T>
-    where
-        F: FnOnce(&ServeClient) -> T,
-    {
-        ServeRuntime::run_journaled(registry, config, sink, None, body)
-    }
-
-    /// Like [`ServeRuntime::run_replicated`], but every committed
-    /// `LearnOnline` and budget top-up is additionally written to `journal`
-    /// before its reply is sent — commits **under the deployment's model
-    /// lock**, so the journal's record order provably matches the order of
-    /// memory mutations. `ofscil_store` implements [`CommitJournal`] with a
-    /// per-deployment WAL + checkpoint store that recovers every deployment
-    /// bit-exactly after a crash.
-    ///
-    /// A failed journal write fails the request it was part of (the client
-    /// must not believe an unjournaled commit is durable) but leaves the
-    /// runtime serving.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] when the configuration is
-    /// invalid; the body itself is infallible from the runtime's view.
-    pub fn run_journaled<T, F>(
-        registry: &LearnerRegistry,
-        config: &ServeConfig,
-        sink: Option<mpsc::Sender<LearnCommit>>,
-        journal: Option<&dyn CommitJournal>,
-        body: F,
-    ) -> Result<T>
-    where
-        F: FnOnce(&ServeClient) -> T,
-    {
-        ServeRuntime::run_observed(registry, config, sink, journal, None, body)
-    }
-
-    /// Like [`ServeRuntime::run_journaled`], but the runtime additionally
-    /// emits one observability [`Event`] per unit of work into `obs`: an
-    /// `Infer` per served item (amortized batch energy, batch latency,
-    /// prediction similarity as the accuracy proxy), a `Learn` per commit
-    /// (with its replication sequence number), a `Reject` per admission
-    /// refusal, and a `TopUp` per accepted budget top-up.
-    ///
-    /// The sink is **never waited on**: emission is a `try_send` into a
-    /// bounded channel, and a full channel drops the event and counts it
-    /// ([`EventSink::dropped`]) instead of stalling the hot path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::InvalidConfig`] when the configuration is
-    /// invalid; the body itself is infallible from the runtime's view.
-    pub fn run_observed<T, F>(
-        registry: &LearnerRegistry,
-        config: &ServeConfig,
-        sink: Option<mpsc::Sender<LearnCommit>>,
-        journal: Option<&dyn CommitJournal>,
-        obs: Option<&EventSink>,
+        hooks: ServeHooks<'_>,
         body: F,
     ) -> Result<T>
     where
@@ -247,16 +216,13 @@ impl ServeRuntime {
 
         let value = std::thread::scope(|scope| {
             for _ in 0..config.workers {
-                let sink = sink.clone();
                 let queue = &queue;
-                scope.spawn(move || worker_loop(queue, sink.as_ref(), journal, obs));
+                scope.spawn(move || worker_loop(queue, hooks));
             }
             let dispatcher_queue = &queue;
             let dispatcher_gauge = Arc::clone(&gauge);
             scope.spawn(move || {
-                dispatch_loop(
-                    rx, registry, config, dispatcher_queue, &dispatcher_gauge, journal, obs,
-                )
+                dispatch_loop(rx, registry, config, dispatcher_queue, &dispatcher_gauge, hooks)
             });
 
             let client = ServeClient { tx, gauge };
@@ -274,15 +240,13 @@ impl ServeRuntime {
 // Dispatcher
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn dispatch_loop(
     rx: mpsc::Receiver<Envelope>,
     registry: &LearnerRegistry,
     config: &ServeConfig,
     queue: &JobQueue,
     gauge: &DepthGauge,
-    journal: Option<&dyn CommitJournal>,
-    obs: Option<&EventSink>,
+    hooks: ServeHooks<'_>,
 ) {
     let mut coalescer = Coalescer::new(config.max_batch);
     let mut deferred: HashMap<String, VecDeque<Envelope>> = HashMap::new();
@@ -299,7 +263,7 @@ fn dispatch_loop(
         // submission depth limit (they are now the dispatcher's problem).
         gauge.queued.fetch_sub(cycle.len(), Ordering::AcqRel);
         for envelope in cycle {
-            route(envelope, registry, config, queue, &mut coalescer, &mut deferred, journal, obs);
+            route(envelope, registry, config, queue, &mut coalescer, &mut deferred, hooks);
         }
         for (deployment, job) in coalescer.flush_all() {
             enqueue(&deployment, job, queue);
@@ -316,7 +280,7 @@ fn dispatch_loop(
                 let (_, remaining) = deployment.meter.state();
                 // A deferral that never released is ultimately a rejection;
                 // the counters must say so.
-                count_rejection(&deployment, &envelope.request, obs);
+                count_rejection(&deployment, &envelope.request, hooks.obs);
                 envelope.reject(ServeError::BudgetExhausted {
                     deployment: name.clone(),
                     required_mj,
@@ -387,7 +351,6 @@ fn validate(deployment: &Deployment, request: &ServeRequest) -> Result<()> {
     Ok(())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn route(
     envelope: Envelope,
     registry: &LearnerRegistry,
@@ -395,8 +358,7 @@ fn route(
     queue: &JobQueue,
     coalescer: &mut Coalescer,
     deferred: &mut HashMap<String, VecDeque<Envelope>>,
-    journal: Option<&dyn CommitJournal>,
-    obs: Option<&EventSink>,
+    hooks: ServeHooks<'_>,
 ) {
     let name = envelope.request.deployment().to_string();
     // A read-only replica rejects writes before even resolving the
@@ -416,7 +378,7 @@ fn route(
     // Budget top-ups are answered by the dispatcher itself, then unblock as
     // much deferred work as the new budget covers, oldest first.
     if let ServeRequest::TopUpBudget { energy_mj, .. } = envelope.request {
-        let journaled = match journal {
+        let journaled = match hooks.journal {
             Some(journal) => {
                 // Learns journal their meter state under the model lock;
                 // holding it here too makes the two meter-read + append
@@ -442,7 +404,7 @@ fn route(
                 let _ = envelope
                     .reply
                     .send(Ok(ServeResponse::Budget { spent_mj, remaining_mj }));
-                if let Some(obs) = obs {
+                if let Some(obs) = hooks.obs {
                     obs.emit(Event::new(EventKind::TopUp, &name).with_energy_mj(energy_mj));
                 }
             }
@@ -460,7 +422,7 @@ fn route(
         Admission::Granted => dispatch(deployment, envelope, queue, coalescer),
         Admission::Refused { required_mj, remaining_mj } => match deployment.policy {
             BudgetPolicy::Reject => {
-                count_rejection(&deployment, &envelope.request, obs);
+                count_rejection(&deployment, &envelope.request, hooks.obs);
                 envelope.reject(ServeError::BudgetExhausted {
                     deployment: name,
                     required_mj,
@@ -604,12 +566,7 @@ fn release_deferred(
 // Worker pool
 // ---------------------------------------------------------------------------
 
-fn worker_loop(
-    queue: &JobQueue,
-    sink: Option<&mpsc::Sender<LearnCommit>>,
-    journal: Option<&dyn CommitJournal>,
-    obs: Option<&EventSink>,
-) {
+fn worker_loop(queue: &JobQueue, hooks: ServeHooks<'_>) {
     while let Some(deployment) = queue.pop() {
         // Drain this deployment's queue in FIFO order. The `scheduled` flag
         // is cleared under the same lock that proves the queue empty, so a
@@ -627,14 +584,16 @@ fn worker_loop(
                 }
             };
             match job {
-                DeploymentJob::InferBatch(items) => run_infer_batch(&deployment, items, obs),
+                DeploymentJob::InferBatch(items) => {
+                    run_infer_batch(&deployment, items, hooks.obs)
+                }
                 DeploymentJob::Learn { batch, reply } => {
-                    run_learn(&deployment, &batch, &reply, sink, journal, obs)
+                    run_learn(&deployment, &batch, &reply, hooks)
                 }
                 DeploymentJob::Snapshot { reply } => run_snapshot(&deployment, &reply),
                 DeploymentJob::Stats { reply } => {
                     let mut stats = deployment.stats_snapshot();
-                    if let Some(journal) = journal {
+                    if let Some(journal) = hooks.journal {
                         stats.durability = journal.durability_stats(&deployment.name);
                     }
                     let _ = reply.send(Ok(ServeResponse::Stats(stats)));
@@ -714,10 +673,9 @@ fn run_learn(
     deployment: &Deployment,
     batch: &ofscil_data::Batch,
     reply: &Reply,
-    sink: Option<&mpsc::Sender<LearnCommit>>,
-    journal: Option<&dyn CommitJournal>,
-    obs: Option<&EventSink>,
+    hooks: ServeHooks<'_>,
 ) {
+    let ServeHooks { commits: sink, journal, obs } = hooks;
     let started = obs.map(|_| std::time::Instant::now());
     // The amortized settlement is derived *before* taking the model lock
     // (the derivation itself locks the model on a cache miss): admission
@@ -946,12 +904,10 @@ mod tests {
             )
             .unwrap();
         let obs = Obs::new(ObsConfig::default());
-        ServeRuntime::run_observed(
+        ServeRuntime::run_with(
             &registry,
             &ServeConfig::default(),
-            None,
-            None,
-            Some(obs.sink()),
+            ServeHooks { obs: Some(obs.sink()), ..ServeHooks::default() },
             |client| {
                 let err = client
                     .call(ServeRequest::LearnOnline {
@@ -1000,6 +956,8 @@ mod tests {
         let infers = obs.query(&ObsQuery::deployment("t").with_kinds(&[EventKind::Infer]));
         assert_eq!(infers.aggregates.accuracy.count, 3);
         assert!(infers.aggregates.energy_mj.min > 0.0);
+        // Every served infer's latency landed in the kind-masked histogram.
+        assert_eq!(infers.latency_hist.total(), 3);
     }
 
     #[test]
@@ -1193,7 +1151,8 @@ mod tests {
     fn replicated_run_streams_sequence_numbered_commits() {
         let registry = registry_with(&["t"]);
         let (sink, commits) = mpsc::channel();
-        ServeRuntime::run_replicated(&registry, &ServeConfig::default(), Some(sink), |client| {
+        let hooks = ServeHooks { commits: Some(&sink), ..ServeHooks::default() };
+        ServeRuntime::run_with(&registry, &ServeConfig::default(), hooks, |client| {
             client
                 .call(ServeRequest::LearnOnline {
                     deployment: "t".into(),
@@ -1297,8 +1256,9 @@ mod tests {
             )
             .unwrap();
         let journal = MemJournal::default();
+        let hooks = ServeHooks { journal: Some(&journal), ..ServeHooks::default() };
         let stats =
-            ServeRuntime::run_journaled(&registry, &ServeConfig::default(), None, Some(&journal), |client| {
+            ServeRuntime::run_with(&registry, &ServeConfig::default(), hooks, |client| {
                 client
                     .call(ServeRequest::LearnOnline {
                         deployment: "t".into(),
@@ -1341,7 +1301,8 @@ mod tests {
         let registry = registry_with(&["t"]);
         let journal = MemJournal::default();
         journal.fail.store(true, Ordering::Release);
-        ServeRuntime::run_journaled(&registry, &ServeConfig::default(), None, Some(&journal), |client| {
+        let hooks = ServeHooks { journal: Some(&journal), ..ServeHooks::default() };
+        ServeRuntime::run_with(&registry, &ServeConfig::default(), hooks, |client| {
             let err = client
                 .call(ServeRequest::LearnOnline {
                     deployment: "t".into(),

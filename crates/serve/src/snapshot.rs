@@ -1,8 +1,14 @@
-//! Binary snapshot codec for the explicit memory.
+//! Byte layouts of the state this system persists, replicates and migrates:
+//! the explicit-memory snapshot, the prototype list of one committed learn,
+//! and the optional energy budget.
 //!
-//! The workspace's `serde` stand-in is marker-only (see
-//! `third_party/README.md`), so warm restart and replication need an in-tree
-//! wire format. The codec is deliberately tiny and fully self-describing:
+//! Learning a class is one write of a d_p-vector into the explicit memory
+//! while everything else stays frozen, so these three layouts are the whole
+//! durable state. Each is encoded here and nowhere else, on the workspace's
+//! byte codec ([`ofscil_tensor::bytes`]); the WAL, the checkpoint file and
+//! the wire all embed them.
+//!
+//! The snapshot is fully self-describing:
 //!
 //! ```text
 //! offset  size  field
@@ -25,6 +31,10 @@
 use crate::{Result, ServeError};
 use ofscil_core::ExplicitMemory;
 use ofscil_quant::PrototypePrecision;
+use ofscil_tensor::bytes::{
+    put_checksum, put_f32s, put_f64, put_u16, put_u32, put_u64, split_checksum, DecodeError,
+    Reader,
+};
 use std::error::Error;
 use std::fmt;
 
@@ -101,18 +111,7 @@ impl fmt::Display for SnapshotError {
 
 impl Error for SnapshotError {}
 
-/// FNV-1a 32-bit hash — small, dependency-free corruption detection. Not a
-/// cryptographic integrity check.
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
-/// Serializes an explicit memory to the snapshot wire format.
+/// Serializes an explicit memory to the snapshot format.
 ///
 /// The encoding is deterministic: prototypes are written in ascending class
 /// order, so two memories with identical contents produce identical bytes
@@ -123,23 +122,20 @@ pub fn encode_explicit_memory(em: &ExplicitMemory) -> Vec<u8> {
     let mut bytes =
         Vec::with_capacity(HEADER_LEN + count * (8 + dim * 4) + CHECKSUM_LEN);
     bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-    bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    put_u16(&mut bytes, SNAPSHOT_VERSION);
     bytes.push(em.precision().bits());
     bytes.push(0u8);
-    bytes.extend_from_slice(&(dim as u32).to_le_bytes());
-    bytes.extend_from_slice(&(count as u32).to_le_bytes());
+    put_u32(&mut bytes, dim as u32);
+    put_u32(&mut bytes, count as u32);
     for (class, prototype) in em.iter() {
-        bytes.extend_from_slice(&(class as u64).to_le_bytes());
-        for &v in prototype {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        put_u64(&mut bytes, class as u64);
+        put_f32s(&mut bytes, prototype);
     }
-    let checksum = fnv1a(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
+    put_checksum(&mut bytes, 0);
     bytes
 }
 
-/// Deserializes an explicit memory from the snapshot wire format.
+/// Deserializes an explicit memory from the snapshot format.
 ///
 /// # Errors
 ///
@@ -148,26 +144,28 @@ pub fn encode_explicit_memory(em: &ExplicitMemory) -> Vec<u8> {
 /// declare an unsupported precision.
 pub fn decode_explicit_memory(bytes: &[u8]) -> Result<ExplicitMemory> {
     let min = HEADER_LEN + CHECKSUM_LEN;
-    if bytes.len() < min {
-        return Err(SnapshotError::Truncated { needed: min, actual: bytes.len() }.into());
-    }
-    let magic: [u8; 4] = bytes[0..4].try_into().expect("length checked");
+    let truncated = || SnapshotError::Truncated { needed: min, actual: bytes.len() };
+    let (covered, stored, computed) = split_checksum(bytes).ok_or_else(truncated)?;
+    let mut r = Reader::new(covered);
+    // Only the fixed header can run short: the length comparison below
+    // covers the body before it is read.
+    let short = |_: DecodeError| truncated();
+    let magic: [u8; 4] = r.take(4).map_err(short)?.try_into().expect("took 4 bytes");
     if magic != SNAPSHOT_MAGIC {
         return Err(SnapshotError::BadMagic(magic).into());
     }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("length checked"));
+    let version = r.u16().map_err(short)?;
     if version != SNAPSHOT_VERSION {
         return Err(SnapshotError::UnsupportedVersion(version).into());
     }
-    let bits = bytes[6];
-    let dim = u32::from_le_bytes(bytes[8..12].try_into().expect("length checked")) as usize;
-    let count = u32::from_le_bytes(bytes[12..16].try_into().expect("length checked")) as usize;
+    let bits = r.u8().map_err(short)?;
+    let _reserved = r.u8().map_err(short)?;
+    let dim = r.u32().map_err(short)? as usize;
+    let count = r.u32().map_err(short)? as usize;
     // Header fields are corruption-controlled: compute the implied length in
     // u128 so absurd dim/count values fail the comparison instead of
-    // overflowing usize (a wrapped value could pass the guard and panic in
-    // the decode loop).
-    let expected =
-        (HEADER_LEN + CHECKSUM_LEN) as u128 + count as u128 * (8 + dim as u128 * 4);
+    // overflowing usize.
+    let expected = min as u128 + count as u128 * (8 + dim as u128 * 4);
     if bytes.len() as u128 != expected {
         return Err(SnapshotError::LengthMismatch {
             expected: usize::try_from(expected).unwrap_or(usize::MAX),
@@ -175,10 +173,6 @@ pub fn decode_explicit_memory(bytes: &[u8]) -> Result<ExplicitMemory> {
         }
         .into());
     }
-    let payload_end = bytes.len() - CHECKSUM_LEN;
-    let stored =
-        u32::from_le_bytes(bytes[payload_end..].try_into().expect("length checked"));
-    let computed = fnv1a(&bytes[..payload_end]);
     if stored != computed {
         return Err(SnapshotError::ChecksumMismatch { stored, computed }.into());
     }
@@ -186,23 +180,63 @@ pub fn decode_explicit_memory(bytes: &[u8]) -> Result<ExplicitMemory> {
         .map_err(|_| ServeError::Snapshot(SnapshotError::BadPrecision(bits)))?;
 
     let mut em = ExplicitMemory::with_precision(dim, precision);
-    let mut offset = HEADER_LEN;
-    let mut prototype = vec![0.0f32; dim];
     for _ in 0..count {
-        let class_raw =
-            u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("length checked"));
-        let class = usize::try_from(class_raw)
-            .map_err(|_| ServeError::Snapshot(SnapshotError::ClassOverflow(class_raw)))?;
-        offset += 8;
-        for slot in prototype.iter_mut() {
-            let raw =
-                u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("length checked"));
-            *slot = f32::from_bits(raw);
-            offset += 4;
-        }
-        em.restore_prototype(class, &prototype)?;
+        let class = r.u64().map_err(short)?;
+        let class = usize::try_from(class)
+            .map_err(|_| ServeError::Snapshot(SnapshotError::ClassOverflow(class)))?;
+        em.restore_prototype(class, &r.f32s(dim).map_err(short)?)?;
     }
     Ok(em)
+}
+
+/// Appends a prototype list — what one committed `LearnOnline` changed: a
+/// `u32` count, then per entry the class id (`u64`), the prototype length
+/// (`u32`) and the prototype as IEEE-754 bits. The WAL's `Learn` record and
+/// the replication stream's `Delta` both carry exactly this.
+pub fn encode_prototypes(updates: &[(u64, Vec<f32>)], out: &mut Vec<u8>) {
+    out.reserve(4 + updates.iter().map(|(_, p)| 12 + p.len() * 4).sum::<usize>());
+    put_u32(out, updates.len() as u32);
+    for (class, prototype) in updates {
+        put_u64(out, *class);
+        put_u32(out, prototype.len() as u32);
+        put_f32s(out, prototype);
+    }
+}
+
+/// Inverse of [`encode_prototypes`]. Both the entry count and every
+/// prototype length are proved against the remaining bytes before anything
+/// is allocated.
+///
+/// # Errors
+///
+/// Returns [`DecodeError::LengthOverflow`] for a count or length the body
+/// cannot hold, [`DecodeError::Truncated`] for a short one.
+pub fn decode_prototypes(
+    r: &mut Reader<'_>,
+) -> std::result::Result<Vec<(u64, Vec<f32>)>, DecodeError> {
+    r.list("updates", 12, |r| {
+        let class = r.u64()?;
+        let dim = r.checked_count("prototype", 4)?;
+        Ok((class, r.f32s(dim)?))
+    })
+}
+
+/// Appends an optional energy budget: tag byte 0 (unlimited) or 1 followed
+/// by the budget in millijoules as IEEE-754 bits.
+pub fn encode_budget(budget_mj: Option<f64>, out: &mut Vec<u8>) {
+    out.push(u8::from(budget_mj.is_some()));
+    if let Some(v) = budget_mj {
+        put_f64(out, v);
+    }
+}
+
+/// Inverse of [`encode_budget`].
+///
+/// # Errors
+///
+/// Returns [`DecodeError::BadTag`] for a tag other than 0 or 1.
+pub fn decode_budget(r: &mut Reader<'_>) -> std::result::Result<Option<f64>, DecodeError> {
+    Ok(if r.flag("option<f64>")? { Some(r.f64()?) } else { None })
 }
 
 #[cfg(test)]
@@ -286,6 +320,42 @@ mod tests {
     }
 
     #[test]
+    fn prototype_list_and_budget_roundtrip_and_refuse_hostile_counts() {
+        let updates = vec![(0u64, vec![1.0f32, -2.0, f32::NAN]), (9, vec![])];
+        let mut out = Vec::new();
+        encode_prototypes(&updates, &mut out);
+        encode_budget(Some(12.75), &mut out);
+        encode_budget(None, &mut out);
+        let mut r = Reader::new(&out);
+        let back = decode_prototypes(&mut r).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{updates:?}"));
+        assert_eq!(decode_budget(&mut r).unwrap(), Some(12.75));
+        assert_eq!(decode_budget(&mut r).unwrap(), None);
+        r.finish().unwrap();
+
+        // u32::MAX declared updates over an empty tail, and a prototype
+        // longer than the body: both refused by arithmetic.
+        let mut hostile = Vec::new();
+        put_u32(&mut hostile, u32::MAX);
+        assert!(matches!(
+            decode_prototypes(&mut Reader::new(&hostile)),
+            Err(DecodeError::LengthOverflow { field: "updates", .. })
+        ));
+        let mut hostile = Vec::new();
+        put_u32(&mut hostile, 1);
+        put_u64(&mut hostile, 3);
+        put_u32(&mut hostile, 1 << 30);
+        assert!(matches!(
+            decode_prototypes(&mut Reader::new(&hostile)),
+            Err(DecodeError::LengthOverflow { field: "prototype", .. })
+        ));
+        assert!(matches!(
+            decode_budget(&mut Reader::new(&[7])),
+            Err(DecodeError::BadTag { tag: 7, .. })
+        ));
+    }
+
+    #[test]
     fn absurd_header_dimensions_fail_cleanly() {
         // dim and count near u32::MAX would overflow a naive
         // `count * (8 + dim * 4)` length computation; the decoder must
@@ -293,11 +363,11 @@ mod tests {
         // bounds.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+        put_u16(&mut bytes, SNAPSHOT_VERSION);
         bytes.push(32u8);
         bytes.push(0u8);
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        put_u32(&mut bytes, u32::MAX);
+        put_u32(&mut bytes, u32::MAX);
         bytes.extend_from_slice(&[0u8; 64]);
         assert!(matches!(
             decode_explicit_memory(&bytes),

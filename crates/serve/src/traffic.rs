@@ -1,10 +1,10 @@
-//! Synthetic serving traffic shared by the example, the `serve_throughput`
-//! bench and the test suites.
+//! Synthetic serving traffic shared by the examples, the simulator and the
+//! test suites.
 //!
 //! The images are "colour-dominant": each class saturates one channel, so
 //! classes are separable even through an untrained backbone and a demo or
 //! test can assert on *predictions*, not just on plumbing. Keeping the
-//! generator in one place means the bench, example and tests all drive the
+//! generator in one place means examples, simulator and tests all drive the
 //! runtime with the same inputs.
 
 use ofscil_data::Batch;

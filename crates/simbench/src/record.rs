@@ -5,9 +5,9 @@
 //! The serializer keeps object keys in insertion order and renders floats
 //! with Rust's shortest round-trip formatting, so a deterministic run
 //! produces a byte-identical line every time — the acceptance property the
-//! CLI's `--scenario all --seed N` contract is built on. (The vendored
-//! `serde` stand-in is a marker-only stub, hence the hand-rolled codec; the
-//! same pattern as `ofscil_wire`'s binary codec.)
+//! CLI's `--scenario all --seed N` contract is built on. (Hand-rolled because
+//! byte-stable output is the requirement and the workspace has no JSON
+//! dependency; this is the workspace's one JSON writer.)
 
 use std::fmt::Write as _;
 use std::fs::OpenOptions;

@@ -76,12 +76,10 @@ pub fn zipf_mixed(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
     let mut learns = 0u64;
     let mut infers = 0u64;
     let mut correct = 0u64;
-    ServeRuntime::run_observed(
+    ServeRuntime::run_with(
         &registry,
         &serve_config(),
-        None,
-        None,
-        Some(obs.sink()),
+        ServeHooks { obs: Some(obs.sink()), ..ServeHooks::default() },
         |client| -> SimResult<()> {
             for tenant in TENANTS {
                 ctx.timed(|| {

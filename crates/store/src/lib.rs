@@ -58,7 +58,7 @@
 //! // Restores anything persisted, checkpoints anything new.
 //! let recovered = store.bootstrap(&registry).unwrap();
 //! println!("recovered {} deployments", recovered.len());
-//! // Hand `&store` to `ServeRuntime::run_journaled` (or
+//! // Hand `&store` to `ServeRuntime::run_with` as `ServeHooks::journal` (or
 //! // `WireServer::run_with_store`) and every commit is durable.
 //! ```
 

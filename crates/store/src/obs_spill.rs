@@ -21,9 +21,8 @@
 
 use crate::error::StoreError;
 use crate::oplog::{OpLog, RawRecord};
-use ofscil_obs::{
-    ChunkSpill, Event, EventKind, ObsCursor, ObsStore, Rollup, Summary, ROLLUP_BUCKET_US,
-};
+use ofscil_obs::{ChunkSpill, Event, ObsCursor, ObsStore, Rollup, ROLLUP_BUCKET_US};
+use ofscil_tensor::bytes::decode_exact;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Mutex;
@@ -46,164 +45,24 @@ pub const DEFAULT_SPILL_BUDGET: u64 = 16 * 1024 * 1024;
 const RECORD_OVERHEAD: u64 = 9;
 const HEADER_LEN: u64 = 16;
 
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    let bytes = s.as_bytes();
-    put_u16(out, bytes.len().min(u16::MAX as usize) as u16);
-    out.extend_from_slice(&bytes[..bytes.len().min(u16::MAX as usize)]);
-}
-
-fn put_summary(out: &mut Vec<u8>, s: &Summary) {
-    put_u64(out, s.min.to_bits());
-    put_u64(out, s.max.to_bits());
-    put_u64(out, s.sum.to_bits());
-    put_u64(out, s.count);
-}
-
-/// A decode cursor over one record body; every taker returns `None` on
-/// underrun so a short or foreign body skips cleanly instead of panicking.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    off: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, off: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.off.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let slice = &self.bytes[self.off..end];
-        self.off = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn string(&mut self) -> Option<String> {
-        let len = self.u16()? as usize;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-
-    fn summary(&mut self) -> Option<Summary> {
-        Some(Summary {
-            min: f64::from_bits(self.u64()?),
-            max: f64::from_bits(self.u64()?),
-            sum: f64::from_bits(self.u64()?),
-            count: self.u64()?,
-        })
-    }
-
-    fn done(&self) -> bool {
-        self.off == self.bytes.len()
-    }
-}
-
-fn encode_event(out: &mut Vec<u8>, event: &Event) {
-    put_string(out, &event.deployment);
-    out.push(event.kind.code());
-    put_u64(out, event.seq);
-    put_u64(out, event.time_us);
-    put_u64(out, event.energy_mj.to_bits());
-    put_u64(out, event.latency_us);
-    put_u32(out, event.accuracy.to_bits());
-    put_u64(out, event.wal_bytes);
-}
-
-fn decode_event(cursor: &mut Cursor) -> Option<Event> {
-    let deployment = cursor.string()?;
-    let kind = EventKind::from_code(cursor.u8()?)?;
-    Some(Event {
-        deployment,
-        kind,
-        seq: cursor.u64()?,
-        time_us: cursor.u64()?,
-        energy_mj: f64::from_bits(cursor.u64()?),
-        latency_us: cursor.u64()?,
-        accuracy: f32::from_bits(cursor.u32()?),
-        wal_bytes: cursor.u64()?,
-    })
-}
-
 fn encode_chunk(events: &[Event]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(16 + events.len() * 64);
-    put_u32(&mut body, events.len() as u32);
-    for event in events {
-        encode_event(&mut body, event);
-    }
+    let mut body = Vec::new();
+    Event::encode_all(events, &mut body);
     body
 }
 
 fn decode_chunk(body: &[u8]) -> Option<Vec<Event>> {
-    let mut cursor = Cursor::new(body);
-    let count = cursor.u32()? as usize;
-    // A length claim bigger than the body could even frame is corrupt.
-    if count > body.len() {
-        return None;
-    }
-    let mut events = Vec::with_capacity(count);
-    for _ in 0..count {
-        events.push(decode_event(&mut cursor)?);
-    }
-    cursor.done().then_some(events)
+    decode_exact(body, Event::decode_all).ok()
 }
 
 fn encode_rollup(rollup: &Rollup) -> Vec<u8> {
-    let mut body = Vec::with_capacity(128);
-    put_u64(&mut body, rollup.bucket_us);
-    put_string(&mut body, &rollup.deployment);
-    body.push(rollup.kind.code());
-    put_u64(&mut body, rollup.count);
-    put_summary(&mut body, &rollup.energy_mj);
-    put_summary(&mut body, &rollup.latency_us);
-    put_summary(&mut body, &rollup.accuracy);
+    let mut body = Vec::new();
+    rollup.encode(&mut body);
     body
 }
 
 fn decode_rollup(body: &[u8]) -> Option<Rollup> {
-    let mut cursor = Cursor::new(body);
-    let bucket_us = cursor.u64()?;
-    let deployment = cursor.string()?;
-    let kind = EventKind::from_code(cursor.u8()?)?;
-    let rollup = Rollup {
-        bucket_us,
-        deployment,
-        kind,
-        count: cursor.u64()?,
-        energy_mj: cursor.summary()?,
-        latency_us: cursor.summary()?,
-        accuracy: cursor.summary()?,
-    };
-    cursor.done().then_some(rollup)
+    decode_exact(body, Rollup::decode).ok()
 }
 
 /// What a previous life left in the spill file, decoded and ready to adopt.
@@ -485,7 +344,7 @@ impl ChunkSpill for ObsSpill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofscil_obs::{ObsConfig, ObsQuery, Resolution};
+    use ofscil_obs::{EventKind, ObsConfig, ObsQuery, Resolution};
     use std::fs::OpenOptions;
     use std::path::PathBuf;
 

@@ -32,6 +32,7 @@
 //! onto the newer base.
 
 use crate::error::StoreError;
+use ofscil_tensor::bytes::{fnv1a, put_bytes, put_checksum, put_u16, put_u64, Reader};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -71,17 +72,6 @@ const HEADER_LEN: usize = 16;
 /// kind (1) + length (4) + checksum (4).
 const RECORD_OVERHEAD: usize = 9;
 
-/// FNV-1a 32-bit hash — small, dependency-free corruption detection. Not a
-/// cryptographic integrity check.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
 /// One raw log record: the kind byte plus an opaque body the layer above
 /// interprets (WAL records, placement overrides).
 pub type RawRecord = (u8, Vec<u8>);
@@ -90,10 +80,8 @@ pub type RawRecord = (u8, Vec<u8>);
 fn encode_record(out: &mut Vec<u8>, kind: u8, body: &[u8]) {
     let start = out.len();
     out.push(kind);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    let checksum = fnv1a(&out[start..]);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    put_bytes(out, body);
+    put_checksum(out, start);
 }
 
 /// Parses records from `bytes` (which excludes the file header). Returns the
@@ -101,36 +89,26 @@ fn encode_record(out: &mut Vec<u8>, kind: u8, body: &[u8]) {
 /// torn or corrupt tail the caller should truncate.
 fn parse_records(bytes: &[u8]) -> (Vec<RawRecord>, usize) {
     let mut records = Vec::new();
-    let mut offset = 0usize;
-    loop {
-        let rest = &bytes[offset..];
-        if rest.len() < RECORD_OVERHEAD {
+    let mut valid = 0usize;
+    let mut r = Reader::new(bytes);
+    while let Ok(kind) = r.u8() {
+        let Ok(body) = r.bytes("record body") else { break };
+        let covered = &bytes[valid..r.offset()];
+        if r.u32().ok() != Some(fnv1a(covered)) {
             break;
         }
-        let kind = rest[0];
-        let len = u32::from_le_bytes(rest[1..5].try_into().expect("length checked")) as usize;
-        let Some(total) = len.checked_add(RECORD_OVERHEAD) else { break };
-        if rest.len() < total {
-            break;
-        }
-        let stored = u32::from_le_bytes(
-            rest[5 + len..total].try_into().expect("length checked"),
-        );
-        if stored != fnv1a(&rest[..5 + len]) {
-            break;
-        }
-        records.push((kind, rest[5..5 + len].to_vec()));
-        offset += total;
+        records.push((kind, body));
+        valid = r.offset();
     }
-    (records, offset)
+    (records, valid)
 }
 
 fn header_bytes(epoch: u64) -> Vec<u8> {
     let mut header = Vec::with_capacity(HEADER_LEN);
     header.extend_from_slice(&LOG_MAGIC);
-    header.extend_from_slice(&LOG_VERSION.to_le_bytes());
+    put_u16(&mut header, LOG_VERSION);
     header.extend_from_slice(&[0u8; 2]);
-    header.extend_from_slice(&epoch.to_le_bytes());
+    put_u64(&mut header, epoch);
     header
 }
 

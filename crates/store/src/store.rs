@@ -3,7 +3,7 @@
 
 use crate::error::StoreError;
 use crate::oplog::{OpLog, SyncPolicy};
-use crate::wal::{compact_records, decode_record, encode_record, replay, Checkpoint, DeploymentState, WalRecord};
+use crate::wal::{compact_records, replay, Checkpoint, DeploymentState, WalRecord};
 use ofscil_serve::{CommitJournal, DurabilityStats, LearnCommit, LearnerRegistry};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -221,12 +221,12 @@ impl Store {
                     // A record whose body fails to parse despite an intact
                     // checksum marks the end of the trustworthy prefix,
                     // exactly like a torn tail.
-                    match decode_record(kind, &body) {
-                        Some(record) => {
+                    match WalRecord::decode(kind, &body) {
+                        Ok(record) => {
                             records.push(record);
                             valid.push((kind, body));
                         }
-                        None => break,
+                        Err(_) => break,
                     }
                 }
                 if valid.len() as u64 != wal.records() {
@@ -458,7 +458,7 @@ impl Store {
         if log.gapped {
             return Err(StoreError::Gapped(name.to_string()));
         }
-        let (kind, body) = encode_record(&record);
+        let (kind, body) = record.encode();
         if let Err(e) = log.wal.append(kind, &body) {
             log.gapped = true;
             return Err(e);
@@ -526,7 +526,7 @@ impl Store {
         if compacted.len() >= log.records.len() {
             return Ok(false);
         }
-        let raw: Vec<_> = compacted.iter().map(encode_record).collect();
+        let raw: Vec<_> = compacted.iter().map(WalRecord::encode).collect();
         log.wal.rewrite(&raw)?;
         log.records = compacted;
         log.compactions += 1;

@@ -25,8 +25,15 @@
 //! sequences).
 
 use crate::error::StoreError;
-use crate::oplog::{fnv1a, RawRecord};
-use ofscil_serve::{decode_explicit_memory, encode_explicit_memory};
+use crate::oplog::RawRecord;
+use ofscil_serve::{
+    decode_budget, decode_explicit_memory, decode_prototypes, encode_budget,
+    encode_explicit_memory, encode_prototypes,
+};
+use ofscil_tensor::bytes::{
+    decode_exact, put_bytes, put_checksum, put_f64, put_u16, put_u64, split_checksum,
+    DecodeError, Reader,
+};
 use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::Write;
@@ -91,155 +98,75 @@ impl WalRecord {
             | WalRecord::TopUp { seq, .. } => *seq,
         }
     }
-}
 
-// ---------------------------------------------------------------------------
-// Body codec (little-endian, floats as IEEE-754 bits — the house style)
-// ---------------------------------------------------------------------------
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_budget(out: &mut Vec<u8>, budget: Option<f64>) {
-    match budget {
-        Some(v) => {
-            out.push(1);
-            put_f64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-/// Bounds-checked little cursor; decode failures yield `None` and the caller
-/// treats the record as corrupt (same truncate-the-tail handling as a failed
-/// checksum).
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, offset: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.offset.checked_add(n)?;
-        if end > self.bytes.len() {
-            return None;
-        }
-        let slice = &self.bytes[self.offset..end];
-        self.offset = end;
-        Some(slice)
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn f32(&mut self) -> Option<f32> {
-        Some(f32::from_bits(self.u32()?))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    fn budget(&mut self) -> Option<Option<f64>> {
-        match self.take(1)?[0] {
-            0 => Some(None),
-            1 => Some(Some(self.f64()?)),
-            _ => None,
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.offset == self.bytes.len()
-    }
-}
-
-/// Encodes a record into its raw `(kind, body)` form for the op log.
-pub(crate) fn encode_record(record: &WalRecord) -> RawRecord {
-    let mut body = Vec::new();
-    let kind = match record {
-        WalRecord::Learn { seq, total_classes, updates, spent_mj, budget_mj } => {
-            body.extend_from_slice(&seq.to_le_bytes());
-            body.extend_from_slice(&total_classes.to_le_bytes());
-            put_f64(&mut body, *spent_mj);
-            put_budget(&mut body, *budget_mj);
-            body.extend_from_slice(&(updates.len() as u32).to_le_bytes());
-            for (class, prototype) in updates {
-                body.extend_from_slice(&class.to_le_bytes());
-                body.extend_from_slice(&(prototype.len() as u32).to_le_bytes());
-                for &v in prototype {
-                    body.extend_from_slice(&v.to_bits().to_le_bytes());
-                }
+    /// Encodes the record into its raw `(kind, body)` form for the op log:
+    /// sequence number and meter state first, then the kind's payload (the
+    /// prototype list of a `Learn`, the snapshot bytes of an `Import`).
+    pub fn encode(&self) -> RawRecord {
+        // Fits every fixed-size prefix; the variable tails reserve their own.
+        let mut body = Vec::with_capacity(64);
+        let meter = |body: &mut Vec<u8>, spent_mj: f64, budget_mj: Option<f64>| {
+            put_f64(body, spent_mj);
+            encode_budget(budget_mj, body);
+        };
+        let kind = match self {
+            WalRecord::Learn { seq, total_classes, updates, spent_mj, budget_mj } => {
+                put_u64(&mut body, *seq);
+                put_u64(&mut body, *total_classes);
+                meter(&mut body, *spent_mj, *budget_mj);
+                encode_prototypes(updates, &mut body);
+                KIND_LEARN
             }
-            KIND_LEARN
-        }
-        WalRecord::Import { seq, snapshot, spent_mj, budget_mj } => {
-            body.extend_from_slice(&seq.to_le_bytes());
-            put_f64(&mut body, *spent_mj);
-            put_budget(&mut body, *budget_mj);
-            body.extend_from_slice(&(snapshot.len() as u32).to_le_bytes());
-            body.extend_from_slice(snapshot);
-            KIND_IMPORT
-        }
-        WalRecord::TopUp { seq, spent_mj, budget_mj } => {
-            body.extend_from_slice(&seq.to_le_bytes());
-            put_f64(&mut body, *spent_mj);
-            put_budget(&mut body, *budget_mj);
-            KIND_TOP_UP
-        }
-    };
-    (kind, body)
-}
-
-/// Decodes a raw `(kind, body)` record. `None` marks a record the checksum
-/// let through but whose body does not parse — treated as corruption.
-pub(crate) fn decode_record(kind: u8, body: &[u8]) -> Option<WalRecord> {
-    let mut c = Cursor::new(body);
-    let record = match kind {
-        KIND_LEARN => {
-            let seq = c.u64()?;
-            let total_classes = c.u64()?;
-            let spent_mj = c.f64()?;
-            let budget_mj = c.budget()?;
-            let count = c.u32()? as usize;
-            let mut updates = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                let class = c.u64()?;
-                let dim = c.u32()? as usize;
-                let mut prototype = Vec::with_capacity(dim.min(65_536));
-                for _ in 0..dim {
-                    prototype.push(c.f32()?);
-                }
-                updates.push((class, prototype));
+            WalRecord::Import { seq, snapshot, spent_mj, budget_mj } => {
+                body.reserve(snapshot.len());
+                put_u64(&mut body, *seq);
+                meter(&mut body, *spent_mj, *budget_mj);
+                put_bytes(&mut body, snapshot);
+                KIND_IMPORT
             }
-            WalRecord::Learn { seq, total_classes, updates, spent_mj, budget_mj }
-        }
-        KIND_IMPORT => {
-            let seq = c.u64()?;
-            let spent_mj = c.f64()?;
-            let budget_mj = c.budget()?;
-            let len = c.u32()? as usize;
-            let snapshot = c.take(len)?.to_vec();
-            WalRecord::Import { seq, snapshot, spent_mj, budget_mj }
-        }
-        KIND_TOP_UP => {
-            let seq = c.u64()?;
-            let spent_mj = c.f64()?;
-            let budget_mj = c.budget()?;
-            WalRecord::TopUp { seq, spent_mj, budget_mj }
-        }
-        _ => return None,
-    };
-    c.finished().then_some(record)
+            WalRecord::TopUp { seq, spent_mj, budget_mj } => {
+                put_u64(&mut body, *seq);
+                meter(&mut body, *spent_mj, *budget_mj);
+                KIND_TOP_UP
+            }
+        };
+        (kind, body)
+    }
+
+    /// Decodes a raw `(kind, body)` record.
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`] for a record the log's checksum let
+    /// through but whose body does not parse — the store treats it as
+    /// corruption (same truncate-the-tail handling as a failed checksum).
+    /// Declared counts are proved against the body before anything is
+    /// allocated.
+    pub fn decode(kind: u8, body: &[u8]) -> Result<WalRecord, DecodeError> {
+        decode_exact(body, |r| {
+            Ok(match kind {
+                KIND_LEARN => WalRecord::Learn {
+                    seq: r.u64()?,
+                    total_classes: r.u64()?,
+                    spent_mj: r.f64()?,
+                    budget_mj: decode_budget(r)?,
+                    updates: decode_prototypes(r)?,
+                },
+                KIND_IMPORT => WalRecord::Import {
+                    seq: r.u64()?,
+                    spent_mj: r.f64()?,
+                    budget_mj: decode_budget(r)?,
+                    snapshot: r.bytes("snapshot")?,
+                },
+                KIND_TOP_UP => WalRecord::TopUp {
+                    seq: r.u64()?,
+                    spent_mj: r.f64()?,
+                    budget_mj: decode_budget(r)?,
+                },
+                other => return Err(DecodeError::UnknownKind(other)),
+            })
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -270,54 +197,56 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serializes the checkpoint to its file format (magic, version, fields,
     /// trailing FNV-1a checksum).
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(32 + self.snapshot.len());
+    pub fn encode(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(48 + self.snapshot.len());
         bytes.extend_from_slice(&CHECKPOINT_MAGIC);
-        bytes.extend_from_slice(&CHECKPOINT_VERSION.to_le_bytes());
+        put_u16(&mut bytes, CHECKPOINT_VERSION);
         bytes.extend_from_slice(&[0u8; 2]);
-        bytes.extend_from_slice(&self.epoch.to_le_bytes());
-        bytes.extend_from_slice(&self.seq.to_le_bytes());
+        put_u64(&mut bytes, self.epoch);
+        put_u64(&mut bytes, self.seq);
         put_f64(&mut bytes, self.spent_mj);
-        put_budget(&mut bytes, self.budget_mj);
-        bytes.extend_from_slice(&(self.snapshot.len() as u32).to_le_bytes());
-        bytes.extend_from_slice(&self.snapshot);
-        let checksum = fnv1a(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
+        encode_budget(self.budget_mj, &mut bytes);
+        put_bytes(&mut bytes, &self.snapshot);
+        put_checksum(&mut bytes, 0);
         bytes
     }
 
     /// Parses a checkpoint file's bytes.
     ///
+    /// # Errors
+    ///
     /// Unlike the WAL there is no salvageable prefix: any damage fails the
-    /// decode, and the caller reports [`StoreError::CorruptCheckpoint`].
-    pub(crate) fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
-        if bytes.len() < 12 {
-            return Err(format!("{} bytes is shorter than the fixed header", bytes.len()));
+    /// decode with a description, and the store reports
+    /// [`StoreError::CorruptCheckpoint`].
+    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, String> {
+        let malformed = |e: DecodeError| format!("malformed checkpoint: {e}");
+        let (covered, stored, computed) = split_checksum(bytes)
+            .ok_or_else(|| format!("{} bytes is shorter than the checksum", bytes.len()))?;
+        let mut r = Reader::new(covered);
+        let magic = r.take(4).map_err(malformed)?;
+        if magic != CHECKPOINT_MAGIC {
+            return Err(format!("bad magic {magic:?}"));
         }
-        if bytes[0..4] != CHECKPOINT_MAGIC {
-            return Err(format!("bad magic {:?}", &bytes[0..4]));
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("length checked"));
+        let version = r.u16().map_err(malformed)?;
         if version != CHECKPOINT_VERSION {
             return Err(format!("unsupported version {version}"));
         }
-        let payload_end = bytes.len() - 4;
-        let stored = u32::from_le_bytes(bytes[payload_end..].try_into().expect("length checked"));
-        let computed = fnv1a(&bytes[..payload_end]);
+        let _reserved = r.u16().map_err(malformed)?;
         if stored != computed {
             return Err(format!("checksum {stored:#010x} != computed {computed:#010x}"));
         }
-        let mut c = Cursor::new(&bytes[8..payload_end]);
-        let mut parse = || -> Option<Checkpoint> {
-            let epoch = c.u64()?;
-            let seq = c.u64()?;
-            let spent_mj = c.f64()?;
-            let budget_mj = c.budget()?;
-            let len = c.u32()? as usize;
-            let snapshot = c.take(len)?.to_vec();
-            c.finished().then_some(Checkpoint { epoch, seq, spent_mj, budget_mj, snapshot })
+        let mut fields = || -> Result<Checkpoint, DecodeError> {
+            Ok(Checkpoint {
+                epoch: r.u64()?,
+                seq: r.u64()?,
+                spent_mj: r.f64()?,
+                budget_mj: decode_budget(&mut r)?,
+                snapshot: r.bytes("snapshot")?,
+            })
         };
-        parse().ok_or_else(|| "truncated or oversized body".to_string())
+        let checkpoint = fields().map_err(malformed)?;
+        r.finish().map_err(malformed)?;
+        Ok(checkpoint)
     }
 
     /// Writes the checkpoint to `path` atomically (temporary sibling +
@@ -532,15 +461,18 @@ mod tests {
             WalRecord::TopUp { seq: 8, spent_mj: 0.0, budget_mj: Some(55.25) },
         ];
         for record in &records {
-            let (kind, body) = encode_record(record);
-            let back = decode_record(kind, &body).expect("decodes");
+            let (kind, body) = record.encode();
+            let back = WalRecord::decode(kind, &body).expect("decodes");
             assert_eq!(&back, record);
         }
         // Unknown kinds and trailing bytes are rejected, not panics.
-        assert!(decode_record(0x7f, &[]).is_none());
-        let (kind, mut body) = encode_record(&records[2]);
+        assert_eq!(WalRecord::decode(0x7f, &[]), Err(DecodeError::UnknownKind(0x7f)));
+        let (kind, mut body) = records[2].encode();
         body.push(0xab);
-        assert!(decode_record(kind, &body).is_none());
+        assert_eq!(
+            WalRecord::decode(kind, &body),
+            Err(DecodeError::TrailingBytes { remaining: 1 })
+        );
     }
 
     #[test]

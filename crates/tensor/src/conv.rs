@@ -6,10 +6,9 @@
 //! geometry calculations.
 
 use crate::{Result, Tensor, TensorError};
-use serde::{Deserialize, Serialize};
 
 /// Spatial geometry of a 2-D convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2dGeometry {
     /// Input height.
     pub in_h: usize,

@@ -1,7 +1,6 @@
 //! Shape descriptor for row-major tensors.
 
 use crate::{Result, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A tensor shape: the extent of each dimension, outermost first.
@@ -17,7 +16,7 @@ use std::fmt;
 /// assert_eq!(s.volume(), 24);
 /// assert_eq!(s.rank(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Shape {
     dims: Vec<usize>,
 }

@@ -1,7 +1,7 @@
 //! The owned, row-major `f32` tensor type.
 
+use crate::bytes::{put_f32s, put_u32, DecodeError, Reader};
 use crate::{Result, Shape, TensorError};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An owned, row-major dense tensor of `f32` values.
@@ -21,7 +21,7 @@ use std::fmt;
 /// assert_eq!(t.shape().dims(), &[2, 3]);
 /// assert_eq!(t.len(), 6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
@@ -391,6 +391,41 @@ impl Tensor {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f32::max))
+    }
+
+    /// Appends the tensor's byte layout: rank (`u8`), each extent (`u32`),
+    /// then the elements as IEEE-754 bits — bit-exact across a wire.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let dims = self.dims();
+        out.reserve(1 + dims.len() * 4 + self.data.len() * 4);
+        out.push(dims.len() as u8);
+        for &d in dims {
+            put_u32(out, d as u32);
+        }
+        put_f32s(out, &self.data);
+    }
+
+    /// Inverse of [`Tensor::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a typed [`DecodeError`]; the element count implied by the
+    /// extents is proved against the remaining bytes before anything is
+    /// allocated, so hostile extents cannot balloon memory.
+    pub fn decode(r: &mut Reader<'_>) -> std::result::Result<Tensor, DecodeError> {
+        let rank = usize::from(r.u8()?);
+        let mut dims = Vec::with_capacity(rank);
+        for _ in 0..rank {
+            dims.push(r.u32()? as usize);
+        }
+        // Element count in u64 so corrupt extents cannot overflow.
+        let len = dims
+            .iter()
+            .try_fold(1u64, |acc, &d| acc.checked_mul(d as u64))
+            .filter(|&v| v <= u64::from(u32::MAX))
+            .ok_or(DecodeError::LengthOverflow { field: "tensor", declared: u64::MAX })?;
+        let len = r.prove("tensor", len, 4)?;
+        Tensor::from_vec(r.f32s(len)?, &dims).map_err(|e| DecodeError::BadTensor(e.to_string()))
     }
 }
 

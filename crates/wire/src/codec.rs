@@ -1,11 +1,14 @@
 //! Message bodies: the typed serve API and the replication stream on bytes.
 //!
 //! One frame carries one message; the frame's kind byte selects the decoder.
-//! Scalars are little-endian, floats travel as their exact IEEE-754 bit
-//! patterns (the same bit-exactness contract as the snapshot codec — a
-//! prototype that crosses the wire classifies identically on both sides),
-//! strings are length-prefixed UTF-8, and every variable-length field checks
-//! its declared count against the remaining payload *before* allocating.
+//! This module is the kind table and the per-variant field order only: every
+//! value type encodes itself beside its definition (`Tensor` in
+//! `ofscil_tensor`, events and queries in `ofscil_obs`, prototypes, stats,
+//! exports and errors in `ofscil_serve`) on the workspace's one byte codec,
+//! [`ofscil_tensor::bytes`] — little-endian scalars, floats as exact IEEE-754
+//! bits (a prototype that crosses the wire classifies identically on both
+//! sides), length-prefixed strings, declared counts proved against the
+//! remaining payload *before* allocating.
 //!
 //! ```text
 //! kind   message
@@ -41,12 +44,13 @@
 use crate::error::PayloadError;
 use crate::frame::frame_bytes;
 use ofscil_data::Batch;
-use ofscil_obs::{
-    Event, EventKind, LatencyHistogram, ObsAggregates, ObsCursor, ObsQuery, ObsResult,
-    Resolution, Rollup, Summary, TailBatch, LATENCY_BUCKETS,
-};
+use ofscil_obs::{ObsCursor, ObsQuery, ObsResult, TailBatch};
 use ofscil_serve::{
-    DeploymentExport, DeploymentStats, ExportStats, ServeError, ServeRequest, ServeResponse,
+    decode_budget, decode_prototypes, encode_budget, encode_prototypes, DeploymentExport,
+    DeploymentStats, ServeError, ServeRequest, ServeResponse,
+};
+use ofscil_tensor::bytes::{
+    decode_exact, put_bytes, put_f32, put_f64, put_str, put_u32, put_u64, Reader,
 };
 use ofscil_tensor::Tensor;
 
@@ -206,184 +210,6 @@ pub enum ReplEvent {
 }
 
 // ---------------------------------------------------------------------------
-// Primitive writers
-// ---------------------------------------------------------------------------
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_string(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u32(out, bytes.len() as u32);
-    out.extend_from_slice(bytes);
-}
-
-fn put_tensor(out: &mut Vec<u8>, tensor: &Tensor) {
-    let dims = tensor.dims();
-    out.push(dims.len() as u8);
-    for &d in dims {
-        put_u32(out, d as u32);
-    }
-    for &v in tensor.as_slice() {
-        put_f32(out, v);
-    }
-}
-
-fn put_option_f64(out: &mut Vec<u8>, v: Option<f64>) {
-    match v {
-        Some(v) => {
-            out.push(1);
-            put_f64(out, v);
-        }
-        None => out.push(0),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Primitive reader
-// ---------------------------------------------------------------------------
-
-/// A bounds-checked cursor over one message payload. Every accessor returns
-/// a typed [`PayloadError`]; nothing indexes past the end.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    offset: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, offset: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.offset
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], PayloadError> {
-        if self.remaining() < n {
-            return Err(PayloadError::Truncated {
-                offset: self.offset,
-                needed: n,
-                remaining: self.remaining(),
-            });
-        }
-        let slice = &self.bytes[self.offset..self.offset + n];
-        self.offset += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, PayloadError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, PayloadError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("length checked")))
-    }
-
-    fn u64(&mut self) -> Result<u64, PayloadError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("length checked")))
-    }
-
-    fn f32(&mut self) -> Result<f32, PayloadError> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, PayloadError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn usize_field(&mut self, field: &'static str) -> Result<usize, PayloadError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| PayloadError::ValueOverflow { field, value: v })
-    }
-
-    /// Reads a declared element count and proves `count * element_size`
-    /// bytes are actually present before the caller allocates.
-    fn checked_count(
-        &mut self,
-        field: &'static str,
-        element_size: usize,
-    ) -> Result<usize, PayloadError> {
-        let declared = u64::from(self.u32()?);
-        let need = declared.saturating_mul(element_size as u64);
-        if need > self.remaining() as u64 {
-            return Err(PayloadError::LengthOverflow { field, declared });
-        }
-        Ok(declared as usize)
-    }
-
-    fn string(&mut self) -> Result<String, PayloadError> {
-        let len = self.checked_count("string", 1)?;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| PayloadError::BadUtf8)
-    }
-
-    fn bytes_field(&mut self, field: &'static str) -> Result<Vec<u8>, PayloadError> {
-        let len = self.checked_count(field, 1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn tensor(&mut self) -> Result<Tensor, PayloadError> {
-        let rank = usize::from(self.u8()?);
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(self.u32()? as usize);
-        }
-        // Element count in u64 so corrupt dimensions cannot overflow; the
-        // per-element size check below bounds the allocation to the payload.
-        let len = dims
-            .iter()
-            .try_fold(1u64, |acc, &d| acc.checked_mul(d as u64))
-            .filter(|&v| v <= u64::from(u32::MAX));
-        let Some(len) = len else {
-            return Err(PayloadError::LengthOverflow { field: "tensor", declared: u64::MAX });
-        };
-        let need = len.saturating_mul(4);
-        if need > self.remaining() as u64 {
-            return Err(PayloadError::LengthOverflow { field: "tensor", declared: len });
-        }
-        let mut data = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            data.push(self.f32()?);
-        }
-        Tensor::from_vec(data, &dims).map_err(|e| PayloadError::BadTensor(e.to_string()))
-    }
-
-    fn option_f64(&mut self) -> Result<Option<f64>, PayloadError> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(self.f64()?)),
-            tag => Err(PayloadError::BadTag { field: "option<f64>", tag }),
-        }
-    }
-
-    /// Asserts the payload is fully consumed.
-    fn finish(self) -> Result<(), PayloadError> {
-        if self.remaining() > 0 {
-            return Err(PayloadError::TrailingBytes { remaining: self.remaining() });
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
@@ -392,13 +218,13 @@ pub fn encode_request(request: &WireRequest) -> Vec<u8> {
     let mut payload = Vec::new();
     let kind = match request {
         WireRequest::Serve(ServeRequest::Infer { deployment, image }) => {
-            put_string(&mut payload, deployment);
-            put_tensor(&mut payload, image);
+            put_str(&mut payload, deployment);
+            image.encode(&mut payload);
             KIND_REQ_INFER
         }
         WireRequest::Serve(ServeRequest::LearnOnline { deployment, batch }) => {
-            put_string(&mut payload, deployment);
-            put_tensor(&mut payload, &batch.images);
+            put_str(&mut payload, deployment);
+            batch.images.encode(&mut payload);
             put_u32(&mut payload, batch.labels.len() as u32);
             for &label in &batch.labels {
                 put_u64(&mut payload, label as u64);
@@ -406,128 +232,53 @@ pub fn encode_request(request: &WireRequest) -> Vec<u8> {
             KIND_REQ_LEARN
         }
         WireRequest::Serve(ServeRequest::Snapshot { deployment }) => {
-            put_string(&mut payload, deployment);
+            put_str(&mut payload, deployment);
             KIND_REQ_SNAPSHOT
         }
         WireRequest::Serve(ServeRequest::Stats { deployment }) => {
-            put_string(&mut payload, deployment);
+            put_str(&mut payload, deployment);
             KIND_REQ_STATS
         }
         WireRequest::Serve(ServeRequest::TopUpBudget { deployment, energy_mj }) => {
-            put_string(&mut payload, deployment);
+            put_str(&mut payload, deployment);
             put_f64(&mut payload, *energy_mj);
             KIND_REQ_TOP_UP
         }
         WireRequest::Subscribe { deployment } => {
-            put_string(&mut payload, deployment);
+            put_str(&mut payload, deployment);
             KIND_REQ_SUBSCRIBE
         }
         WireRequest::Export { deployment } => {
-            put_string(&mut payload, deployment);
+            put_str(&mut payload, deployment);
             KIND_REQ_EXPORT
         }
         WireRequest::Import(export) => {
-            put_export(&mut payload, export);
+            export.encode(&mut payload);
             KIND_REQ_IMPORT
         }
         WireRequest::ReAnchor { deployment } => {
-            put_string(&mut payload, deployment);
+            put_str(&mut payload, deployment);
             KIND_REQ_REANCHOR
         }
         WireRequest::ObsQuery(query) => {
-            put_obs_query(&mut payload, query);
+            query.encode(&mut payload);
             KIND_REQ_OBS_QUERY
         }
         WireRequest::ObsSubscribe { query, cursor } => {
-            put_obs_query(&mut payload, query);
-            match cursor {
-                Some(cursor) => {
-                    payload.push(1);
-                    put_u64(&mut payload, cursor.time_us);
-                    put_u64(&mut payload, cursor.seq);
-                }
-                None => payload.push(0),
+            query.encode(&mut payload);
+            payload.push(u8::from(cursor.is_some()));
+            if let Some(cursor) = cursor {
+                cursor.encode(&mut payload);
             }
             KIND_REQ_OBS_SUBSCRIBE
         }
         WireRequest::AdvertiseFollower { upstream, follower } => {
-            put_string(&mut payload, upstream);
-            put_string(&mut payload, follower);
+            put_str(&mut payload, upstream);
+            put_str(&mut payload, follower);
             KIND_REQ_ADVERTISE
         }
     };
     frame_bytes(kind, &payload)
-}
-
-// The obs-filter payload, shared by `ObsQuery` and `ObsSubscribe` requests:
-// deployment-leading (so `peek_request` reads the routing key), then time and
-// sequence windows, kind mask, row limit and resolution byte.
-fn put_obs_query(out: &mut Vec<u8>, query: &ObsQuery) {
-    put_string(out, &query.deployment);
-    put_u64(out, query.time_min);
-    put_u64(out, query.time_max);
-    put_u64(out, query.seq_min);
-    put_u64(out, query.seq_max);
-    put_u32(out, u32::from(query.kinds));
-    put_u32(out, query.limit);
-    out.push(query.resolution.code());
-}
-
-fn read_obs_query(r: &mut Reader<'_>) -> Result<ObsQuery, PayloadError> {
-    let deployment = r.string()?;
-    let time_min = r.u64()?;
-    let time_max = r.u64()?;
-    let seq_min = r.u64()?;
-    let seq_max = r.u64()?;
-    let kinds = r.u32()?;
-    let kinds = u16::try_from(kinds)
-        .map_err(|_| PayloadError::ValueOverflow { field: "kinds", value: u64::from(kinds) })?;
-    let limit = r.u32()?;
-    let resolution_code = r.u8()?;
-    let resolution = Resolution::from_code(resolution_code)
-        .ok_or(PayloadError::BadTag { field: "obs resolution", tag: resolution_code })?;
-    Ok(ObsQuery { deployment, time_min, time_max, seq_min, seq_max, kinds, limit, resolution })
-}
-
-// The migratable-deployment payload, shared by `Import` requests and `Export`
-// responses: name + replication seq + snapshot bytes, then the billing state
-// (spent/budget millijoules) and the lifetime request counters, so a live
-// migration moves the meter and stats along with the model.
-fn put_export(out: &mut Vec<u8>, export: &DeploymentExport) {
-    put_string(out, &export.name);
-    put_u64(out, export.seq);
-    put_bytes(out, &export.snapshot);
-    put_f64(out, export.spent_mj);
-    put_option_f64(out, export.budget_mj);
-    let stats = &export.stats;
-    put_u64(out, stats.infer_requests);
-    put_u64(out, stats.infer_batches);
-    put_u64(out, stats.largest_batch);
-    put_u64(out, stats.learn_requests);
-    put_u64(out, stats.snapshots);
-    put_u64(out, stats.rejected_infer);
-    put_u64(out, stats.rejected_learn);
-    put_u64(out, stats.deferred);
-}
-
-fn read_export(r: &mut Reader<'_>) -> Result<DeploymentExport, PayloadError> {
-    Ok(DeploymentExport {
-        name: r.string()?,
-        seq: r.u64()?,
-        snapshot: r.bytes_field("snapshot")?,
-        spent_mj: r.f64()?,
-        budget_mj: r.option_f64()?,
-        stats: ExportStats {
-            infer_requests: r.u64()?,
-            infer_batches: r.u64()?,
-            largest_batch: r.u64()?,
-            learn_requests: r.u64()?,
-            snapshots: r.u64()?,
-            rejected_infer: r.u64()?,
-            rejected_learn: r.u64()?,
-            deferred: r.u64()?,
-        },
-    })
 }
 
 /// What [`peek_request`] saw in a request frame.
@@ -574,9 +325,8 @@ pub fn peek_request(kind: u8, payload: &[u8]) -> Result<RequestPeek, PayloadErro
         | KIND_REQ_TOP_UP | KIND_REQ_SUBSCRIBE | KIND_REQ_EXPORT | KIND_REQ_IMPORT
         | KIND_REQ_REANCHOR | KIND_REQ_OBS_QUERY | KIND_REQ_ADVERTISE
         | KIND_REQ_OBS_SUBSCRIBE => {
-            let mut r = Reader::new(payload);
             Ok(RequestPeek {
-                deployment: r.string()?,
+                deployment: Reader::new(payload).str()?,
                 streaming: matches!(kind, KIND_REQ_SUBSCRIBE | KIND_REQ_OBS_SUBSCRIBE),
                 write: matches!(kind, KIND_REQ_LEARN | KIND_REQ_TOP_UP | KIND_REQ_IMPORT),
                 scatter: kind == KIND_REQ_OBS_QUERY,
@@ -595,279 +345,47 @@ pub fn peek_request(kind: u8, payload: &[u8]) -> Result<RequestPeek, PayloadErro
 /// Returns a typed [`PayloadError`] for unknown kinds and malformed bodies;
 /// never panics.
 pub fn decode_request(kind: u8, payload: &[u8]) -> Result<WireRequest, PayloadError> {
-    let mut r = Reader::new(payload);
-    let request = match kind {
-        KIND_REQ_INFER => WireRequest::Serve(ServeRequest::Infer {
-            deployment: r.string()?,
-            image: r.tensor()?,
-        }),
-        KIND_REQ_LEARN => {
-            let deployment = r.string()?;
-            let images = r.tensor()?;
-            let count = r.checked_count("labels", 8)?;
-            let mut labels = Vec::with_capacity(count);
-            for _ in 0..count {
-                labels.push(r.usize_field("label")?);
+    decode_exact(payload, |r| {
+        Ok(match kind {
+            KIND_REQ_INFER => WireRequest::Serve(ServeRequest::Infer {
+                deployment: r.str()?,
+                image: Tensor::decode(r)?,
+            }),
+            KIND_REQ_LEARN => WireRequest::Serve(ServeRequest::LearnOnline {
+                deployment: r.str()?,
+                batch: Batch {
+                    images: Tensor::decode(r)?,
+                    labels: r.list("labels", 8, |r| r.usize("label"))?,
+                },
+            }),
+            KIND_REQ_SNAPSHOT => {
+                WireRequest::Serve(ServeRequest::Snapshot { deployment: r.str()? })
             }
-            WireRequest::Serve(ServeRequest::LearnOnline {
-                deployment,
-                batch: Batch { images, labels },
-            })
-        }
-        KIND_REQ_SNAPSHOT => {
-            WireRequest::Serve(ServeRequest::Snapshot { deployment: r.string()? })
-        }
-        KIND_REQ_STATS => WireRequest::Serve(ServeRequest::Stats { deployment: r.string()? }),
-        KIND_REQ_TOP_UP => WireRequest::Serve(ServeRequest::TopUpBudget {
-            deployment: r.string()?,
-            energy_mj: r.f64()?,
-        }),
-        KIND_REQ_SUBSCRIBE => WireRequest::Subscribe { deployment: r.string()? },
-        KIND_REQ_EXPORT => WireRequest::Export { deployment: r.string()? },
-        KIND_REQ_IMPORT => WireRequest::Import(read_export(&mut r)?),
-        KIND_REQ_REANCHOR => WireRequest::ReAnchor { deployment: r.string()? },
-        KIND_REQ_OBS_QUERY => WireRequest::ObsQuery(read_obs_query(&mut r)?),
-        KIND_REQ_OBS_SUBSCRIBE => {
-            let query = read_obs_query(&mut r)?;
-            let cursor = match r.u8()? {
-                0 => None,
-                1 => Some(ObsCursor { time_us: r.u64()?, seq: r.u64()? }),
-                tag => return Err(PayloadError::BadTag { field: "obs cursor", tag }),
-            };
-            WireRequest::ObsSubscribe { query, cursor }
-        }
-        KIND_REQ_ADVERTISE => WireRequest::AdvertiseFollower {
-            upstream: r.string()?,
-            follower: r.string()?,
-        },
-        other => return Err(PayloadError::UnknownKind(other)),
-    };
-    r.finish()?;
-    Ok(request)
+            KIND_REQ_STATS => WireRequest::Serve(ServeRequest::Stats { deployment: r.str()? }),
+            KIND_REQ_TOP_UP => WireRequest::Serve(ServeRequest::TopUpBudget {
+                deployment: r.str()?,
+                energy_mj: r.f64()?,
+            }),
+            KIND_REQ_SUBSCRIBE => WireRequest::Subscribe { deployment: r.str()? },
+            KIND_REQ_EXPORT => WireRequest::Export { deployment: r.str()? },
+            KIND_REQ_IMPORT => WireRequest::Import(DeploymentExport::decode(r)?),
+            KIND_REQ_REANCHOR => WireRequest::ReAnchor { deployment: r.str()? },
+            KIND_REQ_OBS_QUERY => WireRequest::ObsQuery(ObsQuery::decode(r)?),
+            KIND_REQ_OBS_SUBSCRIBE => WireRequest::ObsSubscribe {
+                query: ObsQuery::decode(r)?,
+                cursor: if r.flag("obs cursor")? { Some(ObsCursor::decode(r)?) } else { None },
+            },
+            KIND_REQ_ADVERTISE => {
+                WireRequest::AdvertiseFollower { upstream: r.str()?, follower: r.str()? }
+            }
+            other => return Err(PayloadError::UnknownKind(other)),
+        })
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Responses
 // ---------------------------------------------------------------------------
-
-// ServeError wire tags. Wrapped library errors (snapshot codec, model, device
-// pricing, tensor) are folded into `Execution` with their display string —
-// the variants a client acts on programmatically survive structurally.
-const ERR_UNKNOWN_DEPLOYMENT: u8 = 0;
-const ERR_DUPLICATE_DEPLOYMENT: u8 = 1;
-const ERR_BUDGET_EXHAUSTED: u8 = 2;
-const ERR_INVALID_REQUEST: u8 = 3;
-const ERR_INVALID_CONFIG: u8 = 4;
-const ERR_EXECUTION: u8 = 5;
-const ERR_SHUTTING_DOWN: u8 = 6;
-const ERR_QUEUE_FULL: u8 = 7;
-const ERR_READ_ONLY_REPLICA: u8 = 8;
-const ERR_SHARD_UNAVAILABLE: u8 = 9;
-const ERR_REPLICATION_LAGGED: u8 = 10;
-
-fn put_serve_error(out: &mut Vec<u8>, error: &ServeError) {
-    match error {
-        ServeError::UnknownDeployment(name) => {
-            out.push(ERR_UNKNOWN_DEPLOYMENT);
-            put_string(out, name);
-        }
-        ServeError::DuplicateDeployment(name) => {
-            out.push(ERR_DUPLICATE_DEPLOYMENT);
-            put_string(out, name);
-        }
-        ServeError::BudgetExhausted { deployment, required_mj, remaining_mj } => {
-            out.push(ERR_BUDGET_EXHAUSTED);
-            put_string(out, deployment);
-            put_f64(out, *required_mj);
-            put_f64(out, *remaining_mj);
-        }
-        ServeError::InvalidRequest(msg) => {
-            out.push(ERR_INVALID_REQUEST);
-            put_string(out, msg);
-        }
-        ServeError::InvalidConfig(msg) => {
-            out.push(ERR_INVALID_CONFIG);
-            put_string(out, msg);
-        }
-        ServeError::Execution(msg) => {
-            out.push(ERR_EXECUTION);
-            put_string(out, msg);
-        }
-        ServeError::ShuttingDown => out.push(ERR_SHUTTING_DOWN),
-        ServeError::QueueFull { depth } => {
-            out.push(ERR_QUEUE_FULL);
-            put_u64(out, *depth as u64);
-        }
-        ServeError::ReadOnlyReplica { deployment } => {
-            out.push(ERR_READ_ONLY_REPLICA);
-            put_string(out, deployment);
-        }
-        ServeError::ShardUnavailable { shard, detail } => {
-            out.push(ERR_SHARD_UNAVAILABLE);
-            put_string(out, shard);
-            put_string(out, detail);
-        }
-        ServeError::ReplicationLagged { deployment } => {
-            out.push(ERR_REPLICATION_LAGGED);
-            put_string(out, deployment);
-        }
-        // Library-wrapped errors cross the wire as their display form.
-        other => {
-            out.push(ERR_EXECUTION);
-            put_string(out, &other.to_string());
-        }
-    }
-}
-
-fn read_serve_error(r: &mut Reader<'_>) -> Result<ServeError, PayloadError> {
-    Ok(match r.u8()? {
-        ERR_UNKNOWN_DEPLOYMENT => ServeError::UnknownDeployment(r.string()?),
-        ERR_DUPLICATE_DEPLOYMENT => ServeError::DuplicateDeployment(r.string()?),
-        ERR_BUDGET_EXHAUSTED => ServeError::BudgetExhausted {
-            deployment: r.string()?,
-            required_mj: r.f64()?,
-            remaining_mj: r.f64()?,
-        },
-        ERR_INVALID_REQUEST => ServeError::InvalidRequest(r.string()?),
-        ERR_INVALID_CONFIG => ServeError::InvalidConfig(r.string()?),
-        ERR_EXECUTION => ServeError::Execution(r.string()?),
-        ERR_SHUTTING_DOWN => ServeError::ShuttingDown,
-        ERR_QUEUE_FULL => ServeError::QueueFull { depth: r.usize_field("depth")? },
-        ERR_READ_ONLY_REPLICA => ServeError::ReadOnlyReplica { deployment: r.string()? },
-        ERR_SHARD_UNAVAILABLE => ServeError::ShardUnavailable {
-            shard: r.string()?,
-            detail: r.string()?,
-        },
-        ERR_REPLICATION_LAGGED => ServeError::ReplicationLagged { deployment: r.string()? },
-        tag => return Err(PayloadError::BadTag { field: "serve error", tag }),
-    })
-}
-
-fn put_stats(out: &mut Vec<u8>, stats: &DeploymentStats) {
-    put_string(out, &stats.name);
-    put_u64(out, stats.classes as u64);
-    put_u64(out, stats.infer_requests);
-    put_u64(out, stats.infer_batches);
-    put_u64(out, stats.largest_batch as u64);
-    put_u64(out, stats.learn_requests);
-    put_u64(out, stats.snapshots);
-    put_u64(out, stats.rejected_infer);
-    put_u64(out, stats.rejected_learn);
-    put_u64(out, stats.deferred);
-    put_f64(out, stats.energy_spent_mj);
-    put_option_f64(out, stats.energy_budget_mj);
-    match &stats.durability {
-        Some(d) => {
-            out.push(1);
-            put_u64(out, d.wal_records);
-            put_u64(out, d.wal_bytes);
-            put_u64(out, d.compactions);
-            put_u64(out, d.last_checkpoint_seq);
-        }
-        None => out.push(0),
-    }
-}
-
-fn read_stats(r: &mut Reader<'_>) -> Result<DeploymentStats, PayloadError> {
-    Ok(DeploymentStats {
-        name: r.string()?,
-        classes: r.usize_field("classes")?,
-        infer_requests: r.u64()?,
-        infer_batches: r.u64()?,
-        largest_batch: r.usize_field("largest_batch")?,
-        learn_requests: r.u64()?,
-        snapshots: r.u64()?,
-        rejected_infer: r.u64()?,
-        rejected_learn: r.u64()?,
-        deferred: r.u64()?,
-        energy_spent_mj: r.f64()?,
-        energy_budget_mj: r.option_f64()?,
-        durability: match r.u8()? {
-            0 => None,
-            1 => Some(ofscil_serve::DurabilityStats {
-                wal_records: r.u64()?,
-                wal_bytes: r.u64()?,
-                compactions: r.u64()?,
-                last_checkpoint_seq: r.u64()?,
-            }),
-            tag => return Err(PayloadError::BadTag { field: "durability", tag }),
-        },
-    })
-}
-
-// Minimum encoded size of one obs event: deployment length prefix (4) +
-// kind (1) + seq/time/latency/wal (4×8) + energy (8) + accuracy (4).
-const OBS_EVENT_MIN_BYTES: usize = 49;
-
-// Minimum encoded size of one rollup cell: bucket (8) + deployment length
-// prefix (4) + kind (1) + count (8) + three 32-byte summaries.
-const OBS_ROLLUP_MIN_BYTES: usize = 117;
-
-fn put_rollup(out: &mut Vec<u8>, rollup: &Rollup) {
-    put_u64(out, rollup.bucket_us);
-    put_string(out, &rollup.deployment);
-    out.push(rollup.kind.code());
-    put_u64(out, rollup.count);
-    put_summary(out, &rollup.energy_mj);
-    put_summary(out, &rollup.latency_us);
-    put_summary(out, &rollup.accuracy);
-}
-
-fn read_rollup(r: &mut Reader<'_>) -> Result<Rollup, PayloadError> {
-    let bucket_us = r.u64()?;
-    let deployment = r.string()?;
-    let kind_code = r.u8()?;
-    let kind = EventKind::from_code(kind_code)
-        .ok_or(PayloadError::BadTag { field: "obs rollup kind", tag: kind_code })?;
-    Ok(Rollup {
-        bucket_us,
-        deployment,
-        kind,
-        count: r.u64()?,
-        energy_mj: read_summary(r)?,
-        latency_us: read_summary(r)?,
-        accuracy: read_summary(r)?,
-    })
-}
-
-fn put_obs_event(out: &mut Vec<u8>, event: &Event) {
-    put_string(out, &event.deployment);
-    out.push(event.kind.code());
-    put_u64(out, event.seq);
-    put_u64(out, event.time_us);
-    put_f64(out, event.energy_mj);
-    put_u64(out, event.latency_us);
-    put_f32(out, event.accuracy);
-    put_u64(out, event.wal_bytes);
-}
-
-fn read_obs_event(r: &mut Reader<'_>) -> Result<Event, PayloadError> {
-    let deployment = r.string()?;
-    let kind_code = r.u8()?;
-    let kind = EventKind::from_code(kind_code)
-        .ok_or(PayloadError::BadTag { field: "obs event kind", tag: kind_code })?;
-    Ok(Event {
-        deployment,
-        kind,
-        seq: r.u64()?,
-        time_us: r.u64()?,
-        energy_mj: r.f64()?,
-        latency_us: r.u64()?,
-        accuracy: r.f32()?,
-        wal_bytes: r.u64()?,
-    })
-}
-
-fn put_summary(out: &mut Vec<u8>, summary: &Summary) {
-    put_f64(out, summary.min);
-    put_f64(out, summary.max);
-    put_f64(out, summary.sum);
-    put_u64(out, summary.count);
-}
-
-fn read_summary(r: &mut Reader<'_>) -> Result<Summary, PayloadError> {
-    Ok(Summary { min: r.f64()?, max: r.f64()?, sum: r.f64()?, count: r.u64()? })
-}
 
 /// Encodes a response into one complete frame.
 pub fn encode_response(response: &WireResponse) -> Vec<u8> {
@@ -892,16 +410,16 @@ pub fn encode_response(response: &WireResponse) -> Vec<u8> {
             KIND_RESP_SNAPSHOT
         }
         WireResponse::Serve(ServeResponse::Stats(stats)) => {
-            put_stats(&mut payload, stats);
+            stats.encode(&mut payload);
             KIND_RESP_STATS
         }
         WireResponse::Serve(ServeResponse::Budget { spent_mj, remaining_mj }) => {
             put_f64(&mut payload, *spent_mj);
-            put_option_f64(&mut payload, *remaining_mj);
+            encode_budget(*remaining_mj, &mut payload);
             KIND_RESP_BUDGET
         }
         WireResponse::Error(error) => {
-            put_serve_error(&mut payload, error);
+            error.encode(&mut payload);
             KIND_RESP_ERROR
         }
         WireResponse::Repl(ReplEvent::Full { seq, snapshot }) => {
@@ -912,18 +430,11 @@ pub fn encode_response(response: &WireResponse) -> Vec<u8> {
         WireResponse::Repl(ReplEvent::Delta { seq, total_classes, updates }) => {
             put_u64(&mut payload, *seq);
             put_u64(&mut payload, *total_classes);
-            put_u32(&mut payload, updates.len() as u32);
-            for (class, prototype) in updates {
-                put_u64(&mut payload, *class);
-                put_u32(&mut payload, prototype.len() as u32);
-                for &v in prototype {
-                    put_f32(&mut payload, v);
-                }
-            }
+            encode_prototypes(updates, &mut payload);
             KIND_REPL_DELTA
         }
         WireResponse::Export(export) => {
-            put_export(&mut payload, export);
+            export.encode(&mut payload);
             KIND_RESP_EXPORT
         }
         WireResponse::Imported { classes } => {
@@ -935,48 +446,11 @@ pub fn encode_response(response: &WireResponse) -> Vec<u8> {
             KIND_RESP_ADVERTISED
         }
         WireResponse::Obs(result) => {
-            put_u32(&mut payload, result.events.len() as u32);
-            for event in &result.events {
-                put_obs_event(&mut payload, event);
-            }
-            put_u64(&mut payload, result.aggregates.matched);
-            put_summary(&mut payload, &result.aggregates.energy_mj);
-            put_summary(&mut payload, &result.aggregates.latency_us);
-            put_summary(&mut payload, &result.aggregates.accuracy);
-            payload.push(u8::from(result.truncated));
-            put_u64(&mut payload, result.appended);
-            put_u64(&mut payload, result.dropped);
-            put_u32(&mut payload, result.shards_ok);
-            put_u32(&mut payload, result.shards_err);
-            put_u32(&mut payload, result.rollups.len() as u32);
-            for rollup in &result.rollups {
-                put_rollup(&mut payload, rollup);
-            }
-            for &count in &result.latency_hist.counts {
-                put_u64(&mut payload, count);
-            }
+            result.encode(&mut payload);
             KIND_RESP_OBS
         }
         WireResponse::Tail(batch) => {
-            let mut flags = 0u8;
-            if batch.backfill {
-                flags |= 1;
-            }
-            if batch.truncated {
-                flags |= 2;
-            }
-            payload.push(flags);
-            put_u64(&mut payload, batch.cursor.time_us);
-            put_u64(&mut payload, batch.cursor.seq);
-            put_u64(&mut payload, batch.dropped);
-            put_u32(&mut payload, batch.events.len() as u32);
-            for event in &batch.events {
-                put_obs_event(&mut payload, event);
-            }
-            put_u32(&mut payload, batch.rollups.len() as u32);
-            for rollup in &batch.rollups {
-                put_rollup(&mut payload, rollup);
-            }
+            batch.encode(&mut payload);
             KIND_OBS_BATCH
         }
     };
@@ -990,135 +464,53 @@ pub fn encode_response(response: &WireResponse) -> Vec<u8> {
 /// Returns a typed [`PayloadError`] for unknown kinds and malformed bodies;
 /// never panics.
 pub fn decode_response(kind: u8, payload: &[u8]) -> Result<WireResponse, PayloadError> {
-    let mut r = Reader::new(payload);
-    let response = match kind {
-        KIND_RESP_PREDICTION => WireResponse::Serve(ServeResponse::Prediction {
-            class: r.usize_field("class")?,
-            similarity: r.f32()?,
-            batched_with: r.usize_field("batched_with")?,
-        }),
-        KIND_RESP_LEARNED => {
-            let count = r.checked_count("classes", 8)?;
-            let mut classes = Vec::with_capacity(count);
-            for _ in 0..count {
-                classes.push(r.usize_field("class")?);
+    decode_exact(payload, |r| {
+        Ok(match kind {
+            KIND_RESP_PREDICTION => WireResponse::Serve(ServeResponse::Prediction {
+                class: r.usize("class")?,
+                similarity: r.f32()?,
+                batched_with: r.usize("batched_with")?,
+            }),
+            KIND_RESP_LEARNED => WireResponse::Serve(ServeResponse::Learned {
+                classes: r.list("classes", 8, |r| r.usize("class"))?,
+                total_classes: r.usize("total_classes")?,
+            }),
+            KIND_RESP_SNAPSHOT => {
+                WireResponse::Serve(ServeResponse::Snapshot { bytes: r.bytes("snapshot")? })
             }
-            WireResponse::Serve(ServeResponse::Learned {
-                classes,
-                total_classes: r.usize_field("total_classes")?,
-            })
-        }
-        KIND_RESP_SNAPSHOT => WireResponse::Serve(ServeResponse::Snapshot {
-            bytes: r.bytes_field("snapshot")?,
-        }),
-        KIND_RESP_STATS => WireResponse::Serve(ServeResponse::Stats(read_stats(&mut r)?)),
-        KIND_RESP_BUDGET => WireResponse::Serve(ServeResponse::Budget {
-            spent_mj: r.f64()?,
-            remaining_mj: r.option_f64()?,
-        }),
-        KIND_RESP_ERROR => WireResponse::Error(read_serve_error(&mut r)?),
-        KIND_REPL_FULL => WireResponse::Repl(ReplEvent::Full {
-            seq: r.u64()?,
-            snapshot: r.bytes_field("snapshot")?,
-        }),
-        KIND_REPL_DELTA => {
-            let seq = r.u64()?;
-            let total_classes = r.u64()?;
-            let count = r.checked_count("updates", 12)?;
-            let mut updates = Vec::with_capacity(count);
-            for _ in 0..count {
-                let class = r.u64()?;
-                let dim = r.checked_count("prototype", 4)?;
-                let mut prototype = Vec::with_capacity(dim);
-                for _ in 0..dim {
-                    prototype.push(r.f32()?);
-                }
-                updates.push((class, prototype));
+            KIND_RESP_STATS => {
+                WireResponse::Serve(ServeResponse::Stats(DeploymentStats::decode(r)?))
             }
-            WireResponse::Repl(ReplEvent::Delta { seq, total_classes, updates })
-        }
-        KIND_RESP_EXPORT => WireResponse::Export(read_export(&mut r)?),
-        KIND_RESP_IMPORTED => WireResponse::Imported { classes: r.u64()? },
-        KIND_RESP_ADVERTISED => WireResponse::Advertised { registered: r.u64()? },
-        KIND_RESP_OBS => {
-            let count = r.checked_count("obs events", OBS_EVENT_MIN_BYTES)?;
-            let mut events = Vec::with_capacity(count);
-            for _ in 0..count {
-                events.push(read_obs_event(&mut r)?);
-            }
-            let aggregates = ObsAggregates {
-                matched: r.u64()?,
-                energy_mj: read_summary(&mut r)?,
-                latency_us: read_summary(&mut r)?,
-                accuracy: read_summary(&mut r)?,
-            };
-            let truncated = match r.u8()? {
-                0 => false,
-                1 => true,
-                tag => return Err(PayloadError::BadTag { field: "truncated", tag }),
-            };
-            let appended = r.u64()?;
-            let dropped = r.u64()?;
-            let shards_ok = r.u32()?;
-            let shards_err = r.u32()?;
-            let rollup_count = r.checked_count("obs rollups", OBS_ROLLUP_MIN_BYTES)?;
-            let mut rollups = Vec::with_capacity(rollup_count);
-            for _ in 0..rollup_count {
-                rollups.push(read_rollup(&mut r)?);
-            }
-            let mut latency_hist = LatencyHistogram::empty();
-            for count in latency_hist.counts.iter_mut() {
-                *count = r.u64()?;
-            }
-            debug_assert_eq!(latency_hist.counts.len(), LATENCY_BUCKETS);
-            WireResponse::Obs(Box::new(ObsResult {
-                events,
-                rollups,
-                aggregates,
-                truncated,
-                appended,
-                dropped,
-                shards_ok,
-                shards_err,
-                latency_hist,
-            }))
-        }
-        KIND_OBS_BATCH => {
-            let flags = r.u8()?;
-            if flags & !3 != 0 {
-                return Err(PayloadError::BadTag { field: "tail flags", tag: flags });
-            }
-            let cursor = ObsCursor { time_us: r.u64()?, seq: r.u64()? };
-            let dropped = r.u64()?;
-            let count = r.checked_count("tail events", OBS_EVENT_MIN_BYTES)?;
-            let mut events = Vec::with_capacity(count);
-            for _ in 0..count {
-                events.push(read_obs_event(&mut r)?);
-            }
-            let rollup_count = r.checked_count("tail rollups", OBS_ROLLUP_MIN_BYTES)?;
-            let mut rollups = Vec::with_capacity(rollup_count);
-            for _ in 0..rollup_count {
-                rollups.push(read_rollup(&mut r)?);
-            }
-            WireResponse::Tail(TailBatch {
-                events,
-                rollups,
-                cursor,
-                backfill: flags & 1 != 0,
-                truncated: flags & 2 != 0,
-                dropped,
-            })
-        }
-        other => return Err(PayloadError::UnknownKind(other)),
-    };
-    r.finish()?;
-    Ok(response)
+            KIND_RESP_BUDGET => WireResponse::Serve(ServeResponse::Budget {
+                spent_mj: r.f64()?,
+                remaining_mj: decode_budget(r)?,
+            }),
+            KIND_RESP_ERROR => WireResponse::Error(ServeError::decode(r)?),
+            KIND_REPL_FULL => WireResponse::Repl(ReplEvent::Full {
+                seq: r.u64()?,
+                snapshot: r.bytes("snapshot")?,
+            }),
+            KIND_REPL_DELTA => WireResponse::Repl(ReplEvent::Delta {
+                seq: r.u64()?,
+                total_classes: r.u64()?,
+                updates: decode_prototypes(r)?,
+            }),
+            KIND_RESP_EXPORT => WireResponse::Export(DeploymentExport::decode(r)?),
+            KIND_RESP_IMPORTED => WireResponse::Imported { classes: r.u64()? },
+            KIND_RESP_ADVERTISED => WireResponse::Advertised { registered: r.u64()? },
+            KIND_RESP_OBS => WireResponse::Obs(Box::new(ObsResult::decode(r)?)),
+            KIND_OBS_BATCH => WireResponse::Tail(TailBatch::decode(r)?),
+            other => return Err(PayloadError::UnknownKind(other)),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::{parse_frame, DEFAULT_MAX_PAYLOAD};
+    use ofscil_obs::{Event, EventKind, Resolution, Rollup};
+    use ofscil_serve::ExportStats;
 
     fn roundtrip_request(request: WireRequest) {
         let frame = encode_request(&request);
@@ -1533,7 +925,7 @@ mod tests {
         // A declared element count beyond the payload is refused before
         // allocation.
         let mut payload = Vec::new();
-        put_string(&mut payload, "t");
+        put_str(&mut payload, "t");
         payload.push(1); // rank 1
         put_u32(&mut payload, u32::MAX); // 4 billion elements, 0 bytes follow
         assert!(matches!(
@@ -1543,7 +935,7 @@ mod tests {
 
         // Trailing bytes after a well-formed message are an error.
         let mut payload = Vec::new();
-        put_string(&mut payload, "t");
+        put_str(&mut payload, "t");
         payload.push(0xab);
         assert!(matches!(
             decode_request(KIND_REQ_STATS, &payload),

@@ -77,80 +77,10 @@ impl Error for FrameError {}
 
 /// Failure at the message layer: the frame was intact but its payload does
 /// not decode into a message. The framing is still synchronized, so a server
-/// can answer with a typed error and keep the connection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PayloadError {
-    /// The frame kind byte names no known message.
-    UnknownKind(u8),
-    /// The payload ended before a field was complete.
-    Truncated {
-        /// Byte offset the decoder stopped at.
-        offset: usize,
-        /// Bytes the next field needs.
-        needed: usize,
-        /// Bytes remaining in the payload.
-        remaining: usize,
-    },
-    /// The payload holds more bytes than the message consumed.
-    TrailingBytes {
-        /// Unconsumed byte count.
-        remaining: usize,
-    },
-    /// A string field is not valid UTF-8.
-    BadUtf8,
-    /// An enum discriminant inside the payload is out of range.
-    BadTag {
-        /// Which field carried the tag.
-        field: &'static str,
-        /// The offending value.
-        tag: u8,
-    },
-    /// A declared element count cannot fit in the remaining payload. Checked
-    /// before allocation.
-    LengthOverflow {
-        /// Which field declared the count.
-        field: &'static str,
-        /// The declared element count.
-        declared: u64,
-    },
-    /// A tensor payload is inconsistent (shape/data mismatch).
-    BadTensor(String),
-    /// A numeric value does not fit the platform's `usize`.
-    ValueOverflow {
-        /// Which field overflowed.
-        field: &'static str,
-        /// The offending value.
-        value: u64,
-    },
-}
-
-impl fmt::Display for PayloadError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PayloadError::UnknownKind(kind) => write!(f, "unknown message kind {kind:#04x}"),
-            PayloadError::Truncated { offset, needed, remaining } => write!(
-                f,
-                "payload truncated at offset {offset}: need {needed} bytes, {remaining} remain"
-            ),
-            PayloadError::TrailingBytes { remaining } => {
-                write!(f, "{remaining} unconsumed bytes after the message")
-            }
-            PayloadError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
-            PayloadError::BadTag { field, tag } => {
-                write!(f, "field {field:?} carries invalid tag {tag:#04x}")
-            }
-            PayloadError::LengthOverflow { field, declared } => {
-                write!(f, "field {field:?} declares {declared} elements, more than fit")
-            }
-            PayloadError::BadTensor(msg) => write!(f, "tensor payload invalid: {msg}"),
-            PayloadError::ValueOverflow { field, value } => {
-                write!(f, "field {field:?} value {value} overflows usize")
-            }
-        }
-    }
-}
-
-impl Error for PayloadError {}
+/// can answer with a typed error and keep the connection. This is the
+/// workspace byte codec's error type — the wire, the WAL and the spill log
+/// all decode through the same [`Reader`](ofscil_tensor::bytes::Reader).
+pub use ofscil_tensor::bytes::DecodeError as PayloadError;
 
 /// Error of the wire subsystem: transport, codec, protocol and remote
 /// failures.

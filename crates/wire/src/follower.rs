@@ -341,37 +341,19 @@ impl Follower {
     /// [`WireServer::run_with_store`]: writable, journaled, serving
     /// replication subscribers from its checkpoints.
     ///
+    /// With an observability handle, one `Promotion` event is emitted per
+    /// registered deployment right after the store bootstrap (carrying the
+    /// replication sequence number the new primary adopts), and the promoted
+    /// server runs with the handle attached — its timeline picks up exactly
+    /// where the dead primary's left off, which is what lets a routed
+    /// `ObsQuery` stitch a tenant's trajectory across the failover.
+    ///
     /// # Errors
     ///
     /// Returns [`WireError::Protocol`] when the store bootstrap fails,
     /// [`WireError::Io`] when binding fails and [`WireError::Runtime`] when
     /// the serve configuration is invalid.
     pub fn promote<T, F>(
-        registry: &LearnerRegistry,
-        store: &ofscil_store::Store,
-        config: &WireConfig,
-        body: F,
-    ) -> Result<T, WireError>
-    where
-        F: FnOnce(&WireHandle) -> T,
-    {
-        Follower::promote_observed(registry, store, config, None, body)
-    }
-
-    /// Like [`Follower::promote`], but with an observability handle: right
-    /// after the store bootstrap, one `Promotion` event is emitted per
-    /// registered deployment (carrying the replication sequence number the
-    /// new primary adopts), and the promoted server runs with the handle
-    /// attached — its timeline picks up exactly where the dead primary's
-    /// left off, which is what lets a routed `ObsQuery` stitch a tenant's
-    /// trajectory across the failover.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Protocol`] when the store bootstrap fails,
-    /// [`WireError::Io`] when binding fails and [`WireError::Runtime`] when
-    /// the serve configuration is invalid.
-    pub fn promote_observed<T, F>(
         registry: &LearnerRegistry,
         store: &ofscil_store::Store,
         config: &WireConfig,

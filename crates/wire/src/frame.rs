@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"OFWR"
-//! 4       2     wire format version, little-endian u16 (currently 5)
+//! 4       2     wire format version, little-endian u16 ([`WIRE_VERSION`])
 //! 6       1     message kind (see `codec`)
 //! 7       1     reserved (zero)
 //! 8       4     payload length, little-endian u32
@@ -14,10 +14,11 @@
 //! ```
 //!
 //! The same deliberately tiny style as the snapshot codec in
-//! `ofscil_serve::snapshot`: self-describing, no serde, corruption detected
-//! by checksum, hostile lengths rejected before allocation.
+//! `ofscil_serve::snapshot`: self-describing, corruption detected by
+//! checksum, hostile lengths rejected before allocation.
 
 use crate::error::{FrameError, WireError};
+use ofscil_tensor::bytes::{put_bytes, put_checksum, put_u16, split_checksum};
 use std::io::{ErrorKind, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -49,8 +50,11 @@ pub const WIRE_MAGIC: [u8; 4] = *b"OFWR";
 /// an optional `(time_us, seq)` resume cursor) answered by an open-ended
 /// sequence of `TailBatch` frames (kind `0x63`, back-fill first, then live
 /// batches on the persistent connection) — and appended the 32-bucket
-/// latency histogram to the `ObsResult` response payload.
-pub const WIRE_VERSION: u16 = 8;
+/// latency histogram to the `ObsResult` response payload; v9 moved the
+/// `Event`/`Rollup` rows inside `ObsResult` and `TailBatch` payloads to the
+/// layout `ofscil_obs` owns (the spill log's: a `u16` deployment-name prefix
+/// where v8 had a `u32`), so a row has one encoder for disk and wire alike.
+pub const WIRE_VERSION: u16 = 9;
 
 /// Fixed frame header length in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -62,28 +66,15 @@ pub const CHECKSUM_LEN: usize = 4;
 /// legitimate O-FSCIL message, far below anything that could hurt.
 pub const DEFAULT_MAX_PAYLOAD: usize = 16 << 20;
 
-/// FNV-1a 32-bit hash — the same dependency-free corruption check the
-/// snapshot codec uses. Not a cryptographic integrity check.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811c_9dc5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
 /// Serializes one frame.
 pub fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
     let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len() + CHECKSUM_LEN);
     bytes.extend_from_slice(&WIRE_MAGIC);
-    bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    put_u16(&mut bytes, WIRE_VERSION);
     bytes.push(kind);
     bytes.push(0u8);
-    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    bytes.extend_from_slice(payload);
-    let checksum = fnv1a(&bytes);
-    bytes.extend_from_slice(&checksum.to_le_bytes());
+    put_bytes(&mut bytes, payload);
+    put_checksum(&mut bytes, 0);
     bytes
 }
 
@@ -130,13 +121,11 @@ pub fn parse_frame(bytes: &[u8], max_payload: usize) -> Result<(u8, &[u8]), Fram
     if bytes.len() > total {
         return Err(FrameError::TrailingBytes { remaining: bytes.len() - total });
     }
-    let body_end = HEADER_LEN + payload_len;
-    let stored = u32::from_le_bytes(bytes[body_end..total].try_into().expect("length checked"));
-    let computed = fnv1a(&bytes[..body_end]);
+    let (covered, stored, computed) = split_checksum(bytes).expect("length checked");
     if stored != computed {
         return Err(FrameError::ChecksumMismatch { stored, computed });
     }
-    Ok((kind, &bytes[HEADER_LEN..body_end]))
+    Ok((kind, &covered[HEADER_LEN..]))
 }
 
 /// What a blocking frame read produced.
@@ -281,10 +270,7 @@ pub fn read_frame_verbatim(
         Fill::Shutdown => return Ok(VerbatimEvent::Shutdown),
         Fill::Eof | Fill::Done => {}
     }
-    let body_end = total - CHECKSUM_LEN;
-    let stored =
-        u32::from_le_bytes(bytes[body_end..].try_into().expect("length checked"));
-    let computed = fnv1a(&bytes[..body_end]);
+    let (_, stored, computed) = split_checksum(&bytes).expect("length checked");
     if stored != computed {
         return Err(FrameError::ChecksumMismatch { stored, computed }.into());
     }

@@ -7,12 +7,13 @@
 //!
 //! * [`frame`] — the outer envelope: length-prefixed, checksummed,
 //!   versioned binary frames in the same dependency-free style as the
-//!   snapshot codec (magic/version/FNV-1a, raw IEEE-754 bits, no serde),
-//! * [`codec`] — message bodies: every
+//!   snapshot codec (magic/version/FNV-1a, raw IEEE-754 bits),
+//! * [`codec`] — message bodies: the kind table and field order of every
 //!   [`ServeRequest`](ofscil_serve::ServeRequest) /
 //!   [`ServeResponse`](ofscil_serve::ServeResponse) variant, typed
 //!   [`ServeError`](ofscil_serve::ServeError)s, and the replication stream
-//!   events,
+//!   events; the value types encode themselves beside their definitions, on
+//!   the workspace's one byte codec (`ofscil_tensor::bytes`),
 //! * [`WireServer`] — a blocking TCP / Unix-socket frontend that dispatches
 //!   decoded frames into the existing `ServeRuntime` worker pool,
 //! * [`WireClient`] — mirrors the in-process client API over a connection,

@@ -22,7 +22,9 @@ use crate::error::WireError;
 use crate::frame::{read_frame, ReadEvent, DEFAULT_MAX_PAYLOAD};
 use crate::net::{BoundAddr, WireBind, WireListener, WireStream};
 use ofscil_obs::{Event, EventKind, Obs, ObsCursor, ObsQuery, TailBatch};
-use ofscil_serve::{LearnCommit, LearnerRegistry, ServeClient, ServeConfig, ServeError, ServeRuntime};
+use ofscil_serve::{
+    LearnCommit, LearnerRegistry, ServeClient, ServeConfig, ServeError, ServeHooks, ServeRuntime,
+};
 use ofscil_store::{ObsSpill, Store, StoreError, SPILL_FILE};
 use std::collections::HashMap;
 use std::io::Write;
@@ -287,9 +289,12 @@ impl WireServer {
         let shutdown = AtomicBool::new(false);
         let hub = ReplHub::new();
 
-        let journal = store.map(|s| s as &dyn ofscil_serve::CommitJournal);
-        let serve_obs = obs.map(|o| o.sink());
-        let value = ServeRuntime::run_observed(registry, &config.serve, Some(sink), journal, serve_obs, |client| {
+        let hooks = ServeHooks {
+            commits: Some(&sink),
+            journal: store.map(|s| s as &dyn ofscil_serve::CommitJournal),
+            obs: obs.map(|o| o.sink()),
+        };
+        let value = ServeRuntime::run_with(registry, &config.serve, hooks, |client| {
             std::thread::scope(|scope| {
                 let hub = &hub;
                 let shutdown = &shutdown;

@@ -19,11 +19,14 @@ use ofscil_router::{RouterConfig, RouterServer};
 use ofscil_serve::{
     DeploymentExport, DeploymentSpec, LearnerRegistry, ServeRequest, ServeResponse,
 };
+use ofscil_store::{ObsSpill, OpLog, WalRecord, REC_CHUNK};
+use ofscil_obs::Event;
+use ofscil_tensor::bytes::{put_u32, put_u64, Reader};
 use ofscil_tensor::SeedRng;
 use ofscil_wire::codec::{decode_request, decode_response, encode_request, WireRequest};
 use ofscil_wire::frame::{frame_bytes, parse_frame, CHECKSUM_LEN, HEADER_LEN};
 use ofscil_wire::{
-    BoundAddr, FrameError, WireClient, WireConfig, WireResponse, WireServer,
+    BoundAddr, FrameError, PayloadError, WireClient, WireConfig, WireResponse, WireServer,
     DEFAULT_MAX_PAYLOAD,
 };
 
@@ -217,6 +220,53 @@ fn declared_length_attacks_are_rejected_before_allocation() {
         parse_frame(&just_over, cap),
         Err(FrameError::Oversize { .. })
     ));
+
+    // The store's decoders read through the same `Reader`, so the same rule
+    // holds on disk: a declared count is proved against the body it sits in
+    // before anything is reserved — `LengthOverflow` is that proof failing,
+    // not a loop running out of bytes. A WAL `Learn` body declaring
+    // `u32::MAX` updates…
+    let (kind, mut body) = WalRecord::Learn {
+        seq: 1,
+        total_classes: 0,
+        updates: Vec::new(),
+        spent_mj: 0.0,
+        budget_mj: None,
+    }
+    .encode();
+    let count_at = body.len() - 4;
+    body[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
+    assert_eq!(
+        WalRecord::decode(kind, &body),
+        Err(PayloadError::LengthOverflow { field: "updates", declared: u64::from(u32::MAX) })
+    );
+    // …one update whose prototype claims a gibibyte of floats…
+    body[count_at..].copy_from_slice(&1u32.to_le_bytes());
+    put_u64(&mut body, 3);
+    put_u32(&mut body, 1 << 28);
+    assert!(matches!(
+        WalRecord::decode(kind, &body),
+        Err(PayloadError::LengthOverflow { field: "prototype", .. })
+    ));
+    // …and a spill chunk declaring more events than its body can hold,
+    // which the spill skips as one corrupt record instead of adopting.
+    let mut chunk = Vec::new();
+    put_u32(&mut chunk, 3);
+    chunk.extend_from_slice(&[0u8; 2 * Event::MIN_ENCODED_BYTES]);
+    assert!(matches!(
+        Event::decode_all(&mut Reader::new(&chunk)),
+        Err(PayloadError::LengthOverflow { field: "events", declared: 3 })
+    ));
+    let path = std::env::temp_dir()
+        .join(format!("ofscil-hostile-spill-{}.log", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    {
+        let (mut log, _) = OpLog::open(&path).unwrap();
+        log.append(REC_CHUNK, &chunk).unwrap();
+    }
+    let (_spill, recovery) = ObsSpill::open(&path).unwrap();
+    assert_eq!((recovery.chunks.len(), recovery.corrupt_records), (0, 1));
+    let _ = std::fs::remove_file(&path);
 }
 
 /// A valid envelope around a corrupted payload must fail in the typed

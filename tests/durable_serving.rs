@@ -86,9 +86,22 @@ fn identity(registry: &LearnerRegistry, name: &str) -> (Vec<u8>, u64, u64, Optio
     (snapshot, seq, spent.to_bits(), budget.map(f64::to_bits))
 }
 
+/// Group commit trades fsync frequency, never correctness: the kill-and-
+/// recover contract holds under every [`SyncPolicy`].
 #[test]
 fn killed_store_backed_runtime_recovers_every_deployment_bit_exactly() {
-    let dir = temp_dir("kill-recover");
+    for (tag, sync) in [
+        ("flush", SyncPolicy::Flush),
+        ("per-record", SyncPolicy::PerRecord),
+        ("every-8", SyncPolicy::EveryN(8)),
+        ("interval", SyncPolicy::Interval(Duration::from_millis(5))),
+    ] {
+        kill_and_recover(tag, StoreConfig::default().with_sync_policy(sync));
+    }
+}
+
+fn kill_and_recover(tag: &str, store_config: StoreConfig) {
+    let dir = temp_dir(&format!("kill-recover-{tag}"));
     let names = ["tenant-a", "tenant-b"];
 
     // Generation 1: a store-backed server takes a mixed workload, then the
@@ -96,7 +109,7 @@ fn killed_store_backed_runtime_recovers_every_deployment_bit_exactly() {
     // durability comes exclusively from the per-record WAL).
     let expected: Vec<_> = {
         let registry = registry_with(&names, Some(1e6));
-        let store = Store::open(&dir).unwrap();
+        let store = Store::open_with(&dir, store_config.clone()).unwrap();
         assert!(store.bootstrap(&registry).unwrap().is_empty());
         let (identities, predictions) = WireServer::run_with_store(
             &registry,
@@ -139,7 +152,7 @@ fn killed_store_backed_runtime_recovers_every_deployment_bit_exactly() {
 
     // Generation 2: a fresh process, fresh registry, same store directory.
     let registry = registry_with(&names, None);
-    let store = Store::open(&dir).unwrap();
+    let store = Store::open_with(&dir, store_config.clone()).unwrap();
     let reports = store.bootstrap(&registry).unwrap();
     assert_eq!(reports.len(), 2, "both deployments recover: {reports:?}");
 
@@ -259,7 +272,7 @@ fn promoted_follower_accepts_writes_that_a_reattached_subscriber_replicates() {
     // Failover: the follower promotes itself to a writable durable primary.
     // The fresh store adopts the follower's replicated sequence number.
     let store = Store::open(&promoted_dir).unwrap();
-    Follower::promote(&replica, &store, &WireConfig::tcp_loopback(), |server| {
+    Follower::promote(&replica, &store, &WireConfig::tcp_loopback(), None, |server| {
         let mut client = WireClient::connect(server.addr()).unwrap();
 
         // Writable: the promoted primary accepts the write a replica would
