@@ -8,24 +8,13 @@ use crate::executor::RecoveryDriver;
 use ofscil_obs::Obs;
 use ofscil_serve::LearnerRegistry;
 use ofscil_store::Store;
+use ofscil_wire::harness::ServerThread;
 use ofscil_wire::{
     BoundAddr, Follower, FollowerConfig, WireConfig, WireError, WireServer,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-
-/// Joins a harness thread's bind failure out of it.
-fn bind_error(join: JoinHandle<Result<(), WireError>>, what: &str) -> WireError {
-    match join.join() {
-        Ok(Err(error)) => error,
-        Ok(Ok(())) => {
-            WireError::Protocol(format!("{what} exited before reporting its address"))
-        }
-        Err(_) => WireError::Protocol(format!("{what} thread panicked")),
-    }
-}
+use std::sync::Arc;
 
 /// A follower replica on its own thread: tails a primary, serves read-only
 /// traffic, and (when configured with
@@ -34,9 +23,7 @@ fn bind_error(join: JoinHandle<Result<(), WireError>>, what: &str) -> WireError 
 #[derive(Debug)]
 pub struct FollowerProcess {
     registry: Arc<LearnerRegistry>,
-    addr: BoundAddr,
-    stop: Option<mpsc::Sender<()>>,
-    join: Option<JoinHandle<Result<(), WireError>>>,
+    server: ServerThread,
 }
 
 impl FollowerProcess {
@@ -52,31 +39,21 @@ impl FollowerProcess {
         registry: Arc<LearnerRegistry>,
         config: FollowerConfig,
     ) -> Result<Self, WireError> {
-        let (addr_tx, addr_rx) = mpsc::channel();
-        let (stop_tx, stop_rx) = mpsc::channel::<()>();
         let thread_registry = Arc::clone(&registry);
-        let join = std::thread::spawn(move || {
-            Follower::run(&thread_registry, &config, |handle| {
-                let _ = addr_tx.send(handle.addr().clone());
-                let _ = stop_rx.recv();
-            })
-        });
-        match addr_rx.recv() {
-            Ok(addr) => {
-                Ok(FollowerProcess { registry, addr, stop: Some(stop_tx), join: Some(join) })
-            }
-            Err(_) => Err(bind_error(join, "follower server")),
-        }
+        let server = ServerThread::spawn("follower server", move |until_stopped| {
+            Follower::run(&thread_registry, &config, |handle| until_stopped.wait(handle.addr()))
+        })?;
+        Ok(FollowerProcess { registry, server })
     }
 
     /// The replica's own bound address — what it advertised to the router.
     pub fn addr(&self) -> &BoundAddr {
-        &self.addr
+        self.server.addr()
     }
 
     /// Stops the replica's tails and server.
-    pub fn stop(mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        self.server.stop();
     }
 
     /// Promotes the replica: stops the tail (the primary it followed is
@@ -90,29 +67,12 @@ impl FollowerProcess {
     ///
     /// Returns the promoted server's bind or bootstrap error.
     pub fn promote(
-        mut self,
+        self,
         store_dir: &Path,
         obs: Option<Obs>,
     ) -> Result<PrimaryProcess, WireError> {
-        self.shutdown();
-        let registry = Arc::clone(&self.registry);
-        PrimaryProcess::spawn(registry, store_dir.to_path_buf(), obs, true)
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(stop) = self.stop.take() {
-            let _ = stop.send(());
-            drop(stop);
-        }
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for FollowerProcess {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.server.stop();
+        PrimaryProcess::spawn(self.registry, store_dir.to_path_buf(), obs, true)
     }
 }
 
@@ -120,11 +80,7 @@ impl Drop for FollowerProcess {
 /// or a store restart produces. Serves on an ephemeral loopback TCP port
 /// until stopped or dropped.
 #[derive(Debug)]
-pub struct PrimaryProcess {
-    addr: BoundAddr,
-    stop: Option<mpsc::Sender<()>>,
-    join: Option<JoinHandle<Result<(), WireError>>>,
-}
+pub struct PrimaryProcess(ServerThread);
 
 impl PrimaryProcess {
     /// Restarts a shard from its durable store: recovers `store_dir` into
@@ -151,60 +107,35 @@ impl PrimaryProcess {
         obs: Option<Obs>,
         promoting: bool,
     ) -> Result<Self, WireError> {
-        let (addr_tx, addr_rx) = mpsc::channel();
-        let (stop_tx, stop_rx) = mpsc::channel::<()>();
-        let join = std::thread::spawn(move || {
+        ServerThread::spawn("promoted primary", move |until_stopped| {
             let store = Store::open(&store_dir).map_err(|error| {
                 WireError::Protocol(format!("store open failed: {error}"))
             })?;
             let wire = WireConfig::tcp_loopback();
-            let body = |addr: &BoundAddr| {
-                let _ = addr_tx.send(addr.clone());
-                let _ = stop_rx.recv();
-            };
             if promoting {
                 Follower::promote(&registry, &store, &wire, obs.as_ref(), |handle| {
-                    body(handle.addr())
+                    until_stopped.wait(handle.addr())
                 })
             } else {
                 store.bootstrap(&registry).map_err(|error| {
                     WireError::Protocol(format!("restart bootstrap failed: {error}"))
                 })?;
                 WireServer::run_observed(&registry, &wire, Some(&store), obs.as_ref(), |handle| {
-                    body(handle.addr())
+                    until_stopped.wait(handle.addr())
                 })
             }
-        });
-        match addr_rx.recv() {
-            Ok(addr) => Ok(PrimaryProcess { addr, stop: Some(stop_tx), join: Some(join) }),
-            Err(_) => Err(bind_error(join, "promoted primary")),
-        }
+        })
+        .map(PrimaryProcess)
     }
 
     /// The primary's bound address — what the ring slot gets re-pointed at.
     pub fn addr(&self) -> &BoundAddr {
-        &self.addr
+        self.0.addr()
     }
 
     /// Shuts the primary down and waits for it to drain.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        if let Some(stop) = self.stop.take() {
-            let _ = stop.send(());
-            drop(stop);
-        }
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for PrimaryProcess {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        self.0.stop();
     }
 }
 

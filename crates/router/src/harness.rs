@@ -12,18 +12,14 @@
 use ofscil_obs::Obs;
 use ofscil_serve::LearnerRegistry;
 use ofscil_store::Store;
+use ofscil_wire::harness::ServerThread;
 use ofscil_wire::{BoundAddr, WireConfig, WireError, WireServer};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 /// One backend shard: a [`WireServer`] over its own registry, running on a
 /// dedicated thread until stopped (or dropped).
 #[derive(Debug)]
-pub struct ShardProcess {
-    addr: BoundAddr,
-    stop: Option<mpsc::Sender<()>>,
-    join: Option<JoinHandle<Result<(), WireError>>>,
-}
+pub struct ShardProcess(ServerThread);
 
 impl ShardProcess {
     /// Boots a shard: binds the server, reports readiness, and keeps serving
@@ -80,57 +76,24 @@ impl ShardProcess {
         store: Option<Store>,
         obs: Option<Obs>,
     ) -> Result<Self, WireError> {
-        let (addr_tx, addr_rx) = mpsc::channel();
-        let (stop_tx, stop_rx) = mpsc::channel::<()>();
-        let join = std::thread::spawn(move || {
+        ServerThread::spawn("shard server", move |until_stopped| {
             WireServer::run_observed(&registry, &config, store.as_ref(), obs.as_ref(), |handle| {
-                let _ = addr_tx.send(handle.addr().clone());
-                // Blocks until `stop` fires or the ShardProcess is dropped
-                // (sender gone ⇒ recv errors ⇒ the server tears down).
-                let _ = stop_rx.recv();
+                until_stopped.wait(handle.addr())
             })
-        });
-        match addr_rx.recv() {
-            Ok(addr) => Ok(ShardProcess { addr, stop: Some(stop_tx), join: Some(join) }),
-            // The server never reached its body; join it for the bind error.
-            Err(_) => match join.join() {
-                Ok(Err(error)) => Err(error),
-                Ok(Ok(())) => Err(WireError::Protocol(
-                    "shard server exited before reporting its address".into(),
-                )),
-                Err(_) => Err(WireError::Protocol("shard server thread panicked".into())),
-            },
-        }
+        })
+        .map(ShardProcess)
     }
 
     /// The shard's bound wire address.
     pub fn addr(&self) -> &BoundAddr {
-        &self.addr
+        self.0.addr()
     }
 
     /// Shuts the shard down and waits for its server to finish draining.
     /// After this returns, the address refuses connections — the way a test
     /// "kills" a shard to exercise `ShardUnavailable` failover.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        // Either the explicit signal or dropping the sender unblocks the
-        // server body.
-        if let Some(stop) = self.stop.take() {
-            let _ = stop.send(());
-            drop(stop);
-        }
-        if let Some(join) = self.join.take() {
-            let _ = join.join();
-        }
-    }
-}
-
-impl Drop for ShardProcess {
-    fn drop(&mut self) {
-        self.shutdown();
+    pub fn stop(self) {
+        self.0.stop();
     }
 }
 

@@ -9,25 +9,14 @@
 //! property that makes rebalancing a *migration of few deployments* instead
 //! of a full reshuffle.
 //!
-//! The hash is the same dependency-free FNV-1a family the wire frame and
-//! snapshot codecs use, widened to 64 bits for ring resolution. Placement is
-//! a pure function of the shard set and the name: every router instance with
-//! the same configuration computes the same placement, no coordination
-//! needed.
+//! The hash is the workspace's pinned 64-bit FNV-1a
+//! (`ofscil_tensor::bytes::fnv1a64`), avalanche-mixed for ring resolution.
+//! Placement is a pure function of the shard set and the name: every router
+//! instance with the same configuration computes the same placement, no
+//! coordination needed.
 
+use ofscil_tensor::bytes::fnv1a64;
 use std::collections::BTreeSet;
-
-/// FNV-1a 64-bit hash — placement must be deterministic across processes,
-/// so the hash is pinned here rather than borrowed from `std` (whose
-/// `DefaultHasher` is explicitly unstable across releases).
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 /// The 64-bit avalanche finalizer (the murmur3 `fmix64` constants). Raw
 /// FNV-1a of short, similar strings ("shard-0/vnode-1", "shard-0/vnode-2",

@@ -1,38 +1,38 @@
-//! Request coalescing and per-deployment work queues.
+//! The per-deployment FIFO work queue — serve's only queueing structure.
 //!
-//! The dispatcher drains every envelope queued at the moment it wakes up and
-//! feeds admitted `Infer` requests through a [`Coalescer`]. Requests for the
-//! same deployment accumulate until either the configured `max_batch` is
-//! reached, an ordering barrier for that deployment arrives (a `LearnOnline`
-//! or `Snapshot` must observe every inference admitted before it), or the
-//! drain cycle ends. One coalesced job costs one deployment-lock acquisition
-//! and one batched backbone + FCR forward instead of `n` (the perf ledger's
-//! `serve.batch_gain` measures what that buys).
-//!
-//! Ordering is enforced by construction, not by luck of the worker race:
-//! jobs land in a per-deployment FIFO [`WorkQueue`], and the global queue
-//! carries *deployment tokens* — a worker that picks a token drains that
-//! deployment's jobs in admission order, and a deployment is never scheduled
+//! The dispatcher appends every admitted request to its deployment's
+//! [`WorkQueue`] as one [`DeploymentJob`], in admission order. The global
+//! queue carries *deployment tokens*: a worker that picks a token drains
+//! that deployment's jobs from the head, and a deployment is never scheduled
 //! on two workers at once. Different deployments still run fully in
 //! parallel.
+//!
+//! Batches form where they run. A worker that finds an `Infer` at the head
+//! takes the consecutive `Infer`s queued behind it, up to `max_batch`, and
+//! runs them as one deployment-lock acquisition and one batched backbone +
+//! FCR forward (the perf ledger's `serve.batch_gain` measures what that
+//! buys). Batch size therefore follows load by itself: an idle deployment
+//! serves batches of one, a backlog is served `max_batch` at a time.
+//!
+//! Ordering holds by construction: a `LearnOnline`, `Snapshot` or `Stats`
+//! job ends a run of `Infer`s simply by sitting in the FIFO, so it observes
+//! every inference admitted before it and none admitted after.
 
-use crate::registry::Deployment;
 use crate::request::Reply;
 use ofscil_data::Batch;
 use ofscil_tensor::Tensor;
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::VecDeque;
 
-/// One admitted `Infer` request waiting to be batched.
+/// One admitted `Infer` request.
 pub(crate) struct InferItem {
     pub image: Tensor,
     pub reply: Reply,
 }
 
-/// A unit of work in a deployment's FIFO queue.
+/// One admitted request in a deployment's FIFO queue.
 pub(crate) enum DeploymentJob {
-    /// A coalesced batch of inference requests.
-    InferBatch(Vec<InferItem>),
+    /// A single inference; a worker batches it with its neighbours.
+    Infer(InferItem),
     /// A single-pass online learning request.
     Learn { batch: Batch, reply: Reply },
     /// An explicit-memory snapshot request.
@@ -51,55 +51,15 @@ pub(crate) struct WorkQueue {
     pub scheduled: bool,
 }
 
-/// Groups admitted inference requests per deployment up to a batch cap.
-pub(crate) struct Coalescer {
-    max_batch: usize,
-    pending: HashMap<String, (Arc<Deployment>, Vec<InferItem>)>,
-}
-
-impl Coalescer {
-    pub fn new(max_batch: usize) -> Self {
-        Coalescer { max_batch: max_batch.max(1), pending: HashMap::new() }
-    }
-
-    /// Queues an admitted inference; returns a full batch once the
-    /// deployment's pending batch reaches `max_batch`.
-    pub fn push(
-        &mut self,
-        deployment: Arc<Deployment>,
-        item: InferItem,
-    ) -> Option<(Arc<Deployment>, DeploymentJob)> {
-        let name = deployment.name.clone();
-        let entry = self
-            .pending
-            .entry(name.clone())
-            .or_insert_with(|| (deployment, Vec::new()));
-        entry.1.push(item);
-        if entry.1.len() >= self.max_batch {
-            self.pending
-                .remove(&name)
-                .map(|(deployment, items)| (deployment, DeploymentJob::InferBatch(items)))
-        } else {
-            None
+impl WorkQueue {
+    /// Pops the head job only when it is an `Infer`.
+    pub fn pop_infer(&mut self) -> Option<InferItem> {
+        match self.jobs.pop_front()? {
+            DeploymentJob::Infer(item) => Some(item),
+            other => {
+                self.jobs.push_front(other);
+                None
+            }
         }
-    }
-
-    /// Flushes the pending batch of one deployment — the ordering barrier in
-    /// front of that deployment's learn / snapshot jobs.
-    pub fn flush_deployment(
-        &mut self,
-        name: &str,
-    ) -> Option<(Arc<Deployment>, DeploymentJob)> {
-        self.pending
-            .remove(name)
-            .map(|(deployment, items)| (deployment, DeploymentJob::InferBatch(items)))
-    }
-
-    /// Flushes every pending batch at the end of a dispatch cycle.
-    pub fn flush_all(&mut self) -> Vec<(Arc<Deployment>, DeploymentJob)> {
-        self.pending
-            .drain()
-            .map(|(_, (deployment, items))| (deployment, DeploymentJob::InferBatch(items)))
-            .collect()
     }
 }

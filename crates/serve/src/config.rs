@@ -10,18 +10,19 @@ pub struct ServeConfig {
     /// deployments run concurrently; requests for the same deployment are
     /// serialized by the deployment's own lock.
     pub workers: usize,
-    /// Maximum number of concurrent `Infer` requests for one deployment that
-    /// the batcher coalesces into a single batched forward pass.
+    /// Maximum number of `Infer` requests a worker takes off one
+    /// deployment's queue at a time and runs as a single batched forward
+    /// pass. The batch is whatever is waiting when the worker is free, so
+    /// its size follows load: one when idle, up to this under a backlog.
     pub max_batch: usize,
-    /// Maximum number of queued envelopes the dispatcher drains per cycle
-    /// before emitting jobs. Bounds the latency a burst can add to the first
-    /// request of the cycle.
-    pub drain_limit: usize,
-    /// Maximum number of submitted-but-undispatched requests. Submissions
-    /// beyond this depth are shed immediately with
+    /// Maximum number of requests waiting inside the runtime: submitted and
+    /// not yet taken by a worker, answered by the dispatcher, or parked
+    /// under [`BudgetPolicy::Defer`](crate::BudgetPolicy::Defer).
+    /// Submissions beyond this depth are shed immediately with
     /// [`ServeError::QueueFull`](crate::ServeError::QueueFull) instead of
     /// buffering without bound — the backpressure a socket frontend needs so
-    /// slow peers cannot exhaust memory. `None` means unbounded.
+    /// workers that fall behind cannot exhaust memory. `None` means
+    /// unbounded.
     pub queue_depth: Option<usize>,
     /// When `true` the runtime serves a read-only replica: `Infer`, `Stats`
     /// and `Snapshot` are served normally, while state-mutating requests
@@ -35,7 +36,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: recommended_threads(),
             max_batch: 16,
-            drain_limit: 256,
             queue_depth: None,
             read_only: false,
         }
@@ -50,15 +50,15 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the maximum coalesced batch size (builder style).
+    /// Sets the maximum batch size (builder style).
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch;
         self
     }
 
-    /// Bounds the dispatcher queue: submissions beyond `depth` in-flight
-    /// undispatched requests are shed with `QueueFull` (builder style).
+    /// Bounds the runtime's queues: submissions beyond `depth` requests
+    /// waiting for a worker are shed with `QueueFull` (builder style).
     #[must_use]
     pub fn with_queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = Some(depth);
@@ -85,9 +85,6 @@ impl ServeConfig {
         if self.max_batch == 0 {
             return Err(ServeError::InvalidConfig("max_batch must be at least 1".into()));
         }
-        if self.drain_limit == 0 {
-            return Err(ServeError::InvalidConfig("drain_limit must be at least 1".into()));
-        }
         if self.queue_depth == Some(0) {
             return Err(ServeError::InvalidConfig(
                 "queue_depth must be at least 1 when bounded".into(),
@@ -110,8 +107,6 @@ mod tests {
     fn zero_knobs_are_rejected() {
         assert!(ServeConfig::default().with_workers(0).validate().is_err());
         assert!(ServeConfig::default().with_max_batch(0).validate().is_err());
-        let config = ServeConfig { drain_limit: 0, ..ServeConfig::default() };
-        assert!(config.validate().is_err());
         assert!(ServeConfig::default().with_queue_depth(0).validate().is_err());
         ServeConfig::default().with_queue_depth(1).validate().unwrap();
     }

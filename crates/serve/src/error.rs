@@ -29,9 +29,10 @@ pub enum ServeError {
     /// with). Rejected at admission so one bad request can never poison a
     /// coalesced batch.
     InvalidRequest(String),
-    /// The dispatcher queue is at its configured depth limit
-    /// ([`ServeConfig::queue_depth`](crate::ServeConfig)); the request was
-    /// shed at submission instead of buffering without bound.
+    /// As many requests as the configured depth limit
+    /// ([`ServeConfig::queue_depth`](crate::ServeConfig)) already wait for a
+    /// worker; the request was shed at submission instead of buffering
+    /// without bound.
     QueueFull {
         /// The configured queue depth limit.
         depth: usize,

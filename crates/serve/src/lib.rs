@@ -15,14 +15,18 @@
 //!   `LearnOnline`, `Snapshot`, `Stats`, `TopUpBudget`), dispatched over
 //!   `std::sync::mpsc` channels to a `std::thread::scope` worker pool by
 //!   [`ServeRuntime::run`],
-//! * a coalescing batcher — concurrent `Infer` requests for one deployment
-//!   merge into a single batched forward pass, amortizing the matmul (the
-//!   perf ledger's `serve.batch_gain` is the batched-vs-sequential ratio),
+//! * one FIFO queue per deployment — the runtime's only queueing structure.
+//!   Batches form where they run: a worker that finds an `Infer` at the head
+//!   takes the `Infer`s waiting directly behind it (up to
+//!   [`ServeConfig::max_batch`]) into a single batched forward pass, so
+//!   batch size follows load, and a `LearnOnline`/`Snapshot`/`Stats` ends
+//!   the run just by sitting in the queue (the perf ledger's
+//!   `serve.batch_gain` is the batched-vs-sequential ratio),
 //! * energy-budget admission — every request is priced in millijoules on the
 //!   GAP9 cost model ([`RequestPricing`]); once a deployment's budget is
 //!   spent, work is rejected or deferred per [`BudgetPolicy`], turning the
-//!   paper's 12 mJ/class headline into a runtime policy. Coalesced batches
-//!   are settled at their **amortized** energy after running: the batch
+//!   paper's 12 mJ/class headline into a runtime policy. Batches are
+//!   settled at their **amortized** energy after running: the batch
 //!   streams the weights once, so the meter refunds the difference to `n`
 //!   independent passes,
 //! * [`snapshot`] — the byte layouts of everything this system persists or
@@ -38,8 +42,10 @@
 //!   mutation order (`ofscil_store` implements the trait with a WAL +
 //!   checkpoint store and recovers deployments bit-exactly after a crash);
 //!   `obs` emits one observability event per unit of work,
-//! * backpressure — [`ServeConfig::queue_depth`] bounds the dispatcher queue
-//!   and sheds excess submissions with [`ServeError::QueueFull`].
+//! * backpressure — [`ServeConfig::queue_depth`] bounds the requests
+//!   waiting inside the runtime (submitted, not yet taken by a worker nor
+//!   answered or parked by the dispatcher) and sheds excess submissions with
+//!   [`ServeError::QueueFull`].
 //!
 //! # Example
 //!

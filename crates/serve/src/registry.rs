@@ -9,7 +9,7 @@ use ofscil_core::OFscilModel;
 use ofscil_gap9::{
     deploy_backbone, deploy_fcr, estimate_execution, Gap9Config, NetworkWorkload, PowerModel,
 };
-use ofscil_tensor::bytes::{put_bytes, put_f64, put_str, put_u64, DecodeError, Reader};
+use ofscil_tensor::bytes::{fnv1a64, put_bytes, put_f64, put_str, put_u64, DecodeError, Reader};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -404,19 +404,6 @@ impl DeploymentStats {
     }
 }
 
-/// Mutable counters behind the deployment lock.
-#[derive(Debug, Default)]
-pub(crate) struct StatsInner {
-    pub infer_requests: u64,
-    pub infer_batches: u64,
-    pub largest_batch: usize,
-    pub learn_requests: u64,
-    pub snapshots: u64,
-    pub rejected_infer: u64,
-    pub rejected_learn: u64,
-    pub deferred: u64,
-}
-
 /// The energy budget meter of one deployment.
 #[derive(Debug)]
 pub(crate) struct EnergyMeter {
@@ -503,7 +490,8 @@ pub(crate) struct Deployment {
     pub name: String,
     pub model: Mutex<OFscilModel>,
     pub work: Mutex<crate::batch::WorkQueue>,
-    pub stats: Mutex<StatsInner>,
+    /// Lifetime counters, in the form a migration exports them.
+    pub stats: Mutex<ExportStats>,
     pub meter: EnergyMeter,
     /// Current price list; swapped atomically when the deployment converts
     /// to int8 and is re-priced at the cheaper quantized rate.
@@ -596,35 +584,6 @@ impl Deployment {
         (self.pricing().learn_sample_mj * n as f64 - self.batched_learn_mj(n)).max(0.0)
     }
 
-    /// The throughput counters in exportable form (migration payload).
-    pub fn export_stats(&self) -> ExportStats {
-        let stats = self.stats.lock().expect("stats lock poisoned");
-        ExportStats {
-            infer_requests: stats.infer_requests,
-            infer_batches: stats.infer_batches,
-            largest_batch: stats.largest_batch as u64,
-            learn_requests: stats.learn_requests,
-            snapshots: stats.snapshots,
-            rejected_infer: stats.rejected_infer,
-            rejected_learn: stats.rejected_learn,
-            deferred: stats.deferred,
-        }
-    }
-
-    /// Overwrites the throughput counters with exported ones — the import
-    /// side of a migration adopting the tenant's history.
-    pub fn adopt_stats(&self, exported: &ExportStats) {
-        let mut stats = self.stats.lock().expect("stats lock poisoned");
-        stats.infer_requests = exported.infer_requests;
-        stats.infer_batches = exported.infer_batches;
-        stats.largest_batch = usize::try_from(exported.largest_batch).unwrap_or(usize::MAX);
-        stats.learn_requests = exported.learn_requests;
-        stats.snapshots = exported.snapshots;
-        stats.rejected_infer = exported.rejected_infer;
-        stats.rejected_learn = exported.rejected_learn;
-        stats.deferred = exported.deferred;
-    }
-
     pub fn stats_snapshot(&self) -> DeploymentStats {
         let classes = self.model.lock().expect("model lock poisoned").em().num_classes();
         let stats = self.stats.lock().expect("stats lock poisoned");
@@ -634,7 +593,7 @@ impl Deployment {
             classes,
             infer_requests: stats.infer_requests,
             infer_batches: stats.infer_batches,
-            largest_batch: stats.largest_batch,
+            largest_batch: usize::try_from(stats.largest_batch).unwrap_or(usize::MAX),
             learn_requests: stats.learn_requests,
             snapshots: stats.snapshots,
             rejected_infer: stats.rejected_infer,
@@ -649,12 +608,7 @@ impl Deployment {
 
 /// FNV-1a over a name — the shard selector.
 fn shard_of(name: &str, shards: usize) -> usize {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in name.as_bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (hash % shards as u64) as usize
+    (fnv1a64(name.as_bytes()) % shards as u64) as usize
 }
 
 /// A sharded registry of independent [`OFscilModel`] deployments.
@@ -713,7 +667,7 @@ impl LearnerRegistry {
             name: spec.name.clone(),
             model: Mutex::new(model),
             work: Mutex::new(crate::batch::WorkQueue::default()),
-            stats: Mutex::new(StatsInner::default()),
+            stats: Mutex::new(ExportStats::default()),
             meter: EnergyMeter::new(spec.energy_budget_mj),
             pricing: Mutex::new(pricing),
             policy: spec.budget_policy,
@@ -832,14 +786,8 @@ impl LearnerRegistry {
         let deployment = self.resolve(name)?;
         let (seq, snapshot) = self.snapshot_with_seq(name)?;
         let (spent_mj, budget_mj) = deployment.meter.spent_and_budget();
-        Ok(DeploymentExport {
-            name: name.to_string(),
-            seq,
-            snapshot,
-            spent_mj,
-            budget_mj,
-            stats: deployment.export_stats(),
-        })
+        let stats = *deployment.stats.lock().expect("stats lock poisoned");
+        Ok(DeploymentExport { name: name.to_string(), seq, snapshot, spent_mj, budget_mj, stats })
     }
 
     /// Installs an exported deployment state: the snapshot is restored
@@ -881,32 +829,48 @@ impl LearnerRegistry {
         export: &DeploymentExport,
         f: impl FnOnce(u64, f64, Option<f64>) -> T,
     ) -> Result<(usize, T)> {
-        let em = decode_explicit_memory(&export.snapshot)?;
-        let deployment = self.resolve(&export.name)?;
+        self.install(&export.name, &export.snapshot, |deployment| {
+            let seq = {
+                let mut seq = deployment.repl_seq.lock().expect("repl seq lock poisoned");
+                *seq = export.seq.max(*seq + 1);
+                *seq
+            };
+            // Billing state rides the export: the meter and throughput
+            // counters are adopted exactly, so a controller-driven migration
+            // preserves the tenant's spend history and budget instead of
+            // resetting them.
+            deployment.meter.recover(export.spent_mj, export.budget_mj);
+            *deployment.stats.lock().expect("stats lock poisoned") = export.stats;
+            f(seq, export.spent_mj, export.budget_mj)
+        })
+    }
+
+    /// The one install body behind restore, import and recovery. Decodes
+    /// `snapshot`, checks it against the deployment's projection head, swaps
+    /// it in as the explicit memory bit-exactly, and hands the deployment to
+    /// `after` **while the model lock is still held** — so the sequence
+    /// number, meter state and counters the caller adopts become visible
+    /// together with the memory they describe. Returns the number of
+    /// restored classes and `after`'s value.
+    fn install<T>(
+        &self,
+        name: &str,
+        snapshot: &[u8],
+        after: impl FnOnce(&Deployment) -> T,
+    ) -> Result<(usize, T)> {
+        let em = decode_explicit_memory(snapshot)?;
+        let deployment = self.resolve(name)?;
         let mut model = deployment.model.lock().expect("model lock poisoned");
         if em.dim() != model.projection_dim() {
             return Err(ServeError::InvalidRequest(format!(
-                "exported snapshot dimension {} does not match deployment projection \
-                 dimension {}",
+                "snapshot dimension {} does not match deployment projection dimension {}",
                 em.dim(),
                 model.projection_dim()
             )));
         }
         let classes = em.num_classes();
         *model.em_mut() = em;
-        let seq = {
-            let mut seq = deployment.repl_seq.lock().expect("repl seq lock poisoned");
-            *seq = export.seq.max(*seq + 1);
-            *seq
-        };
-        // Billing state rides the export: the meter and throughput counters
-        // are adopted exactly, so a controller-driven migration preserves the
-        // tenant's spend history and budget instead of resetting them.
-        deployment.meter.recover(export.spent_mj, export.budget_mj);
-        deployment.adopt_stats(&export.stats);
-        let (spent_mj, budget_mj) = deployment.meter.spent_and_budget();
-        let value = f(seq, spent_mj, budget_mj);
-        Ok((classes, value))
+        Ok((classes, after(&deployment)))
     }
 
     /// A deployment's current replication sequence number — the cheap
@@ -996,7 +960,10 @@ impl LearnerRegistry {
     /// [`ServeError::InvalidRequest`] when the snapshot's dimensionality does
     /// not match the deployment's projection head.
     pub fn restore(&self, name: &str, bytes: &[u8]) -> Result<usize> {
-        self.restore_inner(name, bytes, None)
+        self.install(name, bytes, |deployment| {
+            *deployment.repl_seq.lock().expect("repl seq lock poisoned") += 1;
+        })
+        .map(|(classes, ())| classes)
     }
 
     /// Like [`LearnerRegistry::restore`], but adopts `seq` as the
@@ -1012,28 +979,10 @@ impl LearnerRegistry {
     /// [`ServeError::InvalidRequest`] when the snapshot's dimensionality does
     /// not match the deployment's projection head.
     pub fn restore_at(&self, name: &str, bytes: &[u8], seq: u64) -> Result<usize> {
-        self.restore_inner(name, bytes, Some(seq))
-    }
-
-    fn restore_inner(&self, name: &str, bytes: &[u8], seq: Option<u64>) -> Result<usize> {
-        let em = decode_explicit_memory(bytes)?;
-        let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
-        if em.dim() != model.projection_dim() {
-            return Err(ServeError::InvalidRequest(format!(
-                "snapshot dimension {} does not match deployment projection dimension {}",
-                em.dim(),
-                model.projection_dim()
-            )));
-        }
-        let classes = em.num_classes();
-        *model.em_mut() = em;
-        let mut current = deployment.repl_seq.lock().expect("repl seq lock poisoned");
-        match seq {
-            Some(seq) => *current = seq,
-            None => *current += 1,
-        }
-        Ok(classes)
+        self.install(name, bytes, |deployment| {
+            *deployment.repl_seq.lock().expect("repl seq lock poisoned") = seq;
+        })
+        .map(|(classes, ())| classes)
     }
 
     /// Returns a deployment's raw `(spent, budget)` energy-meter state — the
@@ -1069,22 +1018,11 @@ impl LearnerRegistry {
         spent_mj: f64,
         budget_mj: Option<f64>,
     ) -> Result<usize> {
-        let em = decode_explicit_memory(snapshot)?;
-        let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
-        if em.dim() != model.projection_dim() {
-            return Err(ServeError::InvalidRequest(format!(
-                "recovered snapshot dimension {} does not match deployment projection \
-                 dimension {}",
-                em.dim(),
-                model.projection_dim()
-            )));
-        }
-        let classes = em.num_classes();
-        *model.em_mut() = em;
-        *deployment.repl_seq.lock().expect("repl seq lock poisoned") = seq;
-        deployment.meter.recover(spent_mj, budget_mj);
-        Ok(classes)
+        self.install(name, snapshot, |deployment| {
+            *deployment.repl_seq.lock().expect("repl seq lock poisoned") = seq;
+            deployment.meter.recover(spent_mj, budget_mj);
+        })
+        .map(|(classes, ())| classes)
     }
 
     /// Raises a deployment's energy budget by `mj` out-of-band. Budget

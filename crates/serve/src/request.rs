@@ -13,8 +13,8 @@ use std::sync::mpsc;
 /// the worker pool.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeRequest {
-    /// Classify one image. Concurrent `Infer` requests for the same
-    /// deployment are coalesced into a single batched forward pass.
+    /// Classify one image. `Infer` requests waiting next to each other in a
+    /// deployment's queue run as a single batched forward pass.
     Infer {
         /// Target deployment.
         deployment: String,
@@ -81,8 +81,8 @@ pub enum ServeResponse {
         class: usize,
         /// Cosine similarity to that class's prototype.
         similarity: f32,
-        /// Size of the coalesced forward pass this request rode in (1 when
-        /// it ran alone).
+        /// Size of the batched forward pass this request rode in (1 when it
+        /// ran alone).
         batched_with: usize,
     },
     /// Answer to `LearnOnline`.
@@ -111,7 +111,8 @@ pub enum ServeResponse {
 /// The reply channel of one in-flight request.
 pub(crate) type Reply = mpsc::Sender<Result<ServeResponse>>;
 
-/// A request plus its reply channel, as it travels to the dispatcher.
+/// A request plus its reply channel, as it travels to the dispatcher,
+/// which turns it into a job in its deployment's FIFO.
 pub(crate) struct Envelope {
     pub request: ServeRequest,
     pub reply: Reply,

@@ -7,8 +7,8 @@
 //!                     │  resolve deployment (sharded registry lookup)
 //!                     │  validate payload shape
 //!                     │  price on the GAP9 energy model + admit/defer/reject
-//!                     │  coalesce Infer requests into batched jobs
-//!                     │  append jobs to the deployment's FIFO work queue
+//!                     │  append one job per request to the deployment's
+//!                     │  FIFO work queue
 //!                     ▼
 //!                  deferred queues (released by TopUpBudget)
 //! ```
@@ -17,13 +17,15 @@
 //! claims a token drains that deployment's work queue in admission order,
 //! and the `scheduled` flag keeps a deployment off two workers at once — so
 //! per-deployment request order is a guarantee, while distinct deployments
-//! run fully in parallel.
+//! run fully in parallel. A worker that finds an `Infer` at the head of the
+//! queue runs it together with the `Infer`s waiting directly behind it (up
+//! to `max_batch`) as one batched forward (`batch.rs`).
 //!
 //! Every submitted request receives exactly one reply: a successful response,
 //! an admission error, an execution error, or — for requests still parked in
 //! a deferred queue at shutdown — a final [`ServeError::BudgetExhausted`].
 
-use crate::batch::{Coalescer, DeploymentJob, InferItem};
+use crate::batch::{DeploymentJob, InferItem};
 use crate::journal::CommitJournal;
 use crate::registry::{BudgetPolicy, Deployment, LearnerRegistry};
 use crate::request::{Envelope, PendingResponse, Reply, ServeRequest, ServeResponse};
@@ -59,8 +61,11 @@ pub struct LearnCommit {
     pub total_classes: usize,
 }
 
-/// Tracks submitted-but-undispatched requests against the configured depth
-/// limit (`usize::MAX` when unbounded).
+/// Counts the requests waiting inside the runtime against the configured
+/// depth limit (`usize::MAX` when unbounded): a request counts from `submit`
+/// until a worker takes it off its deployment's FIFO, or until the
+/// dispatcher settles it itself — answers it (top-up, validation error,
+/// budget reject) or parks it under `BudgetPolicy::Defer`.
 #[derive(Debug)]
 struct DepthGauge {
     queued: AtomicUsize,
@@ -83,9 +88,10 @@ impl ServeClient {
     /// [`PendingResponse::wait`].
     ///
     /// When the runtime was configured with a bounded queue
-    /// ([`ServeConfig::queue_depth`]) and the dispatcher is that far behind,
-    /// the request is shed immediately: the returned handle yields
-    /// [`ServeError::QueueFull`] without the request ever entering the queue.
+    /// ([`ServeConfig::queue_depth`]) and that many requests are already
+    /// waiting for a worker, the request is shed immediately: the returned
+    /// handle yields [`ServeError::QueueFull`] without the request ever
+    /// entering the queue.
     pub fn submit(&self, request: ServeRequest) -> PendingResponse {
         let (reply, rx) = mpsc::channel();
         if self.gauge.queued.fetch_add(1, Ordering::AcqRel) >= self.gauge.limit {
@@ -215,22 +221,18 @@ impl ServeRuntime {
         });
 
         let value = std::thread::scope(|scope| {
+            let (queue, depth) = (&queue, &*gauge);
             for _ in 0..config.workers {
-                let queue = &queue;
-                scope.spawn(move || worker_loop(queue, hooks));
+                scope.spawn(move || worker_loop(queue, depth, config.max_batch, hooks));
             }
-            let dispatcher_queue = &queue;
-            let dispatcher_gauge = Arc::clone(&gauge);
-            scope.spawn(move || {
-                dispatch_loop(rx, registry, config, dispatcher_queue, &dispatcher_gauge, hooks)
-            });
+            scope.spawn(move || dispatch_loop(rx, registry, config, queue, depth, hooks));
 
-            let client = ServeClient { tx, gauge };
+            let client = ServeClient { tx, gauge: Arc::clone(&gauge) };
             body(&client)
             // `client` (the last envelope sender) drops here; the dispatcher
-            // drains the channel, flushes its batches, fails whatever is
-            // still deferred and closes the job queue, which releases the
-            // workers. The scope then joins everything.
+            // drains the channel, fails whatever is still deferred and
+            // closes the job queue, which releases the workers once the
+            // FIFOs are empty. The scope then joins everything.
         });
         Ok(value)
     }
@@ -248,25 +250,14 @@ fn dispatch_loop(
     gauge: &DepthGauge,
     hooks: ServeHooks<'_>,
 ) {
-    let mut coalescer = Coalescer::new(config.max_batch);
     let mut deferred: HashMap<String, VecDeque<Envelope>> = HashMap::new();
 
-    while let Ok(first) = rx.recv() {
-        let mut cycle = vec![first];
-        while cycle.len() < config.drain_limit {
-            match rx.try_recv() {
-                Ok(envelope) => cycle.push(envelope),
-                Err(_) => break,
-            }
-        }
-        // Envelopes pulled off the channel no longer count against the
-        // submission depth limit (they are now the dispatcher's problem).
-        gauge.queued.fetch_sub(cycle.len(), Ordering::AcqRel);
-        for envelope in cycle {
-            route(envelope, registry, config, queue, &mut coalescer, &mut deferred, hooks);
-        }
-        for (deployment, job) in coalescer.flush_all() {
-            enqueue(&deployment, job, queue);
+    while let Ok(envelope) = rx.recv() {
+        // A request the dispatcher settled itself stops counting against the
+        // depth limit here; one that went into a deployment's FIFO keeps
+        // counting until a worker takes it.
+        if !route(envelope, registry, config, queue, gauge, &mut deferred, hooks) {
+            gauge.queued.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -351,30 +342,43 @@ fn validate(deployment: &Deployment, request: &ServeRequest) -> Result<()> {
     Ok(())
 }
 
+/// The deployment a request may run on, or the error that settles it before
+/// admission.
+fn target(
+    registry: &LearnerRegistry,
+    config: &ServeConfig,
+    request: &ServeRequest,
+) -> Result<Arc<Deployment>> {
+    // A read-only replica rejects writes before even resolving the
+    // deployment: its state changes only by tailing the primary's snapshot
+    // stream, never through its own request path.
+    if config.read_only && request.is_write() {
+        return Err(ServeError::ReadOnlyReplica { deployment: request.deployment().to_string() });
+    }
+    let deployment = registry.resolve(request.deployment())?;
+    validate(&deployment, request)?;
+    Ok(deployment)
+}
+
+/// Routes one request. Returns `true` when it was appended to its
+/// deployment's FIFO (a worker will answer it), `false` when the dispatcher
+/// settled it: answered it or parked it in `deferred`.
 fn route(
     envelope: Envelope,
     registry: &LearnerRegistry,
     config: &ServeConfig,
     queue: &JobQueue,
-    coalescer: &mut Coalescer,
+    gauge: &DepthGauge,
     deferred: &mut HashMap<String, VecDeque<Envelope>>,
     hooks: ServeHooks<'_>,
-) {
-    let name = envelope.request.deployment().to_string();
-    // A read-only replica rejects writes before even resolving the
-    // deployment: its state changes only by tailing the primary's snapshot
-    // stream, never through its own request path.
-    if config.read_only && envelope.request.is_write() {
-        return envelope.reject(ServeError::ReadOnlyReplica { deployment: name });
-    }
-    let deployment = match registry.resolve(&name) {
+) -> bool {
+    let deployment = match target(registry, config, &envelope.request) {
         Ok(deployment) => deployment,
-        Err(error) => return envelope.reject(error),
+        Err(error) => {
+            envelope.reject(error);
+            return false;
+        }
     };
-    if let Err(error) = validate(&deployment, &envelope.request) {
-        return envelope.reject(error);
-    }
-
     // Budget top-ups are answered by the dispatcher itself, then unblock as
     // much deferred work as the new budget covers, oldest first.
     if let ServeRequest::TopUpBudget { energy_mj, .. } = envelope.request {
@@ -391,7 +395,7 @@ fn route(
                 deployment.meter.top_up(energy_mj);
                 let seq = *deployment.repl_seq.lock().expect("repl seq lock poisoned");
                 let (spent_mj, budget_mj) = deployment.meter.spent_and_budget();
-                journal.journal_top_up(&name, seq, spent_mj, budget_mj)
+                journal.journal_top_up(&deployment.name, seq, spent_mj, budget_mj)
             }
             None => {
                 deployment.meter.top_up(energy_mj);
@@ -405,7 +409,9 @@ fn route(
                     .reply
                     .send(Ok(ServeResponse::Budget { spent_mj, remaining_mj }));
                 if let Some(obs) = hooks.obs {
-                    obs.emit(Event::new(EventKind::TopUp, &name).with_energy_mj(energy_mj));
+                    obs.emit(
+                        Event::new(EventKind::TopUp, &deployment.name).with_energy_mj(energy_mj),
+                    );
                 }
             }
             // The budget did move; the caller just must not believe the
@@ -414,26 +420,32 @@ fn route(
                 "budget raised but journaling failed: {e}"
             ))),
         }
-        release_deferred(&name, registry, queue, coalescer, deferred);
-        return;
+        release_deferred(&deployment, queue, gauge, deferred);
+        return false;
     }
 
     match admit(&deployment, &envelope.request) {
-        Admission::Granted => dispatch(deployment, envelope, queue, coalescer),
-        Admission::Refused { required_mj, remaining_mj } => match deployment.policy {
-            BudgetPolicy::Reject => {
-                count_rejection(&deployment, &envelope.request, hooks.obs);
-                envelope.reject(ServeError::BudgetExhausted {
-                    deployment: name,
-                    required_mj,
-                    remaining_mj,
-                });
+        Admission::Granted => {
+            enqueue(&deployment, envelope, queue);
+            true
+        }
+        Admission::Refused { required_mj, remaining_mj } => {
+            match deployment.policy {
+                BudgetPolicy::Reject => {
+                    count_rejection(&deployment, &envelope.request, hooks.obs);
+                    envelope.reject(ServeError::BudgetExhausted {
+                        deployment: deployment.name.clone(),
+                        required_mj,
+                        remaining_mj,
+                    });
+                }
+                BudgetPolicy::Defer => {
+                    deployment.stats.lock().expect("stats lock poisoned").deferred += 1;
+                    deferred.entry(deployment.name.clone()).or_default().push_back(envelope);
+                }
             }
-            BudgetPolicy::Defer => {
-                deployment.stats.lock().expect("stats lock poisoned").deferred += 1;
-                deferred.entry(name).or_default().push_back(envelope);
-            }
-        },
+            false
+        }
     }
 }
 
@@ -474,9 +486,20 @@ fn admit(deployment: &Deployment, request: &ServeRequest) -> Admission {
     }
 }
 
-/// Appends a job to the deployment's FIFO work queue and schedules the
-/// deployment on the worker pool unless a token for it is already out.
-fn enqueue(deployment: &Arc<Deployment>, job: DeploymentJob, queue: &JobQueue) {
+/// Appends an admitted request to its deployment's FIFO work queue as one
+/// job and schedules the deployment on the worker pool unless a token for
+/// it is already out. Per-deployment execution order is this append order,
+/// enforced by the token scheduling.
+fn enqueue(deployment: &Arc<Deployment>, envelope: Envelope, queue: &JobQueue) {
+    let Envelope { request, reply } = envelope;
+    let job = match request {
+        ServeRequest::Infer { image, .. } => DeploymentJob::Infer(InferItem { image, reply }),
+        ServeRequest::LearnOnline { batch, .. } => DeploymentJob::Learn { batch, reply },
+        ServeRequest::Snapshot { .. } => DeploymentJob::Snapshot { reply },
+        ServeRequest::Stats { .. } => DeploymentJob::Stats { reply },
+        // Handled by `route` before admission.
+        ServeRequest::TopUpBudget { .. } => unreachable!("top-ups are dispatcher-local"),
+    };
     let needs_token = {
         let mut work = deployment.work.lock().expect("work queue lock poisoned");
         work.jobs.push_back(job);
@@ -487,68 +510,22 @@ fn enqueue(deployment: &Arc<Deployment>, job: DeploymentJob, queue: &JobQueue) {
     }
 }
 
-/// Turns an admitted envelope into work: infers join the coalescer, other
-/// requests become immediate jobs behind an ordering barrier that flushes
-/// the deployment's pending batch first. Per-deployment execution order is
-/// the enqueue order, enforced by the token scheduling.
-fn dispatch(
-    deployment: Arc<Deployment>,
-    envelope: Envelope,
-    queue: &JobQueue,
-    coalescer: &mut Coalescer,
-) {
-    let Envelope { request, reply } = envelope;
-    match request {
-        ServeRequest::Infer { image, .. } => {
-            if let Some((deployment, job)) = coalescer.push(deployment, InferItem { image, reply })
-            {
-                enqueue(&deployment, job, queue);
-            }
-        }
-        ServeRequest::LearnOnline { batch, .. } => {
-            if let Some((deployment, job)) = coalescer.flush_deployment(&deployment.name) {
-                enqueue(&deployment, job, queue);
-            }
-            enqueue(&deployment, DeploymentJob::Learn { batch, reply }, queue);
-        }
-        ServeRequest::Snapshot { .. } => {
-            if let Some((deployment, job)) = coalescer.flush_deployment(&deployment.name) {
-                enqueue(&deployment, job, queue);
-            }
-            enqueue(&deployment, DeploymentJob::Snapshot { reply }, queue);
-        }
-        ServeRequest::Stats { .. } => {
-            if let Some((deployment, job)) = coalescer.flush_deployment(&deployment.name) {
-                enqueue(&deployment, job, queue);
-            }
-            enqueue(&deployment, DeploymentJob::Stats { reply }, queue);
-        }
-        // Handled by `route` before admission.
-        ServeRequest::TopUpBudget { .. } => unreachable!("top-ups are dispatcher-local"),
-    }
-}
-
+/// Re-admits a deployment's parked requests after a top-up, oldest first,
+/// for as long as the new budget covers them.
 fn release_deferred(
-    name: &str,
-    registry: &LearnerRegistry,
+    deployment: &Arc<Deployment>,
     queue: &JobQueue,
-    coalescer: &mut Coalescer,
+    gauge: &DepthGauge,
     deferred: &mut HashMap<String, VecDeque<Envelope>>,
 ) {
-    let Some(parked) = deferred.get_mut(name) else { return };
-    // Deployments cannot be unregistered, so one resolve covers the whole
-    // queue.
-    let Ok(deployment) = registry.resolve(name) else {
-        for envelope in parked.drain(..) {
-            envelope.reject(ServeError::UnknownDeployment(name.to_string()));
-        }
-        deferred.remove(name);
-        return;
-    };
+    let Some(parked) = deferred.get_mut(&deployment.name) else { return };
     while let Some(envelope) = parked.pop_front() {
-        match admit(&deployment, &envelope.request) {
+        match admit(deployment, &envelope.request) {
             Admission::Granted => {
-                dispatch(Arc::clone(&deployment), envelope, queue, coalescer);
+                // Parking took the request off the depth gauge; back in a
+                // FIFO it counts again until a worker takes it.
+                gauge.queued.fetch_add(1, Ordering::AcqRel);
+                enqueue(deployment, envelope, queue);
             }
             Admission::Refused { .. } => {
                 // Budget ran dry again; keep FIFO order and stop.
@@ -558,7 +535,7 @@ fn release_deferred(
         }
     }
     if parked.is_empty() {
-        deferred.remove(name);
+        deferred.remove(&deployment.name);
     }
 }
 
@@ -566,25 +543,35 @@ fn release_deferred(
 // Worker pool
 // ---------------------------------------------------------------------------
 
-fn worker_loop(queue: &JobQueue, hooks: ServeHooks<'_>) {
+fn worker_loop(queue: &JobQueue, gauge: &DepthGauge, max_batch: usize, hooks: ServeHooks<'_>) {
     while let Some(deployment) = queue.pop() {
         // Drain this deployment's queue in FIFO order. The `scheduled` flag
         // is cleared under the same lock that proves the queue empty, so a
         // concurrent `enqueue` either sees the flag still set (and this loop
         // picks its job up) or re-schedules the deployment itself.
         loop {
-            let job = {
+            let (job, behind) = {
                 let mut work = deployment.work.lock().expect("work queue lock poisoned");
-                match work.jobs.pop_front() {
-                    Some(job) => job,
-                    None => {
-                        work.scheduled = false;
-                        break;
-                    }
-                }
+                let Some(job) = work.jobs.pop_front() else {
+                    work.scheduled = false;
+                    break;
+                };
+                // A batch forms here, when a worker is free to run it, from
+                // what is waiting at that moment: the head `Infer` plus the
+                // `Infer`s directly behind it, up to `max_batch`. Any other
+                // job ends the run by sitting in the FIFO.
+                let behind: Vec<InferItem> = match job {
+                    DeploymentJob::Infer(_) => std::iter::from_fn(|| work.pop_infer())
+                        .take(max_batch - 1)
+                        .collect(),
+                    _ => Vec::new(),
+                };
+                (job, behind)
             };
+            gauge.queued.fetch_sub(1 + behind.len(), Ordering::AcqRel);
             match job {
-                DeploymentJob::InferBatch(items) => {
+                DeploymentJob::Infer(first) => {
+                    let items = std::iter::once(first).chain(behind).collect();
                     run_infer_batch(&deployment, items, hooks.obs)
                 }
                 DeploymentJob::Learn { batch, reply } => {
@@ -634,7 +621,7 @@ fn run_infer_batch(deployment: &Deployment, items: Vec<InferItem>, obs: Option<&
                 let mut stats = deployment.stats.lock().expect("stats lock poisoned");
                 stats.infer_requests += n as u64;
                 stats.infer_batches += 1;
-                stats.largest_batch = stats.largest_batch.max(n);
+                stats.largest_batch = stats.largest_batch.max(n as u64);
             }
             // Admission charged n single-sample passes before the batch
             // formed; settle the spend at the batch's amortized cost.
@@ -1050,6 +1037,169 @@ mod tests {
             }
             other => panic!("unexpected response {other:?}"),
         }
+    }
+
+    /// Polls until `cond` holds. The queue tests below force their
+    /// interleaving by observing queue state, never by sleeping; the
+    /// deadline only turns a hang into a failure.
+    fn wait_until(cond: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while !cond() {
+            assert!(std::time::Instant::now() < deadline, "condition never held");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Parks the pool's only worker: holds the model lock and waits until
+    /// the worker has taken a `Stats` job that blocks on it. Everything
+    /// submitted afterwards queues up until the returned guard drops.
+    fn park_worker<'a>(
+        client: &ServeClient,
+        deployment: &'a Deployment,
+    ) -> (std::sync::MutexGuard<'a, ofscil_core::OFscilModel>, PendingResponse) {
+        let held = deployment.model.lock().unwrap();
+        let parked = client.submit(ServeRequest::Stats { deployment: deployment.name.clone() });
+        wait_until(|| client.gauge.queued.load(Ordering::Acquire) == 0);
+        (held, parked)
+    }
+
+    fn queued_jobs(deployment: &Deployment) -> usize {
+        deployment.work.lock().unwrap().jobs.len()
+    }
+
+    fn registry_with_two_classes() -> LearnerRegistry {
+        let registry = registry_with(&["t"]);
+        registry
+            .with_model("t", |model| model.learn_classes_online(&support_batch(&[0, 1], 2)))
+            .unwrap()
+            .unwrap();
+        registry
+    }
+
+    fn infer(class: usize) -> ServeRequest {
+        ServeRequest::Infer { deployment: "t".into(), image: class_image(class, 0.01) }
+    }
+
+    fn prediction(response: Result<ServeResponse>) -> (usize, usize) {
+        match response.unwrap() {
+            ServeResponse::Prediction { class, batched_with, .. } => (class, batched_with),
+            other => panic!("unexpected response {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_backlog_of_infers_runs_in_full_batches() {
+        // 10 inferences waiting behind a parked worker, max_batch 4: the
+        // batches form when the worker gets to them, so exactly
+        // ceil(10 / 4) = 3 forwards run, sized 4, 4, 2.
+        let registry = registry_with_two_classes();
+        let deployment = registry.resolve("t").unwrap();
+        let config = ServeConfig::default().with_workers(1).with_max_batch(4);
+        let sizes = ServeRuntime::run(&registry, &config, |client| {
+            let (held, parked) = park_worker(client, &deployment);
+            let pending: Vec<_> = (0..10).map(|i| client.submit(infer(i % 2))).collect();
+            wait_until(|| queued_jobs(&deployment) == 10);
+            drop(held);
+            parked.wait().unwrap();
+            pending.into_iter().map(|p| prediction(p.wait()).1).collect::<Vec<_>>()
+        })
+        .unwrap();
+        assert_eq!(sizes, vec![4, 4, 4, 4, 4, 4, 4, 4, 2, 2]);
+        let stats = registry.stats("t").unwrap();
+        assert_eq!(stats.infer_requests, 10);
+        assert_eq!(stats.infer_batches, 3);
+        assert_eq!(stats.largest_batch, 4);
+    }
+
+    #[test]
+    fn a_run_of_infers_never_spans_a_learn() {
+        // Infer×3, Learn(class 2), Infer×3 all waiting at once with room for
+        // all seven in one batch: the learn still splits them into two
+        // forwards, and the second three see the class it added.
+        let registry = registry_with_two_classes();
+        let deployment = registry.resolve("t").unwrap();
+        let config = ServeConfig::default().with_workers(1);
+        let (before, after) = ServeRuntime::run(&registry, &config, |client| {
+            let (held, parked) = park_worker(client, &deployment);
+            let before: Vec<_> = (0..3).map(|_| client.submit(infer(2))).collect();
+            let learn = client.submit(ServeRequest::LearnOnline {
+                deployment: "t".into(),
+                batch: support_batch(&[2], 2),
+            });
+            let after: Vec<_> = (0..3).map(|_| client.submit(infer(2))).collect();
+            wait_until(|| queued_jobs(&deployment) == 7);
+            drop(held);
+            parked.wait().unwrap();
+            learn.wait().unwrap();
+            let classes = |pending: Vec<PendingResponse>| {
+                pending.into_iter().map(|p| prediction(p.wait())).collect::<Vec<_>>()
+            };
+            (classes(before), classes(after))
+        })
+        .unwrap();
+        assert!(before.iter().all(|&(class, batched_with)| class != 2 && batched_with == 3));
+        assert!(after.iter().all(|&(class, batched_with)| class == 2 && batched_with == 3));
+        assert_eq!(registry.stats("t").unwrap().infer_batches, 2);
+    }
+
+    #[test]
+    fn deferred_requests_released_by_a_top_up_keep_fifo_order() {
+        // Learn then infer, both parked under `Defer`: the top-up re-admits
+        // them oldest first, so the infer finds the class the learn stored.
+        let registry = LearnerRegistry::new();
+        let mut rng = SeedRng::new(0);
+        registry
+            .register(
+                DeploymentSpec::new("t", (8, 8)).with_energy_budget(0.0, BudgetPolicy::Defer),
+                OFscilModel::new(BackboneKind::Micro, 16, &mut rng),
+            )
+            .unwrap();
+        let (class, waiting) = ServeRuntime::run(&registry, &ServeConfig::default(), |client| {
+            let learn = client.submit(ServeRequest::LearnOnline {
+                deployment: "t".into(),
+                batch: support_batch(&[1], 2),
+            });
+            let infer = client.submit(infer(1));
+            client
+                .call(ServeRequest::TopUpBudget { deployment: "t".into(), energy_mj: 1e6 })
+                .unwrap();
+            learn.wait().unwrap();
+            let (class, _) = prediction(infer.wait());
+            // Parked requests left the depth gauge and re-entered it on
+            // release; with every reply in, nothing is waiting.
+            (class, client.gauge.queued.load(Ordering::Acquire))
+        })
+        .unwrap();
+        assert_eq!(class, 1);
+        assert_eq!(waiting, 0);
+        assert_eq!(registry.stats("t").unwrap().deferred, 2);
+    }
+
+    #[test]
+    fn queue_depth_bounds_the_backlog_behind_a_busy_worker() {
+        // The only worker is busy and two inferences already wait in the
+        // deployment's FIFO: with depth 2 the third is shed, however fast
+        // the dispatcher emptied the channel.
+        let registry = registry_with_two_classes();
+        let deployment = registry.resolve("t").unwrap();
+        let config =
+            ServeConfig::default().with_workers(1).with_max_batch(1).with_queue_depth(2);
+        ServeRuntime::run(&registry, &config, |client| {
+            let (held, parked) = park_worker(client, &deployment);
+            let first = client.submit(infer(0));
+            let second = client.submit(infer(1));
+            wait_until(|| queued_jobs(&deployment) == 2);
+            // Shedding answers inside `submit`, so the reply is already there.
+            let shed = client.submit(infer(0));
+            assert!(matches!(shed.rx.try_recv(), Ok(Err(ServeError::QueueFull { depth: 2 }))));
+            // Released, the runtime works the backlog off and serves again.
+            drop(held);
+            parked.wait().unwrap();
+            assert_eq!(prediction(first.wait()), (0, 1));
+            assert_eq!(prediction(second.wait()), (1, 1));
+            assert_eq!(prediction(client.call(infer(1))), (1, 1));
+        })
+        .unwrap();
     }
 
     #[test]

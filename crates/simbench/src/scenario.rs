@@ -123,12 +123,7 @@ impl ScenarioCtx {
     /// A scenario-specific RNG seed: the run seed folded with the scenario
     /// name (FNV-1a), so every scenario replays its own independent stream.
     pub fn rng_seed(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.scenario.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash ^ self.seed
+        ofscil::tensor::bytes::fnv1a64(self.scenario.as_bytes()) ^ self.seed
     }
 
     /// Runs one request closure, counting it and (in timing mode) recording

@@ -32,6 +32,20 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
     hash
 }
 
+/// FNV-1a 64-bit hash — the workspace's one name hash: registry shard
+/// selection, the router's ring points and simbench's per-scenario seeds.
+/// Pinned here rather than borrowed from `std`, whose `DefaultHasher` is
+/// explicitly unstable across releases, because placement and replay must be
+/// the same in every process.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
 /// Appends the [`fnv1a`] checksum of `out[from..]` — the trailer every
 /// checksummed envelope ends with.
 pub fn put_checksum(out: &mut Vec<u8>, from: usize) {
@@ -488,6 +502,8 @@ mod tests {
         assert_eq!(fnv1a(b""), 0x811c_9dc5);
         assert_eq!(fnv1a(b"a"), 0xe40c_292c);
         assert_eq!(fnv1a(b"foobar"), 0xbf9c_f968);
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
 
         let mut out = b"skipped|foobar".to_vec();
         put_checksum(&mut out, 8);

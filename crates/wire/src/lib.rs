@@ -71,6 +71,7 @@ mod client;
 mod error;
 pub mod frame;
 mod follower;
+pub mod harness;
 pub mod net;
 mod server;
 

@@ -14,8 +14,9 @@
 //! `thread::scope`, a nonblocking accept loop that polls a shutdown flag,
 //! and read timeouts on accepted sockets so connection threads notice
 //! shutdown between frames. The serving runtime's own backpressure
-//! ([`ServeConfig::queue_depth`](ofscil_serve::ServeConfig)) is what keeps
-//! slow sockets from buffering unbounded work behind the dispatcher.
+//! ([`ServeConfig::queue_depth`](ofscil_serve::ServeConfig)) bounds the
+//! requests waiting for a worker, which is what keeps connections that
+//! submit faster than the pool serves from buffering unbounded work.
 
 use crate::codec::{decode_request, encode_response, ReplEvent, WireRequest, WireResponse};
 use crate::error::WireError;
@@ -64,8 +65,8 @@ pub struct WireConfig {
     /// Where to listen.
     pub bind: WireBind,
     /// Configuration of the serving runtime behind the socket. Set
-    /// `queue_depth` here to shed load from slow peers instead of buffering
-    /// without bound.
+    /// `queue_depth` here to shed load once that many requests wait for a
+    /// worker, instead of buffering without bound.
     pub serve: ServeConfig,
     /// Maximum accepted frame payload in bytes (default 16 MiB).
     pub max_payload: usize,
