@@ -4,8 +4,9 @@
 //! Each table/figure has a dedicated binary (`table1_backbones`,
 //! `table2_fscil_accuracy`, `table3_ablation`, `table4_energy`,
 //! `fig2_parallel_scaling`, `fig3_precision_sweep`) that prints the
-//! reproduced rows next to the paper's reference values, plus Criterion
-//! micro-benchmarks for the performance-critical kernels.
+//! reproduced rows next to the paper's reference values. Kernel and
+//! end-to-end timing is the perf ledger's job (`BENCHMARK.json`), not this
+//! crate's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,20 +36,11 @@ fn audit_config(seed: u64) -> ExperimentConfig {
 }
 
 /// Accuracy of the serve path on a dataset: one `Infer` per test sample.
-fn serve_accuracy(
-    ctx: &mut ScenarioCtx,
-    client: &ServeClient,
-    dataset: &Dataset,
-) -> SimResult<f64> {
+fn serve_accuracy(client: &ServeClient, dataset: &Dataset) -> SimResult<f64> {
     let mut correct = 0u64;
     for sample in dataset.iter() {
-        let response = ctx
-            .timed(|| {
-                client.call(ServeRequest::Infer {
-                    deployment: "audit".into(),
-                    image: sample.image.clone(),
-                })
-            })
+        let response = client
+            .call(ServeRequest::Infer { deployment: "audit".into(), image: sample.image.clone() })
             .ctx("audit infer")?;
         match response {
             ServeResponse::Prediction { class, .. } => {
@@ -66,7 +57,7 @@ fn serve_accuracy(
 /// Runs the learning-quality audit. Fails (rather than records) when the
 /// serve path stops beating the NCM baseline — a bench line claiming
 /// quality must demonstrate it.
-pub fn audit(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn audit(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     let outcome = run_experiment(&audit_config(ctx.seed)).ctx("audit experiment")?;
     let benchmark = outcome.benchmark;
     let mut model = outcome.model;
@@ -109,12 +100,11 @@ pub fn audit(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
             let base = benchmark.base_train();
             for class in base.classes() {
                 let batch = base.batch(&base.indices_of_class(class)).ctx("base batch")?;
-                ctx.timed(|| {
-                    client.call(ServeRequest::LearnOnline { deployment: "audit".into(), batch })
-                })
-                .ctx("base learn")?;
+                client
+                    .call(ServeRequest::LearnOnline { deployment: "audit".into(), batch })
+                    .ctx("base learn")?;
             }
-            sessions.push(serve_accuracy(ctx, client, &test0)?);
+            sessions.push(serve_accuracy(client, &test0)?);
             base_track.push(sessions[0]);
 
             // Incremental sessions: one online support-batch learn each,
@@ -122,16 +112,12 @@ pub fn audit(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
             // base-classes-only evaluation that feeds the forgetting curve.
             for session in benchmark.sessions() {
                 let support = session.support.full_batch().ctx("support batch")?;
-                ctx.timed(|| {
-                    client.call(ServeRequest::LearnOnline {
-                        deployment: "audit".into(),
-                        batch: support,
-                    })
-                })
-                .ctx("session learn")?;
+                client
+                    .call(ServeRequest::LearnOnline { deployment: "audit".into(), batch: support })
+                    .ctx("session learn")?;
                 let test = benchmark.test_after_session(session.index).ctx("test split")?;
-                sessions.push(serve_accuracy(ctx, client, &test)?);
-                base_track.push(serve_accuracy(ctx, client, &test0)?);
+                sessions.push(serve_accuracy(client, &test)?);
+                base_track.push(serve_accuracy(client, &test0)?);
             }
             Ok((sessions, base_track))
         })

@@ -4,14 +4,13 @@
 //! the last committed line.
 //!
 //! ```text
-//! simbench [--scenario all|smoke|<name>] [--seed N] [--out PATH]
-//!          [--timing] [--check] [--list]
+//! simbench [--scenario all|smoke|<name>] [--seed N] [--out PATH] [--check] [--list]
 //! ```
 //!
-//! Without `--timing` the appended line is byte-identical across runs at
-//! the same seed — `rps`/`p99_us` are recorded as `null` instead of
-//! measured, so the trajectory file stays diffable and the determinism
-//! contract (`--scenario all --seed 7` twice → identical lines) holds.
+//! The appended line is byte-identical across runs at the same seed
+//! (`--scenario all --seed 7` twice → identical lines), so the trajectory
+//! file stays diffable. It records counts and quality, never wall-clock
+//! time: timing lives in the perf ledger (`BENCHMARK.json`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -23,7 +22,6 @@ struct Args {
     selector: String,
     seed: u64,
     out: PathBuf,
-    timing: bool,
     check: bool,
     list: bool,
 }
@@ -33,7 +31,6 @@ fn parse_args() -> Result<Args, String> {
         selector: "all".to_string(),
         seed: ofscil_bench::seed_from_env(),
         out: PathBuf::from("BENCH_simbench.json"),
-        timing: false,
         check: false,
         list: false,
     };
@@ -50,13 +47,12 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?;
             }
             "--out" => args.out = PathBuf::from(value_of("--out")?),
-            "--timing" => args.timing = true,
             "--check" => args.check = true,
             "--list" => args.list = true,
             "--help" | "-h" => {
                 println!(
                     "simbench [--scenario all|smoke|<name>] [--seed N] [--out PATH] \
-                     [--timing] [--check] [--list]"
+                     [--check] [--list]"
                 );
                 std::process::exit(0);
             }
@@ -89,12 +85,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!(
-        "simbench: {} scenario(s), seed {}{}",
-        selected.len(),
-        args.seed,
-        if args.timing { ", timing on" } else { "" }
-    );
+    eprintln!("simbench: {} scenario(s), seed {}", selected.len(), args.seed);
 
     // The committed baseline must be read *before* appending the fresh line.
     let baseline = match read_last_line(&args.out) {
@@ -105,7 +96,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let outcome = match run(&selected, args.seed, args.timing, |name| {
+    let outcome = match run(&selected, args.seed, |name| {
         eprintln!("simbench: running {name}");
     }) {
         Ok(outcome) => outcome,

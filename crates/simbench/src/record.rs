@@ -17,8 +17,8 @@ use std::path::Path;
 /// A JSON value with ordered object keys.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
-    /// `null` — used for metrics that were not measured this run (timing
-    /// fields in deterministic mode).
+    /// `null` — how a non-finite float renders, and an absent value (a span
+    /// without a parent in the perf ledger's trace files).
     Null,
     /// A boolean.
     Bool(bool),
@@ -313,9 +313,8 @@ pub fn read_last_line(path: &Path) -> Result<Option<Json>, String> {
 /// How the regression gate treats one recorded metric.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Gate {
-    /// Not gated — informational only (timing fields in deterministic mode,
-    /// raw counts whose value legitimately changes when scenarios are
-    /// retuned).
+    /// Not gated — informational only (analytic references, raw counts
+    /// whose value legitimately changes when scenarios are retuned).
     None,
     /// Must match the committed value exactly (invariant counts: e.g. every
     /// hostile frame rejected).
@@ -346,21 +345,28 @@ pub struct Regression {
 /// Compares a fresh run against the committed baseline line. `gates` maps
 /// `(scenario, metric)` to the gate policy; ungated metrics and scenarios
 /// absent from either side are skipped (the gate must not block adding or
-/// retiring scenarios). A baseline recorded at a different seed is skipped
-/// entirely — it pins a different trace.
+/// retiring scenarios). A baseline recorded at a different seed pins a
+/// different trace, so nothing can be compared: that is reported as the one
+/// regression at path `seed`, never as a clean pass.
 pub fn compare_runs(
     baseline: &Json,
     fresh: &Json,
     gates: &[(String, String, Gate)],
 ) -> Vec<Regression> {
-    let mut regressions = Vec::new();
-    let same_seed = matches!(
-        (baseline.get("seed"), fresh.get("seed")),
-        (Some(a), Some(b)) if a == b
-    );
-    if !same_seed {
-        return regressions;
+    let (base_seed, fresh_seed) = (baseline.get("seed"), fresh.get("seed"));
+    if base_seed != fresh_seed {
+        let show = |seed: Option<&Json>| seed.map_or_else(|| "none".to_string(), Json::render);
+        return vec![Regression {
+            path: "seed".to_string(),
+            detail: format!(
+                "baseline was recorded at seed {} but this run used seed {}; \
+                 nothing was compared",
+                show(base_seed),
+                show(fresh_seed)
+            ),
+        }];
     }
+    let mut regressions = Vec::new();
     let (Some(base_scenarios), Some(fresh_scenarios)) =
         (baseline.get("scenarios"), fresh.get("scenarios"))
     else {
@@ -428,7 +434,7 @@ mod tests {
             ("bench".into(), Json::Str("simbench".into())),
             ("seed".into(), Json::Int(7)),
             ("zeta".into(), Json::Float(0.8125)),
-            ("rps".into(), Json::Null),
+            ("parent".into(), Json::Null),
             ("ok".into(), Json::Bool(true)),
             (
                 "arr".into(),
@@ -492,8 +498,12 @@ mod tests {
         let exact = compare_runs(&line(7, 0.80, 5), &line(7, 0.80, 4), &gates);
         assert_eq!(exact.len(), 1);
         assert_eq!(exact[0].path, "audit.hostile_rejected");
-        // Different seed pins a different trace: skipped wholesale.
-        assert!(compare_runs(&line(8, 0.80, 5), &line(7, 0.10, 0), &gates).is_empty());
+        // A different seed pins a different trace: one regression naming
+        // both seeds, never a silent pass that compared nothing.
+        let seed = compare_runs(&line(8, 0.80, 5), &line(7, 0.10, 0), &gates);
+        assert_eq!(seed.len(), 1);
+        assert_eq!(seed[0].path, "seed");
+        assert!(seed[0].detail.contains("seed 8") && seed[0].detail.contains("seed 7"));
     }
 
     #[test]

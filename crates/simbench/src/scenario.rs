@@ -3,7 +3,6 @@
 //! trajectory line for [`crate::record`].
 
 use std::fmt;
-use std::time::Instant;
 
 use crate::record::{Gate, Json};
 
@@ -90,73 +89,24 @@ impl ScenarioReport {
     }
 }
 
-/// Per-scenario run context: the seed, the timing switch, and the request
-/// instrumentation scenarios feed.
+/// Per-scenario run context: the seed a scenario derives its streams from.
 pub struct ScenarioCtx {
     /// Base seed of the whole run (scenarios derive their own streams via
     /// [`ScenarioCtx::rng_seed`], so adding a scenario never perturbs the
     /// others' traces).
     pub seed: u64,
-    /// When `true`, wall-clock throughput/latency metrics are measured,
-    /// recorded and gated with slack bands; when `false` they are recorded
-    /// as `null` (and left ungated) so the output stays byte-identical
-    /// across runs.
-    pub timing: bool,
     scenario: &'static str,
-    requests: u64,
-    latencies_us: Vec<u64>,
-    started: Instant,
 }
 
 impl ScenarioCtx {
-    fn new(seed: u64, timing: bool, scenario: &'static str) -> Self {
-        ScenarioCtx {
-            seed,
-            timing,
-            scenario,
-            requests: 0,
-            latencies_us: Vec::new(),
-            started: Instant::now(),
-        }
+    fn new(seed: u64, scenario: &'static str) -> Self {
+        ScenarioCtx { seed, scenario }
     }
 
     /// A scenario-specific RNG seed: the run seed folded with the scenario
     /// name (FNV-1a), so every scenario replays its own independent stream.
     pub fn rng_seed(&self) -> u64 {
         ofscil::tensor::bytes::fnv1a64(self.scenario.as_bytes()) ^ self.seed
-    }
-
-    /// Runs one request closure, counting it and (in timing mode) recording
-    /// its latency.
-    pub fn timed<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        self.requests += 1;
-        if !self.timing {
-            return f();
-        }
-        let start = Instant::now();
-        let out = f();
-        self.latencies_us.push(start.elapsed().as_micros() as u64);
-        out
-    }
-
-    /// Timing summary appended to every report: `(rps, p99_us)`, both `null`
-    /// unless timing mode measured them.
-    fn timing_metrics(&self) -> (Json, Json) {
-        if !self.timing || self.requests == 0 {
-            return (Json::Null, Json::Null);
-        }
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let rps =
-            if elapsed > 0.0 { Json::Float(self.requests as f64 / elapsed) } else { Json::Null };
-        let p99 = if self.latencies_us.is_empty() {
-            Json::Null
-        } else {
-            let mut sorted = self.latencies_us.clone();
-            sorted.sort_unstable();
-            let idx = (sorted.len() - 1) * 99 / 100;
-            Json::Int(sorted[idx] as i64)
-        };
-        (rps, p99)
     }
 }
 
@@ -169,7 +119,7 @@ pub struct Scenario {
     /// Whether the scenario is part of the CI `smoke` subset.
     pub smoke: bool,
     /// The implementation.
-    pub run: fn(&mut ScenarioCtx) -> SimResult<ScenarioReport>,
+    pub run: fn(&ScenarioCtx) -> SimResult<ScenarioReport>,
 }
 
 /// Every scenario, in trajectory emission order.
@@ -290,30 +240,13 @@ pub struct RunOutcome {
 pub fn run(
     selected: &[&'static Scenario],
     seed: u64,
-    timing: bool,
     mut progress: impl FnMut(&str),
 ) -> SimResult<RunOutcome> {
     let mut scenario_objects = Vec::new();
     let mut gates = Vec::new();
     for scenario in selected {
         progress(scenario.name);
-        let mut ctx = ScenarioCtx::new(seed, timing, scenario.name);
-        let mut report = (scenario.run)(&mut ctx)?;
-        let (rps, p99) = ctx.timing_metrics();
-        // Measured timing gets wide slack bands (throughput may halve,
-        // latency may double, before the gate trips — CI machines are
-        // noisy); the deterministic `null`s stay ungated so default
-        // trajectory lines remain byte-stable.
-        let rps_gate = match rps {
-            Json::Float(v) => Gate::AtLeast { slack: v * 0.5 },
-            _ => Gate::None,
-        };
-        let p99_gate = match p99 {
-            Json::Int(v) => Gate::AtMost { slack: v as f64 },
-            _ => Gate::None,
-        };
-        report.value("rps", rps, rps_gate);
-        report.value("p99_us", p99, p99_gate);
+        let report = (scenario.run)(&ScenarioCtx::new(seed, scenario.name))?;
         for metric in &report.metrics {
             if metric.gate != Gate::None {
                 gates.push((scenario.name.to_string(), metric.key.to_string(), metric.gate));
@@ -348,50 +281,13 @@ mod tests {
 
     #[test]
     fn scenario_rng_seeds_are_distinct_per_scenario_and_seed() {
-        let a = ScenarioCtx::new(7, false, "zipf_mixed").rng_seed();
-        let b = ScenarioCtx::new(7, false, "diurnal").rng_seed();
-        let c = ScenarioCtx::new(8, false, "zipf_mixed").rng_seed();
+        let a = ScenarioCtx::new(7, "zipf_mixed").rng_seed();
+        let b = ScenarioCtx::new(7, "diurnal").rng_seed();
+        let c = ScenarioCtx::new(8, "zipf_mixed").rng_seed();
         assert_ne!(a, b);
         assert_ne!(a, c);
         // And stable: same inputs, same stream.
-        assert_eq!(a, ScenarioCtx::new(7, false, "zipf_mixed").rng_seed());
-    }
-
-    #[test]
-    fn timing_mode_gates_throughput_and_latency_with_slack_bands() {
-        fn tiny(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
-            let mut report = ScenarioReport::new("tiny");
-            ctx.timed(|| std::thread::sleep(std::time::Duration::from_micros(200)));
-            report.int("done", 1, Gate::Exact);
-            Ok(report)
-        }
-        static TINY: Scenario =
-            Scenario { name: "tiny", summary: "one timed no-op", smoke: false, run: tiny };
-
-        // Deterministic mode: timing fields are null and ungated, so the
-        // line is byte-stable and --check never looks at them.
-        let plain = run(&[&TINY], 7, false, |_| {}).unwrap();
-        let scenario = plain.line.get("scenarios").unwrap().get("tiny").unwrap();
-        assert_eq!(scenario.get("rps"), Some(&Json::Null));
-        assert_eq!(scenario.get("p99_us"), Some(&Json::Null));
-        assert!(!plain.gates.iter().any(|(_, metric, _)| metric == "rps" || metric == "p99_us"));
-
-        // Timing mode: both fields are measured and picked up by the gate
-        // set — rps as a floor (may halve), p99 as a ceiling (may double).
-        let timed = run(&[&TINY], 7, true, |_| {}).unwrap();
-        let scenario = timed.line.get("scenarios").unwrap().get("tiny").unwrap();
-        let rps = scenario.get("rps").and_then(Json::as_f64).expect("measured rps");
-        let p99 = scenario.get("p99_us").and_then(Json::as_f64).expect("measured p99");
-        assert!(rps > 0.0 && p99 > 0.0);
-        let gate_for = |key: &str| {
-            timed
-                .gates
-                .iter()
-                .find(|(s, metric, _)| s == "tiny" && metric == key)
-                .map(|(_, _, gate)| *gate)
-        };
-        assert_eq!(gate_for("rps"), Some(Gate::AtLeast { slack: rps * 0.5 }));
-        assert_eq!(gate_for("p99_us"), Some(Gate::AtMost { slack: p99 }));
+        assert_eq!(a, ScenarioCtx::new(7, "zipf_mixed").rng_seed());
     }
 
     #[test]
@@ -399,10 +295,7 @@ mod tests {
         let mut report = ScenarioReport::new("demo");
         report.int("count", 3, Gate::Exact);
         report.float("accuracy", 0.5, Gate::AtLeast { slack: 0.02 });
-        report.value("rps", Json::Null, Gate::None);
-        assert_eq!(
-            report.to_json().render(),
-            "{\"count\":3,\"accuracy\":0.5,\"rps\":null}"
-        );
+        report.value("sessions", Json::Arr(vec![Json::Float(0.25)]), Gate::None);
+        assert_eq!(report.to_json().render(), "{\"count\":3,\"accuracy\":0.5,\"sessions\":[0.25]}");
     }
 }

@@ -64,7 +64,7 @@ fn predicted(response: ServeResponse) -> SimResult<usize> {
 /// correct. The runtime runs with an observability sink attached, and the
 /// event-store counters ride along in the trajectory record — dropped
 /// events in a non-adversarial run are a regression.
-pub fn zipf_mixed(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn zipf_mixed(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const TENANTS: [&str; 4] = ["tenant-0", "tenant-1", "tenant-2", "tenant-3"];
     const TICKS: usize = 400;
     let registry = registry_with(&TENANTS)?;
@@ -82,13 +82,12 @@ pub fn zipf_mixed(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
         ServeHooks { obs: Some(obs.sink()), ..ServeHooks::default() },
         |client| -> SimResult<()> {
             for tenant in TENANTS {
-                ctx.timed(|| {
-                    client.call(ServeRequest::LearnOnline {
+                client
+                    .call(ServeRequest::LearnOnline {
                         deployment: tenant.into(),
                         batch: traffic::support_batch(SIDE, &[0, 1, 2], 3),
                     })
-                })
-                .ctx("seed tenant classes")?;
+                    .ctx("seed tenant classes")?;
                 learns += 1;
             }
             for _ in 0..TICKS {
@@ -97,22 +96,19 @@ pub fn zipf_mixed(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
                 let deployment = TENANTS[tenant].to_string();
                 if rng.chance(0.2) {
                     let class = rng.below(3);
-                    ctx.timed(|| {
-                        client.call(ServeRequest::LearnOnline {
+                    client
+                        .call(ServeRequest::LearnOnline {
                             deployment,
                             batch: traffic::support_batch(SIDE, &[class], 2),
                         })
-                    })
-                    .ctx("tick learn")?;
+                        .ctx("tick learn")?;
                     learns += 1;
                 } else {
                     let class = rng.below(3);
-                    let response = ctx
-                        .timed(|| {
-                            client.call(ServeRequest::Infer {
-                                deployment,
-                                image: traffic::class_image(SIDE, class, 0.01),
-                            })
+                    let response = client
+                        .call(ServeRequest::Infer {
+                            deployment,
+                            image: traffic::class_image(SIDE, class, 0.01),
                         })
                         .ctx("tick infer")?;
                     infers += 1;
@@ -173,7 +169,7 @@ pub fn zipf_mixed(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
 /// A raised-cosine daily load curve against a socket-backed wire server:
 /// offered load per tick follows the curve, and the realized mean must match
 /// the closed-form mean of the sampler.
-pub fn diurnal(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn diurnal(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const TICKS: u64 = 48;
     let registry = registry_with(&["diurnal"])?;
     let curve = Diurnal { floor: 1.0, peak: 6.0, period: 24.0 };
@@ -184,24 +180,21 @@ pub fn diurnal(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
     let mut correct = 0u64;
     WireServer::run(&registry, &WireConfig::tcp_loopback(), |handle| -> SimResult<()> {
         let mut client = WireClient::connect(handle.addr()).ctx("connect")?;
-        ctx.timed(|| {
-            client.call(ServeRequest::LearnOnline {
+        client
+            .call(ServeRequest::LearnOnline {
                 deployment: "diurnal".into(),
                 batch: traffic::support_batch(SIDE, &[0, 1, 2], 3),
             })
-        })
-        .ctx("seed classes")?;
+            .ctx("seed classes")?;
         for t in 0..TICKS {
             let load = curve.requests_at(t);
             peak_tick = peak_tick.max(load);
             for _ in 0..load {
                 let class = rng.below(3);
-                let response = ctx
-                    .timed(|| {
-                        client.call(ServeRequest::Infer {
-                            deployment: "diurnal".into(),
-                            image: traffic::class_image(SIDE, class, 0.01),
-                        })
+                let response = client
+                    .call(ServeRequest::Infer {
+                        deployment: "diurnal".into(),
+                        image: traffic::class_image(SIDE, class, 0.01),
                     })
                     .ctx("diurnal infer")?;
                 offered += 1;
@@ -236,7 +229,7 @@ pub fn diurnal(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
 /// Bursty learn-storms against a wire server: storms of redundant learns on
 /// a growing class set, with snapshot-size monotonicity and replication-
 /// sequence bookkeeping checked between bursts.
-pub fn learn_storm(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn learn_storm(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const STORMS: usize = 6;
     const LEARNS_PER_STORM: usize = 8;
     const INFERS_PER_LULL: usize = 10;
@@ -253,28 +246,26 @@ pub fn learn_storm(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
             // with redundant learns (the bursty part).
             let classes = [3 * storm, 3 * storm + 1, 3 * storm + 2];
             for _ in 0..LEARNS_PER_STORM {
-                ctx.timed(|| {
-                    client.call(ServeRequest::LearnOnline {
+                client
+                    .call(ServeRequest::LearnOnline {
                         deployment: "storm".into(),
                         batch: traffic::support_batch(SIDE, &classes, 2),
                     })
-                })
-                .ctx("storm learn")?;
+                    .ctx("storm learn")?;
                 learns += 1;
             }
             for _ in 0..INFERS_PER_LULL {
                 let class = classes[rng.below(classes.len())];
-                ctx.timed(|| {
-                    client.call(ServeRequest::Infer {
+                client
+                    .call(ServeRequest::Infer {
                         deployment: "storm".into(),
                         image: traffic::class_image(SIDE, class, 0.01),
                     })
-                })
-                .ctx("lull infer")?;
+                    .ctx("lull infer")?;
                 infers += 1;
             }
-            let response = ctx
-                .timed(|| client.call(ServeRequest::Snapshot { deployment: "storm".into() }))
+            let response = client
+                .call(ServeRequest::Snapshot { deployment: "storm".into() })
                 .ctx("storm snapshot")?;
             match response {
                 ServeResponse::Snapshot { bytes } => snapshot_sizes.push(bytes.len()),
@@ -313,7 +304,7 @@ pub fn learn_storm(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
 /// (base classes, then one session's worth at a time) while query traffic
 /// concentrates on the newest classes — measuring whether accuracy survives
 /// the moving distribution.
-pub fn drift(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn drift(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const QUERIES_PER_PHASE: usize = 60;
     let mut config = FscilConfig::micro();
     config.synthetic.num_classes = 9;
@@ -355,24 +346,16 @@ pub fn drift(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
                 let base = benchmark.base_train();
                 for class in base.classes() {
                     let batch = base.batch(&base.indices_of_class(class)).ctx("base batch")?;
-                    ctx.timed(|| {
-                        client.call(ServeRequest::LearnOnline {
-                            deployment: "drift".into(),
-                            batch,
-                        })
-                    })
-                    .ctx("base learn")?;
+                    client
+                        .call(ServeRequest::LearnOnline { deployment: "drift".into(), batch })
+                        .ctx("base learn")?;
                 }
             } else {
                 let support =
                     benchmark.sessions()[phase - 1].support.full_batch().ctx("support")?;
-                ctx.timed(|| {
-                    client.call(ServeRequest::LearnOnline {
-                        deployment: "drift".into(),
-                        batch: support,
-                    })
-                })
-                .ctx("session learn")?;
+                client
+                    .call(ServeRequest::LearnOnline { deployment: "drift".into(), batch: support })
+                    .ctx("session learn")?;
             }
             // Query traffic for this phase, recency-weighted.
             let mut phase_correct = 0u64;
@@ -385,12 +368,10 @@ pub fn drift(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
                 let sample = test
                     .get(indices[rng.below(indices.len())])
                     .ctx("test sample")?;
-                let response = ctx
-                    .timed(|| {
-                        client.call(ServeRequest::Infer {
-                            deployment: "drift".into(),
-                            image: sample.image.clone(),
-                        })
+                let response = client
+                    .call(ServeRequest::Infer {
+                        deployment: "drift".into(),
+                        image: sample.image.clone(),
                     })
                     .ctx("drift infer")?;
                 queries += 1;
@@ -497,7 +478,7 @@ fn deliver_hostile(addr: &std::net::SocketAddr, blob: &[u8]) -> SimResult<bool> 
 /// shards run observed, so the barrage doubles as a check that hostile
 /// frames never reach the event stores either: the appended count must
 /// equal the valid requests exactly, with zero drops.
-pub fn byzantine_frames(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn byzantine_frames(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const HOSTILE_FRAMES: usize = 40;
     const VALID_AFTER: usize = 10;
     const DEPLOYMENTS: [&str; 2] = ["alpha", "beta"];
@@ -526,13 +507,12 @@ pub fn byzantine_frames(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
         let mut client = WireClient::connect(router.addr()).ctx("connect valid client")?;
         let mut valid_ok = 0u64;
         for deployment in DEPLOYMENTS {
-            ctx.timed(|| {
-                client.call(ServeRequest::LearnOnline {
+            client
+                .call(ServeRequest::LearnOnline {
                     deployment: deployment.into(),
                     batch: traffic::support_batch(SIDE, &[0, 1, 2], 3),
                 })
-            })
-            .ctx("seed classes")?;
+                .ctx("seed classes")?;
             valid_ok += 1;
         }
 
@@ -554,7 +534,7 @@ pub fn byzantine_frames(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
         for _ in 0..HOSTILE_FRAMES {
             let template = &templates[rng.below(templates.len())];
             let (mutation, blob) = mutate_frame(template, &mut rng);
-            let ok = ctx.timed(|| deliver_hostile(&addr, &blob))?;
+            let ok = deliver_hostile(&addr, &blob)?;
             if !ok {
                 return Err(sim_err(format!(
                     "hostile frame ({mutation}) elicited a successful response"
@@ -568,12 +548,10 @@ pub fn byzantine_frames(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
         for i in 0..VALID_AFTER {
             let class = i % 3;
             let deployment = DEPLOYMENTS[i % 2];
-            let response = ctx
-                .timed(|| {
-                    client.call(ServeRequest::Infer {
-                        deployment: deployment.into(),
-                        image: traffic::class_image(SIDE, class, 0.01),
-                    })
+            let response = client
+                .call(ServeRequest::Infer {
+                    deployment: deployment.into(),
+                    image: traffic::class_image(SIDE, class, 0.01),
                 })
                 .ctx("valid infer after barrage")?;
             valid_ok += 1;
@@ -640,7 +618,7 @@ pub fn byzantine_frames(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
 /// admission counters must conserve — every offered request is either in
 /// the accepted throughput counters or the per-type rejection counters,
 /// never both, never neither.
-pub fn budget_exhaustion(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn budget_exhaustion(_ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const DEPLOYMENTS: [&str; 2] = ["alpha", "beta"];
     let make_registry = || -> SimResult<Arc<LearnerRegistry>> {
         let registry = LearnerRegistry::new();
@@ -688,17 +666,17 @@ pub fn budget_exhaustion(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
                 })
             };
             // Two learns and two infers are admitted…
-            ctx.timed(|| learn(&mut client, 0)).ctx("admitted learn")?;
-            ctx.timed(|| learn(&mut client, 1)).ctx("admitted learn")?;
-            ctx.timed(|| infer(&mut client)).ctx("admitted infer")?;
-            ctx.timed(|| infer(&mut client)).ctx("admitted infer")?;
+            learn(&mut client, 0).ctx("admitted learn")?;
+            learn(&mut client, 1).ctx("admitted learn")?;
+            infer(&mut client).ctx("admitted infer")?;
+            infer(&mut client).ctx("admitted infer")?;
             offered += 4;
             // …then the attack flood is refused with typed errors.
             for expect_learn in [false, true] {
                 let err = if expect_learn {
-                    ctx.timed(|| learn(&mut client, 2)).err()
+                    learn(&mut client, 2).err()
                 } else {
-                    ctx.timed(|| infer(&mut client)).err()
+                    infer(&mut client).err()
                 };
                 offered += 1;
                 match err {
@@ -776,7 +754,7 @@ fn chaos_store_dir() -> std::path::PathBuf {
 /// scenario then proves every deployment serves reads AND writes again and
 /// that the recovery timeline (breaker-open before the stamped promotion)
 /// reconstructs from a single routed observability query.
-pub fn chaos_recovery(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const TENANTS: [&str; 4] = ["cam-0", "cam-1", "cam-2", "cam-3"];
     const BURST: usize = 60;
 
@@ -822,13 +800,12 @@ pub fn chaos_recovery(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
         let mut learns_per = [0u64; 4];
         let mut burst_requests = 0u64;
         for (i, tenant) in TENANTS.iter().enumerate() {
-            ctx.timed(|| {
-                client.call(ServeRequest::LearnOnline {
+            client
+                .call(ServeRequest::LearnOnline {
                     deployment: (*tenant).into(),
                     batch: traffic::support_batch(SIDE, &[0, 1, 2], 3),
                 })
-            })
-            .ctx("seed tenant")?;
+                .ctx("seed tenant")?;
             learns_per[i] += 1;
             burst_requests += 1;
         }
@@ -839,22 +816,19 @@ pub fn chaos_recovery(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
             let deployment = TENANTS[tenant].to_string();
             if rng.chance(0.25) {
                 let class = rng.below(3);
-                ctx.timed(|| {
-                    client.call(ServeRequest::LearnOnline {
+                client
+                    .call(ServeRequest::LearnOnline {
                         deployment,
                         batch: traffic::support_batch(SIDE, &[class], 2),
                     })
-                })
-                .ctx("burst learn")?;
+                    .ctx("burst learn")?;
                 learns_per[tenant] += 1;
             } else {
                 let class = rng.below(3);
-                let response = ctx
-                    .timed(|| {
-                        client.call(ServeRequest::Infer {
-                            deployment,
-                            image: traffic::class_image(SIDE, class, 0.01),
-                        })
+                let response = client
+                    .call(ServeRequest::Infer {
+                        deployment,
+                        image: traffic::class_image(SIDE, class, 0.01),
                     })
                     .ctx("burst infer")?;
                 infers += 1;
@@ -929,25 +903,22 @@ pub fn chaos_recovery(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
         let mut tenants_serving = 0u64;
         for tenant in TENANTS {
             let class = rng.below(3);
-            let response = ctx
-                .timed(|| {
-                    client.call(ServeRequest::Infer {
-                        deployment: tenant.into(),
-                        image: traffic::class_image(SIDE, class, 0.01),
-                    })
+            let response = client
+                .call(ServeRequest::Infer {
+                    deployment: tenant.into(),
+                    image: traffic::class_image(SIDE, class, 0.01),
                 })
                 .ctx("post-recovery infer")?;
             infers += 1;
             if predicted(response)? == class {
                 correct += 1;
             }
-            ctx.timed(|| {
-                client.call(ServeRequest::LearnOnline {
+            client
+                .call(ServeRequest::LearnOnline {
                     deployment: tenant.into(),
                     batch: traffic::support_batch(SIDE, &[3], 2),
                 })
-            })
-            .ctx("post-recovery learn")?;
+                .ctx("post-recovery learn")?;
             burst_requests += 2;
             tenants_serving += 1;
         }
@@ -1002,31 +973,29 @@ pub fn chaos_recovery(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
 /// sequence must never move backwards, so followers detect the jump and
 /// resync instead of silently serving stale deltas — plus typed rejection
 /// of corrupted snapshots.
-pub fn stale_replay(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn stale_replay(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     let registry = registry_with(&["replay"])?;
     let mut rng = SeedRng::new(ctx.rng_seed());
 
-    let report = ServeRuntime::run(&registry, &serve_config(), |client| -> SimResult<
-        ScenarioReport,
-    > {
-        let learn = |ctx: &mut ScenarioCtx, client: &ServeClient, class: usize| {
-            ctx.timed(|| {
-                client.call(ServeRequest::LearnOnline {
-                    deployment: "replay".into(),
-                    batch: traffic::support_batch(SIDE, &[class], 2),
-                })
-            })
-            .ctx("learn")
-        };
-        for class in 0..3 {
-            learn(ctx, client, class)?;
-        }
-        let export = registry.export_deployment("replay").ctx("export")?;
-        let seq_at_export = export.seq;
-        for class in 3..6 {
-            learn(ctx, client, class)?;
-        }
-        let seq_before_replay = registry.replication_seq("replay").ctx("seq")?;
+    let report =
+        ServeRuntime::run(&registry, &serve_config(), |client| -> SimResult<ScenarioReport> {
+            let learn = |class: usize| {
+                client
+                    .call(ServeRequest::LearnOnline {
+                        deployment: "replay".into(),
+                        batch: traffic::support_batch(SIDE, &[class], 2),
+                    })
+                    .ctx("learn")
+            };
+            for class in 0..3 {
+                learn(class)?;
+            }
+            let export = registry.export_deployment("replay").ctx("export")?;
+            let seq_at_export = export.seq;
+            for class in 3..6 {
+                learn(class)?;
+            }
+            let seq_before_replay = registry.replication_seq("replay").ctx("seq")?;
 
         // Attack 1: replay the stale export verbatim. The import itself is a
         // legitimate operation (it is how migration works); the invariant is
@@ -1049,20 +1018,18 @@ pub fn stale_replay(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
         let corrupt_rejected = registry.import_deployment(&corrupt).is_err();
         let seq_after_corrupt = registry.replication_seq("replay").ctx("seq")?;
 
-        // The deployment recovers by re-learning what the replay clobbered.
-        for class in 3..6 {
-            learn(ctx, client, class)?;
-        }
-        let response = ctx
-            .timed(|| {
-                client.call(ServeRequest::Infer {
+            // The deployment recovers by re-learning what the replay clobbered.
+            for class in 3..6 {
+                learn(class)?;
+            }
+            let response = client
+                .call(ServeRequest::Infer {
                     deployment: "replay".into(),
                     image: traffic::class_image(SIDE, 1, 0.01),
                 })
-            })
-            .ctx("post-recovery infer")?;
-        let recovered_prediction_ok = predicted(response)? == 1;
-        let classes_recovered = registry.stats("replay").ctx("stats")?.classes;
+                .ctx("post-recovery infer")?;
+            let recovered_prediction_ok = predicted(response)? == 1;
+            let classes_recovered = registry.stats("replay").ctx("stats")?.classes;
 
         let mut report = ScenarioReport::new("stale_replay");
         report.int("seq_at_export", seq_at_export as i64, Gate::Exact);
@@ -1113,7 +1080,7 @@ fn obs_soak_dir() -> std::path::PathBuf {
 /// — through a raw chunk if it survived the spill GC, through a rollup
 /// cell if it did not — with aggregates identical to a reference store
 /// that never died.
-pub fn obs_soak(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn obs_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     use ofscil::obs::ROLLUP_BUCKET_US;
     const CHUNK: usize = 32;
     const TOTAL: usize = 1_500;
@@ -1151,7 +1118,7 @@ pub fn obs_soak(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
             .with_latency_us(rng.below(5_000) as u64)
             .with_accuracy(accuracy)
             .with_wal_bytes(rng.below(1 << 20) as u64);
-        ctx.timed(|| store.append(&event));
+        store.append(&event);
         if seq < sealed_events {
             reference.append(&event);
         }
@@ -1253,7 +1220,7 @@ pub fn obs_soak(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
 ///    then streamed back through the per-shard legs and the merged stream
 ///    must converge to the post-hoc routed query as an exact multiset of
 ///    rows, with zero shard-side sheds.
-pub fn stream_soak(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
+pub fn stream_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const SHED_EVENTS: usize = 500;
     const SHED_DEPTH: usize = 64;
     const RESUME_PREFIX: usize = 200;
@@ -1299,7 +1266,7 @@ pub fn stream_soak(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
     }
     for seq in 0..SHED_EVENTS {
         let event = synth(seq);
-        ctx.timed(|| store.append(&event));
+        store.append(&event);
     }
     let (shed_delivered, shed_dropped) = (tail.delivered(), tail.dropped());
     if shed_delivered != SHED_DEPTH as u64 {
@@ -1333,7 +1300,7 @@ pub fn stream_soak(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
     let tail = store.subscribe(raw.clone(), None, RESUME_PREFIX + RESUME_MISSED);
     for seq in 0..RESUME_PREFIX {
         let event = synth(seq);
-        ctx.timed(|| store.append(&event));
+        store.append(&event);
     }
     let mut cursor = ObsCursor::start();
     let mut spliced: Vec<Event> = Vec::new();
@@ -1351,7 +1318,7 @@ pub fn stream_soak(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
     drop(tail);
     for seq in RESUME_PREFIX..RESUME_PREFIX + RESUME_MISSED {
         let event = synth(seq);
-        ctx.timed(|| store.append(&event));
+        store.append(&event);
     }
     let resumed_tail = store.subscribe(raw.clone(), Some(cursor), RESUME_PREFIX);
     let backfill_rows = resumed_tail.backfill.events.len();
@@ -1405,25 +1372,18 @@ pub fn stream_soak(ctx: &mut ScenarioCtx) -> SimResult<ScenarioReport> {
             let mut requests = 0u64;
             for step in 0..STEPS {
                 for tenant in TENANTS {
-                    ctx.timed(|| {
-                        client.call(ServeRequest::LearnOnline {
+                    client
+                        .call(ServeRequest::LearnOnline {
                             deployment: tenant.into(),
-                            batch: traffic::support_batch(
-                                SIDE,
-                                &[2 * step, 2 * step + 1],
-                                3,
-                            ),
+                            batch: traffic::support_batch(SIDE, &[2 * step, 2 * step + 1], 3),
                         })
-                    })
-                    .ctx("burst learn")?;
+                        .ctx("burst learn")?;
                     requests += 1;
                     for _ in 0..2 {
-                        let response = ctx
-                            .timed(|| {
-                                client.call(ServeRequest::Infer {
-                                    deployment: tenant.into(),
-                                    image: traffic::class_image(SIDE, 2 * step, 0.01),
-                                })
+                        let response = client
+                            .call(ServeRequest::Infer {
+                                deployment: tenant.into(),
+                                image: traffic::class_image(SIDE, 2 * step, 0.01),
                             })
                             .ctx("burst infer")?;
                         requests += 1;

@@ -79,12 +79,6 @@ impl Initializer {
         };
         Tensor::from_vec(data, dims).expect("volume matches by construction")
     }
-
-    /// Returns a mutable reference to the underlying RNG, e.g. to fork
-    /// additional streams.
-    pub fn rng_mut(&mut self) -> &mut SeedRng {
-        &mut self.rng
-    }
 }
 
 #[cfg(test)]

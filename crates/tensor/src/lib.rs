@@ -8,8 +8,8 @@
 //!
 //! The design goals, in order, are correctness, determinism (every stochastic
 //! routine takes an explicit seed or RNG), and reasonable single-node
-//! performance (blocked matrix multiplication, optionally parallelised with
-//! `std::thread::scope`).
+//! performance (a K-blocked [`Tensor::matmul`] that splits large products
+//! by rows over `std::thread::scope` threads).
 //!
 //! # Example
 //!
@@ -40,8 +40,7 @@ mod tensor;
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use init::{Init, Initializer};
-pub use linalg::MatmulOptions;
-pub use parallel::{parallel_chunks, recommended_threads};
+pub use parallel::recommended_threads;
 pub use reduce::Axis;
 pub use rng::SeedRng;
 pub use shape::Shape;

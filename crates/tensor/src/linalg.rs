@@ -1,50 +1,26 @@
 //! Matrix multiplication and related linear-algebra kernels.
 
-use crate::parallel::{parallel_chunks, recommended_threads};
-use crate::{Result, Tensor, TensorError};
+use crate::{recommended_threads, Result, Tensor, TensorError};
 
-/// Options controlling the blocked matrix-multiplication kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MatmulOptions {
-    /// Number of worker threads; `1` forces the single-threaded path.
-    pub threads: usize,
-    /// Block size along the shared (K) dimension.
-    pub block_k: usize,
-}
+/// Block size along the shared (K) dimension of [`Tensor::matmul`].
+const BLOCK_K: usize = 64;
 
-impl Default for MatmulOptions {
-    fn default() -> Self {
-        MatmulOptions { threads: recommended_threads(), block_k: 64 }
-    }
-}
-
-impl MatmulOptions {
-    /// Options for a deterministic single-threaded multiplication.
-    pub fn single_threaded() -> Self {
-        MatmulOptions { threads: 1, ..Default::default() }
-    }
-}
+/// Output count from which [`Tensor::matmul`] splits its rows over threads.
+const PARALLEL_MIN_OUTPUTS: usize = 4096;
 
 impl Tensor {
     /// Matrix product `self · other` for rank-2 tensors.
     ///
-    /// Uses the default [`MatmulOptions`] (multi-threaded for large outputs).
+    /// K is blocked at 64, and from 4096 outputs the rows are split over
+    /// [`recommended_threads`] scoped threads. Every output sums its products
+    /// in ascending k order on either path, so the thread count never changes
+    /// a bit of the result.
     ///
     /// # Errors
     ///
     /// Returns an error when either operand is not a matrix or the inner
     /// dimensions disagree.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        self.matmul_with(other, MatmulOptions::default())
-    }
-
-    /// Matrix product with explicit execution options.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when either operand is not a matrix or the inner
-    /// dimensions disagree.
-    pub fn matmul_with(&self, other: &Tensor, opts: MatmulOptions) -> Result<Tensor> {
         let (m, k) = matrix_dims(self, "matmul lhs")?;
         let (k2, n) = matrix_dims(other, "matmul rhs")?;
         if k != k2 {
@@ -57,12 +33,11 @@ impl Tensor {
         let a = self.as_slice();
         let b = other.as_slice();
         let mut out = vec![0.0f32; m * n];
-        let block_k = opts.block_k.max(8);
 
         let kernel = |row_start: usize, rows: &mut [f32]| {
             let row_count = rows.len() / n;
-            for bk in (0..k).step_by(block_k) {
-                let k_end = (bk + block_k).min(k);
+            for bk in (0..k).step_by(BLOCK_K) {
+                let k_end = (bk + BLOCK_K).min(k);
                 for local_i in 0..row_count {
                     let i = row_start / n + local_i;
                     let a_row = &a[i * k..(i + 1) * k];
@@ -83,10 +58,11 @@ impl Tensor {
 
         // Parallelise over output rows: each worker owns whole rows so no
         // synchronisation is needed.
-        if opts.threads <= 1 || m * n < 4096 {
+        let threads = recommended_threads();
+        if threads <= 1 || m * n < PARALLEL_MIN_OUTPUTS {
             kernel(0, &mut out);
         } else {
-            let rows_per_chunk = m.div_ceil(opts.threads).max(1);
+            let rows_per_chunk = m.div_ceil(threads).max(1);
             std::thread::scope(|scope| {
                 for (chunk_idx, rows) in out.chunks_mut(rows_per_chunk * n).enumerate() {
                     let kernel = &kernel;
@@ -139,37 +115,6 @@ impl Tensor {
         Tensor::from_vec(out, &[n, m])
     }
 
-    /// Outer product of two vectors, returning an `m x n` matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] when either input is not rank-1.
-    pub fn outer(&self, other: &Tensor) -> Result<Tensor> {
-        if self.dims().len() != 1 || other.dims().len() != 1 {
-            return Err(TensorError::RankMismatch {
-                expected: 1,
-                actual: self.dims().len().max(other.dims().len()),
-                op: "outer",
-            });
-        }
-        let m = self.len();
-        let n = other.len();
-        let mut out = vec![0.0f32; m * n];
-        let mut chunk_threads = 1;
-        if m * n >= 1 << 16 {
-            chunk_threads = recommended_threads();
-        }
-        let a = self.as_slice();
-        let b = other.as_slice();
-        parallel_chunks(&mut out, chunk_threads, |start, chunk| {
-            for (offset, o) in chunk.iter_mut().enumerate() {
-                let idx = start + offset;
-                *o = a[idx / n] * b[idx % n];
-            }
-        });
-        Tensor::from_vec(out, &[m, n])
-    }
-
     /// Dot product of two vectors (or any two same-length tensors, flattened).
     ///
     /// # Errors
@@ -207,22 +152,6 @@ fn matrix_dims(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
 mod tests {
     use super::*;
 
-    fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k) = (a.dims()[0], a.dims()[1]);
-        let n = b.dims()[1];
-        let mut out = Tensor::zeros(&[m, n]);
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for kk in 0..k {
-                    acc += a.as_slice()[i * k + kk] * b.as_slice()[kk * n + j];
-                }
-                out.as_mut_slice()[i * n + j] = acc;
-            }
-        }
-        out
-    }
-
     #[test]
     fn matmul_identity() {
         let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]).unwrap();
@@ -233,24 +162,29 @@ mod tests {
 
     #[test]
     fn matmul_matches_naive() {
-        let mut rng = crate::SeedRng::new(7);
-        let a = Tensor::from_vec((0..12 * 17).map(|_| rng.normal()).collect(), &[12, 17]).unwrap();
-        let b = Tensor::from_vec((0..17 * 9).map(|_| rng.normal()).collect(), &[17, 9]).unwrap();
-        let fast = a.matmul(&b).unwrap();
-        let slow = naive_matmul(&a, &b);
-        assert!(fast.max_abs_diff(&slow).unwrap() < 1e-4);
+        // A hand-expanded 2×3 · 3×2 product with zeros in A; the seeded
+        // bit-for-bit comparison with a scalar loop is in tests/properties.rs.
+        let a = Tensor::from_vec(vec![1.0, 0.0, 3.0, 4.0, 5.0, 0.0], &[2, 3]).unwrap();
+        let b = Tensor::from_vec(vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0], &[3, 2]).unwrap();
+        assert_eq!(a.matmul(&b).unwrap().as_slice(), &[40.0, 44.0, 73.0, 82.0]);
     }
 
     #[test]
     fn matmul_parallel_matches_single() {
+        // 96×80 outputs split their rows over threads; each 1×64·64×80 row
+        // product (80 outputs) stays on the calling thread. The two paths
+        // must agree bit for bit.
         let mut rng = crate::SeedRng::new(3);
-        let a = Tensor::from_vec((0..96 * 64).map(|_| rng.normal()).collect(), &[96, 64]).unwrap();
+        let a: Vec<f32> = (0..96 * 64).map(|_| rng.normal()).collect();
         let b = Tensor::from_vec((0..64 * 80).map(|_| rng.normal()).collect(), &[64, 80]).unwrap();
-        let multi = a
-            .matmul_with(&b, MatmulOptions { threads: 4, block_k: 32 })
-            .unwrap();
-        let single = a.matmul_with(&b, MatmulOptions::single_threaded()).unwrap();
-        assert!(multi.max_abs_diff(&single).unwrap() < 1e-4);
+        let multi = Tensor::from_vec(a.clone(), &[96, 64]).unwrap().matmul(&b).unwrap();
+        for (i, a_row) in a.chunks(64).enumerate() {
+            let single = Tensor::from_vec(a_row.to_vec(), &[1, 64]).unwrap().matmul(&b).unwrap();
+            let multi_row = &multi.as_slice()[i * 80..(i + 1) * 80];
+            let same =
+                multi_row.iter().zip(single.as_slice()).all(|(m, s)| m.to_bits() == s.to_bits());
+            assert!(same, "row {i}");
+        }
     }
 
     #[test]
@@ -278,15 +212,5 @@ mod tests {
         let t = a.transpose().unwrap();
         assert_eq!(t.dims(), &[3, 2]);
         assert_eq!(t.transpose().unwrap(), a);
-    }
-
-    #[test]
-    fn outer_product() {
-        let a = Tensor::from_slice(&[1.0, 2.0]);
-        let b = Tensor::from_slice(&[3.0, 4.0, 5.0]);
-        let o = a.outer(&b).unwrap();
-        assert_eq!(o.dims(), &[2, 3]);
-        assert_eq!(o.as_slice(), &[3.0, 4.0, 5.0, 6.0, 8.0, 10.0]);
-        assert!(a.outer(&Tensor::zeros(&[2, 2])).is_err());
     }
 }

@@ -1,4 +1,4 @@
-//! Lightweight data-parallel helpers built on `std::thread::scope`.
+//! Thread-count policy for CPU-bound kernels.
 
 /// Returns a reasonable number of worker threads for CPU-bound kernels.
 ///
@@ -6,41 +6,7 @@
 /// cap keeps thread spawn overhead small for the modest matrix sizes used by
 /// the O-FSCIL models.
 pub fn recommended_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8)
-}
-
-/// Splits `items` into at most `threads` contiguous chunks and runs `f` on
-/// each chunk in parallel, passing the chunk's starting index.
-///
-/// When `threads <= 1` or the slice is small the work runs on the calling
-/// thread, which keeps the fast path allocation-free.
-pub fn parallel_chunks<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let len = items.len();
-    if len == 0 {
-        return;
-    }
-    let threads = threads.max(1).min(len);
-    if threads == 1 || len < 64 {
-        f(0, items);
-        return;
-    }
-    let chunk = len.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut start = 0usize;
-        for piece in items.chunks_mut(chunk) {
-            let f = &f;
-            let begin = start;
-            start += piece.len();
-            scope.spawn(move || f(begin, piece));
-        }
-    });
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(1, 8)
 }
 
 #[cfg(test)]
@@ -51,35 +17,5 @@ mod tests {
     fn recommended_threads_is_positive() {
         assert!(recommended_threads() >= 1);
         assert!(recommended_threads() <= 8);
-    }
-
-    #[test]
-    fn chunks_cover_all_elements() {
-        let mut data: Vec<usize> = vec![0; 1000];
-        parallel_chunks(&mut data, 4, |start, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = start + i;
-            }
-        });
-        for (i, x) in data.iter().enumerate() {
-            assert_eq!(*x, i);
-        }
-    }
-
-    #[test]
-    fn single_thread_path() {
-        let mut data = vec![1.0f32; 10];
-        parallel_chunks(&mut data, 1, |_, chunk| {
-            for x in chunk {
-                *x *= 2.0;
-            }
-        });
-        assert!(data.iter().all(|&x| x == 2.0));
-    }
-
-    #[test]
-    fn empty_slice_is_noop() {
-        let mut data: Vec<f32> = vec![];
-        parallel_chunks(&mut data, 4, |_, _| panic!("must not be called"));
     }
 }

@@ -151,15 +151,6 @@ impl Tensor {
         Ok(summed.scale(1.0 / denom.max(1.0)))
     }
 
-    /// Mean of the absolute values of all elements.
-    pub fn mean_abs(&self) -> f32 {
-        if self.is_empty() {
-            0.0
-        } else {
-            self.as_slice().iter().map(|x| x.abs()).sum::<f32>() / self.len() as f32
-        }
-    }
-
     /// Maximum absolute value over all elements (`0.0` if empty).
     pub fn max_abs(&self) -> f32 {
         self.as_slice().iter().map(|x| x.abs()).fold(0.0, f32::max)
@@ -178,7 +169,6 @@ mod tests {
         assert_eq!(t.max().unwrap(), 3.0);
         assert_eq!(t.min().unwrap(), -4.0);
         assert_eq!(t.argmax().unwrap(), 2);
-        assert_eq!(t.mean_abs(), 2.5);
         assert_eq!(t.max_abs(), 4.0);
     }
 

@@ -112,11 +112,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the flat data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns the element at a multi-dimensional index.
     ///
     /// # Errors

@@ -4,9 +4,7 @@
 //! property checks: each property is evaluated over `CASES` independent
 //! inputs drawn from a seeded [`SeedRng`], so failures are reproducible.
 
-use ofscil_tensor::{
-    cosine_similarity, im2col, softmax, Conv2dGeometry, MatmulOptions, SeedRng, Tensor,
-};
+use ofscil_tensor::{cosine_similarity, im2col, softmax, Conv2dGeometry, SeedRng, Tensor};
 
 const CASES: usize = 64;
 
@@ -66,15 +64,64 @@ fn matmul_distributes_over_addition() {
     }
 }
 
+/// The scalar i-j-k product: each output sums its `k` products in ascending
+/// order, starting from `0.0`. `Tensor::matmul` must equal it bit for bit.
+fn matmul_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for kk in 0..k {
+                acc += a[i * k + kk] * b[kk * n + j];
+            }
+            out[i * n + j] = acc;
+        }
+    }
+    out
+}
+
+#[test]
+fn matmul_is_bit_identical_to_the_scalar_reference() {
+    let mut rng = SeedRng::new(0x6E77);
+    // 12×9 outputs stay on the calling thread; 96×80 and 70×64 reach the
+    // 4096-output cut and split their rows over threads. K = 150 spans three
+    // 64-wide K blocks.
+    for (m, k, n) in [(12, 17, 9), (96, 64, 80), (70, 150, 64)] {
+        for case in 0..8 {
+            // About a quarter exact zeros in A, so the zero skip is taken.
+            let a: Vec<f32> =
+                (0..m * k).map(|_| if rng.below(4) == 0 { 0.0 } else { rng.normal() }).collect();
+            let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
+            let want = matmul_reference(&a, &b, m, k, n);
+            let got = Tensor::from_vec(a, &[m, k])
+                .unwrap()
+                .matmul(&Tensor::from_vec(b, &[k, n]).unwrap())
+                .unwrap();
+            assert_eq!(got.dims(), &[m, n]);
+            let same = got.as_slice().iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "{m}x{k}·{k}x{n} case {case}");
+        }
+    }
+}
+
 #[test]
 fn matmul_threading_is_equivalent() {
     let mut rng = SeedRng::new(0x7EAD);
     for case in 0..CASES {
-        let a = Tensor::from_vec(small_vec(&mut rng, 32 * 16), &[32, 16]).unwrap();
-        let b = Tensor::from_vec(small_vec(&mut rng, 16 * 24), &[16, 24]).unwrap();
-        let single = a.matmul_with(&b, MatmulOptions::single_threaded()).unwrap();
-        let multi = a.matmul_with(&b, MatmulOptions { threads: 4, block_k: 16 }).unwrap();
-        assert!(single.max_abs_diff(&multi).unwrap() < 1e-3, "case {case}");
+        // m×64 outputs fall on both sides of the 4096-output threading cut;
+        // each 1×k·k×64 row product stays on the calling thread.
+        let (m, k, n) = (rand_len(&mut rng, 40, 100), rand_len(&mut rng, 1, 160), 64);
+        let a = small_vec(&mut rng, m * k);
+        let b = Tensor::from_vec(small_vec(&mut rng, k * n), &[k, n]).unwrap();
+        let whole = Tensor::from_vec(a.clone(), &[m, k]).unwrap().matmul(&b).unwrap();
+        for (i, a_row) in a.chunks(k).enumerate() {
+            let row = Tensor::from_vec(a_row.to_vec(), &[1, k]).unwrap().matmul(&b).unwrap();
+            let same = whole.as_slice()[i * n..(i + 1) * n]
+                .iter()
+                .zip(row.as_slice())
+                .all(|(w, r)| w.to_bits() == r.to_bits());
+            assert!(same, "{m}x{k}·{k}x{n} row {i} case {case}");
+        }
     }
 }
 
