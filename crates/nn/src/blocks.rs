@@ -168,9 +168,8 @@ impl Layer for ResNetBlock {
             None => input.clone(),
         };
         let pre_act = body_out.add(&skip)?;
-        if mode.is_train() {
-            self.relu_mask = Some(pre_act.as_slice().iter().map(|&x| x > 0.0).collect());
-        }
+        self.relu_mask =
+            mode.is_train().then(|| pre_act.as_slice().iter().map(|&x| x > 0.0).collect());
         Ok(pre_act.map(|x| x.max(0.0)))
     }
 
@@ -295,6 +294,16 @@ mod tests {
         let g = blk.backward(&Tensor::ones(y.dims())).unwrap();
         assert_eq!(g.dims(), x.dims());
         assert!(blk.backward(&Tensor::ones(y.dims())).is_err());
+    }
+
+    #[test]
+    fn eval_forward_drops_the_train_cache() {
+        let mut rng = SeedRng::new(7);
+        let x = Tensor::ones(&[1, 4, 4, 4]);
+        let mut res = ResNetBlock::new(4, 8, 2, 2, &mut rng);
+        crate::layer::assert_eval_drops_train_cache(&mut res, &x);
+        let mut inv = InvertedResidual::new(4, 4, 1, 2, &mut rng);
+        crate::layer::assert_eval_drops_train_cache(&mut inv, &x);
     }
 
     #[test]

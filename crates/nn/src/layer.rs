@@ -9,7 +9,9 @@ pub enum Mode {
     /// Training: activations are cached for the backward pass and
     /// batch-normalisation uses batch statistics.
     Train,
-    /// Inference: no caching, running statistics are used.
+    /// Inference: running statistics are used, and every layer drops the
+    /// cache an earlier training-mode forward left, so a `backward` after it
+    /// fails with [`crate::NnError::NoForwardCache`].
     Eval,
 }
 
@@ -95,6 +97,16 @@ pub trait Layer: Send {
     fn set_trainable(&mut self, trainable: bool) {
         self.visit_params(&mut |p| p.trainable = trainable);
     }
+}
+
+/// Asserts the [`Mode::Eval`] rule: after `forward(Train)` then
+/// `forward(Eval)` on `input`, `backward` finds no cache.
+#[cfg(test)]
+pub(crate) fn assert_eval_drops_train_cache(layer: &mut dyn Layer, input: &Tensor) {
+    layer.forward(input, Mode::Train).unwrap();
+    let y = layer.forward(input, Mode::Eval).unwrap();
+    let err = layer.backward(&Tensor::ones(y.dims()));
+    assert!(matches!(err, Err(crate::NnError::NoForwardCache(_))), "{}: {err:?}", layer.name());
 }
 
 #[cfg(test)]

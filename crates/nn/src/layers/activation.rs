@@ -22,9 +22,7 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.mask = Some(input.as_slice().iter().map(|&x| x > 0.0).collect());
-        }
+        self.mask = mode.is_train().then(|| input.as_slice().iter().map(|&x| x > 0.0).collect());
         Ok(input.map(|x| x.max(0.0)))
     }
 
@@ -75,15 +73,8 @@ impl Layer for Relu6 {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        if mode.is_train() {
-            self.mask = Some(
-                input
-                    .as_slice()
-                    .iter()
-                    .map(|&x| x > 0.0 && x < 6.0)
-                    .collect(),
-            );
-        }
+        self.mask =
+            mode.is_train().then(|| input.as_slice().iter().map(|&x| x > 0.0 && x < 6.0).collect());
         Ok(input.map(|x| x.clamp(0.0, 6.0)))
     }
 
@@ -147,6 +138,13 @@ mod tests {
         assert_eq!(relu.output_dims(&[4, 7]).unwrap(), vec![4, 7]);
         let mut relu6 = Relu6::new();
         assert_eq!(relu6.param_count(), 0);
+    }
+
+    #[test]
+    fn eval_forward_drops_the_train_cache() {
+        let x = Tensor::from_slice(&[-1.0, 3.0, 7.0]);
+        crate::layer::assert_eval_drops_train_cache(&mut Relu::new(), &x);
+        crate::layer::assert_eval_drops_train_cache(&mut Relu6::new(), &x);
     }
 
     #[test]

@@ -101,7 +101,7 @@ impl Layer for BatchNorm {
         let c = self.channels;
         let src = input.as_slice();
 
-        let (mean, var) = if mode.is_train() {
+        let batch_stats = mode.is_train().then(|| {
             let mut mean = vec![0.0f32; c];
             let mut var = vec![0.0f32; c];
             for b in 0..batch {
@@ -135,35 +135,41 @@ impl Layer for BatchNorm {
                 *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ch];
             }
             (mean, var)
-        } else {
-            (
-                self.running_mean.value.as_slice().to_vec(),
-                self.running_var.value.as_slice().to_vec(),
-            )
+        });
+        let (mean, var) = match &batch_stats {
+            Some((mean, var)) => (mean.as_slice(), var.as_slice()),
+            None => (self.running_mean.value.as_slice(), self.running_var.value.as_slice()),
         };
 
         let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
+        // `out` holds x̂ until the affine pass; only training keeps a copy.
         let mut out = vec![0.0f32; src.len()];
-        let mut x_hat = vec![0.0f32; src.len()];
+        for b in 0..batch {
+            for ch in 0..c {
+                let base = (b * c + ch) * spatial;
+                for s in 0..spatial {
+                    out[base + s] = (src[base + s] - mean[ch]) * inv_std[ch];
+                }
+            }
+        }
+        self.cache = match mode {
+            Mode::Train => Some(BnCache {
+                x_hat: Tensor::from_vec(out.clone(), input.dims())?,
+                inv_std,
+                dims: input.dims().to_vec(),
+            }),
+            Mode::Eval => None,
+        };
+
         let gamma = self.gamma.value.as_slice();
         let beta = self.beta.value.as_slice();
         for b in 0..batch {
             for ch in 0..c {
                 let base = (b * c + ch) * spatial;
-                for s in 0..spatial {
-                    let xh = (src[base + s] - mean[ch]) * inv_std[ch];
-                    x_hat[base + s] = xh;
-                    out[base + s] = gamma[ch] * xh + beta[ch];
+                for x in &mut out[base..base + spatial] {
+                    *x = gamma[ch] * *x + beta[ch];
                 }
             }
-        }
-
-        if mode.is_train() {
-            self.cache = Some(BnCache {
-                x_hat: Tensor::from_vec(x_hat, input.dims())?,
-                inv_std,
-                dims: input.dims().to_vec(),
-            });
         }
         Tensor::from_vec(out, input.dims()).map_err(NnError::from)
     }
@@ -284,6 +290,35 @@ mod tests {
         let y = bn.forward(&x, Mode::Eval).unwrap();
         // An input equal to the running mean must map close to beta (=0).
         assert!(y.as_slice().iter().all(|v| v.abs() < 0.2), "{:?}", y.as_slice());
+    }
+
+    #[test]
+    fn eval_output_is_bit_identical_to_the_formula() {
+        let mut bn = BatchNorm::new(3);
+        let mut rng = SeedRng::new(28);
+        let mut draw = |lo, hi| {
+            Tensor::from_vec((0..3).map(|_| rng.uniform_range(lo, hi)).collect(), &[3]).unwrap()
+        };
+        bn.gamma.value = draw(-2.0, 2.0);
+        bn.beta.value = draw(-1.0, 1.0);
+        bn.running_mean.value = draw(-1.0, 1.0);
+        bn.running_var.value = draw(0.1, 4.0);
+        let x = Tensor::from_vec((0..2 * 3 * 5).map(|_| rng.normal()).collect(), &[2, 3, 5, 1])
+            .unwrap();
+        let y = bn.forward(&x, Mode::Eval).unwrap();
+        for (i, (&got, &xv)) in y.as_slice().iter().zip(x.as_slice()).enumerate() {
+            let ch = (i / 5) % 3;
+            let m = bn.running_mean.value.as_slice()[ch];
+            let x_hat = (xv - m) * (1.0 / (bn.running_var.value.as_slice()[ch] + 1e-5).sqrt());
+            let expected = bn.gamma.value.as_slice()[ch] * x_hat + bn.beta.value.as_slice()[ch];
+            assert_eq!(got.to_bits(), expected.to_bits(), "element {i}");
+        }
+    }
+
+    #[test]
+    fn eval_forward_drops_the_train_cache() {
+        let x = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[2, 2, 3, 1]).unwrap();
+        crate::layer::assert_eval_drops_train_cache(&mut BatchNorm::new(2), &x);
     }
 
     #[test]

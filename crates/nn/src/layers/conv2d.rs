@@ -1,4 +1,6 @@
-//! Standard 2-D convolution executed as im2col + matrix multiplication.
+//! Standard 2-D convolution executed as im2col + matrix multiplication; a
+//! 1×1, stride-1, unpadded convolution multiplies the image itself, which
+//! already is its patch matrix.
 
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{col2im, im2col, Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
@@ -81,6 +83,17 @@ impl Conv2d {
         }
         Ok((dims[0], dims[2], dims[3]))
     }
+
+    /// The `[in_channels * k * k, out_h * out_w]` patch matrix of one image.
+    /// A 1×1, stride-1, unpadded convolution's patch matrix is the image
+    /// itself, so it skips `im2col`.
+    fn patches(&self, image: &[f32], geom: &Conv2dGeometry) -> Result<Tensor> {
+        let (c, h, w) = (self.in_channels, geom.in_h, geom.in_w);
+        if self.kernel == 1 && self.stride == 1 && self.padding == 0 {
+            return Ok(Tensor::from_vec(image.to_vec(), &[c, h * w])?);
+        }
+        Ok(im2col(&Tensor::from_vec(image.to_vec(), &[c, h, w])?, c, geom)?)
+    }
 }
 
 impl Layer for Conv2d {
@@ -101,11 +114,7 @@ impl Layer for Conv2d {
         let mut out = vec![0.0f32; batch * out_plane];
 
         for b in 0..batch {
-            let image = Tensor::from_vec(
-                input.as_slice()[b * plane..(b + 1) * plane].to_vec(),
-                &[self.in_channels, in_h, in_w],
-            )?;
-            let cols = im2col(&image, self.in_channels, &geom)?;
+            let cols = self.patches(&input.as_slice()[b * plane..(b + 1) * plane], &geom)?;
             let result = self.weight.value.matmul(&cols)?;
             let dst = &mut out[b * out_plane..(b + 1) * out_plane];
             dst.copy_from_slice(result.as_slice());
@@ -143,13 +152,9 @@ impl Layer for Conv2d {
         let weight_t = self.weight.value.transpose()?;
 
         for b in 0..batch {
-            let image = Tensor::from_vec(
-                input.as_slice()[b * plane..(b + 1) * plane].to_vec(),
-                &[self.in_channels, in_h, in_w],
-            )?;
             // Recompute the patch matrix instead of caching it: trades a
             // second im2col for a large reduction in peak training memory.
-            let cols = im2col(&image, self.in_channels, &geom)?;
+            let cols = self.patches(&input.as_slice()[b * plane..(b + 1) * plane], &geom)?;
             let grad_y = Tensor::from_vec(
                 grad_output.as_slice()[b * out_plane..(b + 1) * out_plane].to_vec(),
                 &[self.out_channels, out_h * out_w],
@@ -278,6 +283,40 @@ mod tests {
             let analytic = analytic_w.as_slice()[idx];
             assert!((numeric - analytic).abs() < 0.05, "w[{idx}]: {numeric} vs {analytic}");
         }
+    }
+
+    #[test]
+    fn pointwise_convolutions_match_im2col_matmul_bit_for_bit() {
+        // Stride 1 multiplies the image directly; stride 2 still lowers
+        // through im2col. Both must equal the im2col + matmul product.
+        let mut rng = SeedRng::new(28);
+        for stride in [1, 2] {
+            let mut conv = Conv2d::new(5, 7, 1, stride, 0, true, &mut rng);
+            conv.bias.as_mut().unwrap().value =
+                Tensor::from_vec((0..7).map(|_| rng.normal()).collect(), &[7]).unwrap();
+            let data = (0..2 * 5 * 6 * 5).map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() });
+            let x = Tensor::from_vec(data.collect(), &[2, 5, 6, 5]).unwrap();
+            let y = conv.forward(&x, Mode::Eval).unwrap();
+            let geom = conv.geometry(6, 5);
+            let mut expected = Vec::new();
+            for image in x.as_slice().chunks(5 * 6 * 5) {
+                let image = Tensor::from_vec(image.to_vec(), &[5, 6, 5]).unwrap();
+                let product = conv.weight().matmul(&im2col(&image, 5, &geom).unwrap()).unwrap();
+                let bias = conv.bias.as_ref().unwrap().value.as_slice();
+                for (c, row) in product.as_slice().chunks(geom.out_pixels()).enumerate() {
+                    expected.extend(row.iter().map(|v| v + bias[c]));
+                }
+            }
+            assert_eq!(y.dims(), &[2, 7, geom.out_h(), geom.out_w()]);
+            let same = y.as_slice().iter().zip(&expected).all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "stride {stride}");
+        }
+    }
+
+    #[test]
+    fn eval_forward_drops_the_train_cache() {
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, true, &mut SeedRng::new(0));
+        crate::layer::assert_eval_drops_train_cache(&mut conv, &Tensor::ones(&[1, 2, 4, 4]));
     }
 
     #[test]

@@ -1,8 +1,15 @@
 //! Depthwise 2-D convolution (channel multiplier 1), the core of the
 //! MobileNetV2 inverted-residual block.
+//!
+//! Each channel is a direct stencil over its own plane: the taps of its
+//! `k x k` kernel are applied in ascending `(kh, kw)` order, each only to the
+//! output pixels whose input lies inside the image, so no patch matrix is
+//! built and the zero padding costs nothing. Every output sums the same
+//! products in the same order as a per-channel `im2col` + `[1, k²] · [k², n]`
+//! matmul would, so the results are bit for bit those of that lowering.
 
 use crate::{Layer, Mode, NnError, Parameter, Result};
-use ofscil_tensor::{col2im, im2col, Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
+use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
 /// Depthwise convolution: every input channel is convolved with its own
 /// `k x k` kernel; channel count is preserved.
@@ -68,6 +75,23 @@ impl DepthwiseConv2d {
     }
 }
 
+/// The pixels kernel tap `t` reaches on one plane, leaving out those whose
+/// input falls in the zero padding: the run length and, per output row, the
+/// offsets of the run's first output and first input. A run's outputs are
+/// contiguous and its inputs `stride` apart.
+fn tap_runs(geom: &Conv2dGeometry, t: usize) -> (usize, impl Iterator<Item = (usize, usize)>) {
+    let (s, p, in_w, out_w) = (geom.stride, geom.padding, geom.in_w, geom.out_w());
+    // The output coordinates `o` whose input `o * s + tap - p` lies in `0..len`.
+    let reach = |tap: usize, len: usize, out: usize| {
+        p.saturating_sub(tap).div_ceil(s)..(len + p).saturating_sub(tap).div_ceil(s).min(out)
+    };
+    let (kh, kw) = (t / geom.kernel_w, t % geom.kernel_w);
+    let cols = reach(kw, in_w, out_w);
+    let rows = if cols.is_empty() { 0..0 } else { reach(kh, geom.in_h, geom.out_h()) };
+    let (len, start) = (cols.len(), cols.start);
+    (len, rows.map(move |oy| (oy * out_w + start, (oy * s + kh - p) * in_w + start * s + kw - p)))
+}
+
 impl Layer for DepthwiseConv2d {
     fn name(&self) -> String {
         format!("dwconv2d({}, k{}, s{})", self.channels, self.kernel, self.stride)
@@ -78,32 +102,27 @@ impl Layer for DepthwiseConv2d {
         let geom = self.geometry(in_h, in_w);
         geom.validate()?;
         let (out_h, out_w) = (geom.out_h(), geom.out_w());
-        let in_plane = in_h * in_w;
-        let out_plane = out_h * out_w;
+        let (in_plane, out_plane) = (in_h * in_w, out_h * out_w);
+        let (taps, s) = (self.kernel * self.kernel, self.stride);
         let mut out = vec![0.0f32; batch * self.channels * out_plane];
 
-        for b in 0..batch {
-            for c in 0..self.channels {
-                let offset = (b * self.channels + c) * in_plane;
-                let channel = Tensor::from_vec(
-                    input.as_slice()[offset..offset + in_plane].to_vec(),
-                    &[1, in_h, in_w],
-                )?;
-                let cols = im2col(&channel, 1, &geom)?;
-                let kernel = Tensor::from_vec(
-                    self.weight.value.row(c)?.to_vec(),
-                    &[1, self.kernel * self.kernel],
-                )?;
-                let result = kernel.matmul(&cols)?;
-                let dst_off = (b * self.channels + c) * out_plane;
-                let bias_v = self.bias.as_ref().map_or(0.0, |bias| bias.value.as_slice()[c]);
-                for (dst, src) in out[dst_off..dst_off + out_plane]
-                    .iter_mut()
-                    .zip(result.as_slice())
-                {
-                    *dst = src + bias_v;
+        for plane in 0..batch * self.channels {
+            let c = plane % self.channels;
+            let x = &input.as_slice()[plane * in_plane..(plane + 1) * in_plane];
+            let y = &mut out[plane * out_plane..(plane + 1) * out_plane];
+            let weights = &self.weight.value.as_slice()[c * taps..(c + 1) * taps];
+            // Zero taps are skipped, as `Tensor::matmul` skips zero factors:
+            // a non-finite input under a zero tap never turns into NaN.
+            for (t, &w) in weights.iter().enumerate().filter(|&(_, &w)| w != 0.0) {
+                let (len, runs) = tap_runs(&geom, t);
+                for (o, i) in runs {
+                    for (y, &x) in y[o..o + len].iter_mut().zip(x[i..].iter().step_by(s)) {
+                        *y += w * x;
+                    }
                 }
             }
+            let bias = self.bias.as_ref().map_or(0.0, |bias| bias.value.as_slice()[c]);
+            y.iter_mut().for_each(|y| *y += bias);
         }
         self.cached_input = mode.is_train().then(|| input.clone());
         Tensor::from_vec(out, &[batch, self.channels, out_h, out_w]).map_err(NnError::from)
@@ -124,52 +143,37 @@ impl Layer for DepthwiseConv2d {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        let in_plane = in_h * in_w;
-        let out_plane = out_h * out_w;
+        let (in_plane, out_plane) = (in_h * in_w, out_h * out_w);
+        let (taps, s) = (self.kernel * self.kernel, self.stride);
+        let weight = self.weight.value.as_slice();
         let mut grad_input = vec![0.0f32; batch * self.channels * in_plane];
-        let mut grad_weight = Tensor::zeros(self.weight.value.dims());
+        let mut grad_weight = vec![0.0f32; self.channels * taps];
         let mut grad_bias = vec![0.0f32; self.channels];
 
-        for b in 0..batch {
-            for (c, bias_slot) in grad_bias.iter_mut().enumerate() {
-                let offset = (b * self.channels + c) * in_plane;
-                let channel = Tensor::from_vec(
-                    input.as_slice()[offset..offset + in_plane].to_vec(),
-                    &[1, in_h, in_w],
-                )?;
-                let cols = im2col(&channel, 1, &geom)?;
-                let g_off = (b * self.channels + c) * out_plane;
-                let grad_y = Tensor::from_vec(
-                    grad_output.as_slice()[g_off..g_off + out_plane].to_vec(),
-                    &[1, out_plane],
-                )?;
-                // dW_c += grad_y · colsᵀ   (1 x k²)
-                let gw = grad_y.matmul(&cols.transpose()?)?;
-                for (dst, src) in grad_weight
-                    .as_mut_slice()
-                    [c * self.kernel * self.kernel..(c + 1) * self.kernel * self.kernel]
-                    .iter_mut()
-                    .zip(gw.as_slice())
-                {
-                    *dst += src;
+        for plane in 0..batch * self.channels {
+            let c = plane % self.channels;
+            let x = &input.as_slice()[plane * in_plane..(plane + 1) * in_plane];
+            let g = &grad_output.as_slice()[plane * out_plane..(plane + 1) * out_plane];
+            let gx = &mut grad_input[plane * in_plane..(plane + 1) * in_plane];
+            grad_bias[c] += g.iter().sum::<f32>();
+            for t in 0..taps {
+                let (w, (len, runs)) = (weight[c * taps + t], tap_runs(&geom, t));
+                // dW sums the plane's products in row-major order and skips
+                // zero output gradients, as `Tensor::matmul` would; dx takes
+                // each tap's share in ascending tap order, as `col2im` would.
+                let mut dw = 0.0f32;
+                for (o, i) in runs {
+                    let g = &g[o..o + len];
+                    let products = g.iter().zip(x[i..].iter().step_by(s));
+                    dw = products.filter(|(&g, _)| g != 0.0).fold(dw, |dw, (g, x)| dw + g * x);
+                    if w != 0.0 {
+                        gx[i..].iter_mut().step_by(s).zip(g).for_each(|(gx, g)| *gx += w * g);
+                    }
                 }
-                *bias_slot += grad_y.sum();
-                // dx_c = col2im(w_cᵀ · grad_y)
-                let kernel = Tensor::from_vec(
-                    self.weight.value.row(c)?.to_vec(),
-                    &[1, self.kernel * self.kernel],
-                )?;
-                let grad_cols = kernel.transpose()?.matmul(&grad_y)?;
-                let grad_img = col2im(&grad_cols, 1, &geom)?;
-                for (dst, src) in grad_input[offset..offset + in_plane]
-                    .iter_mut()
-                    .zip(grad_img.as_slice())
-                {
-                    *dst += src;
-                }
+                grad_weight[c * taps + t] += dw;
             }
         }
-        self.weight.accumulate_grad(&grad_weight);
+        self.weight.accumulate_grad(&Tensor::from_vec(grad_weight, self.weight.value.dims())?);
         if let Some(bias) = &mut self.bias {
             bias.accumulate_grad(&Tensor::from_slice(&grad_bias));
         }
@@ -207,6 +211,7 @@ impl Layer for DepthwiseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofscil_tensor::{col2im, im2col};
 
     #[test]
     fn forward_shape_preserves_channels() {
@@ -270,6 +275,98 @@ mod tests {
             let numeric = (lp - lm) / (2.0 * eps);
             assert!((numeric - analytic_w.as_slice()[idx]).abs() < 0.05);
         }
+    }
+
+    /// The lowering the stencil replaces: per (image, channel) an `im2col`
+    /// patch matrix and `[1, k²] · [k², n]` products, `col2im` for the input
+    /// gradient. Returns output, input, weight and bias gradients.
+    fn im2col_reference(dw: &DepthwiseConv2d, x: &Tensor, grad_y: &Tensor) -> [Vec<f32>; 4] {
+        let (channels, in_h, in_w) = (x.dims()[1], x.dims()[2], x.dims()[3]);
+        let geom = dw.geometry(in_h, in_w);
+        let (in_plane, out_plane, taps) = (in_h * in_w, geom.out_pixels(), dw.kernel * dw.kernel);
+        let mut y = Vec::new();
+        let mut gx = vec![0.0f32; x.len()];
+        let mut gw = vec![0.0f32; channels * taps];
+        let mut gb = vec![0.0f32; channels];
+        for plane in 0..x.len() / in_plane {
+            let c = plane % channels;
+            let image = x.as_slice()[plane * in_plane..(plane + 1) * in_plane].to_vec();
+            let image = Tensor::from_vec(image, &[1, in_h, in_w]).unwrap();
+            let cols = im2col(&image, 1, &geom).unwrap();
+            let w = Tensor::from_vec(dw.weight.value.row(c).unwrap().to_vec(), &[1, taps]).unwrap();
+            let bias = dw.bias.as_ref().map_or(0.0, |b| b.value.as_slice()[c]);
+            y.extend(w.matmul(&cols).unwrap().as_slice().iter().map(|v| v + bias));
+            let g = &grad_y.as_slice()[plane * out_plane..(plane + 1) * out_plane];
+            let g = Tensor::from_vec(g.to_vec(), &[1, out_plane]).unwrap();
+            let gw_c = g.matmul(&cols.transpose().unwrap()).unwrap();
+            for (acc, v) in gw[c * taps..(c + 1) * taps].iter_mut().zip(gw_c.as_slice()) {
+                *acc += v;
+            }
+            gb[c] += g.sum();
+            let img = col2im(&w.transpose().unwrap().matmul(&g).unwrap(), 1, &geom).unwrap();
+            let gx_plane = &mut gx[plane * in_plane..(plane + 1) * in_plane];
+            for (acc, v) in gx_plane.iter_mut().zip(img.as_slice()) {
+                *acc += v;
+            }
+        }
+        [y, gx, gw, gb]
+    }
+
+    #[test]
+    fn stencil_matches_the_im2col_matmul_lowering_bit_for_bit() {
+        fn seeded(rng: &mut SeedRng, dims: &[usize]) -> Tensor {
+            // About one value in five is an exact zero.
+            let n = dims.iter().product();
+            let data = (0..n).map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() }).collect();
+            Tensor::from_vec(data, dims).unwrap()
+        }
+        let mut rng = SeedRng::new(28);
+        // (batch, channels, h, w, kernel, stride, padding)
+        let shapes = [
+            (1, 3, 8, 8, 3, 1, 1),
+            (1, 3, 8, 8, 3, 2, 1),
+            (2, 2, 7, 7, 3, 1, 0),
+            (1, 2, 9, 9, 3, 2, 0),
+            (1, 2, 8, 8, 5, 1, 1),
+            (2, 3, 9, 7, 5, 2, 1),
+            (1, 2, 6, 6, 5, 1, 0),
+            (2, 2, 7, 8, 5, 2, 0),
+            (2, 4, 5, 6, 3, 1, 1),
+            (2, 3, 5, 6, 3, 2, 1),
+            (2, 2, 5, 6, 5, 1, 1),
+            // Padding wider than the image: some taps reach no pixel at all.
+            (1, 2, 1, 1, 5, 1, 2),
+            (2, 2, 1, 2, 5, 2, 2),
+        ];
+        for &(batch, channels, h, w, k, s, p) in &shapes {
+            let mut dw = DepthwiseConv2d::new(channels, k, s, p, true, &mut rng);
+            dw.weight.value = seeded(&mut rng, &[channels, k * k]);
+            dw.bias.as_mut().unwrap().value = seeded(&mut rng, &[channels]);
+            let x = seeded(&mut rng, &[batch, channels, h, w]);
+            let y = dw.forward(&x, Mode::Train).unwrap();
+            let grad_y = seeded(&mut rng, y.dims());
+            let gx = dw.backward(&grad_y).unwrap();
+            let expected = im2col_reference(&dw, &x, &grad_y);
+            let got = [
+                y.as_slice(),
+                gx.as_slice(),
+                dw.weight.grad.as_slice(),
+                dw.bias.as_ref().unwrap().grad.as_slice(),
+            ];
+            let names = ["output", "grad_input", "grad_weight", "grad_bias"];
+            for (what, (got, expected)) in names.iter().zip(got.iter().zip(&expected)) {
+                assert_eq!(got.len(), expected.len(), "{what}");
+                let same = got.iter().zip(expected).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "{what} differs at {:?}", (batch, channels, h, w, k, s, p));
+            }
+        }
+    }
+
+    #[test]
+    fn eval_forward_drops_the_train_cache() {
+        let mut rng = SeedRng::new(4);
+        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, true, &mut rng);
+        crate::layer::assert_eval_drops_train_cache(&mut dw, &Tensor::ones(&[1, 2, 4, 4]));
     }
 
     #[test]

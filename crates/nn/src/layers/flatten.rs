@@ -32,9 +32,7 @@ impl Layer for Flatten {
         }
         let batch = dims[0];
         let rest: usize = dims[1..].iter().product::<usize>().max(1);
-        if mode.is_train() {
-            self.cached_dims = Some(dims.to_vec());
-        }
+        self.cached_dims = mode.is_train().then(|| dims.to_vec());
         Ok(input.reshape(&[batch, rest])?)
     }
 
@@ -73,6 +71,11 @@ mod tests {
         let g = f.backward(&Tensor::ones(&[2, 60])).unwrap();
         assert_eq!(g.dims(), &[2, 3, 4, 5]);
         assert_eq!(f.output_dims(&[7, 8]).unwrap(), vec![7, 8]);
+    }
+
+    #[test]
+    fn eval_forward_drops_the_train_cache() {
+        crate::layer::assert_eval_drops_train_cache(&mut Flatten::new(), &Tensor::ones(&[2, 3, 4]));
     }
 
     #[test]

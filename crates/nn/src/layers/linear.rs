@@ -195,6 +195,12 @@ mod tests {
     }
 
     #[test]
+    fn eval_forward_drops_the_train_cache() {
+        let mut layer = Linear::new(3, 2, true, &mut SeedRng::new(0));
+        crate::layer::assert_eval_drops_train_cache(&mut layer, &Tensor::ones(&[2, 3]));
+    }
+
+    #[test]
     fn input_gradient_matches_finite_differences() {
         let mut rng = SeedRng::new(3);
         let mut layer = Linear::new(4, 3, true, &mut rng);

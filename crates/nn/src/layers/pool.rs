@@ -42,9 +42,7 @@ impl Layer for GlobalAvgPool {
                     input.as_slice()[base..base + spatial].iter().sum::<f32>() / spatial as f32;
             }
         }
-        if mode.is_train() {
-            self.cached_dims = Some(dims.to_vec());
-        }
+        self.cached_dims = mode.is_train().then(|| dims.to_vec());
         Tensor::from_vec(out, &[batch, channels]).map_err(NnError::from)
     }
 
@@ -150,9 +148,7 @@ impl Layer for MaxPool2d {
                 }
             }
         }
-        if mode.is_train() {
-            self.cache = Some((input.dims().to_vec(), argmax));
-        }
+        self.cache = mode.is_train().then(|| (input.dims().to_vec(), argmax));
         Tensor::from_vec(out, &[batch, channels, oh, ow]).map_err(NnError::from)
     }
 
@@ -233,6 +229,13 @@ mod tests {
         assert_eq!(g.dims(), &[1, 2, 2, 2]);
         assert_eq!(&g.as_slice()[..4], &[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(&g.as_slice()[4..], &[2.0, 2.0, 2.0, 2.0]);
+    }
+
+    #[test]
+    fn eval_forward_drops_the_train_cache() {
+        let x = Tensor::ones(&[1, 2, 4, 4]);
+        crate::layer::assert_eval_drops_train_cache(&mut GlobalAvgPool::new(), &x);
+        crate::layer::assert_eval_drops_train_cache(&mut MaxPool2d::new(), &x);
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //!   visitation (no general autograd tape — every layer derives its own
 //!   gradient, which keeps the engine small and auditable),
 //! * the layers used by MobileNetV2 and ResNet-12 (standard and depthwise
-//!   convolutions, batch normalisation, ReLU/ReLU6, pooling, linear),
+//!   convolutions, batch normalisation, ReLU/ReLU6, pooling, linear). A
+//!   standard convolution multiplies its weights with an `im2col` patch
+//!   matrix (a 1×1, stride-1, unpadded one with the image itself); a
+//!   depthwise one is a direct per-channel stencil with no patch matrix or
+//!   matmul,
 //! * composite blocks (inverted residual, ResNet basic block) and the backbone
 //!   model builders with the paper's stride profiles (Table I),
 //! * the three losses of the paper — cross entropy (with soft labels for

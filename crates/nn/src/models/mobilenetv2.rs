@@ -150,13 +150,20 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "full-size forward pass; run with --ignored for a full check"]
     fn full_forward_pass_runs() {
+        // A batch of two is the two images forwarded one at a time, bit for
+        // bit: every stride, the pointwise path and the depthwise stencil run.
         let mut rng = SeedRng::new(0);
         let mut bb = mobilenet_v2(MobileNetVariant::X1, &mut rng);
-        let x = Tensor::ones(&[1, 3, 32, 32]);
+        let data = (0..2 * 3 * 32 * 32).map(|_| rng.normal()).collect();
+        let x = Tensor::from_vec(data, &[2, 3, 32, 32]).unwrap();
         let y = bb.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(y.dims(), &[1, 1280]);
+        assert_eq!(y.dims(), &[2, 1280]);
         assert!(y.all_finite());
+        for (image, row) in x.as_slice().chunks(3 * 32 * 32).zip(y.as_slice().chunks(1280)) {
+            let single = Tensor::from_vec(image.to_vec(), &[1, 3, 32, 32]).unwrap();
+            let single = bb.forward(&single, Mode::Eval).unwrap();
+            assert!(single.as_slice().iter().zip(row).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     }
 }

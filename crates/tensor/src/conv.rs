@@ -1,9 +1,11 @@
 //! Convolution lowering: `im2col` / `col2im` and output-geometry helpers.
 //!
-//! Convolutions in the nn crate are executed as matrix multiplications over
-//! patch matrices produced here. Keeping the lowering in the tensor crate
-//! lets the quantized execution path and the GAP9 tiling model reuse the same
-//! geometry calculations.
+//! The nn crate's standard convolution multiplies its weights with the patch
+//! matrix [`im2col`] builds here and folds patch gradients back with
+//! [`col2im`]; a 1×1, stride-1, unpadded convolution skips `im2col`, because
+//! the image already is its patch matrix. The depthwise convolution uses only
+//! [`Conv2dGeometry`]: it runs as a direct per-channel stencil and builds no
+//! patch matrix.
 
 use crate::{Result, Tensor, TensorError};
 
