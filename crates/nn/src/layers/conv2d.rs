@@ -1,6 +1,8 @@
-//! Standard 2-D convolution executed as im2col + matrix multiplication; a
-//! 1×1, stride-1, unpadded convolution multiplies the image itself, which
-//! already is its patch matrix.
+//! Standard 2-D convolution executed as im2col + matrix multiplication, one
+//! matmul per image. A 1×1, stride-1, unpadded (pointwise) convolution needs
+//! no im2col, since an image already is its patch matrix, and multiplies the
+//! whole batch at once: the images' patch matrices side by side make one
+//! `[in_channels, batch * h * w]` matrix, so the batch costs one matmul.
 
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{col2im, im2col, Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
@@ -84,15 +86,45 @@ impl Conv2d {
         Ok((dims[0], dims[2], dims[3]))
     }
 
-    /// The `[in_channels * k * k, out_h * out_w]` patch matrix of one image.
-    /// A 1×1, stride-1, unpadded convolution's patch matrix is the image
-    /// itself, so it skips `im2col`.
+    /// Whether this is a 1×1, stride-1, unpadded convolution, whose patch
+    /// matrix is the image itself.
+    fn is_pointwise(&self) -> bool {
+        self.kernel == 1 && self.stride == 1 && self.padding == 0
+    }
+
+    /// The `[in_channels * k * k, out_h * out_w]` patch matrix of one image,
+    /// for the per-image forward and every backward. A pointwise
+    /// convolution's is the image itself, so it skips `im2col`.
     fn patches(&self, image: &[f32], geom: &Conv2dGeometry) -> Result<Tensor> {
         let (c, h, w) = (self.in_channels, geom.in_h, geom.in_w);
-        if self.kernel == 1 && self.stride == 1 && self.padding == 0 {
+        if self.is_pointwise() {
             return Ok(Tensor::from_vec(image.to_vec(), &[c, h * w])?);
         }
         Ok(im2col(&Tensor::from_vec(image.to_vec(), &[c, h, w])?, c, geom)?)
+    }
+
+    /// The bias-free output of a pointwise convolution over a whole
+    /// `[batch, in_channels, hw]` input, in NCHW order, from one matmul: the
+    /// images sit side by side as the columns of one `[in_channels,
+    /// batch * hw]` patch matrix. Every output sums the same products in the
+    /// same order as a per-image matmul would.
+    fn pointwise_products(&self, input: &[f32], batch: usize, hw: usize) -> Result<Vec<f32>> {
+        let (c_in, c_out, n) = (self.in_channels, self.out_channels, batch * hw);
+        let mut cols = Vec::with_capacity(c_in * n);
+        for k in 0..c_in {
+            for b in 0..batch {
+                cols.extend_from_slice(&input[(b * c_in + k) * hw..(b * c_in + k + 1) * hw]);
+            }
+        }
+        let product = self.weight.value.matmul(&Tensor::from_vec(cols, &[c_in, n])?)?;
+        let product = product.as_slice();
+        let mut out = Vec::with_capacity(c_out * n);
+        for b in 0..batch {
+            for o in 0..c_out {
+                out.extend_from_slice(&product[o * n + b * hw..o * n + (b + 1) * hw]);
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -109,21 +141,25 @@ impl Layer for Conv2d {
         let geom = self.geometry(in_h, in_w);
         geom.validate()?;
         let (out_h, out_w) = (geom.out_h(), geom.out_w());
-        let plane = self.in_channels * in_h * in_w;
-        let out_plane = self.out_channels * out_h * out_w;
-        let mut out = vec![0.0f32; batch * out_plane];
-
-        for b in 0..batch {
-            let cols = self.patches(&input.as_slice()[b * plane..(b + 1) * plane], &geom)?;
-            let result = self.weight.value.matmul(&cols)?;
-            let dst = &mut out[b * out_plane..(b + 1) * out_plane];
-            dst.copy_from_slice(result.as_slice());
-            if let Some(bias) = &self.bias {
-                for (c, chunk) in dst.chunks_mut(out_h * out_w).enumerate() {
-                    let bv = bias.value.as_slice()[c];
-                    for x in chunk {
-                        *x += bv;
-                    }
+        let mut out = if self.is_pointwise() {
+            self.pointwise_products(input.as_slice(), batch, in_h * in_w)?
+        } else {
+            let plane = self.in_channels * in_h * in_w;
+            let out_plane = self.out_channels * out_h * out_w;
+            let mut out = vec![0.0f32; batch * out_plane];
+            for b in 0..batch {
+                let cols = self.patches(&input.as_slice()[b * plane..(b + 1) * plane], &geom)?;
+                let result = self.weight.value.matmul(&cols)?;
+                out[b * out_plane..(b + 1) * out_plane].copy_from_slice(result.as_slice());
+            }
+            out
+        };
+        if let Some(bias) = &self.bias {
+            let bias = bias.value.as_slice();
+            for (i, chunk) in out.chunks_mut(out_h * out_w).enumerate() {
+                let bv = bias[i % self.out_channels];
+                for x in chunk {
+                    *x += bv;
                 }
             }
         }
@@ -310,6 +346,81 @@ mod tests {
             assert_eq!(y.dims(), &[2, 7, geom.out_h(), geom.out_w()]);
             let same = y.as_slice().iter().zip(&expected).all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "stride {stride}");
+        }
+    }
+
+    /// `dims`-shaped normal values, about one in five an exact zero.
+    fn seeded(rng: &mut SeedRng, dims: &[usize]) -> Tensor {
+        let n = dims.iter().product();
+        let data = (0..n).map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() }).collect();
+        Tensor::from_vec(data, dims).unwrap()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn batched_pointwise_forward_matches_per_image_products_bit_for_bit() {
+        // The batch goes through one matmul; each image must come out as its
+        // own `[c_out, c_in] · [c_in, hw]` product and its own batch-1
+        // forward, and the backward pass must see the same cache.
+        let mut rng = SeedRng::new(31);
+        let (c_in, c_out) = (6, 5);
+        for batch in [1, 2, 5] {
+            for (h, w) in [(1, 1), (2, 2), (5, 6)] {
+                for bias in [false, true] {
+                    let case = (batch, h, w, bias);
+                    let mut conv = Conv2d::new(c_in, c_out, 1, 1, 0, bias, &mut rng);
+                    conv.weight.value = seeded(&mut rng, &[c_out, c_in]);
+                    if let Some(bias) = &mut conv.bias {
+                        bias.value = seeded(&mut rng, &[c_out]);
+                    }
+                    let x = seeded(&mut rng, &[batch, c_in, h, w]);
+                    let y = conv.forward(&x, Mode::Train).unwrap();
+                    assert_eq!(y.dims(), &[batch, c_out, h, w]);
+                    let grad_y = seeded(&mut rng, y.dims());
+                    let grad_x = conv.backward(&grad_y).unwrap();
+                    let grad_w = conv.weight.grad.clone();
+                    let grad_b = conv.bias.as_ref().map(|b| b.grad.clone());
+
+                    conv.zero_grads();
+                    let (plane, out_plane) = (c_in * h * w, c_out * h * w);
+                    let (mut products, mut singles, mut single_grad_x) = (vec![], vec![], vec![]);
+                    for b in 0..batch {
+                        let image = &x.as_slice()[b * plane..(b + 1) * plane];
+                        let cols = Tensor::from_vec(image.to_vec(), &[c_in, h * w]).unwrap();
+                        let product = conv.weight().matmul(&cols).unwrap();
+                        for (c, row) in product.as_slice().chunks(h * w).enumerate() {
+                            let bias = conv.bias.as_ref().map(|b| b.value.as_slice()[c]);
+                            products.extend(row.iter().map(|&v| bias.map_or(v, |b| v + b)));
+                        }
+                        let single = Tensor::from_vec(image.to_vec(), &[1, c_in, h, w]).unwrap();
+                        let single = conv.forward(&single, Mode::Train).unwrap();
+                        singles.extend_from_slice(single.as_slice());
+                        let g = grad_y.as_slice()[b * out_plane..(b + 1) * out_plane].to_vec();
+                        let g = Tensor::from_vec(g, &[1, c_out, h, w]).unwrap();
+                        single_grad_x.extend_from_slice(conv.backward(&g).unwrap().as_slice());
+                    }
+                    assert_eq!(bits(y.as_slice()), bits(&products), "products {case:?}");
+                    assert_eq!(bits(y.as_slice()), bits(&singles), "batch-1 forwards {case:?}");
+                    assert_eq!(bits(grad_x.as_slice()), bits(&single_grad_x), "grad_x {case:?}");
+                    let single_grad_w = conv.weight.grad.as_slice();
+                    assert_eq!(bits(grad_w.as_slice()), bits(single_grad_w), "grad_w {case:?}");
+                    if let (Some(grad_b), Some(bias)) = (grad_b, &conv.bias) {
+                        assert_eq!(bits(grad_b.as_slice()), bits(bias.grad.as_slice()), "{case:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batch_forward() {
+        for kernel in [1, 3] {
+            let mut conv = Conv2d::new(4, 3, kernel, 1, kernel / 2, true, &mut SeedRng::new(0));
+            let y = conv.forward(&Tensor::zeros(&[0, 4, 2, 3]), Mode::Eval).unwrap();
+            assert_eq!(y.dims(), &[0, 3, 2, 3], "kernel {kernel}");
         }
     }
 

@@ -105,6 +105,13 @@ impl Layer for DepthwiseConv2d {
         let (in_plane, out_plane) = (in_h * in_w, out_h * out_w);
         let (taps, s) = (self.kernel * self.kernel, self.stride);
         let mut out = vec![0.0f32; batch * self.channels * out_plane];
+        // A tap's runs depend on the geometry alone: one table serves every plane.
+        let table: Vec<(usize, Vec<(usize, usize)>)> = (0..taps)
+            .map(|t| {
+                let (len, runs) = tap_runs(&geom, t);
+                (len, runs.collect())
+            })
+            .collect();
 
         for plane in 0..batch * self.channels {
             let c = plane % self.channels;
@@ -114,10 +121,14 @@ impl Layer for DepthwiseConv2d {
             // Zero taps are skipped, as `Tensor::matmul` skips zero factors:
             // a non-finite input under a zero tap never turns into NaN.
             for (t, &w) in weights.iter().enumerate().filter(|&(_, &w)| w != 0.0) {
-                let (len, runs) = tap_runs(&geom, t);
-                for (o, i) in runs {
-                    for (y, &x) in y[o..o + len].iter_mut().zip(x[i..].iter().step_by(s)) {
-                        *y += w * x;
+                let (len, runs) = (table[t].0, &table[t].1);
+                for &(o, i) in runs {
+                    let y = &mut y[o..o + len];
+                    // Contiguous inputs zip as slices, which vectorises.
+                    if s == 1 {
+                        y.iter_mut().zip(&x[i..i + len]).for_each(|(y, &x)| *y += w * x);
+                    } else {
+                        y.iter_mut().zip(x[i..].iter().step_by(s)).for_each(|(y, &x)| *y += w * x);
                     }
                 }
             }
@@ -337,6 +348,11 @@ mod tests {
             // Padding wider than the image: some taps reach no pixel at all.
             (1, 2, 1, 1, 5, 1, 2),
             (2, 2, 1, 2, 5, 2, 2),
+            // MobileNetV2's late stages on 32×32 inputs, at the learn batch.
+            (5, 4, 4, 4, 3, 1, 1),
+            (5, 4, 4, 4, 3, 2, 1),
+            (5, 4, 2, 2, 3, 1, 1),
+            (5, 4, 2, 2, 3, 2, 1),
         ];
         for &(batch, channels, h, w, k, s, p) in &shapes {
             let mut dw = DepthwiseConv2d::new(channels, k, s, p, true, &mut rng);

@@ -30,6 +30,10 @@ impl Tensor {
                 op: "matmul",
             });
         }
+        if n == 0 {
+            // No output columns: the row kernel below would divide by `n`.
+            return Tensor::from_vec(Vec::new(), &[m, 0]);
+        }
         let a = self.as_slice();
         let b = other.as_slice();
         let mut out = vec![0.0f32; m * n];
@@ -194,6 +198,16 @@ mod tests {
         assert!(a.matmul(&b).is_err());
         let v = Tensor::zeros(&[3]);
         assert!(v.matmul(&a).is_err());
+    }
+
+    #[test]
+    fn matmul_with_an_empty_dimension() {
+        // (m, k, n) with one of them zero; 4096 × 0 sits at the threading cut.
+        for (m, k, n) in [(0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0), (4096, 3, 0), (5000, 0, 0)] {
+            let c = Tensor::ones(&[m, k]).matmul(&Tensor::ones(&[k, n])).unwrap();
+            assert_eq!(c.dims(), &[m, n]);
+            assert!(c.as_slice().iter().all(|&v| v == 0.0), "{m}x{k}x{n}");
+        }
     }
 
     #[test]
