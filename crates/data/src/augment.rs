@@ -79,7 +79,7 @@ impl Augmenter {
 /// # Errors
 ///
 /// Returns an error when the image is not rank-3.
-pub fn horizontal_flip(image: &Tensor) -> Result<Tensor> {
+pub(crate) fn horizontal_flip(image: &Tensor) -> Result<Tensor> {
     let dims = image.dims();
     if dims.len() != 3 {
         return Err(DataError::InvalidConfig(format!("expected [c,h,w], got {dims:?}")));
@@ -103,7 +103,7 @@ pub fn horizontal_flip(image: &Tensor) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns an error when the image is not rank-3.
-pub fn random_crop(image: &Tensor, padding: usize, rng: &mut SeedRng) -> Result<Tensor> {
+pub(crate) fn random_crop(image: &Tensor, padding: usize, rng: &mut SeedRng) -> Result<Tensor> {
     let dims = image.dims();
     if dims.len() != 3 {
         return Err(DataError::InvalidConfig(format!("expected [c,h,w], got {dims:?}")));
@@ -141,7 +141,7 @@ pub fn random_crop(image: &Tensor, padding: usize, rng: &mut SeedRng) -> Result<
 /// # Errors
 ///
 /// Returns an error when the image is not rank-3.
-pub fn box_blur(image: &Tensor) -> Result<Tensor> {
+pub(crate) fn box_blur(image: &Tensor) -> Result<Tensor> {
     let dims = image.dims();
     if dims.len() != 3 {
         return Err(DataError::InvalidConfig(format!("expected [c,h,w], got {dims:?}")));

@@ -53,7 +53,7 @@ pub(crate) struct WorkQueue {
 
 impl WorkQueue {
     /// Pops the head job only when it is an `Infer`.
-    pub fn pop_infer(&mut self) -> Option<InferItem> {
+    pub(crate) fn pop_infer(&mut self) -> Option<InferItem> {
         match self.jobs.pop_front()? {
             DeploymentJob::Infer(item) => Some(item),
             other => {

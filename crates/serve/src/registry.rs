@@ -423,7 +423,7 @@ impl EnergyMeter {
 
     /// Admits `cost_mj` against the budget. Returns the remaining budget on
     /// refusal.
-    pub fn try_spend(&self, cost_mj: f64) -> std::result::Result<(), f64> {
+    pub(crate) fn try_spend(&self, cost_mj: f64) -> std::result::Result<(), f64> {
         let mut inner = self.inner.lock().expect("meter lock poisoned");
         match inner.budget_mj {
             Some(budget) if inner.spent_mj + cost_mj > budget => {
@@ -441,7 +441,7 @@ impl EnergyMeter {
     /// settled — admission conservatively charges the single-sample rate per
     /// request, and once a coalesced batch has actually run, the difference
     /// to the batch's cheaper amortized cost is handed back.
-    pub fn refund(&self, mj: f64) {
+    pub(crate) fn refund(&self, mj: f64) {
         if !mj.is_finite() || mj <= 0.0 {
             return;
         }
@@ -450,7 +450,7 @@ impl EnergyMeter {
     }
 
     /// Raises the budget by `mj` (a no-op for unlimited deployments).
-    pub fn top_up(&self, mj: f64) {
+    pub(crate) fn top_up(&self, mj: f64) {
         let mut inner = self.inner.lock().expect("meter lock poisoned");
         if let Some(budget) = inner.budget_mj.as_mut() {
             *budget += mj;
@@ -458,7 +458,7 @@ impl EnergyMeter {
     }
 
     /// Returns `(spent, remaining)`; remaining is `None` for unlimited.
-    pub fn state(&self) -> (f64, Option<f64>) {
+    pub(crate) fn state(&self) -> (f64, Option<f64>) {
         let inner = self.inner.lock().expect("meter lock poisoned");
         (inner.spent_mj, inner.budget_mj.map(|b| (b - inner.spent_mj).max(0.0)))
     }
@@ -466,13 +466,13 @@ impl EnergyMeter {
     /// Returns `(spent, budget)` — the raw pair a durable journal records
     /// and crash recovery restores (unlike [`EnergyMeter::state`], which
     /// reports the *remaining* budget).
-    pub fn spent_and_budget(&self) -> (f64, Option<f64>) {
+    pub(crate) fn spent_and_budget(&self) -> (f64, Option<f64>) {
         let inner = self.inner.lock().expect("meter lock poisoned");
         (inner.spent_mj, inner.budget_mj)
     }
 
     /// Overwrites the meter with journaled state — crash recovery only.
-    pub fn recover(&self, spent_mj: f64, budget_mj: Option<f64>) {
+    pub(crate) fn recover(&self, spent_mj: f64, budget_mj: Option<f64>) {
         let mut inner = self.inner.lock().expect("meter lock poisoned");
         inner.spent_mj = spent_mj;
         inner.budget_mj = budget_mj;
@@ -522,7 +522,7 @@ impl std::fmt::Debug for Deployment {
 
 impl Deployment {
     /// The current request price list.
-    pub fn pricing(&self) -> RequestPricing {
+    pub(crate) fn pricing(&self) -> RequestPricing {
         *self.pricing.lock().expect("pricing lock poisoned")
     }
 
@@ -532,7 +532,7 @@ impl Deployment {
     /// the amortization the budget meter settles after the batch runs.
     /// Clamped to at most `n` single passes (refunds can never go negative)
     /// and memoized per batch size.
-    pub fn batched_infer_mj(&self, n: usize) -> f64 {
+    pub(crate) fn batched_infer_mj(&self, n: usize) -> f64 {
         if n <= 1 {
             return self.pricing().infer_mj;
         }
@@ -553,7 +553,7 @@ impl Deployment {
     /// Energy to hand back once a coalesced batch of `n` inferences has run:
     /// admission charged `n` single-sample passes, the batch actually cost
     /// [`Deployment::batched_infer_mj`]. Zero for unbatched requests.
-    pub fn infer_batch_refund_mj(&self, n: usize) -> f64 {
+    pub(crate) fn infer_batch_refund_mj(&self, n: usize) -> f64 {
         if n <= 1 {
             return 0.0;
         }
@@ -566,7 +566,7 @@ impl Deployment {
     /// accumulation is negligible next to it), and the `n` forwards of one
     /// batch stream the weights **once** — so the batched learn shares the
     /// coalesced-infer energy derivation and its memoized cache.
-    pub fn batched_learn_mj(&self, n: usize) -> f64 {
+    pub(crate) fn batched_learn_mj(&self, n: usize) -> f64 {
         if n <= 1 {
             return self.pricing().learn_sample_mj;
         }
@@ -577,14 +577,14 @@ impl Deployment {
     /// has run: admission charged `n` single-sample passes, the batch
     /// actually cost [`Deployment::batched_learn_mj`]. Zero for single-shot
     /// learns.
-    pub fn learn_batch_refund_mj(&self, n: usize) -> f64 {
+    pub(crate) fn learn_batch_refund_mj(&self, n: usize) -> f64 {
         if n <= 1 {
             return 0.0;
         }
         (self.pricing().learn_sample_mj * n as f64 - self.batched_learn_mj(n)).max(0.0)
     }
 
-    pub fn stats_snapshot(&self) -> DeploymentStats {
+    pub(crate) fn stats_snapshot(&self) -> DeploymentStats {
         let classes = self.model.lock().expect("model lock poisoned").em().num_classes();
         let stats = self.stats.lock().expect("stats lock poisoned");
         let (spent, _) = self.meter.state();

@@ -120,7 +120,7 @@ pub(crate) struct Envelope {
 
 impl Envelope {
     /// Fails the request; a receiver that gave up is not an error.
-    pub fn reject(self, error: ServeError) {
+    pub(crate) fn reject(self, error: ServeError) {
         let _ = self.reply.send(Err(error));
     }
 }

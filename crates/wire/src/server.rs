@@ -125,7 +125,7 @@ pub(crate) struct ReplHub {
 }
 
 impl ReplHub {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ReplHub { subscribers: Mutex::new(HashMap::new()) }
     }
 
@@ -133,7 +133,7 @@ impl ReplHub {
     /// happens *before* the subscriber takes its full snapshot, so a commit
     /// landing in between is delivered as a delta the follower recognises as
     /// already-contained (its seq is at or below the snapshot's).
-    pub fn register(&self, deployment: &str) -> mpsc::Receiver<Arc<LearnCommit>> {
+    pub(crate) fn register(&self, deployment: &str) -> mpsc::Receiver<Arc<LearnCommit>> {
         let (tx, rx) = mpsc::sync_channel(REPL_QUEUE_DEPTH);
         self.subscribers
             .lock()
@@ -147,7 +147,7 @@ impl ReplHub {
     /// Forwards one commit to every live subscriber of its deployment,
     /// dropping subscribers whose connection ended or whose bounded queue is
     /// full (a stalled socket must not grow the primary's memory).
-    pub fn forward(&self, commit: LearnCommit) {
+    pub(crate) fn forward(&self, commit: LearnCommit) {
         let mut subscribers = self.subscribers.lock().expect("hub lock poisoned");
         let Some(list) = subscribers.get_mut(&commit.deployment) else { return };
         let commit = Arc::new(commit);
