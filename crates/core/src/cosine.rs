@@ -122,7 +122,7 @@ mod tests {
         let loss = |f: &Tensor| -> f32 {
             cosine_logits(f, &prototypes)
                 .unwrap()
-                .mul(&upstream)
+                .zip_with(&upstream, "mul", |a, b| a * b)
                 .unwrap()
                 .sum()
         };

@@ -250,7 +250,7 @@ mod tests {
             let a = generator.render(class, 0, 0).unwrap();
             let b = generator.render(class, 1, 0).unwrap();
             let other = generator.render((class + 1) % 8, 1, 0).unwrap();
-            let center = |t: &Tensor| t.add_scalar(-t.mean());
+            let center = |t: &Tensor| t.map(|x| x - t.mean());
             intra += cosine_similarity(center(&a).as_slice(), center(&b).as_slice()).unwrap();
             inter += cosine_similarity(center(&a).as_slice(), center(&other).as_slice()).unwrap();
             n += 1;

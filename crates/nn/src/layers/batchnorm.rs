@@ -351,7 +351,7 @@ mod tests {
 
         let loss = |bn: &mut BatchNorm, x: &Tensor| -> f32 {
             let y = bn.forward(x, Mode::Train).unwrap();
-            y.mul(&upstream).unwrap().sum()
+            y.zip_with(&upstream, "mul", |a, b| a * b).unwrap().sum()
         };
         let eps = 1e-2;
         for &idx in &[0usize, 3, 7, 11] {

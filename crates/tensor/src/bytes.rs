@@ -297,7 +297,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`DecodeError::LengthOverflow`] naming `field` otherwise.
-    pub fn prove(
+    pub(crate) fn prove(
         &self,
         field: &'static str,
         declared: u64,

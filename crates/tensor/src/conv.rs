@@ -17,7 +17,7 @@ pub struct Conv2dGeometry {
     /// Input width.
     pub in_w: usize,
     /// Kernel height.
-    pub kernel_h: usize,
+    pub(crate) kernel_h: usize,
     /// Kernel width.
     pub kernel_w: usize,
     /// Stride along both spatial axes.

@@ -78,30 +78,6 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// Matrix–vector product `self · v` for a rank-2 tensor and rank-1 vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when `self` is not a matrix or the lengths disagree.
-    pub fn matvec(&self, v: &Tensor) -> Result<Tensor> {
-        let (m, k) = matrix_dims(self, "matvec lhs")?;
-        if v.dims().len() != 1 || v.len() != k {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: v.dims().to_vec(),
-                op: "matvec",
-            });
-        }
-        let a = self.as_slice();
-        let x = v.as_slice();
-        let mut out = vec![0.0f32; m];
-        for i in 0..m {
-            let row = &a[i * k..(i + 1) * k];
-            out[i] = row.iter().zip(x).map(|(a, b)| a * b).sum();
-        }
-        Ok(Tensor::from_slice(&out))
-    }
-
     /// Transpose of a rank-2 tensor.
     ///
     /// # Errors
@@ -211,12 +187,9 @@ mod tests {
     }
 
     #[test]
-    fn matvec_and_dot() {
-        let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]).unwrap();
+    fn dot_product() {
         let v = Tensor::from_slice(&[1.0, -1.0]);
-        assert_eq!(a.matvec(&v).unwrap().as_slice(), &[-1.0, -1.0]);
         assert_eq!(v.dot(&v).unwrap(), 2.0);
-        assert!(a.matvec(&Tensor::zeros(&[3])).is_err());
         assert!(v.dot(&Tensor::zeros(&[3])).is_err());
     }
 

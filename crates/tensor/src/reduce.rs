@@ -136,21 +136,6 @@ impl Tensor {
         }
     }
 
-    /// Mean along `axis` of a rank-2 tensor (see [`Tensor::sum_axis`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-matrices or an invalid axis.
-    pub fn mean_axis(&self, axis: Axis) -> Result<Tensor> {
-        let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let summed = self.sum_axis(axis)?;
-        let denom = match axis.0 {
-            0 => rows,
-            _ => cols,
-        } as f32;
-        Ok(summed.scale(1.0 / denom.max(1.0)))
-    }
-
     /// Maximum absolute value over all elements (`0.0` if empty).
     pub fn max_abs(&self) -> f32 {
         self.as_slice().iter().map(|x| x.abs()).fold(0.0, f32::max)
@@ -186,8 +171,6 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]).unwrap();
         assert_eq!(t.sum_axis(Axis(0)).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(t.sum_axis(Axis(1)).unwrap().as_slice(), &[6.0, 15.0]);
-        assert_eq!(t.mean_axis(Axis(0)).unwrap().as_slice(), &[2.5, 3.5, 4.5]);
-        assert_eq!(t.mean_axis(Axis(1)).unwrap().as_slice(), &[2.0, 5.0]);
         assert!(t.sum_axis(Axis(2)).is_err());
     }
 

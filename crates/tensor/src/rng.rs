@@ -115,7 +115,7 @@ impl SeedRng {
     }
 
     /// Fisher–Yates shuffle of a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+    pub(crate) fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.below(i + 1);
             items.swap(i, j);

@@ -13,7 +13,7 @@ use std::fmt;
 /// use ofscil_tensor::Shape;
 ///
 /// let s = Shape::new(&[2, 3, 4]);
-/// assert_eq!(s.volume(), 24);
+/// assert_eq!(s.dims(), &[2, 3, 4]);
 /// assert_eq!(s.rank(), 3);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
@@ -38,7 +38,7 @@ impl Shape {
     }
 
     /// Returns the total number of elements described by this shape.
-    pub fn volume(&self) -> usize {
+    pub(crate) fn volume(&self) -> usize {
         self.dims.iter().product()
     }
 
@@ -86,7 +86,7 @@ impl Shape {
     }
 
     /// Returns `true` when the two shapes describe the same extents.
-    pub fn same_as(&self, other: &Shape) -> bool {
+    pub(crate) fn same_as(&self, other: &Shape) -> bool {
         self.dims == other.dims
     }
 }

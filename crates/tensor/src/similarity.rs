@@ -57,18 +57,6 @@ pub fn log_softmax(logits: &[f32]) -> Vec<f32> {
 }
 
 impl Tensor {
-    /// Returns an L2-normalised copy of the tensor (flattened norm).
-    ///
-    /// A zero tensor is returned unchanged.
-    pub fn l2_normalized(&self) -> Tensor {
-        let n = self.norm();
-        if n < 1e-12 {
-            self.clone()
-        } else {
-            self.scale(1.0 / n)
-        }
-    }
-
     /// Cosine similarity between this tensor and `other`, both flattened.
     ///
     /// # Errors
@@ -151,15 +139,6 @@ mod tests {
     fn relu_clamps_negatives() {
         let t = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
         assert_eq!(relu(&t).as_slice(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn l2_normalized_has_unit_norm() {
-        let t = Tensor::from_slice(&[3.0, 4.0]);
-        let n = t.l2_normalized();
-        assert!((n.norm() - 1.0).abs() < 1e-6);
-        let z = Tensor::zeros(&[4]);
-        assert_eq!(z.l2_normalized(), z);
     }
 
     #[test]

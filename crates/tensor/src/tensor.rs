@@ -235,15 +235,6 @@ impl Tensor {
         self.zip_with(other, "sub", |a, b| a - b)
     }
 
-    /// Element-wise (Hadamard) multiplication, returning a new tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when shapes differ.
-    pub fn mul(&self, other: &Tensor) -> Result<Tensor> {
-        self.zip_with(other, "mul", |a, b| a * b)
-    }
-
     /// In-place element-wise addition of `other` scaled by `alpha`
     /// (`self += alpha * other`), the BLAS `axpy` primitive.
     ///
@@ -267,11 +258,6 @@ impl Tensor {
     /// Returns a new tensor with every element multiplied by `scalar`.
     pub fn scale(&self, scalar: f32) -> Tensor {
         self.map(|x| x * scalar)
-    }
-
-    /// Returns a new tensor with `scalar` added to every element.
-    pub fn add_scalar(&self, scalar: f32) -> Tensor {
-        self.map(|x| x + scalar)
     }
 
     /// Applies `f` to every element, returning a new tensor.
@@ -321,11 +307,6 @@ impl Tensor {
     /// Fills the tensor with `value`.
     pub fn fill(&mut self, value: f32) {
         self.data.iter_mut().for_each(|x| *x = value);
-    }
-
-    /// Returns `true` when all elements are finite (no NaN / infinity).
-    pub fn all_finite(&self) -> bool {
-        self.data.iter().all(|x| x.is_finite())
     }
 
     /// Returns the squared Frobenius norm of the tensor.
@@ -487,9 +468,7 @@ mod tests {
         let b = Tensor::from_slice(&[4.0, 5.0, 6.0]);
         assert_eq!(a.add(&b).unwrap().as_slice(), &[5.0, 7.0, 9.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[3.0, 3.0, 3.0]);
-        assert_eq!(a.mul(&b).unwrap().as_slice(), &[4.0, 10.0, 18.0]);
         assert_eq!(a.scale(2.0).as_slice(), &[2.0, 4.0, 6.0]);
-        assert_eq!(a.add_scalar(1.0).as_slice(), &[2.0, 3.0, 4.0]);
         let c = Tensor::zeros(&[2]);
         assert!(a.add(&c).is_err());
     }
@@ -513,12 +492,9 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_finiteness() {
+    fn norm() {
         let t = Tensor::from_slice(&[3.0, 4.0]);
         assert!((t.norm() - 5.0).abs() < 1e-6);
-        assert!(t.all_finite());
-        let bad = Tensor::from_slice(&[f32::NAN]);
-        assert!(!bad.all_finite());
     }
 
     #[test]
