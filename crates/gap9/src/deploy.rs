@@ -75,13 +75,13 @@ fn classify(name: &str, macs: u64) -> KernelClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofscil_nn::models::{micro_backbone, mobilenet_v2, resnet12, MobileNetVariant};
+    use ofscil_nn::models::{mobilenet_v2, resnet12, BackboneKind, MobileNetVariant};
     use ofscil_tensor::SeedRng;
 
     #[test]
     fn micro_backbone_deploys() {
         let mut rng = SeedRng::new(0);
-        let backbone = micro_backbone(&mut rng);
+        let backbone = BackboneKind::Micro.build(&mut rng);
         let workload = deploy_backbone(&backbone, 16, 16);
         assert!(!workload.is_empty());
         assert_eq!(workload.total_macs(), backbone.macs(16, 16));

@@ -9,7 +9,7 @@ use ofscil_tensor::{SeedRng, Tensor};
 /// 1×1 linear projection, with an identity skip connection when the stride is
 /// one and the channel count is preserved.
 #[derive(Debug)]
-pub struct InvertedResidual {
+pub(crate) struct InvertedResidual {
     body: Sequential,
     use_residual: bool,
     in_channels: usize,
@@ -22,7 +22,7 @@ impl InvertedResidual {
     ///
     /// `expansion` is the channel expansion factor `t` of the MobileNetV2
     /// paper (1 disables the expansion convolution).
-    pub fn new(
+    pub(crate) fn new(
         in_channels: usize,
         out_channels: usize,
         stride: usize,
@@ -45,15 +45,6 @@ impl InvertedResidual {
         InvertedResidual { body, use_residual, in_channels, out_channels, stride }
     }
 
-    /// Returns `true` when the block adds an identity skip connection.
-    pub fn has_residual(&self) -> bool {
-        self.use_residual
-    }
-
-    /// The convolutional stride of the block.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
 }
 
 impl Layer for InvertedResidual {
@@ -105,7 +96,7 @@ impl Layer for InvertedResidual {
 /// ResNet basic block with `depth` 3×3 convolutions (3 for ResNet-12), a
 /// projection shortcut when the shape changes, and a trailing ReLU.
 #[derive(Debug)]
-pub struct ResNetBlock {
+pub(crate) struct ResNetBlock {
     body: Sequential,
     shortcut: Option<Sequential>,
     relu_mask: Option<Vec<bool>>,
@@ -117,7 +108,7 @@ pub struct ResNetBlock {
 impl ResNetBlock {
     /// Creates a residual block of `depth` convolutions; the first convolution
     /// carries the stride.
-    pub fn new(
+    pub(crate) fn new(
         in_channels: usize,
         out_channels: usize,
         stride: usize,
@@ -222,13 +213,12 @@ mod tests {
     fn inverted_residual_shapes() {
         let mut rng = SeedRng::new(0);
         let mut blk = InvertedResidual::new(8, 8, 1, 6, &mut rng);
-        assert!(blk.has_residual());
+        assert!(blk.use_residual);
         let y = blk.forward(&Tensor::ones(&[2, 8, 8, 8]), Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 8, 8, 8]);
 
         let mut strided = InvertedResidual::new(8, 16, 2, 6, &mut rng);
-        assert!(!strided.has_residual());
-        assert_eq!(strided.stride(), 2);
+        assert!(!strided.use_residual);
         let y = strided.forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[1, 16, 4, 4]);
         assert_eq!(strided.output_dims(&[1, 8, 8, 8]).unwrap(), vec![1, 16, 4, 4]);

@@ -17,7 +17,7 @@ pub enum Mode {
 
 impl Mode {
     /// Returns `true` in training mode.
-    pub fn is_train(self) -> bool {
+    pub(crate) fn is_train(self) -> bool {
         matches!(self, Mode::Train)
     }
 }

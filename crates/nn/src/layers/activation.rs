@@ -5,13 +5,13 @@ use ofscil_tensor::Tensor;
 
 /// Rectified linear unit: `max(x, 0)`.
 #[derive(Debug, Default)]
-pub struct Relu {
+pub(crate) struct Relu {
     mask: Option<Vec<bool>>,
 }
 
 impl Relu {
     /// Creates a ReLU activation.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Relu { mask: None }
     }
 }
@@ -56,13 +56,13 @@ impl Layer for Relu {
 
 /// ReLU6: `min(max(x, 0), 6)`, the activation used throughout MobileNetV2.
 #[derive(Debug, Default)]
-pub struct Relu6 {
+pub(crate) struct Relu6 {
     mask: Option<Vec<bool>>,
 }
 
 impl Relu6 {
     /// Creates a ReLU6 activation.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Relu6 { mask: None }
     }
 }

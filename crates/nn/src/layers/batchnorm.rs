@@ -13,7 +13,7 @@ use ofscil_tensor::Tensor;
 /// updated with exponential momentum; in [`Mode::Eval`] the running statistics
 /// are used.
 #[derive(Debug)]
-pub struct BatchNorm {
+pub(crate) struct BatchNorm {
     channels: usize,
     eps: f32,
     momentum: f32,
@@ -33,7 +33,7 @@ struct BnCache {
 
 impl BatchNorm {
     /// Creates a batch-normalisation layer over `channels` channels.
-    pub fn new(channels: usize) -> Self {
+    pub(crate) fn new(channels: usize) -> Self {
         BatchNorm {
             channels,
             eps: 1e-5,
@@ -44,36 +44,6 @@ impl BatchNorm {
             running_var: Parameter::frozen("running_var", Tensor::ones(&[channels])),
             cache: None,
         }
-    }
-
-    /// Number of normalised channels.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
-    /// Returns the running mean (used by the quantizer to fold BN into convs).
-    pub fn running_mean(&self) -> &Tensor {
-        &self.running_mean.value
-    }
-
-    /// Returns the running variance.
-    pub fn running_var(&self) -> &Tensor {
-        &self.running_var.value
-    }
-
-    /// Returns the scale parameter γ.
-    pub fn gamma(&self) -> &Tensor {
-        &self.gamma.value
-    }
-
-    /// Returns the shift parameter β.
-    pub fn beta(&self) -> &Tensor {
-        &self.beta.value
-    }
-
-    /// Numerical-stability epsilon used in the variance denominator.
-    pub fn eps(&self) -> f32 {
-        self.eps
     }
 
     fn layout(&self, dims: &[usize]) -> Result<(usize, usize)> {

@@ -13,7 +13,7 @@ use ofscil_tensor::{col2im, im2col, Conv2dGeometry, Init, Initializer, SeedRng, 
 /// * weight: `[out_channels, in_channels * k * k]`
 /// * output: `[batch, out_channels, h', w']`
 #[derive(Debug)]
-pub struct Conv2d {
+pub(crate) struct Conv2d {
     in_channels: usize,
     out_channels: usize,
     kernel: usize,
@@ -26,7 +26,7 @@ pub struct Conv2d {
 
 impl Conv2d {
     /// Creates a convolution layer with Kaiming-normal initialised weights.
-    pub fn new(
+    pub(crate) fn new(
         in_channels: usize,
         out_channels: usize,
         kernel: usize,
@@ -46,33 +46,8 @@ impl Conv2d {
     }
 
     /// The convolution geometry for a given input height/width.
-    pub fn geometry(&self, in_h: usize, in_w: usize) -> Conv2dGeometry {
+    pub(crate) fn geometry(&self, in_h: usize, in_w: usize) -> Conv2dGeometry {
         Conv2dGeometry::new(in_h, in_w, self.kernel, self.stride, self.padding)
-    }
-
-    /// Number of output channels.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
-    /// Stride of the convolution.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Kernel size of the convolution.
-    pub fn kernel(&self) -> usize {
-        self.kernel
-    }
-
-    /// Immutable access to the weight matrix (`[out_c, in_c * k * k]`).
-    pub fn weight(&self) -> &Tensor {
-        &self.weight.value
-    }
-
-    /// Mutable access to the weight matrix.
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        &mut self.weight.value
     }
 
     fn check_input(&self, dims: &[usize]) -> Result<(usize, usize, usize)> {
@@ -260,7 +235,7 @@ mod tests {
     fn identity_kernel_reproduces_input() {
         let mut rng = SeedRng::new(0);
         let mut conv = Conv2d::new(1, 1, 1, 1, 0, false, &mut rng);
-        conv.weight_mut().as_mut_slice()[0] = 1.0;
+        conv.weight.value.as_mut_slice()[0] = 1.0;
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
         let y = conv.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.as_slice(), x.as_slice());
@@ -272,7 +247,7 @@ mod tests {
         // centre output = 9, corners = 4, edges = 6.
         let mut rng = SeedRng::new(0);
         let mut conv = Conv2d::new(1, 1, 3, 1, 1, false, &mut rng);
-        conv.weight_mut().fill(1.0);
+        conv.weight.value.fill(1.0);
         let x = Tensor::ones(&[1, 1, 3, 3]);
         let y = conv.forward(&x, Mode::Eval).unwrap();
         assert_eq!(
@@ -337,7 +312,7 @@ mod tests {
             let mut expected = Vec::new();
             for image in x.as_slice().chunks(5 * 6 * 5) {
                 let image = Tensor::from_vec(image.to_vec(), &[5, 6, 5]).unwrap();
-                let product = conv.weight().matmul(&im2col(&image, 5, &geom).unwrap()).unwrap();
+                let product = conv.weight.value.matmul(&im2col(&image, 5, &geom).unwrap()).unwrap();
                 let bias = conv.bias.as_ref().unwrap().value.as_slice();
                 for (c, row) in product.as_slice().chunks(geom.out_pixels()).enumerate() {
                     expected.extend(row.iter().map(|v| v + bias[c]));
@@ -390,7 +365,7 @@ mod tests {
                     for b in 0..batch {
                         let image = &x.as_slice()[b * plane..(b + 1) * plane];
                         let cols = Tensor::from_vec(image.to_vec(), &[c_in, h * w]).unwrap();
-                        let product = conv.weight().matmul(&cols).unwrap();
+                        let product = conv.weight.value.matmul(&cols).unwrap();
                         for (c, row) in product.as_slice().chunks(h * w).enumerate() {
                             let bias = conv.bias.as_ref().map(|b| b.value.as_slice()[c]);
                             products.extend(row.iter().map(|&v| bias.map_or(v, |b| v + b)));

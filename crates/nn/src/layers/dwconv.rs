@@ -18,7 +18,7 @@ use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 /// * weight: `[channels, k * k]`
 /// * output: `[batch, channels, h', w']`
 #[derive(Debug)]
-pub struct DepthwiseConv2d {
+pub(crate) struct DepthwiseConv2d {
     channels: usize,
     kernel: usize,
     stride: usize,
@@ -30,7 +30,7 @@ pub struct DepthwiseConv2d {
 
 impl DepthwiseConv2d {
     /// Creates a depthwise convolution with Kaiming-normal initialised weights.
-    pub fn new(
+    pub(crate) fn new(
         channels: usize,
         kernel: usize,
         stride: usize,
@@ -49,18 +49,8 @@ impl DepthwiseConv2d {
     }
 
     /// The convolution geometry for a given input height/width.
-    pub fn geometry(&self, in_h: usize, in_w: usize) -> Conv2dGeometry {
+    pub(crate) fn geometry(&self, in_h: usize, in_w: usize) -> Conv2dGeometry {
         Conv2dGeometry::new(in_h, in_w, self.kernel, self.stride, self.padding)
-    }
-
-    /// Stride of the convolution.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Mutable access to the weight matrix (`[channels, k * k]`).
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        &mut self.weight.value
     }
 
     fn check_input(&self, dims: &[usize]) -> Result<(usize, usize, usize)> {
@@ -240,10 +230,10 @@ mod tests {
         // channel 0 stays non-zero.
         let mut rng = SeedRng::new(1);
         let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, false, &mut rng);
-        for x in dw.weight_mut().as_mut_slice()[9..18].iter_mut() {
+        for x in dw.weight.value.as_mut_slice()[9..18].iter_mut() {
             *x = 0.0;
         }
-        dw.weight_mut().as_mut_slice()[..9].copy_from_slice(&[1.0; 9]);
+        dw.weight.value.as_mut_slice()[..9].copy_from_slice(&[1.0; 9]);
         let x = Tensor::ones(&[1, 2, 4, 4]);
         let y = dw.forward(&x, Mode::Eval).unwrap();
         let ch0: f32 = y.as_slice()[..16].iter().sum();

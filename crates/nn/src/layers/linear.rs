@@ -43,17 +43,6 @@ impl Linear {
         &self.weight.value
     }
 
-    /// Mutable access to the weight matrix, e.g. for loading pretrained
-    /// parameters or bipolarised prototypes.
-    pub fn weight_mut(&mut self) -> &mut Tensor {
-        &mut self.weight.value
-    }
-
-    /// Immutable access to the bias vector, when present.
-    pub fn bias(&self) -> Option<&Tensor> {
-        self.bias.as_ref().map(|b| &b.value)
-    }
-
     fn check_input(&self, input: &Tensor) -> Result<()> {
         if input.dims().len() != 2 || input.dims()[1] != self.in_features {
             return Err(NnError::BadInput {
@@ -178,7 +167,7 @@ mod tests {
     fn known_small_case() {
         let mut rng = SeedRng::new(0);
         let mut layer = Linear::new(2, 1, true, &mut rng);
-        layer.weight_mut().as_mut_slice().copy_from_slice(&[2.0, -1.0]);
+        layer.weight.value.as_mut_slice().copy_from_slice(&[2.0, -1.0]);
         let x = Tensor::from_vec(vec![3.0, 4.0], &[1, 2]).unwrap();
         let y = layer.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.as_slice(), &[2.0]);

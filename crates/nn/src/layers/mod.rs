@@ -10,11 +10,11 @@ mod linear;
 mod pool;
 mod sequential;
 
-pub use activation::{Relu, Relu6};
-pub use batchnorm::BatchNorm;
-pub use conv2d::Conv2d;
-pub use dwconv::DepthwiseConv2d;
+pub(crate) use activation::{Relu, Relu6};
+pub(crate) use batchnorm::BatchNorm;
+pub(crate) use conv2d::Conv2d;
+pub(crate) use dwconv::DepthwiseConv2d;
 pub use flatten::Flatten;
 pub use linear::Linear;
-pub use pool::{GlobalAvgPool, MaxPool2d};
+pub(crate) use pool::{GlobalAvgPool, MaxPool2d};
 pub use sequential::Sequential;

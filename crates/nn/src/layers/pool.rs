@@ -7,13 +7,13 @@ use ofscil_tensor::Tensor;
 ///
 /// Used as the final spatial reduction of both backbones before the FCR.
 #[derive(Debug, Default)]
-pub struct GlobalAvgPool {
+pub(crate) struct GlobalAvgPool {
     cached_dims: Option<Vec<usize>>,
 }
 
 impl GlobalAvgPool {
     /// Creates a global average pooling layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         GlobalAvgPool { cached_dims: None }
     }
 }
@@ -92,13 +92,13 @@ impl Layer for GlobalAvgPool {
 /// Used between the stages of the ResNet-12 backbone (the convolutions run at
 /// full stage resolution and the pooling performs the downsampling).
 #[derive(Debug, Default)]
-pub struct MaxPool2d {
+pub(crate) struct MaxPool2d {
     cache: Option<(Vec<usize>, Vec<usize>)>, // (input dims, argmax indices)
 }
 
 impl MaxPool2d {
     /// Creates a 2×2 stride-2 max-pooling layer.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         MaxPool2d { cache: None }
     }
 

@@ -56,25 +56,6 @@ impl Sequential {
         self.layers.iter()
     }
 
-    /// Per-layer MAC counts for a single sample with the given batch-less
-    /// input dims; used by the profiler and the GAP9 deployment model.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a layer rejects the propagated shape.
-    pub fn macs_per_layer(&self, input: &[usize]) -> Result<Vec<(String, u64)>> {
-        let mut shape = {
-            let mut v = vec![1];
-            v.extend_from_slice(input);
-            v
-        };
-        let mut out = Vec::with_capacity(self.layers.len());
-        for layer in &self.layers {
-            out.push((layer.name(), layer.macs(&shape[1..])));
-            shape = layer.output_dims(&shape)?;
-        }
-        Ok(out)
-    }
 }
 
 impl Layer for Sequential {
@@ -192,11 +173,6 @@ mod tests {
     fn macs_accumulate() {
         let mlp = tiny_mlp();
         assert_eq!(mlp.macs(&[4]), (4 * 8 + 8 * 2) as u64);
-        let per_layer = mlp.macs_per_layer(&[4]).unwrap();
-        assert_eq!(per_layer.len(), 3);
-        assert_eq!(per_layer[0].1, 32);
-        assert_eq!(per_layer[1].1, 0);
-        assert_eq!(per_layer[2].1, 16);
     }
 
     #[test]

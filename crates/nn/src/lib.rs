@@ -18,7 +18,7 @@
 //! * the three losses of the paper — cross entropy (with soft labels for
 //!   Mixup/CutMix), the feature-orthogonality regulariser (Eq. 1) and the
 //!   multi-margin loss on cosine logits (Eq. 4),
-//! * SGD (momentum + weight decay) and Adam optimizers,
+//! * an SGD (momentum + weight decay) optimizer,
 //! * MAC / parameter profiling used to regenerate Table I.
 //!
 //! # Example
@@ -36,7 +36,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod blocks;
+mod blocks;
 mod error;
 mod layer;
 pub mod layers;

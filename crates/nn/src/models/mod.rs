@@ -94,15 +94,6 @@ impl BackboneKind {
         }
     }
 
-    /// All the full-size backbones reported in Table I.
-    pub fn table1_entries() -> [BackboneKind; 4] {
-        [
-            BackboneKind::MobileNetV2,
-            BackboneKind::MobileNetV2X2,
-            BackboneKind::MobileNetV2X4,
-            BackboneKind::ResNet12,
-        ]
-    }
 }
 
 /// Builds the small convolutional backbone used for fast, laptop-scale runs
@@ -110,7 +101,7 @@ impl BackboneKind {
 ///
 /// Three conv–BN–ReLU stages (16, 32, 64 channels, stride 2 each) followed by
 /// global average pooling; d_a = 64.
-pub fn micro_backbone(rng: &mut SeedRng) -> Backbone {
+pub(crate) fn micro_backbone(rng: &mut SeedRng) -> Backbone {
     use crate::layers::{BatchNorm, Conv2d, GlobalAvgPool, Relu};
     let mut net = Sequential::new("micro");
     let channels = [16usize, 32, 64];

@@ -1,4 +1,4 @@
-//! Optimizers: SGD with momentum/weight decay and Adam.
+//! Optimizers: SGD with momentum and weight decay.
 //!
 //! Optimizers keep per-parameter state indexed by the deterministic
 //! [`crate::Layer::visit_params`] visitation order, so they work with any
@@ -86,96 +86,6 @@ impl Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba, 2015) with optional L2 weight decay.
-#[derive(Debug, Clone)]
-pub struct Adam {
-    /// Learning rate.
-    pub learning_rate: f32,
-    /// Exponential decay for the first moment.
-    pub beta1: f32,
-    /// Exponential decay for the second moment.
-    pub beta2: f32,
-    /// Numerical stability constant.
-    pub epsilon: f32,
-    /// L2 weight decay applied to the parameter values.
-    pub weight_decay: f32,
-    first_moment: Vec<Tensor>,
-    second_moment: Vec<Tensor>,
-    timestep: u64,
-}
-
-impl Adam {
-    /// Creates an Adam optimizer with the standard β coefficients.
-    pub fn new(learning_rate: f32) -> Self {
-        Adam {
-            learning_rate,
-            beta1: 0.9,
-            beta2: 0.999,
-            epsilon: 1e-8,
-            weight_decay: 0.0,
-            first_moment: Vec::new(),
-            second_moment: Vec::new(),
-            timestep: 0,
-        }
-    }
-
-    /// Sets the weight decay (builder style).
-    #[must_use]
-    pub fn with_weight_decay(mut self, weight_decay: f32) -> Self {
-        self.weight_decay = weight_decay;
-        self
-    }
-
-    /// Applies one update step to every trainable parameter of `layer` and
-    /// zeroes the gradients afterwards.
-    pub fn step(&mut self, layer: &mut dyn Layer) {
-        self.timestep += 1;
-        let t = self.timestep as f32;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
-        let (lr, beta1, beta2, eps, wd) = (
-            self.learning_rate,
-            self.beta1,
-            self.beta2,
-            self.epsilon,
-            self.weight_decay,
-        );
-        let first = &mut self.first_moment;
-        let second = &mut self.second_moment;
-        let mut index = 0usize;
-        layer.visit_params(&mut |param| {
-            if first.len() <= index {
-                first.push(Tensor::zeros(param.value.dims()));
-                second.push(Tensor::zeros(param.value.dims()));
-            }
-            if param.trainable {
-                let m = &mut first[index];
-                let v = &mut second[index];
-                if m.dims() != param.value.dims() {
-                    *m = Tensor::zeros(param.value.dims());
-                    *v = Tensor::zeros(param.value.dims());
-                }
-                for (((mi, vi), gi), wi) in m
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(v.as_mut_slice().iter_mut())
-                    .zip(param.grad.as_slice())
-                    .zip(param.value.as_mut_slice())
-                {
-                    let g = gi + wd * *wi;
-                    *mi = beta1 * *mi + (1.0 - beta1) * g;
-                    *vi = beta2 * *vi + (1.0 - beta2) * g * g;
-                    let m_hat = *mi / bias1;
-                    let v_hat = *vi / bias2;
-                    *wi -= lr * m_hat / (v_hat.sqrt() + eps);
-                }
-            }
-            param.zero_grad();
-            index += 1;
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,13 +120,6 @@ mod tests {
     fn sgd_reduces_loss() {
         let mut sgd = Sgd::new(0.5, 0.9, 0.0);
         let loss = train_linear(&mut |l| sgd.step(l), 60);
-        assert!(loss < 0.1, "final loss {loss}");
-    }
-
-    #[test]
-    fn adam_reduces_loss() {
-        let mut adam = Adam::new(0.05);
-        let loss = train_linear(&mut |l| adam.step(l), 60);
         assert!(loss < 0.1, "final loss {loss}");
     }
 
@@ -281,8 +184,8 @@ mod tests {
         let x = Tensor::ones(&[1, 2]);
         let y = layer.forward(&x, Mode::Train).unwrap();
         layer.backward(&Tensor::ones(y.dims())).unwrap();
-        let mut adam = Adam::new(0.01).with_weight_decay(1e-4);
-        adam.step(&mut layer);
+        let mut sgd = Sgd::new(0.01, 0.9, 1e-4);
+        sgd.step(&mut layer);
         layer.visit_params(&mut |p| assert_eq!(p.grad.max_abs(), 0.0));
     }
 }

@@ -48,7 +48,7 @@ impl Parameter {
     }
 
     /// Zeroes the accumulated gradient.
-    pub fn zero_grad(&mut self) {
+    pub(crate) fn zero_grad(&mut self) {
         self.grad.fill(0.0);
     }
 
@@ -58,7 +58,7 @@ impl Parameter {
     ///
     /// Panics if `delta` has a different shape from the parameter — that is
     /// always a programming error inside a layer's backward pass.
-    pub fn accumulate_grad(&mut self, delta: &Tensor) {
+    pub(crate) fn accumulate_grad(&mut self, delta: &Tensor) {
         self.grad
             .axpy(1.0, delta)
             .expect("gradient shape must match parameter shape");

@@ -15,7 +15,7 @@ pub struct ModelProfile {
     /// Backbone feature dimensionality d_a.
     pub feature_dim: usize,
     /// Input resolution used for the MAC count.
-    pub input_hw: (usize, usize),
+    pub(crate) input_hw: (usize, usize),
 }
 
 impl ModelProfile {
@@ -29,19 +29,10 @@ impl ModelProfile {
         self.macs as f64 / 1e6
     }
 
-    /// Model size in megabytes when parameters are stored as `f32`.
-    pub fn size_mb_fp32(&self) -> f64 {
-        self.params as f64 * 4.0 / 1e6
-    }
-
-    /// Model size in megabytes when parameters are stored as `i8`.
-    pub fn size_mb_int8(&self) -> f64 {
-        self.params as f64 / 1e6
-    }
 }
 
 /// Profiles a backbone at the given input resolution.
-pub fn profile_backbone(backbone: &mut Backbone, height: usize, width: usize) -> ModelProfile {
+pub(crate) fn profile_backbone(backbone: &mut Backbone, height: usize, width: usize) -> ModelProfile {
     ModelProfile {
         name: backbone.name.clone(),
         params: backbone.param_count(),
@@ -67,14 +58,6 @@ pub fn profile_with_fcr(
     profile
 }
 
-/// Per-layer MAC breakdown, used by the GAP9 deployment model.
-pub fn per_layer_macs(backbone: &Backbone, height: usize, width: usize) -> Vec<(String, u64)> {
-    backbone
-        .net
-        .macs_per_layer(&[backbone.in_channels, height, width])
-        .unwrap_or_default()
-}
-
 /// Deployment-oriented description of one top-level layer (or block) of a
 /// backbone: its cost and the activation shapes it consumes and produces.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,9 +69,9 @@ pub struct LayerSummary {
     /// Weight parameters that must be resident to execute the layer.
     pub weight_params: u64,
     /// Batch-less input dims (e.g. `[channels, h, w]`).
-    pub input_dims: Vec<usize>,
+    pub(crate) input_dims: Vec<usize>,
     /// Batch-less output dims.
-    pub output_dims: Vec<usize>,
+    pub(crate) output_dims: Vec<usize>,
 }
 
 impl LayerSummary {
@@ -155,7 +138,6 @@ mod tests {
         assert!(p.macs > 0);
         assert_eq!(p.feature_dim, 64);
         assert!(p.params_millions() < 1.0);
-        assert!(p.size_mb_fp32() > p.size_mb_int8());
     }
 
     #[test]
@@ -172,8 +154,8 @@ mod tests {
     fn per_layer_macs_sum_to_total() {
         let mut rng = SeedRng::new(0);
         let bb = micro_backbone(&mut rng);
-        let layers = per_layer_macs(&bb, 16, 16);
-        let total: u64 = layers.iter().map(|(_, m)| m).sum();
+        let layers = layer_summaries(&bb, 16, 16);
+        let total: u64 = layers.iter().map(|l| l.macs).sum();
         assert_eq!(total, bb.macs(16, 16));
         assert!(!layers.is_empty());
     }

@@ -99,7 +99,7 @@ pub mod prelude {
         PowerModel,
     };
     pub use ofscil_nn::models::{BackboneKind, MobileNetVariant};
-    pub use ofscil_nn::profile::{profile_backbone, profile_with_fcr};
+    pub use ofscil_nn::profile::profile_with_fcr;
     pub use ofscil_nn::{Layer, Mode};
     pub use ofscil_obs::{
         ChunkSpill, Event, EventKind, EventSink, LatencyHistogram, Obs, ObsConfig,

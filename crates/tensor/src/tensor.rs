@@ -492,9 +492,11 @@ mod tests {
     }
 
     #[test]
-    fn norm() {
+    fn norms_and_finiteness() {
         let t = Tensor::from_slice(&[3.0, 4.0]);
         assert!((t.norm() - 5.0).abs() < 1e-6);
+        let bad = Tensor::from_slice(&[f32::NAN, 1.0]);
+        assert!(bad.norm().is_nan());
     }
 
     #[test]
