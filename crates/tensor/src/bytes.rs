@@ -309,7 +309,8 @@ impl<'a> Reader<'a> {
         Ok(declared as usize)
     }
 
-    /// Reads a `u32` element count and [`prove`](Reader::prove)s it.
+    /// Reads a `u32` element count and proves `count × element_size` bytes
+    /// are actually present, so the caller may allocate `count` elements.
     ///
     /// # Errors
     ///
@@ -324,8 +325,8 @@ impl<'a> Reader<'a> {
         self.prove(field, declared, element_size)
     }
 
-    /// Reads a `u32`-counted list: the count is [`prove`](Reader::prove)d
-    /// against `element_size` (the *minimum* encoded element) before the
+    /// Reads a `u32`-counted list: the count is proved against
+    /// `element_size` (the *minimum* encoded element) before the
     /// vector is allocated, then `decode` runs once per element.
     ///
     /// # Errors
