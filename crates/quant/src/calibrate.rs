@@ -15,7 +15,7 @@ use crate::{QuantError, QuantParams, Result};
 /// # Errors
 ///
 /// Returns [`QuantError::EmptyCalibration`] when `values` is empty.
-pub fn calibrate_power_of_two(values: &[f32]) -> Result<(f32, QuantParams)> {
+pub(crate) fn calibrate_power_of_two(values: &[f32]) -> Result<(f32, QuantParams)> {
     if values.is_empty() {
         return Err(QuantError::EmptyCalibration);
     }
@@ -41,20 +41,6 @@ pub fn calibrate_power_of_two(values: &[f32]) -> Result<(f32, QuantParams)> {
     Ok((best_threshold, QuantParams { scale: best_threshold / 127.0 }))
 }
 
-/// Simple max-abs calibration (non-power-of-two), used where TQT-style
-/// clipping is unnecessary (e.g. prototype vectors).
-///
-/// # Errors
-///
-/// Returns [`QuantError::EmptyCalibration`] when `values` is empty.
-pub fn calibrate_scale(values: &[f32]) -> Result<QuantParams> {
-    if values.is_empty() {
-        return Err(QuantError::EmptyCalibration);
-    }
-    let max_abs = values.iter().map(|v| v.abs()).fold(0.0f32, f32::max);
-    Ok(QuantParams::from_max_abs(max_abs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,7 +49,6 @@ mod tests {
     #[test]
     fn empty_calibration_is_rejected() {
         assert!(calibrate_power_of_two(&[]).is_err());
-        assert!(calibrate_scale(&[]).is_err());
     }
 
     #[test]
@@ -104,7 +89,7 @@ mod tests {
 
     #[test]
     fn max_abs_calibration_covers_range() {
-        let params = calibrate_scale(&[-3.0, 2.0, 0.5]).unwrap();
+        let params = QuantParams::from_max_abs(3.0);
         assert_eq!(params.quantize(3.0), 127);
         assert_eq!(params.quantize(-3.0), -127);
     }

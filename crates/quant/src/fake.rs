@@ -37,7 +37,7 @@ impl FakeQuant {
     }
 
     /// Number of positive quantization levels (`2^(bits-1) - 1`).
-    pub fn positive_levels(&self) -> i32 {
+    pub(crate) fn positive_levels(&self) -> i32 {
         (1i32 << (self.bits - 1)) - 1
     }
 

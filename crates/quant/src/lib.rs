@@ -8,13 +8,13 @@
 //!
 //! This crate provides:
 //!
-//! * [`QuantParams`] / [`QuantTensor`] — symmetric per-tensor int8
-//!   quantization with power-of-two scales and an i8×i8→i32 integer matmul
-//!   (the arithmetic a GAP9 cluster core performs),
-//! * [`calibrate_power_of_two`] — TQT-style threshold calibration minimising
-//!   the quantization error on calibration data,
+//! * [`QuantTensor`] — symmetric per-tensor int8 quantization with
+//!   power-of-two scales and an i8×i8→i32 integer matmul (the arithmetic a
+//!   GAP9 cluster core performs),
 //! * [`FakeQuant`] and [`quantize_layer_weights`] — quantize–dequantize
 //!   simulation used to measure INT8 accuracy of the full models (Table II),
+//!   with weight thresholds from TQT-style power-of-two calibration that
+//!   minimises the quantization error,
 //! * [`PrototypePrecision`] and [`ExplicitMemoryFootprint`] — the
 //!   explicit-memory precision-reduction sweep and size accounting of Fig. 3.
 //!
@@ -39,11 +39,12 @@ mod fake;
 mod prototype;
 mod qtensor;
 
-pub use calibrate::{calibrate_power_of_two, calibrate_scale};
+pub(crate) use calibrate::calibrate_power_of_two;
 pub use error::QuantError;
 pub use fake::{quantize_layer_weights, FakeQuant};
 pub use prototype::{ExplicitMemoryFootprint, PrototypePrecision};
-pub use qtensor::{QuantParams, QuantTensor};
+pub(crate) use qtensor::QuantParams;
+pub use qtensor::QuantTensor;
 
 /// Result alias used across the quant crate.
 pub type Result<T> = std::result::Result<T, QuantError>;

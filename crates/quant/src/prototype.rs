@@ -91,10 +91,6 @@ impl PrototypePrecision {
             .collect()
     }
 
-    /// Storage bytes for one prototype of dimension `dim` at this precision.
-    pub fn bytes_per_prototype(&self, dim: usize) -> f64 {
-        dim as f64 * self.bits as f64 / 8.0
-    }
 }
 
 /// Size accounting for an explicit memory holding `num_classes` prototypes of
@@ -197,7 +193,5 @@ mod tests {
         // 32-bit storage is 102.4 kB, 8-bit is 25.6 kB (Fig. 3 x-axis).
         assert!((ExplicitMemoryFootprint::new(100, 256, 32).kilobytes() - 102.4).abs() < 1e-9);
         assert!((ExplicitMemoryFootprint::new(100, 256, 8).kilobytes() - 25.6).abs() < 1e-9);
-        let p = PrototypePrecision::new(3).unwrap();
-        assert!((p.bytes_per_prototype(256) - 96.0).abs() < 1e-9);
     }
 }

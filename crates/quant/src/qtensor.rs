@@ -5,7 +5,7 @@ use ofscil_tensor::Tensor;
 
 /// Symmetric per-tensor quantization parameters: `real ≈ scale * q`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantParams {
+pub(crate) struct QuantParams {
     /// Scale factor mapping integer values back to real values.
     pub scale: f32,
 }
@@ -13,17 +13,17 @@ pub struct QuantParams {
 impl QuantParams {
     /// Derives parameters from the maximum absolute value to represent.
     /// The scale is clamped away from zero so all-zero tensors stay valid.
-    pub fn from_max_abs(max_abs: f32) -> Self {
+    pub(crate) fn from_max_abs(max_abs: f32) -> Self {
         QuantParams { scale: (max_abs / 127.0).max(1e-12) }
     }
 
     /// Quantizes one real value to i8 with saturation.
-    pub fn quantize(&self, value: f32) -> i8 {
+    pub(crate) fn quantize(&self, value: f32) -> i8 {
         (value / self.scale).round().clamp(-127.0, 127.0) as i8
     }
 
     /// Dequantizes one i8 value.
-    pub fn dequantize(&self, value: i8) -> f32 {
+    pub(crate) fn dequantize(&self, value: i8) -> f32 {
         value as f32 * self.scale
     }
 }
@@ -38,7 +38,7 @@ pub struct QuantTensor {
 
 impl QuantTensor {
     /// Quantizes a real tensor with the given parameters.
-    pub fn quantize(tensor: &Tensor, params: QuantParams) -> Self {
+    pub(crate) fn quantize(tensor: &Tensor, params: QuantParams) -> Self {
         QuantTensor {
             data: tensor.as_slice().iter().map(|&v| params.quantize(v)).collect(),
             dims: tensor.dims().to_vec(),
@@ -60,19 +60,9 @@ impl QuantTensor {
         .expect("dims match data by construction")
     }
 
-    /// The integer payload.
-    pub fn as_i8(&self) -> &[i8] {
-        &self.data
-    }
-
     /// The tensor dims.
     pub fn dims(&self) -> &[usize] {
         &self.dims
-    }
-
-    /// The quantization parameters.
-    pub fn params(&self) -> QuantParams {
-        self.params
     }
 
     /// Number of elements.
@@ -135,7 +125,7 @@ mod tests {
         let q = QuantTensor::quantize_auto(&t);
         let back = q.dequantize();
         // Max error is half a quantization step.
-        let step = q.params().scale;
+        let step = q.params.scale;
         assert!(t.max_abs_diff(&back).unwrap() <= 0.51 * step);
         assert_eq!(q.bytes(), 256);
         assert!(!q.is_empty());
