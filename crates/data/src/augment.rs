@@ -9,11 +9,11 @@ use ofscil_tensor::{SeedRng, Tensor};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AugmenterConfig {
     /// Probability of a horizontal flip.
-    pub flip_probability: f32,
+    pub(crate) flip_probability: f32,
     /// Padding (pixels) applied before the random crop; 0 disables cropping.
-    pub crop_padding: usize,
+    pub(crate) crop_padding: usize,
     /// Probability of applying a 3×3 box blur.
-    pub blur_probability: f32,
+    pub(crate) blur_probability: f32,
 }
 
 impl Default for AugmenterConfig {

@@ -119,25 +119,11 @@ impl Dataset {
     }
 
     /// Returns a new dataset containing only samples of the given classes.
-    pub fn filter_classes(&self, classes: &[usize]) -> Dataset {
+    pub(crate) fn filter_classes(&self, classes: &[usize]) -> Dataset {
         let mut out = Dataset::new(&self.image_dims);
         for sample in &self.samples {
             if classes.contains(&sample.label) {
                 out.samples.push(sample.clone());
-            }
-        }
-        out
-    }
-
-    /// Keeps at most `per_class` samples of every class (in insertion order).
-    pub fn truncate_per_class(&self, per_class: usize) -> Dataset {
-        let mut counts = std::collections::HashMap::new();
-        let mut out = Dataset::new(&self.image_dims);
-        for sample in &self.samples {
-            let count = counts.entry(sample.label).or_insert(0usize);
-            if *count < per_class {
-                out.samples.push(sample.clone());
-                *count += 1;
             }
         }
         out
@@ -223,21 +209,6 @@ impl Dataset {
         self.batch(&indices)
     }
 
-    /// Merges another dataset of identical image dims into this one.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the image dims differ.
-    pub fn extend_from(&mut self, other: &Dataset) -> Result<()> {
-        if other.image_dims != self.image_dims {
-            return Err(DataError::InvalidConfig(format!(
-                "cannot merge datasets with dims {:?} and {:?}",
-                self.image_dims, other.image_dims
-            )));
-        }
-        self.samples.extend(other.samples.iter().cloned());
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -276,8 +247,6 @@ mod tests {
         let filtered = ds.filter_classes(&[0, 2]);
         assert_eq!(filtered.classes(), vec![0, 2]);
         assert_eq!(filtered.len(), 8);
-        let truncated = ds.truncate_per_class(2);
-        assert_eq!(truncated.len(), 6);
     }
 
     #[test]
@@ -313,15 +282,5 @@ mod tests {
         assert_eq!(support.labels.iter().filter(|&&l| l == 0).count(), 3);
         assert_eq!(support.labels.iter().filter(|&&l| l == 2).count(), 3);
         assert!(ds.sample_support(&[0], 9, &mut rng).is_err());
-    }
-
-    #[test]
-    fn extend_from_checks_dims() {
-        let mut a = toy_dataset();
-        let b = toy_dataset();
-        a.extend_from(&b).unwrap();
-        assert_eq!(a.len(), 24);
-        let c = Dataset::new(&[3, 8, 8]);
-        assert!(a.extend_from(&c).is_err());
     }
 }

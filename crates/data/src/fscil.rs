@@ -173,7 +173,7 @@ impl FscilBenchmark {
     /// # Errors
     ///
     /// Returns an error when `session` exceeds the number of sessions.
-    pub fn classes_after_session(&self, session: usize) -> Result<Vec<usize>> {
+    pub(crate) fn classes_after_session(&self, session: usize) -> Result<Vec<usize>> {
         if session > self.config.num_sessions {
             return Err(DataError::OutOfRange {
                 what: "session".into(),

@@ -20,13 +20,13 @@ pub struct SyntheticConfig {
     /// Square image side length.
     pub image_size: usize,
     /// Number of texture components per class.
-    pub components_per_class: usize,
+    pub(crate) components_per_class: usize,
     /// Per-sample phase jitter amplitude (radians); larger = harder classes.
-    pub phase_jitter: f32,
+    pub(crate) phase_jitter: f32,
     /// Additive Gaussian pixel-noise standard deviation.
-    pub pixel_noise: f32,
+    pub(crate) pixel_noise: f32,
     /// Maximum per-sample spatial shift in pixels.
-    pub max_shift: usize,
+    pub(crate) max_shift: usize,
 }
 
 impl Default for SyntheticConfig {
@@ -38,18 +38,6 @@ impl Default for SyntheticConfig {
             phase_jitter: 0.35,
             pixel_noise: 0.06,
             max_shift: 2,
-        }
-    }
-}
-
-impl SyntheticConfig {
-    /// A small configuration for fast tests: 20 classes of 16×16 images.
-    pub fn tiny() -> Self {
-        SyntheticConfig {
-            num_classes: 20,
-            image_size: 16,
-            components_per_class: 4,
-            ..Default::default()
         }
     }
 }
@@ -80,7 +68,9 @@ struct ClassSignature {
 /// ```
 /// use ofscil_data::{SyntheticCifar, SyntheticConfig};
 ///
-/// let gen = SyntheticCifar::new(SyntheticConfig::tiny(), 1);
+/// let mut config = SyntheticConfig::default();
+/// config.image_size = 16;
+/// let gen = SyntheticCifar::new(config, 1);
 /// let ds = gen.generate_split(&[0, 1, 2], 5, 100).unwrap();
 /// assert_eq!(ds.len(), 15);
 /// ```
@@ -217,22 +207,32 @@ mod tests {
     use super::*;
     use ofscil_tensor::cosine_similarity;
 
+    /// A small configuration for fast tests: 20 classes of 16×16 images.
+    fn tiny() -> SyntheticConfig {
+        SyntheticConfig {
+            num_classes: 20,
+            image_size: 16,
+            components_per_class: 4,
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn deterministic_rendering() {
-        let gen_a = SyntheticCifar::new(SyntheticConfig::tiny(), 9);
-        let gen_b = SyntheticCifar::new(SyntheticConfig::tiny(), 9);
+        let gen_a = SyntheticCifar::new(tiny(), 9);
+        let gen_b = SyntheticCifar::new(tiny(), 9);
         let a = gen_a.render(3, 0, 0).unwrap();
         let b = gen_b.render(3, 0, 0).unwrap();
         assert_eq!(a, b);
         // Different seed => different image.
-        let gen_c = SyntheticCifar::new(SyntheticConfig::tiny(), 10);
+        let gen_c = SyntheticCifar::new(tiny(), 10);
         let c = gen_c.render(3, 0, 0).unwrap();
         assert!(a.max_abs_diff(&c).unwrap() > 1e-3);
     }
 
     #[test]
     fn pixel_range_is_valid() {
-        let generator = SyntheticCifar::new(SyntheticConfig::tiny(), 0);
+        let generator = SyntheticCifar::new(tiny(), 0);
         let img = generator.render(0, 0, 0).unwrap();
         assert_eq!(img.dims(), &[3, 16, 16]);
         assert!(img.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
@@ -242,7 +242,7 @@ mod tests {
     fn intra_class_more_similar_than_inter_class() {
         // The whole point of the generator: two samples of one class correlate
         // more than samples of different classes, on average.
-        let generator = SyntheticCifar::new(SyntheticConfig::tiny(), 4);
+        let generator = SyntheticCifar::new(tiny(), 4);
         let mut intra = 0.0f32;
         let mut inter = 0.0f32;
         let mut n = 0;
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn split_generation_counts() {
-        let generator = SyntheticCifar::new(SyntheticConfig::tiny(), 0);
+        let generator = SyntheticCifar::new(tiny(), 0);
         let ds = generator.generate_split(&[0, 3, 7], 4, 0).unwrap();
         assert_eq!(ds.len(), 12);
         assert_eq!(ds.classes(), vec![0, 3, 7]);
@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn different_streams_produce_different_samples() {
-        let generator = SyntheticCifar::new(SyntheticConfig::tiny(), 0);
+        let generator = SyntheticCifar::new(tiny(), 0);
         let train = generator.render(2, 0, 0).unwrap();
         let test = generator.render(2, 0, 1).unwrap();
         assert!(train.max_abs_diff(&test).unwrap() > 1e-3);
