@@ -24,17 +24,6 @@ pub enum MetaLoss {
     CrossEntropy,
 }
 
-/// Experiment scale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Profile {
-    /// Laptop-scale: micro backbone, reduced synthetic protocol. Runs the
-    /// entire pipeline in seconds; used by tests and default benches.
-    Micro,
-    /// Full-scale: the paper's backbone and protocol sizes. Orders of
-    /// magnitude slower in this pure-Rust engine; exposed for completeness.
-    Full,
-}
-
 /// Complete configuration of one O-FSCIL experiment (pretraining,
 /// metalearning, incremental protocol and deployment precision).
 #[derive(Debug, Clone)]
@@ -52,9 +41,9 @@ pub struct ExperimentConfig {
     /// Metalearning options (paper §IV-C); `None` skips metalearning.
     pub metalearn: Option<MetalearnConfig>,
     /// Deployed precision for evaluation.
-    pub eval_precision: EvalPrecision,
+    pub(crate) eval_precision: EvalPrecision,
     /// Storage precision of the explicit memory (bits per element; 32 = FP).
-    pub prototype_bits: u8,
+    pub(crate) prototype_bits: u8,
     /// Optional on-device FCR fine-tuning (paper §V-B, the "+FT" rows).
     pub finetune: Option<FinetuneConfig>,
 }
@@ -101,13 +90,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn with_precision(mut self, precision: EvalPrecision) -> Self {
         self.eval_precision = precision;
-        self
-    }
-
-    /// Sets the explicit-memory storage bits (builder style).
-    #[must_use]
-    pub fn with_prototype_bits(mut self, bits: u8) -> Self {
-        self.prototype_bits = bits;
         self
     }
 
@@ -164,13 +146,13 @@ mod tests {
 
     #[test]
     fn builders_and_validation() {
-        let config = ExperimentConfig::micro(1)
-            .with_precision(EvalPrecision::Int8)
-            .with_prototype_bits(3);
+        let mut config = ExperimentConfig::micro(1).with_precision(EvalPrecision::Int8);
+        config.prototype_bits = 3;
         assert_eq!(config.eval_precision, EvalPrecision::Int8);
         config.validate().unwrap();
 
-        let bad = ExperimentConfig::micro(1).with_prototype_bits(12);
+        let mut bad = ExperimentConfig::micro(1);
+        bad.prototype_bits = 12;
         assert!(bad.validate().is_err());
         let mut bad = ExperimentConfig::micro(1);
         bad.projection_dim = 0;

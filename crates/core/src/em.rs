@@ -162,7 +162,7 @@ impl ExplicitMemory {
 
     /// Re-quantizes every stored prototype at a new precision (the Fig. 3
     /// sweep re-uses one trained memory across precisions).
-    pub fn requantize(&mut self, precision: PrototypePrecision) {
+    pub(crate) fn requantize(&mut self, precision: PrototypePrecision) {
         self.precision = precision;
         let classes: Vec<usize> = self.classes();
         for class in classes {
@@ -178,7 +178,7 @@ impl ExplicitMemory {
     ///
     /// Returns an error when the query dimension is wrong or the memory is
     /// empty.
-    pub fn similarities(&self, query: &[f32]) -> Result<(Vec<usize>, Vec<f32>)> {
+    pub(crate) fn similarities(&self, query: &[f32]) -> Result<(Vec<usize>, Vec<f32>)> {
         if query.len() != self.dim {
             return Err(CoreError::InvalidConfig(format!(
                 "query dimension {} does not match EM dimension {}",
@@ -222,7 +222,7 @@ impl ExplicitMemory {
     /// # Errors
     ///
     /// Returns [`CoreError::UnknownClass`] when the class has no prototype.
-    pub fn bipolarized(&self, class: usize) -> Result<Vec<f32>> {
+    pub(crate) fn bipolarized(&self, class: usize) -> Result<Vec<f32>> {
         let proto = self.prototype(class)?;
         Ok(proto.iter().map(|&v| if v >= 0.0 { 1.0 } else { -1.0 }).collect())
     }

@@ -127,9 +127,8 @@ mod tests {
 
     #[test]
     fn int8_and_low_precision_prototypes_run() {
-        let config = tiny_config(4)
-            .with_precision(EvalPrecision::Int8)
-            .with_prototype_bits(3);
+        let mut config = tiny_config(4).with_precision(EvalPrecision::Int8);
+        config.prototype_bits = 3;
         let outcome = run_experiment(&config).unwrap();
         assert!(outcome.model.is_int8());
         assert_eq!(outcome.model.em().precision().bits(), 3);

@@ -13,23 +13,23 @@ use ofscil_tensor::{SeedRng, Tensor};
 /// online class learning, and optionally fine-tuned on device against
 /// bipolarised prototypes (§V-B).
 #[derive(Debug)]
-pub struct Fcr {
+pub(crate) struct Fcr {
     linear: Linear,
 }
 
 impl Fcr {
     /// Creates an FCR projecting `feature_dim` (d_a) to `projection_dim` (d_p).
-    pub fn new(feature_dim: usize, projection_dim: usize, rng: &mut SeedRng) -> Self {
+    pub(crate) fn new(feature_dim: usize, projection_dim: usize, rng: &mut SeedRng) -> Self {
         Fcr { linear: Linear::new(feature_dim, projection_dim, true, rng) }
     }
 
     /// Input dimensionality d_a.
-    pub fn feature_dim(&self) -> usize {
+    pub(crate) fn feature_dim(&self) -> usize {
         self.linear.in_features()
     }
 
     /// Output dimensionality d_p.
-    pub fn projection_dim(&self) -> usize {
+    pub(crate) fn projection_dim(&self) -> usize {
         self.linear.out_features()
     }
 
@@ -38,7 +38,7 @@ impl Fcr {
     /// # Errors
     ///
     /// Returns an error when the input width is not d_a.
-    pub fn forward(&mut self, features: &Tensor, mode: Mode) -> Result<Tensor> {
+    pub(crate) fn forward(&mut self, features: &Tensor, mode: Mode) -> Result<Tensor> {
         Ok(self.linear.forward(features, mode)?)
     }
 
@@ -47,29 +47,15 @@ impl Fcr {
     /// # Errors
     ///
     /// Returns an error when no forward pass was cached.
-    pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor> {
+    pub(crate) fn backward(&mut self, grad: &Tensor) -> Result<Tensor> {
         Ok(self.linear.backward(grad)?)
     }
 
     /// Access to the underlying layer (for optimizers and quantization).
-    pub fn layer_mut(&mut self) -> &mut dyn Layer {
+    pub(crate) fn layer_mut(&mut self) -> &mut dyn Layer {
         &mut self.linear
     }
 
-    /// Number of trainable parameters.
-    pub fn param_count(&mut self) -> u64 {
-        self.linear.param_count()
-    }
-
-    /// Number of MACs for one sample.
-    pub fn macs(&self) -> u64 {
-        (self.feature_dim() * self.projection_dim()) as u64
-    }
-
-    /// Freezes or unfreezes the FCR parameters.
-    pub fn set_trainable(&mut self, trainable: bool) {
-        self.linear.set_trainable(trainable);
-    }
 }
 
 #[cfg(test)]
@@ -86,8 +72,6 @@ mod tests {
         let y = fcr.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[3, 16]);
         assert!(fcr.forward(&Tensor::ones(&[3, 32]), Mode::Eval).is_err());
-        assert_eq!(fcr.macs(), 1024);
-        assert_eq!(fcr.param_count(), 64 * 16 + 16);
     }
 
     #[test]
@@ -105,7 +89,7 @@ mod tests {
     fn freezing_stops_updates() {
         let mut rng = SeedRng::new(2);
         let mut fcr = Fcr::new(8, 4, &mut rng);
-        fcr.set_trainable(false);
+        fcr.linear.set_trainable(false);
         let mut trainable = 0;
         fcr.layer_mut().visit_params(&mut |p| {
             if p.trainable {

@@ -23,7 +23,7 @@ pub struct FinetuneConfig {
     /// SGD learning rate.
     pub learning_rate: f32,
     /// Classes per accumulated gradient step (the sub-batch size N).
-    pub sub_batch: usize,
+    pub(crate) sub_batch: usize,
 }
 
 impl Default for FinetuneConfig {
@@ -41,14 +41,14 @@ impl FinetuneConfig {
 
 /// Summary of a fine-tuning run.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FinetuneReport {
+pub(crate) struct FinetuneReport {
     /// Mean cosine alignment between `FCR(θ_a,i)` and the bipolarised
     /// prototypes before fine-tuning.
-    pub initial_alignment: f32,
+    pub(crate) initial_alignment: f32,
     /// Mean cosine alignment after fine-tuning.
-    pub final_alignment: f32,
+    pub(crate) final_alignment: f32,
     /// Number of epochs executed.
-    pub epochs_run: usize,
+    pub(crate) epochs_run: usize,
     /// Number of classes fine-tuned against.
     pub classes: usize,
 }
@@ -59,7 +59,7 @@ pub struct FinetuneReport {
 ///
 /// Returns an error when the model has no stored prototypes / activations or
 /// a forward/backward pass fails.
-pub fn finetune_fcr(model: &mut OFscilModel, config: &FinetuneConfig) -> Result<FinetuneReport> {
+pub(crate) fn finetune_fcr(model: &mut OFscilModel, config: &FinetuneConfig) -> Result<FinetuneReport> {
     if config.sub_batch == 0 {
         return Err(CoreError::InvalidConfig("sub_batch must be nonzero".into()));
     }

@@ -3,7 +3,7 @@
 //! This crate implements the paper's primary contribution on top of the
 //! workspace substrates:
 //!
-//! * [`Fcr`] — the Fully Connected Reductor projecting backbone features θ_a
+//! * the FCR — the Fully Connected Reductor projecting backbone features θ_a
 //!   (dimension d_a) to prototypical features θ_p (dimension d_p),
 //! * [`ExplicitMemory`] — the expandable prototype store queried by cosine
 //!   similarity, with optional reduced-precision storage,
@@ -15,8 +15,9 @@
 //! * [`metalearn`] — episodic metalearning with ReLU-sharpened cosine logits
 //!   and the multi-margin loss (paper Eq. 3–4), or cross entropy for the
 //!   ablation,
-//! * [`finetune_fcr`] — the optional on-device FCR fine-tuning against
-//!   bipolarised prototypes (paper §V-B, "Mode 2"),
+//! * FCR fine-tuning ([`ExperimentConfig::with_finetune`]) — the optional
+//!   on-device fine-tuning against bipolarised prototypes (paper §V-B,
+//!   "Mode 2"),
 //! * [`run_fscil_protocol`] — the full FSCIL session evaluator producing the
 //!   per-session accuracies of Table II,
 //! * [`run_ablation`] — the component toggles of Table III.
@@ -48,12 +49,14 @@ mod pretrain;
 mod session;
 
 pub use ablation::{run_ablation, AblationResult, AblationVariant};
-pub use config::{EvalPrecision, ExperimentConfig, MetaLoss, Profile};
+pub use config::{EvalPrecision, ExperimentConfig};
+pub use config::MetaLoss;
 pub use em::ExplicitMemory;
 pub use error::CoreError;
 pub use experiment::{run_experiment, ExperimentOutcome};
-pub use fcr::Fcr;
-pub use finetune::{finetune_fcr, FinetuneConfig, FinetuneReport};
+pub(crate) use fcr::Fcr;
+pub use finetune::FinetuneConfig;
+pub(crate) use finetune::finetune_fcr;
 pub use metalearn::{metalearn, MetalearnConfig, MetalearnReport};
 pub use model::OFscilModel;
 pub use pretrain::{pretrain, PretrainConfig, PretrainReport};

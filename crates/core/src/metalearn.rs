@@ -20,9 +20,9 @@ pub struct MetalearnConfig {
     /// Number of metalearning iterations.
     pub iterations: usize,
     /// Meta-samples per class used to build the episode prototypes (N).
-    pub meta_samples_per_class: usize,
+    pub(crate) meta_samples_per_class: usize,
     /// Query samples per class per iteration.
-    pub queries_per_class: usize,
+    pub(crate) queries_per_class: usize,
     /// Multi-margin margin value m (paper: 0.1 after grid search).
     pub margin: f32,
     /// SGD learning rate.
@@ -54,7 +54,7 @@ impl MetalearnConfig {
 
     /// Switches the metalearning loss (builder style).
     #[must_use]
-    pub fn with_loss(mut self, loss: MetaLoss) -> Self {
+    pub(crate) fn with_loss(mut self, loss: MetaLoss) -> Self {
         self.loss = loss;
         self
     }
@@ -66,7 +66,7 @@ pub struct MetalearnReport {
     /// Loss value per iteration.
     pub iteration_losses: Vec<f32>,
     /// Query accuracy per iteration.
-    pub iteration_accuracies: Vec<f32>,
+    pub(crate) iteration_accuracies: Vec<f32>,
 }
 
 impl MetalearnReport {

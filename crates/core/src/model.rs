@@ -52,11 +52,6 @@ impl OFscilModel {
         &mut self.backbone
     }
 
-    /// The FCR.
-    pub fn fcr_mut(&mut self) -> &mut Fcr {
-        &mut self.fcr
-    }
-
     /// The explicit memory (read access).
     pub fn em(&self) -> &ExplicitMemory {
         &self.em

@@ -27,16 +27,16 @@ pub struct PretrainConfig {
     /// L2 weight decay.
     pub weight_decay: f32,
     /// Orthogonality regularisation strength λ_ortho (Eq. 2); 0 disables it.
-    pub lambda_ortho: f32,
+    pub(crate) lambda_ortho: f32,
     /// Enables the traditional augmentations (flip / crop / blur).
     pub augment: bool,
     /// Enables Mixup / CutMix feature interpolation.
-    pub feature_interpolation: bool,
+    pub(crate) feature_interpolation: bool,
     /// Probability of applying Mixup or CutMix to a batch (paper: 0.4).
-    pub interpolation_probability: f32,
+    pub(crate) interpolation_probability: f32,
     /// Maximum global gradient norm per component per step (keeps short,
     /// aggressive schedules stable).
-    pub gradient_clip: f32,
+    pub(crate) gradient_clip: f32,
 }
 
 impl PretrainConfig {
@@ -77,7 +77,7 @@ pub struct PretrainReport {
     /// Mean total loss per epoch.
     pub epoch_losses: Vec<f32>,
     /// Mean orthogonality loss per epoch (zero when disabled).
-    pub epoch_ortho_losses: Vec<f32>,
+    pub(crate) epoch_ortho_losses: Vec<f32>,
     /// Training accuracy of the final epoch (on clean, non-interpolated
     /// batches only).
     pub final_train_accuracy: f32,

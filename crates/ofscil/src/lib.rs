@@ -82,8 +82,8 @@ pub mod prelude {
         SimilarityMetric,
     };
     pub use ofscil_core::{
-        finetune_fcr, metalearn, pretrain, run_ablation, run_experiment, run_fscil_protocol,
-        AblationVariant, EvalPrecision, ExperimentConfig, ExplicitMemory, Fcr, FinetuneConfig,
+        metalearn, pretrain, run_ablation, run_experiment, run_fscil_protocol, AblationVariant,
+        EvalPrecision, ExperimentConfig, ExplicitMemory, FinetuneConfig,
         MetaLoss, MetalearnConfig, OFscilModel, PretrainConfig, SessionResults,
     };
     pub use ofscil_ctrl::{
