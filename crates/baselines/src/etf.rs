@@ -47,7 +47,7 @@ impl EtfHead {
     /// # Errors
     ///
     /// Returns an error when shapes disagree or the capacity is exceeded.
-    pub fn fit_base(&mut self, features: &Tensor, labels: &[usize]) -> Result<()> {
+    pub(crate) fn fit_base(&mut self, features: &Tensor, labels: &[usize]) -> Result<()> {
         self.assign_classes(labels)?;
         let dim = self.check_features(features, labels)?;
         let mut target_matrix = Tensor::zeros(&[labels.len(), self.feature_dim_targets()]);

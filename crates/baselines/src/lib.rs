@@ -48,7 +48,7 @@ pub use etf::EtfHead;
 pub use head::{BaselineHead, FeatureSpace, SimilarityMetric};
 pub use ncm::NearestClassMean;
 pub use protocol::run_baseline_protocol;
-pub use ridge::ridge_regression;
+pub(crate) use ridge::ridge_regression;
 
 /// Result alias used across the baselines crate.
 pub type Result<T> = std::result::Result<T, ofscil_core::CoreError>;

@@ -15,7 +15,7 @@ use ofscil_tensor::Tensor;
 ///
 /// Returns an error when the shapes disagree or the system is singular even
 /// after regularisation.
-pub fn ridge_regression(x: &Tensor, y: &Tensor, lambda: f32) -> Result<Tensor> {
+pub(crate) fn ridge_regression(x: &Tensor, y: &Tensor, lambda: f32) -> Result<Tensor> {
     if x.dims().len() != 2 || y.dims().len() != 2 || x.dims()[0] != y.dims()[0] {
         return Err(CoreError::InvalidConfig(format!(
             "ridge regression needs aligned [n, d] and [n, k] matrices, got {:?} and {:?}",

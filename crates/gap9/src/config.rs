@@ -25,30 +25,30 @@ pub struct Gap9Config {
     /// External L3 size in bytes.
     pub l3_bytes: usize,
     /// DMA bandwidth between L2 and L1 in bytes per cluster cycle.
-    pub dma_l2_bytes_per_cycle: f64,
+    pub(crate) dma_l2_bytes_per_cycle: f64,
     /// Effective DMA bandwidth between L3 and L1 in bytes per cluster cycle.
-    pub dma_l3_bytes_per_cycle: f64,
+    pub(crate) dma_l3_bytes_per_cycle: f64,
     /// Sustained int8 MACs per core per cycle for convolutional kernels.
-    pub conv_macs_per_core_cycle: f64,
+    pub(crate) conv_macs_per_core_cycle: f64,
     /// Sustained int8 MACs per core per cycle for fully connected kernels.
-    pub linear_macs_per_core_cycle: f64,
+    pub(crate) linear_macs_per_core_cycle: f64,
     /// Sustained MACs per core per cycle for training (backward) kernels,
     /// which run without the int8 SIMD path.
-    pub training_macs_per_core_cycle: f64,
+    pub(crate) training_macs_per_core_cycle: f64,
     /// Parallelisation overhead: equivalent work units consumed per extra
     /// active core (models fork/join and load imbalance on small tiles).
-    pub parallel_overhead_units: f64,
+    pub(crate) parallel_overhead_units: f64,
     /// Fixed per-layer overhead cycles (kernel launch, DMA programming).
-    pub layer_overhead_cycles: u64,
+    pub(crate) layer_overhead_cycles: u64,
     /// Static (leakage + fabric controller) power in milliwatts.
-    pub leakage_mw: f64,
+    pub(crate) leakage_mw: f64,
     /// Dynamic power per active cluster core in milliwatts.
-    pub core_dynamic_mw: f64,
+    pub(crate) core_dynamic_mw: f64,
     /// Additional power while DMA transfers dominate, in milliwatts.
-    pub dma_mw: f64,
+    pub(crate) dma_mw: f64,
     /// Additional power during training (gradient computation and weight
     /// write-back), in milliwatts.
-    pub training_extra_mw: f64,
+    pub(crate) training_extra_mw: f64,
 }
 
 impl Default for Gap9Config {
@@ -77,7 +77,7 @@ impl Default for Gap9Config {
 
 impl Gap9Config {
     /// Converts a cycle count into milliseconds at the configured frequency.
-    pub fn cycles_to_ms(&self, cycles: f64) -> f64 {
+    pub(crate) fn cycles_to_ms(&self, cycles: f64) -> f64 {
         cycles / self.frequency_hz * 1e3
     }
 

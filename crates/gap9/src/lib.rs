@@ -56,9 +56,10 @@ pub use config::Gap9Config;
 pub use deploy::{deploy_backbone, deploy_fcr};
 pub use error::Gap9Error;
 pub use ops::{Gap9Executor, OperationCost};
-pub use perf::{estimate_execution, ExecutionEstimate, LayerCost};
+pub use perf::{estimate_execution, ExecutionEstimate};
 pub use power::PowerModel;
-pub use workload::{KernelClass, LayerWorkload, NetworkWorkload};
+pub use workload::{LayerWorkload, NetworkWorkload};
+pub(crate) use workload::KernelClass;
 
 /// Result alias used across the gap9 crate.
 pub type Result<T> = std::result::Result<T, Gap9Error>;

@@ -4,22 +4,22 @@ use crate::{Gap9Config, Gap9Error, KernelClass, NetworkWorkload, Result};
 
 /// Cycle breakdown of one deployed layer.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LayerCost {
+pub(crate) struct LayerCost {
     /// Layer name.
     pub name: String,
     /// Compute cycles on the active cores.
-    pub compute_cycles: f64,
+    pub(crate) compute_cycles: f64,
     /// DMA cycles (weights + activations).
-    pub dma_cycles: f64,
+    pub(crate) dma_cycles: f64,
     /// Fixed per-layer overhead cycles.
-    pub overhead_cycles: f64,
+    pub(crate) overhead_cycles: f64,
 }
 
 impl LayerCost {
     /// Total cycles of the layer (compute and DMA are modelled as
     /// non-overlapping, which matches the paper's observation that the FCR
     /// layer is dominated by its weight transfer).
-    pub fn total_cycles(&self) -> f64 {
+    pub(crate) fn total_cycles(&self) -> f64 {
         self.compute_cycles + self.dma_cycles + self.overhead_cycles
     }
 }
@@ -28,7 +28,7 @@ impl LayerCost {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecutionEstimate {
     /// Per-layer breakdown.
-    pub layers: Vec<LayerCost>,
+    pub(crate) layers: Vec<LayerCost>,
     /// Number of active cluster cores.
     pub cores: usize,
     /// Total MACs of the estimated pass.
@@ -39,17 +39,17 @@ pub struct ExecutionEstimate {
 
 impl ExecutionEstimate {
     /// Total cycles of the pass.
-    pub fn total_cycles(&self) -> f64 {
+    pub(crate) fn total_cycles(&self) -> f64 {
         self.layers.iter().map(LayerCost::total_cycles).sum()
     }
 
     /// Total DMA cycles of the pass.
-    pub fn dma_cycles(&self) -> f64 {
+    pub(crate) fn dma_cycles(&self) -> f64 {
         self.layers.iter().map(|l| l.dma_cycles).sum()
     }
 
     /// Fraction of the total time spent in DMA transfers.
-    pub fn dma_fraction(&self) -> f64 {
+    pub(crate) fn dma_fraction(&self) -> f64 {
         let total = self.total_cycles();
         if total <= 0.0 {
             0.0
@@ -64,7 +64,7 @@ impl ExecutionEstimate {
     }
 
     /// Overall MACs per cycle, the metric of the paper's Fig. 2.
-    pub fn macs_per_cycle(&self) -> f64 {
+    pub(crate) fn macs_per_cycle(&self) -> f64 {
         let total = self.total_cycles();
         if total <= 0.0 {
             0.0

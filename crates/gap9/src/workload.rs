@@ -4,7 +4,7 @@
 /// Kernel family of a deployed layer; determines the sustained throughput and
 /// the unit of parallelisation used by the latency model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelClass {
+pub(crate) enum KernelClass {
     /// Standard or pointwise convolution (including inverted-residual blocks).
     Convolution,
     /// Depthwise convolution.
@@ -21,7 +21,7 @@ pub struct LayerWorkload {
     /// Layer display name.
     pub name: String,
     /// Kernel family.
-    pub kernel: KernelClass,
+    pub(crate) kernel: KernelClass,
     /// Multiply-accumulate operations for one sample.
     pub macs: u64,
     /// Resident weight bytes (int8 deployment: one byte per parameter).
@@ -37,7 +37,7 @@ pub struct LayerWorkload {
 
 impl LayerWorkload {
     /// Total bytes that must transit the DMA for one execution of the layer.
-    pub fn dma_bytes(&self) -> u64 {
+    pub(crate) fn dma_bytes(&self) -> u64 {
         self.weight_bytes + self.input_bytes + self.output_bytes
     }
 
@@ -58,12 +58,12 @@ pub struct NetworkWorkload {
     /// network alone would fit in L2 — used for components (such as the FCR)
     /// that share the on-chip memory with a backbone that already overflows
     /// it.
-    pub force_l3_weights: bool,
+    pub(crate) force_l3_weights: bool,
 }
 
 impl NetworkWorkload {
     /// Total MACs of one forward pass.
-    pub fn total_macs(&self) -> u64 {
+    pub(crate) fn total_macs(&self) -> u64 {
         self.layers.iter().map(|l| l.macs).sum()
     }
 
@@ -73,7 +73,7 @@ impl NetworkWorkload {
     }
 
     /// Number of deployed layers.
-    pub fn num_layers(&self) -> usize {
+    pub(crate) fn num_layers(&self) -> usize {
         self.layers.len()
     }
 
