@@ -183,10 +183,9 @@ impl Event {
     }
 
     /// Sets the explicit timestamp (builder style). [`EventSink::emit`]
-    /// overwrites it; use [`EventSink::emit_at`] to keep it.
+    /// overwrites it; use `EventSink::emit_at` to keep it.
     ///
     /// [`EventSink::emit`]: crate::EventSink::emit
-    /// [`EventSink::emit_at`]: crate::EventSink::emit_at
     #[must_use]
     pub fn with_time_us(mut self, time_us: u64) -> Event {
         self.time_us = time_us;

@@ -6,7 +6,7 @@ use ofscil_tensor::bytes::{put_u64, DecodeError, Reader};
 /// Number of buckets in a [`LatencyHistogram`]. Bucket 0 holds exact zeros,
 /// bucket `i ≥ 1` holds latencies in `[2^(i-1), 2^i)` microseconds, and the
 /// last bucket absorbs everything from `2^30` µs (~18 minutes) up.
-pub const LATENCY_BUCKETS: usize = 32;
+pub(crate) const LATENCY_BUCKETS: usize = 32;
 
 /// A fixed-size power-of-2 latency histogram.
 ///
@@ -17,7 +17,9 @@ pub const LATENCY_BUCKETS: usize = 32;
 /// 2× the true value).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencyHistogram {
-    /// Per-bucket counts; see [`LATENCY_BUCKETS`] for the bucket layout.
+    /// Per-bucket counts. Bucket 0 holds exact zeros, bucket `i ≥ 1` holds
+    /// latencies in `[2^(i-1), 2^i)` microseconds, and the last bucket
+    /// absorbs everything from `2^30` µs up.
     pub counts: [u64; LATENCY_BUCKETS],
 }
 
@@ -39,7 +41,7 @@ impl LatencyHistogram {
     /// The inclusive upper bound of a bucket, in microseconds — what
     /// quantiles report. The last bucket is unbounded and reports its lower
     /// bound to stay finite.
-    pub fn bucket_bound_us(bucket: usize) -> u64 {
+    pub(crate) fn bucket_bound_us(bucket: usize) -> u64 {
         if bucket >= LATENCY_BUCKETS - 1 {
             1 << (LATENCY_BUCKETS - 2)
         } else {
@@ -66,7 +68,7 @@ impl LatencyHistogram {
 
     /// The upper bound of the bucket holding the `q`-quantile sample
     /// (`q` in `[0, 1]`), 0 when empty.
-    pub fn quantile_us(&self, q: f64) -> u64 {
+    pub(crate) fn quantile_us(&self, q: f64) -> u64 {
         let total = self.total();
         if total == 0 {
             return 0;
@@ -93,7 +95,7 @@ impl LatencyHistogram {
         self.quantile_us(0.99)
     }
 
-    /// Appends the [`LATENCY_BUCKETS`] counts, bucket order.
+    /// Appends the 32 bucket counts, bucket order.
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.reserve(LATENCY_BUCKETS * 8);
         for &count in &self.counts {

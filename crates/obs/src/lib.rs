@@ -77,11 +77,8 @@ mod store;
 mod tail;
 
 pub use event::{Event, EventKind};
-pub use histogram::{LatencyHistogram, LATENCY_BUCKETS};
-pub use query::{
-    sort_dedup_events, trailing_rates_of, DeploymentRate, ObsAggregates, ObsQuery, ObsResult,
-    Resolution, Summary, AUTO_RAW_WINDOW_US, DEFAULT_EVENT_LIMIT,
-};
+pub use histogram::LatencyHistogram;
+pub use query::{sort_dedup_events, trailing_rates_of, DeploymentRate, ObsAggregates, ObsQuery, ObsResult, Resolution, Summary, DEFAULT_EVENT_LIMIT};
 pub use rollup::{Rollup, ROLLUP_BUCKET_US};
 pub use sink::{EventSink, ObsClock};
 pub use store::{ChunkSpill, ObsConfig, ObsCounters, ObsStore, EVENT_BYTES};

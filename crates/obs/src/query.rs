@@ -14,7 +14,7 @@ pub const DEFAULT_EVENT_LIMIT: u32 = 4096;
 /// How wide an [`Resolution::Auto`] query's trailing raw window is: the
 /// last 10 rollup buckets are served as raw events, everything older as
 /// rollup rows.
-pub const AUTO_RAW_WINDOW_US: u64 = 10 * ROLLUP_BUCKET_US;
+pub(crate) const AUTO_RAW_WINDOW_US: u64 = 10 * ROLLUP_BUCKET_US;
 
 /// What granularity a query wants its matches materialized at.
 ///
@@ -29,9 +29,8 @@ pub enum Resolution {
     Raw,
     /// Per-minute rollup rows only; `events` stays empty.
     Rollup,
-    /// Rollups for history, raw events for the trailing
-    /// [`AUTO_RAW_WINDOW_US`] — split at a bucket boundary so no row is
-    /// counted twice.
+    /// Rollups for history, raw events for the trailing 10 rollup buckets
+    /// — split at a bucket boundary so no row is counted twice.
     Auto,
 }
 
@@ -66,13 +65,13 @@ pub struct ObsQuery {
     /// router can peek it like any other request's routing key.
     pub deployment: String,
     /// Earliest matching [`Event::time_us`].
-    pub time_min: u64,
+    pub(crate) time_min: u64,
     /// Latest matching [`Event::time_us`].
-    pub time_max: u64,
+    pub(crate) time_max: u64,
     /// Smallest matching [`Event::seq`].
-    pub seq_min: u64,
+    pub(crate) seq_min: u64,
     /// Largest matching [`Event::seq`].
-    pub seq_max: u64,
+    pub(crate) seq_max: u64,
     /// OR of [`EventKind::bit`]s to match; 0 matches every kind.
     pub kinds: u16,
     /// Maximum events returned (earliest first); excess rows still count in
@@ -444,7 +443,7 @@ impl ObsResult {
     /// cell overlapping the cursor's minute cannot be split. A splice that
     /// mixes trimmed raw rows with rollup history therefore stays exact on
     /// events and bucket-coarse on rollups.
-    pub fn retain_after(&mut self, cursor: ObsCursor) {
+    pub(crate) fn retain_after(&mut self, cursor: ObsCursor) {
         let aggregates = &mut self.aggregates;
         self.events.retain(|event| {
             if event.order_key() > cursor.key() {

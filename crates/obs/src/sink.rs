@@ -33,7 +33,7 @@ impl ObsClock {
     }
 
     /// Monotonic microseconds since the Unix epoch.
-    pub fn now_us(&self) -> u64 {
+    pub(crate) fn now_us(&self) -> u64 {
         self.anchor_us.saturating_add(self.started.elapsed().as_micros() as u64)
     }
 }
@@ -101,7 +101,7 @@ impl EventSink {
     /// the closing edge, stamped with the accepted event's time and
     /// carrying the total dropped count in `seq`. Drop windows are thereby
     /// visible in the timeline itself, one row per window.
-    pub fn emit_at(&self, event: Event) {
+    pub(crate) fn emit_at(&self, event: Event) {
         let time_us = event.time_us;
         match self.tx.try_send(event) {
             Ok(()) => {

@@ -97,15 +97,15 @@ pub struct ObsCounters {
     /// this; a bare store reports 0).
     pub dropped: u64,
     /// Sealed chunks currently resident.
-    pub sealed_chunks: u64,
+    pub(crate) sealed_chunks: u64,
     /// Rows currently resident (active + sealed).
     pub resident_events: u64,
     /// `resident_events × EVENT_BYTES`.
-    pub resident_bytes: u64,
+    pub(crate) resident_bytes: u64,
     /// Whole chunks evicted by the byte budget so far.
     pub gc_chunks: u64,
     /// Rows those evictions removed.
-    pub gc_events: u64,
+    pub(crate) gc_events: u64,
     /// Sealed chunks handed to the [`ChunkSpill`] hook so far (0 when no
     /// hook is attached; adopted chunks are not re-spilled and not counted).
     pub spilled_chunks: u64,
@@ -115,12 +115,12 @@ pub struct ObsCounters {
     pub tails: u64,
     /// Rows accepted into tail subscriber channels so far (all subscribers,
     /// departed ones included).
-    pub tail_delivered: u64,
+    pub(crate) tail_delivered: u64,
     /// Rows shed because a tail subscriber's channel was full.
-    pub tail_dropped: u64,
+    pub(crate) tail_dropped: u64,
     /// Clean→overflow transitions across all tail subscribers — one per
     /// [`SinkOverflow`](crate::EventKind::SinkOverflow) marker appended.
-    pub tail_overflows: u64,
+    pub(crate) tail_overflows: u64,
 }
 
 /// The eight parallel columns of one chunk.
@@ -516,13 +516,6 @@ impl ObsStore {
         }
     }
 
-    /// The store-lifetime latency histogram of one event kind. Recorded on
-    /// every append and adoption; never windowed and never GC'd.
-    pub fn latency_histogram(&self, kind: EventKind) -> LatencyHistogram {
-        let inner = self.inner.lock().expect("obs store lock");
-        inner.histograms[kind.code() as usize]
-    }
-
     /// Registers a live tail: a bounded channel of `depth` events fed by
     /// every subsequent append that matches `filter`, plus the cursor-ranged
     /// back-fill of everything the store already holds.
@@ -581,7 +574,7 @@ impl ObsStore {
     /// `query.limit`, earliest first), and a rollup span is answered from
     /// the per-minute cells — at **bucket granularity**, so a cell whose
     /// minute intersects the span contributes whole. [`Resolution::Auto`]
-    /// splits at a bucket boundary [`AUTO_RAW_WINDOW_US`] behind the latest
+    /// splits at a bucket boundary 10 rollup buckets behind the latest
     /// event, so no row is ever counted twice; the sequence window applies
     /// to the raw span only.
     pub fn query(&self, query: &ObsQuery) -> ObsResult {
@@ -1036,6 +1029,9 @@ mod tests {
 
     #[test]
     fn latency_histograms_are_per_kind_and_survive_adoption() {
+        let histogram = |store: &ObsStore, kind| {
+            store.query(&ObsQuery::all().with_kinds(&[kind])).latency_hist
+        };
         let store = ObsStore::new(ObsConfig::default());
         for i in 0..98u64 {
             store.append(&event("t", i, i).with_latency_us(100));
@@ -1043,14 +1039,12 @@ mod tests {
         store.append(&event("t", 98, 98).with_latency_us(5_000));
         store.append(&event("t", 99, 99).with_latency_us(5_000));
         store.append(&Event::new(EventKind::Learn, "t").with_latency_us(1_000_000));
-        let infer = store.latency_histogram(EventKind::Infer);
+        let infer = histogram(&store, EventKind::Infer);
         assert_eq!(infer.total(), 100);
         assert_eq!(infer.p50_us(), 127);
         assert_eq!(infer.p99_us(), 8_191);
-        assert_eq!(store.latency_histogram(EventKind::Learn).total(), 1);
+        assert_eq!(histogram(&store, EventKind::Learn).total(), 1);
         // The queried kind mask picks which histograms ride on the result.
-        let result = store.query(&ObsQuery::all().with_kinds(&[EventKind::Infer]));
-        assert_eq!(result.latency_hist.total(), 100);
         assert_eq!(store.query(&ObsQuery::all()).latency_hist.total(), 101);
 
         // Adopted chunks fold in, so a rehydrated store answers like the
@@ -1059,8 +1053,8 @@ mod tests {
         let all = store.query(&ObsQuery::all());
         reborn.adopt_chunk(&all.events);
         assert_eq!(
-            reborn.latency_histogram(EventKind::Infer),
-            store.latency_histogram(EventKind::Infer)
+            histogram(&reborn, EventKind::Infer),
+            histogram(&store, EventKind::Infer)
         );
     }
 
