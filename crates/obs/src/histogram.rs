@@ -54,16 +54,17 @@ impl LatencyHistogram {
         self.counts[LatencyHistogram::bucket_of(latency_us)] += 1;
     }
 
-    /// Folds another histogram in, bucket-wise.
+    /// Folds another histogram in, bucket-wise. Buckets saturate: a
+    /// histogram decoded from a peer may hold any counts.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *mine += theirs;
+            *mine = mine.saturating_add(*theirs);
         }
     }
 
-    /// Total samples recorded.
+    /// Total samples recorded, saturating at `u64::MAX`.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.counts.iter().fold(0, |total, &count| total.saturating_add(count))
     }
 
     /// The upper bound of the bucket holding the `q`-quantile sample
@@ -77,7 +78,7 @@ impl LatencyHistogram {
         let rank = ((q * total as f64).ceil() as u64).clamp(1, total);
         let mut seen = 0u64;
         for (bucket, &count) in self.counts.iter().enumerate() {
-            seen += count;
+            seen = seen.saturating_add(count);
             if seen >= rank {
                 return LatencyHistogram::bucket_bound_us(bucket);
             }

@@ -232,12 +232,13 @@ impl Summary {
         self.count += 1;
     }
 
-    /// Folds another summary in (for merging shard results).
+    /// Folds another summary in (for merging shard results). The count
+    /// saturates: a peer's decoded counters are not trusted to be sane.
     pub fn merge(&mut self, other: &Summary) {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum += other.sum;
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
     }
 
     /// Mean of the observed values; NaN when empty.
@@ -297,9 +298,9 @@ impl ObsAggregates {
         self.accuracy.observe(f64::from(event.accuracy));
     }
 
-    /// Folds another aggregate in.
+    /// Folds another aggregate in, saturating like [`Summary::merge`].
     pub fn merge(&mut self, other: &ObsAggregates) {
-        self.matched += other.matched;
+        self.matched = self.matched.saturating_add(other.matched);
         self.energy_mj.merge(&other.energy_mj);
         self.latency_us.merge(&other.latency_us);
         self.accuracy.merge(&other.accuracy);
@@ -397,10 +398,10 @@ impl ObsResult {
         for part in parts {
             merged.aggregates.merge(&part.aggregates);
             merged.truncated |= part.truncated;
-            merged.appended += part.appended;
-            merged.dropped += part.dropped;
-            merged.shards_ok += part.shards_ok;
-            merged.shards_err += part.shards_err;
+            merged.appended = merged.appended.saturating_add(part.appended);
+            merged.dropped = merged.dropped.saturating_add(part.dropped);
+            merged.shards_ok = merged.shards_ok.saturating_add(part.shards_ok);
+            merged.shards_err = merged.shards_err.saturating_add(part.shards_err);
             // Like `appended`, the histogram is a per-store counter: it sums
             // across parts (a retried leg counts twice, same as `appended`).
             merged.latency_hist.merge(&part.latency_hist);
@@ -409,7 +410,7 @@ impl ObsResult {
         }
         let aggregates = &mut merged.aggregates;
         sort_dedup_events(&mut merged.events, |event| {
-            aggregates.matched -= 1;
+            aggregates.matched = aggregates.matched.saturating_sub(1);
             retract(&mut aggregates.energy_mj, event.energy_mj);
             retract(&mut aggregates.latency_us, event.latency_us as f64);
             retract(&mut aggregates.accuracy, f64::from(event.accuracy));
@@ -449,7 +450,7 @@ impl ObsResult {
             if event.order_key() > cursor.key() {
                 return true;
             }
-            aggregates.matched -= 1;
+            aggregates.matched = aggregates.matched.saturating_sub(1);
             retract(&mut aggregates.energy_mj, event.energy_mj);
             retract(&mut aggregates.latency_us, event.latency_us as f64);
             retract(&mut aggregates.accuracy, f64::from(event.accuracy));
@@ -460,11 +461,12 @@ impl ObsResult {
 
 /// Removes one previously-observed value from a summary's sum and count.
 /// Min/max stay valid because the retracted row was identical to one that
-/// remains.
+/// remains. The count saturates at zero: a part decoded from a peer may
+/// carry rows its aggregates never counted.
 fn retract(summary: &mut Summary, value: f64) {
     if value.is_finite() {
         summary.sum -= value;
-        summary.count -= 1;
+        summary.count = summary.count.saturating_sub(1);
     }
 }
 
@@ -677,6 +679,44 @@ mod tests {
         assert_eq!(merged.events.len(), 2);
         assert_eq!(merged.aggregates.matched, 2);
         assert_eq!(merged.aggregates.energy_mj.sum, 0.75);
+    }
+
+    /// Parts come decoded off the wire, so their counters are whatever a
+    /// peer sent: a duplicate row its aggregates never counted, or buckets
+    /// already at `u64::MAX`. Merging and trimming saturate instead of
+    /// panicking (debug) or wrapping to ≈`u64::MAX` (release).
+    #[test]
+    fn merge_saturates_peer_supplied_counters() {
+        let row = Event::new(EventKind::Infer, "t").with_time_us(5).with_seq(3).with_latency_us(40);
+        let mut part = ObsResult::default();
+        part.events = vec![row.clone()];
+        let merged = ObsResult::merge(vec![part.clone(), part.clone()], 16);
+        assert_eq!(merged.events.len(), 1);
+        assert_eq!(merged.aggregates.matched, 0);
+        assert_eq!(merged.aggregates.latency_us.count, 0);
+
+        let mut trimmed = part.clone();
+        trimmed.retain_after(ObsCursor::at(&row));
+        assert!(trimmed.events.is_empty());
+        assert_eq!(trimmed.aggregates.matched, 0);
+
+        let mut full = ObsResult { appended: u64::MAX, shards_ok: u32::MAX, ..part };
+        full.aggregates.matched = u64::MAX;
+        full.aggregates.energy_mj.count = u64::MAX;
+        full.latency_hist.counts = [u64::MAX; crate::histogram::LATENCY_BUCKETS];
+        let mut cell = Rollup::new(0, "t", EventKind::Infer);
+        cell.count = u64::MAX;
+        full.rollups = vec![cell];
+        let merged = ObsResult::merge(vec![full.clone(), full], 16);
+        assert_eq!(merged.appended, u64::MAX);
+        assert_eq!(merged.shards_ok, u32::MAX);
+        assert_eq!(merged.latency_hist.counts[0], u64::MAX);
+        assert_eq!(merged.latency_hist.total(), u64::MAX);
+        assert_eq!(merged.latency_hist.p50_us(), 0);
+        assert_eq!(merged.rollups[0].count, u64::MAX);
+        // The retried row was retracted once from the saturated counts.
+        assert_eq!(merged.aggregates.matched, u64::MAX - 1);
+        assert_eq!(merged.aggregates.energy_mj.count, u64::MAX - 1);
     }
 
     /// The resume-splice invariant: a rollup-resolution back-fill and a raw

@@ -69,7 +69,7 @@ impl Rollup {
     /// Folds another cell with the same key in (for merging shard results
     /// or epoch-compacted spill rows).
     pub fn absorb(&mut self, other: &Rollup) {
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.energy_mj.merge(&other.energy_mj);
         self.latency_us.merge(&other.latency_us);
         self.accuracy.merge(&other.accuracy);
