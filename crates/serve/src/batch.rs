@@ -48,7 +48,7 @@ pub(crate) enum DeploymentJob {
 #[derive(Default)]
 pub(crate) struct WorkQueue {
     pub jobs: VecDeque<DeploymentJob>,
-    pub scheduled: bool,
+    pub(crate) scheduled: bool,
 }
 
 impl WorkQueue {

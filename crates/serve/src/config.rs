@@ -43,13 +43,6 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Sets the worker count (builder style).
-    #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Sets the maximum batch size (builder style).
     #[must_use]
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
@@ -105,7 +98,7 @@ mod tests {
 
     #[test]
     fn zero_knobs_are_rejected() {
-        assert!(ServeConfig::default().with_workers(0).validate().is_err());
+        assert!(ServeConfig { workers: 0, ..ServeConfig::default() }.validate().is_err());
         assert!(ServeConfig::default().with_max_batch(0).validate().is_err());
         assert!(ServeConfig::default().with_queue_depth(0).validate().is_err());
         ServeConfig::default().with_queue_depth(1).validate().unwrap();

@@ -33,27 +33,23 @@ pub struct DeploymentSpec {
     pub name: String,
     /// Input image height and width the deployment serves. Requests are
     /// validated against this shape at admission.
-    pub image_hw: (usize, usize),
+    pub(crate) image_hw: (usize, usize),
     /// Energy budget in millijoules; `None` means unlimited.
     pub energy_budget_mj: Option<f64>,
     /// Policy applied once the budget is spent.
-    pub budget_policy: BudgetPolicy,
-    /// Cluster cores assumed when pricing requests on the GAP9 model.
-    pub cores: usize,
+    pub(crate) budget_policy: BudgetPolicy,
     /// Device model used for pricing.
     pub gap9: Gap9Config,
 }
 
 impl DeploymentSpec {
-    /// Creates a spec with an unlimited budget, the full 8-core cluster and
-    /// the default device model.
+    /// Creates a spec with an unlimited budget and the default device model.
     pub fn new(name: &str, image_hw: (usize, usize)) -> Self {
         DeploymentSpec {
             name: name.to_string(),
             image_hw,
             energy_budget_mj: None,
             budget_policy: BudgetPolicy::Reject,
-            cores: 8,
             gap9: Gap9Config::default(),
         }
     }
@@ -64,13 +60,6 @@ impl DeploymentSpec {
     pub fn with_energy_budget(mut self, budget_mj: f64, policy: BudgetPolicy) -> Self {
         self.energy_budget_mj = Some(budget_mj);
         self.budget_policy = policy;
-        self
-    }
-
-    /// Sets the core count used for pricing (builder style).
-    #[must_use]
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cores = cores;
         self
     }
 }
@@ -87,21 +76,17 @@ pub struct RequestPricing {
     pub learn_sample_mj: f64,
 }
 
-impl RequestPricing {
-    /// A zero-cost price list (used when pricing is irrelevant, e.g. tests).
-    pub fn free() -> Self {
-        RequestPricing { infer_mj: 0.0, learn_sample_mj: 0.0 }
-    }
-}
-
 /// Everything needed to re-derive a deployment's price list when its
 /// execution precision changes (fp32 → int8 conversion).
 #[derive(Debug, Clone)]
 struct PricingBasis {
     gap9: Gap9Config,
-    cores: usize,
     image_hw: (usize, usize),
 }
+
+/// Cluster cores assumed when pricing requests on the GAP9 model: the full
+/// 8-core cluster.
+const PRICING_CORES: usize = 8;
 
 /// Bytes moved per parameter/activation at fp32 relative to the int8
 /// deployment the GAP9 workload descriptors assume.
@@ -123,7 +108,7 @@ fn scale_workload_to_fp32(workload: &mut NetworkWorkload) {
 /// Energy of one forward pass of `workload` on the device model, in
 /// millijoules.
 fn workload_energy_mj(workload: &NetworkWorkload, basis: &PricingBasis) -> Result<f64> {
-    let estimate = estimate_execution(workload, &basis.gap9, basis.cores, false)?;
+    let estimate = estimate_execution(workload, &basis.gap9, PRICING_CORES, false)?;
     Ok(PowerModel::new(basis.gap9.clone()).energy_mj(&estimate))
 }
 
@@ -502,7 +487,7 @@ pub(crate) struct Deployment {
     /// Replication sequence number: incremented once per committed
     /// `LearnOnline`, read/written only while the model lock is held so the
     /// sequence order matches the order of memory mutations exactly.
-    pub repl_seq: Mutex<u64>,
+    pub(crate) repl_seq: Mutex<u64>,
     /// Memoized coalesced-batch energies by batch size; cleared whenever the
     /// deployment is re-priced (int8 conversion).
     batched_mj: Mutex<HashMap<usize, f64>>,
@@ -606,6 +591,9 @@ impl Deployment {
     }
 }
 
+/// Lock shards of a [`LearnerRegistry`].
+const SHARDS: usize = 8;
+
 /// FNV-1a over a name — the shard selector.
 fn shard_of(name: &str, shards: usize) -> usize {
     (fnv1a64(name.as_bytes()) % shards as u64) as usize
@@ -630,17 +618,9 @@ impl Default for LearnerRegistry {
 }
 
 impl LearnerRegistry {
-    /// Creates a registry with the default shard count (8).
+    /// Creates an empty registry.
     pub fn new() -> Self {
-        LearnerRegistry::with_shards(8)
-    }
-
-    /// Creates a registry with an explicit shard count (minimum 1).
-    pub fn with_shards(shards: usize) -> Self {
-        let shards = shards.max(1);
-        LearnerRegistry {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-        }
+        LearnerRegistry { shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect() }
     }
 
     /// Registers a deployment. The request price list is derived from the
@@ -652,13 +632,9 @@ impl LearnerRegistry {
     /// # Errors
     ///
     /// Returns [`ServeError::DuplicateDeployment`] when the name is taken and
-    /// a pricing error when the spec's core count is invalid for the device.
+    /// a pricing error when the spec's device model cannot price the model.
     pub fn register(&self, spec: DeploymentSpec, model: OFscilModel) -> Result<()> {
-        let basis = PricingBasis {
-            gap9: spec.gap9.clone(),
-            cores: spec.cores,
-            image_hw: spec.image_hw,
-        };
+        let basis = PricingBasis { gap9: spec.gap9.clone(), image_hw: spec.image_hw };
         let pricing = derive_pricing(&model, &basis)?;
         let (height, width) = spec.image_hw;
         let image_dims = vec![model.backbone().in_channels, height, width];
@@ -1059,7 +1035,7 @@ mod tests {
 
     #[test]
     fn register_resolve_and_duplicates() {
-        let registry = LearnerRegistry::with_shards(2);
+        let registry = LearnerRegistry::new();
         assert!(registry.is_empty());
         registry
             .register(DeploymentSpec::new("tenant-a", (8, 8)), micro_model(0))
@@ -1370,16 +1346,6 @@ mod tests {
         assert!(batch6 < 6.0 * single, "batched learn must undercut {} mJ", 6.0 * single);
         let refund = deployment.learn_batch_refund_mj(6);
         assert!((refund - (6.0 * single - batch6)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn invalid_core_count_fails_registration() {
-        let registry = LearnerRegistry::new();
-        let spec = DeploymentSpec::new("t", (8, 8)).with_cores(99);
-        assert!(matches!(
-            registry.register(spec, micro_model(0)).unwrap_err(),
-            ServeError::Gap9(_)
-        ));
     }
 
     #[test]

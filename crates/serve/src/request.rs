@@ -64,7 +64,7 @@ impl ServeRequest {
 
     /// Returns `true` when the request mutates deployment state (learning or
     /// budget changes) — the requests a read-only replica rejects.
-    pub fn is_write(&self) -> bool {
+    pub(crate) fn is_write(&self) -> bool {
         matches!(
             self,
             ServeRequest::LearnOnline { .. } | ServeRequest::TopUpBudget { .. }

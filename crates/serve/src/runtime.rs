@@ -1094,7 +1094,7 @@ mod tests {
         // ceil(10 / 4) = 3 forwards run, sized 4, 4, 2.
         let registry = registry_with_two_classes();
         let deployment = registry.resolve("t").unwrap();
-        let config = ServeConfig::default().with_workers(1).with_max_batch(4);
+        let config = ServeConfig { workers: 1, ..ServeConfig::default() }.with_max_batch(4);
         let sizes = ServeRuntime::run(&registry, &config, |client| {
             let (held, parked) = park_worker(client, &deployment);
             let pending: Vec<_> = (0..10).map(|i| client.submit(infer(i % 2))).collect();
@@ -1118,7 +1118,7 @@ mod tests {
         // forwards, and the second three see the class it added.
         let registry = registry_with_two_classes();
         let deployment = registry.resolve("t").unwrap();
-        let config = ServeConfig::default().with_workers(1);
+        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
         let (before, after) = ServeRuntime::run(&registry, &config, |client| {
             let (held, parked) = park_worker(client, &deployment);
             let before: Vec<_> = (0..3).map(|_| client.submit(infer(2))).collect();
@@ -1183,7 +1183,7 @@ mod tests {
         let registry = registry_with_two_classes();
         let deployment = registry.resolve("t").unwrap();
         let config =
-            ServeConfig::default().with_workers(1).with_max_batch(1).with_queue_depth(2);
+            ServeConfig { workers: 1, ..ServeConfig::default() }.with_max_batch(1).with_queue_depth(2);
         ServeRuntime::run(&registry, &config, |client| {
             let (held, parked) = park_worker(client, &deployment);
             let first = client.submit(infer(0));

@@ -39,10 +39,10 @@ use std::error::Error;
 use std::fmt;
 
 /// Magic bytes identifying an explicit-memory snapshot.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"OFEM";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"OFEM";
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+pub(crate) const SNAPSHOT_VERSION: u16 = 1;
 
 const HEADER_LEN: usize = 16;
 const CHECKSUM_LEN: usize = 4;
