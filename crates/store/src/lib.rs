@@ -72,16 +72,10 @@ mod store;
 mod wal;
 
 pub use error::StoreError;
-pub use obs_spill::{
-    ObsSpill, SpillRecovery, SpillStats, DEFAULT_SPILL_BUDGET, REC_CHUNK, REC_ROLLUP,
-    SPILL_FILE,
-};
-pub use oplog::{OpLog, RawRecord, SyncPolicy, LOG_MAGIC, LOG_VERSION};
+pub use obs_spill::{ObsSpill, SpillRecovery, SpillStats, REC_CHUNK, REC_ROLLUP, SPILL_FILE};
+pub use oplog::{OpLog, RawRecord, SyncPolicy};
 pub use store::{RecoveryReport, Store, StoreConfig};
-pub use wal::{
-    compact_records, replay, Checkpoint, DeploymentState, WalRecord, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
-};
+pub use wal::{compact_records, replay, Checkpoint, DeploymentState, WalRecord};
 
 /// Result alias used across the store crate.
 pub type Result<T> = std::result::Result<T, StoreError>;

@@ -21,7 +21,7 @@
 
 use crate::error::StoreError;
 use crate::oplog::{OpLog, RawRecord};
-use ofscil_obs::{ChunkSpill, Event, ObsCursor, ObsStore, Rollup, ROLLUP_BUCKET_US};
+use ofscil_obs::{ChunkSpill, Event, ObsStore, Rollup};
 use ofscil_tensor::bytes::decode_exact;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -38,7 +38,7 @@ pub const REC_ROLLUP: u8 = 2;
 
 /// Default byte budget of the spill file before eviction folds the oldest
 /// chunks into rollup records.
-pub const DEFAULT_SPILL_BUDGET: u64 = 16 * 1024 * 1024;
+pub(crate) const DEFAULT_SPILL_BUDGET: u64 = 16 * 1024 * 1024;
 
 /// kind (1) + length (4) + checksum (4) — [`OpLog`]'s framing overhead,
 /// mirrored here for byte accounting of the in-memory record mirror.
@@ -98,46 +98,15 @@ impl SpillRecovery {
         }
     }
 
-    /// Raw spilled events **strictly after** `cursor`, in `(time_us, seq)`
-    /// order — the durable half of a resume: a subscriber reconnecting with
-    /// a cursor back-fills this range from the spill, then splices onto the
-    /// live tail. Uses the same strictly-after bound as
-    /// `ObsStore::subscribe`, so spill-served and store-served back-fill
-    /// partition identically against a live stream.
-    pub fn events_after(&self, cursor: ObsCursor) -> Vec<Event> {
-        let mut events: Vec<Event> = self
-            .chunks
-            .iter()
-            .flatten()
-            .filter(|event| event.order_key() > cursor.key())
-            .cloned()
-            .collect();
-        events.sort_by_key(Event::order_key);
-        events
-    }
-
-    /// Rollup cells whose minute bucket **could** hold rows after `cursor`
-    /// — every cell whose bucket ends past the cursor's time. Cells keep no
-    /// per-row sequence numbers, so a bucket straddling the cursor is
-    /// returned whole; a consumer splicing rollups under raw events keeps
-    /// exactness through `ObsResult::merge`'s dedup, same as the
-    /// auto-resolution query path.
-    pub fn rollups_after(&self, cursor: ObsCursor) -> Vec<Rollup> {
-        self.rollups
-            .iter()
-            .filter(|cell| cell.bucket_us.saturating_add(ROLLUP_BUCKET_US) > cursor.time_us)
-            .cloned()
-            .collect()
-    }
 }
 
 /// A point-in-time snapshot of the spill's health.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Chunk records currently in the log.
-    pub chunk_records: u64,
+    pub(crate) chunk_records: u64,
     /// Rollup records currently in the log.
-    pub rollup_records: u64,
+    pub(crate) rollup_records: u64,
     /// Log file size in bytes (header included).
     pub bytes: u64,
     /// The log's generation epoch (bumped by every GC rewrite).
@@ -146,7 +115,7 @@ pub struct SpillStats {
     pub gc_chunks: u64,
     /// Spill or GC I/O failures swallowed so far (this process). The hook
     /// must never fail the serving path, so errors land here.
-    pub io_errors: u64,
+    pub(crate) io_errors: u64,
 }
 
 #[derive(Debug)]
@@ -248,7 +217,7 @@ pub struct ObsSpill {
 
 impl ObsSpill {
     /// Opens (or creates) the spill at `path` with the
-    /// [default budget](DEFAULT_SPILL_BUDGET), returning the handle and
+    /// default budget, returning the handle and
     /// everything a previous life spilled (torn tail already truncated by
     /// the log open).
     ///
@@ -441,64 +410,6 @@ mod tests {
             store.query(&ObsQuery::all().with_resolution(Resolution::Rollup));
         assert_eq!(result.aggregates.matched, appended);
         assert_eq!(result.aggregates.energy_mj.sum, appended as f64 * 0.25);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn cursor_ranged_reads_partition_strictly_after() {
-        let path = temp_path("cursor");
-        {
-            let (spill, _) = ObsSpill::open(&path).unwrap();
-            // Out-of-order chunks: the ranged read must re-sort globally.
-            spill.spill_chunk(&[event("t", 10, 0), event("t", 30, 2)]);
-            spill.spill_chunk(&[event("t", 20, 1), event("t", 30, 3)]);
-        }
-        let (_spill, recovery) = ObsSpill::open(&path).unwrap();
-
-        // A cursor at (30, 2): the equal row is consumed history, the
-        // same-time higher-seq row is not.
-        let after = recovery.events_after(ObsCursor { time_us: 30, seq: 2 });
-        assert_eq!(
-            after.iter().map(|e| (e.time_us, e.seq)).collect::<Vec<_>>(),
-            [(30, 3)]
-        );
-        // From the start everything comes back, globally ordered.
-        let all = recovery.events_after(ObsCursor::start());
-        assert_eq!(
-            all.iter().map(|e| (e.time_us, e.seq)).collect::<Vec<_>>(),
-            [(10, 0), (20, 1), (30, 2), (30, 3)]
-        );
-        // Past the end: nothing.
-        assert!(recovery.events_after(ObsCursor { time_us: 31, seq: 0 }).is_empty());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn rollups_after_keeps_straddling_buckets() {
-        let path = temp_path("rollup-cursor");
-        // A tight budget turns the early chunks into rollup cells.
-        let (spill, _) = ObsSpill::open_with(&path, 512).unwrap();
-        for chunk in 0..8u64 {
-            let events: Vec<Event> = (0..8)
-                .map(|i| event("t", chunk * ROLLUP_BUCKET_US + i, chunk * 8 + i))
-                .collect();
-            spill.spill_chunk(&events);
-        }
-        drop(spill);
-        let (_spill, recovery) = ObsSpill::open_with(&path, 512).unwrap();
-        assert!(!recovery.rollups.is_empty(), "budget never produced rollups");
-
-        assert_eq!(
-            recovery.rollups_after(ObsCursor::start()).len(),
-            recovery.rollups.len()
-        );
-        // A cursor inside bucket N keeps bucket N (it straddles) and drops
-        // every bucket that ended earlier.
-        let cut = ObsCursor { time_us: 3 * ROLLUP_BUCKET_US + 1, seq: 0 };
-        let kept = recovery.rollups_after(cut);
-        assert!(kept.iter().all(|c| c.bucket_us + ROLLUP_BUCKET_US > cut.time_us));
-        assert!(kept.iter().any(|c| c.bucket_us == 3 * ROLLUP_BUCKET_US));
-        assert!(kept.len() < recovery.rollups.len(), "old buckets must drop");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -63,10 +63,10 @@ pub enum SyncPolicy {
 }
 
 /// Magic bytes identifying a store record log.
-pub const LOG_MAGIC: [u8; 4] = *b"OFLG";
+pub(crate) const LOG_MAGIC: [u8; 4] = *b"OFLG";
 
 /// Current record-log format version.
-pub const LOG_VERSION: u16 = 1;
+pub(crate) const LOG_VERSION: u16 = 1;
 
 const HEADER_LEN: usize = 16;
 /// kind (1) + length (4) + checksum (4).
@@ -222,13 +222,8 @@ impl OpLog {
 
     /// Sets when appends are pushed to stable storage — see [`SyncPolicy`].
     /// Takes effect from the next [`OpLog::append`].
-    pub fn set_sync_policy(&mut self, sync: SyncPolicy) {
+    pub(crate) fn set_sync_policy(&mut self, sync: SyncPolicy) {
         self.sync = sync;
-    }
-
-    /// The log's current [`SyncPolicy`].
-    pub fn sync_policy(&self) -> SyncPolicy {
-        self.sync
     }
 
     /// Appends one record and flushes it to the OS.
@@ -267,7 +262,7 @@ impl OpLog {
     ///
     /// Returns [`StoreError::Io`] when writing or renaming fails; the
     /// original log is untouched in that case.
-    pub fn rewrite(&mut self, records: &[RawRecord]) -> Result<(), StoreError> {
+    pub(crate) fn rewrite(&mut self, records: &[RawRecord]) -> Result<(), StoreError> {
         self.rewrite_with_epoch(records, self.epoch)
     }
 
@@ -279,7 +274,7 @@ impl OpLog {
     ///
     /// Returns [`StoreError::Io`] when writing or renaming fails; the
     /// original log is untouched in that case.
-    pub fn rewrite_with_epoch(
+    pub(crate) fn rewrite_with_epoch(
         &mut self,
         records: &[RawRecord],
         epoch: u64,
@@ -439,7 +434,6 @@ mod tests {
             {
                 let (mut log, _) = OpLog::open(&path).unwrap();
                 log.set_sync_policy(policy);
-                assert_eq!(log.sync_policy(), policy);
                 for i in 0..7u8 {
                     log.append(1, &[i]).unwrap();
                 }

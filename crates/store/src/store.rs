@@ -15,11 +15,11 @@ pub struct StoreConfig {
     /// After this many journaled records, the deployment's log is rolled into
     /// a fresh full-snapshot checkpoint and the WAL truncated (inline on the
     /// journaling path, amortized over the interval).
-    pub checkpoint_interval: u64,
+    pub(crate) checkpoint_interval: u64,
     /// Logs holding at least this many records are delta-compacted by
     /// [`Store::maintenance`] — the hook a background maintenance thread
     /// polls (the wire server runs one; see `WireServer::run_with_store`).
-    pub compact_min_records: u64,
+    pub(crate) compact_min_records: u64,
     /// When WAL appends are pushed to stable storage — see [`SyncPolicy`].
     /// Applied to every deployment's log as it is opened or attached.
     pub sync: SyncPolicy,
@@ -113,7 +113,7 @@ struct DeploymentLog {
 /// process kill; a record torn by the kill itself is truncated away on the
 /// next open (it was never acknowledged). Replay cost is bounded two ways:
 /// checkpoints truncate the log every
-/// [`checkpoint_interval`](StoreConfig::checkpoint_interval) records, and
+/// [`checkpoint_interval`](StoreConfig::with_checkpoint_interval) records, and
 /// [delta compaction](crate::compact_records) collapses runs of records that
 /// overwrite the same class slots, so a hot deployment relearning the same
 /// classes replays O(live classes), not O(total writes).
@@ -534,7 +534,7 @@ impl Store {
     }
 
     /// One maintenance sweep: delta-compacts every deployment whose WAL holds
-    /// at least [`compact_min_records`](StoreConfig::compact_min_records)
+    /// at least [`compact_min_records`](StoreConfig::with_compact_min_records)
     /// records. Returns the number of logs that shrank. This is the body a
     /// background maintenance thread polls (the wire server runs one when
     /// serving with a store).

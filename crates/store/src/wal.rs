@@ -45,10 +45,10 @@ const KIND_IMPORT: u8 = 0x02;
 const KIND_TOP_UP: u8 = 0x03;
 
 /// Magic bytes identifying a checkpoint file.
-pub const CHECKPOINT_MAGIC: [u8; 4] = *b"OFCK";
+pub(crate) const CHECKPOINT_MAGIC: [u8; 4] = *b"OFCK";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u16 = 1;
+pub(crate) const CHECKPOINT_VERSION: u16 = 1;
 
 /// One durable operation on a deployment's explicit memory or budget.
 #[derive(Debug, Clone, PartialEq)]
