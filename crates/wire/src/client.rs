@@ -10,7 +10,6 @@ use crate::frame::{
 use crate::net::{BoundAddr, WireStream};
 use ofscil_serve::{DeploymentExport, ServeRequest, ServeResponse};
 use std::io::Write;
-use std::net::ToSocketAddrs;
 use std::sync::atomic::AtomicBool;
 use std::time::Duration;
 
@@ -26,7 +25,6 @@ use std::time::Duration;
 #[derive(Debug)]
 pub struct WireClient {
     stream: WireStream,
-    max_payload: usize,
 }
 
 impl WireClient {
@@ -36,42 +34,7 @@ impl WireClient {
     ///
     /// Returns [`WireError::Io`] when the connection cannot be established.
     pub fn connect(addr: &BoundAddr) -> Result<Self, WireError> {
-        Ok(WireClient {
-            stream: WireStream::connect(addr)?,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-        })
-    }
-
-    /// Connects to a TCP address, e.g. `"127.0.0.1:4100"`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Io`] when the connection cannot be established.
-    pub fn connect_tcp(addr: impl ToSocketAddrs) -> Result<Self, WireError> {
-        Ok(WireClient {
-            stream: WireStream::connect_tcp(addr)?,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-        })
-    }
-
-    /// Connects to a Unix-domain socket path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Io`] when the connection cannot be established.
-    #[cfg(unix)]
-    pub fn connect_unix(path: impl AsRef<std::path::Path>) -> Result<Self, WireError> {
-        Ok(WireClient {
-            stream: WireStream::connect(&BoundAddr::Unix(path.as_ref().to_path_buf()))?,
-            max_payload: DEFAULT_MAX_PAYLOAD,
-        })
-    }
-
-    /// Overrides the maximum accepted response payload (builder style).
-    #[must_use]
-    pub fn with_max_payload(mut self, max_payload: usize) -> Self {
-        self.max_payload = max_payload;
-        self
+        Ok(WireClient { stream: WireStream::connect(addr)? })
     }
 
     /// Applies a socket read timeout. With a timeout set, a replication
@@ -165,7 +128,7 @@ impl WireClient {
     pub fn forward_frame(&mut self, frame: &[u8]) -> Result<Vec<u8>, WireError> {
         self.stream.write_all(frame)?;
         self.stream.flush()?;
-        match read_frame_verbatim(&mut self.stream, self.max_payload, None)? {
+        match read_frame_verbatim(&mut self.stream, DEFAULT_MAX_PAYLOAD, None)? {
             VerbatimEvent::Frame(reply) => Ok(reply.bytes),
             VerbatimEvent::Eof | VerbatimEvent::Shutdown => {
                 Err(WireError::Io(std::io::ErrorKind::UnexpectedEof.into()))
@@ -208,7 +171,7 @@ impl WireClient {
     /// `InvalidRequest` — advertisement is a router operation) or does not
     /// know the upstream address, and a transport/codec error when the
     /// connection broke.
-    pub fn advertise_follower(
+    pub(crate) fn advertise_follower(
         &mut self,
         upstream: &str,
         follower: &str,
@@ -267,7 +230,7 @@ impl WireClient {
             deployment: deployment.to_string(),
         }))?;
         self.stream.flush()?;
-        Ok(ReplicationStream { stream: self.stream, max_payload: self.max_payload })
+        Ok(ReplicationStream { stream: self.stream })
     }
 
     /// Switches the connection into **live-tail streaming** on the peer's
@@ -290,14 +253,14 @@ impl WireClient {
             cursor,
         }))?;
         self.stream.flush()?;
-        Ok(ObsTailStream { stream: self.stream, max_payload: self.max_payload })
+        Ok(ObsTailStream { stream: self.stream })
     }
 
     fn read_response(
         &mut self,
         stop: Option<&AtomicBool>,
     ) -> Result<Option<WireResponse>, WireError> {
-        match read_frame(&mut self.stream, self.max_payload, stop)? {
+        match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
             ReadEvent::Frame(kind, payload) => {
                 Ok(Some(decode_response(kind, &payload)?))
             }
@@ -310,7 +273,6 @@ impl WireClient {
 #[derive(Debug)]
 pub struct ReplicationStream {
     stream: WireStream,
-    max_payload: usize,
 }
 
 impl ReplicationStream {
@@ -328,7 +290,7 @@ impl ReplicationStream {
         &mut self,
         stop: Option<&AtomicBool>,
     ) -> Result<Option<ReplEvent>, WireError> {
-        match read_frame(&mut self.stream, self.max_payload, stop)? {
+        match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
             ReadEvent::Eof | ReadEvent::Shutdown => Ok(None),
             ReadEvent::Frame(kind, payload) => match decode_response(kind, &payload)? {
                 WireResponse::Repl(event) => Ok(Some(event)),
@@ -346,7 +308,6 @@ impl ReplicationStream {
 #[derive(Debug)]
 pub struct ObsTailStream {
     stream: WireStream,
-    max_payload: usize,
 }
 
 impl ObsTailStream {
@@ -364,7 +325,7 @@ impl ObsTailStream {
         &mut self,
         stop: Option<&AtomicBool>,
     ) -> Result<Option<TailBatch>, WireError> {
-        match read_frame(&mut self.stream, self.max_payload, stop)? {
+        match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
             ReadEvent::Eof | ReadEvent::Shutdown => Ok(None),
             ReadEvent::Frame(kind, payload) => match decode_response(kind, &payload)? {
                 WireResponse::Tail(batch) => Ok(Some(batch)),

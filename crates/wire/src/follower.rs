@@ -60,7 +60,7 @@ pub struct FollowerConfig {
     /// a fresh full-snapshot anchor after a replication gap (or after being
     /// dropped for lagging) before the error is surfaced. Zero restores the
     /// old halt-on-gap behaviour.
-    pub resync_limit: u64,
+    pub(crate) resync_limit: u64,
     /// Routing frontend to announce this follower to, if any. When set,
     /// [`Follower::run`] sends one best-effort
     /// [`AdvertiseFollower`](crate::codec::WireRequest::AdvertiseFollower)
@@ -173,18 +173,6 @@ impl FollowerHandle<'_> {
     /// [`WireClient`](crate::WireClient) here for read-only traffic.
     pub fn addr(&self) -> &BoundAddr {
         self.server.addr()
-    }
-
-    /// The highest replication sequence number applied for a deployment
-    /// (`None` before the full snapshot landed).
-    pub fn applied_seq(&self, deployment: &str) -> Option<u64> {
-        self.progress
-            .state
-            .lock()
-            .expect("progress lock poisoned")
-            .applied
-            .get(deployment)
-            .copied()
     }
 
     /// How many times the deployment's tail resubscribed from a fresh

@@ -23,7 +23,7 @@ use std::io::{ErrorKind, Read};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Magic bytes identifying a wire frame.
-pub const WIRE_MAGIC: [u8; 4] = *b"OFWR";
+pub(crate) const WIRE_MAGIC: [u8; 4] = *b"OFWR";
 
 /// Current wire format version. Bumped whenever the message set changes —
 /// v2 added the migration endpoints (`Export`/`Import`, kinds `0x07`/`0x08`,
@@ -54,7 +54,7 @@ pub const WIRE_MAGIC: [u8; 4] = *b"OFWR";
 /// `Event`/`Rollup` rows inside `ObsResult` and `TailBatch` payloads to the
 /// layout `ofscil_obs` owns (the spill log's: a `u16` deployment-name prefix
 /// where v8 had a `u32`), so a row has one encoder for disk and wire alike.
-pub const WIRE_VERSION: u16 = 9;
+pub(crate) const WIRE_VERSION: u16 = 9;
 
 /// Fixed frame header length in bytes.
 pub const HEADER_LEN: usize = 12;

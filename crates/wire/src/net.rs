@@ -141,7 +141,7 @@ impl WireStream {
     }
 
     /// Connects to a TCP address with Nagle batching disabled.
-    pub fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<WireStream> {
+    pub(crate) fn connect_tcp(addr: impl ToSocketAddrs) -> io::Result<WireStream> {
         let stream = TcpStream::connect(addr)?;
         // Frames are small request/response units; Nagle batching would put
         // a delayed-ACK round trip into every call.
@@ -173,7 +173,7 @@ impl WireStream {
     }
 
     /// Applies (or clears) a socket write timeout.
-    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             WireStream::Tcp(s) => s.set_write_timeout(timeout),
             #[cfg(unix)]
