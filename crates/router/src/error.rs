@@ -42,7 +42,7 @@ impl RouterError {
     /// The typed serve error a wire client should receive for this failure —
     /// `ShardUnavailable` survives structurally, everything else folds into
     /// its display form.
-    pub fn to_serve_error(&self) -> ServeError {
+    pub(crate) fn to_serve_error(&self) -> ServeError {
         match self {
             RouterError::ShardUnavailable { shard, addr, detail } => {
                 ServeError::ShardUnavailable {

@@ -14,7 +14,7 @@
 //! * [`HashRing`] — consistent hashing with virtual nodes (in-tree FNV-1a,
 //!   no dependencies); adding or draining a shard remaps only the keys on
 //!   the affected arcs,
-//! * [`ShardPool`] — per-shard [`WireClient`](ofscil_wire::WireClient)
+//! * `ShardPool` — per-shard [`WireClient`](ofscil_wire::WireClient)
 //!   pooling with reconnect, exponential backoff and a failure cooldown;
 //!   dead shards yield a typed
 //!   [`ShardUnavailable`](ofscil_serve::ServeError::ShardUnavailable)
@@ -92,7 +92,7 @@ mod server;
 mod tail;
 
 pub use error::RouterError;
-pub use pool::{PoolConfig, ShardHealth, ShardPool};
+pub use pool::{PoolConfig, ShardHealth};
 pub use ring::HashRing;
 pub use server::{
     decode_override, encode_override, MigrationReport, RouterConfig, RouterHandle, RouterServer,

@@ -47,7 +47,8 @@ impl Default for PoolConfig {
     }
 }
 
-/// Point-in-time health of one shard, as reported by [`ShardPool::probe`].
+/// Point-in-time health of one shard, as reported by
+/// [`RouterHandle::probe`](crate::RouterHandle::probe).
 #[derive(Debug, Clone)]
 pub struct ShardHealth {
     /// Shard id.
@@ -56,10 +57,8 @@ pub struct ShardHealth {
     pub addr: BoundAddr,
     /// `true` when the probe's connection attempt succeeded.
     pub healthy: bool,
-    /// Checkout failures since the last success.
-    pub consecutive_failures: u32,
     /// The most recent failure, if any.
-    pub last_error: Option<String>,
+    pub(crate) last_error: Option<String>,
 }
 
 #[derive(Debug, Default)]
@@ -156,7 +155,7 @@ impl ShardSlot {
 /// The router's per-shard connection pools. Shard ids index the slot table
 /// and match the ids on the [`HashRing`](crate::HashRing).
 #[derive(Debug)]
-pub struct ShardPool {
+pub(crate) struct ShardPool {
     slots: RwLock<Vec<std::sync::Arc<ShardSlot>>>,
     config: PoolConfig,
     /// When attached, circuit-breaker **transitions** (closed → open, open →
@@ -167,14 +166,9 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// A pool over the given shard addresses (ids `0..addrs.len()`).
-    pub fn new(addrs: Vec<BoundAddr>, config: PoolConfig) -> Self {
-        ShardPool::new_observed(addrs, config, None)
-    }
-
-    /// Like [`ShardPool::new`], but emitting circuit-breaker transition
-    /// events into `obs`.
-    pub fn new_observed(
+    /// A pool over the given shard addresses (ids `0..addrs.len()`),
+    /// emitting circuit-breaker transition events into `obs` when attached.
+    pub(crate) fn new_observed(
         addrs: Vec<BoundAddr>,
         config: PoolConfig,
         obs: Option<EventSink>,
@@ -210,17 +204,12 @@ impl ShardPool {
     }
 
     /// Number of shard slots (including drained ones — ids stay stable).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.read().expect("pool lock poisoned").len()
     }
 
-    /// Returns `true` when the pool has no shard slots.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Registers a new shard address, returning its id.
-    pub fn add_shard(&self, addr: BoundAddr) -> usize {
+    pub(crate) fn add_shard(&self, addr: BoundAddr) -> usize {
         let mut slots = self.slots.write().expect("pool lock poisoned");
         slots.push(ShardSlot::new(addr).into());
         slots.len() - 1
@@ -235,7 +224,7 @@ impl ShardPool {
     /// # Errors
     ///
     /// Returns [`RouterError::UnknownShard`] for out-of-range ids.
-    pub fn breaker_dwell(&self, shard: usize) -> Result<Option<Duration>, RouterError> {
+    pub(crate) fn breaker_dwell(&self, shard: usize) -> Result<Option<Duration>, RouterError> {
         Ok(self.slot(shard)?.open_dwell())
     }
 
@@ -247,7 +236,7 @@ impl ShardPool {
     /// # Errors
     ///
     /// Returns [`RouterError::UnknownShard`] for out-of-range ids.
-    pub fn replace_addr(&self, shard: usize, addr: BoundAddr) -> Result<(), RouterError> {
+    pub(crate) fn replace_addr(&self, shard: usize, addr: BoundAddr) -> Result<(), RouterError> {
         let mut slots = self.slots.write().expect("pool lock poisoned");
         let slot = slots.get_mut(shard).ok_or(RouterError::UnknownShard(shard))?;
         *slot = ShardSlot::new(addr).into();
@@ -259,7 +248,7 @@ impl ShardPool {
     /// # Errors
     ///
     /// Returns [`RouterError::UnknownShard`] for out-of-range ids.
-    pub fn addr(&self, shard: usize) -> Result<BoundAddr, RouterError> {
+    pub(crate) fn addr(&self, shard: usize) -> Result<BoundAddr, RouterError> {
         Ok(self.slot(shard)?.addr.clone())
     }
 
@@ -318,7 +307,7 @@ impl ShardPool {
     /// Returns [`RouterError::ShardUnavailable`] for transport failures,
     /// [`RouterError::Remote`] when the shard itself refused, and
     /// [`RouterError::UnknownShard`] for bad ids.
-    pub fn with_conn<T>(
+    pub(crate) fn with_conn<T>(
         &self,
         shard: usize,
         retry_stale: bool,
@@ -383,7 +372,7 @@ impl ShardPool {
     /// Actively probes one shard: a single fresh connection attempt, no
     /// retries. A success clears the shard's down state early; a failure
     /// (re)marks it down.
-    pub fn probe(&self, shard: usize) -> Result<ShardHealth, RouterError> {
+    pub(crate) fn probe(&self, shard: usize) -> Result<ShardHealth, RouterError> {
         let slot = self.slot(shard)?;
         let healthy = match WireClient::connect(&slot.addr) {
             Ok(conn) => {
@@ -401,13 +390,12 @@ impl ShardPool {
             shard,
             addr: slot.addr.clone(),
             healthy,
-            consecutive_failures: state.consecutive_failures,
             last_error: state.last_error.clone(),
         })
     }
 
     /// Probes every shard in id order.
-    pub fn probe_all(&self) -> Vec<ShardHealth> {
+    pub(crate) fn probe_all(&self) -> Vec<ShardHealth> {
         (0..self.len())
             .map(|shard| self.probe(shard).expect("id in range"))
             .collect()
@@ -429,7 +417,7 @@ mod tests {
 
     #[test]
     fn unreachable_shard_is_typed_and_fast_fails_during_cooldown() {
-        let pool = ShardPool::new(
+        let pool = ShardPool::new_observed(
             vec![dead_addr()],
             PoolConfig {
                 connect_attempts: 2,
@@ -437,6 +425,7 @@ mod tests {
                 cooldown: Duration::from_secs(30),
                 max_idle: 4,
             },
+            None,
         );
         let err = pool.with_conn(0, true, |_conn| Ok::<(), WireError>(())).unwrap_err();
         assert!(matches!(err, RouterError::ShardUnavailable { shard: 0, .. }), "{err}");
@@ -450,14 +439,15 @@ mod tests {
 
         let health = pool.probe(0).unwrap();
         assert!(!health.healthy);
-        assert!(health.consecutive_failures >= 2);
+        let slots = pool.slots.read().unwrap();
+        assert!(slots[0].state.lock().unwrap().consecutive_failures >= 2);
         assert!(health.last_error.is_some());
     }
 
     #[test]
     fn unknown_shard_ids_are_rejected() {
-        let pool = ShardPool::new(vec![], PoolConfig::default());
-        assert!(pool.is_empty());
+        let pool = ShardPool::new_observed(vec![], PoolConfig::default(), None);
+        assert_eq!(pool.len(), 0);
         assert!(matches!(
             pool.with_conn(0, true, |_c| Ok::<(), WireError>(())).unwrap_err(),
             RouterError::UnknownShard(0)
@@ -467,7 +457,7 @@ mod tests {
 
     #[test]
     fn add_shard_allocates_sequential_ids() {
-        let pool = ShardPool::new(vec![dead_addr()], PoolConfig::default());
+        let pool = ShardPool::new_observed(vec![dead_addr()], PoolConfig::default(), None);
         assert_eq!(pool.add_shard(dead_addr()), 1);
         assert_eq!(pool.add_shard(dead_addr()), 2);
         assert_eq!(pool.len(), 3);
@@ -481,7 +471,7 @@ mod tests {
             cooldown: Duration::from_millis(1),
             max_idle: 4,
         };
-        let pool = ShardPool::new(vec![dead_addr()], config);
+        let pool = ShardPool::new_observed(vec![dead_addr()], config, None);
         assert_eq!(pool.breaker_dwell(0).unwrap(), None);
 
         let _ = pool.probe(0);

@@ -42,7 +42,7 @@ pub(crate) fn ring_point(bytes: &[u8]) -> u64 {
 /// Shard ids are stable small integers (indices into the router's shard
 /// address table): removing a shard retires its id, adding a shard allocates
 /// the next one. The ring itself carries no addresses — the
-/// [`ShardPool`](crate::ShardPool) owns those.
+/// `ShardPool` owns those.
 #[derive(Debug, Clone)]
 pub struct HashRing {
     replicas: usize,
@@ -73,7 +73,7 @@ impl HashRing {
     }
 
     /// Active shard ids, ascending.
-    pub fn shard_ids(&self) -> Vec<usize> {
+    pub(crate) fn shard_ids(&self) -> Vec<usize> {
         self.shards.iter().copied().collect()
     }
 
@@ -115,7 +115,7 @@ impl HashRing {
 
     /// Removes a shard from the ring; its keys fall to their clockwise
     /// neighbours. Returns `false` when the id was not on the ring.
-    pub fn remove_shard(&mut self, shard: usize) -> bool {
+    pub(crate) fn remove_shard(&mut self, shard: usize) -> bool {
         if !self.shards.remove(&shard) {
             return false;
         }

@@ -46,6 +46,9 @@ use std::time::Duration;
 /// How often blocked router loops wake to poll the shutdown flag.
 pub(crate) const POLL: Duration = Duration::from_millis(20);
 
+/// Virtual nodes per shard on the hash ring.
+const VNODES: usize = 64;
+
 /// Configuration of a [`RouterServer`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
@@ -57,10 +60,6 @@ pub struct RouterConfig {
     /// name, but migration, rebalancing and cluster statistics operate on
     /// this known set.
     pub deployments: Vec<String>,
-    /// Virtual nodes per shard on the hash ring.
-    pub vnodes: usize,
-    /// Maximum accepted frame payload in bytes.
-    pub max_payload: usize,
     /// Connection-pool knobs (retries, backoff, cooldown).
     pub pool: PoolConfig,
     /// Path of the persistent placement journal. When set, every migration's
@@ -69,7 +68,7 @@ pub struct RouterConfig {
     /// journal to recover where migrated deployments live — the ring itself
     /// is deterministic from `shards`, so overrides are the only placement
     /// state worth persisting. `None` keeps placement in memory only.
-    pub placement_log: Option<PathBuf>,
+    pub(crate) placement_log: Option<PathBuf>,
     /// Observability handle of the router itself. When set, migrations and
     /// circuit-breaker transitions are recorded as cluster events
     /// (`Migration`, `BreakerOpen`/`BreakerClose` under `shard:N`), and a
@@ -85,8 +84,6 @@ impl RouterConfig {
             bind: WireBind::Tcp("127.0.0.1:0".into()),
             shards,
             deployments: Vec::new(),
-            vnodes: 64,
-            max_payload: DEFAULT_MAX_PAYLOAD,
             pool: PoolConfig::default(),
             placement_log: None,
             obs: None,
@@ -97,13 +94,6 @@ impl RouterConfig {
     #[must_use]
     pub fn with_deployments(mut self, deployments: &[&str]) -> Self {
         self.deployments = deployments.iter().map(|d| d.to_string()).collect();
-        self
-    }
-
-    /// Sets the virtual-node count per shard (builder style).
-    #[must_use]
-    pub fn with_vnodes(mut self, vnodes: usize) -> Self {
-        self.vnodes = vnodes;
         self
     }
 
@@ -136,19 +126,12 @@ impl RouterConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`RouterError::InvalidConfig`] when no shards are given or a
-    /// knob is zero.
+    /// Returns [`RouterError::InvalidConfig`] when no shards are given.
     pub fn validate(&self) -> Result<(), RouterError> {
         if self.shards.is_empty() {
             return Err(RouterError::InvalidConfig(
                 "a router needs at least one backend shard".into(),
             ));
-        }
-        if self.vnodes == 0 {
-            return Err(RouterError::InvalidConfig("vnodes must be at least 1".into()));
-        }
-        if self.max_payload == 0 {
-            return Err(RouterError::InvalidConfig("max_payload must be positive".into()));
         }
         Ok(())
     }
@@ -262,7 +245,7 @@ pub struct ShardStats {
     /// was ever recorded.
     pub infer_p50_us: u64,
     /// 99th-percentile inference latency, from the same histogram.
-    pub infer_p99_us: u64,
+    pub(crate) infer_p99_us: u64,
 }
 
 /// What one live migration did.
@@ -315,7 +298,7 @@ impl RouterHandle<'_> {
     }
 
     /// How long a shard's circuit breaker has been open (`None` while
-    /// closed) — see [`ShardPool::breaker_dwell`]. The hysteresis input a
+    /// closed) — see `ShardPool::breaker_dwell`. The hysteresis input a
     /// control plane compares against its promotion threshold.
     ///
     /// # Errors
@@ -717,7 +700,7 @@ impl RouterServer {
         F: for<'a> FnOnce(&RouterHandle<'a>) -> T,
     {
         config.validate()?;
-        let ring = HashRing::new(config.shards.len(), config.vnodes);
+        let ring = HashRing::new(config.shards.len(), VNODES);
         let mut location: HashMap<String, usize> = config
             .deployments
             .iter()
@@ -766,9 +749,8 @@ impl RouterServer {
 
         let value = std::thread::scope(|scope| {
             let shared_ref = &shared;
-            let max_payload = config.max_payload;
             scope.spawn(move || {
-                accept_loop(scope, &listener, shared_ref, max_payload);
+                accept_loop(scope, &listener, shared_ref);
             });
 
             let handle = RouterHandle { addr: addr.clone(), shared: &shared };
@@ -793,7 +775,6 @@ fn accept_loop<'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
     listener: &WireListener,
     shared: &'scope Arc<Shared>,
-    max_payload: usize,
 ) {
     while !shared.shutdown.load(Ordering::Acquire) {
         match listener.accept() {
@@ -803,7 +784,7 @@ fn accept_loop<'scope>(
                 }
                 let shared = Arc::clone(shared);
                 scope.spawn(move || {
-                    serve_connection(stream, &shared, max_payload);
+                    serve_connection(stream, &shared);
                 });
             }
             Err(e)
@@ -821,10 +802,10 @@ fn accept_loop<'scope>(
 /// Serves one client connection: read a frame, pick the shard, forward the
 /// frame verbatim, relay the answer. A cluster-tail subscription instead
 /// hands the connection off into an open-ended merged stream.
-fn serve_connection(mut stream: WireStream, shared: &Arc<Shared>, max_payload: usize) {
+fn serve_connection(mut stream: WireStream, shared: &Arc<Shared>) {
     loop {
         let frame =
-            match read_frame_verbatim(&mut stream, max_payload, Some(&shared.shutdown)) {
+            match read_frame_verbatim(&mut stream, DEFAULT_MAX_PAYLOAD, Some(&shared.shutdown)) {
                 Ok(VerbatimEvent::Frame(frame)) => frame,
                 Ok(VerbatimEvent::Eof | VerbatimEvent::Shutdown) | Err(_) => return,
             };
@@ -1046,11 +1027,7 @@ mod tests {
             RouterError::InvalidConfig(_)
         ));
         let addr = BoundAddr::Tcp("127.0.0.1:1".parse().unwrap());
-        let config = RouterConfig::tcp_loopback(vec![addr.clone()]).with_vnodes(0);
-        assert!(config.validate().is_err());
-        let mut config = RouterConfig::tcp_loopback(vec![addr]);
-        config.max_payload = 0;
-        assert!(config.validate().is_err());
+        RouterConfig::tcp_loopback(vec![addr]).validate().unwrap();
     }
 
     #[test]
