@@ -7,44 +7,44 @@ use std::time::Duration;
 ///
 /// The defaults are sized for loopback test clusters (millisecond breakers);
 /// a production deployment with second-scale probe intervals would raise
-/// [`breaker_dwell_threshold`](CtrlConfig::breaker_dwell_threshold) and
-/// [`rate_window_us`](CtrlConfig::rate_window_us) accordingly.
+/// the dwell threshold ([`CtrlConfig::with_dwell_threshold`]) and the rate
+/// window ([`CtrlConfig::with_rate_window_us`]) accordingly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CtrlConfig {
     /// How long a shard's circuit breaker must have been **continuously**
     /// open before the planner reacts with a promotion or store restart.
     /// This is the hysteresis that keeps a brief flap (one failed request,
     /// breaker opens, probe closes it) from triggering a failover.
-    pub breaker_dwell_threshold: Duration,
+    pub(crate) breaker_dwell_threshold: Duration,
     /// Minimum ticks between two actions touching the same shard or the
     /// same deployment. An action planned at tick `t` suppresses further
     /// actions on its key until tick `t + cooldown_ticks` — the anti-flap
     /// window that gives an executed action time to take effect before the
     /// planner reconsiders.
-    pub cooldown_ticks: u64,
+    pub(crate) cooldown_ticks: u64,
     /// Rebalance trigger: the hottest shard's trailing request rate must
     /// exceed `rebalance_ratio ×` the coldest shard's before a migration is
     /// planned. Must be ≥ 1; higher values tolerate more skew.
-    pub rebalance_ratio: f64,
+    pub(crate) rebalance_ratio: f64,
     /// Rebalance floor: the hottest shard must additionally have served at
     /// least this many requests inside the trailing window. Keeps idle
     /// clusters (where 3 requests vs 1 trips any ratio) from churning.
-    pub rebalance_floor: u64,
+    pub(crate) rebalance_floor: u64,
     /// Upper bound on actions planned per tick, recovery and rebalance
     /// combined. Keeps one bad observation from rewriting the whole
     /// cluster at once.
-    pub max_actions_per_tick: usize,
+    pub(crate) max_actions_per_tick: usize,
     /// How many times the executor tries an action before surfacing
     /// [`CtrlError::ActionFailed`](crate::CtrlError::ActionFailed).
-    pub retry_attempts: u32,
+    pub(crate) retry_attempts: u32,
     /// Sleep before the second attempt; doubles per further attempt.
-    pub retry_backoff: Duration,
+    pub(crate) retry_backoff: Duration,
     /// Trailing window (microseconds, anchored at the newest observed
     /// event) over which per-deployment request/energy rates are computed
     /// for the rebalance decision.
-    pub rate_window_us: u64,
+    pub(crate) rate_window_us: u64,
     /// Event cap for the observability scan feeding the rate computation.
-    pub rate_event_limit: u32,
+    pub(crate) rate_event_limit: u32,
 }
 
 impl Default for CtrlConfig {
@@ -78,26 +78,10 @@ impl CtrlConfig {
         self
     }
 
-    /// Sets the rebalance skew trigger (builder style). Values below 1 are
-    /// clamped to 1 at decision time.
-    #[must_use]
-    pub fn with_rebalance_ratio(mut self, ratio: f64) -> Self {
-        self.rebalance_ratio = ratio;
-        self
-    }
-
     /// Sets the rebalance request floor (builder style).
     #[must_use]
     pub fn with_rebalance_floor(mut self, floor: u64) -> Self {
         self.rebalance_floor = floor;
-        self
-    }
-
-    /// Sets the per-tick action cap (builder style). Zero is clamped to 1
-    /// at decision time.
-    #[must_use]
-    pub fn with_max_actions_per_tick(mut self, max: usize) -> Self {
-        self.max_actions_per_tick = max;
         self
     }
 
@@ -127,16 +111,12 @@ mod tests {
         let config = CtrlConfig::default()
             .with_dwell_threshold(Duration::from_millis(50))
             .with_cooldown_ticks(5)
-            .with_rebalance_ratio(2.0)
             .with_rebalance_floor(8)
-            .with_max_actions_per_tick(4)
             .with_retries(2, Duration::from_millis(1))
             .with_rate_window_us(1_000);
         assert_eq!(config.breaker_dwell_threshold, Duration::from_millis(50));
         assert_eq!(config.cooldown_ticks, 5);
-        assert_eq!(config.rebalance_ratio, 2.0);
         assert_eq!(config.rebalance_floor, 8);
-        assert_eq!(config.max_actions_per_tick, 4);
         assert_eq!(config.retry_attempts, 2);
         assert_eq!(config.retry_backoff, Duration::from_millis(1));
         assert_eq!(config.rate_window_us, 1_000);

@@ -46,7 +46,7 @@ pub struct TickReport {
     /// The cluster state the decisions were made from.
     pub snapshot: ClusterSnapshot,
     /// Everything the planner asked for this tick.
-    pub planned: Vec<ControlAction>,
+    pub(crate) planned: Vec<ControlAction>,
     /// The subset that executed successfully.
     pub executed: Vec<ControlAction>,
     /// Typed failures for the rest (retries already exhausted).
@@ -67,7 +67,7 @@ impl TickReport {
 
 /// The self-driving loop: watches the cluster through a
 /// [`RouterHandle`], plans with a [`Planner`], executes with an
-/// [`Executor`] against a caller-supplied [`RecoveryDriver`].
+/// `Executor` against a caller-supplied [`RecoveryDriver`].
 pub struct Controller<'a, D: RecoveryDriver> {
     router: &'a RouterHandle<'a>,
     driver: D,

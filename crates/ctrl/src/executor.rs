@@ -18,7 +18,7 @@ use std::time::Duration;
 /// [`RouterHandle`](ofscil_router::RouterHandle) next to
 /// [`Controller`](crate::Controller), mocked in tests. Errors are plain
 /// strings: the executor retries them, it does not branch on them.
-pub trait ClusterOps {
+pub(crate) trait ClusterOps {
     /// Live-migrates `deployment` to shard `target`.
     fn migrate(&self, deployment: &str, target: usize) -> Result<(), String>;
     /// Re-points shard `shard`'s ring slot at `addr` (the failover edge
@@ -43,14 +43,14 @@ pub trait RecoveryDriver {
 
 /// Retrying executor. See the module docs.
 #[derive(Debug, Clone)]
-pub struct Executor {
+pub(crate) struct Executor {
     attempts: u32,
     backoff: Duration,
 }
 
 impl Executor {
     /// An executor with the configuration's retry policy.
-    pub fn new(config: &CtrlConfig) -> Executor {
+    pub(crate) fn new(config: &CtrlConfig) -> Executor {
         Executor { attempts: config.retry_attempts.max(1), backoff: config.retry_backoff }
     }
 
@@ -61,7 +61,7 @@ impl Executor {
     ///
     /// Returns [`CtrlError::ActionFailed`] carrying the action, the attempt
     /// count and the final attempt's error once retries are exhausted.
-    pub fn execute<O, D>(
+    pub(crate) fn execute<O, D>(
         &self,
         action: &ControlAction,
         ops: &O,

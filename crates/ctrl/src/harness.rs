@@ -182,11 +182,6 @@ impl StandbyFleet {
         self.shards.entry(shard).or_default().store_dir = Some(dir.into());
     }
 
-    /// Registers `shard`'s standby registry for the restart path.
-    pub fn add_standby_registry(&mut self, shard: usize, registry: Arc<LearnerRegistry>) {
-        self.shards.entry(shard).or_default().registry = Some(registry);
-    }
-
     /// How many primaries this fleet has brought up.
     pub fn recovered(&self) -> usize {
         self.primaries.len()

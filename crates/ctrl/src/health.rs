@@ -73,8 +73,8 @@ pub struct ClusterSnapshot {
 impl ClusterSnapshot {
     /// Observes a live cluster through its router handle, the polled way:
     /// one routed observability query (kinds `Infer|Learn`, reduced over
-    /// [`rate_window_us`](CtrlConfig::rate_window_us)) supplies the trailing
-    /// rates, then [`assemble`](ClusterSnapshot::assemble) does the rest.
+    /// [`with_rate_window_us`](CtrlConfig::with_rate_window_us)) supplies
+    /// the trailing rates, then the snapshot is assembled from both.
     /// The controller prefers its streamed [`RateFeed`](crate::RateFeed) and
     /// uses this as the fallback when the feed is down.
     pub fn capture(router: &RouterHandle<'_>, config: &CtrlConfig, tick: u64) -> ClusterSnapshot {
@@ -91,7 +91,7 @@ impl ClusterSnapshot {
     /// recovery planning needs only its dwell. The shared back half of both
     /// observation paths (polled [`capture`](ClusterSnapshot::capture),
     /// streamed [`RateFeed`](crate::RateFeed)).
-    pub fn assemble(
+    pub(crate) fn assemble(
         router: &RouterHandle<'_>,
         tick: u64,
         rates: &[DeploymentRate],

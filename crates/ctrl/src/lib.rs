@@ -21,8 +21,8 @@
 //!   triggering failovers, per-key cooldowns keep the loop from flapping
 //!   itself, and every tie is broken deterministically — the same state
 //!   always produces the same plan,
-//! * [`Executor`] — carries actions out through two narrow traits
-//!   ([`ClusterOps`], [`RecoveryDriver`]) with bounded, backoff-spaced
+//! * `Executor` — carries actions out through two narrow traits
+//!   (`ClusterOps`, [`RecoveryDriver`]) with bounded, backoff-spaced
 //!   retries and typed failures; tests drive it entirely with mocks,
 //! * [`Controller`] — observe → plan → execute, stamping every planner
 //!   decision back into the observability timeline as a typed audit event
@@ -84,7 +84,7 @@ mod rates;
 pub use action::{ControlAction, CtrlError};
 pub use config::CtrlConfig;
 pub use controller::{Controller, TickReport};
-pub use executor::{ClusterOps, Executor, RecoveryDriver};
+pub use executor::RecoveryDriver;
 pub use harness::{FollowerProcess, PrimaryProcess, StandbyFleet};
 pub use health::{ClusterSnapshot, DeploymentLoad, ShardState};
 pub use planner::Planner;

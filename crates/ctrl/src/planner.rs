@@ -185,11 +185,16 @@ mod tests {
     }
 
     fn config() -> CtrlConfig {
-        CtrlConfig::default()
+        let mut config = CtrlConfig::default()
             .with_dwell_threshold(Duration::from_millis(100))
             .with_cooldown_ticks(3)
-            .with_rebalance_ratio(2.0)
-            .with_rebalance_floor(10)
+            .with_rebalance_floor(10);
+        config.rebalance_ratio = 2.0;
+        config
+    }
+
+    fn capped(max_actions_per_tick: usize) -> CtrlConfig {
+        CtrlConfig { max_actions_per_tick, ..config() }
     }
 
     #[test]
@@ -274,7 +279,7 @@ mod tests {
 
     #[test]
     fn two_overloaded_shards_never_migrate_the_same_deployment_twice() {
-        let mut planner = Planner::new(config().with_max_actions_per_tick(8));
+        let mut planner = Planner::new(capped(8));
         let snapshot = ClusterSnapshot {
             tick: 1,
             shards: vec![
@@ -379,7 +384,7 @@ mod tests {
             ClusterSnapshot { tick, shards }
         }
 
-        let config = config().with_max_actions_per_tick(3);
+        let config = capped(3);
         let mut left = Planner::new(config.clone());
         let mut right = Planner::new(config);
         for trial in 0..64u64 {
