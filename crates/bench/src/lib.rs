@@ -35,7 +35,7 @@ pub fn seed_from_env() -> u64 {
 
 /// Returns `true` when the `OFSCIL_PROFILE=full` environment variable asks
 /// for the paper-scale configuration instead of the laptop-scale default.
-pub fn full_profile_requested() -> bool {
+pub(crate) fn full_profile_requested() -> bool {
     std::env::var("OFSCIL_PROFILE")
         .map(|v| v.eq_ignore_ascii_case("full"))
         .unwrap_or(false)

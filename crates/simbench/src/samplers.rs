@@ -62,7 +62,7 @@ impl Zipfian {
 
     /// The probability mass of rank `rank` — the analytic share an infinite
     /// sample converges to.
-    pub fn expected_share(&self, rank: usize) -> f64 {
+    pub(crate) fn expected_share(&self, rank: usize) -> f64 {
         let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
         self.cdf[rank] - lo
     }
@@ -85,7 +85,7 @@ impl Zipfian {
 /// `(floor + peak) / 2` — the closed form [`Diurnal::mean_level`] returns
 /// and the property tests pin against a numeric integral.
 #[derive(Debug, Clone, Copy)]
-pub struct Diurnal {
+pub(crate) struct Diurnal {
     /// Trough load in requests per tick.
     pub floor: f64,
     /// Crest load in requests per tick.
@@ -96,18 +96,18 @@ pub struct Diurnal {
 
 impl Diurnal {
     /// Instantaneous load at tick `t` (continuous; callers round).
-    pub fn level(&self, t: f64) -> f64 {
+    pub(crate) fn level(&self, t: f64) -> f64 {
         let phase = std::f64::consts::TAU * t / self.period;
         self.floor + (self.peak - self.floor) * (1.0 - phase.cos()) / 2.0
     }
 
     /// Requests to issue on integer tick `t`: the level rounded to nearest.
-    pub fn requests_at(&self, t: u64) -> u64 {
+    pub(crate) fn requests_at(&self, t: u64) -> u64 {
         self.level(t as f64).round() as u64
     }
 
     /// The exact mean of `level` over one period: `(floor + peak) / 2`.
-    pub fn mean_level(&self) -> f64 {
+    pub(crate) fn mean_level(&self) -> f64 {
         (self.floor + self.peak) / 2.0
     }
 }
@@ -116,7 +116,7 @@ impl Diurnal {
 /// phases, and within a phase the *newest* classes receive the bulk of the
 /// traffic (freshly onboarded classes are the ones users actually query).
 #[derive(Debug, Clone)]
-pub struct DriftSchedule {
+pub(crate) struct DriftSchedule {
     phases: Vec<Vec<usize>>,
     /// Probability that a draw lands in the newest phase's classes instead
     /// of the uniform backlog.
@@ -129,7 +129,7 @@ impl DriftSchedule {
     /// # Panics
     ///
     /// Panics when `phases` is empty or any phase introduces no classes.
-    pub fn new(phases: Vec<Vec<usize>>, hot_share: f64) -> Self {
+    pub(crate) fn new(phases: Vec<Vec<usize>>, hot_share: f64) -> Self {
         assert!(!phases.is_empty(), "a drift schedule needs at least one phase");
         assert!(
             phases.iter().all(|p| !p.is_empty()),
@@ -139,23 +139,23 @@ impl DriftSchedule {
     }
 
     /// Number of phases.
-    pub fn num_phases(&self) -> usize {
+    pub(crate) fn num_phases(&self) -> usize {
         self.phases.len()
     }
 
     /// Classes introduced by phase `phase`.
-    pub fn introduced(&self, phase: usize) -> &[usize] {
+    pub(crate) fn introduced(&self, phase: usize) -> &[usize] {
         &self.phases[phase]
     }
 
     /// All classes visible at the end of phase `phase` (inclusive).
-    pub fn seen(&self, phase: usize) -> Vec<usize> {
+    pub(crate) fn seen(&self, phase: usize) -> Vec<usize> {
         self.phases[..=phase].iter().flatten().copied().collect()
     }
 
     /// Draws a class to query during `phase`: with probability `hot_share`
     /// from the newest classes, otherwise uniformly from everything seen.
-    pub fn sample_class(&self, phase: usize, rng: &mut SeedRng) -> usize {
+    pub(crate) fn sample_class(&self, phase: usize, rng: &mut SeedRng) -> usize {
         if rng.chance(self.hot_share as f32) {
             let hot = &self.phases[phase];
             hot[rng.below(hot.len())]

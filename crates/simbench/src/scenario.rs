@@ -8,7 +8,7 @@ use crate::record::{Gate, Json};
 
 /// Simbench's error type: a stage description plus the underlying failure.
 /// Scenarios cross four crates' error types (serve, wire, router, core), so
-/// everything funnels into one displayable wrapper via [`Ctx::ctx`].
+/// everything funnels into one displayable wrapper via `Ctx::ctx`.
 #[derive(Debug)]
 pub struct SimError(pub String);
 
@@ -21,10 +21,10 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 /// Result alias used throughout the crate.
-pub type SimResult<T> = Result<T, SimError>;
+pub(crate) type SimResult<T> = Result<T, SimError>;
 
 /// Attaches a stage description while converting any displayable error.
-pub trait Ctx<T> {
+pub(crate) trait Ctx<T> {
     /// Maps the error into a [`SimError`] prefixed with `what`.
     fn ctx(self, what: &str) -> SimResult<T>;
 }
@@ -36,7 +36,7 @@ impl<T, E: fmt::Display> Ctx<T> for Result<T, E> {
 }
 
 /// Builds a [`SimError`] directly from a condition description.
-pub fn sim_err(what: impl Into<String>) -> SimError {
+pub(crate) fn sim_err(what: impl Into<String>) -> SimError {
     SimError(what.into())
 }
 
@@ -67,7 +67,7 @@ impl ScenarioReport {
     }
 
     /// Records an integer metric.
-    pub fn int(&mut self, key: &'static str, value: i64, gate: Gate) {
+    pub(crate) fn int(&mut self, key: &'static str, value: i64, gate: Gate) {
         self.metrics.push(Metric { key, value: Json::Int(value), gate });
     }
 
@@ -92,7 +92,7 @@ impl ScenarioReport {
 /// Per-scenario run context: the seed a scenario derives its streams from.
 pub struct ScenarioCtx {
     /// Base seed of the whole run (scenarios derive their own streams via
-    /// [`ScenarioCtx::rng_seed`], so adding a scenario never perturbs the
+    /// `ScenarioCtx::rng_seed`, so adding a scenario never perturbs the
     /// others' traces).
     pub seed: u64,
     scenario: &'static str,
@@ -105,7 +105,7 @@ impl ScenarioCtx {
 
     /// A scenario-specific RNG seed: the run seed folded with the scenario
     /// name (FNV-1a), so every scenario replays its own independent stream.
-    pub fn rng_seed(&self) -> u64 {
+    pub(crate) fn rng_seed(&self) -> u64 {
         ofscil::tensor::bytes::fnv1a64(self.scenario.as_bytes()) ^ self.seed
     }
 }

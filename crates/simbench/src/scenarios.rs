@@ -64,7 +64,7 @@ fn predicted(response: ServeResponse) -> SimResult<usize> {
 /// correct. The runtime runs with an observability sink attached, and the
 /// event-store counters ride along in the trajectory record — dropped
 /// events in a non-adversarial run are a regression.
-pub fn zipf_mixed(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn zipf_mixed(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const TENANTS: [&str; 4] = ["tenant-0", "tenant-1", "tenant-2", "tenant-3"];
     const TICKS: usize = 400;
     let registry = registry_with(&TENANTS)?;
@@ -169,7 +169,7 @@ pub fn zipf_mixed(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
 /// A raised-cosine daily load curve against a socket-backed wire server:
 /// offered load per tick follows the curve, and the realized mean must match
 /// the closed-form mean of the sampler.
-pub fn diurnal(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn diurnal(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const TICKS: u64 = 48;
     let registry = registry_with(&["diurnal"])?;
     let curve = Diurnal { floor: 1.0, peak: 6.0, period: 24.0 };
@@ -229,7 +229,7 @@ pub fn diurnal(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
 /// Bursty learn-storms against a wire server: storms of redundant learns on
 /// a growing class set, with snapshot-size monotonicity and replication-
 /// sequence bookkeeping checked between bursts.
-pub fn learn_storm(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn learn_storm(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const STORMS: usize = 6;
     const LEARNS_PER_STORM: usize = 8;
     const INFERS_PER_LULL: usize = 10;
@@ -478,7 +478,7 @@ fn deliver_hostile(addr: &std::net::SocketAddr, blob: &[u8]) -> SimResult<bool> 
 /// shards run observed, so the barrage doubles as a check that hostile
 /// frames never reach the event stores either: the appended count must
 /// equal the valid requests exactly, with zero drops.
-pub fn byzantine_frames(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn byzantine_frames(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const HOSTILE_FRAMES: usize = 40;
     const VALID_AFTER: usize = 10;
     const DEPLOYMENTS: [&str; 2] = ["alpha", "beta"];
@@ -618,7 +618,7 @@ pub fn byzantine_frames(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
 /// admission counters must conserve — every offered request is either in
 /// the accepted throughput counters or the per-type rejection counters,
 /// never both, never neither.
-pub fn budget_exhaustion(_ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn budget_exhaustion(_ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const DEPLOYMENTS: [&str; 2] = ["alpha", "beta"];
     let make_registry = || -> SimResult<Arc<LearnerRegistry>> {
         let registry = LearnerRegistry::new();
@@ -973,7 +973,7 @@ pub fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
 /// sequence must never move backwards, so followers detect the jump and
 /// resync instead of silently serving stale deltas — plus typed rejection
 /// of corrupted snapshots.
-pub fn stale_replay(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn stale_replay(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     let registry = registry_with(&["replay"])?;
     let mut rng = SeedRng::new(ctx.rng_seed());
 
@@ -1080,7 +1080,7 @@ fn obs_soak_dir() -> std::path::PathBuf {
 /// — through a raw chunk if it survived the spill GC, through a rollup
 /// cell if it did not — with aggregates identical to a reference store
 /// that never died.
-pub fn obs_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn obs_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     use ofscil::obs::ROLLUP_BUCKET_US;
     const CHUNK: usize = 32;
     const TOTAL: usize = 1_500;
@@ -1220,7 +1220,7 @@ pub fn obs_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
 ///    then streamed back through the per-shard legs and the merged stream
 ///    must converge to the post-hoc routed query as an exact multiset of
 ///    rows, with zero shard-side sheds.
-pub fn stream_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn stream_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const SHED_EVENTS: usize = 500;
     const SHED_DEPTH: usize = 64;
     const RESUME_PREFIX: usize = 200;
