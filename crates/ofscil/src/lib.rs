@@ -83,46 +83,34 @@ pub mod prelude {
     };
     pub use ofscil_core::{
         metalearn, pretrain, run_ablation, run_experiment, run_fscil_protocol, AblationVariant,
-        EvalPrecision, ExperimentConfig, ExplicitMemory, FinetuneConfig,
-        MetaLoss, MetalearnConfig, OFscilModel, PretrainConfig, SessionResults,
+        EvalPrecision, ExperimentConfig, ExplicitMemory, FinetuneConfig, OFscilModel,
+        SessionResults,
     };
-    pub use ofscil_ctrl::{
-        ClusterSnapshot, ControlAction, Controller, CtrlConfig, CtrlError, FollowerProcess,
-        Planner, RateFeed, ShardState, StandbyFleet,
-    };
-    pub use ofscil_data::{
-        Augmenter, AugmenterConfig, Batch, CutMix, Dataset, FscilBenchmark, FscilConfig, Mixup,
-        Sample, SyntheticCifar, SyntheticConfig,
-    };
-    pub use ofscil_gap9::{
-        deploy_backbone, deploy_fcr, estimate_execution, Gap9Config, Gap9Executor, OperationCost,
-        PowerModel,
-    };
+    pub use ofscil_ctrl::{ControlAction, Controller, CtrlConfig, FollowerProcess, StandbyFleet};
+    pub use ofscil_data::{Batch, Dataset, FscilBenchmark, FscilConfig, SyntheticCifar};
+    pub use ofscil_gap9::{deploy_backbone, deploy_fcr, Gap9Config, Gap9Executor, OperationCost};
     pub use ofscil_nn::models::{BackboneKind, MobileNetVariant};
     pub use ofscil_nn::profile::profile_with_fcr;
     pub use ofscil_nn::{Layer, Mode};
     pub use ofscil_obs::{
-        ChunkSpill, Event, EventKind, EventSink, LatencyHistogram, Obs, ObsConfig,
-        ObsCursor, ObsQuery, ObsResult, ObsStore, ObsTail, Resolution, Rollup, TailBatch,
+        ChunkSpill, Event, EventKind, Obs, ObsConfig, ObsCursor, ObsQuery, ObsStore, Resolution,
+        Rollup,
     };
     pub use ofscil_quant::{ExplicitMemoryFootprint, FakeQuant, PrototypePrecision, QuantTensor};
     pub use ofscil_router::{
-        ClusterTail, HashRing, MigrationReport, PoolConfig, RouterConfig, RouterError,
-        RouterHandle, RouterServer, ShardHealth, ShardStats,
+        ClusterTail, HashRing, PoolConfig, RouterConfig, RouterError, RouterHandle, RouterServer,
     };
     pub use ofscil_serve::{
         decode_explicit_memory, encode_explicit_memory, BudgetPolicy, CommitJournal,
-        DeploymentExport, DeploymentSpec, DeploymentStats, DurabilityStats, LearnCommit,
-        LearnerRegistry, PendingResponse, ServeClient, ServeConfig, ServeError, ServeRequest,
-        ServeHooks, ServeResponse, ServeRuntime,
+        DeploymentSpec, DeploymentStats, LearnCommit, LearnerRegistry, PendingResponse,
+        ServeClient, ServeConfig, ServeError, ServeHooks, ServeRequest, ServeResponse,
+        ServeRuntime,
     };
-    pub use ofscil_store::{
-        ObsSpill, RecoveryReport, SpillRecovery, Store, StoreConfig, StoreError, SyncPolicy,
-    };
+    pub use ofscil_store::{ObsSpill, Store, StoreConfig, SyncPolicy};
     pub use ofscil_tensor::{SeedRng, Tensor};
     pub use ofscil_wire::{
-        BoundAddr, Follower, FollowerConfig, ObsTailStream, ReplEvent, WireBind, WireClient,
-        WireConfig, WireError, WireServer,
+        BoundAddr, Follower, FollowerConfig, ObsTailStream, ReplEvent, WireClient, WireConfig,
+        WireError, WireServer,
     };
 }
 
