@@ -256,9 +256,12 @@ mod tests {
             cols.dims(),
         )
         .unwrap();
-        let lhs = cols.dot(&y).unwrap();
+        let dot = |a: &Tensor, b: &Tensor| -> f32 {
+            a.as_slice().iter().zip(b.as_slice()).map(|(a, b)| a * b).sum()
+        };
+        let lhs = dot(&cols, &y);
         let back = col2im(&y, channels, &g).unwrap();
-        let rhs = x.dot(&back).unwrap();
+        let rhs = dot(&x, &back);
         assert!((lhs - rhs).abs() < 1e-3, "lhs {lhs} rhs {rhs}");
     }
 

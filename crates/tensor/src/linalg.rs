@@ -95,26 +95,6 @@ impl Tensor {
         Tensor::from_vec(out, &[n, m])
     }
 
-    /// Dot product of two vectors (or any two same-length tensors, flattened).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] when the lengths differ.
-    pub fn dot(&self, other: &Tensor) -> Result<f32> {
-        if self.len() != other.len() {
-            return Err(TensorError::ShapeMismatch {
-                left: self.dims().to_vec(),
-                right: other.dims().to_vec(),
-                op: "dot",
-            });
-        }
-        Ok(self
-            .as_slice()
-            .iter()
-            .zip(other.as_slice())
-            .map(|(a, b)| a * b)
-            .sum())
-    }
 }
 
 fn matrix_dims(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
@@ -184,13 +164,6 @@ mod tests {
             assert_eq!(c.dims(), &[m, n]);
             assert!(c.as_slice().iter().all(|&v| v == 0.0), "{m}x{k}x{n}");
         }
-    }
-
-    #[test]
-    fn dot_product() {
-        let v = Tensor::from_slice(&[1.0, -1.0]);
-        assert_eq!(v.dot(&v).unwrap(), 2.0);
-        assert!(v.dot(&Tensor::zeros(&[3])).is_err());
     }
 
     #[test]

@@ -47,24 +47,6 @@ impl Tensor {
             .ok_or(TensorError::Empty("min"))
     }
 
-    /// Index of the maximum element (first occurrence on ties).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::Empty`] for an empty tensor.
-    pub fn argmax(&self) -> Result<usize> {
-        if self.is_empty() {
-            return Err(TensorError::Empty("argmax"));
-        }
-        let mut best = 0usize;
-        for (i, &x) in self.as_slice().iter().enumerate() {
-            if x > self.as_slice()[best] {
-                best = i;
-            }
-        }
-        Ok(best)
-    }
-
     /// Row-wise argmax of a rank-2 tensor: one index per row.
     ///
     /// # Errors
@@ -153,7 +135,6 @@ mod tests {
         assert_eq!(t.mean(), -0.5);
         assert_eq!(t.max().unwrap(), 3.0);
         assert_eq!(t.min().unwrap(), -4.0);
-        assert_eq!(t.argmax().unwrap(), 2);
         assert_eq!(t.max_abs(), 4.0);
     }
 
@@ -162,7 +143,6 @@ mod tests {
         let t = Tensor::from_vec(vec![], &[0]).unwrap();
         assert!(t.max().is_err());
         assert!(t.min().is_err());
-        assert!(t.argmax().is_err());
         assert_eq!(t.mean(), 0.0);
     }
 

@@ -42,20 +42,8 @@ impl Shape {
         self.dims.iter().product()
     }
 
-    /// Returns the extent of dimension `axis`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::InvalidAxis`] when `axis >= rank`.
-    pub fn dim(&self, axis: usize) -> Result<usize> {
-        self.dims
-            .get(axis)
-            .copied()
-            .ok_or(TensorError::InvalidAxis { axis, rank: self.rank() })
-    }
-
     /// Computes the row-major strides (in elements) for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
@@ -69,7 +57,7 @@ impl Shape {
     ///
     /// Returns [`TensorError::IndexOutOfBounds`] when the index rank does not
     /// match or any component exceeds its extent.
-    pub fn offset(&self, index: &[usize]) -> Result<usize> {
+    pub(crate) fn offset(&self, index: &[usize]) -> Result<usize> {
         if index.len() != self.dims.len()
             || index.iter().zip(&self.dims).any(|(i, d)| i >= d)
         {
@@ -125,8 +113,6 @@ mod tests {
         let s = Shape::new(&[4, 3, 2]);
         assert_eq!(s.volume(), 24);
         assert_eq!(s.rank(), 3);
-        assert_eq!(s.dim(1).unwrap(), 3);
-        assert!(s.dim(3).is_err());
     }
 
     #[test]
