@@ -77,11 +77,6 @@ impl Dataset {
         self.samples.is_empty()
     }
 
-    /// The common image dims `[channels, h, w]`.
-    pub fn image_dims(&self) -> &[usize] {
-        &self.image_dims
-    }
-
     /// Returns the sample at `index`.
     ///
     /// # Errors

@@ -114,11 +114,6 @@ impl SyntheticCifar {
         &self.config
     }
 
-    /// Number of classes the generator can produce.
-    pub fn num_classes(&self) -> usize {
-        self.config.num_classes
-    }
-
     /// Renders one image of `class`; `sample_id` and `stream` select the
     /// per-sample randomness (train and test splits use different streams so
     /// they never share samples).

@@ -46,7 +46,7 @@ impl Backbone {
     }
 
     /// Total number of trainable parameters.
-    pub fn param_count(&mut self) -> u64 {
+    pub(crate) fn param_count(&mut self) -> u64 {
         self.net.param_count()
     }
 
