@@ -36,11 +36,6 @@ impl EtfHead {
         }
     }
 
-    /// The maximum number of classes the pre-assigned frame supports.
-    pub fn capacity(&self) -> usize {
-        self.targets.len()
-    }
-
     /// Fits the base-session alignment: ridge regression from the given
     /// features to the targets of their (newly assigned) classes.
     ///
@@ -271,7 +266,7 @@ mod tests {
     #[test]
     fn capacity_and_shape_errors() {
         let mut head = EtfHead::new(4, 2, 0);
-        assert_eq!(head.capacity(), 2);
+        assert_eq!(head.targets.len(), 2);
         // Prediction before any class is learned fails.
         assert!(head.predict(&Tensor::ones(&[1, 4])).is_err());
         let features = Tensor::ones(&[3, 4]);

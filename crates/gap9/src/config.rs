@@ -86,7 +86,7 @@ impl Gap9Config {
     /// # Errors
     ///
     /// Returns an error when any capacity, bandwidth or throughput is zero.
-    pub fn validate(&self) -> crate::Result<()> {
+    pub(crate) fn validate(&self) -> crate::Result<()> {
         if self.cluster_cores == 0 {
             return Err(crate::Gap9Error::InvalidConfig("cluster_cores must be nonzero".into()));
         }

@@ -24,7 +24,7 @@ impl PowerModel {
     /// Static leakage plus per-active-core dynamic power, plus DMA power
     /// weighted by the fraction of time the transfers dominate, plus a
     /// training surcharge for backward passes.
-    pub fn power_mw(&self, estimate: &ExecutionEstimate) -> f64 {
+    pub(crate) fn power_mw(&self, estimate: &ExecutionEstimate) -> f64 {
         let mut power = self.config.leakage_mw
             + estimate.cores as f64 * self.config.core_dynamic_mw
             + self.config.dma_mw * estimate.dma_fraction();
