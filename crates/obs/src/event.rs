@@ -233,7 +233,7 @@ impl Event {
 
     /// Appends the row's byte layout — the one layout spill chunks, query
     /// responses and tail batches all carry.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_str16(out, &self.deployment);
         out.push(self.kind.code());
         put_u64(out, self.seq);
@@ -250,7 +250,7 @@ impl Event {
     ///
     /// Returns a typed [`DecodeError`] for short rows, bad UTF-8 and unknown
     /// kind codes.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
         let deployment = r.str16()?;
         let tag = r.u8()?;
         let kind = EventKind::from_code(tag)

@@ -30,7 +30,7 @@ impl LatencyHistogram {
     }
 
     /// The bucket index a latency falls in.
-    pub fn bucket_of(latency_us: u64) -> usize {
+    pub(crate) fn bucket_of(latency_us: u64) -> usize {
         if latency_us == 0 {
             return 0;
         }
@@ -56,7 +56,7 @@ impl LatencyHistogram {
 
     /// Folds another histogram in, bucket-wise. Buckets saturate: a
     /// histogram decoded from a peer may hold any counts.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
             *mine = mine.saturating_add(*theirs);
         }
@@ -97,7 +97,7 @@ impl LatencyHistogram {
     }
 
     /// Appends the 32 bucket counts, bucket order.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         out.reserve(LATENCY_BUCKETS * 8);
         for &count in &self.counts {
             put_u64(out, count);
@@ -109,7 +109,7 @@ impl LatencyHistogram {
     /// # Errors
     ///
     /// Returns [`DecodeError::Truncated`] when a bucket is missing.
-    pub fn decode(r: &mut Reader<'_>) -> Result<LatencyHistogram, DecodeError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<LatencyHistogram, DecodeError> {
         let mut histogram = LatencyHistogram::empty();
         for count in histogram.counts.iter_mut() {
             *count = r.u64()?;

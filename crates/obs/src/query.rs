@@ -19,7 +19,7 @@ pub(crate) const AUTO_RAW_WINDOW_US: u64 = 10 * ROLLUP_BUCKET_US;
 /// What granularity a query wants its matches materialized at.
 ///
 /// Aggregates are identical at every resolution (rollup cells fold the same
-/// values through the same [`Summary::observe`] path); the resolution only
+/// values through the same `Summary::observe` path); the resolution only
 /// decides whether the result carries raw [`Event`] rows, per-minute
 /// [`Rollup`] rows, or a time-partitioned mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,7 +45,7 @@ impl Resolution {
     }
 
     /// Inverse of [`Resolution::code`]; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<Resolution> {
+    pub(crate) fn from_code(code: u8) -> Option<Resolution> {
         match code {
             0 => Some(Resolution::Raw),
             1 => Some(Resolution::Rollup),
@@ -222,7 +222,7 @@ impl Summary {
 
     /// Folds one finite value in; non-finite values (a "not applicable"
     /// NaN accuracy) are skipped.
-    pub fn observe(&mut self, value: f64) {
+    pub(crate) fn observe(&mut self, value: f64) {
         if !value.is_finite() {
             return;
         }
@@ -234,7 +234,7 @@ impl Summary {
 
     /// Folds another summary in (for merging shard results). The count
     /// saturates: a peer's decoded counters are not trusted to be sane.
-    pub fn merge(&mut self, other: &Summary) {
+    pub(crate) fn merge(&mut self, other: &Summary) {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum += other.sum;
@@ -251,7 +251,7 @@ impl Summary {
     }
 
     /// Appends min, max, sum (IEEE-754 bits) and count: 32 bytes.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         put_f64(out, self.min);
         put_f64(out, self.max);
         put_f64(out, self.sum);
@@ -263,7 +263,7 @@ impl Summary {
     /// # Errors
     ///
     /// Returns [`DecodeError::Truncated`] for a short body.
-    pub fn decode(r: &mut Reader<'_>) -> Result<Summary, DecodeError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Summary, DecodeError> {
         Ok(Summary { min: r.f64()?, max: r.f64()?, sum: r.f64()?, count: r.u64()? })
     }
 }
@@ -299,7 +299,7 @@ impl ObsAggregates {
     }
 
     /// Folds another aggregate in, saturating like [`Summary::merge`].
-    pub fn merge(&mut self, other: &ObsAggregates) {
+    pub(crate) fn merge(&mut self, other: &ObsAggregates) {
         self.matched = self.matched.saturating_add(other.matched);
         self.energy_mj.merge(&other.energy_mj);
         self.latency_us.merge(&other.latency_us);

@@ -122,7 +122,7 @@ impl Rollup {
     }
 
     /// Appends a counted run of cells (`u32` count, then each cell).
-    pub fn encode_all(rollups: &[Rollup], out: &mut Vec<u8>) {
+    pub(crate) fn encode_all(rollups: &[Rollup], out: &mut Vec<u8>) {
         put_u32(out, rollups.len() as u32);
         for rollup in rollups {
             rollup.encode(out);
@@ -136,7 +136,7 @@ impl Rollup {
     ///
     /// Returns [`DecodeError::LengthOverflow`] for a count the body cannot
     /// hold, or the first cell's decode error.
-    pub fn decode_all(r: &mut Reader<'_>) -> Result<Vec<Rollup>, DecodeError> {
+    pub(crate) fn decode_all(r: &mut Reader<'_>) -> Result<Vec<Rollup>, DecodeError> {
         r.list("rollups", Rollup::MIN_ENCODED_BYTES, Rollup::decode)
     }
 }

@@ -74,7 +74,7 @@ impl EventSink {
     /// receiving end a collector drains. [`Obs::new`](crate::Obs::new) wires
     /// this up for normal use; tests use it directly to exercise
     /// backpressure deterministically.
-    pub fn bounded(depth: usize) -> (EventSink, mpsc::Receiver<Event>) {
+    pub(crate) fn bounded(depth: usize) -> (EventSink, mpsc::Receiver<Event>) {
         let (tx, rx) = mpsc::sync_channel(depth.max(1));
         let sink = EventSink {
             tx,
@@ -144,12 +144,6 @@ impl EventSink {
         self.counters.dropped.load(Ordering::Acquire)
     }
 
-    /// Clean→overflow transitions so far — one per drop window, however
-    /// many events each window shed.
-    pub fn overflows(&self) -> u64 {
-        self.counters.overflows.load(Ordering::Acquire)
-    }
-
     /// The sink's clock, for callers that want comparable timestamps
     /// without emitting.
     pub fn clock(&self) -> &ObsClock {
@@ -216,7 +210,7 @@ mod tests {
         for i in 0..3u64 {
             sink.emit_at(Event::new(EventKind::Infer, "t").with_time_us(20 + i));
         }
-        assert_eq!(sink.overflows(), 1);
+        assert_eq!(sink.counters.overflows.load(Ordering::Acquire), 1);
         assert_eq!(sink.dropped(), 3);
         // Drain two, then the next accepted event closes the window and the
         // marker rides along right behind it.
@@ -237,7 +231,7 @@ mod tests {
             sink.emit_at(Event::new(EventKind::Infer, "t").with_time_us(40));
         }
         sink.emit_at(Event::new(EventKind::Infer, "t").with_time_us(41));
-        assert_eq!(sink.overflows(), 2);
+        assert_eq!(sink.counters.overflows.load(Ordering::Acquire), 2);
     }
 
     #[test]

@@ -53,13 +53,6 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Sets the intake channel depth (builder style; clamped to ≥ 1).
-    #[must_use]
-    pub fn with_queue_depth(mut self, depth: usize) -> ObsConfig {
-        self.queue_depth = depth.max(1);
-        self
-    }
-
     /// Sets the rows-per-chunk seal threshold (builder style; clamped to ≥ 1).
     #[must_use]
     pub fn with_chunk_events(mut self, events: usize) -> ObsConfig {

@@ -50,14 +50,6 @@ impl ServeConfig {
         self
     }
 
-    /// Bounds the runtime's queues: submissions beyond `depth` requests
-    /// waiting for a worker are shed with `QueueFull` (builder style).
-    #[must_use]
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = Some(depth);
-        self
-    }
-
     /// Marks the runtime as a read-only replica (builder style): writes are
     /// rejected with `ReadOnlyReplica`.
     #[must_use]
@@ -100,8 +92,9 @@ mod tests {
     fn zero_knobs_are_rejected() {
         assert!(ServeConfig { workers: 0, ..ServeConfig::default() }.validate().is_err());
         assert!(ServeConfig::default().with_max_batch(0).validate().is_err());
-        assert!(ServeConfig::default().with_queue_depth(0).validate().is_err());
-        ServeConfig::default().with_queue_depth(1).validate().unwrap();
+        let depth = |depth| ServeConfig { queue_depth: Some(depth), ..ServeConfig::default() };
+        assert!(depth(0).validate().is_err());
+        depth(1).validate().unwrap();
     }
 
     #[test]

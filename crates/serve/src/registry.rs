@@ -188,7 +188,7 @@ pub struct ExportStats {
 
 impl ExportStats {
     /// Appends the eight counters, declaration order.
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         for counter in [
             self.infer_requests,
             self.infer_batches,
@@ -208,7 +208,7 @@ impl ExportStats {
     /// # Errors
     ///
     /// Returns [`DecodeError::Truncated`] for a short body.
-    pub fn decode(r: &mut Reader<'_>) -> std::result::Result<ExportStats, DecodeError> {
+    pub(crate) fn decode(r: &mut Reader<'_>) -> std::result::Result<ExportStats, DecodeError> {
         Ok(ExportStats {
             infer_requests: r.u64()?,
             infer_batches: r.u64()?,

@@ -1182,8 +1182,8 @@ mod tests {
         // the dispatcher emptied the channel.
         let registry = registry_with_two_classes();
         let deployment = registry.resolve("t").unwrap();
-        let config =
-            ServeConfig { workers: 1, ..ServeConfig::default() }.with_max_batch(1).with_queue_depth(2);
+        let config = ServeConfig { workers: 1, queue_depth: Some(2), ..ServeConfig::default() }
+            .with_max_batch(1);
         ServeRuntime::run(&registry, &config, |client| {
             let (held, parked) = park_worker(client, &deployment);
             let first = client.submit(infer(0));
@@ -1288,7 +1288,7 @@ mod tests {
     #[test]
     fn bounded_queue_recovers_once_the_dispatcher_catches_up() {
         let registry = registry_with(&["t"]);
-        let config = ServeConfig::default().with_queue_depth(64);
+        let config = ServeConfig { queue_depth: Some(64), ..ServeConfig::default() };
         ServeRuntime::run(&registry, &config, |client| {
             for _ in 0..4 {
                 client.call(ServeRequest::Stats { deployment: "t".into() }).unwrap();

@@ -312,7 +312,7 @@ impl OpLog {
     }
 
     /// Number of records currently in the log.
-    pub fn records(&self) -> u64 {
+    pub(crate) fn records(&self) -> u64 {
         self.records
     }
 

@@ -334,7 +334,7 @@ impl Store {
     /// # Errors
     ///
     /// Returns [`StoreError::Io`] when writing the checkpoint or log fails.
-    pub fn attach(&self, registry: &LearnerRegistry) -> Result<usize, StoreError> {
+    pub(crate) fn attach(&self, registry: &LearnerRegistry) -> Result<usize, StoreError> {
         let mut attached = 0;
         for name in registry.names() {
             {
@@ -375,7 +375,7 @@ impl Store {
     ///
     /// # Errors
     ///
-    /// See [`Store::recover`] and [`Store::attach`].
+    /// See [`Store::recover`] and `Store::attach`.
     pub fn bootstrap(
         &self,
         registry: &LearnerRegistry,
@@ -516,7 +516,7 @@ impl Store {
     ///
     /// Returns [`StoreError::NotAttached`] for unknown deployments and
     /// [`StoreError::Io`] when the rewrite fails.
-    pub fn compact(&self, name: &str) -> Result<bool, StoreError> {
+    pub(crate) fn compact(&self, name: &str) -> Result<bool, StoreError> {
         let log = self.log_of(name)?;
         let mut log = log.lock().expect("deployment log poisoned");
         // The attempt itself clears the dirty bit: an incompressible log is
