@@ -28,7 +28,7 @@ pub struct FollowerProcess {
 
 impl FollowerProcess {
     /// Boots the replica: binds its read-only server, starts the tails, and
-    /// keeps serving until [`FollowerProcess::promote`], `stop`, or drop.
+    /// keeps serving until `FollowerProcess::promote`, `stop`, or drop.
     /// The registry is shared — the caller keeps an `Arc` clone to inspect
     /// replicated state.
     ///
@@ -51,11 +51,6 @@ impl FollowerProcess {
         self.server.addr()
     }
 
-    /// Stops the replica's tails and server.
-    pub fn stop(self) {
-        self.server.stop();
-    }
-
     /// Promotes the replica: stops the tail (the primary it followed is
     /// presumed dead), then boots a **writable** store-backed primary over
     /// the replicated registry via
@@ -66,7 +61,7 @@ impl FollowerProcess {
     /// # Errors
     ///
     /// Returns the promoted server's bind or bootstrap error.
-    pub fn promote(
+    pub(crate) fn promote(
         self,
         store_dir: &Path,
         obs: Option<Obs>,
@@ -90,7 +85,7 @@ impl PrimaryProcess {
     /// # Errors
     ///
     /// Returns the server's bind error or the store's recovery error.
-    pub fn restart(
+    pub(crate) fn restart(
         registry: Arc<LearnerRegistry>,
         store_dir: &Path,
         obs: Option<Obs>,
@@ -133,10 +128,6 @@ impl PrimaryProcess {
         self.0.addr()
     }
 
-    /// Shuts the primary down and waits for it to drain.
-    pub fn stop(self) {
-        self.0.stop();
-    }
 }
 
 /// Per-shard standby resources.

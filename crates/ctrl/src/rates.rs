@@ -56,7 +56,7 @@ impl RateFeed {
     /// snapshotted at subscribe time; a controller that reshapes the ring
     /// mid-flight keeps working through the polled fallback until the next
     /// [`resubscribe`](RateFeed::resubscribe).
-    pub fn subscribe(router: &RouterHandle<'_>, config: &CtrlConfig) -> RateFeed {
+    pub(crate) fn subscribe(router: &RouterHandle<'_>, config: &CtrlConfig) -> RateFeed {
         RateFeed {
             tail: router.cluster_tail(&Self::query(config), None),
             window: Vec::new(),
@@ -72,7 +72,7 @@ impl RateFeed {
     /// Drains every buffered leg batch into the window and returns the
     /// trailing rates, or `None` once every leg has exited — the signal to
     /// fall back to a polled [`ObsQuery`] for this tick.
-    pub fn rates(&mut self) -> Option<Vec<DeploymentRate>> {
+    pub(crate) fn rates(&mut self) -> Option<Vec<DeploymentRate>> {
         loop {
             match self.tail.try_recv() {
                 Ok(batch) => {
@@ -114,14 +114,14 @@ impl RateFeed {
     /// high-water cursor. The retained window stays valid: every leg
     /// back-fills strictly after the cursor, so nothing is redelivered and
     /// nothing is skipped.
-    pub fn resubscribe(&mut self, router: &RouterHandle<'_>, config: &CtrlConfig) {
+    pub(crate) fn resubscribe(&mut self, router: &RouterHandle<'_>, config: &CtrlConfig) {
         self.tail = router.cluster_tail(&Self::query(config), Some(self.cursor));
         self.live = true;
         self.resubscribed += 1;
     }
 
     /// Whether the tail was still delivering at the last
-    /// [`rates`](RateFeed::rates) call.
+    /// `rates` call.
     pub fn is_live(&self) -> bool {
         self.live
     }

@@ -67,11 +67,6 @@ impl HashRing {
         ring
     }
 
-    /// Virtual nodes per shard.
-    pub fn replicas(&self) -> usize {
-        self.replicas
-    }
-
     /// Active shard ids, ascending.
     pub(crate) fn shard_ids(&self) -> Vec<usize> {
         self.shards.iter().copied().collect()
@@ -105,7 +100,7 @@ impl HashRing {
     }
 
     /// Adds a shard, returning its new id.
-    pub fn add_shard(&mut self) -> usize {
+    pub(crate) fn add_shard(&mut self) -> usize {
         let id = self.next_id;
         self.next_id += 1;
         self.shards.insert(id);

@@ -127,7 +127,7 @@ impl RouterConfig {
     /// # Errors
     ///
     /// Returns [`RouterError::InvalidConfig`] when no shards are given.
-    pub fn validate(&self) -> Result<(), RouterError> {
+    pub(crate) fn validate(&self) -> Result<(), RouterError> {
         if self.shards.is_empty() {
             return Err(RouterError::InvalidConfig(
                 "a router needs at least one backend shard".into(),

@@ -82,7 +82,7 @@ impl ClusterTail {
     }
 
     /// The next leg batch if one is already buffered; never blocks.
-    pub fn try_next(&self) -> Option<TailBatch> {
+    pub(crate) fn try_next(&self) -> Option<TailBatch> {
         self.rx.try_recv().ok()
     }
 

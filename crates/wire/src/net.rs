@@ -164,7 +164,7 @@ impl WireStream {
     }
 
     /// Applies (or clears) a socket read timeout.
-    pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+    pub(crate) fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             WireStream::Tcp(s) => s.set_read_timeout(timeout),
             #[cfg(unix)]
