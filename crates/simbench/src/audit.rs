@@ -57,7 +57,7 @@ fn serve_accuracy(client: &ServeClient, dataset: &Dataset) -> SimResult<f64> {
 /// Runs the learning-quality audit. Fails (rather than records) when the
 /// serve path stops beating the NCM baseline — a bench line claiming
 /// quality must demonstrate it.
-pub fn audit(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn audit(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     let outcome = run_experiment(&audit_config(ctx.seed)).ctx("audit experiment")?;
     let benchmark = outcome.benchmark;
     let mut model = outcome.model;

@@ -72,7 +72,7 @@ impl ScenarioReport {
     }
 
     /// Records a float metric.
-    pub fn float(&mut self, key: &'static str, value: f64, gate: Gate) {
+    pub(crate) fn float(&mut self, key: &'static str, value: f64, gate: Gate) {
         self.metrics.push(Metric { key, value: Json::Float(value), gate });
     }
 

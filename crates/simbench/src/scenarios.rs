@@ -754,7 +754,7 @@ fn chaos_store_dir() -> std::path::PathBuf {
 /// scenario then proves every deployment serves reads AND writes again and
 /// that the recovery timeline (breaker-open before the stamped promotion)
 /// reconstructs from a single routed observability query.
-pub fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
+pub(crate) fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const TENANTS: [&str; 4] = ["cam-0", "cam-1", "cam-2", "cam-3"];
     const BURST: usize = 60;
 
