@@ -45,7 +45,7 @@ pub struct ExperimentConfig {
     /// Storage precision of the explicit memory (bits per element; 32 = FP).
     pub(crate) prototype_bits: u8,
     /// Optional on-device FCR fine-tuning (paper §V-B, the "+FT" rows).
-    pub finetune: Option<FinetuneConfig>,
+    pub(crate) finetune: Option<FinetuneConfig>,
 }
 
 impl ExperimentConfig {

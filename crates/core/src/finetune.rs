@@ -19,9 +19,9 @@ use ofscil_tensor::Tensor;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FinetuneConfig {
     /// Number of passes over the stored class activations (paper: 100).
-    pub epochs: usize,
+    pub(crate) epochs: usize,
     /// SGD learning rate.
-    pub learning_rate: f32,
+    pub(crate) learning_rate: f32,
     /// Classes per accumulated gradient step (the sub-batch size N).
     pub(crate) sub_batch: usize,
 }

@@ -24,13 +24,13 @@ pub struct MetalearnConfig {
     /// Query samples per class per iteration.
     pub(crate) queries_per_class: usize,
     /// Multi-margin margin value m (paper: 0.1 after grid search).
-    pub margin: f32,
+    pub(crate) margin: f32,
     /// SGD learning rate.
-    pub learning_rate: f32,
+    pub(crate) learning_rate: f32,
     /// SGD momentum.
-    pub momentum: f32,
+    pub(crate) momentum: f32,
     /// The metalearning loss.
-    pub loss: crate::MetaLoss,
+    pub(crate) loss: crate::MetaLoss,
 }
 
 impl MetalearnConfig {

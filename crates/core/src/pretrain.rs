@@ -21,15 +21,15 @@ pub struct PretrainConfig {
     /// Mini-batch size.
     pub batch_size: usize,
     /// SGD learning rate.
-    pub learning_rate: f32,
+    pub(crate) learning_rate: f32,
     /// SGD momentum.
-    pub momentum: f32,
+    pub(crate) momentum: f32,
     /// L2 weight decay.
-    pub weight_decay: f32,
+    pub(crate) weight_decay: f32,
     /// Orthogonality regularisation strength λ_ortho (Eq. 2); 0 disables it.
     pub(crate) lambda_ortho: f32,
     /// Enables the traditional augmentations (flip / crop / blur).
-    pub augment: bool,
+    pub(crate) augment: bool,
     /// Enables Mixup / CutMix feature interpolation.
     pub(crate) feature_interpolation: bool,
     /// Probability of applying Mixup or CutMix to a batch (paper: 0.4).

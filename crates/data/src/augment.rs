@@ -173,7 +173,7 @@ pub(crate) fn box_blur(image: &Tensor) -> Result<Tensor> {
 pub struct Mixup {
     /// Beta-distribution shape parameter; the paper's recipe uses uniform
     /// mixing, approximated here by `Uniform(0, 1)` when `alpha == 1`.
-    pub alpha: f32,
+    pub(crate) alpha: f32,
 }
 
 impl Default for Mixup {

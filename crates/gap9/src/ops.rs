@@ -12,7 +12,7 @@ pub struct OperationCost {
     /// Operation name (e.g. "EM update").
     pub operation: String,
     /// Network the operation ran on.
-    pub network: String,
+    pub(crate) network: String,
     /// Wall-clock time in milliseconds.
     pub time_ms: f64,
     /// Average power in milliwatts.

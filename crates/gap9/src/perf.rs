@@ -34,7 +34,7 @@ pub struct ExecutionEstimate {
     /// Total MACs of the estimated pass.
     pub macs: u64,
     /// Whether the pass included training (backward) kernels.
-    pub training: bool,
+    pub(crate) training: bool,
 }
 
 impl ExecutionEstimate {

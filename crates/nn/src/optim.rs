@@ -36,11 +36,11 @@ pub fn clip_gradient_norm(layer: &mut dyn Layer, max_norm: f32) -> f32 {
 #[derive(Debug, Clone)]
 pub struct Sgd {
     /// Learning rate.
-    pub learning_rate: f32,
+    pub(crate) learning_rate: f32,
     /// Momentum coefficient (0 disables momentum).
-    pub momentum: f32,
+    pub(crate) momentum: f32,
     /// L2 weight decay applied to the parameter values.
-    pub weight_decay: f32,
+    pub(crate) weight_decay: f32,
     velocity: Vec<Tensor>,
 }
 

@@ -14,7 +14,7 @@ pub struct Parameter {
     /// The parameter value.
     pub value: Tensor,
     /// The accumulated gradient (same shape as `value`).
-    pub grad: Tensor,
+    pub(crate) grad: Tensor,
     /// Whether the optimizer should update this parameter.
     pub trainable: bool,
 }

@@ -73,7 +73,7 @@ pub struct ObsQuery {
     /// Largest matching [`Event::seq`].
     pub(crate) seq_max: u64,
     /// OR of [`EventKind::bit`]s to match; 0 matches every kind.
-    pub kinds: u16,
+    pub(crate) kinds: u16,
     /// Maximum events returned (earliest first); excess rows still count in
     /// the aggregates and set [`ObsResult::truncated`]. 0 is a pure
     /// aggregate query.
@@ -82,7 +82,7 @@ pub struct ObsQuery {
     /// events only — rollup cells no longer carry per-event sequence
     /// numbers, so a narrowed `seq` window should be paired with
     /// [`Resolution::Raw`].
-    pub resolution: Resolution,
+    pub(crate) resolution: Resolution,
 }
 
 impl ObsQuery {

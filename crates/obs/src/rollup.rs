@@ -30,10 +30,10 @@ pub struct Rollup {
     /// Energy column, millijoules.
     pub energy_mj: Summary,
     /// Latency column, microseconds.
-    pub latency_us: Summary,
+    pub(crate) latency_us: Summary,
     /// Accuracy column; NaN rows are skipped, so `accuracy.count` can be
     /// below `count`.
-    pub accuracy: Summary,
+    pub(crate) accuracy: Summary,
 }
 
 impl Rollup {

@@ -42,14 +42,14 @@ pub struct ObsConfig {
     /// Depth of the bounded intake channel ([`EventSink`](crate::EventSink)).
     /// Size it at the burst you expect between collector wakeups; overflow
     /// is dropped and counted, never waited on.
-    pub queue_depth: usize,
+    pub(crate) queue_depth: usize,
     /// Rows per chunk: the active chunk seals (and time-sorts) once it holds
     /// this many events.
-    pub chunk_events: usize,
+    pub(crate) chunk_events: usize,
     /// Resident budget in bytes (`rows × EVENT_BYTES`). Once exceeded, whole
     /// sealed chunks are evicted oldest-first; the active chunk is never
     /// evicted.
-    pub byte_budget: usize,
+    pub(crate) byte_budget: usize,
 }
 
 impl ObsConfig {
@@ -105,7 +105,7 @@ pub struct ObsCounters {
     /// Per-minute rollup cells currently held (these survive GC).
     pub rollup_rows: u64,
     /// Live tail subscribers currently registered.
-    pub tails: u64,
+    pub(crate) tails: u64,
     /// Rows accepted into tail subscriber channels so far (all subscribers,
     /// departed ones included).
     pub(crate) tail_delivered: u64,

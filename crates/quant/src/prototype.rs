@@ -99,9 +99,9 @@ impl PrototypePrecision {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExplicitMemoryFootprint {
     /// Number of stored class prototypes.
-    pub num_classes: usize,
+    pub(crate) num_classes: usize,
     /// Prototype dimensionality d_p.
-    pub dim: usize,
+    pub(crate) dim: usize,
     /// Storage bits per element.
     pub bits: u8,
 }

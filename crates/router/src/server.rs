@@ -53,7 +53,7 @@ const VNODES: usize = 64;
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
     /// Where the router listens for clients.
-    pub bind: WireBind,
+    pub(crate) bind: WireBind,
     /// Backend shard addresses; index = shard id on the ring.
     pub shards: Vec<BoundAddr>,
     /// Deployments the router places and manages. Routing itself hashes any
@@ -61,7 +61,7 @@ pub struct RouterConfig {
     /// this known set.
     pub deployments: Vec<String>,
     /// Connection-pool knobs (retries, backoff, cooldown).
-    pub pool: PoolConfig,
+    pub(crate) pool: PoolConfig,
     /// Path of the persistent placement journal. When set, every migration's
     /// placement override is appended as a checksummed record (the
     /// `ofscil_store` record codec), and a restarting router replays the
@@ -233,7 +233,7 @@ pub struct ShardStats {
     pub error: Option<String>,
     /// Events ever appended to the shard's observability store. Zero when
     /// the shard has observability disabled (or could not be asked).
-    pub obs_events: u64,
+    pub(crate) obs_events: u64,
     /// Events the shard's bounded observability sink shed under overload —
     /// the load-shedding honesty counter, surfaced per shard so a control
     /// plane can see *which* member is dropping its own telemetry. Zero when

@@ -47,7 +47,7 @@ pub(crate) enum DeploymentJob {
 /// is what serializes a deployment onto at most one worker.
 #[derive(Default)]
 pub(crate) struct WorkQueue {
-    pub jobs: VecDeque<DeploymentJob>,
+    pub(crate) jobs: VecDeque<DeploymentJob>,
     pub(crate) scheduled: bool,
 }
 

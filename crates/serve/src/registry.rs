@@ -35,7 +35,7 @@ pub struct DeploymentSpec {
     /// validated against this shape at admission.
     pub(crate) image_hw: (usize, usize),
     /// Energy budget in millijoules; `None` means unlimited.
-    pub energy_budget_mj: Option<f64>,
+    pub(crate) energy_budget_mj: Option<f64>,
     /// Policy applied once the budget is spent.
     pub(crate) budget_policy: BudgetPolicy,
     /// Device model used for pricing.
@@ -477,13 +477,13 @@ pub(crate) struct Deployment {
     pub work: Mutex<crate::batch::WorkQueue>,
     /// Lifetime counters, in the form a migration exports them.
     pub stats: Mutex<ExportStats>,
-    pub meter: EnergyMeter,
+    pub(crate) meter: EnergyMeter,
     /// Current price list; swapped atomically when the deployment converts
     /// to int8 and is re-priced at the cheaper quantized rate.
-    pub pricing: Mutex<RequestPricing>,
+    pub(crate) pricing: Mutex<RequestPricing>,
     pub policy: BudgetPolicy,
     /// `[channels, height, width]` every `Infer` image must match.
-    pub image_dims: Vec<usize>,
+    pub(crate) image_dims: Vec<usize>,
     /// Replication sequence number: incremented once per committed
     /// `LearnOnline`, read/written only while the model lock is held so the
     /// sequence order matches the order of memory mutations exactly.

@@ -87,11 +87,11 @@ impl Zipfian {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Diurnal {
     /// Trough load in requests per tick.
-    pub floor: f64,
+    pub(crate) floor: f64,
     /// Crest load in requests per tick.
-    pub peak: f64,
+    pub(crate) peak: f64,
     /// Period of one simulated "day", in ticks.
-    pub period: f64,
+    pub(crate) period: f64,
 }
 
 impl Diurnal {

@@ -112,7 +112,7 @@ pub struct SpillStats {
     /// The log's generation epoch (bumped by every GC rewrite).
     pub epoch: u64,
     /// Chunk records evicted into rollups so far (this process).
-    pub gc_chunks: u64,
+    pub(crate) gc_chunks: u64,
     /// Spill or GC I/O failures swallowed so far (this process). The hook
     /// must never fail the serving path, so errors land here.
     pub(crate) io_errors: u64,

@@ -68,7 +68,7 @@ pub struct RecoveryReport {
     /// Classes in the restored explicit memory.
     pub classes: usize,
     /// WAL records replayed on top of the checkpoint.
-    pub replayed_records: u64,
+    pub(crate) replayed_records: u64,
 }
 
 /// One deployment's open log state.

@@ -48,7 +48,7 @@ const POLL: Duration = Duration::from_millis(20);
 #[derive(Debug, Clone)]
 pub struct FollowerConfig {
     /// Address of the primary's wire server.
-    pub upstream: BoundAddr,
+    pub(crate) upstream: BoundAddr,
     /// Deployments to tail. Each must exist on the primary and be registered
     /// locally with a matching projection dimensionality.
     pub deployments: Vec<String>,
@@ -68,7 +68,7 @@ pub struct FollowerConfig {
     /// local server binds, so a control plane watching the router knows this
     /// replica is a promotion candidate. Failures are swallowed — an
     /// unreachable router must not stop the replica from serving.
-    pub advertise: Option<BoundAddr>,
+    pub(crate) advertise: Option<BoundAddr>,
     /// Observability pipeline for the replica itself, if any. When set, the
     /// follower's local server answers `ObsQuery` from this handle's store,
     /// and the tail threads stamp the replication lifecycle into it: one
@@ -103,7 +103,9 @@ impl FollowerConfig {
     }
 
     /// Announces the follower to a routing frontend at `router` (builder
-    /// style) — see [`FollowerConfig::advertise`].
+    /// style): once the local server binds, [`Follower::run`] sends one
+    /// best-effort `AdvertiseFollower`, so a control plane watching the
+    /// router knows this replica is a promotion candidate.
     #[must_use]
     pub fn with_advertise(mut self, router: BoundAddr) -> Self {
         self.advertise = Some(router);

@@ -63,13 +63,13 @@ impl Drop for ShutdownOnDrop<'_> {
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireConfig {
     /// Where to listen.
-    pub bind: WireBind,
+    pub(crate) bind: WireBind,
     /// Configuration of the serving runtime behind the socket. Set
     /// `queue_depth` here to shed load once that many requests wait for a
     /// worker, instead of buffering without bound.
     pub serve: ServeConfig,
     /// Maximum accepted frame payload in bytes (default 16 MiB).
-    pub max_payload: usize,
+    pub(crate) max_payload: usize,
 }
 
 impl WireConfig {
