@@ -18,9 +18,9 @@
 //!   ([`EventSink::dropped`]) — losing a sample is acceptable, stalling an
 //!   inference is not,
 //! * [`ObsStore`] — column-per-field chunks: an active chunk absorbs
-//!   appends, seals at [`ObsConfig::chunk_events`] rows (sorted by time,
+//!   appends, seals at [`chunk_events`](ObsConfig::with_chunk_events) rows (sorted by time,
 //!   then sequence number), and the oldest sealed chunks are garbage
-//!   collected once the store exceeds [`ObsConfig::byte_budget`],
+//!   collected once the store exceeds [`byte_budget`](ObsConfig::with_byte_budget),
 //! * [`ObsQuery`] / [`ObsResult`] — range scans by deployment, time window,
 //!   sequence window and event-kind mask, with min/max/sum/count aggregates
 //!   over energy, latency and accuracy. Results merge

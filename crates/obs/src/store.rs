@@ -400,7 +400,7 @@ impl ObsStore {
     }
 
     /// Appends one event as-is (no timestamp stamping — the sink did that).
-    /// Seals the active chunk at [`ObsConfig::chunk_events`] rows, runs GC
+    /// Seals the active chunk at [`chunk_events`](ObsConfig::with_chunk_events) rows, runs GC
     /// after each seal, and fans the event out to every registered live
     /// tail (non-blocking; see [`ObsStore::subscribe`]).
     pub fn append(&self, event: &Event) {
