@@ -77,11 +77,6 @@ impl Tensor {
         Tensor { data: data.to_vec(), shape: Shape::new(&[data.len()]) }
     }
 
-    /// Creates a scalar (rank-0) tensor.
-    pub fn scalar(value: f32) -> Self {
-        Tensor { data: vec![value], shape: Shape::new(&[]) }
-    }
-
     /// Returns the shape of the tensor.
     pub fn shape(&self) -> &Shape {
         &self.shape
@@ -446,7 +441,6 @@ mod tests {
         assert_eq!(Tensor::ones(&[3]).as_slice(), &[1.0; 3]);
         assert_eq!(Tensor::full(&[2], 2.5).as_slice(), &[2.5, 2.5]);
         assert_eq!(Tensor::eye(2).as_slice(), &[1.0, 0.0, 0.0, 1.0]);
-        assert_eq!(Tensor::scalar(7.0).len(), 1);
         assert!(Tensor::from_vec(vec![1.0; 3], &[2, 2]).is_err());
     }
 
