@@ -688,8 +688,7 @@ mod tests {
     #[test]
     fn merge_saturates_peer_supplied_counters() {
         let row = Event::new(EventKind::Infer, "t").with_time_us(5).with_seq(3).with_latency_us(40);
-        let mut part = ObsResult::default();
-        part.events = vec![row.clone()];
+        let part = ObsResult { events: vec![row.clone()], ..ObsResult::default() };
         let merged = ObsResult::merge(vec![part.clone(), part.clone()], 16);
         assert_eq!(merged.events.len(), 1);
         assert_eq!(merged.aggregates.matched, 0);
