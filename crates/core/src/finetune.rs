@@ -59,7 +59,10 @@ pub(crate) struct FinetuneReport {
 ///
 /// Returns an error when the model has no stored prototypes / activations or
 /// a forward/backward pass fails.
-pub(crate) fn finetune_fcr(model: &mut OFscilModel, config: &FinetuneConfig) -> Result<FinetuneReport> {
+pub(crate) fn finetune_fcr(
+    model: &mut OFscilModel,
+    config: &FinetuneConfig,
+) -> Result<FinetuneReport> {
     if config.sub_batch == 0 {
         return Err(CoreError::InvalidConfig("sub_batch must be nonzero".into()));
     }

@@ -49,14 +49,13 @@ mod pretrain;
 mod session;
 
 pub use ablation::{run_ablation, AblationResult, AblationVariant};
-pub use config::{EvalPrecision, ExperimentConfig};
-pub use config::MetaLoss;
+pub use config::{EvalPrecision, ExperimentConfig, MetaLoss};
 pub use em::ExplicitMemory;
 pub use error::CoreError;
 pub use experiment::{run_experiment, ExperimentOutcome};
 pub(crate) use fcr::Fcr;
-pub use finetune::FinetuneConfig;
 pub(crate) use finetune::finetune_fcr;
+pub use finetune::FinetuneConfig;
 pub use metalearn::{metalearn, MetalearnConfig, MetalearnReport};
 pub use model::OFscilModel;
 pub use pretrain::{pretrain, PretrainConfig, PretrainReport};

@@ -77,7 +77,11 @@ impl ClusterSnapshot {
     /// the trailing rates, then the snapshot is assembled from both.
     /// The controller prefers its streamed [`RateFeed`](crate::RateFeed) and
     /// uses this as the fallback when the feed is down.
-    pub(crate) fn capture(router: &RouterHandle<'_>, config: &CtrlConfig, tick: u64) -> ClusterSnapshot {
+    pub(crate) fn capture(
+        router: &RouterHandle<'_>,
+        config: &CtrlConfig,
+        tick: u64,
+    ) -> ClusterSnapshot {
         let query = ObsQuery::all()
             .with_kinds(&[EventKind::Infer, EventKind::Learn])
             .with_limit(config.rate_event_limit);

@@ -194,7 +194,10 @@ mod tests {
     }
 
     fn capped(max_actions_per_tick: usize) -> CtrlConfig {
-        CtrlConfig { max_actions_per_tick, ..config() }
+        CtrlConfig {
+            max_actions_per_tick,
+            ..config()
+        }
     }
 
     #[test]

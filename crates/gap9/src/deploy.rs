@@ -1,7 +1,7 @@
 //! Converts trained networks into deployment workloads (the DORY role in the
 //! paper's flow).
 
-use crate::{KernelClass, LayerWorkload, NetworkWorkload};
+use crate::workload::{KernelClass, LayerWorkload, NetworkWorkload};
 use ofscil_nn::models::Backbone;
 use ofscil_nn::profile::layer_summaries;
 

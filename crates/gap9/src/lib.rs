@@ -59,7 +59,6 @@ pub use ops::{Gap9Executor, OperationCost};
 pub use perf::{estimate_execution, ExecutionEstimate};
 pub use power::PowerModel;
 pub use workload::{LayerWorkload, NetworkWorkload};
-pub(crate) use workload::KernelClass;
 
 /// Result alias used across the gap9 crate.
 pub type Result<T> = std::result::Result<T, Gap9Error>;

@@ -1,6 +1,6 @@
 //! Latency model: per-layer compute, DMA and overhead cycles.
 
-use crate::{Gap9Config, Gap9Error, KernelClass, NetworkWorkload, Result};
+use crate::{workload::KernelClass, Gap9Config, Gap9Error, NetworkWorkload, Result};
 
 /// Cycle breakdown of one deployed layer.
 #[derive(Debug, Clone, PartialEq)]

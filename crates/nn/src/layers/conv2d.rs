@@ -312,7 +312,11 @@ mod tests {
             let mut expected = Vec::new();
             for image in x.as_slice().chunks(5 * 6 * 5) {
                 let image = Tensor::from_vec(image.to_vec(), &[5, 6, 5]).unwrap();
-                let product = conv.weight.value.matmul(&im2col(&image, 5, &geom).unwrap()).unwrap();
+                let product = conv
+                    .weight
+                    .value
+                    .matmul(&im2col(&image, 5, &geom).unwrap())
+                    .unwrap();
                 let bias = conv.bias.as_ref().unwrap().value.as_slice();
                 for (c, row) in product.as_slice().chunks(geom.out_pixels()).enumerate() {
                     expected.extend(row.iter().map(|v| v + bias[c]));

@@ -81,7 +81,9 @@ mod tests {
     #[test]
     fn rejects_rank_zero() {
         let mut f = Flatten::new();
-        assert!(f.forward(&Tensor::from_vec(vec![1.0], &[]).unwrap(), Mode::Eval).is_err());
+        assert!(f
+            .forward(&Tensor::from_vec(vec![1.0], &[]).unwrap(), Mode::Eval)
+            .is_err());
         assert!(f.output_dims(&[]).is_err());
     }
 }

@@ -167,7 +167,11 @@ mod tests {
     fn known_small_case() {
         let mut rng = SeedRng::new(0);
         let mut layer = Linear::new(2, 1, true, &mut rng);
-        layer.weight.value.as_mut_slice().copy_from_slice(&[2.0, -1.0]);
+        layer
+            .weight
+            .value
+            .as_mut_slice()
+            .copy_from_slice(&[2.0, -1.0]);
         let x = Tensor::from_vec(vec![3.0, 4.0], &[1, 2]).unwrap();
         let y = layer.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.as_slice(), &[2.0]);

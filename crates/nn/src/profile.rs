@@ -32,7 +32,11 @@ impl ModelProfile {
 }
 
 /// Profiles a backbone at the given input resolution.
-pub(crate) fn profile_backbone(backbone: &mut Backbone, height: usize, width: usize) -> ModelProfile {
+pub(crate) fn profile_backbone(
+    backbone: &mut Backbone,
+    height: usize,
+    width: usize,
+) -> ModelProfile {
     ModelProfile {
         name: backbone.name.clone(),
         params: backbone.param_count(),

@@ -64,7 +64,9 @@ impl LatencyHistogram {
 
     /// Total samples recorded, saturating at `u64::MAX`.
     pub fn total(&self) -> u64 {
-        self.counts.iter().fold(0, |total, &count| total.saturating_add(count))
+        self.counts
+            .iter()
+            .fold(0, |total, &count| total.saturating_add(count))
     }
 
     /// The upper bound of the bucket holding the `q`-quantile sample

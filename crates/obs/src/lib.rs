@@ -18,9 +18,10 @@
 //!   ([`EventSink::dropped`]) — losing a sample is acceptable, stalling an
 //!   inference is not,
 //! * [`ObsStore`] — column-per-field chunks: an active chunk absorbs
-//!   appends, seals at [`chunk_events`](ObsConfig::with_chunk_events) rows (sorted by time,
-//!   then sequence number), and the oldest sealed chunks are garbage
-//!   collected once the store exceeds [`byte_budget`](ObsConfig::with_byte_budget),
+//!   appends, seals at [`chunk_events`](ObsConfig::with_chunk_events) rows
+//!   (sorted by time, then sequence number), and the oldest sealed chunks
+//!   are garbage collected once the store exceeds
+//!   [`byte_budget`](ObsConfig::with_byte_budget),
 //! * [`ObsQuery`] / [`ObsResult`] — range scans by deployment, time window,
 //!   sequence window and event-kind mask, with min/max/sum/count aggregates
 //!   over energy, latency and accuracy. Results merge
@@ -78,7 +79,10 @@ mod tail;
 
 pub use event::{Event, EventKind};
 pub use histogram::LatencyHistogram;
-pub use query::{sort_dedup_events, trailing_rates_of, DeploymentRate, ObsAggregates, ObsQuery, ObsResult, Resolution, Summary, DEFAULT_EVENT_LIMIT};
+pub use query::{
+    sort_dedup_events, trailing_rates_of, DeploymentRate, ObsAggregates, ObsQuery, ObsResult,
+    Resolution, Summary, DEFAULT_EVENT_LIMIT,
+};
 pub use rollup::{Rollup, ROLLUP_BUCKET_US};
 pub use sink::{EventSink, ObsClock};
 pub use store::{ChunkSpill, ObsConfig, ObsCounters, ObsStore, EVENT_BYTES};

@@ -687,8 +687,14 @@ mod tests {
     /// panicking (debug) or wrapping to ≈`u64::MAX` (release).
     #[test]
     fn merge_saturates_peer_supplied_counters() {
-        let row = Event::new(EventKind::Infer, "t").with_time_us(5).with_seq(3).with_latency_us(40);
-        let part = ObsResult { events: vec![row.clone()], ..ObsResult::default() };
+        let row = Event::new(EventKind::Infer, "t")
+            .with_time_us(5)
+            .with_seq(3)
+            .with_latency_us(40);
+        let part = ObsResult {
+            events: vec![row.clone()],
+            ..ObsResult::default()
+        };
         let merged = ObsResult::merge(vec![part.clone(), part.clone()], 16);
         assert_eq!(merged.events.len(), 1);
         assert_eq!(merged.aggregates.matched, 0);
@@ -699,7 +705,11 @@ mod tests {
         assert!(trimmed.events.is_empty());
         assert_eq!(trimmed.aggregates.matched, 0);
 
-        let mut full = ObsResult { appended: u64::MAX, shards_ok: u32::MAX, ..part };
+        let mut full = ObsResult {
+            appended: u64::MAX,
+            shards_ok: u32::MAX,
+            ..part
+        };
         full.aggregates.matched = u64::MAX;
         full.aggregates.energy_mj.count = u64::MAX;
         full.latency_hist.counts = [u64::MAX; crate::histogram::LATENCY_BUCKETS];

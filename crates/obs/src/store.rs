@@ -400,9 +400,10 @@ impl ObsStore {
     }
 
     /// Appends one event as-is (no timestamp stamping — the sink did that).
-    /// Seals the active chunk at [`chunk_events`](ObsConfig::with_chunk_events) rows, runs GC
-    /// after each seal, and fans the event out to every registered live
-    /// tail (non-blocking; see [`ObsStore::subscribe`]).
+    /// Seals the active chunk at
+    /// [`chunk_events`](ObsConfig::with_chunk_events) rows, runs GC after
+    /// each seal, and fans the event out to every registered live tail
+    /// (non-blocking; see [`ObsStore::subscribe`]).
     pub fn append(&self, event: &Event) {
         let mut inner = self.inner.lock().expect("obs store lock");
         let id = inner.intern(&event.deployment);
@@ -1023,7 +1024,9 @@ mod tests {
     #[test]
     fn latency_histograms_are_per_kind_and_survive_adoption() {
         let histogram = |store: &ObsStore, kind| {
-            store.query(&ObsQuery::all().with_kinds(&[kind])).latency_hist
+            store
+                .query(&ObsQuery::all().with_kinds(&[kind]))
+                .latency_hist
         };
         let store = ObsStore::new(ObsConfig::default());
         for i in 0..98u64 {

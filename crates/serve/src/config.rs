@@ -90,9 +90,17 @@ mod tests {
 
     #[test]
     fn zero_knobs_are_rejected() {
-        assert!(ServeConfig { workers: 0, ..ServeConfig::default() }.validate().is_err());
+        assert!(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        }
+        .validate()
+        .is_err());
         assert!(ServeConfig::default().with_max_batch(0).validate().is_err());
-        let depth = |depth| ServeConfig { queue_depth: Some(depth), ..ServeConfig::default() };
+        let depth = |depth| ServeConfig {
+            queue_depth: Some(depth),
+            ..ServeConfig::default()
+        };
         assert!(depth(0).validate().is_err());
         depth(1).validate().unwrap();
     }

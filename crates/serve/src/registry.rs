@@ -620,7 +620,9 @@ impl Default for LearnerRegistry {
 impl LearnerRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        LearnerRegistry { shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect() }
+        LearnerRegistry {
+            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+        }
     }
 
     /// Registers a deployment. The request price list is derived from the
@@ -634,7 +636,10 @@ impl LearnerRegistry {
     /// Returns [`ServeError::DuplicateDeployment`] when the name is taken and
     /// a pricing error when the spec's device model cannot price the model.
     pub fn register(&self, spec: DeploymentSpec, model: OFscilModel) -> Result<()> {
-        let basis = PricingBasis { gap9: spec.gap9.clone(), image_hw: spec.image_hw };
+        let basis = PricingBasis {
+            gap9: spec.gap9.clone(),
+            image_hw: spec.image_hw,
+        };
         let pricing = derive_pricing(&model, &basis)?;
         let (height, width) = spec.image_hw;
         let image_dims = vec![model.backbone().in_channels, height, width];

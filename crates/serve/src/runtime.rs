@@ -1094,7 +1094,11 @@ mod tests {
         // ceil(10 / 4) = 3 forwards run, sized 4, 4, 2.
         let registry = registry_with_two_classes();
         let deployment = registry.resolve("t").unwrap();
-        let config = ServeConfig { workers: 1, ..ServeConfig::default() }.with_max_batch(4);
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        }
+        .with_max_batch(4);
         let sizes = ServeRuntime::run(&registry, &config, |client| {
             let (held, parked) = park_worker(client, &deployment);
             let pending: Vec<_> = (0..10).map(|i| client.submit(infer(i % 2))).collect();
@@ -1118,7 +1122,10 @@ mod tests {
         // forwards, and the second three see the class it added.
         let registry = registry_with_two_classes();
         let deployment = registry.resolve("t").unwrap();
-        let config = ServeConfig { workers: 1, ..ServeConfig::default() };
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
         let (before, after) = ServeRuntime::run(&registry, &config, |client| {
             let (held, parked) = park_worker(client, &deployment);
             let before: Vec<_> = (0..3).map(|_| client.submit(infer(2))).collect();
@@ -1182,8 +1189,12 @@ mod tests {
         // the dispatcher emptied the channel.
         let registry = registry_with_two_classes();
         let deployment = registry.resolve("t").unwrap();
-        let config = ServeConfig { workers: 1, queue_depth: Some(2), ..ServeConfig::default() }
-            .with_max_batch(1);
+        let config = ServeConfig {
+            workers: 1,
+            queue_depth: Some(2),
+            ..ServeConfig::default()
+        }
+        .with_max_batch(1);
         ServeRuntime::run(&registry, &config, |client| {
             let (held, parked) = park_worker(client, &deployment);
             let first = client.submit(infer(0));
@@ -1288,7 +1299,10 @@ mod tests {
     #[test]
     fn bounded_queue_recovers_once_the_dispatcher_catches_up() {
         let registry = registry_with(&["t"]);
-        let config = ServeConfig { queue_depth: Some(64), ..ServeConfig::default() };
+        let config = ServeConfig {
+            queue_depth: Some(64),
+            ..ServeConfig::default()
+        };
         ServeRuntime::run(&registry, &config, |client| {
             for _ in 0..4 {
                 client.call(ServeRequest::Stats { deployment: "t".into() }).unwrap();

@@ -257,7 +257,11 @@ mod tests {
         )
         .unwrap();
         let dot = |a: &Tensor, b: &Tensor| -> f32 {
-            a.as_slice().iter().zip(b.as_slice()).map(|(a, b)| a * b).sum()
+            a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .map(|(a, b)| a * b)
+                .sum()
         };
         let lhs = dot(&cols, &y);
         let back = col2im(&y, channels, &g).unwrap();

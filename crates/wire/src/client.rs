@@ -34,7 +34,9 @@ impl WireClient {
     ///
     /// Returns [`WireError::Io`] when the connection cannot be established.
     pub fn connect(addr: &BoundAddr) -> Result<Self, WireError> {
-        Ok(WireClient { stream: WireStream::connect(addr)? })
+        Ok(WireClient {
+            stream: WireStream::connect(addr)?,
+        })
     }
 
     /// Applies a socket read timeout. With a timeout set, a replication
@@ -230,7 +232,9 @@ impl WireClient {
             deployment: deployment.to_string(),
         }))?;
         self.stream.flush()?;
-        Ok(ReplicationStream { stream: self.stream })
+        Ok(ReplicationStream {
+            stream: self.stream,
+        })
     }
 
     /// Switches the connection into **live-tail streaming** on the peer's
@@ -253,7 +257,9 @@ impl WireClient {
             cursor,
         }))?;
         self.stream.flush()?;
-        Ok(ObsTailStream { stream: self.stream })
+        Ok(ObsTailStream {
+            stream: self.stream,
+        })
     }
 
     fn read_response(
