@@ -28,7 +28,7 @@ pub struct FollowerProcess {
 
 impl FollowerProcess {
     /// Boots the replica: binds its read-only server, starts the tails, and
-    /// keeps serving until `FollowerProcess::promote`, `stop`, or drop.
+    /// keeps serving until it is promoted or dropped.
     /// The registry is shared — the caller keeps an `Arc` clone to inspect
     /// replicated state.
     ///

@@ -120,8 +120,7 @@ impl RateFeed {
         self.resubscribed += 1;
     }
 
-    /// Whether the tail was still delivering at the last
-    /// `rates` call.
+    /// Whether the tail was still delivering when rates were last read.
     pub fn is_live(&self) -> bool {
         self.live
     }
