@@ -1,14 +1,17 @@
 //! Observability through the router: partial cluster statistics when a
 //! shard is killed mid-run, and a scatter-gathered `ObsQuery` stitching one
-//! deployment's timeline back together across a live migration.
+//! deployment's timeline back together across a live migration and a shard
+//! restart from its store.
 
 use ofscil_core::OFscilModel;
 use ofscil_nn::models::BackboneKind;
 use ofscil_obs::{EventKind, Obs, ObsConfig, ObsQuery};
 use ofscil_router::{harness::ShardProcess, PoolConfig, RouterConfig, RouterServer};
 use ofscil_serve::{DeploymentSpec, LearnerRegistry, ServeRequest};
+use ofscil_store::Store;
 use ofscil_tensor::SeedRng;
 use ofscil_wire::{WireClient, WireConfig};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -85,27 +88,40 @@ fn cluster_stats_marks_a_killed_shard_instead_of_failing() {
     .unwrap();
 }
 
+/// A durable observed shard over `dir`. Respawned over the same directory,
+/// it recovers its learned state and rehydrates the spilled timeline into
+/// its fresh obs pipeline.
+fn spawn_durable(seed: u64, dir: &Path) -> (ShardProcess, Obs) {
+    let registry = registry_with(&["t"], seed);
+    let store = Store::open(dir).unwrap();
+    store.bootstrap(&registry).unwrap();
+    let obs = Obs::new(ObsConfig::default().with_chunk_events(8));
+    let shard = ShardProcess::spawn_durable_observed(
+        registry,
+        WireConfig::tcp_loopback(),
+        Some(store),
+        Some(obs.clone()),
+    )
+    .unwrap();
+    (shard, obs)
+}
+
 #[test]
 fn routed_obs_query_stitches_a_timeline_across_a_migration() {
-    let obs0 = Obs::new(ObsConfig::default());
-    let obs1 = Obs::new(ObsConfig::default());
-    let shard0 = ShardProcess::spawn_observed(
-        registry_with(&["t"], 1),
-        WireConfig::tcp_loopback(),
-        Some(obs0.clone()),
-    )
-    .unwrap();
-    let shard1 = ShardProcess::spawn_observed(
-        registry_with(&["t"], 2),
-        WireConfig::tcp_loopback(),
-        Some(obs1.clone()),
-    )
-    .unwrap();
+    let mut base = std::env::temp_dir();
+    base.push(format!("ofscil-router-obs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let dirs = [base.join("shard0"), base.join("shard1")];
+    let (shard0, obs0) = spawn_durable(1, &dirs[0]);
+    let (shard1, obs1) = spawn_durable(2, &dirs[1]);
+    let mut shards = [Some(shard0), Some(shard1)];
+    let mut obs = [obs0, obs1];
     let router_obs = Obs::new(ObsConfig::default());
-    let config =
-        RouterConfig::tcp_loopback(vec![shard0.addr().clone(), shard1.addr().clone()])
-            .with_deployments(&["t"])
-            .with_obs(router_obs.clone());
+    let config = RouterConfig::tcp_loopback(
+        shards.iter().map(|s| s.as_ref().unwrap().addr().clone()).collect(),
+    )
+    .with_deployments(&["t"])
+    .with_obs(router_obs.clone());
     RouterServer::run(&config, |router| {
         let mut client = WireClient::connect(router.addr()).unwrap();
         let traffic = |client: &mut WireClient, step: usize| {
@@ -134,6 +150,14 @@ fn routed_obs_query_stitches_a_timeline_across_a_migration() {
         traffic(&mut client, 2);
         traffic(&mut client, 3);
 
+        // Kill the home shard, the only one that saw the first half, and
+        // restart it from its store with an empty obs pipeline.
+        shards[home].take().unwrap().stop();
+        let (reborn, reborn_obs) = spawn_durable(1 + home as u64, &dirs[home]);
+        router.replace_shard(home, reborn.addr().clone()).unwrap();
+        shards[home] = Some(reborn);
+        obs[home] = reborn_obs;
+
         // One routed query reconstructs the whole trajectory: the serving
         // events live on two different shards, the migration marker on the
         // router, and the merge re-orders them into a single timeline.
@@ -161,8 +185,17 @@ fn routed_obs_query_stitches_a_timeline_across_a_migration() {
                 .aggregates
                 .matched
         };
-        assert_eq!(learns_on(&obs0) + learns_on(&obs1), 4);
-        assert!(learns_on(&obs0) >= 1 && learns_on(&obs1) >= 1);
+        assert_eq!(learns_on(&obs[0]) + learns_on(&obs[1]), 4);
+        assert!(learns_on(&obs[0]) >= 1 && learns_on(&obs[1]) >= 1);
+
+        // A kind-masked limit-0 query answers the aggregate, shipping no rows.
+        let infers = client
+            .obs_query(&ObsQuery::deployment("t").with_kinds(&[EventKind::Infer]).with_limit(0))
+            .unwrap();
+        assert!(infers.events.is_empty());
+        assert!(infers.truncated);
+        assert_eq!(infers.aggregates.matched, 4);
     })
     .unwrap();
+    let _ = std::fs::remove_dir_all(&base);
 }

@@ -100,7 +100,8 @@ fn bits(event: &Event) -> RowBits {
 /// Drains tail batches until the streamed rows bit-match `expected` (sorted
 /// multisets) or the deadline passes; returns the streamed rows in arrival
 /// order. Duplicate rows would make the multisets diverge permanently, so
-/// equality is simultaneously the zero-gap and zero-duplicate assert.
+/// equality is simultaneously the zero-gap and zero-duplicate assert. Every
+/// batch must also report that the tail has shed nothing.
 fn drain_until_match(
     stream: &mut ObsTailStream,
     expected: &[RowBits],
@@ -124,7 +125,10 @@ fn drain_until_match(
             return rows;
         }
         match stream.next_batch(Some(&stop)) {
-            Ok(Some(batch)) => rows.extend(batch.events),
+            Ok(Some(batch)) => {
+                assert_eq!(batch.dropped, 0, "the tail shed events");
+                rows.extend(batch.events);
+            }
             Ok(None) => panic!(
                 "tail never converged: streamed {} rows, expected {} ({} missing)",
                 sorted.len(),
