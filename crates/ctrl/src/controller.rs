@@ -156,12 +156,10 @@ impl<'a, D: RecoveryDriver> Controller<'a, D> {
     ///   seq = tick, latency = source shard id, wal_bytes = target shard
     ///   id, energy = the tenant's trailing-window energy.
     ///
-    /// The recovery actions additionally keep the legacy shard-level
-    /// `Promotion` row (deployment `shard:N`, seq = tick) that recovery
-    /// loops and the failover scenarios key on, next to the per-deployment
-    /// `Promotion` rows the promoted server emits itself. Migrations the
-    /// rebalance performs also still emit their own `Migration` event
-    /// inside the router's `migrate`.
+    /// The `Ctrl*` row is the only controller row per action: a promoted
+    /// server still emits one per-deployment `Promotion` row itself, and a
+    /// rebalance's migrations their own `Migration` events inside the
+    /// router's `migrate`, but a store restart adds no `Promotion` row.
     fn stamp(&self, action: &ControlAction, snapshot: &ClusterSnapshot) {
         match action {
             ControlAction::RebalanceHot { deployment, from, to } => {
@@ -198,10 +196,6 @@ impl<'a, D: RecoveryDriver> Controller<'a, D> {
                         .with_latency_us(dwell_us)
                         .with_energy_mj(energy_mj)
                         .with_wal_bytes(requests),
-                );
-                self.router.observe(
-                    Event::new(EventKind::Promotion, &format!("shard:{shard}"))
-                        .with_seq(self.tick),
                 );
             }
         }

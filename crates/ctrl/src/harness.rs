@@ -134,10 +134,9 @@ impl PrimaryProcess {
 #[derive(Debug, Default)]
 struct Standby {
     follower: Option<FollowerProcess>,
-    store_dir: Option<PathBuf>,
-    /// Standby registry for the restart path (same deployments registered
-    /// as the dead shard, state recovered from the store).
-    registry: Option<Arc<LearnerRegistry>>,
+    /// The durable store directory and the registry a restart recovers it
+    /// into (the dead shard's deployments registered).
+    store: Option<(PathBuf, Arc<LearnerRegistry>)>,
 }
 
 /// The environment half of the control plane: owns each shard's standby
@@ -168,9 +167,16 @@ impl StandbyFleet {
     }
 
     /// Registers `shard`'s durable store directory — used to bootstrap a
-    /// promotion and to recover a restart.
-    pub fn add_store(&mut self, shard: usize, dir: impl Into<PathBuf>) {
-        self.shards.entry(shard).or_default().store_dir = Some(dir.into());
+    /// promotion and to recover a restart — and the standby registry a
+    /// restart recovers it into, with the shard's deployments registered as
+    /// at boot. A promotion serves the follower's own registry instead.
+    pub fn add_store(
+        &mut self,
+        shard: usize,
+        dir: impl Into<PathBuf>,
+        registry: Arc<LearnerRegistry>,
+    ) {
+        self.shards.entry(shard).or_default().store = Some((dir.into(), registry));
     }
 
     /// How many primaries this fleet has brought up.
@@ -188,8 +194,8 @@ impl RecoveryDriver for StandbyFleet {
             .shards
             .get_mut(&shard)
             .ok_or_else(|| format!("no standby resources for shard {shard}"))?;
-        let dir = standby
-            .store_dir
+        let (dir, _) = standby
+            .store
             .clone()
             .ok_or_else(|| format!("no store directory for shard {shard}"))?;
         let follower = standby
@@ -220,14 +226,10 @@ impl RecoveryDriver for StandbyFleet {
             .shards
             .get_mut(&shard)
             .ok_or_else(|| format!("no standby resources for shard {shard}"))?;
-        let dir = standby
-            .store_dir
+        let (dir, registry) = standby
+            .store
             .clone()
             .ok_or_else(|| format!("no store directory for shard {shard}"))?;
-        let registry = standby
-            .registry
-            .clone()
-            .ok_or_else(|| format!("no standby registry for shard {shard}"))?;
         let primary = PrimaryProcess::restart(registry, &dir, self.obs.clone())
             .map_err(|error| format!("restart failed: {error}"))?;
         let addr = primary.addr().clone();

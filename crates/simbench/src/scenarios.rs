@@ -856,7 +856,7 @@ pub(crate) fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
         // shard mid-burst. No migrate/promote calls below this line.
         let mut fleet = StandbyFleet::new(Some(obs.clone()));
         fleet.add_follower(victim, follower);
-        fleet.add_store(victim, chaos_store_dir());
+        fleet.add_store(victim, chaos_store_dir(), registry_with(&TENANTS)?);
         let mut controller = Controller::new(
             router,
             fleet,
@@ -936,7 +936,7 @@ pub(crate) fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
         let promo_at = timeline
             .events
             .iter()
-            .find(|e| e.kind == EventKind::Promotion)
+            .find(|e| e.kind == EventKind::CtrlPromote)
             .map(|e| e.time_us);
         let ordered = matches!((open_at, promo_at), (Some(o), Some(p)) if o <= p);
         if !ordered {
