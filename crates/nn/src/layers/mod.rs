@@ -5,7 +5,6 @@ mod activation;
 mod batchnorm;
 mod conv2d;
 mod dwconv;
-mod flatten;
 mod linear;
 mod pool;
 mod sequential;
@@ -14,7 +13,6 @@ pub(crate) use activation::{Relu, Relu6};
 pub(crate) use batchnorm::BatchNorm;
 pub(crate) use conv2d::Conv2d;
 pub(crate) use dwconv::DepthwiseConv2d;
-pub use flatten::Flatten;
 pub use linear::Linear;
 pub(crate) use pool::{GlobalAvgPool, MaxPool2d};
 pub use sequential::Sequential;

@@ -50,14 +50,6 @@ impl ServeConfig {
         self
     }
 
-    /// Marks the runtime as a read-only replica (builder style): writes are
-    /// rejected with `ReadOnlyReplica`.
-    #[must_use]
-    pub fn read_only(mut self) -> Self {
-        self.read_only = true;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -103,12 +95,5 @@ mod tests {
         };
         assert!(depth(0).validate().is_err());
         depth(1).validate().unwrap();
-    }
-
-    #[test]
-    fn read_only_builder_sets_the_flag() {
-        let config = ServeConfig::default().read_only();
-        assert!(config.read_only);
-        config.validate().unwrap();
     }
 }

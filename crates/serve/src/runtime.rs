@@ -1252,7 +1252,7 @@ mod tests {
                 model.em_mut().set_prototype(0, &[1.0; 16]).unwrap();
             })
             .unwrap();
-        let config = ServeConfig::default().read_only();
+        let config = ServeConfig { read_only: true, ..ServeConfig::default() };
         ServeRuntime::run(&registry, &config, |client| {
             let err = client
                 .call(ServeRequest::LearnOnline {
