@@ -59,7 +59,7 @@ impl ShardProcess {
     /// sealed chunks through while serving. Kill this shard (drop or
     /// [`ShardProcess::stop`]) and respawn it over the same store directory
     /// with a *fresh* obs handle, and its timeline picks up where it left
-    /// off — the restart-survival path `examples/timeline.rs` demonstrates.
+    /// off — the restart-survival path the `router_obs` test exercises.
     ///
     /// The store is owned by the shard's thread for the server's lifetime,
     /// mirroring a real process owning its data directory. Call
