@@ -48,10 +48,16 @@ impl EtfHead {
         let mut target_matrix = Tensor::zeros(&[labels.len(), self.feature_dim_targets()]);
         for (row, label) in labels.iter().enumerate() {
             let slot = self.assigned[label];
-            target_matrix.set_row(row, &self.targets[slot]).map_err(CoreError::Tensor)?;
+            target_matrix
+                .set_row(row, &self.targets[slot])
+                .map_err(CoreError::Tensor)?;
         }
         debug_assert_eq!(dim, self.feature_dim);
-        self.alignment = Some(ridge_regression(features, &target_matrix, self.ridge_lambda)?);
+        self.alignment = Some(ridge_regression(
+            features,
+            &target_matrix,
+            self.ridge_lambda,
+        )?);
         Ok(())
     }
 
@@ -254,11 +260,8 @@ mod tests {
         assert_eq!(head.predict(&queries).unwrap(), vec![0, 2]);
 
         // An incremental class is assigned a fresh target without refitting.
-        let novel = Tensor::from_vec(
-            vec![0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0],
-            &[1, 8],
-        )
-        .unwrap();
+        let novel =
+            Tensor::from_vec(vec![0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0], &[1, 8]).unwrap();
         head.learn_classes(&novel, &[7]).unwrap();
         assert_eq!(head.num_classes(), 4);
     }

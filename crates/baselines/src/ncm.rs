@@ -20,7 +20,10 @@ pub struct NearestClassMean {
 impl NearestClassMean {
     /// Creates an empty head with the given similarity metric.
     pub fn new(metric: SimilarityMetric) -> Self {
-        NearestClassMean { metric, prototypes: BTreeMap::new() }
+        NearestClassMean {
+            metric,
+            prototypes: BTreeMap::new(),
+        }
     }
 
     /// The similarity metric in use.
@@ -71,7 +74,10 @@ impl BaselineHead for NearestClassMean {
                 .collect();
             let mut mean = vec![0.0f32; dim];
             for &r in &rows {
-                for (m, &v) in mean.iter_mut().zip(&features.as_slice()[r * dim..(r + 1) * dim]) {
+                for (m, &v) in mean
+                    .iter_mut()
+                    .zip(&features.as_slice()[r * dim..(r + 1) * dim])
+                {
                     *m += v;
                 }
             }
@@ -135,8 +141,7 @@ mod tests {
             let mut head = NearestClassMean::new(metric);
             head.learn_classes(&features, &labels).unwrap();
             assert_eq!(head.num_classes(), 2);
-            let queries =
-                Tensor::from_vec(vec![0.95, 0.05, 0.0, 0.0, 0.8, 0.1], &[2, 3]).unwrap();
+            let queries = Tensor::from_vec(vec![0.95, 0.05, 0.0, 0.0, 0.8, 0.1], &[2, 3]).unwrap();
             assert_eq!(head.predict(&queries).unwrap(), vec![0, 7]);
         }
     }

@@ -59,7 +59,13 @@ pub fn run_baseline_protocol(
         }
         head.learn_classes(&features, &ordered_labels)?;
     }
-    accuracies.push(evaluate(model, &benchmark.test_after_session(0)?, head, space, eval_batch_size)?);
+    accuracies.push(evaluate(
+        model,
+        &benchmark.test_after_session(0)?,
+        head,
+        space,
+        eval_batch_size,
+    )?);
 
     // Incremental sessions.
     for session in benchmark.sessions() {

@@ -24,7 +24,9 @@ pub(crate) fn ridge_regression(x: &Tensor, y: &Tensor, lambda: f32) -> Result<Te
         )));
     }
     if lambda < 0.0 {
-        return Err(CoreError::InvalidConfig("lambda must be non-negative".into()));
+        return Err(CoreError::InvalidConfig(
+            "lambda must be non-negative".into(),
+        ));
     }
     let d = x.dims()[1];
     let k = y.dims()[1];
@@ -98,8 +100,7 @@ mod tests {
     fn recovers_exact_linear_map_without_regularisation() {
         let mut rng = SeedRng::new(0);
         let x = Tensor::from_vec((0..20 * 4).map(|_| rng.normal()).collect(), &[20, 4]).unwrap();
-        let w_true =
-            Tensor::from_vec((0..4 * 3).map(|_| rng.normal()).collect(), &[4, 3]).unwrap();
+        let w_true = Tensor::from_vec((0..4 * 3).map(|_| rng.normal()).collect(), &[4, 3]).unwrap();
         let y = x.matmul(&w_true).unwrap();
         let w = ridge_regression(&x, &y, 0.0).unwrap();
         assert!(w.max_abs_diff(&w_true).unwrap() < 1e-2);

@@ -35,7 +35,9 @@ fn main() {
             .expect("valid core counts");
         print_sweep(variant.label(), &sweep);
     }
-    println!("(paper: MobileNetV2x4 reaches ~6.5 MACs/cycle at 8 cores; strided profiles scale worse)");
+    println!(
+        "(paper: MobileNetV2x4 reaches ~6.5 MACs/cycle at 8 cores; strided profiles scale worse)"
+    );
     rule(72);
 
     // Centre panel: FCR inference.

@@ -14,7 +14,13 @@ fn main() {
     rule(100);
     println!(
         "{:<18} {:<22} {:>6} {:>6} {:>12} {:>12} {:>22}",
-        "backbone", "CNN stride profile", "d_a", "d_p", "params [M]", "MACs [M]", "paper params/MACs [M]"
+        "backbone",
+        "CNN stride profile",
+        "d_a",
+        "d_p",
+        "params [M]",
+        "MACs [M]",
+        "paper params/MACs [M]"
     );
     rule(100);
 

@@ -21,12 +21,23 @@ fn main() -> Result<(), Box<dyn Error>> {
     let config = benchmark_config(seed);
     println!(
         "Table II — FSCIL accuracy per session (seed {seed}, {} base classes, {} x {}-way {}-shot)",
-        config.fscil.num_base_classes, config.fscil.num_sessions, config.fscil.ways, config.fscil.shots
+        config.fscil.num_base_classes,
+        config.fscil.num_sessions,
+        config.fscil.ways,
+        config.fscil.shots
     );
-    println!("paper reference (CIFAR100, MobileNetV2 x4): FP32 avg 66.54%, INT8 avg 66.51%, +FT 66.75%");
+    println!(
+        "paper reference (CIFAR100, MobileNetV2 x4): FP32 avg 66.54%, INT8 avg 66.51%, +FT 66.75%"
+    );
     rule(118);
-    let header: Vec<String> = (0..=config.fscil.num_sessions).map(|s| format!("s{s}")).collect();
-    println!("{:<34} {}   avg", "method / precision", header.join("     "));
+    let header: Vec<String> = (0..=config.fscil.num_sessions)
+        .map(|s| format!("s{s}"))
+        .collect();
+    println!(
+        "{:<34} {}   avg",
+        "method / precision",
+        header.join("     ")
+    );
     rule(118);
 
     // O-FSCIL FP32.
@@ -51,8 +62,13 @@ fn main() -> Result<(), Box<dyn Error>> {
     print_row("NCM on backbone features", &ncm_results);
 
     let mut cfscil = NearestClassMean::new(SimilarityMetric::Euclidean);
-    let cfscil_results =
-        run_baseline_protocol(&mut model, &benchmark, &mut cfscil, FeatureSpace::Projected, 64)?;
+    let cfscil_results = run_baseline_protocol(
+        &mut model,
+        &benchmark,
+        &mut cfscil,
+        FeatureSpace::Projected,
+        64,
+    )?;
     print_row("C-FSCIL-style (euclidean, FCR)", &cfscil_results);
 
     let mut etf = EtfHead::new(
@@ -60,8 +76,13 @@ fn main() -> Result<(), Box<dyn Error>> {
         benchmark.config().total_classes(),
         seed,
     );
-    let etf_results =
-        run_baseline_protocol(&mut model, &benchmark, &mut etf, FeatureSpace::Projected, 64)?;
+    let etf_results = run_baseline_protocol(
+        &mut model,
+        &benchmark,
+        &mut etf,
+        FeatureSpace::Projected,
+        64,
+    )?;
     print_row("NC-FSCIL-style ETF head", &etf_results);
 
     rule(118);

@@ -34,7 +34,14 @@ fn main() {
     rule(110);
     println!(
         "{:<14} {:>4} {:>12} {:>12} {:>12}   {:>12} {:>12} {:>12}",
-        "operation", "BB", "time [ms]", "power [mW]", "energy [mJ]", "paper [ms]", "paper [mW]", "paper [mJ]"
+        "operation",
+        "BB",
+        "time [ms]",
+        "power [mW]",
+        "energy [mJ]",
+        "paper [ms]",
+        "paper [mW]",
+        "paper [mJ]"
     );
     rule(110);
 
@@ -48,7 +55,9 @@ fn main() {
     let d_p = 256;
 
     // FCR row (backbone independent).
-    let fcr = executor.fcr_inference(1280, d_p, 8).expect("valid core count");
+    let fcr = executor
+        .fcr_inference(1280, d_p, 8)
+        .expect("valid core count");
     print_row("FCR", "any", &fcr);
 
     let mut deployed = Vec::new();
@@ -57,7 +66,9 @@ fn main() {
         deployed.push((label, deploy_backbone(&backbone, 32, 32)));
     }
     for (label, workload) in &deployed {
-        let cost = executor.backbone_inference(workload, 8).expect("valid core count");
+        let cost = executor
+            .backbone_inference(workload, 8)
+            .expect("valid core count");
         print_row("BB inference", label, &cost);
     }
     for (label, workload) in &deployed {

@@ -23,9 +23,7 @@ pub fn seed_from_env() -> u64 {
         Ok(raw) => match raw.parse() {
             Ok(seed) => seed,
             Err(_) => {
-                eprintln!(
-                    "warning: OFSCIL_SEED={raw:?} is not a valid u64 seed; using default 42"
-                );
+                eprintln!("warning: OFSCIL_SEED={raw:?} is not a valid u64 seed; using default 42");
                 42
             }
         },

@@ -2,9 +2,7 @@
 //! regularisation (OR), multi-margin metalearning (MM), cross-entropy
 //! metalearning (CE) and incremental fine-tuning (FT).
 
-use crate::{
-    run_experiment, ExperimentConfig, FinetuneConfig, MetaLoss, MetalearnConfig, Result,
-};
+use crate::{run_experiment, ExperimentConfig, FinetuneConfig, MetaLoss, MetalearnConfig, Result};
 
 /// One row of the ablation table: which components are enabled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,11 +31,32 @@ impl AblationVariant {
         };
         vec![
             base,
-            AblationVariant { augmentation: true, ..base },
-            AblationVariant { augmentation: true, orthogonality: true, ..base },
-            AblationVariant { augmentation: true, multi_margin: true, ..base },
-            AblationVariant { augmentation: true, orthogonality: true, multi_margin: true, ..base },
-            AblationVariant { augmentation: true, orthogonality: true, cross_entropy: true, ..base },
+            AblationVariant {
+                augmentation: true,
+                ..base
+            },
+            AblationVariant {
+                augmentation: true,
+                orthogonality: true,
+                ..base
+            },
+            AblationVariant {
+                augmentation: true,
+                multi_margin: true,
+                ..base
+            },
+            AblationVariant {
+                augmentation: true,
+                orthogonality: true,
+                multi_margin: true,
+                ..base
+            },
+            AblationVariant {
+                augmentation: true,
+                orthogonality: true,
+                cross_entropy: true,
+                ..base
+            },
             AblationVariant {
                 augmentation: true,
                 orthogonality: true,
@@ -199,13 +218,23 @@ mod tests {
             backbone: BackboneKind::Micro,
             projection_dim: 16,
             fscil,
-            pretrain: PretrainConfig { epochs: 1, batch_size: 16, ..PretrainConfig::micro() },
-            metalearn: Some(MetalearnConfig { iterations: 2, ..MetalearnConfig::micro() }),
+            pretrain: PretrainConfig {
+                epochs: 1,
+                batch_size: 16,
+                ..PretrainConfig::micro()
+            },
+            metalearn: Some(MetalearnConfig {
+                iterations: 2,
+                ..MetalearnConfig::micro()
+            }),
             eval_precision: EvalPrecision::Fp32,
             prototype_bits: 32,
             finetune: None,
         };
-        let variants = [AblationVariant::table3_rows()[0], AblationVariant::table3_rows()[4]];
+        let variants = [
+            AblationVariant::table3_rows()[0],
+            AblationVariant::table3_rows()[4],
+        ];
         let results = run_ablation(&base, &variants).unwrap();
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|r| (0.0..=1.0).contains(&r.average)));

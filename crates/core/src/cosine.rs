@@ -114,9 +114,11 @@ mod tests {
             Tensor::from_vec((0..3 * 4).map(|_| rng.normal()).collect(), &[3, 4]).unwrap();
         let prototypes =
             Tensor::from_vec((0..2 * 4).map(|_| rng.normal()).collect(), &[2, 4]).unwrap();
-        let upstream =
-            Tensor::from_vec((0..3 * 2).map(|_| rng.uniform_range(-1.0, 1.0)).collect(), &[3, 2])
-                .unwrap();
+        let upstream = Tensor::from_vec(
+            (0..3 * 2).map(|_| rng.uniform_range(-1.0, 1.0)).collect(),
+            &[3, 2],
+        )
+        .unwrap();
         let grad = cosine_logits_backward(&features, &prototypes, &upstream).unwrap();
 
         let loss = |f: &Tensor| -> f32 {

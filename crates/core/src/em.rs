@@ -36,7 +36,11 @@ impl ExplicitMemory {
 
     /// Creates an empty explicit memory with reduced-precision storage.
     pub fn with_precision(dim: usize, precision: PrototypePrecision) -> Self {
-        ExplicitMemory { dim, precision, prototypes: BTreeMap::new() }
+        ExplicitMemory {
+            dim,
+            precision,
+            prototypes: BTreeMap::new(),
+        }
     }
 
     /// Prototype dimensionality d_p.
@@ -105,7 +109,8 @@ impl ExplicitMemory {
         for m in &mut mean {
             *m /= features.len() as f32;
         }
-        self.prototypes.insert(class, self.precision.quantize(&mean));
+        self.prototypes
+            .insert(class, self.precision.quantize(&mean));
         Ok(())
     }
 
@@ -123,7 +128,8 @@ impl ExplicitMemory {
                 self.dim
             )));
         }
-        self.prototypes.insert(class, self.precision.quantize(prototype));
+        self.prototypes
+            .insert(class, self.precision.quantize(prototype));
         Ok(())
     }
 
@@ -224,7 +230,10 @@ impl ExplicitMemory {
     /// Returns [`CoreError::UnknownClass`] when the class has no prototype.
     pub(crate) fn bipolarized(&self, class: usize) -> Result<Vec<f32>> {
         let proto = self.prototype(class)?;
-        Ok(proto.iter().map(|&v| if v >= 0.0 { 1.0 } else { -1.0 }).collect())
+        Ok(proto
+            .iter()
+            .map(|&v| if v >= 0.0 { 1.0 } else { -1.0 })
+            .collect())
     }
 
     /// Storage footprint of the memory at its current precision.
@@ -240,7 +249,8 @@ mod tests {
     #[test]
     fn update_and_classify() {
         let mut em = ExplicitMemory::new(4);
-        em.update_class(0, &[&[1.0, 0.0, 0.0, 0.0], &[0.8, 0.2, 0.0, 0.0]]).unwrap();
+        em.update_class(0, &[&[1.0, 0.0, 0.0, 0.0], &[0.8, 0.2, 0.0, 0.0]])
+            .unwrap();
         em.update_class(5, &[&[0.0, 1.0, 0.0, 0.0]]).unwrap();
         assert_eq!(em.num_classes(), 2);
         assert_eq!(em.classes(), vec![0, 5]);
@@ -274,9 +284,13 @@ mod tests {
     fn low_precision_storage_preserves_classification() {
         let p3 = PrototypePrecision::new(3).unwrap();
         let mut em = ExplicitMemory::with_precision(8, p3);
-        em.update_class(0, &[&[1.0, 0.8, -0.2, 0.1, 0.0, 0.3, -0.1, 0.5]]).unwrap();
-        em.update_class(1, &[&[-0.9, 0.1, 0.7, -0.4, 0.2, -0.6, 0.3, -0.2]]).unwrap();
-        let (class, _) = em.classify(&[0.9, 0.7, -0.1, 0.2, 0.1, 0.2, 0.0, 0.4]).unwrap();
+        em.update_class(0, &[&[1.0, 0.8, -0.2, 0.1, 0.0, 0.3, -0.1, 0.5]])
+            .unwrap();
+        em.update_class(1, &[&[-0.9, 0.1, 0.7, -0.4, 0.2, -0.6, 0.3, -0.2]])
+            .unwrap();
+        let (class, _) = em
+            .classify(&[0.9, 0.7, -0.1, 0.2, 0.1, 0.2, 0.0, 0.4])
+            .unwrap();
         assert_eq!(class, 0);
         assert_eq!(em.precision().bits(), 3);
     }

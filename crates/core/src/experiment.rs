@@ -102,8 +102,15 @@ mod tests {
             backbone: BackboneKind::Micro,
             projection_dim: 16,
             fscil,
-            pretrain: PretrainConfig { epochs: 2, batch_size: 16, ..PretrainConfig::micro() },
-            metalearn: Some(MetalearnConfig { iterations: 5, ..MetalearnConfig::micro() }),
+            pretrain: PretrainConfig {
+                epochs: 2,
+                batch_size: 16,
+                ..PretrainConfig::micro()
+            },
+            metalearn: Some(MetalearnConfig {
+                iterations: 5,
+                ..MetalearnConfig::micro()
+            }),
             eval_precision: EvalPrecision::Fp32,
             prototype_bits: 32,
             finetune: None,
@@ -137,8 +144,10 @@ mod tests {
 
     #[test]
     fn finetune_variant_runs() {
-        let config = tiny_config(5)
-            .with_finetune(FinetuneConfig { epochs: 2, ..FinetuneConfig::micro() });
+        let config = tiny_config(5).with_finetune(FinetuneConfig {
+            epochs: 2,
+            ..FinetuneConfig::micro()
+        });
         let outcome = run_experiment(&config).unwrap();
         assert_eq!(outcome.sessions.accuracies.len(), 4);
     }

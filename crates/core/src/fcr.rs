@@ -20,7 +20,9 @@ pub(crate) struct Fcr {
 impl Fcr {
     /// Creates an FCR projecting `feature_dim` (d_a) to `projection_dim` (d_p).
     pub(crate) fn new(feature_dim: usize, projection_dim: usize, rng: &mut SeedRng) -> Self {
-        Fcr { linear: Linear::new(feature_dim, projection_dim, true, rng) }
+        Fcr {
+            linear: Linear::new(feature_dim, projection_dim, true, rng),
+        }
     }
 
     /// Input dimensionality d_a.
@@ -55,7 +57,6 @@ impl Fcr {
     pub(crate) fn layer_mut(&mut self) -> &mut dyn Layer {
         &mut self.linear
     }
-
 }
 
 #[cfg(test)]

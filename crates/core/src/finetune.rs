@@ -28,14 +28,22 @@ pub struct FinetuneConfig {
 
 impl Default for FinetuneConfig {
     fn default() -> Self {
-        FinetuneConfig { epochs: 100, learning_rate: 0.01, sub_batch: 8 }
+        FinetuneConfig {
+            epochs: 100,
+            learning_rate: 0.01,
+            sub_batch: 8,
+        }
     }
 }
 
 impl FinetuneConfig {
     /// A short schedule for tests and the micro profile.
     pub fn micro() -> Self {
-        FinetuneConfig { epochs: 20, learning_rate: 0.02, sub_batch: 8 }
+        FinetuneConfig {
+            epochs: 20,
+            learning_rate: 0.02,
+            sub_batch: 8,
+        }
     }
 }
 
@@ -80,7 +88,9 @@ pub(crate) fn finetune_fcr(
     let mut activations = Tensor::zeros(&[classes.len(), d_a]);
     let mut targets = Tensor::zeros(&[classes.len(), d_p]);
     for (row, class) in classes.iter().enumerate() {
-        let theta_a = activation_means.get(class).ok_or(CoreError::UnknownClass(*class))?;
+        let theta_a = activation_means
+            .get(class)
+            .ok_or(CoreError::UnknownClass(*class))?;
         if theta_a.len() != d_a {
             return Err(CoreError::InvalidConfig(format!(
                 "stored activation of class {class} has dimension {}, expected {d_a}",
@@ -162,13 +172,20 @@ mod tests {
                 let mut img = Tensor::full(&[3, 8, 8], 0.2);
                 for y in 0..8 {
                     for x in 0..8 {
-                        img.set(&[class % 3, y, x], 0.8 + 0.1 * data_rng.normal()).unwrap();
+                        img.set(&[class % 3, y, x], 0.8 + 0.1 * data_rng.normal())
+                            .unwrap();
                     }
                 }
-                ds.push(Sample { image: img, label: class }).unwrap();
+                ds.push(Sample {
+                    image: img,
+                    label: class,
+                })
+                .unwrap();
             }
         }
-        model.learn_classes_online(&ds.full_batch().unwrap()).unwrap();
+        model
+            .learn_classes_online(&ds.full_batch().unwrap())
+            .unwrap();
         model
     }
 
@@ -195,14 +212,20 @@ mod tests {
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);
         assert!(finetune_fcr(&mut model, &FinetuneConfig::micro()).is_err());
         let mut model = learned_model();
-        let bad = FinetuneConfig { sub_batch: 0, ..FinetuneConfig::micro() };
+        let bad = FinetuneConfig {
+            sub_batch: 0,
+            ..FinetuneConfig::micro()
+        };
         assert!(finetune_fcr(&mut model, &bad).is_err());
     }
 
     #[test]
     fn zero_epochs_only_bipolarises() {
         let mut model = learned_model();
-        let config = FinetuneConfig { epochs: 0, ..FinetuneConfig::micro() };
+        let config = FinetuneConfig {
+            epochs: 0,
+            ..FinetuneConfig::micro()
+        };
         let report = finetune_fcr(&mut model, &config).unwrap();
         assert_eq!(report.epochs_run, 0);
         assert!((report.final_alignment - report.initial_alignment).abs() < 1e-6);

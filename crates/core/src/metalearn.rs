@@ -49,7 +49,10 @@ impl MetalearnConfig {
 
     /// The paper-scale schedule.
     pub fn full() -> Self {
-        MetalearnConfig { iterations: 2000, ..MetalearnConfig::micro() }
+        MetalearnConfig {
+            iterations: 2000,
+            ..MetalearnConfig::micro()
+        }
     }
 
     /// Switches the metalearning loss (builder style).
@@ -95,7 +98,9 @@ pub fn metalearn(
     rng: &mut SeedRng,
 ) -> Result<MetalearnReport> {
     if base_train.is_empty() {
-        return Err(CoreError::InvalidConfig("metalearning dataset is empty".into()));
+        return Err(CoreError::InvalidConfig(
+            "metalearning dataset is empty".into(),
+        ));
     }
     if config.meta_samples_per_class == 0 || config.queries_per_class == 0 {
         return Err(CoreError::InvalidConfig(
@@ -112,8 +117,7 @@ pub fn metalearn(
 
     for _ in 0..config.iterations {
         // 1. Build episode prototypes from meta-samples (no gradient).
-        let support =
-            base_train.sample_support(&classes, config.meta_samples_per_class, rng)?;
+        let support = base_train.sample_support(&classes, config.meta_samples_per_class, rng)?;
         let support_features = model.extract_features(&support.images, Mode::Eval)?;
         let mut prototypes = Tensor::zeros(&[classes.len(), d_p]);
         for (class_idx, class) in classes.iter().enumerate() {
@@ -144,7 +148,12 @@ pub fn metalearn(
         let query_labels: Vec<usize> = queries
             .labels
             .iter()
-            .map(|l| classes.iter().position(|c| c == l).expect("label comes from classes"))
+            .map(|l| {
+                classes
+                    .iter()
+                    .position(|c| c == l)
+                    .expect("label comes from classes")
+            })
             .collect();
 
         let (backbone, fcr, quant) = model.training_parts();
@@ -168,13 +177,18 @@ pub fn metalearn(
 
         // 5. Backward: through the ReLU sharpening, the cosine similarity and
         //    then the FCR / backbone.
-        let grad_raw = grad_sharpened.zip_with(&raw_logits, "relu_mask", |g, raw| {
-            if raw > 0.0 {
-                g
-            } else {
-                0.0
-            }
-        })?;
+        let grad_raw =
+            grad_sharpened.zip_with(
+                &raw_logits,
+                "relu_mask",
+                |g, raw| {
+                    if raw > 0.0 {
+                        g
+                    } else {
+                        0.0
+                    }
+                },
+            )?;
         let grad_theta_p = cosine_logits_backward(&theta_p, &prototypes, &grad_raw)?;
         let grad_theta_a = fcr.backward(&grad_theta_p)?;
         backbone.backward(&grad_theta_a)?;
@@ -187,7 +201,10 @@ pub fn metalearn(
         iteration_accuracies.push(query_accuracy);
     }
 
-    Ok(MetalearnReport { iteration_losses, iteration_accuracies })
+    Ok(MetalearnReport {
+        iteration_losses,
+        iteration_accuracies,
+    })
 }
 
 #[cfg(test)]
@@ -212,7 +229,10 @@ mod tests {
         let bench = tiny_benchmark();
         let mut rng = SeedRng::new(0);
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);
-        let config = MetalearnConfig { iterations: 8, ..MetalearnConfig::micro() };
+        let config = MetalearnConfig {
+            iterations: 8,
+            ..MetalearnConfig::micro()
+        };
         let report = metalearn(&mut model, bench.base_train(), &config, &mut rng).unwrap();
         assert_eq!(report.iteration_losses.len(), 8);
         assert_eq!(report.iteration_accuracies.len(), 8);
@@ -252,7 +272,10 @@ mod tests {
 
     #[test]
     fn empty_report_late_accuracy_is_zero() {
-        let report = MetalearnReport { iteration_losses: vec![], iteration_accuracies: vec![] };
+        let report = MetalearnReport {
+            iteration_losses: vec![],
+            iteration_accuracies: vec![],
+        };
         assert_eq!(report.late_accuracy(), 0.0);
     }
 }

@@ -152,7 +152,9 @@ impl OFscilModel {
     /// Returns an error when the batch is empty or incompatible.
     pub fn learn_classes_online(&mut self, batch: &Batch) -> Result<()> {
         if batch.is_empty() {
-            return Err(CoreError::InvalidConfig("cannot learn from an empty batch".into()));
+            return Err(CoreError::InvalidConfig(
+                "cannot learn from an empty batch".into(),
+            ));
         }
         let theta_a = self.extract_backbone_features(&batch.images, Mode::Eval)?;
         let theta_p = {
@@ -184,7 +186,10 @@ impl OFscilModel {
 
             let mut mean_a = vec![0.0f32; d_a];
             for &r in &rows {
-                for (m, &v) in mean_a.iter_mut().zip(&theta_a.as_slice()[r * d_a..(r + 1) * d_a]) {
+                for (m, &v) in mean_a
+                    .iter_mut()
+                    .zip(&theta_a.as_slice()[r * d_a..(r + 1) * d_a])
+                {
                     *m += v;
                 }
             }
@@ -222,7 +227,9 @@ impl OFscilModel {
     /// Returns an error when the dataset is empty or incompatible.
     pub fn evaluate(&mut self, dataset: &Dataset, batch_size: usize) -> Result<f32> {
         if dataset.is_empty() {
-            return Err(CoreError::InvalidConfig("cannot evaluate on an empty dataset".into()));
+            return Err(CoreError::InvalidConfig(
+                "cannot evaluate on an empty dataset".into(),
+            ));
         }
         let indices: Vec<usize> = (0..dataset.len()).collect();
         let mut correct = 0usize;
@@ -257,7 +264,11 @@ mod tests {
                         img.set(&[class, y, x], 0.9 + 0.05 * rng.normal()).unwrap();
                     }
                 }
-                ds.push(Sample { image: img, label: class }).unwrap();
+                ds.push(Sample {
+                    image: img,
+                    label: class,
+                })
+                .unwrap();
             }
         }
         ds
@@ -268,7 +279,9 @@ mod tests {
         let mut rng = SeedRng::new(0);
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);
         let train = colour_dataset(5, 8);
-        model.learn_classes_online(&train.full_batch().unwrap()).unwrap();
+        model
+            .learn_classes_online(&train.full_batch().unwrap())
+            .unwrap();
         assert_eq!(model.em().num_classes(), 3);
         assert_eq!(model.activation_means().len(), 3);
 
@@ -282,7 +295,10 @@ mod tests {
     fn empty_batch_and_dataset_are_rejected() {
         let mut rng = SeedRng::new(1);
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);
-        let empty = Batch { images: Tensor::zeros(&[0, 3, 8, 8]), labels: vec![] };
+        let empty = Batch {
+            images: Tensor::zeros(&[0, 3, 8, 8]),
+            labels: vec![],
+        };
         assert!(model.learn_classes_online(&empty).is_err());
         assert!(model.evaluate(&Dataset::new(&[3, 8, 8]), 4).is_err());
         // Prediction before any class is learned fails.
@@ -295,15 +311,22 @@ mod tests {
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);
         let train = colour_dataset(5, 8);
         let test = colour_dataset(4, 8);
-        model.learn_classes_online(&train.full_batch().unwrap()).unwrap();
+        model
+            .learn_classes_online(&train.full_batch().unwrap())
+            .unwrap();
         let fp32_accuracy = model.evaluate(&test, 6).unwrap();
         assert!(!model.is_int8());
         model.convert_to_int8().unwrap();
         assert!(model.is_int8());
         // Re-learn with quantized features (as the deployed device would).
-        model.learn_classes_online(&train.full_batch().unwrap()).unwrap();
+        model
+            .learn_classes_online(&train.full_batch().unwrap())
+            .unwrap();
         let int8_accuracy = model.evaluate(&test, 6).unwrap();
-        assert!(int8_accuracy >= fp32_accuracy - 0.25, "fp32 {fp32_accuracy} int8 {int8_accuracy}");
+        assert!(
+            int8_accuracy >= fp32_accuracy - 0.25,
+            "fp32 {fp32_accuracy} int8 {int8_accuracy}"
+        );
     }
 
     #[test]
@@ -311,7 +334,9 @@ mod tests {
         let mut rng = SeedRng::new(3);
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);
         let train = colour_dataset(3, 8);
-        model.learn_classes_online(&train.full_batch().unwrap()).unwrap();
+        model
+            .learn_classes_online(&train.full_batch().unwrap())
+            .unwrap();
         model.set_prototype_precision(PrototypePrecision::new(3).unwrap());
         assert_eq!(model.em().precision().bits(), 3);
         let test = colour_dataset(2, 8);

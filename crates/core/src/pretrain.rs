@@ -58,7 +58,11 @@ impl PretrainConfig {
 
     /// The paper-scale schedule.
     pub fn full() -> Self {
-        PretrainConfig { epochs: 100, batch_size: 128, ..PretrainConfig::micro() }
+        PretrainConfig {
+            epochs: 100,
+            batch_size: 128,
+            ..PretrainConfig::micro()
+        }
     }
 
     /// Disables every optional component (the ablation baseline row).
@@ -98,7 +102,9 @@ pub fn pretrain(
     rng: &mut SeedRng,
 ) -> Result<PretrainReport> {
     if base_train.is_empty() {
-        return Err(CoreError::InvalidConfig("pretraining dataset is empty".into()));
+        return Err(CoreError::InvalidConfig(
+            "pretraining dataset is empty".into(),
+        ));
     }
     if config.epochs == 0 {
         return Ok(PretrainReport {
@@ -134,8 +140,8 @@ pub fn pretrain(
             }
             // Feature interpolation: Mixup and CutMix are used exclusively of
             // each other, with the configured probability (paper §IV-B).
-            let interpolate = config.feature_interpolation
-                && rng.chance(config.interpolation_probability);
+            let interpolate =
+                config.feature_interpolation && rng.chance(config.interpolation_probability);
             let (images, targets, hard_labels) = if interpolate {
                 let (images, soft) = if rng.chance(0.5) {
                     mixup.apply(&batch, num_base_classes, rng)?
@@ -217,7 +223,11 @@ mod tests {
         let bench = tiny_benchmark();
         let mut rng = SeedRng::new(0);
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);
-        let config = PretrainConfig { epochs: 5, batch_size: 16, ..PretrainConfig::micro() };
+        let config = PretrainConfig {
+            epochs: 5,
+            batch_size: 16,
+            ..PretrainConfig::micro()
+        };
         let report = pretrain(&mut model, bench.base_train(), 6, &config, &mut rng).unwrap();
         assert_eq!(report.epoch_losses.len(), 5);
         let first = report.epoch_losses.first().copied().unwrap();
@@ -231,7 +241,11 @@ mod tests {
         let bench = tiny_benchmark();
         let mut rng = SeedRng::new(1);
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);
-        let with_ortho = PretrainConfig { epochs: 1, batch_size: 16, ..PretrainConfig::micro() };
+        let with_ortho = PretrainConfig {
+            epochs: 1,
+            batch_size: 16,
+            ..PretrainConfig::micro()
+        };
         let report = pretrain(&mut model, bench.base_train(), 6, &with_ortho, &mut rng).unwrap();
         assert!(report.epoch_ortho_losses[0] > 0.0);
 
@@ -255,7 +269,10 @@ mod tests {
         assert!(pretrain(&mut model, &empty, 4, &PretrainConfig::micro(), &mut rng).is_err());
 
         let bench = tiny_benchmark();
-        let zero = PretrainConfig { epochs: 0, ..PretrainConfig::micro() };
+        let zero = PretrainConfig {
+            epochs: 0,
+            ..PretrainConfig::micro()
+        };
         let report = pretrain(&mut model, bench.base_train(), 6, &zero, &mut rng).unwrap();
         assert!(report.epoch_losses.is_empty());
     }

@@ -134,7 +134,10 @@ mod tests {
         let bench = tiny_benchmark();
         let mut rng = SeedRng::new(1);
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);
-        let ft = FinetuneConfig { epochs: 2, ..FinetuneConfig::micro() };
+        let ft = FinetuneConfig {
+            epochs: 2,
+            ..FinetuneConfig::micro()
+        };
         let results = run_fscil_protocol(&mut model, &bench, 16, Some(&ft)).unwrap();
         assert_eq!(results.accuracies.len(), 4);
     }

@@ -53,10 +53,17 @@ impl ControlAction {
 impl fmt::Display for ControlAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ControlAction::RebalanceHot { deployment, from, to } => {
+            ControlAction::RebalanceHot {
+                deployment,
+                from,
+                to,
+            } => {
                 write!(f, "rebalance-hot {deployment:?} shard {from} -> {to}")
             }
-            ControlAction::PromoteFollower { shard, follower_addr } => {
+            ControlAction::PromoteFollower {
+                shard,
+                follower_addr,
+            } => {
                 write!(f, "promote-follower {follower_addr} for shard {shard}")
             }
             ControlAction::RestartFromStore { shard } => {
@@ -84,7 +91,11 @@ pub enum CtrlError {
 impl fmt::Display for CtrlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CtrlError::ActionFailed { action, attempts, error } => {
+            CtrlError::ActionFailed {
+                action,
+                attempts,
+                error,
+            } => {
                 write!(f, "{action} failed after {attempts} attempt(s): {error}")
             }
         }
@@ -100,7 +111,11 @@ mod tests {
     #[test]
     fn actions_display_and_label() {
         let actions = [
-            ControlAction::RebalanceHot { deployment: "t".into(), from: 0, to: 1 },
+            ControlAction::RebalanceHot {
+                deployment: "t".into(),
+                from: 0,
+                to: 1,
+            },
             ControlAction::PromoteFollower {
                 shard: 2,
                 follower_addr: "tcp://127.0.0.1:9001".into(),

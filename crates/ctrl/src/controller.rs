@@ -61,7 +61,11 @@ impl TickReport {
     /// steady state a recovery loop waits for.
     pub fn quiescent(&self) -> bool {
         self.planned.is_empty()
-            && self.snapshot.shards.iter().all(|s| s.reachable && s.breaker_dwell.is_none())
+            && self
+                .snapshot
+                .shards
+                .iter()
+                .all(|s| s.reachable && s.breaker_dwell.is_none())
     }
 }
 
@@ -111,9 +115,10 @@ impl<'a, D: RecoveryDriver> Controller<'a, D> {
     pub fn tick(&mut self) -> TickReport {
         self.tick += 1;
         let (snapshot, pushed) = match self.feed.rates() {
-            Some(rates) => {
-                (ClusterSnapshot::assemble(self.router, self.tick, &rates), true)
-            }
+            Some(rates) => (
+                ClusterSnapshot::assemble(self.router, self.tick, &rates),
+                true,
+            ),
             None => {
                 // Every leg exited (router shutting down, or the tail was
                 // opened before the ring had live shards): poll this tick,
@@ -136,7 +141,14 @@ impl<'a, D: RecoveryDriver> Controller<'a, D> {
                 Err(error) => failures.push(error),
             }
         }
-        TickReport { tick: self.tick, snapshot, planned, executed, failures, pushed }
+        TickReport {
+            tick: self.tick,
+            snapshot,
+            planned,
+            executed,
+            failures,
+            pushed,
+        }
     }
 
     /// Stamps an executed action into the router's obs store — the
@@ -162,7 +174,11 @@ impl<'a, D: RecoveryDriver> Controller<'a, D> {
     /// router's `migrate`, but a store restart adds no `Promotion` row.
     fn stamp(&self, action: &ControlAction, snapshot: &ClusterSnapshot) {
         match action {
-            ControlAction::RebalanceHot { deployment, from, to } => {
+            ControlAction::RebalanceHot {
+                deployment,
+                from,
+                to,
+            } => {
                 let energy_mj = snapshot
                     .shards
                     .iter()

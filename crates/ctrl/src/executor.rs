@@ -51,7 +51,10 @@ pub(crate) struct Executor {
 impl Executor {
     /// An executor with the configuration's retry policy.
     pub(crate) fn new(config: &CtrlConfig) -> Executor {
-        Executor { attempts: config.retry_attempts.max(1), backoff: config.retry_backoff }
+        Executor {
+            attempts: config.retry_attempts.max(1),
+            backoff: config.retry_backoff,
+        }
     }
 
     /// Carries `action` out, retrying up to the configured attempt count
@@ -98,7 +101,10 @@ where
 {
     match action {
         ControlAction::RebalanceHot { deployment, to, .. } => ops.migrate(deployment, *to),
-        ControlAction::PromoteFollower { shard, follower_addr } => {
+        ControlAction::PromoteFollower {
+            shard,
+            follower_addr,
+        } => {
             let addr = driver.promote(*shard, follower_addr)?;
             ops.replace_shard(*shard, addr)
         }
@@ -128,7 +134,9 @@ mod tests {
 
     impl ClusterOps for MockOps {
         fn migrate(&self, deployment: &str, target: usize) -> Result<(), String> {
-            self.calls.borrow_mut().push(format!("migrate {deployment} -> {target}"));
+            self.calls
+                .borrow_mut()
+                .push(format!("migrate {deployment} -> {target}"));
             let mut budget = self.fail_first.borrow_mut();
             if *budget > 0 {
                 *budget -= 1;
@@ -138,7 +146,9 @@ mod tests {
         }
 
         fn replace_shard(&self, shard: usize, addr: BoundAddr) -> Result<(), String> {
-            self.calls.borrow_mut().push(format!("replace {shard} -> {addr}"));
+            self.calls
+                .borrow_mut()
+                .push(format!("replace {shard} -> {addr}"));
             Ok(())
         }
     }
@@ -162,16 +172,21 @@ mod tests {
     }
 
     fn executor(attempts: u32) -> Executor {
-        Executor::new(
-            &CtrlConfig::default().with_retries(attempts, Duration::from_millis(1)),
-        )
+        Executor::new(&CtrlConfig::default().with_retries(attempts, Duration::from_millis(1)))
     }
 
     #[test]
     fn transient_failures_are_retried_with_backoff_until_success() {
-        let ops = MockOps { fail_first: RefCell::new(2), ..MockOps::default() };
+        let ops = MockOps {
+            fail_first: RefCell::new(2),
+            ..MockOps::default()
+        };
         let mut driver = MockDriver::default();
-        let action = ControlAction::RebalanceHot { deployment: "t".into(), from: 0, to: 1 };
+        let action = ControlAction::RebalanceHot {
+            deployment: "t".into(),
+            from: 0,
+            to: 1,
+        };
         let started = Instant::now();
         executor(3).execute(&action, &ops, &mut driver).unwrap();
         assert_eq!(ops.calls.borrow().len(), 3, "two failures + one success");
@@ -186,13 +201,21 @@ mod tests {
         let action = ControlAction::RestartFromStore { shard: 2 };
         let error = executor(3).execute(&action, &ops, &mut driver).unwrap_err();
         match &error {
-            CtrlError::ActionFailed { action: failed, attempts, error } => {
+            CtrlError::ActionFailed {
+                action: failed,
+                attempts,
+                error,
+            } => {
                 assert_eq!(failed, &action);
                 assert_eq!(*attempts, 3);
                 assert_eq!(error, "no store registered");
             }
         }
-        assert_eq!(driver.restarts, vec![2, 2, 2], "every attempt reached the driver");
+        assert_eq!(
+            driver.restarts,
+            vec![2, 2, 2],
+            "every attempt reached the driver"
+        );
         assert!(ops.calls.borrow().is_empty(), "the ring was never touched");
     }
 
@@ -205,15 +228,25 @@ mod tests {
             follower_addr: "tcp://127.0.0.1:9001".into(),
         };
         executor(1).execute(&action, &ops, &mut driver).unwrap();
-        assert_eq!(driver.promotions, vec![(1, "tcp://127.0.0.1:9001".to_string())]);
-        assert_eq!(ops.calls.borrow().as_slice(), ["replace 1 -> tcp://127.0.0.1:9100"]);
+        assert_eq!(
+            driver.promotions,
+            vec![(1, "tcp://127.0.0.1:9001".to_string())]
+        );
+        assert_eq!(
+            ops.calls.borrow().as_slice(),
+            ["replace 1 -> tcp://127.0.0.1:9100"]
+        );
     }
 
     #[test]
     fn zero_attempts_clamp_to_one() {
         let ops = MockOps::default();
         let mut driver = MockDriver::default();
-        let action = ControlAction::RebalanceHot { deployment: "t".into(), from: 0, to: 1 };
+        let action = ControlAction::RebalanceHot {
+            deployment: "t".into(),
+            from: 0,
+            to: 1,
+        };
         executor(0).execute(&action, &ops, &mut driver).unwrap();
         assert_eq!(ops.calls.borrow().len(), 1);
     }

@@ -9,9 +9,7 @@ use ofscil_obs::Obs;
 use ofscil_serve::LearnerRegistry;
 use ofscil_store::Store;
 use ofscil_wire::harness::ServerThread;
-use ofscil_wire::{
-    BoundAddr, Follower, FollowerConfig, WireConfig, WireError, WireServer,
-};
+use ofscil_wire::{BoundAddr, Follower, FollowerConfig, WireConfig, WireError, WireServer};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -41,7 +39,9 @@ impl FollowerProcess {
     ) -> Result<Self, WireError> {
         let thread_registry = Arc::clone(&registry);
         let server = ServerThread::spawn("follower server", move |until_stopped| {
-            Follower::run(&thread_registry, &config, |handle| until_stopped.wait(handle.addr()))
+            Follower::run(&thread_registry, &config, |handle| {
+                until_stopped.wait(handle.addr())
+            })
         })?;
         Ok(FollowerProcess { registry, server })
     }
@@ -103,9 +103,8 @@ impl PrimaryProcess {
         promoting: bool,
     ) -> Result<Self, WireError> {
         ServerThread::spawn("promoted primary", move |until_stopped| {
-            let store = Store::open(&store_dir).map_err(|error| {
-                WireError::Protocol(format!("store open failed: {error}"))
-            })?;
+            let store = Store::open(&store_dir)
+                .map_err(|error| WireError::Protocol(format!("store open failed: {error}")))?;
             let wire = WireConfig::tcp_loopback();
             if promoting {
                 Follower::promote(&registry, &store, &wire, obs.as_ref(), |handle| {
@@ -127,7 +126,6 @@ impl PrimaryProcess {
     pub fn addr(&self) -> &BoundAddr {
         self.0.addr()
     }
-
 }
 
 /// Per-shard standby resources.
@@ -158,7 +156,10 @@ pub struct StandbyFleet {
 impl StandbyFleet {
     /// An empty fleet whose spawned primaries record into `obs`.
     pub fn new(obs: Option<Obs>) -> StandbyFleet {
-        StandbyFleet { obs, ..StandbyFleet::default() }
+        StandbyFleet {
+            obs,
+            ..StandbyFleet::default()
+        }
     }
 
     /// Registers `shard`'s follower replica (the promotion candidate).

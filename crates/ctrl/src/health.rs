@@ -85,7 +85,9 @@ impl ClusterSnapshot {
         let query = ObsQuery::all()
             .with_kinds(&[EventKind::Infer, EventKind::Learn])
             .with_limit(config.rate_event_limit);
-        let rates = router.obs_query(&query).trailing_rates(config.rate_window_us);
+        let rates = router
+            .obs_query(&query)
+            .trailing_rates(config.rate_window_us);
         ClusterSnapshot::assemble(router, tick, &rates)
     }
 
@@ -141,8 +143,16 @@ mod tests {
             breaker_dwell: None,
             followers: Vec::new(),
             deployments: vec![
-                DeploymentLoad { name: "a".into(), requests: 7, energy_mj: 0.5 },
-                DeploymentLoad { name: "b".into(), requests: 5, energy_mj: 0.25 },
+                DeploymentLoad {
+                    name: "a".into(),
+                    requests: 7,
+                    energy_mj: 0.5,
+                },
+                DeploymentLoad {
+                    name: "b".into(),
+                    requests: 5,
+                    energy_mj: 0.25,
+                },
             ],
         };
         assert_eq!(shard.load(), 12);

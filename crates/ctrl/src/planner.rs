@@ -54,7 +54,10 @@ pub struct Planner {
 impl Planner {
     /// A planner with no cooldown history.
     pub fn new(config: CtrlConfig) -> Planner {
-        Planner { config, cooldowns: HashMap::new() }
+        Planner {
+            config,
+            cooldowns: HashMap::new(),
+        }
     }
 
     /// Whether `key` may be acted on at `tick`.
@@ -75,7 +78,9 @@ impl Planner {
             if actions.len() >= max_actions {
                 break;
             }
-            let Some(dwell) = shard.breaker_dwell else { continue };
+            let Some(dwell) = shard.breaker_dwell else {
+                continue;
+            };
             if dwell < self.config.breaker_dwell_threshold {
                 continue; // a flap, not a death — wait it out
             }
@@ -114,8 +119,10 @@ impl Planner {
             else {
                 break;
             };
-            let &(cold, cold_load) =
-                loads.iter().min_by_key(|&&(shard, load)| (load, shard)).expect("non-empty");
+            let &(cold, cold_load) = loads
+                .iter()
+                .min_by_key(|&&(shard, load)| (load, shard))
+                .expect("non-empty");
             let ratio = self.config.rebalance_ratio.max(1.0);
             if hot == cold
                 || hot_load < self.config.rebalance_floor
@@ -136,7 +143,9 @@ impl Planner {
                 .filter(|d| d.requests > 0 && !moved.contains(&d.name))
                 .filter(|d| self.ready(&Key::Deployment(d.name.clone()), snapshot.tick))
                 .max_by(|a, b| {
-                    a.requests.cmp(&b.requests).then_with(|| b.name.cmp(&a.name))
+                    a.requests
+                        .cmp(&b.requests)
+                        .then_with(|| b.name.cmp(&a.name))
                 });
             let Some(candidate) = candidate else { break };
             // Re-simulate the loads so a second move this tick sees the
@@ -150,7 +159,8 @@ impl Planner {
             }
             moved.insert(candidate.name.clone());
             targets.insert(cold);
-            self.cooldowns.insert(Key::Deployment(candidate.name.clone()), snapshot.tick);
+            self.cooldowns
+                .insert(Key::Deployment(candidate.name.clone()), snapshot.tick);
             actions.push(ControlAction::RebalanceHot {
                 deployment: candidate.name.clone(),
                 from: hot,
@@ -207,14 +217,19 @@ mod tests {
         dead.reachable = false;
         dead.breaker_dwell = Some(Duration::from_millis(40)); // below 100ms
         dead.followers = vec!["tcp://127.0.0.1:9001".into()];
-        let snapshot =
-            ClusterSnapshot { tick: 1, shards: vec![shard(0, &[("a", 5)]), dead.clone()] };
+        let snapshot = ClusterSnapshot {
+            tick: 1,
+            shards: vec![shard(0, &[("a", 5)]), dead.clone()],
+        };
         assert!(planner.plan(&snapshot).is_empty());
 
         // Unreachable but breaker closed (single lost request, breaker
         // already probed shut again): still nothing.
         dead.breaker_dwell = None;
-        let snapshot = ClusterSnapshot { tick: 2, shards: vec![shard(0, &[("a", 5)]), dead] };
+        let snapshot = ClusterSnapshot {
+            tick: 2,
+            shards: vec![shard(0, &[("a", 5)]), dead],
+        };
         assert!(planner.plan(&snapshot).is_empty());
     }
 
@@ -250,8 +265,14 @@ mod tests {
         let mut dead = shard(2, &[]);
         dead.reachable = false;
         dead.breaker_dwell = Some(Duration::from_secs(1));
-        let snapshot = ClusterSnapshot { tick: 1, shards: vec![shard(0, &[]), dead] };
-        assert_eq!(planner.plan(&snapshot), vec![ControlAction::RestartFromStore { shard: 2 }]);
+        let snapshot = ClusterSnapshot {
+            tick: 1,
+            shards: vec![shard(0, &[]), dead],
+        };
+        assert_eq!(
+            planner.plan(&snapshot),
+            vec![ControlAction::RestartFromStore { shard: 2 }]
+        );
     }
 
     #[test]
@@ -268,14 +289,22 @@ mod tests {
         let plan = planner.plan(&snapshot);
         assert_eq!(
             plan[0],
-            ControlAction::RebalanceHot { deployment: "hot".into(), from: 0, to: 2 }
+            ControlAction::RebalanceHot {
+                deployment: "hot".into(),
+                from: 0,
+                to: 2
+            }
         );
         // Loads are re-simulated: after moving 90 requests to shard 2,
         // shard 0 (30) vs shard 1 (5) still exceeds ratio 2, so "warm"
         // moves too — to shard 1, the new coldest.
         assert_eq!(
             plan[1],
-            ControlAction::RebalanceHot { deployment: "warm".into(), from: 0, to: 1 }
+            ControlAction::RebalanceHot {
+                deployment: "warm".into(),
+                from: 0,
+                to: 1
+            }
         );
         assert_eq!(plan.len(), 2);
     }
@@ -302,10 +331,17 @@ mod tests {
         let total = names.len();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), total, "a deployment was planned twice: {plan:?}");
+        assert_eq!(
+            names.len(),
+            total,
+            "a deployment was planned twice: {plan:?}"
+        );
         // Across ticks the cooldown holds the line too: the deployments
         // just moved cannot bounce straight back.
-        let follow_up = planner.plan(&ClusterSnapshot { tick: 2, ..snapshot });
+        let follow_up = planner.plan(&ClusterSnapshot {
+            tick: 2,
+            ..snapshot
+        });
         assert!(
             follow_up.iter().all(|a| match a {
                 ControlAction::RebalanceHot { deployment, .. } =>
@@ -347,7 +383,11 @@ mod tests {
         let plan = planner.plan(&snapshot);
         assert_eq!(
             plan,
-            vec![ControlAction::RebalanceHot { deployment: "a".into(), from: 0, to: 2 }]
+            vec![ControlAction::RebalanceHot {
+                deployment: "a".into(),
+                from: 0,
+                to: 2
+            }]
         );
     }
 
@@ -357,7 +397,9 @@ mod tests {
     #[test]
     fn seeded_plans_are_deterministic() {
         fn lcg(state: &mut u64) -> u64 {
-            *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            *state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             *state >> 33
         }
         fn random_snapshot(tick: u64, seed: &mut u64) -> ClusterSnapshot {
@@ -367,8 +409,7 @@ mod tests {
                     ShardState {
                         shard: id,
                         reachable: !dead,
-                        breaker_dwell: dead
-                            .then(|| Duration::from_millis(lcg(seed) % 400)),
+                        breaker_dwell: dead.then(|| Duration::from_millis(lcg(seed) % 400)),
                         followers: if lcg(seed) % 2 == 0 {
                             vec![format!("tcp://10.0.0.{}:9000", lcg(seed) % 8)]
                         } else {
@@ -395,8 +436,15 @@ mod tests {
             let mut seed_r = 0x5eed ^ trial;
             let snap_l = random_snapshot(trial + 1, &mut seed_l);
             let snap_r = random_snapshot(trial + 1, &mut seed_r);
-            assert_eq!(snap_l, snap_r, "snapshot generation must itself be deterministic");
-            assert_eq!(left.plan(&snap_l), right.plan(&snap_r), "plans diverged at {trial}");
+            assert_eq!(
+                snap_l, snap_r,
+                "snapshot generation must itself be deterministic"
+            );
+            assert_eq!(
+                left.plan(&snap_l),
+                right.plan(&snap_r),
+                "plans diverged at {trial}"
+            );
         }
     }
 }

@@ -75,8 +75,7 @@ fn killed_shard_recovers_through_follower_promotion_without_operator_calls() {
         let replica_registry = registry();
         let follower = FollowerProcess::spawn(
             Arc::clone(&replica_registry),
-            FollowerConfig::new(victim_addr, &TENANTS)
-                .with_advertise(router.addr().clone()),
+            FollowerConfig::new(victim_addr, &TENANTS).with_advertise(router.addr().clone()),
         )
         .unwrap();
         assert_eq!(router.followers(victim), vec![follower.addr().to_string()]);
@@ -92,7 +91,10 @@ fn killed_shard_recovers_through_follower_promotion_without_operator_calls() {
         // ...and replicates to the follower before the murder.
         let caught_up = Instant::now();
         while replica_registry.replication_seq("alpha").unwrap_or(0) < 1 {
-            assert!(caught_up.elapsed() < Duration::from_secs(30), "replica never caught up");
+            assert!(
+                caught_up.elapsed() < Duration::from_secs(30),
+                "replica never caught up"
+            );
             std::thread::sleep(Duration::from_millis(5));
         }
 
@@ -122,11 +124,18 @@ fn killed_shard_recovers_through_follower_promotion_without_operator_calls() {
                     other => panic!("unexpected action {other}"),
                 }
             }
-            assert!(report.failures.is_empty(), "executor failed: {:?}", report.failures);
+            assert!(
+                report.failures.is_empty(),
+                "executor failed: {:?}",
+                report.failures
+            );
             if promoted && report.quiescent() {
                 break;
             }
-            assert!(Instant::now() < deadline, "cluster never converged to serving");
+            assert!(
+                Instant::now() < deadline,
+                "cluster never converged to serving"
+            );
             std::thread::sleep(Duration::from_millis(20));
         }
         assert_eq!(controller.driver().recovered(), 1, "exactly one promotion");
@@ -179,15 +188,22 @@ fn killed_shard_recovers_through_follower_promotion_without_operator_calls() {
             .find(|e| e.kind == EventKind::CtrlPromote)
             .expect("controller-stamped promotion in the timeline")
             .time_us;
-        assert!(open_at <= promo_at, "timeline out of order: {open_at} > {promo_at}");
-        let alpha_promo = router
-            .obs_query(&ObsQuery::deployment("alpha").with_kinds(&[EventKind::Promotion]));
+        assert!(
+            open_at <= promo_at,
+            "timeline out of order: {open_at} > {promo_at}"
+        );
+        let alpha_promo =
+            router.obs_query(&ObsQuery::deployment("alpha").with_kinds(&[EventKind::Promotion]));
         assert!(
             alpha_promo.events.iter().any(|e| e.seq >= 1),
             "promoted primary never emitted alpha's promotion row: {:?}",
             alpha_promo.events
         );
-        assert_eq!(obs.counters().dropped, 0, "nothing shed in the non-adversarial path");
+        assert_eq!(
+            obs.counters().dropped,
+            0,
+            "nothing shed in the non-adversarial path"
+        );
     })
     .unwrap();
 }
@@ -203,7 +219,12 @@ fn spawn_durable(dir: &Path) -> ShardProcess {
 }
 
 fn classes(client: &mut WireClient, tenant: &str) -> usize {
-    match client.call(ServeRequest::Stats { deployment: tenant.into() }).unwrap() {
+    match client
+        .call(ServeRequest::Stats {
+            deployment: tenant.into(),
+        })
+        .unwrap()
+    {
         ServeResponse::Stats(stats) => stats.classes,
         other => panic!("unexpected response {other:?}"),
     }
@@ -215,9 +236,13 @@ fn killed_store_backed_shard_restarts_from_its_store_without_operator_calls() {
     let mut shards: Vec<Option<ShardProcess>> =
         dirs.iter().map(|dir| Some(spawn_durable(dir))).collect();
     let router_obs = Obs::new(ObsConfig::default());
-    let addrs = shards.iter().map(|s| s.as_ref().unwrap().addr().clone()).collect();
-    let config =
-        RouterConfig::tcp_loopback(addrs).with_deployments(&TENANTS).with_obs(router_obs.clone());
+    let addrs = shards
+        .iter()
+        .map(|s| s.as_ref().unwrap().addr().clone())
+        .collect();
+    let config = RouterConfig::tcp_loopback(addrs)
+        .with_deployments(&TENANTS)
+        .with_obs(router_obs.clone());
 
     RouterServer::run(&config, |router| {
         // Every tenant learns two classes; the victim's are journaled.
@@ -247,18 +272,29 @@ fn killed_store_backed_shard_restarts_from_its_store_without_operator_calls() {
                 assert_eq!(*action, ControlAction::RestartFromStore { shard: victim });
                 restarted = true;
             }
-            assert!(report.failures.is_empty(), "executor failed: {:?}", report.failures);
+            assert!(
+                report.failures.is_empty(),
+                "executor failed: {:?}",
+                report.failures
+            );
             if restarted && report.quiescent() {
                 break;
             }
-            assert!(Instant::now() < deadline, "cluster never converged to serving");
+            assert!(
+                Instant::now() < deadline,
+                "cluster never converged to serving"
+            );
         }
         assert_eq!(controller.driver().recovered(), 1, "exactly one restart");
 
         // Every tenant serves reads and writes again, its classes recovered.
         let mut client = WireClient::connect(router.addr()).unwrap();
         for tenant in TENANTS {
-            assert_eq!(classes(&mut client, tenant), 2, "{tenant} lost its learned classes");
+            assert_eq!(
+                classes(&mut client, tenant),
+                2,
+                "{tenant} lost its learned classes"
+            );
             match client
                 .call(ServeRequest::Infer {
                     deployment: tenant.into(),
@@ -286,7 +322,11 @@ fn killed_store_backed_shard_restarts_from_its_store_without_operator_calls() {
         let opened = position(EventKind::BreakerOpen).expect("breaker-open event");
         let stamped = position(EventKind::CtrlRestart).expect("controller-stamped restart");
         assert!(opened < stamped, "timeline out of order: {kinds:?}");
-        assert_eq!(position(EventKind::Promotion), None, "restart logged as a promotion");
+        assert_eq!(
+            position(EventKind::Promotion),
+            None,
+            "restart logged as a promotion"
+        );
         assert_eq!(router_obs.counters().dropped, 0);
     })
     .unwrap();

@@ -45,8 +45,11 @@ fn controller_rates_converge_through_the_stream_alone() {
         let ctrl_config = CtrlConfig::default()
             .with_rate_window_us(60_000_000)
             .with_rebalance_floor(u64::MAX);
-        let mut controller =
-            Controller::new(router, StandbyFleet::new(Some(obs.clone())), ctrl_config.clone());
+        let mut controller = Controller::new(
+            router,
+            StandbyFleet::new(Some(obs.clone())),
+            ctrl_config.clone(),
+        );
 
         let mut client = WireClient::connect(router.addr()).unwrap();
         client
@@ -71,7 +74,10 @@ fn controller_rates_converge_through_the_stream_alone() {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let report = controller.tick();
-            assert!(report.pushed, "the stream is up; no tick may fall back to polling");
+            assert!(
+                report.pushed,
+                "the stream is up; no tick may fall back to polling"
+            );
             let seen = report
                 .snapshot
                 .shards
@@ -79,17 +85,30 @@ fn controller_rates_converge_through_the_stream_alone() {
                 .flat_map(|s| &s.deployments)
                 .find(|d| d.name == TENANT)
                 .map_or(0, |d| d.requests);
-            assert!(seen <= expected, "over-counted: {seen} > {expected} (duplicate rows?)");
+            assert!(
+                seen <= expected,
+                "over-counted: {seen} > {expected} (duplicate rows?)"
+            );
             if seen == expected {
                 break;
             }
-            assert!(Instant::now() < deadline, "rates never converged: {seen}/{expected}");
+            assert!(
+                Instant::now() < deadline,
+                "rates never converged: {seen}/{expected}"
+            );
             std::thread::sleep(Duration::from_millis(20));
         }
 
-        assert!(controller.feed().batches() > 0, "convergence must have consumed leg batches");
+        assert!(
+            controller.feed().batches() > 0,
+            "convergence must have consumed leg batches"
+        );
         assert_eq!(controller.feed().resubscribed(), 0, "the tail never died");
-        assert_eq!(controller.feed().tail().dropped(), 0, "nothing shed at this load");
+        assert_eq!(
+            controller.feed().tail().dropped(),
+            0,
+            "nothing shed at this load"
+        );
         assert!(controller.feed().is_live());
         assert_eq!(controller.feed().window_len() as u64, expected);
     })

@@ -18,7 +18,11 @@ pub struct AugmenterConfig {
 
 impl Default for AugmenterConfig {
     fn default() -> Self {
-        AugmenterConfig { flip_probability: 0.5, crop_padding: 4, blur_probability: 0.1 }
+        AugmenterConfig {
+            flip_probability: 0.5,
+            crop_padding: 4,
+            blur_probability: 0.1,
+        }
     }
 }
 
@@ -82,7 +86,9 @@ impl Augmenter {
 pub(crate) fn horizontal_flip(image: &Tensor) -> Result<Tensor> {
     let dims = image.dims();
     if dims.len() != 3 {
-        return Err(DataError::InvalidConfig(format!("expected [c,h,w], got {dims:?}")));
+        return Err(DataError::InvalidConfig(format!(
+            "expected [c,h,w], got {dims:?}"
+        )));
     }
     let (c, h, w) = (dims[0], dims[1], dims[2]);
     let src = image.as_slice();
@@ -106,7 +112,9 @@ pub(crate) fn horizontal_flip(image: &Tensor) -> Result<Tensor> {
 pub(crate) fn random_crop(image: &Tensor, padding: usize, rng: &mut SeedRng) -> Result<Tensor> {
     let dims = image.dims();
     if dims.len() != 3 {
-        return Err(DataError::InvalidConfig(format!("expected [c,h,w], got {dims:?}")));
+        return Err(DataError::InvalidConfig(format!(
+            "expected [c,h,w], got {dims:?}"
+        )));
     }
     let (c, h, w) = (dims[0], dims[1], dims[2]);
     let src = image.as_slice();
@@ -144,7 +152,9 @@ pub(crate) fn random_crop(image: &Tensor, padding: usize, rng: &mut SeedRng) -> 
 pub(crate) fn box_blur(image: &Tensor) -> Result<Tensor> {
     let dims = image.dims();
     if dims.len() != 3 {
-        return Err(DataError::InvalidConfig(format!("expected [c,h,w], got {dims:?}")));
+        return Err(DataError::InvalidConfig(format!(
+            "expected [c,h,w], got {dims:?}"
+        )));
     }
     let (c, h, w) = (dims[0], dims[1], dims[2]);
     let src = image.as_slice();
@@ -331,15 +341,19 @@ mod tests {
     fn toy_batch() -> Batch {
         let mut ds = Dataset::new(&[3, 8, 8]);
         for label in 0..4usize {
-            ds.push(Sample { image: Tensor::full(&[3, 8, 8], label as f32 / 4.0), label })
-                .unwrap();
+            ds.push(Sample {
+                image: Tensor::full(&[3, 8, 8], label as f32 / 4.0),
+                label,
+            })
+            .unwrap();
         }
         ds.full_batch().unwrap()
     }
 
     #[test]
     fn flip_is_involution() {
-        let image = Tensor::from_vec((0..3 * 4 * 4).map(|v| v as f32).collect(), &[3, 4, 4]).unwrap();
+        let image =
+            Tensor::from_vec((0..3 * 4 * 4).map(|v| v as f32).collect(), &[3, 4, 4]).unwrap();
         let flipped = horizontal_flip(&image).unwrap();
         assert_ne!(flipped, image);
         assert_eq!(horizontal_flip(&flipped).unwrap(), image);
@@ -349,8 +363,11 @@ mod tests {
     #[test]
     fn crop_preserves_shape_and_range() {
         let mut rng = SeedRng::new(0);
-        let image = Tensor::from_vec((0..3 * 8 * 8).map(|v| v as f32 / 192.0).collect(), &[3, 8, 8])
-            .unwrap();
+        let image = Tensor::from_vec(
+            (0..3 * 8 * 8).map(|v| v as f32 / 192.0).collect(),
+            &[3, 8, 8],
+        )
+        .unwrap();
         let cropped = random_crop(&image, 2, &mut rng).unwrap();
         assert_eq!(cropped.dims(), image.dims());
         assert!(cropped.max().unwrap() <= 1.0);
@@ -407,7 +424,10 @@ mod tests {
 
     #[test]
     fn empty_batches_are_rejected() {
-        let empty = Batch { images: Tensor::zeros(&[0, 3, 4, 4]), labels: vec![] };
+        let empty = Batch {
+            images: Tensor::zeros(&[0, 3, 4, 4]),
+            labels: vec![],
+        };
         let mut rng = SeedRng::new(0);
         assert!(Mixup::default().apply(&empty, 4, &mut rng).is_err());
         assert!(CutMix.apply(&empty, 4, &mut rng).is_err());
@@ -416,8 +436,16 @@ mod tests {
     #[test]
     fn out_of_range_labels_are_rejected() {
         let mut ds = Dataset::new(&[3, 4, 4]);
-        ds.push(Sample { image: Tensor::zeros(&[3, 4, 4]), label: 9 }).unwrap();
-        ds.push(Sample { image: Tensor::zeros(&[3, 4, 4]), label: 1 }).unwrap();
+        ds.push(Sample {
+            image: Tensor::zeros(&[3, 4, 4]),
+            label: 9,
+        })
+        .unwrap();
+        ds.push(Sample {
+            image: Tensor::zeros(&[3, 4, 4]),
+            label: 1,
+        })
+        .unwrap();
         let batch = ds.full_batch().unwrap();
         let mut rng = SeedRng::new(0);
         assert!(Mixup::default().apply(&batch, 4, &mut rng).is_err());

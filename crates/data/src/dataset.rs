@@ -47,7 +47,10 @@ pub struct Dataset {
 impl Dataset {
     /// Creates an empty dataset expecting images with the given dims.
     pub fn new(image_dims: &[usize]) -> Self {
-        Dataset { samples: Vec::new(), image_dims: image_dims.to_vec() }
+        Dataset {
+            samples: Vec::new(),
+            image_dims: image_dims.to_vec(),
+        }
     }
 
     /// Adds a sample.
@@ -143,7 +146,10 @@ impl Dataset {
         }
         let mut dims = vec![indices.len()];
         dims.extend_from_slice(&self.image_dims);
-        Ok(Batch { images: Tensor::from_vec(data, &dims)?, labels })
+        Ok(Batch {
+            images: Tensor::from_vec(data, &dims)?,
+            labels,
+        })
     }
 
     /// Assembles the entire dataset as a single batch.
@@ -164,7 +170,9 @@ impl Dataset {
     /// Returns an error when `batch_size` is zero or the dataset is empty.
     pub fn shuffled_batches(&self, batch_size: usize, rng: &mut SeedRng) -> Result<Vec<Batch>> {
         if batch_size == 0 {
-            return Err(DataError::InvalidConfig("batch_size must be nonzero".into()));
+            return Err(DataError::InvalidConfig(
+                "batch_size must be nonzero".into(),
+            ));
         }
         if self.is_empty() {
             return Err(DataError::Empty("shuffled_batches"));
@@ -203,7 +211,6 @@ impl Dataset {
         }
         self.batch(&indices)
     }
-
 }
 
 #[cfg(test)]
@@ -228,7 +235,10 @@ mod tests {
     fn push_rejects_wrong_shape() {
         let mut ds = Dataset::new(&[3, 4, 4]);
         assert!(ds
-            .push(Sample { image: Tensor::zeros(&[3, 5, 5]), label: 0 })
+            .push(Sample {
+                image: Tensor::zeros(&[3, 5, 5]),
+                label: 0
+            })
             .is_err());
         assert!(ds.is_empty());
     }

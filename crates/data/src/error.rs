@@ -61,7 +61,11 @@ mod tests {
     fn display_and_source() {
         let e = DataError::from(TensorError::Empty("max"));
         assert!(e.source().is_some());
-        let e = DataError::OutOfRange { what: "class".into(), value: 7, bound: 5 };
+        let e = DataError::OutOfRange {
+            what: "class".into(),
+            value: 7,
+            bound: 5,
+        };
         assert!(e.to_string().contains('7'));
     }
 }

@@ -40,7 +40,6 @@ impl FscilConfig {
             shots: 5,
             base_train_per_class: 50,
             test_per_class: 100,
-
         }
     }
 
@@ -139,13 +138,22 @@ impl FscilBenchmark {
             let start = config.num_base_classes + s * config.ways;
             let classes: Vec<usize> = (start..start + config.ways).collect();
             let support = generator.generate_split(&classes, config.shots, TRAIN_STREAM)?;
-            sessions.push(Session { index: s + 1, classes, support });
+            sessions.push(Session {
+                index: s + 1,
+                classes,
+                support,
+            });
         }
 
         let all_classes: Vec<usize> = (0..config.total_classes()).collect();
         let test = generator.generate_split(&all_classes, config.test_per_class, TEST_STREAM)?;
 
-        Ok(FscilBenchmark { config: config.clone(), base_train, sessions, test })
+        Ok(FscilBenchmark {
+            config: config.clone(),
+            base_train,
+            sessions,
+            test,
+        })
     }
 
     /// The benchmark configuration.
@@ -244,7 +252,10 @@ mod tests {
         }
         assert_eq!(seen.len(), config.total_classes());
         // Test set covers every class with the configured count.
-        assert_eq!(bench.test().len(), config.total_classes() * config.test_per_class);
+        assert_eq!(
+            bench.test().len(),
+            config.total_classes() * config.test_per_class
+        );
     }
 
     #[test]
@@ -255,10 +266,7 @@ mod tests {
         let t4 = bench.test_after_session(4).unwrap();
         let t8 = bench.test_after_session(8).unwrap();
         assert!(t0.len() < t4.len() && t4.len() < t8.len());
-        assert_eq!(
-            t8.len(),
-            config.total_classes() * config.test_per_class
-        );
+        assert_eq!(t8.len(), config.total_classes() * config.test_per_class);
         assert!(bench.test_after_session(9).is_err());
         assert_eq!(
             bench.classes_after_session(1).unwrap().len(),
@@ -276,13 +284,14 @@ mod tests {
             b.base_train().get(0).unwrap().image
         );
         let c = FscilBenchmark::generate(&config, 6).unwrap();
-        assert!(a
-            .base_train()
-            .get(0)
-            .unwrap()
-            .image
-            .max_abs_diff(&c.base_train().get(0).unwrap().image)
-            .unwrap()
-            > 1e-4);
+        assert!(
+            a.base_train()
+                .get(0)
+                .unwrap()
+                .image
+                .max_abs_diff(&c.base_train().get(0).unwrap().image)
+                .unwrap()
+                > 1e-4
+        );
     }
 }

@@ -104,9 +104,16 @@ impl SyntheticCifar {
                 rng.uniform_range(-0.18, 0.18),
                 rng.uniform_range(-0.18, 0.18),
             ];
-            signatures.push(ClassSignature { components, color_offset });
+            signatures.push(ClassSignature {
+                components,
+                color_offset,
+            });
         }
-        SyntheticCifar { config, seed, signatures }
+        SyntheticCifar {
+            config,
+            seed,
+            signatures,
+        }
     }
 
     /// The generator configuration.
@@ -122,11 +129,14 @@ impl SyntheticCifar {
     ///
     /// Returns an error when `class` is out of range.
     pub fn render(&self, class: usize, sample_id: usize, stream: u64) -> Result<Tensor> {
-        let signature = self.signatures.get(class).ok_or(crate::DataError::OutOfRange {
-            what: "class".into(),
-            value: class,
-            bound: self.config.num_classes,
-        })?;
+        let signature = self
+            .signatures
+            .get(class)
+            .ok_or(crate::DataError::OutOfRange {
+                what: "class".into(),
+                value: class,
+                bound: self.config.num_classes,
+            })?;
         let components = &signature.components;
         let size = self.config.image_size;
         let mut rng = SeedRng::new(
@@ -139,8 +149,10 @@ impl SyntheticCifar {
             .map(|_| rng.uniform_range(-self.config.phase_jitter, self.config.phase_jitter))
             .collect();
         let scale = rng.uniform_range(0.85, 1.15);
-        let shift_x = rng.below(2 * self.config.max_shift + 1) as f32 - self.config.max_shift as f32;
-        let shift_y = rng.below(2 * self.config.max_shift + 1) as f32 - self.config.max_shift as f32;
+        let shift_x =
+            rng.below(2 * self.config.max_shift + 1) as f32 - self.config.max_shift as f32;
+        let shift_y =
+            rng.below(2 * self.config.max_shift + 1) as f32 - self.config.max_shift as f32;
 
         let mut data = vec![0.0f32; 3 * size * size];
         let freq_scale = 8.0 / size as f32;
@@ -190,7 +202,10 @@ impl SyntheticCifar {
         let mut dataset = Dataset::new(&[3, size, size]);
         for &class in classes {
             for sample_id in 0..per_class {
-                dataset.push(Sample { image: self.render(class, sample_id, stream)?, label: class })?;
+                dataset.push(Sample {
+                    image: self.render(class, sample_id, stream)?,
+                    label: class,
+                })?;
             }
         }
         Ok(dataset)

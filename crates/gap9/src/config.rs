@@ -1,6 +1,5 @@
 //! GAP9 hardware description and calibrated model constants.
 
-
 /// Hardware parameters and cost-model constants of a GAP9-class device at its
 /// most energy-efficient operating point (650 mV / 240 MHz, paper §VI-C).
 ///
@@ -88,13 +87,19 @@ impl Gap9Config {
     /// Returns an error when any capacity, bandwidth or throughput is zero.
     pub(crate) fn validate(&self) -> crate::Result<()> {
         if self.cluster_cores == 0 {
-            return Err(crate::Gap9Error::InvalidConfig("cluster_cores must be nonzero".into()));
+            return Err(crate::Gap9Error::InvalidConfig(
+                "cluster_cores must be nonzero".into(),
+            ));
         }
         if self.frequency_hz <= 0.0 {
-            return Err(crate::Gap9Error::InvalidConfig("frequency must be positive".into()));
+            return Err(crate::Gap9Error::InvalidConfig(
+                "frequency must be positive".into(),
+            ));
         }
         if self.l1_bytes == 0 || self.l2_bytes == 0 || self.l3_bytes == 0 {
-            return Err(crate::Gap9Error::InvalidConfig("memory sizes must be nonzero".into()));
+            return Err(crate::Gap9Error::InvalidConfig(
+                "memory sizes must be nonzero".into(),
+            ));
         }
         if self.dma_l2_bytes_per_cycle <= 0.0
             || self.dma_l3_bytes_per_cycle <= 0.0
@@ -134,11 +139,20 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let config = Gap9Config { cluster_cores: 0, ..Gap9Config::default() };
+        let config = Gap9Config {
+            cluster_cores: 0,
+            ..Gap9Config::default()
+        };
         assert!(config.validate().is_err());
-        let config = Gap9Config { dma_l3_bytes_per_cycle: 0.0, ..Gap9Config::default() };
+        let config = Gap9Config {
+            dma_l3_bytes_per_cycle: 0.0,
+            ..Gap9Config::default()
+        };
         assert!(config.validate().is_err());
-        let config = Gap9Config { l1_bytes: 0, ..Gap9Config::default() };
+        let config = Gap9Config {
+            l1_bytes: 0,
+            ..Gap9Config::default()
+        };
         assert!(config.validate().is_err());
     }
 

@@ -29,7 +29,11 @@ pub fn deploy_backbone(backbone: &Backbone, height: usize, width: usize) -> Netw
             }
         })
         .collect();
-    NetworkWorkload { name: backbone.name.clone(), layers, force_l3_weights: false }
+    NetworkWorkload {
+        name: backbone.name.clone(),
+        layers,
+        force_l3_weights: false,
+    }
 }
 
 /// Deploys the FCR projection (a single `d_a × d_p` fully connected layer)
@@ -87,8 +91,14 @@ mod tests {
         assert_eq!(workload.total_macs(), backbone.macs(16, 16));
         assert!(workload.total_weight_bytes() > 0);
         // Kernel classes are sensible: convs plus memory-bound layers.
-        assert!(workload.layers.iter().any(|l| l.kernel == KernelClass::Convolution));
-        assert!(workload.layers.iter().any(|l| l.kernel == KernelClass::MemoryBound));
+        assert!(workload
+            .layers
+            .iter()
+            .any(|l| l.kernel == KernelClass::Convolution));
+        assert!(workload
+            .layers
+            .iter()
+            .any(|l| l.kernel == KernelClass::MemoryBound));
     }
 
     #[test]

@@ -20,8 +20,14 @@ pub enum Gap9Error {
 impl fmt::Display for Gap9Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Gap9Error::InvalidCoreCount { requested, available } => {
-                write!(f, "requested {requested} cores but the cluster has {available}")
+            Gap9Error::InvalidCoreCount {
+                requested,
+                available,
+            } => {
+                write!(
+                    f,
+                    "requested {requested} cores but the cluster has {available}"
+                )
             }
             Gap9Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
@@ -36,7 +42,10 @@ mod tests {
 
     #[test]
     fn display_mentions_counts() {
-        let e = Gap9Error::InvalidCoreCount { requested: 16, available: 8 };
+        let e = Gap9Error::InvalidCoreCount {
+            requested: 16,
+            available: 8,
+        };
         assert!(e.to_string().contains("16"));
         assert!(e.to_string().contains('8'));
     }

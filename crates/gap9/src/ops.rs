@@ -1,9 +1,7 @@
 //! The high-level operations of the paper's Table IV and the Fig. 2 core
 //! sweep.
 
-use crate::{
-    deploy_fcr, estimate_execution, Gap9Config, NetworkWorkload, PowerModel, Result,
-};
+use crate::{deploy_fcr, estimate_execution, Gap9Config, NetworkWorkload, PowerModel, Result};
 
 /// Latency / power / energy of one deployed operation (one Table IV cell
 /// group).
@@ -125,7 +123,12 @@ impl Gap9Executor {
         let power_mw = (backbone_cost.power_mw * backbone_cost.time_ms
             + fcr_cost.power_mw * fcr_cost.time_ms)
             / (backbone_cost.time_ms + fcr_cost.time_ms);
-        Ok(OperationCost::from_parts("EM update", &backbone.name, time_ms, power_mw))
+        Ok(OperationCost::from_parts(
+            "EM update",
+            &backbone.name,
+            time_ms,
+            power_mw,
+        ))
     }
 
     /// FCR fine-tuning (Table IV, "FCR finetune" rows): `epochs` passes over
@@ -152,10 +155,18 @@ impl Gap9Executor {
         // the weights resident while the class activations stream through),
         // while the compute repeats per class.
         let compute_ms_per_class = self.config.cycles_to_ms(
-            per_class.layers.iter().map(|l| l.compute_cycles).sum::<f64>(),
+            per_class
+                .layers
+                .iter()
+                .map(|l| l.compute_cycles)
+                .sum::<f64>(),
         );
         let dma_ms_per_epoch = self.config.cycles_to_ms(
-            per_class.layers.iter().map(|l| l.dma_cycles + l.overhead_cycles).sum::<f64>(),
+            per_class
+                .layers
+                .iter()
+                .map(|l| l.dma_cycles + l.overhead_cycles)
+                .sum::<f64>(),
         );
         let activation_dma_ms = self
             .config
@@ -163,7 +174,12 @@ impl Gap9Executor {
         let time_ms = epochs as f64
             * (classes as f64 * compute_ms_per_class + dma_ms_per_epoch + activation_dma_ms);
         let power_mw = self.power.power_mw(&per_class);
-        Ok(OperationCost::from_parts("FCR finetune", backbone_name, time_ms, power_mw))
+        Ok(OperationCost::from_parts(
+            "FCR finetune",
+            backbone_name,
+            time_ms,
+            power_mw,
+        ))
     }
 
     /// MACs-per-cycle of a workload across a sweep of active core counts (the
@@ -206,9 +222,21 @@ mod tests {
         let executor = Gap9Executor::default();
         let cost = executor.fcr_inference(1280, 256, 8).unwrap();
         // Paper: 3.23 ms, 47.75 mW, 0.15 mJ.
-        assert!((1.0..8.0).contains(&cost.time_ms), "time {} ms", cost.time_ms);
-        assert!((40.0..50.0).contains(&cost.power_mw), "power {} mW", cost.power_mw);
-        assert!((0.05..0.5).contains(&cost.energy_mj), "energy {} mJ", cost.energy_mj);
+        assert!(
+            (1.0..8.0).contains(&cost.time_ms),
+            "time {} ms",
+            cost.time_ms
+        );
+        assert!(
+            (40.0..50.0).contains(&cost.power_mw),
+            "power {} mW",
+            cost.power_mw
+        );
+        assert!(
+            (0.05..0.5).contains(&cost.energy_mj),
+            "energy {} mJ",
+            cost.energy_mj
+        );
     }
 
     #[test]
@@ -219,7 +247,11 @@ mod tests {
         let ratio = update.time_ms / inference.time_ms;
         assert!((4.5..6.5).contains(&ratio), "ratio {ratio}");
         // Paper: 22.75 mJ for MobileNetV2 x4; assert the order of magnitude.
-        assert!((5.0..60.0).contains(&update.energy_mj), "energy {} mJ", update.energy_mj);
+        assert!(
+            (5.0..60.0).contains(&update.energy_mj),
+            "energy {} mJ",
+            update.energy_mj
+        );
     }
 
     #[test]
@@ -232,8 +264,16 @@ mod tests {
         // Paper: ~6.4 s and ~322 mJ vs ~0.51 s and ~23 mJ.
         assert!(finetune.time_ms > 5.0 * update.time_ms);
         assert!(finetune.energy_mj > 5.0 * update.energy_mj);
-        assert!((2_000.0..20_000.0).contains(&finetune.time_ms), "{} ms", finetune.time_ms);
-        assert!((100.0..900.0).contains(&finetune.energy_mj), "{} mJ", finetune.energy_mj);
+        assert!(
+            (2_000.0..20_000.0).contains(&finetune.time_ms),
+            "{} ms",
+            finetune.time_ms
+        );
+        assert!(
+            (100.0..900.0).contains(&finetune.energy_mj),
+            "{} mJ",
+            finetune.energy_mj
+        );
         assert!(finetune.power_mw > update.power_mw);
     }
 
@@ -262,6 +302,8 @@ mod tests {
         for window in sweep.windows(2) {
             assert!(window[1].1 > window[0].1);
         }
-        assert!(executor.macs_per_cycle_sweep(&backbone, &[0], false).is_err());
+        assert!(executor
+            .macs_per_cycle_sweep(&backbone, &[0], false)
+            .is_err());
     }
 }

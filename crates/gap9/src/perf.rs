@@ -134,7 +134,9 @@ pub fn estimate_execution(
             + (layer.input_bytes + layer.output_bytes) as f64 / config.dma_l2_bytes_per_cycle;
         // L1 tiling surcharge: every extra tile re-programs the DMA and
         // re-fetches a share of the weights.
-        let tiles = (layer.working_set_bytes() as f64 / config.l1_bytes as f64).ceil().max(1.0);
+        let tiles = (layer.working_set_bytes() as f64 / config.l1_bytes as f64)
+            .ceil()
+            .max(1.0);
         if tiles > 1.0 {
             dma_cycles *= 1.0 + 0.15 * (tiles - 1.0).min(8.0);
         }
@@ -158,7 +160,12 @@ pub fn estimate_execution(
             layer.compute_cycles *= 3.0;
         }
     }
-    Ok(ExecutionEstimate { layers, cores, macs, training })
+    Ok(ExecutionEstimate {
+        layers,
+        cores,
+        macs,
+        training,
+    })
 }
 
 #[cfg(test)]
@@ -206,9 +213,15 @@ mod tests {
         let x1 = deploy_backbone(&mobilenet_v2(MobileNetVariant::X1, &mut rng), 32, 32);
         let x2 = deploy_backbone(&mobilenet_v2(MobileNetVariant::X2, &mut rng), 32, 32);
         let x4 = deploy_backbone(&mobilenet_v2(MobileNetVariant::X4, &mut rng), 32, 32);
-        let m1 = estimate_execution(&x1, &config, 8, false).unwrap().macs_per_cycle();
-        let m2 = estimate_execution(&x2, &config, 8, false).unwrap().macs_per_cycle();
-        let m4 = estimate_execution(&x4, &config, 8, false).unwrap().macs_per_cycle();
+        let m1 = estimate_execution(&x1, &config, 8, false)
+            .unwrap()
+            .macs_per_cycle();
+        let m2 = estimate_execution(&x2, &config, 8, false)
+            .unwrap()
+            .macs_per_cycle();
+        let m4 = estimate_execution(&x4, &config, 8, false)
+            .unwrap()
+            .macs_per_cycle();
         assert!(m1 < m2 && m2 < m4, "{m1} {m2} {m4}");
         // Paper reports ~6.5 MACs/cycle for the x4 profile at 8 cores.
         assert!((3.5..8.0).contains(&m4), "x4 macs/cycle {m4}");
@@ -231,7 +244,11 @@ mod tests {
         let estimate = estimate_execution(&fcr, &config, 8, false).unwrap();
         // The 328 kB weight transfer dominates the 0.33 M MAC compute (paper
         // §VI-C): well over half the time is DMA.
-        assert!(estimate.dma_fraction() > 0.5, "dma fraction {}", estimate.dma_fraction());
+        assert!(
+            estimate.dma_fraction() > 0.5,
+            "dma fraction {}",
+            estimate.dma_fraction()
+        );
         let ms = estimate.time_ms(&config);
         // Paper: 3.23 ms.
         assert!((1.0..8.0).contains(&ms), "fcr {ms} ms");

@@ -1,6 +1,5 @@
 //! Deployment workload descriptors.
 
-
 /// Kernel family of a deployed layer; determines the sustained throughput and
 /// the unit of parallelisation used by the latency model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -32,19 +32,42 @@ impl InvertedResidual {
         let hidden = in_channels * expansion;
         let mut body = Sequential::new(format!("inv_res({in_channels}→{out_channels})"));
         if expansion != 1 {
-            body.push(Box::new(Conv2d::new(in_channels, hidden, 1, 1, 0, false, rng)));
+            body.push(Box::new(Conv2d::new(
+                in_channels,
+                hidden,
+                1,
+                1,
+                0,
+                false,
+                rng,
+            )));
             body.push(Box::new(BatchNorm::new(hidden)));
             body.push(Box::new(Relu6::new()));
         }
-        body.push(Box::new(DepthwiseConv2d::new(hidden, 3, stride, 1, false, rng)));
+        body.push(Box::new(DepthwiseConv2d::new(
+            hidden, 3, stride, 1, false, rng,
+        )));
         body.push(Box::new(BatchNorm::new(hidden)));
         body.push(Box::new(Relu6::new()));
-        body.push(Box::new(Conv2d::new(hidden, out_channels, 1, 1, 0, false, rng)));
+        body.push(Box::new(Conv2d::new(
+            hidden,
+            out_channels,
+            1,
+            1,
+            0,
+            false,
+            rng,
+        )));
         body.push(Box::new(BatchNorm::new(out_channels)));
         let use_residual = stride == 1 && in_channels == out_channels;
-        InvertedResidual { body, use_residual, in_channels, out_channels, stride }
+        InvertedResidual {
+            body,
+            use_residual,
+            in_channels,
+            out_channels,
+            stride,
+        }
     }
-
 }
 
 impl Layer for InvertedResidual {
@@ -120,7 +143,15 @@ impl ResNetBlock {
         let mut c_in = in_channels;
         for d in 0..depth {
             let s = if d == 0 { stride } else { 1 };
-            body.push(Box::new(Conv2d::new(c_in, out_channels, 3, s, 1, false, rng)));
+            body.push(Box::new(Conv2d::new(
+                c_in,
+                out_channels,
+                3,
+                s,
+                1,
+                false,
+                rng,
+            )));
             body.push(Box::new(BatchNorm::new(out_channels)));
             if d + 1 < depth {
                 body.push(Box::new(Relu::new()));
@@ -129,7 +160,15 @@ impl ResNetBlock {
         }
         let shortcut = (stride != 1 || in_channels != out_channels).then(|| {
             let mut s = Sequential::new("shortcut");
-            s.push(Box::new(Conv2d::new(in_channels, out_channels, 1, stride, 0, false, rng)));
+            s.push(Box::new(Conv2d::new(
+                in_channels,
+                out_channels,
+                1,
+                stride,
+                0,
+                false,
+                rng,
+            )));
             s.push(Box::new(BatchNorm::new(out_channels)));
             s
         });
@@ -159,8 +198,9 @@ impl Layer for ResNetBlock {
             None => input.clone(),
         };
         let pre_act = body_out.add(&skip)?;
-        self.relu_mask =
-            mode.is_train().then(|| pre_act.as_slice().iter().map(|&x| x > 0.0).collect());
+        self.relu_mask = mode
+            .is_train()
+            .then(|| pre_act.as_slice().iter().map(|&x| x > 0.0).collect());
         Ok(pre_act.map(|x| x.max(0.0)))
     }
 
@@ -214,14 +254,21 @@ mod tests {
         let mut rng = SeedRng::new(0);
         let mut blk = InvertedResidual::new(8, 8, 1, 6, &mut rng);
         assert!(blk.use_residual);
-        let y = blk.forward(&Tensor::ones(&[2, 8, 8, 8]), Mode::Eval).unwrap();
+        let y = blk
+            .forward(&Tensor::ones(&[2, 8, 8, 8]), Mode::Eval)
+            .unwrap();
         assert_eq!(y.dims(), &[2, 8, 8, 8]);
 
         let mut strided = InvertedResidual::new(8, 16, 2, 6, &mut rng);
         assert!(!strided.use_residual);
-        let y = strided.forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval).unwrap();
+        let y = strided
+            .forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval)
+            .unwrap();
         assert_eq!(y.dims(), &[1, 16, 4, 4]);
-        assert_eq!(strided.output_dims(&[1, 8, 8, 8]).unwrap(), vec![1, 16, 4, 4]);
+        assert_eq!(
+            strided.output_dims(&[1, 8, 8, 8]).unwrap(),
+            vec![1, 16, 4, 4]
+        );
     }
 
     #[test]
@@ -255,11 +302,15 @@ mod tests {
     fn resnet_block_shapes_and_shortcut() {
         let mut rng = SeedRng::new(3);
         let mut same = ResNetBlock::new(8, 8, 1, 2, &mut rng);
-        let y = same.forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval).unwrap();
+        let y = same
+            .forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval)
+            .unwrap();
         assert_eq!(y.dims(), &[1, 8, 8, 8]);
 
         let mut down = ResNetBlock::new(8, 16, 2, 3, &mut rng);
-        let y = down.forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval).unwrap();
+        let y = down
+            .forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval)
+            .unwrap();
         assert_eq!(y.dims(), &[1, 16, 4, 4]);
         // Projection shortcut adds parameters.
         assert!(down.param_count() > 0);
@@ -269,8 +320,11 @@ mod tests {
     fn resnet_block_output_is_non_negative() {
         let mut rng = SeedRng::new(4);
         let mut blk = ResNetBlock::new(4, 4, 1, 2, &mut rng);
-        let x = Tensor::from_vec((0..4 * 16).map(|i| (i as f32 - 32.0) * 0.1).collect(), &[1, 4, 4, 4])
-            .unwrap();
+        let x = Tensor::from_vec(
+            (0..4 * 16).map(|i| (i as f32 - 32.0) * 0.1).collect(),
+            &[1, 4, 4, 4],
+        )
+        .unwrap();
         let y = blk.forward(&x, Mode::Eval).unwrap();
         assert!(y.as_slice().iter().all(|&v| v >= 0.0));
     }

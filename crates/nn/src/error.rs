@@ -28,7 +28,11 @@ impl fmt::Display for NnError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NnError::Tensor(e) => write!(f, "tensor error: {e}"),
-            NnError::BadInput { layer, expected, actual } => {
+            NnError::BadInput {
+                layer,
+                expected,
+                actual,
+            } => {
                 write!(f, "layer {layer} expected {expected}, got shape {actual:?}")
             }
             NnError::NoForwardCache(layer) => {

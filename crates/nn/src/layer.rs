@@ -106,7 +106,11 @@ pub(crate) fn assert_eval_drops_train_cache(layer: &mut dyn Layer, input: &Tenso
     layer.forward(input, Mode::Train).unwrap();
     let y = layer.forward(input, Mode::Eval).unwrap();
     let err = layer.backward(&Tensor::ones(y.dims()));
-    assert!(matches!(err, Err(crate::NnError::NoForwardCache(_))), "{}: {err:?}", layer.name());
+    assert!(
+        matches!(err, Err(crate::NnError::NoForwardCache(_))),
+        "{}: {err:?}",
+        layer.name()
+    );
 }
 
 #[cfg(test)]

@@ -22,7 +22,9 @@ impl Layer for Relu {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.mask = mode.is_train().then(|| input.as_slice().iter().map(|&x| x > 0.0).collect());
+        self.mask = mode
+            .is_train()
+            .then(|| input.as_slice().iter().map(|&x| x > 0.0).collect());
         Ok(input.map(|x| x.max(0.0)))
     }
 
@@ -73,8 +75,13 @@ impl Layer for Relu6 {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.mask =
-            mode.is_train().then(|| input.as_slice().iter().map(|&x| x > 0.0 && x < 6.0).collect());
+        self.mask = mode.is_train().then(|| {
+            input
+                .as_slice()
+                .iter()
+                .map(|&x| x > 0.0 && x < 6.0)
+                .collect()
+        });
         Ok(input.map(|x| x.clamp(0.0, 6.0)))
     }
 
@@ -116,7 +123,9 @@ mod tests {
         let x = Tensor::from_slice(&[-2.0, 0.0, 3.0]);
         let y = relu.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 0.0, 3.0]);
-        let g = relu.backward(&Tensor::from_slice(&[1.0, 1.0, 1.0])).unwrap();
+        let g = relu
+            .backward(&Tensor::from_slice(&[1.0, 1.0, 1.0]))
+            .unwrap();
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0]);
         assert!(relu.backward(&Tensor::ones(&[3])).is_err());
     }
@@ -127,7 +136,9 @@ mod tests {
         let x = Tensor::from_slice(&[-1.0, 3.0, 7.0]);
         let y = relu6.forward(&x, Mode::Train).unwrap();
         assert_eq!(y.as_slice(), &[0.0, 3.0, 6.0]);
-        let g = relu6.backward(&Tensor::from_slice(&[1.0, 1.0, 1.0])).unwrap();
+        let g = relu6
+            .backward(&Tensor::from_slice(&[1.0, 1.0, 1.0]))
+            .unwrap();
         assert_eq!(g.as_slice(), &[0.0, 1.0, 0.0]);
     }
 

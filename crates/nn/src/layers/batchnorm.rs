@@ -53,7 +53,10 @@ impl BatchNorm {
             [batch, c, h, w] if *c == self.channels => Ok((*batch, h * w)),
             _ => Err(NnError::BadInput {
                 layer: self.name(),
-                expected: format!("[batch, {}] or [batch, {}, h, w]", self.channels, self.channels),
+                expected: format!(
+                    "[batch, {}] or [batch, {}, h, w]",
+                    self.channels, self.channels
+                ),
                 actual: dims.to_vec(),
             }),
         }
@@ -108,7 +111,10 @@ impl Layer for BatchNorm {
         });
         let (mean, var) = match &batch_stats {
             Some((mean, var)) => (mean.as_slice(), var.as_slice()),
-            None => (self.running_mean.value.as_slice(), self.running_var.value.as_slice()),
+            None => (
+                self.running_mean.value.as_slice(),
+                self.running_var.value.as_slice(),
+            ),
         };
 
         let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
@@ -175,7 +181,8 @@ impl Layer for BatchNorm {
                 }
             }
         }
-        self.gamma.accumulate_grad(&Tensor::from_slice(&sum_dy_xhat));
+        self.gamma
+            .accumulate_grad(&Tensor::from_slice(&sum_dy_xhat));
         self.beta.accumulate_grad(&Tensor::from_slice(&sum_dy));
 
         let mut grad_input = vec![0.0f32; dy.len()];
@@ -223,7 +230,9 @@ mod tests {
         let mut bn = BatchNorm::new(3);
         let mut rng = SeedRng::new(0);
         let x = Tensor::from_vec(
-            (0..4 * 3 * 4 * 4).map(|_| rng.normal_with(5.0, 3.0)).collect(),
+            (0..4 * 3 * 4 * 4)
+                .map(|_| rng.normal_with(5.0, 3.0))
+                .collect(),
             &[4, 3, 4, 4],
         )
         .unwrap();
@@ -259,7 +268,11 @@ mod tests {
         let x = Tensor::full(&[1, 2], 2.0);
         let y = bn.forward(&x, Mode::Eval).unwrap();
         // An input equal to the running mean must map close to beta (=0).
-        assert!(y.as_slice().iter().all(|v| v.abs() < 0.2), "{:?}", y.as_slice());
+        assert!(
+            y.as_slice().iter().all(|v| v.abs() < 0.2),
+            "{:?}",
+            y.as_slice()
+        );
     }
 
     #[test]
@@ -273,8 +286,11 @@ mod tests {
         bn.beta.value = draw(-1.0, 1.0);
         bn.running_mean.value = draw(-1.0, 1.0);
         bn.running_var.value = draw(0.1, 4.0);
-        let x = Tensor::from_vec((0..2 * 3 * 5).map(|_| rng.normal()).collect(), &[2, 3, 5, 1])
-            .unwrap();
+        let x = Tensor::from_vec(
+            (0..2 * 3 * 5).map(|_| rng.normal()).collect(),
+            &[2, 3, 5, 1],
+        )
+        .unwrap();
         let y = bn.forward(&x, Mode::Eval).unwrap();
         for (i, (&got, &xv)) in y.as_slice().iter().zip(x.as_slice()).enumerate() {
             let ch = (i / 5) % 3;
@@ -294,7 +310,9 @@ mod tests {
     #[test]
     fn rejects_wrong_channel_count() {
         let mut bn = BatchNorm::new(4);
-        assert!(bn.forward(&Tensor::ones(&[2, 3, 4, 4]), Mode::Train).is_err());
+        assert!(bn
+            .forward(&Tensor::ones(&[2, 3, 4, 4]), Mode::Train)
+            .is_err());
         assert!(bn.output_dims(&[2, 3]).is_err());
         assert_eq!(bn.output_dims(&[2, 4]).unwrap(), vec![2, 4]);
     }

@@ -42,7 +42,16 @@ impl Conv2d {
             init.tensor(&[out_channels, fan_in], Init::KaimingNormal { fan_in }),
         );
         let bias = bias.then(|| Parameter::new("bias", Tensor::zeros(&[out_channels])));
-        Conv2d { in_channels, out_channels, kernel, stride, padding, weight, bias, cached_input: None }
+        Conv2d {
+            in_channels,
+            out_channels,
+            kernel,
+            stride,
+            padding,
+            weight,
+            bias,
+            cached_input: None,
+        }
     }
 
     /// The convolution geometry for a given input height/width.
@@ -75,7 +84,11 @@ impl Conv2d {
         if self.is_pointwise() {
             return Ok(Tensor::from_vec(image.to_vec(), &[c, h * w])?);
         }
-        Ok(im2col(&Tensor::from_vec(image.to_vec(), &[c, h, w])?, c, geom)?)
+        Ok(im2col(
+            &Tensor::from_vec(image.to_vec(), &[c, h, w])?,
+            c,
+            geom,
+        )?)
     }
 
     /// The bias-free output of a pointwise convolution over a whole
@@ -91,7 +104,10 @@ impl Conv2d {
                 cols.extend_from_slice(&input[(b * c_in + k) * hw..(b * c_in + k + 1) * hw]);
             }
         }
-        let product = self.weight.value.matmul(&Tensor::from_vec(cols, &[c_in, n])?)?;
+        let product = self
+            .weight
+            .value
+            .matmul(&Tensor::from_vec(cols, &[c_in, n])?)?;
         let product = product.as_slice();
         let mut out = Vec::with_capacity(c_out * n);
         for b in 0..batch {
@@ -211,7 +227,11 @@ impl Layer for Conv2d {
     }
 
     fn weight_count(&self) -> u64 {
-        let bias = if self.bias.is_some() { self.out_channels } else { 0 };
+        let bias = if self.bias.is_some() {
+            self.out_channels
+        } else {
+            0
+        };
         (self.out_channels * self.in_channels * self.kernel * self.kernel + bias) as u64
     }
 }
@@ -228,7 +248,9 @@ mod tests {
         let y = conv.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 8, 4, 4]);
         assert_eq!(conv.output_dims(&[2, 3, 8, 8]).unwrap(), vec![2, 8, 4, 4]);
-        assert!(conv.forward(&Tensor::ones(&[2, 4, 8, 8]), Mode::Eval).is_err());
+        assert!(conv
+            .forward(&Tensor::ones(&[2, 4, 8, 8]), Mode::Eval)
+            .is_err());
     }
 
     #[test]
@@ -250,10 +272,7 @@ mod tests {
         conv.weight.value.fill(1.0);
         let x = Tensor::ones(&[1, 1, 3, 3]);
         let y = conv.forward(&x, Mode::Eval).unwrap();
-        assert_eq!(
-            y.as_slice(),
-            &[4.0, 6.0, 4.0, 6.0, 9.0, 6.0, 4.0, 6.0, 4.0]
-        );
+        assert_eq!(y.as_slice(), &[4.0, 6.0, 4.0, 6.0, 9.0, 6.0, 4.0, 6.0, 4.0]);
     }
 
     #[test]
@@ -261,7 +280,9 @@ mod tests {
         let mut rng = SeedRng::new(7);
         let mut conv = Conv2d::new(2, 3, 3, 1, 1, true, &mut rng);
         let x = Tensor::from_vec(
-            (0..2 * 2 * 4 * 4).map(|i| ((i % 7) as f32 - 3.0) * 0.3).collect(),
+            (0..2 * 2 * 4 * 4)
+                .map(|i| ((i % 7) as f32 - 3.0) * 0.3)
+                .collect(),
             &[2, 2, 4, 4],
         )
         .unwrap();
@@ -280,7 +301,10 @@ mod tests {
             let lm = conv.forward(&xm, Mode::Eval).unwrap().sum();
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = grad_in.as_slice()[idx];
-            assert!((numeric - analytic).abs() < 0.05, "x[{idx}]: {numeric} vs {analytic}");
+            assert!(
+                (numeric - analytic).abs() < 0.05,
+                "x[{idx}]: {numeric} vs {analytic}"
+            );
         }
         // dL/dW spot check
         for &idx in &[0usize, 7, 20] {
@@ -292,7 +316,10 @@ mod tests {
             conv.weight.value.as_mut_slice()[idx] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
             let analytic = analytic_w.as_slice()[idx];
-            assert!((numeric - analytic).abs() < 0.05, "w[{idx}]: {numeric} vs {analytic}");
+            assert!(
+                (numeric - analytic).abs() < 0.05,
+                "w[{idx}]: {numeric} vs {analytic}"
+            );
         }
     }
 
@@ -323,7 +350,11 @@ mod tests {
                 }
             }
             assert_eq!(y.dims(), &[2, 7, geom.out_h(), geom.out_w()]);
-            let same = y.as_slice().iter().zip(&expected).all(|(a, b)| a.to_bits() == b.to_bits());
+            let same = y
+                .as_slice()
+                .iter()
+                .zip(&expected)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "stride {stride}");
         }
     }
@@ -331,7 +362,9 @@ mod tests {
     /// `dims`-shaped normal values, about one in five an exact zero.
     fn seeded(rng: &mut SeedRng, dims: &[usize]) -> Tensor {
         let n = dims.iter().product();
-        let data = (0..n).map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() }).collect();
+        let data = (0..n)
+            .map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() })
+            .collect();
         Tensor::from_vec(data, dims).unwrap()
     }
 
@@ -382,12 +415,28 @@ mod tests {
                         single_grad_x.extend_from_slice(conv.backward(&g).unwrap().as_slice());
                     }
                     assert_eq!(bits(y.as_slice()), bits(&products), "products {case:?}");
-                    assert_eq!(bits(y.as_slice()), bits(&singles), "batch-1 forwards {case:?}");
-                    assert_eq!(bits(grad_x.as_slice()), bits(&single_grad_x), "grad_x {case:?}");
+                    assert_eq!(
+                        bits(y.as_slice()),
+                        bits(&singles),
+                        "batch-1 forwards {case:?}"
+                    );
+                    assert_eq!(
+                        bits(grad_x.as_slice()),
+                        bits(&single_grad_x),
+                        "grad_x {case:?}"
+                    );
                     let single_grad_w = conv.weight.grad.as_slice();
-                    assert_eq!(bits(grad_w.as_slice()), bits(single_grad_w), "grad_w {case:?}");
+                    assert_eq!(
+                        bits(grad_w.as_slice()),
+                        bits(single_grad_w),
+                        "grad_w {case:?}"
+                    );
                     if let (Some(grad_b), Some(bias)) = (grad_b, &conv.bias) {
-                        assert_eq!(bits(grad_b.as_slice()), bits(bias.grad.as_slice()), "{case:?}");
+                        assert_eq!(
+                            bits(grad_b.as_slice()),
+                            bits(bias.grad.as_slice()),
+                            "{case:?}"
+                        );
                     }
                 }
             }
@@ -398,7 +447,9 @@ mod tests {
     fn empty_batch_forward() {
         for kernel in [1, 3] {
             let mut conv = Conv2d::new(4, 3, kernel, 1, kernel / 2, true, &mut SeedRng::new(0));
-            let y = conv.forward(&Tensor::zeros(&[0, 4, 2, 3]), Mode::Eval).unwrap();
+            let y = conv
+                .forward(&Tensor::zeros(&[0, 4, 2, 3]), Mode::Eval)
+                .unwrap();
             assert_eq!(y.dims(), &[0, 3, 2, 3], "kernel {kernel}");
         }
     }

@@ -45,7 +45,15 @@ impl DepthwiseConv2d {
             init.tensor(&[channels, fan_in], Init::KaimingNormal { fan_in }),
         );
         let bias = bias.then(|| Parameter::new("bias", Tensor::zeros(&[channels])));
-        DepthwiseConv2d { channels, kernel, stride, padding, weight, bias, cached_input: None }
+        DepthwiseConv2d {
+            channels,
+            kernel,
+            stride,
+            padding,
+            weight,
+            bias,
+            cached_input: None,
+        }
     }
 
     /// The convolution geometry for a given input height/width.
@@ -77,14 +85,29 @@ fn tap_runs(geom: &Conv2dGeometry, t: usize) -> (usize, impl Iterator<Item = (us
     };
     let (kh, kw) = (t / geom.kernel_w, t % geom.kernel_w);
     let cols = reach(kw, in_w, out_w);
-    let rows = if cols.is_empty() { 0..0 } else { reach(kh, geom.in_h, geom.out_h()) };
+    let rows = if cols.is_empty() {
+        0..0
+    } else {
+        reach(kh, geom.in_h, geom.out_h())
+    };
     let (len, start) = (cols.len(), cols.start);
-    (len, rows.map(move |oy| (oy * out_w + start, (oy * s + kh - p) * in_w + start * s + kw - p)))
+    (
+        len,
+        rows.map(move |oy| {
+            (
+                oy * out_w + start,
+                (oy * s + kh - p) * in_w + start * s + kw - p,
+            )
+        }),
+    )
 }
 
 impl Layer for DepthwiseConv2d {
     fn name(&self) -> String {
-        format!("dwconv2d({}, k{}, s{})", self.channels, self.kernel, self.stride)
+        format!(
+            "dwconv2d({}, k{}, s{})",
+            self.channels, self.kernel, self.stride
+        )
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
@@ -116,13 +139,20 @@ impl Layer for DepthwiseConv2d {
                     let y = &mut y[o..o + len];
                     // Contiguous inputs zip as slices, which vectorises.
                     if s == 1 {
-                        y.iter_mut().zip(&x[i..i + len]).for_each(|(y, &x)| *y += w * x);
+                        y.iter_mut()
+                            .zip(&x[i..i + len])
+                            .for_each(|(y, &x)| *y += w * x);
                     } else {
-                        y.iter_mut().zip(x[i..].iter().step_by(s)).for_each(|(y, &x)| *y += w * x);
+                        y.iter_mut()
+                            .zip(x[i..].iter().step_by(s))
+                            .for_each(|(y, &x)| *y += w * x);
                     }
                 }
             }
-            let bias = self.bias.as_ref().map_or(0.0, |bias| bias.value.as_slice()[c]);
+            let bias = self
+                .bias
+                .as_ref()
+                .map_or(0.0, |bias| bias.value.as_slice()[c]);
             y.iter_mut().for_each(|y| *y += bias);
         }
         self.cached_input = mode.is_train().then(|| input.clone());
@@ -166,15 +196,22 @@ impl Layer for DepthwiseConv2d {
                 for (o, i) in runs {
                     let g = &g[o..o + len];
                     let products = g.iter().zip(x[i..].iter().step_by(s));
-                    dw = products.filter(|(&g, _)| g != 0.0).fold(dw, |dw, (g, x)| dw + g * x);
+                    dw = products
+                        .filter(|(&g, _)| g != 0.0)
+                        .fold(dw, |dw, (g, x)| dw + g * x);
                     if w != 0.0 {
-                        gx[i..].iter_mut().step_by(s).zip(g).for_each(|(gx, g)| *gx += w * g);
+                        gx[i..]
+                            .iter_mut()
+                            .step_by(s)
+                            .zip(g)
+                            .for_each(|(gx, g)| *gx += w * g);
                     }
                 }
                 grad_weight[c * taps + t] += dw;
             }
         }
-        self.weight.accumulate_grad(&Tensor::from_vec(grad_weight, self.weight.value.dims())?);
+        self.weight
+            .accumulate_grad(&Tensor::from_vec(grad_weight, self.weight.value.dims())?);
         if let Some(bias) = &mut self.bias {
             bias.accumulate_grad(&Tensor::from_slice(&grad_bias));
         }
@@ -204,7 +241,11 @@ impl Layer for DepthwiseConv2d {
     }
 
     fn weight_count(&self) -> u64 {
-        let bias = if self.bias.is_some() { self.channels } else { 0 };
+        let bias = if self.bias.is_some() {
+            self.channels
+        } else {
+            0
+        };
         (self.channels * self.kernel * self.kernel + bias) as u64
     }
 }
@@ -221,7 +262,9 @@ mod tests {
         let x = Tensor::ones(&[2, 4, 8, 8]);
         let y = dw.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 4, 4, 4]);
-        assert!(dw.forward(&Tensor::ones(&[2, 3, 8, 8]), Mode::Eval).is_err());
+        assert!(dw
+            .forward(&Tensor::ones(&[2, 3, 8, 8]), Mode::Eval)
+            .is_err());
     }
 
     #[test]
@@ -247,7 +290,9 @@ mod tests {
         let mut rng = SeedRng::new(3);
         let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, true, &mut rng);
         let x = Tensor::from_vec(
-            (0..2 * 2 * 5 * 5).map(|i| ((i % 5) as f32 - 2.0) * 0.4).collect(),
+            (0..2 * 2 * 5 * 5)
+                .map(|i| ((i % 5) as f32 - 2.0) * 0.4)
+                .collect(),
             &[2, 2, 5, 5],
         )
         .unwrap();
@@ -318,7 +363,9 @@ mod tests {
         fn seeded(rng: &mut SeedRng, dims: &[usize]) -> Tensor {
             // About one value in five is an exact zero.
             let n = dims.iter().product();
-            let data = (0..n).map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() }).collect();
+            let data = (0..n)
+                .map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() })
+                .collect();
             Tensor::from_vec(data, dims).unwrap()
         }
         let mut rng = SeedRng::new(28);
@@ -362,8 +409,15 @@ mod tests {
             let names = ["output", "grad_input", "grad_weight", "grad_bias"];
             for (what, (got, expected)) in names.iter().zip(got.iter().zip(&expected)) {
                 assert_eq!(got.len(), expected.len(), "{what}");
-                let same = got.iter().zip(expected).all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "{what} differs at {:?}", (batch, channels, h, w, k, s, p));
+                let same = got
+                    .iter()
+                    .zip(expected)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(
+                    same,
+                    "{what} differs at {:?}",
+                    (batch, channels, h, w, k, s, p)
+                );
             }
         }
     }

@@ -22,10 +22,21 @@ impl Linear {
         let mut init = Initializer::new(rng.fork(0x11ea));
         let weight = Parameter::new(
             "weight",
-            init.tensor(&[out_features, in_features], Init::KaimingNormal { fan_in: in_features }),
+            init.tensor(
+                &[out_features, in_features],
+                Init::KaimingNormal {
+                    fan_in: in_features,
+                },
+            ),
         );
         let bias = bias.then(|| Parameter::new("bias", Tensor::zeros(&[out_features])));
-        Linear { in_features, out_features, weight, bias, cached_input: None }
+        Linear {
+            in_features,
+            out_features,
+            weight,
+            bias,
+            cached_input: None,
+        }
     }
 
     /// Number of input features.
@@ -121,7 +132,11 @@ impl Layer for Linear {
     }
 
     fn weight_count(&self) -> u64 {
-        let bias = if self.bias.is_some() { self.out_features } else { 0 };
+        let bias = if self.bias.is_some() {
+            self.out_features
+        } else {
+            0
+        };
         (self.in_features * self.out_features + bias) as u64
     }
 }

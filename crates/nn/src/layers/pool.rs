@@ -187,7 +187,10 @@ mod tests {
     fn max_pool_selects_maximum() {
         let mut pool = MaxPool2d::new();
         let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0],
+            vec![
+                1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
+                16.0,
+            ],
             &[1, 1, 4, 4],
         )
         .unwrap();
@@ -204,7 +207,9 @@ mod tests {
     #[test]
     fn max_pool_rejects_small_inputs() {
         let mut pool = MaxPool2d::new();
-        assert!(pool.forward(&Tensor::ones(&[1, 1, 1, 4]), Mode::Eval).is_err());
+        assert!(pool
+            .forward(&Tensor::ones(&[1, 1, 1, 4]), Mode::Eval)
+            .is_err());
         assert!(pool.output_dims(&[1, 1, 4]).is_err());
         assert!(pool.backward(&Tensor::ones(&[1, 1, 2, 2])).is_err());
     }
@@ -213,8 +218,7 @@ mod tests {
     fn averages_spatial_extent() {
         let mut pool = GlobalAvgPool::new();
         // 2 samples × 1 channel × 2×2 spatial.
-        let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 1, 2, 2])
-            .unwrap();
+        let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 1, 2, 2]).unwrap();
         let y = pool.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 1]);
         assert_eq!(y.as_slice(), &[1.5, 5.5]);
@@ -225,7 +229,9 @@ mod tests {
         let mut pool = GlobalAvgPool::new();
         let x = Tensor::ones(&[1, 2, 2, 2]);
         pool.forward(&x, Mode::Train).unwrap();
-        let g = pool.backward(&Tensor::from_vec(vec![4.0, 8.0], &[1, 2]).unwrap()).unwrap();
+        let g = pool
+            .backward(&Tensor::from_vec(vec![4.0, 8.0], &[1, 2]).unwrap())
+            .unwrap();
         assert_eq!(g.dims(), &[1, 2, 2, 2]);
         assert_eq!(&g.as_slice()[..4], &[1.0, 1.0, 1.0, 1.0]);
         assert_eq!(&g.as_slice()[4..], &[2.0, 2.0, 2.0, 2.0]);

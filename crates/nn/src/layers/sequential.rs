@@ -18,7 +18,10 @@ impl std::fmt::Debug for Sequential {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Sequential")
             .field("name", &self.name)
-            .field("layers", &self.layers.iter().map(|l| l.name()).collect::<Vec<_>>())
+            .field(
+                "layers",
+                &self.layers.iter().map(|l| l.name()).collect::<Vec<_>>(),
+            )
             .finish()
     }
 }
@@ -26,7 +29,10 @@ impl std::fmt::Debug for Sequential {
 impl Sequential {
     /// Creates an empty container with the given display name.
     pub fn new(name: impl Into<String>) -> Self {
-        Sequential { name: name.into(), layers: Vec::new() }
+        Sequential {
+            name: name.into(),
+            layers: Vec::new(),
+        }
     }
 
     /// Appends a layer (builder style).
@@ -55,7 +61,6 @@ impl Sequential {
     pub fn iter(&self) -> impl Iterator<Item = &Box<dyn Layer>> {
         self.layers.iter()
     }
-
 }
 
 impl Layer for Sequential {

@@ -340,9 +340,11 @@ mod tests {
     #[test]
     fn multi_margin_gradient_matches_finite_differences() {
         let mut rng = SeedRng::new(2);
-        let logits =
-            Tensor::from_vec((0..2 * 5).map(|_| rng.uniform_range(-0.5, 0.9)).collect(), &[2, 5])
-                .unwrap();
+        let logits = Tensor::from_vec(
+            (0..2 * 5).map(|_| rng.uniform_range(-0.5, 0.9)).collect(),
+            &[2, 5],
+        )
+        .unwrap();
         let labels = [3usize, 1];
         let (_, grad) = multi_margin_loss(&logits, &labels, 0.1).unwrap();
         let eps = 1e-3;

@@ -84,7 +84,15 @@ pub fn mobilenet_v2(variant: MobileNetVariant, rng: &mut SeedRng) -> Backbone {
     }
 
     // Head: 1x1 conv to d_a = 1280, then global pooling.
-    net.push(Box::new(Conv2d::new(c_in, LAST_CHANNELS, 1, 1, 0, false, rng)));
+    net.push(Box::new(Conv2d::new(
+        c_in,
+        LAST_CHANNELS,
+        1,
+        1,
+        0,
+        false,
+        rng,
+    )));
     net.push(Box::new(BatchNorm::new(LAST_CHANNELS)));
     net.push(Box::new(Relu6::new()));
     net.push(Box::new(GlobalAvgPool::new()));
@@ -160,10 +168,18 @@ mod tests {
         let y = bb.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 1280]);
         assert!(y.as_slice().iter().all(|x| x.is_finite()));
-        for (image, row) in x.as_slice().chunks(3 * 32 * 32).zip(y.as_slice().chunks(1280)) {
+        for (image, row) in x
+            .as_slice()
+            .chunks(3 * 32 * 32)
+            .zip(y.as_slice().chunks(1280))
+        {
             let single = Tensor::from_vec(image.to_vec(), &[1, 3, 32, 32]).unwrap();
             let single = bb.forward(&single, Mode::Eval).unwrap();
-            assert!(single.as_slice().iter().zip(row).all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert!(single
+                .as_slice()
+                .iter()
+                .zip(row)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 }

@@ -93,7 +93,6 @@ impl BackboneKind {
             BackboneKind::Micro => micro_backbone(rng),
         }
     }
-
 }
 
 /// Builds the small convolutional backbone used for fast, laptop-scale runs
@@ -113,7 +112,12 @@ pub(crate) fn micro_backbone(rng: &mut SeedRng) -> Backbone {
         c_in = c_out;
     }
     net.push(Box::new(GlobalAvgPool::new()));
-    Backbone { name: "Micro".into(), net, feature_dim: 64, in_channels: 3 }
+    Backbone {
+        name: "Micro".into(),
+        net,
+        feature_dim: 64,
+        in_channels: 3,
+    }
 }
 
 #[cfg(test)]

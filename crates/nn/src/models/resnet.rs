@@ -26,7 +26,12 @@ pub fn resnet12(rng: &mut SeedRng) -> Backbone {
         c_in = c_out;
     }
     net.push(Box::new(GlobalAvgPool::new()));
-    Backbone { name: "ResNet12".into(), net, feature_dim: 640, in_channels: 3 }
+    Backbone {
+        name: "ResNet12".into(),
+        net,
+        feature_dim: 640,
+        in_channels: 3,
+    }
 }
 
 #[cfg(test)]

@@ -47,7 +47,12 @@ pub struct Sgd {
 impl Sgd {
     /// Creates an SGD optimizer.
     pub fn new(learning_rate: f32, momentum: f32, weight_decay: f32) -> Self {
-        Sgd { learning_rate, momentum, weight_decay, velocity: Vec::new() }
+        Sgd {
+            learning_rate,
+            momentum,
+            weight_decay,
+            velocity: Vec::new(),
+        }
     }
 
     /// Applies one update step to every trainable parameter of `layer` and
@@ -99,11 +104,7 @@ mod tests {
     fn train_linear(optimizer: &mut dyn FnMut(&mut Linear), steps: usize) -> f32 {
         let mut rng = SeedRng::new(42);
         let mut layer = Linear::new(2, 2, true, &mut rng);
-        let x = Tensor::from_vec(
-            vec![1.0, 0.0, 0.9, 0.1, 0.0, 1.0, 0.1, 0.9],
-            &[4, 2],
-        )
-        .unwrap();
+        let x = Tensor::from_vec(vec![1.0, 0.0, 0.9, 0.1, 0.0, 1.0, 0.1, 0.9], &[4, 2]).unwrap();
         let labels = [0usize, 0, 1, 1];
         let mut final_loss = f32::INFINITY;
         for _ in 0..steps {

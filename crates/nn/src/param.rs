@@ -23,13 +23,23 @@ impl Parameter {
     /// Creates a trainable parameter with a zeroed gradient.
     pub fn new(name: impl Into<String>, value: Tensor) -> Self {
         let grad = Tensor::zeros(value.dims());
-        Parameter { name: name.into(), value, grad, trainable: true }
+        Parameter {
+            name: name.into(),
+            value,
+            grad,
+            trainable: true,
+        }
     }
 
     /// Creates a non-trainable (frozen) parameter, e.g. running statistics.
     pub fn frozen(name: impl Into<String>, value: Tensor) -> Self {
         let grad = Tensor::zeros(value.dims());
-        Parameter { name: name.into(), value, grad, trainable: false }
+        Parameter {
+            name: name.into(),
+            value,
+            grad,
+            trainable: false,
+        }
     }
 
     /// Returns the parameter name.

@@ -28,7 +28,6 @@ impl ModelProfile {
     pub fn macs_millions(&self) -> f64 {
         self.macs as f64 / 1e6
     }
-
 }
 
 /// Profiles a backbone at the given input resolution.

@@ -253,8 +253,10 @@ impl Event {
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
         let deployment = r.str16()?;
         let tag = r.u8()?;
-        let kind = EventKind::from_code(tag)
-            .ok_or(DecodeError::BadTag { field: "event kind", tag })?;
+        let kind = EventKind::from_code(tag).ok_or(DecodeError::BadTag {
+            field: "event kind",
+            tag,
+        })?;
         Ok(Event {
             deployment,
             kind,
@@ -337,14 +339,20 @@ mod tests {
         hostile.extend_from_slice(&minimal);
         assert!(matches!(
             Event::decode_all(&mut Reader::new(&hostile)),
-            Err(DecodeError::LengthOverflow { field: "events", .. })
+            Err(DecodeError::LengthOverflow {
+                field: "events",
+                ..
+            })
         ));
         // An unknown kind code is a typed tag error.
         let mut bad = minimal.clone();
         bad[2] = 0xff;
         assert!(matches!(
             Event::decode(&mut Reader::new(&bad)),
-            Err(DecodeError::BadTag { field: "event kind", tag: 0xff })
+            Err(DecodeError::BadTag {
+                field: "event kind",
+                tag: 0xff
+            })
         ));
     }
 

@@ -26,7 +26,9 @@ pub struct LatencyHistogram {
 impl LatencyHistogram {
     /// An empty histogram.
     pub fn empty() -> LatencyHistogram {
-        LatencyHistogram { counts: [0; LATENCY_BUCKETS] }
+        LatencyHistogram {
+            counts: [0; LATENCY_BUCKETS],
+        }
     }
 
     /// The bucket index a latency falls in.

@@ -191,7 +191,8 @@ mod tests {
                     .with_accuracy(0.9),
             );
         }
-        obs.sink().emit(Event::new(EventKind::Migration, "t").with_seq(99));
+        obs.sink()
+            .emit(Event::new(EventKind::Migration, "t").with_seq(99));
         assert!(obs.flush(Duration::from_secs(5)));
 
         let all = obs.query(&ObsQuery::deployment("t"));
@@ -199,11 +200,13 @@ mod tests {
         assert_eq!(all.aggregates.matched, 11);
         assert_eq!(all.dropped, 0);
         // Events come back time-ordered.
-        assert!(all.events.windows(2).all(|w| w[0].order_key() <= w[1].order_key()));
+        assert!(all
+            .events
+            .windows(2)
+            .all(|w| w[0].order_key() <= w[1].order_key()));
 
         // Kind masks scope both the event list and the aggregates.
-        let infers =
-            obs.query(&ObsQuery::deployment("t").with_kinds(&[EventKind::Infer]));
+        let infers = obs.query(&ObsQuery::deployment("t").with_kinds(&[EventKind::Infer]));
         assert_eq!(infers.events.len(), 10);
         assert_eq!(infers.aggregates.latency_us.min, 100.0);
         assert_eq!(infers.aggregates.latency_us.max, 109.0);
@@ -216,7 +219,9 @@ mod tests {
     fn clones_share_one_store() {
         let obs = Obs::default();
         let clone = obs.clone();
-        clone.sink().emit(Event::new(EventKind::Learn, "t").with_seq(1));
+        clone
+            .sink()
+            .emit(Event::new(EventKind::Learn, "t").with_seq(1));
         assert!(obs.flush(Duration::from_secs(5)));
         assert_eq!(obs.counters().appended, 1);
         assert_eq!(clone.counters().appended, 1);

@@ -102,7 +102,10 @@ impl ObsQuery {
 
     /// Matches everything for one deployment.
     pub fn deployment(name: &str) -> ObsQuery {
-        ObsQuery { deployment: name.to_string(), ..ObsQuery::all() }
+        ObsQuery {
+            deployment: name.to_string(),
+            ..ObsQuery::all()
+        }
     }
 
     /// Restricts the time window (builder style, inclusive).
@@ -185,13 +188,26 @@ impl ObsQuery {
         let seq_min = r.u64()?;
         let seq_max = r.u64()?;
         let kinds = r.u32()?;
-        let kinds = u16::try_from(kinds)
-            .map_err(|_| DecodeError::ValueOverflow { field: "kinds", value: u64::from(kinds) })?;
+        let kinds = u16::try_from(kinds).map_err(|_| DecodeError::ValueOverflow {
+            field: "kinds",
+            value: u64::from(kinds),
+        })?;
         let limit = r.u32()?;
         let tag = r.u8()?;
-        let resolution = Resolution::from_code(tag)
-            .ok_or(DecodeError::BadTag { field: "obs resolution", tag })?;
-        Ok(ObsQuery { deployment, time_min, time_max, seq_min, seq_max, kinds, limit, resolution })
+        let resolution = Resolution::from_code(tag).ok_or(DecodeError::BadTag {
+            field: "obs resolution",
+            tag,
+        })?;
+        Ok(ObsQuery {
+            deployment,
+            time_min,
+            time_max,
+            seq_min,
+            seq_max,
+            kinds,
+            limit,
+            resolution,
+        })
     }
 }
 
@@ -217,7 +233,12 @@ pub struct Summary {
 impl Summary {
     /// An empty summary.
     pub fn empty() -> Summary {
-        Summary { min: f64::INFINITY, max: f64::NEG_INFINITY, sum: 0.0, count: 0 }
+        Summary {
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+            sum: 0.0,
+            count: 0,
+        }
     }
 
     /// Folds one finite value in; non-finite values (a "not applicable"
@@ -264,7 +285,12 @@ impl Summary {
     ///
     /// Returns [`DecodeError::Truncated`] for a short body.
     pub(crate) fn decode(r: &mut Reader<'_>) -> Result<Summary, DecodeError> {
-        Ok(Summary { min: r.f64()?, max: r.f64()?, sum: r.f64()?, count: r.u64()? })
+        Ok(Summary {
+            min: r.f64()?,
+            max: r.f64()?,
+            sum: r.f64()?,
+            count: r.u64()?,
+        })
     }
 }
 
@@ -498,11 +524,9 @@ pub fn trailing_rates_of(events: &[Event], window_us: u64) -> Vec<DeploymentRate
         return Vec::new();
     };
     let cutoff = latest.saturating_sub(window_us);
-    let mut by_name: std::collections::HashMap<&str, (u64, f64)> =
-        std::collections::HashMap::new();
+    let mut by_name: std::collections::HashMap<&str, (u64, f64)> = std::collections::HashMap::new();
     for event in events {
-        if event.time_us < cutoff || !matches!(event.kind, EventKind::Infer | EventKind::Learn)
-        {
+        if event.time_us < cutoff || !matches!(event.kind, EventKind::Infer | EventKind::Learn) {
             continue;
         }
         let entry = by_name.entry(event.deployment.as_str()).or_insert((0, 0.0));
@@ -520,7 +544,9 @@ pub fn trailing_rates_of(events: &[Event], window_us: u64) -> Vec<DeploymentRate
         })
         .collect();
     rates.sort_by(|a, b| {
-        b.requests.cmp(&a.requests).then_with(|| a.deployment.cmp(&b.deployment))
+        b.requests
+            .cmp(&a.requests)
+            .then_with(|| a.deployment.cmp(&b.deployment))
     });
     rates
 }
@@ -617,13 +643,24 @@ mod tests {
     #[test]
     fn merge_restitches_order_and_recaps() {
         let event = |t: u64, seq: u64| {
-            Event::new(EventKind::Infer, "t").with_time_us(t).with_seq(seq)
+            Event::new(EventKind::Infer, "t")
+                .with_time_us(t)
+                .with_seq(seq)
         };
-        let mut a = ObsResult { shards_ok: 1, appended: 2, ..ObsResult::default() };
+        let mut a = ObsResult {
+            shards_ok: 1,
+            appended: 2,
+            ..ObsResult::default()
+        };
         a.events = vec![event(1, 0), event(5, 0)];
         a.aggregates.observe(&a.events[0]);
         a.aggregates.observe(&a.events[1]);
-        let mut b = ObsResult { shards_ok: 1, appended: 3, dropped: 1, ..ObsResult::default() };
+        let mut b = ObsResult {
+            shards_ok: 1,
+            appended: 3,
+            dropped: 1,
+            ..ObsResult::default()
+        };
         b.events = vec![event(2, 0), event(3, 0), event(4, 0)];
         for e in &b.events {
             let e = e.clone();
@@ -647,7 +684,11 @@ mod tests {
             .with_seq(3)
             .with_energy_mj(0.5)
             .with_latency_us(40);
-        let mut part = ObsResult { shards_ok: 1, appended: 1, ..ObsResult::default() };
+        let mut part = ObsResult {
+            shards_ok: 1,
+            appended: 1,
+            ..ObsResult::default()
+        };
         part.events = vec![row.clone()];
         part.aggregates.observe(&row);
         let mut cell = Rollup::new(0, "t", EventKind::Learn);
@@ -671,7 +712,11 @@ mod tests {
 
         // A *distinct* event colliding on (deployment, time, seq, kind) but
         // differing in payload is not a retry — both rows survive.
-        let mut twin_part = ObsResult { shards_ok: 1, appended: 1, ..ObsResult::default() };
+        let mut twin_part = ObsResult {
+            shards_ok: 1,
+            appended: 1,
+            ..ObsResult::default()
+        };
         let twin = row.clone().with_energy_mj(0.25);
         twin_part.events = vec![twin.clone()];
         twin_part.aggregates.observe(&twin);
@@ -742,7 +787,10 @@ mod tests {
                 .with_latency_us(10 * t)
         };
         // The subscriber died having consumed up to (100, 1).
-        let cursor = ObsCursor { time_us: 100, seq: 1 };
+        let cursor = ObsCursor {
+            time_us: 100,
+            seq: 1,
+        };
 
         // Back-fill leg: GC took the raw rows of the old minute, so history
         // arrives as one rollup cell; the missed range after the cursor
@@ -750,12 +798,18 @@ mod tests {
         // matched, which retain_after must trim (and retract).
         let old = [row(10, 0, 1.0), row(20, 0, 2.0)];
         let mut cell = Rollup::new(0, "t", EventKind::Infer);
-        let mut backfill = ObsResult { shards_ok: 1, ..ObsResult::default() };
+        let mut backfill = ObsResult {
+            shards_ok: 1,
+            ..ObsResult::default()
+        };
         for event in &old {
             cell.observe(event);
             backfill.aggregates.matched += 1;
             backfill.aggregates.energy_mj.observe(event.energy_mj);
-            backfill.aggregates.latency_us.observe(event.latency_us as f64);
+            backfill
+                .aggregates
+                .latency_us
+                .observe(event.latency_us as f64);
         }
         backfill.rollups = vec![cell];
         for event in [row(100, 1, 0.5), row(100, 2, 0.25), row(150, 0, 4.0)] {
@@ -764,7 +818,11 @@ mod tests {
         }
         backfill.retain_after(cursor);
         assert_eq!(
-            backfill.events.iter().map(Event::order_key).collect::<Vec<_>>(),
+            backfill
+                .events
+                .iter()
+                .map(Event::order_key)
+                .collect::<Vec<_>>(),
             vec![(100, 2), (150, 0)],
             "the row at the cursor itself is trimmed"
         );
@@ -773,7 +831,10 @@ mod tests {
 
         // Live leg: the registration overlapped the back-fill by one row at
         // the boundary (a reconnect retry), then saw two fresh rows.
-        let mut live = ObsResult { shards_ok: 1, ..ObsResult::default() };
+        let mut live = ObsResult {
+            shards_ok: 1,
+            ..ObsResult::default()
+        };
         for event in [row(150, 0, 4.0), row(200, 0, 8.0), row(250, 3, 16.0)] {
             live.aggregates.observe(&event);
             live.events.push(event);
@@ -782,7 +843,11 @@ mod tests {
         let merged = ObsResult::merge(vec![backfill, live], 64);
         // No gap, no duplicate, order preserved across the splice point.
         assert_eq!(
-            merged.events.iter().map(Event::order_key).collect::<Vec<_>>(),
+            merged
+                .events
+                .iter()
+                .map(Event::order_key)
+                .collect::<Vec<_>>(),
             vec![(100, 2), (150, 0), (200, 0), (250, 3)]
         );
         // Aggregates count the rolled-up history once and each raw row once
@@ -809,24 +874,41 @@ mod tests {
 
     #[test]
     fn trailing_rates_window_kinds_and_order() {
-        let mut result = ObsResult { shards_ok: 1, ..ObsResult::default() };
+        let mut result = ObsResult {
+            shards_ok: 1,
+            ..ObsResult::default()
+        };
         result.events = vec![
             // Outside the trailing window (latest is 10_000, window 2_000 →
             // cutoff 8_000).
-            Event::new(EventKind::Infer, "old").with_time_us(1_000).with_energy_mj(9.0),
+            Event::new(EventKind::Infer, "old")
+                .with_time_us(1_000)
+                .with_energy_mj(9.0),
             // Non-request kinds never count, even in-window.
             Event::new(EventKind::Migration, "cold").with_time_us(9_000),
-            Event::new(EventKind::Infer, "warm").with_time_us(8_000).with_energy_mj(0.5),
-            Event::new(EventKind::Learn, "hot").with_time_us(9_000).with_energy_mj(1.5),
-            Event::new(EventKind::Infer, "hot").with_time_us(10_000).with_energy_mj(0.25),
+            Event::new(EventKind::Infer, "warm")
+                .with_time_us(8_000)
+                .with_energy_mj(0.5),
+            Event::new(EventKind::Learn, "hot")
+                .with_time_us(9_000)
+                .with_energy_mj(1.5),
+            Event::new(EventKind::Infer, "hot")
+                .with_time_us(10_000)
+                .with_energy_mj(0.25),
             // NaN energy counts the request but not the energy.
             Event::new(EventKind::Infer, "warm").with_time_us(9_500),
         ];
         let rates = result.trailing_rates(2_000);
         assert_eq!(rates.len(), 2);
-        assert_eq!((rates[0].deployment.as_str(), rates[0].requests), ("hot", 2));
+        assert_eq!(
+            (rates[0].deployment.as_str(), rates[0].requests),
+            ("hot", 2)
+        );
         assert!((rates[0].energy_mj - 1.75).abs() < 1e-12);
-        assert_eq!((rates[1].deployment.as_str(), rates[1].requests), ("warm", 2));
+        assert_eq!(
+            (rates[1].deployment.as_str(), rates[1].requests),
+            ("warm", 2)
+        );
         assert!((rates[1].energy_mj - 0.5).abs() < 1e-12);
         // Ties break by name, and the same events always give the same
         // answer (no wall clock involved).

@@ -108,8 +108,10 @@ impl Rollup {
         let bucket_us = r.u64()?;
         let deployment = r.str16()?;
         let tag = r.u8()?;
-        let kind = EventKind::from_code(tag)
-            .ok_or(DecodeError::BadTag { field: "rollup kind", tag })?;
+        let kind = EventKind::from_code(tag).ok_or(DecodeError::BadTag {
+            field: "rollup kind",
+            tag,
+        })?;
         Ok(Rollup {
             bucket_us,
             deployment,
@@ -150,7 +152,10 @@ mod tests {
         assert_eq!(Rollup::bucket_of(0), 0);
         assert_eq!(Rollup::bucket_of(ROLLUP_BUCKET_US - 1), 0);
         assert_eq!(Rollup::bucket_of(ROLLUP_BUCKET_US), ROLLUP_BUCKET_US);
-        assert_eq!(Rollup::bucket_of(3 * ROLLUP_BUCKET_US + 17), 3 * ROLLUP_BUCKET_US);
+        assert_eq!(
+            Rollup::bucket_of(3 * ROLLUP_BUCKET_US + 17),
+            3 * ROLLUP_BUCKET_US
+        );
     }
 
     #[test]
@@ -173,14 +178,19 @@ mod tests {
         hostile.extend_from_slice(&minimal);
         assert!(matches!(
             Rollup::decode_all(&mut Reader::new(&hostile)),
-            Err(DecodeError::LengthOverflow { field: "rollups", declared: 2 })
+            Err(DecodeError::LengthOverflow {
+                field: "rollups",
+                declared: 2
+            })
         ));
     }
 
     #[test]
     fn observe_and_absorb_match_a_flat_fold() {
         let events = [
-            Event::new(EventKind::Infer, "t").with_energy_mj(0.5).with_latency_us(10),
+            Event::new(EventKind::Infer, "t")
+                .with_energy_mj(0.5)
+                .with_latency_us(10),
             Event::new(EventKind::Infer, "t")
                 .with_energy_mj(0.25)
                 .with_latency_us(30)

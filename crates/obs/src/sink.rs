@@ -29,12 +29,16 @@ impl ObsClock {
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_micros() as u64)
             .unwrap_or(0);
-        ObsClock { anchor_us, started: Instant::now() }
+        ObsClock {
+            anchor_us,
+            started: Instant::now(),
+        }
     }
 
     /// Monotonic microseconds since the Unix epoch.
     pub(crate) fn now_us(&self) -> u64 {
-        self.anchor_us.saturating_add(self.started.elapsed().as_micros() as u64)
+        self.anchor_us
+            .saturating_add(self.started.elapsed().as_micros() as u64)
     }
 }
 
@@ -204,7 +208,11 @@ mod tests {
     fn overflow_window_emits_one_transition_marker_on_recovery() {
         let (sink, rx) = EventSink::bounded(4);
         for i in 0..4u64 {
-            sink.emit_at(Event::new(EventKind::Infer, "t").with_time_us(10 + i).with_seq(i));
+            sink.emit_at(
+                Event::new(EventKind::Infer, "t")
+                    .with_time_us(10 + i)
+                    .with_seq(i),
+            );
         }
         // Three drops, one window.
         for i in 0..3u64 {
@@ -240,7 +248,10 @@ mod tests {
         sink.emit(Event::new(EventKind::Infer, "t"));
         sink.emit_at(Event::new(EventKind::Infer, "t").with_time_us(42));
         let stamped = rx.recv().unwrap();
-        assert!(stamped.time_us > 1_000_000, "emit stamps wall-anchored time");
+        assert!(
+            stamped.time_us > 1_000_000,
+            "emit stamps wall-anchored time"
+        );
         assert_eq!(rx.recv().unwrap().time_us, 42);
     }
 }

@@ -271,7 +271,11 @@ impl StoreInner {
     /// Folds a sealed chunk's rows into the per-minute rollup cells.
     fn fold_rollups(&mut self, cols: &Columns) {
         for i in 0..cols.len() {
-            let key = (Rollup::bucket_of(cols.time_us[i]), cols.deployment[i], cols.kind[i]);
+            let key = (
+                Rollup::bucket_of(cols.time_us[i]),
+                cols.deployment[i],
+                cols.kind[i],
+            );
             self.rollups.entry(key).or_default().observe_row(
                 cols.energy_mj[i],
                 cols.latency_us[i],
@@ -290,12 +294,17 @@ impl StoreInner {
         let max_time = *cols.time_us.last().expect("non-empty chunk");
         self.fold_rollups(&cols);
         if let Some(spill) = self.spill.clone() {
-            let events: Vec<Event> =
-                (0..cols.len()).map(|i| cols.event(i, &self.names)).collect();
+            let events: Vec<Event> = (0..cols.len())
+                .map(|i| cols.event(i, &self.names))
+                .collect();
             spill.spill_chunk(&events);
             self.spilled_chunks += 1;
         }
-        self.sealed.push(SealedChunk { cols, min_time, max_time });
+        self.sealed.push(SealedChunk {
+            cols,
+            min_time,
+            max_time,
+        });
     }
 
     /// Evicts whole sealed chunks, oldest (`min_time`, then insertion order)
@@ -454,10 +463,15 @@ impl ObsStore {
         let min_time = *cols.time_us.first().expect("non-empty chunk");
         let max_time = *cols.time_us.last().expect("non-empty chunk");
         inner.fold_rollups(&cols);
-        inner.sealed.push(SealedChunk { cols, min_time, max_time });
+        inner.sealed.push(SealedChunk {
+            cols,
+            min_time,
+            max_time,
+        });
         inner.gc(self.config.byte_budget);
         drop(inner);
-        self.appended.fetch_add(events.len() as u64, Ordering::Release);
+        self.appended
+            .fetch_add(events.len() as u64, Ordering::Release);
     }
 
     /// Adopts one rollup cell compacted by a previous life's spill GC —
@@ -526,12 +540,7 @@ impl ObsStore {
     /// after a clean period appends a
     /// [`SinkOverflow`](EventKind::SinkOverflow) marker under the
     /// pseudo-deployment `tail:<id>`.
-    pub fn subscribe(
-        &self,
-        filter: ObsQuery,
-        cursor: Option<ObsCursor>,
-        depth: usize,
-    ) -> ObsTail {
+    pub fn subscribe(&self, filter: ObsQuery, cursor: Option<ObsCursor>, depth: usize) -> ObsTail {
         let mut inner = self.inner.lock().expect("obs store lock");
         let mut backfill_query = filter.clone();
         if let Some(cursor) = cursor {
@@ -557,7 +566,13 @@ impl ObsStore {
             overflowed: false,
         });
         drop(inner);
-        ObsTail { backfill, cursor: high_water, rx, id, counters }
+        ObsTail {
+            backfill,
+            cursor: high_water,
+            rx,
+            id,
+            counters,
+        }
     }
 
     /// Runs `query` against every resident chunk and rollup cell.
@@ -618,12 +633,19 @@ impl ObsStore {
                 if split <= query.time_min {
                     (Some((query.time_min, query.time_max)), None)
                 } else {
-                    (Some((split, query.time_max)), Some((query.time_min, split - 1)))
+                    (
+                        Some((split, query.time_max)),
+                        Some((query.time_min, split - 1)),
+                    )
                 }
             }
         };
 
-        let mut result = ObsResult { shards_ok: 1, latency_hist, ..ObsResult::default() };
+        let mut result = ObsResult {
+            shards_ok: 1,
+            latency_hist,
+            ..ObsResult::default()
+        };
 
         if let Some((raw_min, raw_max)) = raw_span {
             let mut scan = |cols: &Columns| {
@@ -835,9 +857,15 @@ mod tests {
         reborn.adopt_chunk(&spilled[0]);
         reborn.set_spill(Arc::clone(&spill) as Arc<dyn ChunkSpill>);
         let key = |r: &ObsResult| {
-            r.events.iter().map(|e| (e.time_us, e.seq, e.deployment.clone())).collect::<Vec<_>>()
+            r.events
+                .iter()
+                .map(|e| (e.time_us, e.seq, e.deployment.clone()))
+                .collect::<Vec<_>>()
         };
-        assert_eq!(key(&reborn.query(&ObsQuery::all())), key(&store.query(&ObsQuery::all())));
+        assert_eq!(
+            key(&reborn.query(&ObsQuery::all())),
+            key(&store.query(&ObsQuery::all()))
+        );
         assert_eq!(reborn.appended(), 2);
         assert_eq!(reborn.counters().spilled_chunks, 0);
         assert_eq!(spill.chunks.lock().unwrap().len(), 1);
@@ -853,8 +881,7 @@ mod tests {
             );
         }
         let raw = store.query(&ObsQuery::deployment("t"));
-        let rolled = store
-            .query(&ObsQuery::deployment("t").with_resolution(Resolution::Rollup));
+        let rolled = store.query(&ObsQuery::deployment("t").with_resolution(Resolution::Rollup));
         assert!(rolled.events.is_empty());
         assert!(!rolled.rollups.is_empty());
         assert_eq!(rolled.aggregates, raw.aggregates);
@@ -866,14 +893,15 @@ mod tests {
 
         // Evict every raw chunk: the rollup answer is unchanged.
         let tight = ObsStore::new(
-            ObsConfig::default().with_chunk_events(2).with_byte_budget(EVENT_BYTES),
+            ObsConfig::default()
+                .with_chunk_events(2)
+                .with_byte_budget(EVENT_BYTES),
         );
         for i in 0..6u64 {
             tight.append(&event("t", i, i));
         }
         assert!(tight.counters().gc_chunks > 0);
-        let rolled = tight
-            .query(&ObsQuery::deployment("t").with_resolution(Resolution::Rollup));
+        let rolled = tight.query(&ObsQuery::deployment("t").with_resolution(Resolution::Rollup));
         assert_eq!(rolled.aggregates.matched, 6, "rollups outlive GC'd chunks");
     }
 
@@ -885,13 +913,18 @@ mod tests {
         for i in 0..20u64 {
             store.append(&event("t", i * ROLLUP_BUCKET_US + 7, i));
         }
-        let auto = store
-            .query(&ObsQuery::deployment("t").with_resolution(Resolution::Auto));
+        let auto = store.query(&ObsQuery::deployment("t").with_resolution(Resolution::Auto));
         let raw = store.query(&ObsQuery::deployment("t"));
-        assert_eq!(auto.aggregates, raw.aggregates, "no row lost or double-counted");
+        assert_eq!(
+            auto.aggregates, raw.aggregates,
+            "no row lost or double-counted"
+        );
         assert!(!auto.events.is_empty() && !auto.rollups.is_empty());
         let split = auto.events.first().unwrap().time_us;
-        assert!(auto.rollups.iter().all(|r| r.bucket_us + ROLLUP_BUCKET_US <= split + 7));
+        assert!(auto
+            .rollups
+            .iter()
+            .all(|r| r.bucket_us + ROLLUP_BUCKET_US <= split + 7));
         // A short window stays fully raw.
         let recent = store.query(
             &ObsQuery::deployment("t")
@@ -917,8 +950,12 @@ mod tests {
         assert_eq!(store.counters().tails, 1);
         store.append(&event("t", 50, 5));
         store.append(&event("u", 60, 6));
-        let first = tail.recv_timeout(std::time::Duration::from_secs(1)).unwrap();
-        let second = tail.recv_timeout(std::time::Duration::from_secs(1)).unwrap();
+        let first = tail
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .unwrap();
+        let second = tail
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .unwrap();
         assert_eq!((first.time_us, second.time_us), (50, 60));
         assert_eq!(tail.delivered(), 2);
         assert_eq!(tail.dropped(), 0);
@@ -927,7 +964,10 @@ mod tests {
         store.append(&event("u", 70, 7));
         store.append(&event("t", 80, 8));
         assert_eq!(
-            filtered.recv_timeout(std::time::Duration::from_secs(1)).unwrap().time_us,
+            filtered
+                .recv_timeout(std::time::Duration::from_secs(1))
+                .unwrap()
+                .time_us,
             80
         );
         // Dropping a tail unregisters it at the next fan-out.
@@ -954,10 +994,20 @@ mod tests {
         assert_eq!(counters.tail_overflows, 1);
         assert_eq!(counters.tail_dropped, 4);
         let markers = store.query(&ObsQuery::all().with_kinds(&[EventKind::SinkOverflow]));
-        assert_eq!(markers.events.len(), 1, "transition-only: one marker per window");
+        assert_eq!(
+            markers.events.len(),
+            1,
+            "transition-only: one marker per window"
+        );
         assert_eq!(markers.events[0].deployment, format!("tail:{}", tail.id()));
-        assert_eq!(markers.events[0].seq, 1, "seq is the dropped total at the edge");
-        assert_eq!(markers.events[0].time_us, 2, "stamped with the shed row's time");
+        assert_eq!(
+            markers.events[0].seq, 1,
+            "seq is the dropped total at the edge"
+        );
+        assert_eq!(
+            markers.events[0].time_us, 2,
+            "stamped with the shed row's time"
+        );
 
         // Draining and delivering again closes the window; the next full
         // channel is a fresh transition with a fresh marker.
@@ -993,7 +1043,12 @@ mod tests {
         // …then the subscriber comes back with its cursor.
         let resumed = store.subscribe(ObsQuery::all(), Some(cursor), 64);
         assert_eq!(
-            resumed.backfill.events.iter().map(Event::order_key).collect::<Vec<_>>(),
+            resumed
+                .backfill
+                .events
+                .iter()
+                .map(Event::order_key)
+                .collect::<Vec<_>>(),
             (10..15u64).map(|t| (t * 10, t)).collect::<Vec<_>>(),
             "back-fill is exactly the missed range, strictly after the cursor"
         );
@@ -1005,8 +1060,7 @@ mod tests {
         while let Some(event) = resumed.try_next() {
             spliced.push(event);
         }
-        let posthoc = store
-            .query(&ObsQuery::all().with_time_range(cursor.time_us, u64::MAX));
+        let posthoc = store.query(&ObsQuery::all().with_time_range(cursor.time_us, u64::MAX));
         let posthoc: Vec<Event> = posthoc
             .events
             .into_iter()

@@ -82,7 +82,10 @@ impl ObsCursor {
     ///
     /// Returns [`DecodeError::Truncated`] for a short body.
     pub fn decode(r: &mut Reader<'_>) -> Result<ObsCursor, DecodeError> {
-        Ok(ObsCursor { time_us: r.u64()?, seq: r.u64()? })
+        Ok(ObsCursor {
+            time_us: r.u64()?,
+            seq: r.u64()?,
+        })
     }
 }
 
@@ -135,7 +138,10 @@ impl TailBatch {
     pub fn decode(r: &mut Reader<'_>) -> Result<TailBatch, DecodeError> {
         let flags = r.u8()?;
         if flags & !3 != 0 {
-            return Err(DecodeError::BadTag { field: "tail flags", tag: flags });
+            return Err(DecodeError::BadTag {
+                field: "tail flags",
+                tag: flags,
+            });
         }
         let cursor = ObsCursor::decode(r)?;
         let dropped = r.u64()?;
@@ -227,7 +233,9 @@ mod tests {
         cursor.advance((9, 99));
         cursor.advance((10, 4));
         assert_eq!(cursor.key(), (10, 5));
-        let event = Event::new(EventKind::Infer, "t").with_time_us(11).with_seq(0);
+        let event = Event::new(EventKind::Infer, "t")
+            .with_time_us(11)
+            .with_seq(0);
         assert_eq!(ObsCursor::at(&event).key(), (11, 0));
     }
 
@@ -235,8 +243,12 @@ mod tests {
     fn batch_advances_cursor_over_events_and_own_cursor() {
         let batch = TailBatch {
             events: vec![
-                Event::new(EventKind::Infer, "t").with_time_us(5).with_seq(1),
-                Event::new(EventKind::Infer, "t").with_time_us(7).with_seq(0),
+                Event::new(EventKind::Infer, "t")
+                    .with_time_us(5)
+                    .with_seq(1),
+                Event::new(EventKind::Infer, "t")
+                    .with_time_us(7)
+                    .with_seq(0),
             ],
             cursor: ObsCursor { time_us: 6, seq: 0 },
             ..TailBatch::default()

@@ -45,7 +45,12 @@ struct Model {
 
 impl Model {
     fn new(chunk_events: usize, byte_budget: usize) -> Model {
-        Model { chunk_events, byte_budget, sealed: Vec::new(), active: Vec::new() }
+        Model {
+            chunk_events,
+            byte_budget,
+            sealed: Vec::new(),
+            active: Vec::new(),
+        }
     }
 
     fn append(&mut self, event: Event) {
@@ -103,10 +108,9 @@ impl Model {
 const DEPLOYMENTS: [&str; 3] = ["tenant-a", "tenant-b", "shard:0"];
 
 fn random_event(rng: &mut Rng, seq: u64) -> Event {
-    let kind = ofscil_obs::EventKind::from_code(
-        rng.below(ofscil_obs::EventKind::ALL.len() as u64) as u8,
-    )
-    .unwrap();
+    let kind =
+        ofscil_obs::EventKind::from_code(rng.below(ofscil_obs::EventKind::ALL.len() as u64) as u8)
+            .unwrap();
     let deployment = DEPLOYMENTS[rng.below(3) as usize];
     // Clustered timestamps with deliberate collisions: unique seqs (the
     // append index) make `(time, seq)` a total order regardless.
@@ -134,8 +138,8 @@ fn assert_query_matches_model(store: &ObsStore, model: &Model, query: &ObsQuery,
     for (g, w) in got.events.iter().zip(&want) {
         // NaN accuracies ("not applicable") compare unequal under a derived
         // PartialEq; treat NaN == NaN here.
-        let accuracy_matches = (g.accuracy.is_nan() && w.accuracy.is_nan())
-            || g.accuracy == w.accuracy;
+        let accuracy_matches =
+            (g.accuracy.is_nan() && w.accuracy.is_nan()) || g.accuracy == w.accuracy;
         let rest_matches = g.deployment == w.deployment
             && g.kind == w.kind
             && g.seq == w.seq
@@ -150,7 +154,9 @@ fn assert_query_matches_model(store: &ObsStore, model: &Model, query: &ObsQuery,
     }
     // Time order is part of the contract, independent of the model.
     assert!(
-        got.events.windows(2).all(|w| w[0].order_key() <= w[1].order_key()),
+        got.events
+            .windows(2)
+            .all(|w| w[0].order_key() <= w[1].order_key()),
         "seed {seed}: result not time-ordered"
     );
 }
@@ -196,10 +202,7 @@ fn append_seal_gc_query_matches_naive_model_at_any_seed() {
                 .with_seq_range(total / 4, 3 * total / 4)
                 .with_kinds(&[EventKind::Infer, EventKind::Learn]),
             ObsQuery::all().with_limit(7),
-            ObsQuery::all().with_time_range(
-                1_000 + rng.below(200),
-                1_000 + rng.below(200),
-            ),
+            ObsQuery::all().with_time_range(1_000 + rng.below(200), 1_000 + rng.below(200)),
         ];
         for query in &queries {
             assert_query_matches_model(&store, &model, query, seed);

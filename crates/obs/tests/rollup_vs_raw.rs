@@ -60,8 +60,14 @@ fn assert_resolutions_agree(store: &ObsStore, query: &ObsQuery, seed: u64) {
         rolled.aggregates, raw.aggregates,
         "seed {seed}: rollup aggregates diverged from raw scan for {query:?}"
     );
-    assert!(rolled.events.is_empty(), "seed {seed}: rollup resolution returned raw rows");
-    assert!(raw.rollups.is_empty(), "seed {seed}: raw resolution returned cells");
+    assert!(
+        rolled.events.is_empty(),
+        "seed {seed}: rollup resolution returned raw rows"
+    );
+    assert!(
+        raw.rollups.is_empty(),
+        "seed {seed}: raw resolution returned cells"
+    );
     assert_eq!(
         rolled.rollups.iter().map(|r| r.count).sum::<u64>(),
         raw.aggregates.matched,
@@ -87,7 +93,9 @@ fn assert_resolutions_agree(store: &ObsStore, query: &ObsQuery, seed: u64) {
             "seed {seed}: auto cells overlap the raw span"
         );
         assert!(
-            auto.events.iter().all(|e| e.time_us >= last_cell.bucket_us + ROLLUP_BUCKET_US),
+            auto.events
+                .iter()
+                .all(|e| e.time_us >= last_cell.bucket_us + ROLLUP_BUCKET_US),
             "seed {seed}: raw row fell inside a rolled-up bucket"
         );
     }
@@ -143,7 +151,9 @@ fn rollups_remember_what_gc_forgot() {
         let mut rng = Rng::new(seed.wrapping_mul(0xA076_1D64_78BD_642F));
         // A budget of a few rows: almost every sealed chunk is evicted.
         let store = ObsStore::new(
-            ObsConfig::default().with_chunk_events(4).with_byte_budget(6 * EVENT_BYTES),
+            ObsConfig::default()
+                .with_chunk_events(4)
+                .with_byte_budget(6 * EVENT_BYTES),
         );
         let total = 100 + rng.below(100);
         let mut expect_learn = 0u64;
@@ -159,7 +169,9 @@ fn rollups_remember_what_gc_forgot() {
         // The raw scan has forgotten the evicted rows; the rollup answer
         // still accounts for every appended event.
         let rolled = store.query(
-            &ObsQuery::all().with_kinds(&[EventKind::Learn]).with_resolution(Resolution::Rollup),
+            &ObsQuery::all()
+                .with_kinds(&[EventKind::Learn])
+                .with_resolution(Resolution::Rollup),
         );
         assert_eq!(
             rolled.aggregates.matched, expect_learn,

@@ -29,7 +29,11 @@ impl Rng {
 fn random_event(rng: &mut Rng, i: u64) -> Event {
     let kinds = EventKind::ALL;
     let kind = kinds[rng.below(kinds.len() as u64) as usize];
-    let accuracy = if rng.below(4) == 0 { f32::NAN } else { rng.below(65) as f32 / 64.0 };
+    let accuracy = if rng.below(4) == 0 {
+        f32::NAN
+    } else {
+        rng.below(65) as f32 / 64.0
+    };
     Event::new(kind, &format!("tenant-{}", rng.below(3)))
         .with_seq(i)
         .with_time_us(i * 1_000 + rng.below(500))
@@ -88,7 +92,11 @@ fn adopted_chunks_reproduce_the_sealed_window_byte_identically() {
     drop(observed); // the kill: the active chunk was never sealed
 
     let captured = spill.chunks.lock().unwrap().clone();
-    assert_eq!(captured.len(), sealed / CHUNK, "one capture per sealed chunk");
+    assert_eq!(
+        captured.len(),
+        sealed / CHUNK,
+        "one capture per sealed chunk"
+    );
 
     let reborn = ObsStore::new(ObsConfig::default().with_chunk_events(CHUNK));
     for chunk in &captured {
@@ -104,7 +112,11 @@ fn adopted_chunks_reproduce_the_sealed_window_byte_identically() {
     assert_eq!(want.events.len(), got.events.len());
     assert_eq!(want.events.len(), sealed);
     for (w, g) in want.events.iter().zip(&got.events) {
-        assert_eq!(bits(w), bits(g), "adopted event diverged from the reference");
+        assert_eq!(
+            bits(w),
+            bits(g),
+            "adopted event diverged from the reference"
+        );
     }
     assert_eq!(want.aggregates.matched, got.aggregates.matched);
     assert_eq!(

@@ -38,7 +38,12 @@ pub(crate) fn calibrate_power_of_two(values: &[f32]) -> Result<(f32, QuantParams
             best_threshold = threshold;
         }
     }
-    Ok((best_threshold, QuantParams { scale: best_threshold / 127.0 }))
+    Ok((
+        best_threshold,
+        QuantParams {
+            scale: best_threshold / 127.0,
+        },
+    ))
 }
 
 #[cfg(test)]
@@ -57,7 +62,10 @@ mod tests {
         let values: Vec<f32> = (0..512).map(|_| rng.normal_with(0.0, 0.3)).collect();
         let (threshold, params) = calibrate_power_of_two(&values).unwrap();
         let log = threshold.log2();
-        assert!((log - log.round()).abs() < 1e-6, "threshold {threshold} not a power of two");
+        assert!(
+            (log - log.round()).abs() < 1e-6,
+            "threshold {threshold} not a power of two"
+        );
         assert!(params.scale > 0.0);
     }
 

@@ -30,7 +30,10 @@ impl fmt::Display for QuantError {
         match self {
             QuantError::Tensor(e) => write!(f, "tensor error: {e}"),
             QuantError::UnsupportedBits { bits } => {
-                write!(f, "unsupported quantization bit width {bits} (expected 1..=8 or 32)")
+                write!(
+                    f,
+                    "unsupported quantization bit width {bits} (expected 1..=8 or 32)"
+                )
             }
             QuantError::ShapeMismatch { left, right } => {
                 write!(f, "quantized shape mismatch: {left:?} vs {right:?}")
@@ -63,6 +66,8 @@ mod tests {
     fn display_mentions_bits() {
         let e = QuantError::UnsupportedBits { bits: 13 };
         assert!(e.to_string().contains("13"));
-        assert!(QuantError::EmptyCalibration.to_string().contains("calibration"));
+        assert!(QuantError::EmptyCalibration
+            .to_string()
+            .contains("calibration"));
     }
 }

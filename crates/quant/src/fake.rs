@@ -71,9 +71,9 @@ pub fn quantize_layer_weights(layer: &mut dyn Layer, bits: u8) -> Result<u64> {
                 let levels = quantizer.positive_levels() as f32;
                 // Rescale the int8 step to the requested bit width.
                 let scale = qp.scale * (127.0 / levels);
-                param.value.map_in_place(|v| {
-                    (v / scale).round().clamp(-levels, levels) * scale
-                });
+                param
+                    .value
+                    .map_in_place(|v| (v / scale).round().clamp(-levels, levels) * scale);
                 count += param.len() as u64;
             }
             Err(_) => calibration_failed = true,

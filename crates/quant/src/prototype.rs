@@ -90,7 +90,6 @@ impl PrototypePrecision {
             .map(|&v| (v / best_scale).round().clamp(-levels, levels) * best_scale)
             .collect()
     }
-
 }
 
 /// Size accounting for an explicit memory holding `num_classes` prototypes of
@@ -109,7 +108,11 @@ pub struct ExplicitMemoryFootprint {
 impl ExplicitMemoryFootprint {
     /// Creates a footprint descriptor.
     pub fn new(num_classes: usize, dim: usize, bits: u8) -> Self {
-        ExplicitMemoryFootprint { num_classes, dim, bits }
+        ExplicitMemoryFootprint {
+            num_classes,
+            dim,
+            bits,
+        }
     }
 
     /// Total storage in bytes.

@@ -14,7 +14,9 @@ impl QuantParams {
     /// Derives parameters from the maximum absolute value to represent.
     /// The scale is clamped away from zero so all-zero tensors stay valid.
     pub(crate) fn from_max_abs(max_abs: f32) -> Self {
-        QuantParams { scale: (max_abs / 127.0).max(1e-12) }
+        QuantParams {
+            scale: (max_abs / 127.0).max(1e-12),
+        }
     }
 
     /// Quantizes one real value to i8 with saturation.
@@ -40,7 +42,11 @@ impl QuantTensor {
     /// Quantizes a real tensor with the given parameters.
     pub(crate) fn quantize(tensor: &Tensor, params: QuantParams) -> Self {
         QuantTensor {
-            data: tensor.as_slice().iter().map(|&v| params.quantize(v)).collect(),
+            data: tensor
+                .as_slice()
+                .iter()
+                .map(|&v| params.quantize(v))
+                .collect(),
             dims: tensor.dims().to_vec(),
             params,
         }
@@ -54,7 +60,10 @@ impl QuantTensor {
     /// Dequantizes back to a real tensor.
     pub fn dequantize(&self) -> Tensor {
         Tensor::from_vec(
-            self.data.iter().map(|&q| self.params.dequantize(q)).collect(),
+            self.data
+                .iter()
+                .map(|&q| self.params.dequantize(q))
+                .collect(),
             &self.dims,
         )
         .expect("dims match data by construction")
@@ -120,8 +129,11 @@ mod tests {
     #[test]
     fn quantize_round_trip_error_is_bounded() {
         let mut rng = SeedRng::new(0);
-        let t = Tensor::from_vec((0..256).map(|_| rng.uniform_range(-2.0, 2.0)).collect(), &[256])
-            .unwrap();
+        let t = Tensor::from_vec(
+            (0..256).map(|_| rng.uniform_range(-2.0, 2.0)).collect(),
+            &[256],
+        )
+        .unwrap();
         let q = QuantTensor::quantize_auto(&t);
         let back = q.dequantize();
         // Max error is half a quantization step.
@@ -150,16 +162,26 @@ mod tests {
     #[test]
     fn integer_matmul_matches_float_matmul() {
         let mut rng = SeedRng::new(3);
-        let a = Tensor::from_vec((0..6 * 8).map(|_| rng.uniform_range(-1.0, 1.0)).collect(), &[6, 8])
-            .unwrap();
-        let b = Tensor::from_vec((0..8 * 5).map(|_| rng.uniform_range(-1.0, 1.0)).collect(), &[8, 5])
-            .unwrap();
+        let a = Tensor::from_vec(
+            (0..6 * 8).map(|_| rng.uniform_range(-1.0, 1.0)).collect(),
+            &[6, 8],
+        )
+        .unwrap();
+        let b = Tensor::from_vec(
+            (0..8 * 5).map(|_| rng.uniform_range(-1.0, 1.0)).collect(),
+            &[8, 5],
+        )
+        .unwrap();
         let qa = QuantTensor::quantize_auto(&a);
         let qb = QuantTensor::quantize_auto(&b);
         let qc = qa.matmul(&qb).unwrap();
         let c = a.matmul(&b).unwrap();
         // int8 quantization error over an inner dimension of 8 stays small.
-        assert!(c.max_abs_diff(&qc).unwrap() < 0.15, "{}", c.max_abs_diff(&qc).unwrap());
+        assert!(
+            c.max_abs_diff(&qc).unwrap() < 0.15,
+            "{}",
+            c.max_abs_diff(&qc).unwrap()
+        );
     }
 
     #[test]

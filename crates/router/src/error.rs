@@ -44,12 +44,14 @@ impl RouterError {
     /// its display form.
     pub(crate) fn to_serve_error(&self) -> ServeError {
         match self {
-            RouterError::ShardUnavailable { shard, addr, detail } => {
-                ServeError::ShardUnavailable {
-                    shard: format!("{shard} ({addr})"),
-                    detail: detail.clone(),
-                }
-            }
+            RouterError::ShardUnavailable {
+                shard,
+                addr,
+                detail,
+            } => ServeError::ShardUnavailable {
+                shard: format!("{shard} ({addr})"),
+                detail: detail.clone(),
+            },
             RouterError::Remote(error) => ServeError::Execution(error.to_string()),
             other => ServeError::Execution(other.to_string()),
         }
@@ -59,7 +61,11 @@ impl RouterError {
 impl fmt::Display for RouterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RouterError::ShardUnavailable { shard, addr, detail } => {
+            RouterError::ShardUnavailable {
+                shard,
+                addr,
+                detail,
+            } => {
                 write!(f, "shard {shard} ({addr}) is unavailable: {detail}")
             }
             RouterError::UnknownShard(shard) => write!(f, "no shard with id {shard}"),

@@ -29,10 +29,7 @@ impl ShardProcess {
     /// # Errors
     ///
     /// Returns the server's bind error when the shard never came up.
-    pub fn spawn(
-        registry: Arc<LearnerRegistry>,
-        config: WireConfig,
-    ) -> Result<Self, WireError> {
+    pub fn spawn(registry: Arc<LearnerRegistry>, config: WireConfig) -> Result<Self, WireError> {
         ShardProcess::spawn_observed(registry, config, None)
     }
 
@@ -105,13 +102,14 @@ mod tests {
     #[test]
     fn shard_boots_serves_and_stops() {
         let registry = Arc::new(LearnerRegistry::new());
-        let shard =
-            ShardProcess::spawn(Arc::clone(&registry), WireConfig::tcp_loopback()).unwrap();
+        let shard = ShardProcess::spawn(Arc::clone(&registry), WireConfig::tcp_loopback()).unwrap();
         let addr = shard.addr().clone();
         // Reachable while up...
         let mut client = WireClient::connect(&addr).unwrap();
         let err = client
-            .call(ofscil_serve::ServeRequest::Stats { deployment: "ghost".into() })
+            .call(ofscil_serve::ServeRequest::Stats {
+                deployment: "ghost".into(),
+            })
             .unwrap_err();
         assert!(matches!(
             err,

@@ -174,7 +174,12 @@ impl ShardPool {
         obs: Option<EventSink>,
     ) -> Self {
         ShardPool {
-            slots: RwLock::new(addrs.into_iter().map(|a| ShardSlot::new(a).into()).collect()),
+            slots: RwLock::new(
+                addrs
+                    .into_iter()
+                    .map(|a| ShardSlot::new(a).into())
+                    .collect(),
+            ),
             config,
             obs,
         }
@@ -238,7 +243,9 @@ impl ShardPool {
     /// Returns [`RouterError::UnknownShard`] for out-of-range ids.
     pub(crate) fn replace_addr(&self, shard: usize, addr: BoundAddr) -> Result<(), RouterError> {
         let mut slots = self.slots.write().expect("pool lock poisoned");
-        let slot = slots.get_mut(shard).ok_or(RouterError::UnknownShard(shard))?;
+        let slot = slots
+            .get_mut(shard)
+            .ok_or(RouterError::UnknownShard(shard))?;
         *slot = ShardSlot::new(addr).into();
         Ok(())
     }
@@ -262,7 +269,11 @@ impl ShardPool {
     }
 
     fn unavailable(&self, shard: usize, slot: &ShardSlot, detail: String) -> RouterError {
-        RouterError::ShardUnavailable { shard, addr: slot.addr.to_string(), detail }
+        RouterError::ShardUnavailable {
+            shard,
+            addr: slot.addr.to_string(),
+            detail,
+        }
     }
 
     /// Connects to a shard with bounded retries and exponential backoff.
@@ -427,13 +438,20 @@ mod tests {
             },
             None,
         );
-        let err = pool.with_conn(0, true, |_conn| Ok::<(), WireError>(())).unwrap_err();
-        assert!(matches!(err, RouterError::ShardUnavailable { shard: 0, .. }), "{err}");
+        let err = pool
+            .with_conn(0, true, |_conn| Ok::<(), WireError>(()))
+            .unwrap_err();
+        assert!(
+            matches!(err, RouterError::ShardUnavailable { shard: 0, .. }),
+            "{err}"
+        );
 
         // Inside the cooldown the failure is served from cache: no further
         // connect attempts, so this returns immediately.
         let start = Instant::now();
-        let err = pool.with_conn(0, true, |_conn| Ok::<(), WireError>(())).unwrap_err();
+        let err = pool
+            .with_conn(0, true, |_conn| Ok::<(), WireError>(()))
+            .unwrap_err();
         assert!(matches!(err, RouterError::ShardUnavailable { .. }));
         assert!(start.elapsed() < Duration::from_millis(50));
 
@@ -449,10 +467,14 @@ mod tests {
         let pool = ShardPool::new_observed(vec![], PoolConfig::default(), None);
         assert_eq!(pool.len(), 0);
         assert!(matches!(
-            pool.with_conn(0, true, |_c| Ok::<(), WireError>(())).unwrap_err(),
+            pool.with_conn(0, true, |_c| Ok::<(), WireError>(()))
+                .unwrap_err(),
             RouterError::UnknownShard(0)
         ));
-        assert!(matches!(pool.addr(3).unwrap_err(), RouterError::UnknownShard(3)));
+        assert!(matches!(
+            pool.addr(3).unwrap_err(),
+            RouterError::UnknownShard(3)
+        ));
     }
 
     #[test]
@@ -481,7 +503,10 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         let _ = pool.probe(0);
         let second = pool.breaker_dwell(0).unwrap().expect("still open");
-        assert!(second >= first + Duration::from_millis(10), "{second:?} vs {first:?}");
+        assert!(
+            second >= first + Duration::from_millis(10),
+            "{second:?} vs {first:?}"
+        );
 
         // Re-pointing the shard at a live address clears the failure state…
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();

@@ -153,7 +153,9 @@ impl Placement {
         if let Some(&shard) = self.location.get(deployment) {
             return Ok(shard);
         }
-        self.ring.shard_for(deployment).ok_or(RouterError::EmptyRing)
+        self.ring
+            .shard_for(deployment)
+            .ok_or(RouterError::EmptyRing)
     }
 }
 
@@ -320,7 +322,11 @@ impl RouterHandle<'_> {
     /// Sorted names of the deployments the router manages (the placement
     /// map's keys — routing itself hashes any name).
     pub fn deployments(&self) -> Vec<String> {
-        let placement = self.shared.placement.read().expect("placement lock poisoned");
+        let placement = self
+            .shared
+            .placement
+            .read()
+            .expect("placement lock poisoned");
         let mut names: Vec<String> = placement.location.keys().cloned().collect();
         names.sort_unstable();
         names
@@ -330,7 +336,11 @@ impl RouterHandle<'_> {
     /// `AdvertiseFollower` frames — the promotion candidates a control plane
     /// picks from when the shard's breaker stays open.
     pub fn followers(&self, shard: usize) -> Vec<String> {
-        let followers = self.shared.followers.lock().expect("follower registry poisoned");
+        let followers = self
+            .shared
+            .followers
+            .lock()
+            .expect("follower registry poisoned");
         let mut list = followers.get(&shard).cloned().unwrap_or_default();
         list.sort_unstable();
         list
@@ -396,7 +406,11 @@ impl RouterHandle<'_> {
         // work: the scatter must not block routing.
         let mut by_shard: HashMap<usize, Vec<String>> = HashMap::new();
         let shard_ids = {
-            let placement = self.shared.placement.read().expect("placement lock poisoned");
+            let placement = self
+                .shared
+                .placement
+                .read()
+                .expect("placement lock poisoned");
             for name in placement.location.keys() {
                 if let Ok(shard) = placement.shard_for(name) {
                     by_shard.entry(shard).or_default().push(name.clone());
@@ -444,13 +458,12 @@ impl RouterHandle<'_> {
     /// `target`, [`RouterError::ShardUnavailable`] when either side cannot
     /// be reached, and [`RouterError::Remote`] when a shard refused (e.g.
     /// the deployment is not registered on the target).
-    pub fn migrate(
-        &self,
-        deployment: &str,
-        target: usize,
-    ) -> Result<MigrationReport, RouterError> {
-        let mut placement =
-            self.shared.placement.write().expect("placement lock poisoned");
+    pub fn migrate(&self, deployment: &str, target: usize) -> Result<MigrationReport, RouterError> {
+        let mut placement = self
+            .shared
+            .placement
+            .write()
+            .expect("placement lock poisoned");
         if target >= self.shared.pool.len() {
             return Err(RouterError::UnknownShard(target));
         }
@@ -481,12 +494,12 @@ impl RouterHandle<'_> {
     /// Returns a pool or shard error when a migration fails; deployments
     /// already moved stay moved (placement remains consistent), the rest
     /// keep their old shard.
-    pub fn add_shard(
-        &self,
-        addr: BoundAddr,
-    ) -> Result<(usize, Vec<MigrationReport>), RouterError> {
-        let mut placement =
-            self.shared.placement.write().expect("placement lock poisoned");
+    pub fn add_shard(&self, addr: BoundAddr) -> Result<(usize, Vec<MigrationReport>), RouterError> {
+        let mut placement = self
+            .shared
+            .placement
+            .write()
+            .expect("placement lock poisoned");
         let pool_id = self.shared.pool.add_shard(addr);
         let ring_id = placement.ring.add_shard();
         debug_assert_eq!(pool_id, ring_id, "pool and ring ids must stay aligned");
@@ -514,8 +527,11 @@ impl RouterHandle<'_> {
     /// **retrying** `drain_shard` on the same id resumes moving whatever is
     /// still stranded.
     pub fn drain_shard(&self, shard: usize) -> Result<Vec<MigrationReport>, RouterError> {
-        let mut placement =
-            self.shared.placement.write().expect("placement lock poisoned");
+        let mut placement = self
+            .shared
+            .placement
+            .write()
+            .expect("placement lock poisoned");
         if placement.ring.contains(shard) {
             if placement.ring.len() <= 1 {
                 return Err(RouterError::InvalidConfig(
@@ -562,8 +578,11 @@ fn gather_shard_stats(pool: &ShardPool, shard: usize, names: &[String]) -> Shard
         if let Ok(health) = pool.probe(shard) {
             if !health.healthy {
                 stats.reachable = false;
-                stats.error =
-                    Some(health.last_error.unwrap_or_else(|| "probe failed".to_string()));
+                stats.error = Some(
+                    health
+                        .last_error
+                        .unwrap_or_else(|| "probe failed".to_string()),
+                );
             }
         }
         gather_obs_counters(pool, shard, &mut stats);
@@ -571,7 +590,9 @@ fn gather_shard_stats(pool: &ShardPool, shard: usize, names: &[String]) -> Shard
     }
     for name in names {
         let result = pool.with_conn(shard, true, |conn| {
-            conn.call(ServeRequest::Stats { deployment: name.clone() })
+            conn.call(ServeRequest::Stats {
+                deployment: name.clone(),
+            })
         });
         match result {
             Ok(ServeResponse::Stats(s)) => stats.deployments.push(s),
@@ -670,10 +691,19 @@ fn rebalance_locked(
     let mut moves = Vec::new();
     for name in names {
         let current = placement.location[&name];
-        let target = placement.ring.shard_for(&name).ok_or(RouterError::EmptyRing)?;
+        let target = placement
+            .ring
+            .shard_for(&name)
+            .ok_or(RouterError::EmptyRing)?;
         if target != current {
             moves.push(migrate_locked(
-                pool, placement, placement_log, obs, &name, current, target,
+                pool,
+                placement,
+                placement_log,
+                obs,
+                &name,
+                current,
+                target,
             )?);
         }
     }
@@ -753,7 +783,10 @@ impl RouterServer {
                 accept_loop(scope, &listener, shared_ref);
             });
 
-            let handle = RouterHandle { addr: addr.clone(), shared: &shared };
+            let handle = RouterHandle {
+                addr: addr.clone(),
+                shared: &shared,
+            };
             let _shutdown_on_exit = ShutdownOnDrop::new(&shared.shutdown);
             body(&handle)
             // The guard raises the flag on return *and* on panic; the scope
@@ -832,9 +865,9 @@ fn route_one(shared: &Shared, frame: &VerbatimFrame) -> Vec<u8> {
     let peek = match peek_request(frame.kind, frame.payload()) {
         Ok(peek) => peek,
         Err(e) => {
-            return encode_response(&WireResponse::Error(ServeError::InvalidRequest(
-                format!("unroutable request: {e}"),
-            )));
+            return encode_response(&WireResponse::Error(ServeError::InvalidRequest(format!(
+                "unroutable request: {e}"
+            ))));
         }
     };
     if peek.scatter {
@@ -871,7 +904,10 @@ fn route_one(shared: &Shared, frame: &VerbatimFrame) -> Vec<u8> {
     }
     // Reads may retry once on a fresh connection when a pooled one went
     // stale; writes must not be replayed (the shard may have applied them).
-    match shared.pool.with_conn(shard, !peek.write, |conn| conn.forward_frame(&frame.bytes)) {
+    match shared
+        .pool
+        .with_conn(shard, !peek.write, |conn| conn.forward_frame(&frame.bytes))
+    {
         Ok(reply) => reply,
         Err(e) => encode_response(&WireResponse::Error(e.to_serve_error())),
     }
@@ -908,7 +944,9 @@ fn register_follower(shared: &Shared, frame: &VerbatimFrame) -> Vec<u8> {
     if !entry.contains(&follower) {
         entry.push(follower);
     }
-    encode_response(&WireResponse::Advertised { registered: entry.len() as u64 })
+    encode_response(&WireResponse::Advertised {
+        registered: entry.len() as u64,
+    })
 }
 
 /// Scatter-gathers one observability query across every ring shard and the
@@ -925,7 +963,9 @@ fn obs_scatter(shared: &Shared, frame: &VerbatimFrame) -> Vec<u8> {
             )));
         }
     };
-    encode_response(&WireResponse::Obs(Box::new(obs_scatter_query(shared, &query))))
+    encode_response(&WireResponse::Obs(Box::new(obs_scatter_query(
+        shared, &query,
+    ))))
 }
 
 /// The scatter itself, on a decoded query — shared between the wire path
@@ -957,16 +997,12 @@ fn obs_scatter_query(shared: &Shared, query: &ofscil_obs::ObsQuery) -> ObsResult
         let shard_handles: Vec<_> = shard_ids
             .iter()
             .map(|&shard| {
-                scope.spawn(move || {
-                    pool.with_conn(shard, true, |conn| conn.obs_query(query))
-                })
+                scope.spawn(move || pool.with_conn(shard, true, |conn| conn.obs_query(query)))
             })
             .collect();
         let follower_handles: Vec<_> = follower_addrs
             .iter()
-            .map(|advertised| {
-                scope.spawn(move || query_follower_obs(advertised, query))
-            })
+            .map(|advertised| scope.spawn(move || query_follower_obs(advertised, query)))
             .collect();
         shard_handles
             .into_iter()
@@ -1047,10 +1083,13 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let (mut log, _) = OpLog::open(&path).unwrap();
-            log.append(PLACEMENT_KIND_OVERRIDE, &encode_override("tenant-a", 2)).unwrap();
-            log.append(PLACEMENT_KIND_OVERRIDE, &encode_override("tenant-a", 1)).unwrap();
+            log.append(PLACEMENT_KIND_OVERRIDE, &encode_override("tenant-a", 2))
+                .unwrap();
+            log.append(PLACEMENT_KIND_OVERRIDE, &encode_override("tenant-a", 1))
+                .unwrap();
             // Stale override pointing past the configured shard set.
-            log.append(PLACEMENT_KIND_OVERRIDE, &encode_override("tenant-b", 99)).unwrap();
+            log.append(PLACEMENT_KIND_OVERRIDE, &encode_override("tenant-b", 99))
+                .unwrap();
         }
         // Replay exactly as RouterServer::run does.
         let (_, records) = OpLog::open(&path).unwrap();
@@ -1077,7 +1116,10 @@ mod tests {
         let ring = HashRing::new(3, 64);
         let home = ring.shard_for("tenant-a").unwrap();
         let elsewhere = (home + 1) % 3;
-        let mut placement = Placement { ring, location: HashMap::new() };
+        let mut placement = Placement {
+            ring,
+            location: HashMap::new(),
+        };
         assert_eq!(placement.shard_for("tenant-a").unwrap(), home);
         placement.location.insert("tenant-a".into(), elsewhere);
         assert_eq!(placement.shard_for("tenant-a").unwrap(), elsewhere);

@@ -167,7 +167,14 @@ pub(crate) fn spawn_cluster_tail(
         let tx = tx.clone();
         let state = Arc::clone(&state);
         std::thread::spawn(move || {
-            run_wire_leg(&shared, &LegTarget::Shard(shard), &query, cursor, &tx, &state);
+            run_wire_leg(
+                &shared,
+                &LegTarget::Shard(shard),
+                &query,
+                cursor,
+                &tx,
+                &state,
+            );
         });
     }
     for advertised in follower_addrs {
@@ -177,7 +184,14 @@ pub(crate) fn spawn_cluster_tail(
         let tx = tx.clone();
         let state = Arc::clone(&state);
         std::thread::spawn(move || {
-            run_wire_leg(&shared, &LegTarget::Follower(advertised), &query, cursor, &tx, &state);
+            run_wire_leg(
+                &shared,
+                &LegTarget::Follower(advertised),
+                &query,
+                cursor,
+                &tx,
+                &state,
+            );
         });
     }
     if let Some(obs) = shared.obs.clone() {
@@ -388,7 +402,10 @@ pub(crate) fn stream_cluster_tail(
             truncated,
             dropped: tail.dropped(),
         };
-        if stream.write_all(&encode_response(&WireResponse::Tail(out))).is_err() {
+        if stream
+            .write_all(&encode_response(&WireResponse::Tail(out)))
+            .is_err()
+        {
             return;
         }
     }

@@ -48,16 +48,19 @@ fn cluster_stats_marks_a_killed_shard_instead_of_failing() {
         ShardProcess::spawn(registry_with(&name_refs, 1), WireConfig::tcp_loopback()).unwrap();
     let shard1 =
         ShardProcess::spawn(registry_with(&name_refs, 2), WireConfig::tcp_loopback()).unwrap();
-    let config =
-        RouterConfig::tcp_loopback(vec![shard0.addr().clone(), shard1.addr().clone()])
-            .with_deployments(&name_refs)
-            .with_pool(fast_pool());
+    let config = RouterConfig::tcp_loopback(vec![shard0.addr().clone(), shard1.addr().clone()])
+        .with_deployments(&name_refs)
+        .with_pool(fast_pool());
     RouterServer::run(&config, move |router| {
         // Both shards up: every slice is reachable and error-free.
         let healthy = router.cluster_stats();
         assert_eq!(healthy.len(), 2);
         for slice in &healthy {
-            assert!(slice.reachable, "shard {} unexpectedly unreachable", slice.shard);
+            assert!(
+                slice.reachable,
+                "shard {} unexpectedly unreachable",
+                slice.shard
+            );
             assert!(slice.error.is_none(), "{:?}", slice.error);
         }
         assert_eq!(
@@ -118,7 +121,10 @@ fn routed_obs_query_stitches_a_timeline_across_a_migration() {
     let mut obs = [obs0, obs1];
     let router_obs = Obs::new(ObsConfig::default());
     let config = RouterConfig::tcp_loopback(
-        shards.iter().map(|s| s.as_ref().unwrap().addr().clone()).collect(),
+        shards
+            .iter()
+            .map(|s| s.as_ref().unwrap().addr().clone())
+            .collect(),
     )
     .with_deployments(&["t"])
     .with_obs(router_obs.clone());
@@ -128,11 +134,7 @@ fn routed_obs_query_stitches_a_timeline_across_a_migration() {
             client
                 .call(ServeRequest::LearnOnline {
                     deployment: "t".into(),
-                    batch: ofscil_serve::traffic::support_batch(
-                        8,
-                        &[2 * step, 2 * step + 1],
-                        3,
-                    ),
+                    batch: ofscil_serve::traffic::support_batch(8, &[2 * step, 2 * step + 1], 3),
                 })
                 .unwrap();
             client
@@ -164,8 +166,7 @@ fn routed_obs_query_stitches_a_timeline_across_a_migration() {
         let result = client.obs_query(&ObsQuery::deployment("t")).unwrap();
         assert_eq!((result.shards_ok, result.shards_err), (2, 0));
         assert_eq!(result.dropped, 0);
-        let count =
-            |kind: EventKind| result.events.iter().filter(|e| e.kind == kind).count();
+        let count = |kind: EventKind| result.events.iter().filter(|e| e.kind == kind).count();
         assert_eq!(count(EventKind::Learn), 4);
         assert_eq!(count(EventKind::Infer), 4);
         assert_eq!(count(EventKind::Migration), 1);
@@ -176,7 +177,10 @@ fn routed_obs_query_stitches_a_timeline_across_a_migration() {
             .expect("migration event present");
         assert_eq!(migration.seq, report.seq);
         assert!(
-            result.events.windows(2).all(|w| w[0].order_key() <= w[1].order_key()),
+            result
+                .events
+                .windows(2)
+                .all(|w| w[0].order_key() <= w[1].order_key()),
             "merged timeline is time-ordered"
         );
         // The learns really are split across the two shard stores.
@@ -190,7 +194,11 @@ fn routed_obs_query_stitches_a_timeline_across_a_migration() {
 
         // A kind-masked limit-0 query answers the aggregate, shipping no rows.
         let infers = client
-            .obs_query(&ObsQuery::deployment("t").with_kinds(&[EventKind::Infer]).with_limit(0))
+            .obs_query(
+                &ObsQuery::deployment("t")
+                    .with_kinds(&[EventKind::Infer])
+                    .with_limit(0),
+            )
             .unwrap();
         assert!(infers.events.is_empty());
         assert!(infers.truncated);

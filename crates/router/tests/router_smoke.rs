@@ -23,7 +23,12 @@ fn single_shard_roundtrip() {
     let config = RouterConfig::tcp_loopback(vec![shard.addr().clone()]).with_deployments(&["t"]);
     RouterServer::run(&config, |router| {
         let mut client = WireClient::connect(router.addr()).unwrap();
-        match client.call(ServeRequest::Stats { deployment: "t".into() }).unwrap() {
+        match client
+            .call(ServeRequest::Stats {
+                deployment: "t".into(),
+            })
+            .unwrap()
+        {
             ServeResponse::Stats(stats) => assert_eq!(stats.classes, 0),
             other => panic!("unexpected {other:?}"),
         }

@@ -57,10 +57,14 @@ impl ServeConfig {
     /// Returns [`ServeError::InvalidConfig`] when any knob is zero.
     pub fn validate(&self) -> Result<()> {
         if self.workers == 0 {
-            return Err(ServeError::InvalidConfig("workers must be at least 1".into()));
+            return Err(ServeError::InvalidConfig(
+                "workers must be at least 1".into(),
+            ));
         }
         if self.max_batch == 0 {
-            return Err(ServeError::InvalidConfig("max_batch must be at least 1".into()));
+            return Err(ServeError::InvalidConfig(
+                "max_batch must be at least 1".into(),
+            ));
         }
         if self.queue_depth == Some(0) {
             return Err(ServeError::InvalidConfig(

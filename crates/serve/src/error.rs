@@ -108,7 +108,11 @@ impl ServeError {
         match self {
             ServeError::UnknownDeployment(name) => tagged(out, TAG_UNKNOWN_DEPLOYMENT, name),
             ServeError::DuplicateDeployment(name) => tagged(out, TAG_DUPLICATE_DEPLOYMENT, name),
-            ServeError::BudgetExhausted { deployment, required_mj, remaining_mj } => {
+            ServeError::BudgetExhausted {
+                deployment,
+                required_mj,
+                remaining_mj,
+            } => {
                 tagged(out, TAG_BUDGET_EXHAUSTED, deployment);
                 put_f64(out, *required_mj);
                 put_f64(out, *remaining_mj);
@@ -156,13 +160,25 @@ impl ServeError {
             TAG_INVALID_CONFIG => ServeError::InvalidConfig(r.str()?),
             TAG_EXECUTION => ServeError::Execution(r.str()?),
             TAG_SHUTTING_DOWN => ServeError::ShuttingDown,
-            TAG_QUEUE_FULL => ServeError::QueueFull { depth: r.usize("depth")? },
-            TAG_READ_ONLY_REPLICA => ServeError::ReadOnlyReplica { deployment: r.str()? },
-            TAG_SHARD_UNAVAILABLE => {
-                ServeError::ShardUnavailable { shard: r.str()?, detail: r.str()? }
+            TAG_QUEUE_FULL => ServeError::QueueFull {
+                depth: r.usize("depth")?,
+            },
+            TAG_READ_ONLY_REPLICA => ServeError::ReadOnlyReplica {
+                deployment: r.str()?,
+            },
+            TAG_SHARD_UNAVAILABLE => ServeError::ShardUnavailable {
+                shard: r.str()?,
+                detail: r.str()?,
+            },
+            TAG_REPLICATION_LAGGED => ServeError::ReplicationLagged {
+                deployment: r.str()?,
+            },
+            tag => {
+                return Err(DecodeError::BadTag {
+                    field: "serve error",
+                    tag,
+                })
             }
-            TAG_REPLICATION_LAGGED => ServeError::ReplicationLagged { deployment: r.str()? },
-            tag => return Err(DecodeError::BadTag { field: "serve error", tag }),
         })
     }
 }
@@ -176,14 +192,21 @@ impl fmt::Display for ServeError {
             ServeError::DuplicateDeployment(name) => {
                 write!(f, "a deployment named {name:?} is already registered")
             }
-            ServeError::BudgetExhausted { deployment, required_mj, remaining_mj } => write!(
+            ServeError::BudgetExhausted {
+                deployment,
+                required_mj,
+                remaining_mj,
+            } => write!(
                 f,
                 "deployment {deployment:?} energy budget exhausted: request needs \
                  {required_mj:.3} mJ but only {remaining_mj:.3} mJ remain"
             ),
             ServeError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
             ServeError::QueueFull { depth } => {
-                write!(f, "dispatcher queue is full ({depth} requests queued); load shed")
+                write!(
+                    f,
+                    "dispatcher queue is full ({depth} requests queued); load shed"
+                )
             }
             ServeError::ReadOnlyReplica { deployment } => write!(
                 f,
@@ -263,8 +286,11 @@ mod tests {
         assert!(e.to_string().contains("12.000"));
         let e: ServeError = CoreError::UnknownClass(3).into();
         assert!(e.source().is_some());
-        let e: ServeError =
-            Gap9Error::InvalidCoreCount { requested: 16, available: 8 }.into();
+        let e: ServeError = Gap9Error::InvalidCoreCount {
+            requested: 16,
+            available: 8,
+        }
+        .into();
         assert!(e.to_string().contains("16"));
         let e = ServeError::ShardUnavailable {
             shard: "2 (tcp://127.0.0.1:4102)".into(),
@@ -272,7 +298,9 @@ mod tests {
         };
         assert!(e.to_string().contains("unavailable"));
         assert!(e.source().is_none());
-        let e = ServeError::ReplicationLagged { deployment: "t".into() };
+        let e = ServeError::ReplicationLagged {
+            deployment: "t".into(),
+        };
         assert!(e.to_string().contains("resubscribe"));
     }
 }

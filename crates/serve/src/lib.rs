@@ -92,8 +92,8 @@ pub use config::ServeConfig;
 pub use error::ServeError;
 pub use journal::{CommitJournal, DurabilityStats};
 pub use registry::{
-    BudgetPolicy, DeploymentExport, DeploymentSpec, DeploymentStats, ExportStats,
-    LearnerRegistry, RequestPricing,
+    BudgetPolicy, DeploymentExport, DeploymentSpec, DeploymentStats, ExportStats, LearnerRegistry,
+    RequestPricing,
 };
 pub use request::{PendingResponse, ServeRequest, ServeResponse};
 pub use runtime::{LearnCommit, ServeClient, ServeHooks, ServeRuntime};

@@ -140,16 +140,15 @@ fn derive_pricing(model: &OFscilModel, basis: &PricingBasis) -> Result<RequestPr
         scale_workload_to_fp32(&mut fcr);
     }
     let per_pass_mj = workload_energy_mj(&backbone, basis)? + workload_energy_mj(&fcr, basis)?;
-    Ok(RequestPricing { infer_mj: per_pass_mj, learn_sample_mj: per_pass_mj })
+    Ok(RequestPricing {
+        infer_mj: per_pass_mj,
+        learn_sample_mj: per_pass_mj,
+    })
 }
 
 /// Device-model energy of one coalesced inference batch of `batch` samples at
 /// the model's current execution precision, in millijoules.
-fn derive_batched_infer_mj(
-    model: &OFscilModel,
-    basis: &PricingBasis,
-    batch: usize,
-) -> Result<f64> {
+fn derive_batched_infer_mj(model: &OFscilModel, basis: &PricingBasis, batch: usize) -> Result<f64> {
     let (height, width) = basis.image_hw;
     let mut backbone = deploy_backbone(model.backbone(), height, width);
     let mut fcr = deploy_fcr(model.backbone().feature_dim, model.projection_dim());
@@ -403,7 +402,12 @@ struct MeterInner {
 
 impl EnergyMeter {
     fn new(budget_mj: Option<f64>) -> Self {
-        EnergyMeter { inner: Mutex::new(MeterInner { budget_mj, spent_mj: 0.0 }) }
+        EnergyMeter {
+            inner: Mutex::new(MeterInner {
+                budget_mj,
+                spent_mj: 0.0,
+            }),
+        }
     }
 
     /// Admits `cost_mj` against the budget. Returns the remaining budget on
@@ -445,7 +449,10 @@ impl EnergyMeter {
     /// Returns `(spent, remaining)`; remaining is `None` for unlimited.
     pub(crate) fn state(&self) -> (f64, Option<f64>) {
         let inner = self.inner.lock().expect("meter lock poisoned");
-        (inner.spent_mj, inner.budget_mj.map(|b| (b - inner.spent_mj).max(0.0)))
+        (
+            inner.spent_mj,
+            inner.budget_mj.map(|b| (b - inner.spent_mj).max(0.0)),
+        )
     }
 
     /// Returns `(spent, budget)` — the raw pair a durable journal records
@@ -521,7 +528,12 @@ impl Deployment {
         if n <= 1 {
             return self.pricing().infer_mj;
         }
-        if let Some(&mj) = self.batched_mj.lock().expect("batch cache poisoned").get(&n) {
+        if let Some(&mj) = self
+            .batched_mj
+            .lock()
+            .expect("batch cache poisoned")
+            .get(&n)
+        {
             return mj;
         }
         // Derive and memoize while holding the model lock: int8 conversion
@@ -531,7 +543,10 @@ impl Deployment {
         let single = self.pricing().infer_mj;
         let derived = derive_batched_infer_mj(&model, &self.basis, n);
         let mj = derived.unwrap_or(single * n as f64).min(single * n as f64);
-        self.batched_mj.lock().expect("batch cache poisoned").insert(n, mj);
+        self.batched_mj
+            .lock()
+            .expect("batch cache poisoned")
+            .insert(n, mj);
         mj
     }
 
@@ -570,7 +585,12 @@ impl Deployment {
     }
 
     pub(crate) fn stats_snapshot(&self) -> DeploymentStats {
-        let classes = self.model.lock().expect("model lock poisoned").em().num_classes();
+        let classes = self
+            .model
+            .lock()
+            .expect("model lock poisoned")
+            .em()
+            .num_classes();
         let stats = self.stats.lock().expect("stats lock poisoned");
         let (spent, _) = self.meter.state();
         DeploymentStats {
@@ -683,7 +703,13 @@ impl LearnerRegistry {
         let mut names: Vec<String> = self
             .shards
             .iter()
-            .flat_map(|s| s.read().expect("shard lock poisoned").keys().cloned().collect::<Vec<_>>())
+            .flat_map(|s| {
+                s.read()
+                    .expect("shard lock poisoned")
+                    .keys()
+                    .cloned()
+                    .collect::<Vec<_>>()
+            })
             .collect();
         names.sort_unstable();
         names
@@ -709,11 +735,7 @@ impl LearnerRegistry {
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownDeployment`] for unknown names.
-    pub fn with_model<T>(
-        &self,
-        name: &str,
-        f: impl FnOnce(&mut OFscilModel) -> T,
-    ) -> Result<T> {
+    pub fn with_model<T>(&self, name: &str, f: impl FnOnce(&mut OFscilModel) -> T) -> Result<T> {
         let deployment = self.resolve(name)?;
         let mut model = deployment.model.lock().expect("model lock poisoned");
         Ok(f(&mut model))
@@ -768,7 +790,14 @@ impl LearnerRegistry {
         let (seq, snapshot) = self.snapshot_with_seq(name)?;
         let (spent_mj, budget_mj) = deployment.meter.spent_and_budget();
         let stats = *deployment.stats.lock().expect("stats lock poisoned");
-        Ok(DeploymentExport { name: name.to_string(), seq, snapshot, spent_mj, budget_mj, stats })
+        Ok(DeploymentExport {
+            name: name.to_string(),
+            seq,
+            snapshot,
+            spent_mj,
+            budget_mj,
+            stats,
+        })
     }
 
     /// Installs an exported deployment state: the snapshot is restored
@@ -791,7 +820,8 @@ impl LearnerRegistry {
     /// error for malformed snapshot bytes, and
     /// [`ServeError::InvalidRequest`] on a projection-dimension mismatch.
     pub fn import_deployment(&self, export: &DeploymentExport) -> Result<usize> {
-        self.import_deployment_with(export, |_, _, _| ()).map(|(classes, ())| classes)
+        self.import_deployment_with(export, |_, _, _| ())
+            .map(|(classes, ())| classes)
     }
 
     /// Like [`LearnerRegistry::import_deployment`], but invokes `f` with the
@@ -923,7 +953,11 @@ impl LearnerRegistry {
         let pricing = derive_pricing(&model, &deployment.basis)?;
         *deployment.pricing.lock().expect("pricing lock poisoned") = pricing;
         // The memoized batch energies were derived at the old precision.
-        deployment.batched_mj.lock().expect("batch cache poisoned").clear();
+        deployment
+            .batched_mj
+            .lock()
+            .expect("batch cache poisoned")
+            .clear();
         Ok(pricing)
     }
 
@@ -1049,7 +1083,10 @@ mod tests {
             .register(DeploymentSpec::new("tenant-b", (8, 8)), micro_model(1))
             .unwrap();
         assert_eq!(registry.len(), 2);
-        assert_eq!(registry.names(), vec!["tenant-a".to_string(), "tenant-b".to_string()]);
+        assert_eq!(
+            registry.names(),
+            vec!["tenant-a".to_string(), "tenant-b".to_string()]
+        );
         let err = registry
             .register(DeploymentSpec::new("tenant-a", (8, 8)), micro_model(2))
             .unwrap_err();
@@ -1120,10 +1157,16 @@ mod tests {
             )
             .unwrap();
         let deployment = registry.resolve("t").unwrap();
-        assert!(deployment.meter.try_spend(registry.pricing("t").unwrap().infer_mj).is_err());
+        assert!(deployment
+            .meter
+            .try_spend(registry.pricing("t").unwrap().infer_mj)
+            .is_err());
         let int8 = registry.convert_to_int8("t").unwrap();
         assert!(int8.infer_mj < fp32.infer_mj * 0.9);
-        assert!(int8.infer_mj > int8_estimate * 0.5, "sanity: int8 price in plausible range");
+        assert!(
+            int8.infer_mj > int8_estimate * 0.5,
+            "sanity: int8 price in plausible range"
+        );
         deployment.meter.try_spend(int8.infer_mj).unwrap();
     }
 
@@ -1144,9 +1187,14 @@ mod tests {
         let stored = registry
             .with_model("a", |m| m.em().prototype(3).unwrap().to_vec())
             .unwrap();
-        assert!(stored.iter().zip(&proto).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert!(stored
+            .iter()
+            .zip(&proto)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
         // Wrong dimensionality is a typed error, not a panic.
-        assert!(registry.apply_prototype_updates("a", &[(0, vec![1.0; 3])]).is_err());
+        assert!(registry
+            .apply_prototype_updates("a", &[(0, vec![1.0; 3])])
+            .is_err());
         assert!(matches!(
             registry.snapshot_with_seq("ghost").unwrap_err(),
             ServeError::UnknownDeployment(_)
@@ -1167,7 +1215,11 @@ mod tests {
         // A real batch amortizes the weight traffic: strictly cheaper than n
         // independent passes, and the per-sample price keeps falling with n.
         let batch8 = deployment.batched_infer_mj(8);
-        assert!(batch8 < 8.0 * single, "batch of 8 ({batch8}) must undercut {}", 8.0 * single);
+        assert!(
+            batch8 < 8.0 * single,
+            "batch of 8 ({batch8}) must undercut {}",
+            8.0 * single
+        );
         assert!(batch8 / 8.0 < deployment.batched_infer_mj(2) / 2.0);
         let refund = deployment.infer_batch_refund_mj(8);
         assert!((refund - (8.0 * single - batch8)).abs() < 1e-9);
@@ -1176,7 +1228,10 @@ mod tests {
         // Int8 conversion re-derives the cache at the quantized rate.
         registry.convert_to_int8("t").unwrap();
         let int8_batch8 = deployment.batched_infer_mj(8);
-        assert!(int8_batch8 < batch8, "int8 batch must be cheaper than fp32 batch");
+        assert!(
+            int8_batch8 < batch8,
+            "int8 batch must be cheaper than fp32 batch"
+        );
         assert!(int8_batch8 < 8.0 * deployment.pricing().infer_mj);
     }
 
@@ -1206,19 +1261,29 @@ mod tests {
             .register(DeploymentSpec::new("b", (8, 8)), micro_model(1))
             .unwrap();
         let proto: Vec<f32> = (0..16).map(|i| i as f32 / 8.0 - 1.0).collect();
-        registry.apply_prototype_updates("a", &[(2, proto.clone())]).unwrap();
-        registry.apply_prototype_updates("a", &[(5, proto.clone())]).unwrap();
+        registry
+            .apply_prototype_updates("a", &[(2, proto.clone())])
+            .unwrap();
+        registry
+            .apply_prototype_updates("a", &[(5, proto.clone())])
+            .unwrap();
 
         let export = registry.export_deployment("a").unwrap();
         assert_eq!(export.name, "a");
         assert_eq!(export.seq, 2);
         let classes = registry
-            .import_deployment(&DeploymentExport { name: "b".into(), ..export.clone() })
+            .import_deployment(&DeploymentExport {
+                name: "b".into(),
+                ..export.clone()
+            })
             .unwrap();
         assert_eq!(classes, 2);
         // The imported side answers with identical snapshot bytes and carries
         // the exported sequence number forward.
-        assert_eq!(registry.snapshot("a").unwrap(), registry.snapshot("b").unwrap());
+        assert_eq!(
+            registry.snapshot("a").unwrap(),
+            registry.snapshot("b").unwrap()
+        );
         let (seq, _) = registry.snapshot_with_seq("b").unwrap();
         assert_eq!(seq, 2);
 
@@ -1227,18 +1292,26 @@ mod tests {
         // advances by one instead, so a tailing subscriber sees a forward
         // jump (gap → resync), never a silent skip.
         for _ in 0..3 {
-            registry.apply_prototype_updates("b", &[(9, proto.clone())]).unwrap();
+            registry
+                .apply_prototype_updates("b", &[(9, proto.clone())])
+                .unwrap();
         }
         assert_eq!(registry.snapshot_with_seq("b").unwrap().0, 5);
         registry
-            .import_deployment(&DeploymentExport { name: "b".into(), ..export.clone() })
+            .import_deployment(&DeploymentExport {
+                name: "b".into(),
+                ..export.clone()
+            })
             .unwrap();
         assert_eq!(registry.snapshot_with_seq("b").unwrap().0, 6);
 
         // Unknown target and dimension mismatches are typed errors.
         assert!(matches!(
             registry
-                .import_deployment(&DeploymentExport { name: "ghost".into(), ..export.clone() })
+                .import_deployment(&DeploymentExport {
+                    name: "ghost".into(),
+                    ..export.clone()
+                })
                 .unwrap_err(),
             ServeError::UnknownDeployment(_)
         ));
@@ -1284,7 +1357,10 @@ mod tests {
         assert_eq!(export.stats.largest_batch, 4);
 
         registry
-            .import_deployment(&DeploymentExport { name: "b".into(), ..export })
+            .import_deployment(&DeploymentExport {
+                name: "b".into(),
+                ..export
+            })
             .unwrap();
         // The target adopts the exported meter and counters exactly: the
         // tenant's billing history survives the migration.
@@ -1308,7 +1384,9 @@ mod tests {
             )
             .unwrap();
         let proto: Vec<f32> = (0..16).map(|i| i as f32 / 8.0 - 1.0).collect();
-        registry.apply_prototype_updates("a", &[(3, proto.clone())]).unwrap();
+        registry
+            .apply_prototype_updates("a", &[(3, proto.clone())])
+            .unwrap();
         let snapshot = registry.snapshot("a").unwrap();
 
         // A second registry plays the post-crash fresh process.
@@ -1348,7 +1426,11 @@ mod tests {
         assert!((deployment.batched_learn_mj(1) - single).abs() < 1e-12);
         assert_eq!(deployment.learn_batch_refund_mj(1), 0.0);
         let batch6 = deployment.batched_learn_mj(6);
-        assert!(batch6 < 6.0 * single, "batched learn must undercut {} mJ", 6.0 * single);
+        assert!(
+            batch6 < 6.0 * single,
+            "batched learn must undercut {} mJ",
+            6.0 * single
+        );
         let refund = deployment.learn_batch_refund_mj(6);
         assert!((refund - (6.0 * single - batch6)).abs() < 1e-9);
     }

@@ -153,10 +153,20 @@ mod tests {
     #[test]
     fn deployment_accessor_covers_all_variants() {
         let requests = [
-            ServeRequest::Infer { deployment: "d".into(), image: Tensor::zeros(&[1, 2, 2]) },
-            ServeRequest::Snapshot { deployment: "d".into() },
-            ServeRequest::Stats { deployment: "d".into() },
-            ServeRequest::TopUpBudget { deployment: "d".into(), energy_mj: 1.0 },
+            ServeRequest::Infer {
+                deployment: "d".into(),
+                image: Tensor::zeros(&[1, 2, 2]),
+            },
+            ServeRequest::Snapshot {
+                deployment: "d".into(),
+            },
+            ServeRequest::Stats {
+                deployment: "d".into(),
+            },
+            ServeRequest::TopUpBudget {
+                deployment: "d".into(),
+                energy_mj: 1.0,
+            },
         ];
         for request in &requests {
             assert_eq!(request.deployment(), "d");
@@ -167,17 +177,30 @@ mod tests {
     fn write_classification_matches_replica_semantics() {
         assert!(ServeRequest::LearnOnline {
             deployment: "d".into(),
-            batch: ofscil_data::Batch { images: Tensor::zeros(&[1, 3, 2, 2]), labels: vec![0] },
+            batch: ofscil_data::Batch {
+                images: Tensor::zeros(&[1, 3, 2, 2]),
+                labels: vec![0]
+            },
         }
         .is_write());
-        assert!(ServeRequest::TopUpBudget { deployment: "d".into(), energy_mj: 1.0 }.is_write());
+        assert!(ServeRequest::TopUpBudget {
+            deployment: "d".into(),
+            energy_mj: 1.0
+        }
+        .is_write());
         assert!(!ServeRequest::Infer {
             deployment: "d".into(),
             image: Tensor::zeros(&[3, 2, 2])
         }
         .is_write());
-        assert!(!ServeRequest::Snapshot { deployment: "d".into() }.is_write());
-        assert!(!ServeRequest::Stats { deployment: "d".into() }.is_write());
+        assert!(!ServeRequest::Snapshot {
+            deployment: "d".into()
+        }
+        .is_write());
+        assert!(!ServeRequest::Stats {
+            deployment: "d".into()
+        }
+        .is_write());
     }
 
     #[test]

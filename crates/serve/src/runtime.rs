@@ -96,7 +96,9 @@ impl ServeClient {
         let (reply, rx) = mpsc::channel();
         if self.gauge.queued.fetch_add(1, Ordering::AcqRel) >= self.gauge.limit {
             self.gauge.queued.fetch_sub(1, Ordering::AcqRel);
-            let _ = reply.send(Err(ServeError::QueueFull { depth: self.gauge.limit }));
+            let _ = reply.send(Err(ServeError::QueueFull {
+                depth: self.gauge.limit,
+            }));
             return PendingResponse { rx };
         }
         // A failed send means the dispatcher is gone; the reply sender is
@@ -227,7 +229,10 @@ impl ServeRuntime {
             }
             scope.spawn(move || dispatch_loop(rx, registry, config, queue, depth, hooks));
 
-            let client = ServeClient { tx, gauge: Arc::clone(&gauge) };
+            let client = ServeClient {
+                tx,
+                gauge: Arc::clone(&gauge),
+            };
             body(&client)
             // `client` (the last envelope sender) drops here; the dispatcher
             // drains the channel, fails whatever is still deferred and
@@ -256,7 +261,15 @@ fn dispatch_loop(
         // A request the dispatcher settled itself stops counting against the
         // depth limit here; one that went into a deployment's FIFO keeps
         // counting until a worker takes it.
-        if !route(envelope, registry, config, queue, gauge, &mut deferred, hooks) {
+        if !route(
+            envelope,
+            registry,
+            config,
+            queue,
+            gauge,
+            &mut deferred,
+            hooks,
+        ) {
             gauge.queued.fetch_sub(1, Ordering::AcqRel);
         }
     }
@@ -300,9 +313,7 @@ fn price(deployment: &Deployment, request: &ServeRequest) -> f64 {
 /// batch or reach a worker.
 fn validate(deployment: &Deployment, request: &ServeRequest) -> Result<()> {
     match request {
-        ServeRequest::Infer { image, .. }
-            if image.dims() != deployment.image_dims.as_slice() =>
-        {
+        ServeRequest::Infer { image, .. } if image.dims() != deployment.image_dims.as_slice() => {
             return Err(ServeError::InvalidRequest(format!(
                 "image shape {:?} does not match deployment input shape {:?}",
                 image.dims(),
@@ -353,7 +364,9 @@ fn target(
     // deployment: its state changes only by tailing the primary's snapshot
     // stream, never through its own request path.
     if config.read_only && request.is_write() {
-        return Err(ServeError::ReadOnlyReplica { deployment: request.deployment().to_string() });
+        return Err(ServeError::ReadOnlyReplica {
+            deployment: request.deployment().to_string(),
+        });
     }
     let deployment = registry.resolve(request.deployment())?;
     validate(&deployment, request)?;
@@ -405,9 +418,10 @@ fn route(
         match journaled {
             Ok(()) => {
                 let (spent_mj, remaining_mj) = deployment.meter.state();
-                let _ = envelope
-                    .reply
-                    .send(Ok(ServeResponse::Budget { spent_mj, remaining_mj }));
+                let _ = envelope.reply.send(Ok(ServeResponse::Budget {
+                    spent_mj,
+                    remaining_mj,
+                }));
                 if let Some(obs) = hooks.obs {
                     obs.emit(
                         Event::new(EventKind::TopUp, &deployment.name).with_energy_mj(energy_mj),
@@ -429,7 +443,10 @@ fn route(
             enqueue(&deployment, envelope, queue);
             true
         }
-        Admission::Refused { required_mj, remaining_mj } => {
+        Admission::Refused {
+            required_mj,
+            remaining_mj,
+        } => {
             match deployment.policy {
                 BudgetPolicy::Reject => {
                     count_rejection(&deployment, &envelope.request, hooks.obs);
@@ -440,8 +457,15 @@ fn route(
                     });
                 }
                 BudgetPolicy::Defer => {
-                    deployment.stats.lock().expect("stats lock poisoned").deferred += 1;
-                    deferred.entry(deployment.name.clone()).or_default().push_back(envelope);
+                    deployment
+                        .stats
+                        .lock()
+                        .expect("stats lock poisoned")
+                        .deferred += 1;
+                    deferred
+                        .entry(deployment.name.clone())
+                        .or_default()
+                        .push_back(envelope);
                 }
             }
             false
@@ -482,7 +506,10 @@ fn admit(deployment: &Deployment, request: &ServeRequest) -> Admission {
     }
     match deployment.meter.try_spend(required_mj) {
         Ok(()) => Admission::Granted,
-        Err(remaining_mj) => Admission::Refused { required_mj, remaining_mj },
+        Err(remaining_mj) => Admission::Refused {
+            required_mj,
+            remaining_mj,
+        },
     }
 }
 
@@ -518,7 +545,9 @@ fn release_deferred(
     gauge: &DepthGauge,
     deferred: &mut HashMap<String, VecDeque<Envelope>>,
 ) {
-    let Some(parked) = deferred.get_mut(&deployment.name) else { return };
+    let Some(parked) = deferred.get_mut(&deployment.name) else {
+        return;
+    };
     while let Some(envelope) = parked.pop_front() {
         match admit(deployment, &envelope.request) {
             Admission::Granted => {
@@ -630,8 +659,7 @@ fn run_infer_batch(deployment: &Deployment, items: Vec<InferItem>, obs: Option<&
             // per item, the batch's latency, the prediction's similarity as
             // the accuracy proxy.
             let per_item_mj = deployment.batched_infer_mj(n) / n as f64;
-            let latency_us =
-                started.map_or(0, |started| started.elapsed().as_micros() as u64);
+            let latency_us = started.map_or(0, |started| started.elapsed().as_micros() as u64);
             for (item, (class, similarity)) in items.into_iter().zip(predictions) {
                 if let Some(obs) = obs {
                     obs.emit(
@@ -662,7 +690,11 @@ fn run_learn(
     reply: &Reply,
     hooks: ServeHooks<'_>,
 ) {
-    let ServeHooks { commits: sink, journal, obs } = hooks;
+    let ServeHooks {
+        commits: sink,
+        journal,
+        obs,
+    } = hooks;
     let started = obs.map(|_| std::time::Instant::now());
     // The amortized settlement is derived *before* taking the model lock
     // (the derivation itself locks the model on a cache miss): admission
@@ -718,7 +750,11 @@ fn run_learn(
     };
     match outcome {
         Ok((classes, total_classes, seq, commit)) => {
-            deployment.stats.lock().expect("stats lock poisoned").learn_requests += 1;
+            deployment
+                .stats
+                .lock()
+                .expect("stats lock poisoned")
+                .learn_requests += 1;
             if let Some(obs) = obs {
                 obs.emit(
                     Event::new(EventKind::Learn, &deployment.name)
@@ -733,7 +769,10 @@ fn run_learn(
                 // A sink that hung up just stops replicating; serving goes on.
                 let _ = sink.send(commit);
             }
-            let _ = reply.send(Ok(ServeResponse::Learned { classes, total_classes }));
+            let _ = reply.send(Ok(ServeResponse::Learned {
+                classes,
+                total_classes,
+            }));
         }
         Err(message) => {
             let _ = reply.send(Err(ServeError::Execution(message)));
@@ -746,7 +785,11 @@ fn run_snapshot(deployment: &Deployment, reply: &Reply) {
         let model = deployment.model.lock().expect("model lock poisoned");
         encode_explicit_memory(model.em())
     };
-    deployment.stats.lock().expect("stats lock poisoned").snapshots += 1;
+    deployment
+        .stats
+        .lock()
+        .expect("stats lock poisoned")
+        .snapshots += 1;
     let _ = reply.send(Ok(ServeResponse::Snapshot { bytes }));
 }
 
@@ -773,7 +816,10 @@ struct JobQueueInner {
 impl JobQueue {
     fn new() -> Self {
         JobQueue {
-            inner: Mutex::new(JobQueueInner { tokens: VecDeque::new(), closed: false }),
+            inner: Mutex::new(JobQueueInner {
+                tokens: VecDeque::new(),
+                closed: false,
+            }),
             ready: Condvar::new(),
         }
     }
@@ -849,19 +895,29 @@ mod tests {
                 })
                 .unwrap();
             match learned {
-                ServeResponse::Learned { classes, total_classes } => {
+                ServeResponse::Learned {
+                    classes,
+                    total_classes,
+                } => {
                     assert_eq!(classes, vec![0, 1, 2]);
                     assert_eq!(total_classes, 3);
                 }
                 other => panic!("unexpected response {other:?}"),
             }
             client
-                .call(ServeRequest::Infer { deployment: "t".into(), image: class_image(1, 0.02) })
+                .call(ServeRequest::Infer {
+                    deployment: "t".into(),
+                    image: class_image(1, 0.02),
+                })
                 .unwrap()
         })
         .unwrap();
         match prediction {
-            ServeResponse::Prediction { class, similarity, batched_with } => {
+            ServeResponse::Prediction {
+                class,
+                similarity,
+                batched_with,
+            } => {
                 assert_eq!(class, 1);
                 assert!(similarity > 0.5);
                 assert_eq!(batched_with, 1);
@@ -885,8 +941,7 @@ mod tests {
             .register(
                 // A budget too small for the first learn forces one
                 // observable rejection before the top-up.
-                DeploymentSpec::new("t", (8, 8))
-                    .with_energy_budget(0.0001, BudgetPolicy::Reject),
+                DeploymentSpec::new("t", (8, 8)).with_energy_budget(0.0001, BudgetPolicy::Reject),
                 OFscilModel::new(BackboneKind::Micro, 16, &mut rng),
             )
             .unwrap();
@@ -894,7 +949,10 @@ mod tests {
         ServeRuntime::run_with(
             &registry,
             &ServeConfig::default(),
-            ServeHooks { obs: Some(obs.sink()), ..ServeHooks::default() },
+            ServeHooks {
+                obs: Some(obs.sink()),
+                ..ServeHooks::default()
+            },
             |client| {
                 let err = client
                     .call(ServeRequest::LearnOnline {
@@ -928,7 +986,9 @@ mod tests {
         .unwrap();
 
         let count_of = |kind: EventKind| {
-            obs.query(&ObsQuery::deployment("t").with_kinds(&[kind])).aggregates.matched
+            obs.query(&ObsQuery::deployment("t").with_kinds(&[kind]))
+                .aggregates
+                .matched
         };
         assert_eq!(count_of(EventKind::Reject), 1);
         assert_eq!(count_of(EventKind::TopUp), 1);
@@ -988,7 +1048,12 @@ mod tests {
             })
             .unwrap();
         let bytes = ServeRuntime::run(&registry, &ServeConfig::default(), |client| {
-            match client.call(ServeRequest::Snapshot { deployment: "t".into() }).unwrap() {
+            match client
+                .call(ServeRequest::Snapshot {
+                    deployment: "t".into(),
+                })
+                .unwrap()
+            {
                 ServeResponse::Snapshot { bytes } => bytes,
                 other => panic!("unexpected response {other:?}"),
             }
@@ -1005,31 +1070,39 @@ mod tests {
         // the learn (and the infer finds a populated memory) even with a
         // full worker pool racing.
         let registry = registry_with(&["t"]);
-        let (inferred, snapshot) = ServeRuntime::run(&registry, &ServeConfig::default(), |client| {
-            let learn = client.submit(ServeRequest::LearnOnline {
-                deployment: "t".into(),
-                batch: support_batch(&[0, 1], 2),
-            });
-            let infer = client.submit(ServeRequest::Infer {
-                deployment: "t".into(),
-                image: class_image(0, 0.03),
-            });
-            let stats = client.submit(ServeRequest::Stats { deployment: "t".into() });
-            let snapshot = client.submit(ServeRequest::Snapshot { deployment: "t".into() });
-            learn.wait().unwrap();
-            match stats.wait().unwrap() {
-                ServeResponse::Stats(stats) => {
-                    // The stats read is itself ordered: it must count the
-                    // infer admitted before it.
-                    assert_eq!(stats.infer_requests, 1);
-                    assert_eq!(stats.learn_requests, 1);
+        let (inferred, snapshot) =
+            ServeRuntime::run(&registry, &ServeConfig::default(), |client| {
+                let learn = client.submit(ServeRequest::LearnOnline {
+                    deployment: "t".into(),
+                    batch: support_batch(&[0, 1], 2),
+                });
+                let infer = client.submit(ServeRequest::Infer {
+                    deployment: "t".into(),
+                    image: class_image(0, 0.03),
+                });
+                let stats = client.submit(ServeRequest::Stats {
+                    deployment: "t".into(),
+                });
+                let snapshot = client.submit(ServeRequest::Snapshot {
+                    deployment: "t".into(),
+                });
+                learn.wait().unwrap();
+                match stats.wait().unwrap() {
+                    ServeResponse::Stats(stats) => {
+                        // The stats read is itself ordered: it must count the
+                        // infer admitted before it.
+                        assert_eq!(stats.infer_requests, 1);
+                        assert_eq!(stats.learn_requests, 1);
+                    }
+                    other => panic!("unexpected response {other:?}"),
                 }
-                other => panic!("unexpected response {other:?}"),
-            }
-            (infer.wait(), snapshot.wait().unwrap())
-        })
-        .unwrap();
-        assert!(inferred.is_ok(), "infer ran before the learn it followed: {inferred:?}");
+                (infer.wait(), snapshot.wait().unwrap())
+            })
+            .unwrap();
+        assert!(
+            inferred.is_ok(),
+            "infer ran before the learn it followed: {inferred:?}"
+        );
         match snapshot {
             ServeResponse::Snapshot { bytes } => {
                 let em = crate::snapshot::decode_explicit_memory(&bytes).unwrap();
@@ -1056,9 +1129,14 @@ mod tests {
     fn park_worker<'a>(
         client: &ServeClient,
         deployment: &'a Deployment,
-    ) -> (std::sync::MutexGuard<'a, ofscil_core::OFscilModel>, PendingResponse) {
+    ) -> (
+        std::sync::MutexGuard<'a, ofscil_core::OFscilModel>,
+        PendingResponse,
+    ) {
         let held = deployment.model.lock().unwrap();
-        let parked = client.submit(ServeRequest::Stats { deployment: deployment.name.clone() });
+        let parked = client.submit(ServeRequest::Stats {
+            deployment: deployment.name.clone(),
+        });
         wait_until(|| client.gauge.queued.load(Ordering::Acquire) == 0);
         (held, parked)
     }
@@ -1070,19 +1148,28 @@ mod tests {
     fn registry_with_two_classes() -> LearnerRegistry {
         let registry = registry_with(&["t"]);
         registry
-            .with_model("t", |model| model.learn_classes_online(&support_batch(&[0, 1], 2)))
+            .with_model("t", |model| {
+                model.learn_classes_online(&support_batch(&[0, 1], 2))
+            })
             .unwrap()
             .unwrap();
         registry
     }
 
     fn infer(class: usize) -> ServeRequest {
-        ServeRequest::Infer { deployment: "t".into(), image: class_image(class, 0.01) }
+        ServeRequest::Infer {
+            deployment: "t".into(),
+            image: class_image(class, 0.01),
+        }
     }
 
     fn prediction(response: Result<ServeResponse>) -> (usize, usize) {
         match response.unwrap() {
-            ServeResponse::Prediction { class, batched_with, .. } => (class, batched_with),
+            ServeResponse::Prediction {
+                class,
+                batched_with,
+                ..
+            } => (class, batched_with),
             other => panic!("unexpected response {other:?}"),
         }
     }
@@ -1105,7 +1192,10 @@ mod tests {
             wait_until(|| queued_jobs(&deployment) == 10);
             drop(held);
             parked.wait().unwrap();
-            pending.into_iter().map(|p| prediction(p.wait()).1).collect::<Vec<_>>()
+            pending
+                .into_iter()
+                .map(|p| prediction(p.wait()).1)
+                .collect::<Vec<_>>()
         })
         .unwrap();
         assert_eq!(sizes, vec![4, 4, 4, 4, 4, 4, 4, 4, 2, 2]);
@@ -1139,13 +1229,20 @@ mod tests {
             parked.wait().unwrap();
             learn.wait().unwrap();
             let classes = |pending: Vec<PendingResponse>| {
-                pending.into_iter().map(|p| prediction(p.wait())).collect::<Vec<_>>()
+                pending
+                    .into_iter()
+                    .map(|p| prediction(p.wait()))
+                    .collect::<Vec<_>>()
             };
             (classes(before), classes(after))
         })
         .unwrap();
-        assert!(before.iter().all(|&(class, batched_with)| class != 2 && batched_with == 3));
-        assert!(after.iter().all(|&(class, batched_with)| class == 2 && batched_with == 3));
+        assert!(before
+            .iter()
+            .all(|&(class, batched_with)| class != 2 && batched_with == 3));
+        assert!(after
+            .iter()
+            .all(|&(class, batched_with)| class == 2 && batched_with == 3));
         assert_eq!(registry.stats("t").unwrap().infer_batches, 2);
     }
 
@@ -1168,7 +1265,10 @@ mod tests {
             });
             let infer = client.submit(infer(1));
             client
-                .call(ServeRequest::TopUpBudget { deployment: "t".into(), energy_mj: 1e6 })
+                .call(ServeRequest::TopUpBudget {
+                    deployment: "t".into(),
+                    energy_mj: 1e6,
+                })
                 .unwrap();
             learn.wait().unwrap();
             let (class, _) = prediction(infer.wait());
@@ -1202,7 +1302,10 @@ mod tests {
             wait_until(|| queued_jobs(&deployment) == 2);
             // Shedding answers inside `submit`, so the reply is already there.
             let shed = client.submit(infer(0));
-            assert!(matches!(shed.rx.try_recv(), Ok(Err(ServeError::QueueFull { depth: 2 }))));
+            assert!(matches!(
+                shed.rx.try_recv(),
+                Ok(Err(ServeError::QueueFull { depth: 2 }))
+            ));
             // Released, the runtime works the backlog off and serves again.
             drop(held);
             parked.wait().unwrap();
@@ -1219,23 +1322,31 @@ mod tests {
         let mut rng = SeedRng::new(0);
         registry
             .register(
-                DeploymentSpec::new("t", (8, 8))
-                    .with_energy_budget(1e6, BudgetPolicy::Reject),
+                DeploymentSpec::new("t", (8, 8)).with_energy_budget(1e6, BudgetPolicy::Reject),
                 OFscilModel::new(BackboneKind::Micro, 16, &mut rng),
             )
             .unwrap();
         ServeRuntime::run(&registry, &ServeConfig::default(), |client| {
             let err = client
-                .call(ServeRequest::TopUpBudget { deployment: "t".into(), energy_mj: f64::NAN })
+                .call(ServeRequest::TopUpBudget {
+                    deployment: "t".into(),
+                    energy_mj: f64::NAN,
+                })
                 .unwrap_err();
             assert!(matches!(err, ServeError::InvalidRequest(_)));
             let err = client
-                .call(ServeRequest::TopUpBudget { deployment: "t".into(), energy_mj: -1.0 })
+                .call(ServeRequest::TopUpBudget {
+                    deployment: "t".into(),
+                    energy_mj: -1.0,
+                })
                 .unwrap_err();
             assert!(matches!(err, ServeError::InvalidRequest(_)));
             // The budget survived untouched and still admits work.
             client
-                .call(ServeRequest::Infer { deployment: "t".into(), image: class_image(0, 0.0) })
+                .call(ServeRequest::Infer {
+                    deployment: "t".into(),
+                    image: class_image(0, 0.0),
+                })
                 .unwrap_err(); // empty memory -> execution error, but admitted
         })
         .unwrap();
@@ -1252,7 +1363,10 @@ mod tests {
                 model.em_mut().set_prototype(0, &[1.0; 16]).unwrap();
             })
             .unwrap();
-        let config = ServeConfig { read_only: true, ..ServeConfig::default() };
+        let config = ServeConfig {
+            read_only: true,
+            ..ServeConfig::default()
+        };
         ServeRuntime::run(&registry, &config, |client| {
             let err = client
                 .call(ServeRequest::LearnOnline {
@@ -1260,21 +1374,40 @@ mod tests {
                     batch: support_batch(&[1], 2),
                 })
                 .unwrap_err();
-            assert!(matches!(err, ServeError::ReadOnlyReplica { ref deployment } if deployment == "t"));
+            assert!(
+                matches!(err, ServeError::ReadOnlyReplica { ref deployment } if deployment == "t")
+            );
             let err = client
-                .call(ServeRequest::TopUpBudget { deployment: "t".into(), energy_mj: 1.0 })
+                .call(ServeRequest::TopUpBudget {
+                    deployment: "t".into(),
+                    energy_mj: 1.0,
+                })
                 .unwrap_err();
             assert!(matches!(err, ServeError::ReadOnlyReplica { .. }));
             // Reads still flow.
             client
-                .call(ServeRequest::Infer { deployment: "t".into(), image: class_image(0, 0.0) })
+                .call(ServeRequest::Infer {
+                    deployment: "t".into(),
+                    image: class_image(0, 0.0),
+                })
                 .unwrap();
-            client.call(ServeRequest::Stats { deployment: "t".into() }).unwrap();
-            client.call(ServeRequest::Snapshot { deployment: "t".into() }).unwrap();
+            client
+                .call(ServeRequest::Stats {
+                    deployment: "t".into(),
+                })
+                .unwrap();
+            client
+                .call(ServeRequest::Snapshot {
+                    deployment: "t".into(),
+                })
+                .unwrap();
         })
         .unwrap();
         // The replica's memory was never touched by the rejected write.
-        assert_eq!(registry.with_model("t", |m| m.em().classes()).unwrap(), vec![0]);
+        assert_eq!(
+            registry.with_model("t", |m| m.em().classes()).unwrap(),
+            vec![0]
+        );
     }
 
     #[test]
@@ -1284,12 +1417,24 @@ mod tests {
         let (tx, _rx) = mpsc::channel();
         let client = ServeClient {
             tx,
-            gauge: Arc::new(DepthGauge { queued: AtomicUsize::new(0), limit: 2 }),
+            gauge: Arc::new(DepthGauge {
+                queued: AtomicUsize::new(0),
+                limit: 2,
+            }),
         };
-        let first = client.submit(ServeRequest::Stats { deployment: "t".into() });
-        let second = client.submit(ServeRequest::Stats { deployment: "t".into() });
-        let shed = client.submit(ServeRequest::Stats { deployment: "t".into() });
-        assert!(matches!(shed.wait(), Err(ServeError::QueueFull { depth: 2 })));
+        let first = client.submit(ServeRequest::Stats {
+            deployment: "t".into(),
+        });
+        let second = client.submit(ServeRequest::Stats {
+            deployment: "t".into(),
+        });
+        let shed = client.submit(ServeRequest::Stats {
+            deployment: "t".into(),
+        });
+        assert!(matches!(
+            shed.wait(),
+            Err(ServeError::QueueFull { depth: 2 })
+        ));
         // The first two were accepted (their replies are still pending).
         drop(_rx);
         assert!(matches!(first.wait(), Err(ServeError::ShuttingDown)));
@@ -1305,7 +1450,11 @@ mod tests {
         };
         ServeRuntime::run(&registry, &config, |client| {
             for _ in 0..4 {
-                client.call(ServeRequest::Stats { deployment: "t".into() }).unwrap();
+                client
+                    .call(ServeRequest::Stats {
+                        deployment: "t".into(),
+                    })
+                    .unwrap();
             }
         })
         .unwrap();
@@ -1315,7 +1464,10 @@ mod tests {
     fn replicated_run_streams_sequence_numbered_commits() {
         let registry = registry_with(&["t"]);
         let (sink, commits) = mpsc::channel();
-        let hooks = ServeHooks { commits: Some(&sink), ..ServeHooks::default() };
+        let hooks = ServeHooks {
+            commits: Some(&sink),
+            ..ServeHooks::default()
+        };
         ServeRuntime::run_with(&registry, &ServeConfig::default(), hooks, |client| {
             client
                 .call(ServeRequest::LearnOnline {
@@ -1336,7 +1488,11 @@ mod tests {
         assert_eq!(commits[0].seq, 1);
         assert_eq!(commits[1].seq, 2);
         assert_eq!(
-            commits[0].updates.iter().map(|(c, _)| *c).collect::<Vec<_>>(),
+            commits[0]
+                .updates
+                .iter()
+                .map(|(c, _)| *c)
+                .collect::<Vec<_>>(),
             vec![0, 1]
         );
         assert_eq!(commits[1].updates[0].0, 2);
@@ -1347,7 +1503,10 @@ mod tests {
                 let stored = registry
                     .with_model("t", |m| m.em().prototype(*class).unwrap().to_vec())
                     .unwrap();
-                assert!(streamed.iter().zip(&stored).all(|(a, b)| a.to_bits() == b.to_bits()));
+                assert!(streamed
+                    .iter()
+                    .zip(&stored)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
             }
         }
         // The snapshot anchor reports the last committed sequence number.
@@ -1420,34 +1579,46 @@ mod tests {
             )
             .unwrap();
         let journal = MemJournal::default();
-        let hooks = ServeHooks { journal: Some(&journal), ..ServeHooks::default() };
-        let stats =
-            ServeRuntime::run_with(&registry, &ServeConfig::default(), hooks, |client| {
-                client
-                    .call(ServeRequest::LearnOnline {
-                        deployment: "t".into(),
-                        batch: support_batch(&[0, 1], 2),
-                    })
-                    .unwrap();
-                client
-                    .call(ServeRequest::TopUpBudget { deployment: "t".into(), energy_mj: 5.0 })
-                    .unwrap();
-                client
-                    .call(ServeRequest::LearnOnline {
-                        deployment: "t".into(),
-                        batch: support_batch(&[2], 2),
-                    })
-                    .unwrap();
-                match client.call(ServeRequest::Stats { deployment: "t".into() }).unwrap() {
-                    ServeResponse::Stats(stats) => stats,
-                    other => panic!("unexpected response {other:?}"),
-                }
-            })
-            .unwrap();
+        let hooks = ServeHooks {
+            journal: Some(&journal),
+            ..ServeHooks::default()
+        };
+        let stats = ServeRuntime::run_with(&registry, &ServeConfig::default(), hooks, |client| {
+            client
+                .call(ServeRequest::LearnOnline {
+                    deployment: "t".into(),
+                    batch: support_batch(&[0, 1], 2),
+                })
+                .unwrap();
+            client
+                .call(ServeRequest::TopUpBudget {
+                    deployment: "t".into(),
+                    energy_mj: 5.0,
+                })
+                .unwrap();
+            client
+                .call(ServeRequest::LearnOnline {
+                    deployment: "t".into(),
+                    batch: support_batch(&[2], 2),
+                })
+                .unwrap();
+            match client
+                .call(ServeRequest::Stats {
+                    deployment: "t".into(),
+                })
+                .unwrap()
+            {
+                ServeResponse::Stats(stats) => stats,
+                other => panic!("unexpected response {other:?}"),
+            }
+        })
+        .unwrap();
 
         let events = journal.events.lock().unwrap();
-        let kinds: Vec<(&str, u64)> =
-            events.iter().map(|(k, _, seq, _, _)| (k.as_str(), *seq)).collect();
+        let kinds: Vec<(&str, u64)> = events
+            .iter()
+            .map(|(k, _, seq, _, _)| (k.as_str(), *seq))
+            .collect();
         // Learn seq 1, top-up at seq 1 (top-ups do not advance), learn seq 2.
         assert_eq!(kinds, vec![("learn", 1), ("topup", 1), ("learn", 2)]);
         // The journaled meter state is the settled post-commit truth: the
@@ -1465,7 +1636,10 @@ mod tests {
         let registry = registry_with(&["t"]);
         let journal = MemJournal::default();
         journal.fail.store(true, Ordering::Release);
-        let hooks = ServeHooks { journal: Some(&journal), ..ServeHooks::default() };
+        let hooks = ServeHooks {
+            journal: Some(&journal),
+            ..ServeHooks::default()
+        };
         ServeRuntime::run_with(&registry, &ServeConfig::default(), hooks, |client| {
             let err = client
                 .call(ServeRequest::LearnOnline {
@@ -1475,7 +1649,11 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, ServeError::Execution(ref msg) if msg.contains("journal")));
             // The runtime keeps serving; reads are unaffected.
-            client.call(ServeRequest::Stats { deployment: "t".into() }).unwrap();
+            client
+                .call(ServeRequest::Stats {
+                    deployment: "t".into(),
+                })
+                .unwrap();
         })
         .unwrap();
     }
@@ -1528,7 +1706,10 @@ mod tests {
         let items: Vec<InferItem> = (0..n)
             .map(|i| {
                 let (reply, _rx) = mpsc::channel();
-                InferItem { image: class_image(i % 2, 0.01), reply }
+                InferItem {
+                    image: class_image(i % 2, 0.01),
+                    reply,
+                }
             })
             .collect();
         run_infer_batch(&deployment, items, None);
@@ -1549,18 +1730,24 @@ mod tests {
         let mut rng = SeedRng::new(0);
         registry
             .register(
-                DeploymentSpec::new("t", (8, 8))
-                    .with_energy_budget(0.0, BudgetPolicy::Reject),
+                DeploymentSpec::new("t", (8, 8)).with_energy_budget(0.0, BudgetPolicy::Reject),
                 OFscilModel::new(BackboneKind::Micro, 16, &mut rng),
             )
             .unwrap();
         ServeRuntime::run(&registry, &ServeConfig::default(), |client| {
             let err = client
-                .call(ServeRequest::Infer { deployment: "t".into(), image: class_image(0, 0.0) })
+                .call(ServeRequest::Infer {
+                    deployment: "t".into(),
+                    image: class_image(0, 0.0),
+                })
                 .unwrap_err();
             assert!(matches!(err, ServeError::BudgetExhausted { .. }));
             // Free requests are always admitted.
-            client.call(ServeRequest::Stats { deployment: "t".into() }).unwrap();
+            client
+                .call(ServeRequest::Stats {
+                    deployment: "t".into(),
+                })
+                .unwrap();
         })
         .unwrap();
         let stats = registry.stats("t").unwrap();
@@ -1578,8 +1765,7 @@ mod tests {
         let mut rng = SeedRng::new(0);
         registry
             .register(
-                DeploymentSpec::new("t", (8, 8))
-                    .with_energy_budget(0.0, BudgetPolicy::Defer),
+                DeploymentSpec::new("t", (8, 8)).with_energy_budget(0.0, BudgetPolicy::Defer),
                 OFscilModel::new(BackboneKind::Micro, 16, &mut rng),
             )
             .unwrap();
@@ -1596,7 +1782,10 @@ mod tests {
                 image: class_image(0, 0.0),
             });
             client
-                .call(ServeRequest::TopUpBudget { deployment: "t".into(), energy_mj: 1e6 })
+                .call(ServeRequest::TopUpBudget {
+                    deployment: "t".into(),
+                    energy_mj: 1e6,
+                })
                 .unwrap();
             parked.wait()
         })
@@ -1608,8 +1797,7 @@ mod tests {
         let mut rng = SeedRng::new(1);
         registry2
             .register(
-                DeploymentSpec::new("t", (8, 8))
-                    .with_energy_budget(0.0, BudgetPolicy::Defer),
+                DeploymentSpec::new("t", (8, 8)).with_energy_budget(0.0, BudgetPolicy::Defer),
                 OFscilModel::new(BackboneKind::Micro, 16, &mut rng),
             )
             .unwrap();
@@ -1620,7 +1808,10 @@ mod tests {
             })
         })
         .unwrap();
-        assert!(matches!(parked.wait(), Err(ServeError::BudgetExhausted { .. })));
+        assert!(matches!(
+            parked.wait(),
+            Err(ServeError::BudgetExhausted { .. })
+        ));
         let stats = registry2.stats("t").unwrap();
         assert_eq!(stats.deferred, 1);
         // A deferral that was never released is ultimately a rejection.

@@ -32,8 +32,7 @@ use crate::{Result, ServeError};
 use ofscil_core::ExplicitMemory;
 use ofscil_quant::PrototypePrecision;
 use ofscil_tensor::bytes::{
-    put_checksum, put_f32s, put_f64, put_u16, put_u32, put_u64, split_checksum, DecodeError,
-    Reader,
+    put_checksum, put_f32s, put_f64, put_u16, put_u32, put_u64, split_checksum, DecodeError, Reader,
 };
 use std::error::Error;
 use std::fmt;
@@ -85,25 +84,43 @@ impl fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SnapshotError::Truncated { needed, actual } => {
-                write!(f, "snapshot truncated: {actual} bytes, need at least {needed}")
+                write!(
+                    f,
+                    "snapshot truncated: {actual} bytes, need at least {needed}"
+                )
             }
             SnapshotError::BadMagic(magic) => {
-                write!(f, "bad snapshot magic {magic:?} (expected {SNAPSHOT_MAGIC:?})")
+                write!(
+                    f,
+                    "bad snapshot magic {magic:?} (expected {SNAPSHOT_MAGIC:?})"
+                )
             }
             SnapshotError::UnsupportedVersion(v) => {
-                write!(f, "unsupported snapshot version {v} (decoder speaks {SNAPSHOT_VERSION})")
+                write!(
+                    f,
+                    "unsupported snapshot version {v} (decoder speaks {SNAPSHOT_VERSION})"
+                )
             }
             SnapshotError::LengthMismatch { expected, actual } => {
-                write!(f, "snapshot length {actual} does not match header-implied {expected}")
+                write!(
+                    f,
+                    "snapshot length {actual} does not match header-implied {expected}"
+                )
             }
             SnapshotError::ChecksumMismatch { stored, computed } => {
-                write!(f, "snapshot checksum {stored:#010x} does not match computed {computed:#010x}")
+                write!(
+                    f,
+                    "snapshot checksum {stored:#010x} does not match computed {computed:#010x}"
+                )
             }
             SnapshotError::BadPrecision(bits) => {
                 write!(f, "snapshot stores an unsupported precision of {bits} bits")
             }
             SnapshotError::ClassOverflow(class) => {
-                write!(f, "snapshot class id {class} overflows usize on this platform")
+                write!(
+                    f,
+                    "snapshot class id {class} overflows usize on this platform"
+                )
             }
         }
     }
@@ -119,8 +136,7 @@ impl Error for SnapshotError {}
 pub fn encode_explicit_memory(em: &ExplicitMemory) -> Vec<u8> {
     let dim = em.dim();
     let count = em.num_classes();
-    let mut bytes =
-        Vec::with_capacity(HEADER_LEN + count * (8 + dim * 4) + CHECKSUM_LEN);
+    let mut bytes = Vec::with_capacity(HEADER_LEN + count * (8 + dim * 4) + CHECKSUM_LEN);
     bytes.extend_from_slice(&SNAPSHOT_MAGIC);
     put_u16(&mut bytes, SNAPSHOT_VERSION);
     bytes.push(em.precision().bits());
@@ -144,7 +160,10 @@ pub fn encode_explicit_memory(em: &ExplicitMemory) -> Vec<u8> {
 /// declare an unsupported precision.
 pub fn decode_explicit_memory(bytes: &[u8]) -> Result<ExplicitMemory> {
     let min = HEADER_LEN + CHECKSUM_LEN;
-    let truncated = || SnapshotError::Truncated { needed: min, actual: bytes.len() };
+    let truncated = || SnapshotError::Truncated {
+        needed: min,
+        actual: bytes.len(),
+    };
     let (covered, stored, computed) = split_checksum(bytes).ok_or_else(truncated)?;
     let mut r = Reader::new(covered);
     // Only the fixed header can run short: the length comparison below
@@ -236,7 +255,11 @@ pub fn encode_budget(budget_mj: Option<f64>, out: &mut Vec<u8>) {
 ///
 /// Returns [`DecodeError::BadTag`] for a tag other than 0 or 1.
 pub fn decode_budget(r: &mut Reader<'_>) -> std::result::Result<Option<f64>, DecodeError> {
-    Ok(if r.flag("option<f64>")? { Some(r.f64()?) } else { None })
+    Ok(if r.flag("option<f64>")? {
+        Some(r.f64()?)
+    } else {
+        None
+    })
 }
 
 #[cfg(test)]
@@ -244,8 +267,7 @@ mod tests {
     use super::*;
 
     fn sample_memory() -> ExplicitMemory {
-        let mut em =
-            ExplicitMemory::with_precision(4, PrototypePrecision::new(8).unwrap());
+        let mut em = ExplicitMemory::with_precision(4, PrototypePrecision::new(8).unwrap());
         em.set_prototype(0, &[0.5, -0.25, 0.75, -1.0]).unwrap();
         em.set_prototype(9, &[-0.1, 0.2, -0.3, 0.4]).unwrap();
         em
@@ -339,7 +361,10 @@ mod tests {
         put_u32(&mut hostile, u32::MAX);
         assert!(matches!(
             decode_prototypes(&mut Reader::new(&hostile)),
-            Err(DecodeError::LengthOverflow { field: "updates", .. })
+            Err(DecodeError::LengthOverflow {
+                field: "updates",
+                ..
+            })
         ));
         let mut hostile = Vec::new();
         put_u32(&mut hostile, 1);
@@ -347,7 +372,10 @@ mod tests {
         put_u32(&mut hostile, 1 << 30);
         assert!(matches!(
             decode_prototypes(&mut Reader::new(&hostile)),
-            Err(DecodeError::LengthOverflow { field: "prototype", .. })
+            Err(DecodeError::LengthOverflow {
+                field: "prototype",
+                ..
+            })
         ));
         assert!(matches!(
             decode_budget(&mut Reader::new(&[7])),

@@ -9,8 +9,8 @@
 //! change that silently degrades the *learning* shows up here as a dropped
 //! `serve_avg` or a grown `forgetting`, and the trajectory gate refuses it.
 
-use ofscil::prelude::*;
 use ofscil::data::Dataset;
+use ofscil::prelude::*;
 
 use crate::record::{Gate, Json};
 use crate::scenario::{sim_err, Ctx, ScenarioCtx, ScenarioReport, SimResult};
@@ -40,7 +40,10 @@ fn serve_accuracy(client: &ServeClient, dataset: &Dataset) -> SimResult<f64> {
     let mut correct = 0u64;
     for sample in dataset.iter() {
         let response = client
-            .call(ServeRequest::Infer { deployment: "audit".into(), image: sample.image.clone() })
+            .call(ServeRequest::Infer {
+                deployment: "audit".into(),
+                image: sample.image.clone(),
+            })
             .ctx("audit infer")?;
         match response {
             ServeResponse::Prediction { class, .. } => {
@@ -75,9 +78,14 @@ pub(crate) fn audit(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
         benchmark.config().total_classes(),
         ctx.seed,
     );
-    let etf_results =
-        run_baseline_protocol(&mut model, &benchmark, &mut etf, FeatureSpace::Projected, 32)
-            .ctx("etf baseline")?;
+    let etf_results = run_baseline_protocol(
+        &mut model,
+        &benchmark,
+        &mut etf,
+        FeatureSpace::Projected,
+        32,
+    )
+    .ctx("etf baseline")?;
 
     // Now the same protocol through the serving stack: clear the explicit
     // memory and deploy the trained model behind the serve API.
@@ -87,10 +95,15 @@ pub(crate) fn audit(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     registry
         .register(DeploymentSpec::new("audit", (side, side)), model)
         .ctx("register audit deployment")?;
-    let config = ServeConfig { workers: 2, ..ServeConfig::default() };
+    let config = ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    };
 
-    let (serve_sessions, base_track) =
-        ServeRuntime::run(&registry, &config, |client| -> SimResult<(Vec<f64>, Vec<f64>)> {
+    let (serve_sessions, base_track) = ServeRuntime::run(
+        &registry,
+        &config,
+        |client| -> SimResult<(Vec<f64>, Vec<f64>)> {
             let mut sessions = Vec::new();
             let mut base_track = Vec::new();
             let test0 = benchmark.test_after_session(0).ctx("base test split")?;
@@ -99,9 +112,14 @@ pub(crate) fn audit(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
             // `run_fscil_protocol` does.
             let base = benchmark.base_train();
             for class in base.classes() {
-                let batch = base.batch(&base.indices_of_class(class)).ctx("base batch")?;
+                let batch = base
+                    .batch(&base.indices_of_class(class))
+                    .ctx("base batch")?;
                 client
-                    .call(ServeRequest::LearnOnline { deployment: "audit".into(), batch })
+                    .call(ServeRequest::LearnOnline {
+                        deployment: "audit".into(),
+                        batch,
+                    })
                     .ctx("base learn")?;
             }
             sessions.push(serve_accuracy(client, &test0)?);
@@ -113,15 +131,21 @@ pub(crate) fn audit(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
             for session in benchmark.sessions() {
                 let support = session.support.full_batch().ctx("support batch")?;
                 client
-                    .call(ServeRequest::LearnOnline { deployment: "audit".into(), batch: support })
+                    .call(ServeRequest::LearnOnline {
+                        deployment: "audit".into(),
+                        batch: support,
+                    })
                     .ctx("session learn")?;
-                let test = benchmark.test_after_session(session.index).ctx("test split")?;
+                let test = benchmark
+                    .test_after_session(session.index)
+                    .ctx("test split")?;
                 sessions.push(serve_accuracy(client, &test)?);
                 base_track.push(serve_accuracy(client, &test0)?);
             }
             Ok((sessions, base_track))
-        })
-        .ctx("serve runtime")??;
+        },
+    )
+    .ctx("serve runtime")??;
 
     let serve_avg = serve_sessions.iter().sum::<f64>() / serve_sessions.len() as f64;
     let forgetting = base_track[0] - base_track[base_track.len() - 1];

@@ -36,9 +36,7 @@ fn parse_args() -> Result<Args, String> {
     };
     let mut iter = std::env::args().skip(1);
     while let Some(arg) = iter.next() {
-        let mut value_of = |flag: &str| {
-            iter.next().ok_or_else(|| format!("{flag} needs a value"))
-        };
+        let mut value_of = |flag: &str| iter.next().ok_or_else(|| format!("{flag} needs a value"));
         match arg.as_str() {
             "--scenario" => args.selector = value_of("--scenario")?,
             "--seed" => {
@@ -85,7 +83,11 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    eprintln!("simbench: {} scenario(s), seed {}", selected.len(), args.seed);
+    eprintln!(
+        "simbench: {} scenario(s), seed {}",
+        selected.len(),
+        args.seed
+    );
 
     // The committed baseline must be read *before* appending the fresh line.
     let baseline = match read_last_line(&args.out) {
@@ -110,7 +112,10 @@ fn main() -> ExitCode {
         eprintln!("simbench: {e}");
         return ExitCode::FAILURE;
     }
-    eprintln!("simbench: appended trajectory line to {}", args.out.display());
+    eprintln!(
+        "simbench: appended trajectory line to {}",
+        args.out.display()
+    );
 
     if args.check {
         let Some(baseline) = baseline else {
@@ -126,7 +131,10 @@ fn main() -> ExitCode {
             eprintln!("simbench: --check: no regressions vs committed baseline");
         } else {
             for regression in &regressions {
-                eprintln!("simbench: REGRESSION {}: {}", regression.path, regression.detail);
+                eprintln!(
+                    "simbench: REGRESSION {}: {}",
+                    regression.path, regression.detail
+                );
             }
             return ExitCode::FAILURE;
         }

@@ -221,10 +221,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                                 let hex = bytes
                                     .get(*pos + 1..*pos + 5)
                                     .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex)
-                                    .map_err(|_| "non-ASCII \\u escape")?;
-                                let code = u32::from_str_radix(hex, 16)
-                                    .map_err(|_| "bad \\u escape")?;
+                                let hex =
+                                    std::str::from_utf8(hex).map_err(|_| "non-ASCII \\u escape")?;
+                                let code =
+                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                                 s.push(
                                     char::from_u32(code)
                                         .ok_or("surrogate \\u escape unsupported")?,
@@ -265,10 +265,11 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             {
                 *pos += 1;
             }
-            let text = std::str::from_utf8(&bytes[start..*pos])
-                .expect("ASCII by construction");
+            let text = std::str::from_utf8(&bytes[start..*pos]).expect("ASCII by construction");
             if text.bytes().all(|b| b.is_ascii_digit() || b == b'-') {
-                text.parse::<i64>().map(Json::Int).map_err(|e| format!("bad int {text:?}: {e}"))
+                text.parse::<i64>()
+                    .map(Json::Int)
+                    .map_err(|e| format!("bad int {text:?}: {e}"))
             } else {
                 text.parse::<f64>()
                     .map(Json::Float)
@@ -305,7 +306,9 @@ pub fn read_last_line(path: &Path) -> Result<Option<Json>, String> {
         Err(e) => return Err(format!("read {}: {e}", path.display())),
     };
     match text.lines().rev().find(|line| !line.trim().is_empty()) {
-        Some(line) => parse(line).map(Some).map_err(|e| format!("{}: {e}", path.display())),
+        Some(line) => parse(line)
+            .map(Some)
+            .map_err(|e| format!("{}: {e}", path.display())),
         None => Ok(None),
     }
 }
@@ -385,11 +388,7 @@ pub fn compare_runs(
                 if base != new {
                     regressions.push(Regression {
                         path,
-                        detail: format!(
-                            "expected {} exactly, got {}",
-                            base.render(),
-                            new.render()
-                        ),
+                        detail: format!("expected {} exactly, got {}", base.render(), new.render()),
                     });
                 }
             }
@@ -438,7 +437,11 @@ mod tests {
             ("ok".into(), Json::Bool(true)),
             (
                 "arr".into(),
-                Json::Arr(vec![Json::Int(-3), Json::Float(0.5), Json::Str("a\"b\\c".into())]),
+                Json::Arr(vec![
+                    Json::Int(-3),
+                    Json::Float(0.5),
+                    Json::Str("a\"b\\c".into()),
+                ]),
             ),
         ]);
         let rendered = doc.render();
@@ -450,7 +453,15 @@ mod tests {
 
     #[test]
     fn parser_rejects_malformed_documents() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "\"unterminated", "{\"a\" 1}", "12 34"] {
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "\"unterminated",
+            "{\"a\" 1}",
+            "12 34",
+        ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
     }
@@ -485,8 +496,16 @@ mod tests {
     #[test]
     fn gate_flags_quality_drops_and_exact_mismatches() {
         let gates = vec![
-            ("audit".to_string(), "serve_avg".to_string(), Gate::AtLeast { slack: 0.02 }),
-            ("audit".to_string(), "hostile_rejected".to_string(), Gate::Exact),
+            (
+                "audit".to_string(),
+                "serve_avg".to_string(),
+                Gate::AtLeast { slack: 0.02 },
+            ),
+            (
+                "audit".to_string(),
+                "hostile_rejected".to_string(),
+                Gate::Exact,
+            ),
         ];
         // Within slack: clean.
         assert!(compare_runs(&line(7, 0.80, 5), &line(7, 0.79, 5), &gates).is_empty());

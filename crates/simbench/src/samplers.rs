@@ -28,8 +28,9 @@ impl Zipfian {
     /// programming error, not a workload.
     pub fn new(n: usize, exponent: f64) -> Self {
         assert!(n >= 1, "a Zipfian needs at least one rank");
-        let weights: Vec<f64> =
-            (0..n).map(|rank| 1.0 / ((rank + 1) as f64).powf(exponent)).collect();
+        let weights: Vec<f64> = (0..n)
+            .map(|rank| 1.0 / ((rank + 1) as f64).powf(exponent))
+            .collect();
         let total: f64 = weights.iter().sum();
         let mut acc = 0.0;
         let mut cdf: Vec<f64> = weights
@@ -130,7 +131,10 @@ impl DriftSchedule {
     ///
     /// Panics when `phases` is empty or any phase introduces no classes.
     pub(crate) fn new(phases: Vec<Vec<usize>>, hot_share: f64) -> Self {
-        assert!(!phases.is_empty(), "a drift schedule needs at least one phase");
+        assert!(
+            !phases.is_empty(),
+            "a drift schedule needs at least one phase"
+        );
         assert!(
             phases.iter().all(|p| !p.is_empty()),
             "every drift phase must introduce at least one class"
@@ -212,7 +216,10 @@ mod tests {
     fn zipf_empirical_shares_match_expected_share() {
         let zipf = Zipfian::new(6, 1.1);
         let total: f64 = (0..6).map(|r| zipf.expected_share(r)).sum();
-        assert!((total - 1.0).abs() < 1e-12, "shares must sum to 1, got {total}");
+        assert!(
+            (total - 1.0).abs() < 1e-12,
+            "shares must sum to 1, got {total}"
+        );
         let mut rng = SeedRng::new(99);
         let draws = 40_000;
         let mut counts = vec![0u64; zipf.len()];
@@ -234,12 +241,17 @@ mod tests {
     /// exactly periodic.
     #[test]
     fn diurnal_period_integral_matches_closed_form_mean() {
-        let curve = Diurnal { floor: 2.0, peak: 14.0, period: 24.0 };
+        let curve = Diurnal {
+            floor: 2.0,
+            peak: 14.0,
+            period: 24.0,
+        };
         let steps = 200_000;
         let dt = curve.period / steps as f64;
         // Midpoint rule — O(dt²) error, far below the assertion tolerance.
-        let integral: f64 =
-            (0..steps).map(|i| curve.level((i as f64 + 0.5) * dt) * dt).sum();
+        let integral: f64 = (0..steps)
+            .map(|i| curve.level((i as f64 + 0.5) * dt) * dt)
+            .sum();
         let expected = curve.mean_level() * curve.period;
         assert!(
             (integral - expected).abs() < 1e-6,
@@ -254,8 +266,7 @@ mod tests {
 
     #[test]
     fn drift_schedule_reveals_classes_in_phases() {
-        let drift =
-            DriftSchedule::new(vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]], 0.7);
+        let drift = DriftSchedule::new(vec![vec![0, 1, 2], vec![3, 4], vec![5, 6]], 0.7);
         assert_eq!(drift.num_phases(), 3);
         assert_eq!(drift.seen(0), vec![0, 1, 2]);
         assert_eq!(drift.seen(2), vec![0, 1, 2, 3, 4, 5, 6]);

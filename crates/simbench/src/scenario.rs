@@ -63,17 +63,28 @@ pub struct ScenarioReport {
 impl ScenarioReport {
     /// Starts an empty report.
     pub fn new(name: &'static str) -> Self {
-        ScenarioReport { name, metrics: Vec::new() }
+        ScenarioReport {
+            name,
+            metrics: Vec::new(),
+        }
     }
 
     /// Records an integer metric.
     pub(crate) fn int(&mut self, key: &'static str, value: i64, gate: Gate) {
-        self.metrics.push(Metric { key, value: Json::Int(value), gate });
+        self.metrics.push(Metric {
+            key,
+            value: Json::Int(value),
+            gate,
+        });
     }
 
     /// Records a float metric.
     pub(crate) fn float(&mut self, key: &'static str, value: f64, gate: Gate) {
-        self.metrics.push(Metric { key, value: Json::Float(value), gate });
+        self.metrics.push(Metric {
+            key,
+            value: Json::Float(value),
+            gate,
+        });
     }
 
     /// Records an arbitrary JSON metric.
@@ -84,7 +95,10 @@ impl ScenarioReport {
     /// The scenario's JSON object.
     pub fn to_json(&self) -> Json {
         Json::Obj(
-            self.metrics.iter().map(|m| (m.key.to_string(), m.value.clone())).collect(),
+            self.metrics
+                .iter()
+                .map(|m| (m.key.to_string(), m.value.clone()))
+                .collect(),
         )
     }
 }
@@ -249,7 +263,11 @@ pub fn run(
         let report = (scenario.run)(&ScenarioCtx::new(seed, scenario.name))?;
         for metric in &report.metrics {
             if metric.gate != Gate::None {
-                gates.push((scenario.name.to_string(), metric.key.to_string(), metric.gate));
+                gates.push((
+                    scenario.name.to_string(),
+                    metric.key.to_string(),
+                    metric.gate,
+                ));
             }
         }
         scenario_objects.push((scenario.name.to_string(), report.to_json()));
@@ -296,6 +314,9 @@ mod tests {
         report.int("count", 3, Gate::Exact);
         report.float("accuracy", 0.5, Gate::AtLeast { slack: 0.02 });
         report.value("sessions", Json::Arr(vec![Json::Float(0.25)]), Gate::None);
-        assert_eq!(report.to_json().render(), "{\"count\":3,\"accuracy\":0.5,\"sessions\":[0.25]}");
+        assert_eq!(
+            report.to_json().render(),
+            "{\"count\":3,\"accuracy\":0.5,\"sessions\":[0.25]}"
+        );
     }
 }

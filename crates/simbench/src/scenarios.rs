@@ -13,10 +13,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ofscil::prelude::*;
+use ofscil::router::harness::ShardProcess;
 use ofscil::serve::traffic;
 use ofscil::wire::codec::{decode_response, encode_request, WireRequest};
 use ofscil::wire::frame::{parse_frame, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
-use ofscil::router::harness::ShardProcess;
 
 use crate::record::Gate;
 use crate::samplers::{Diurnal, DriftSchedule, Zipfian};
@@ -47,7 +47,10 @@ fn registry_with(names: &[&str]) -> SimResult<Arc<LearnerRegistry>> {
 }
 
 fn serve_config() -> ServeConfig {
-    ServeConfig { workers: 2, ..ServeConfig::default() }
+    ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    }
 }
 
 fn predicted(response: ServeResponse) -> SimResult<usize> {
@@ -79,7 +82,10 @@ pub(crate) fn zipf_mixed(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     ServeRuntime::run_with(
         &registry,
         &serve_config(),
-        ServeHooks { obs: Some(obs.sink()), ..ServeHooks::default() },
+        ServeHooks {
+            obs: Some(obs.sink()),
+            ..ServeHooks::default()
+        },
         |client| -> SimResult<()> {
             for tenant in TENANTS {
                 client
@@ -129,7 +135,9 @@ pub(crate) fn zipf_mixed(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
         let stats = registry.stats(tenant).ctx("tenant stats")?;
         counted += stats.accepted();
         if stats.rejected() != 0 {
-            return Err(sim_err(format!("unlimited-budget tenant {tenant} rejected work")));
+            return Err(sim_err(format!(
+                "unlimited-budget tenant {tenant} rejected work"
+            )));
         }
     }
     if counted != learns + infers {
@@ -158,9 +166,21 @@ pub(crate) fn zipf_mixed(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     report.int("learns", learns as i64, Gate::Exact);
     report.int("infers", infers as i64, Gate::Exact);
     report.int("hot_tenant_requests", per_tenant[0] as i64, Gate::Exact);
-    report.float("hot_tenant_share", per_tenant[0] as f64 / TICKS as f64, Gate::None);
-    report.float("hot_tenant_share_expected", zipf.expected_share(0), Gate::None);
-    report.float("accuracy", correct as f64 / infers as f64, Gate::AtLeast { slack: 0.02 });
+    report.float(
+        "hot_tenant_share",
+        per_tenant[0] as f64 / TICKS as f64,
+        Gate::None,
+    );
+    report.float(
+        "hot_tenant_share_expected",
+        zipf.expected_share(0),
+        Gate::None,
+    );
+    report.float(
+        "accuracy",
+        correct as f64 / infers as f64,
+        Gate::AtLeast { slack: 0.02 },
+    );
     report.int("obs_events", obs_counters.appended as i64, Gate::Exact);
     report.int("obs_dropped", obs_counters.dropped as i64, Gate::Exact);
     Ok(report)
@@ -172,39 +192,47 @@ pub(crate) fn zipf_mixed(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
 pub(crate) fn diurnal(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const TICKS: u64 = 48;
     let registry = registry_with(&["diurnal"])?;
-    let curve = Diurnal { floor: 1.0, peak: 6.0, period: 24.0 };
+    let curve = Diurnal {
+        floor: 1.0,
+        peak: 6.0,
+        period: 24.0,
+    };
     let mut rng = SeedRng::new(ctx.rng_seed());
 
     let mut offered = 0u64;
     let mut peak_tick = 0u64;
     let mut correct = 0u64;
-    WireServer::run(&registry, &WireConfig::tcp_loopback(), |handle| -> SimResult<()> {
-        let mut client = WireClient::connect(handle.addr()).ctx("connect")?;
-        client
-            .call(ServeRequest::LearnOnline {
-                deployment: "diurnal".into(),
-                batch: traffic::support_batch(SIDE, &[0, 1, 2], 3),
-            })
-            .ctx("seed classes")?;
-        for t in 0..TICKS {
-            let load = curve.requests_at(t);
-            peak_tick = peak_tick.max(load);
-            for _ in 0..load {
-                let class = rng.below(3);
-                let response = client
-                    .call(ServeRequest::Infer {
-                        deployment: "diurnal".into(),
-                        image: traffic::class_image(SIDE, class, 0.01),
-                    })
-                    .ctx("diurnal infer")?;
-                offered += 1;
-                if predicted(response)? == class {
-                    correct += 1;
+    WireServer::run(
+        &registry,
+        &WireConfig::tcp_loopback(),
+        |handle| -> SimResult<()> {
+            let mut client = WireClient::connect(handle.addr()).ctx("connect")?;
+            client
+                .call(ServeRequest::LearnOnline {
+                    deployment: "diurnal".into(),
+                    batch: traffic::support_batch(SIDE, &[0, 1, 2], 3),
+                })
+                .ctx("seed classes")?;
+            for t in 0..TICKS {
+                let load = curve.requests_at(t);
+                peak_tick = peak_tick.max(load);
+                for _ in 0..load {
+                    let class = rng.below(3);
+                    let response = client
+                        .call(ServeRequest::Infer {
+                            deployment: "diurnal".into(),
+                            image: traffic::class_image(SIDE, class, 0.01),
+                        })
+                        .ctx("diurnal infer")?;
+                    offered += 1;
+                    if predicted(response)? == class {
+                        correct += 1;
+                    }
                 }
             }
-        }
-        Ok(())
-    })
+            Ok(())
+        },
+    )
     .ctx("wire server")??;
 
     let measured_mean = offered as f64 / TICKS as f64;
@@ -222,7 +250,11 @@ pub(crate) fn diurnal(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     report.int("peak_tick_load", peak_tick as i64, Gate::Exact);
     report.float("mean_per_tick", measured_mean, Gate::None);
     report.float("mean_level_analytic", curve.mean_level(), Gate::None);
-    report.float("accuracy", correct as f64 / offered as f64, Gate::AtLeast { slack: 0.02 });
+    report.float(
+        "accuracy",
+        correct as f64 / offered as f64,
+        Gate::AtLeast { slack: 0.02 },
+    );
     Ok(report)
 }
 
@@ -239,41 +271,47 @@ pub(crate) fn learn_storm(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     let mut learns = 0u64;
     let mut infers = 0u64;
     let mut snapshot_sizes = Vec::new();
-    WireServer::run(&registry, &WireConfig::tcp_loopback(), |handle| -> SimResult<()> {
-        let mut client = WireClient::connect(handle.addr()).ctx("connect")?;
-        for storm in 0..STORMS {
-            // Each storm introduces three new classes, then hammers them
-            // with redundant learns (the bursty part).
-            let classes = [3 * storm, 3 * storm + 1, 3 * storm + 2];
-            for _ in 0..LEARNS_PER_STORM {
-                client
-                    .call(ServeRequest::LearnOnline {
+    WireServer::run(
+        &registry,
+        &WireConfig::tcp_loopback(),
+        |handle| -> SimResult<()> {
+            let mut client = WireClient::connect(handle.addr()).ctx("connect")?;
+            for storm in 0..STORMS {
+                // Each storm introduces three new classes, then hammers them
+                // with redundant learns (the bursty part).
+                let classes = [3 * storm, 3 * storm + 1, 3 * storm + 2];
+                for _ in 0..LEARNS_PER_STORM {
+                    client
+                        .call(ServeRequest::LearnOnline {
+                            deployment: "storm".into(),
+                            batch: traffic::support_batch(SIDE, &classes, 2),
+                        })
+                        .ctx("storm learn")?;
+                    learns += 1;
+                }
+                for _ in 0..INFERS_PER_LULL {
+                    let class = classes[rng.below(classes.len())];
+                    client
+                        .call(ServeRequest::Infer {
+                            deployment: "storm".into(),
+                            image: traffic::class_image(SIDE, class, 0.01),
+                        })
+                        .ctx("lull infer")?;
+                    infers += 1;
+                }
+                let response = client
+                    .call(ServeRequest::Snapshot {
                         deployment: "storm".into(),
-                        batch: traffic::support_batch(SIDE, &classes, 2),
                     })
-                    .ctx("storm learn")?;
-                learns += 1;
+                    .ctx("storm snapshot")?;
+                match response {
+                    ServeResponse::Snapshot { bytes } => snapshot_sizes.push(bytes.len()),
+                    other => return Err(sim_err(format!("expected snapshot, got {other:?}"))),
+                }
             }
-            for _ in 0..INFERS_PER_LULL {
-                let class = classes[rng.below(classes.len())];
-                client
-                    .call(ServeRequest::Infer {
-                        deployment: "storm".into(),
-                        image: traffic::class_image(SIDE, class, 0.01),
-                    })
-                    .ctx("lull infer")?;
-                infers += 1;
-            }
-            let response = client
-                .call(ServeRequest::Snapshot { deployment: "storm".into() })
-                .ctx("storm snapshot")?;
-            match response {
-                ServeResponse::Snapshot { bytes } => snapshot_sizes.push(bytes.len()),
-                other => return Err(sim_err(format!("expected snapshot, got {other:?}"))),
-            }
-        }
-        Ok(())
-    })
+            Ok(())
+        },
+    )
     .ctx("wire server")??;
 
     if !snapshot_sizes.windows(2).all(|w| w[0] < w[1]) {
@@ -283,7 +321,9 @@ pub(crate) fn learn_storm(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     }
     let seq = registry.replication_seq("storm").ctx("replication seq")?;
     if seq != learns {
-        return Err(sim_err(format!("replication seq {seq} != committed learns {learns}")));
+        return Err(sim_err(format!(
+            "replication seq {seq} != committed learns {learns}"
+        )));
     }
     let stats = registry.stats("storm").ctx("storm stats")?;
     let mut report = ScenarioReport::new("learn_storm");
@@ -345,16 +385,26 @@ pub fn drift(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
             if phase == 0 {
                 let base = benchmark.base_train();
                 for class in base.classes() {
-                    let batch = base.batch(&base.indices_of_class(class)).ctx("base batch")?;
+                    let batch = base
+                        .batch(&base.indices_of_class(class))
+                        .ctx("base batch")?;
                     client
-                        .call(ServeRequest::LearnOnline { deployment: "drift".into(), batch })
+                        .call(ServeRequest::LearnOnline {
+                            deployment: "drift".into(),
+                            batch,
+                        })
                         .ctx("base learn")?;
                 }
             } else {
-                let support =
-                    benchmark.sessions()[phase - 1].support.full_batch().ctx("support")?;
+                let support = benchmark.sessions()[phase - 1]
+                    .support
+                    .full_batch()
+                    .ctx("support")?;
                 client
-                    .call(ServeRequest::LearnOnline { deployment: "drift".into(), batch: support })
+                    .call(ServeRequest::LearnOnline {
+                        deployment: "drift".into(),
+                        batch: support,
+                    })
                     .ctx("session learn")?;
             }
             // Query traffic for this phase, recency-weighted.
@@ -391,7 +441,11 @@ pub fn drift(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     report.int("phases", schedule.num_phases() as i64, Gate::Exact);
     report.int("queries", queries as i64, Gate::Exact);
     report.int("classes_final", stats.classes as i64, Gate::Exact);
-    report.float("hot_query_fraction", hot_hits as f64 / queries as f64, Gate::None);
+    report.float(
+        "hot_query_fraction",
+        hot_hits as f64 / queries as f64,
+        Gate::None,
+    );
     report.float(
         "accuracy_overall",
         correct as f64 / queries as f64,
@@ -483,7 +537,10 @@ pub(crate) fn byzantine_frames(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     const VALID_AFTER: usize = 10;
     const DEPLOYMENTS: [&str; 2] = ["alpha", "beta"];
     let registries = [registry_with(&DEPLOYMENTS)?, registry_with(&DEPLOYMENTS)?];
-    let shard_obs = [Obs::new(ObsConfig::default()), Obs::new(ObsConfig::default())];
+    let shard_obs = [
+        Obs::new(ObsConfig::default()),
+        Obs::new(ObsConfig::default()),
+    ];
     let shards: Vec<ShardProcess> = registries
         .iter()
         .zip(&shard_obs)
@@ -771,7 +828,10 @@ pub(crate) fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
         .ctx("spawn shard")?;
         shards.push(Some(shard));
     }
-    let addrs = shards.iter().map(|s| s.as_ref().expect("live").addr().clone()).collect();
+    let addrs = shards
+        .iter()
+        .map(|s| s.as_ref().expect("live").addr().clone())
+        .collect();
     let config = RouterConfig::tcp_loopback(addrs)
         .with_deployments(&TENANTS)
         .with_obs(obs.clone());
@@ -843,7 +903,10 @@ pub(crate) fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
         // the murder, or the promoted primary would serve stale memory.
         let deadline = Instant::now() + Duration::from_secs(30);
         for tenant in &tailed {
-            let idx = TENANTS.iter().position(|t| t == tenant).expect("known tenant");
+            let idx = TENANTS
+                .iter()
+                .position(|t| t == tenant)
+                .expect("known tenant");
             while replica_registry.replication_seq(tenant).unwrap_or(0) < learns_per[idx] {
                 if Instant::now() >= deadline {
                     return Err(sim_err(format!("replica never caught up on {tenant}")));
@@ -879,9 +942,7 @@ pub(crate) fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
                     ControlAction::PromoteFollower { shard, .. } if *shard == victim => {
                         promoted = true;
                     }
-                    other => {
-                        return Err(sim_err(format!("unexpected control action {other}")))
-                    }
+                    other => return Err(sim_err(format!("unexpected control action {other}"))),
                 }
             }
             if !report.failures.is_empty() {
@@ -950,10 +1011,18 @@ pub(crate) fn chaos_recovery(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
         report.int("burst_requests", burst_requests as i64, Gate::Exact);
         report.int("promotions", promotions, Gate::Exact);
         report.int("manual_recovery_calls", 0, Gate::Exact);
-        report.int("breaker_open_seen", i64::from(open_at.is_some()), Gate::Exact);
+        report.int(
+            "breaker_open_seen",
+            i64::from(open_at.is_some()),
+            Gate::Exact,
+        );
         report.int("timeline_ordered", i64::from(ordered), Gate::Exact);
         report.int("tenants_serving_after", tenants_serving as i64, Gate::Exact);
-        report.float("accuracy", correct as f64 / infers as f64, Gate::AtLeast { slack: 0.05 });
+        report.float(
+            "accuracy",
+            correct as f64 / infers as f64,
+            Gate::AtLeast { slack: 0.05 },
+        );
         Ok(report)
     })
     .ctx("router")??;
@@ -977,8 +1046,10 @@ pub(crate) fn stale_replay(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     let registry = registry_with(&["replay"])?;
     let mut rng = SeedRng::new(ctx.rng_seed());
 
-    let report =
-        ServeRuntime::run(&registry, &serve_config(), |client| -> SimResult<ScenarioReport> {
+    let report = ServeRuntime::run(
+        &registry,
+        &serve_config(),
+        |client| -> SimResult<ScenarioReport> {
             let learn = |class: usize| {
                 client
                     .call(ServeRequest::LearnOnline {
@@ -997,26 +1068,25 @@ pub(crate) fn stale_replay(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
             }
             let seq_before_replay = registry.replication_seq("replay").ctx("seq")?;
 
-        // Attack 1: replay the stale export verbatim. The import itself is a
-        // legitimate operation (it is how migration works); the invariant is
-        // that the sequence jumps *forward* so subscribers resync.
-        let classes_after_replay =
-            registry.import_deployment(&export).ctx("stale import")?;
-        let seq_after_replay = registry.replication_seq("replay").ctx("seq")?;
-        if seq_after_replay <= seq_before_replay {
-            return Err(sim_err(format!(
-                "replication seq moved backwards: {seq_before_replay} -> {seq_after_replay}"
-            )));
-        }
+            // Attack 1: replay the stale export verbatim. The import itself is a
+            // legitimate operation (it is how migration works); the invariant is
+            // that the sequence jumps *forward* so subscribers resync.
+            let classes_after_replay = registry.import_deployment(&export).ctx("stale import")?;
+            let seq_after_replay = registry.replication_seq("replay").ctx("seq")?;
+            if seq_after_replay <= seq_before_replay {
+                return Err(sim_err(format!(
+                    "replication seq moved backwards: {seq_before_replay} -> {seq_after_replay}"
+                )));
+            }
 
-        // Attack 2: a corrupted snapshot must be rejected with a typed error
-        // and leave the state untouched.
-        let mut corrupt = export.clone();
-        let victim = rng.below(corrupt.snapshot.len());
-        corrupt.snapshot[victim] ^= 0xa5;
-        corrupt.seq = seq_after_replay + 100;
-        let corrupt_rejected = registry.import_deployment(&corrupt).is_err();
-        let seq_after_corrupt = registry.replication_seq("replay").ctx("seq")?;
+            // Attack 2: a corrupted snapshot must be rejected with a typed error
+            // and leave the state untouched.
+            let mut corrupt = export.clone();
+            let victim = rng.below(corrupt.snapshot.len());
+            corrupt.snapshot[victim] ^= 0xa5;
+            corrupt.seq = seq_after_replay + 100;
+            let corrupt_rejected = registry.import_deployment(&corrupt).is_err();
+            let seq_after_corrupt = registry.replication_seq("replay").ctx("seq")?;
 
             // The deployment recovers by re-learning what the replay clobbered.
             for class in 3..6 {
@@ -1031,29 +1101,38 @@ pub(crate) fn stale_replay(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
             let recovered_prediction_ok = predicted(response)? == 1;
             let classes_recovered = registry.stats("replay").ctx("stats")?.classes;
 
-        let mut report = ScenarioReport::new("stale_replay");
-        report.int("seq_at_export", seq_at_export as i64, Gate::Exact);
-        report.int("seq_before_replay", seq_before_replay as i64, Gate::Exact);
-        report.int("seq_after_replay", seq_after_replay as i64, Gate::Exact);
-        report.int("seq_monotonic", 1, Gate::Exact);
-        report.int("classes_after_replay", classes_after_replay as i64, Gate::Exact);
-        report.int("classes_recovered", classes_recovered as i64, Gate::Exact);
-        report.int("corrupt_import_rejected", i64::from(corrupt_rejected), Gate::Exact);
-        report.int(
-            "seq_unchanged_by_corrupt_import",
-            i64::from(seq_after_corrupt == seq_after_replay),
-            Gate::Exact,
-        );
-        report.int(
-            "recovered_prediction_ok",
-            i64::from(recovered_prediction_ok),
-            Gate::Exact,
-        );
-        if !corrupt_rejected {
-            return Err(sim_err("corrupted snapshot import was accepted"));
-        }
-        Ok(report)
-    })
+            let mut report = ScenarioReport::new("stale_replay");
+            report.int("seq_at_export", seq_at_export as i64, Gate::Exact);
+            report.int("seq_before_replay", seq_before_replay as i64, Gate::Exact);
+            report.int("seq_after_replay", seq_after_replay as i64, Gate::Exact);
+            report.int("seq_monotonic", 1, Gate::Exact);
+            report.int(
+                "classes_after_replay",
+                classes_after_replay as i64,
+                Gate::Exact,
+            );
+            report.int("classes_recovered", classes_recovered as i64, Gate::Exact);
+            report.int(
+                "corrupt_import_rejected",
+                i64::from(corrupt_rejected),
+                Gate::Exact,
+            );
+            report.int(
+                "seq_unchanged_by_corrupt_import",
+                i64::from(seq_after_corrupt == seq_after_replay),
+                Gate::Exact,
+            );
+            report.int(
+                "recovered_prediction_ok",
+                i64::from(recovered_prediction_ok),
+                Gate::Exact,
+            );
+            if !corrupt_rejected {
+                return Err(sim_err("corrupted snapshot import was accepted"));
+            }
+            Ok(report)
+        },
+    )
     .ctx("serve runtime")??;
     Ok(report)
 }
@@ -1109,8 +1188,11 @@ pub(crate) fn obs_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
         let kind = EventKind::ALL[rng.below(EventKind::ALL.len())];
         // Exact binary fractions: sums stay bit-identical no matter how
         // chunks and rollup cells regroup them.
-        let accuracy =
-            if rng.below(4) == 0 { f32::NAN } else { rng.below(65) as f32 / 64.0 };
+        let accuracy = if rng.below(4) == 0 {
+            f32::NAN
+        } else {
+            rng.below(65) as f32 / 64.0
+        };
         let event = Event::new(kind, &format!("cam-{}", rng.below(3)))
             .with_seq(seq as u64)
             .with_time_us((rng.below(BUCKETS) * bucket + rng.below(bucket)) as u64)
@@ -1147,7 +1229,10 @@ pub(crate) fn obs_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     }
     let pre_kill = store.counters();
     if pre_kill.appended != TOTAL as u64 {
-        return Err(sim_err(format!("store appended {} != {TOTAL}", pre_kill.appended)));
+        return Err(sim_err(format!(
+            "store appended {} != {TOTAL}",
+            pre_kill.appended
+        )));
     }
 
     // The kill: the active chunk dies unsealed with the process, and the
@@ -1158,8 +1243,7 @@ pub(crate) fn obs_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     std::fs::write(&spill_path, &bytes).ctx("tear spill tail")?;
 
     // Recovery: reopen, rehydrate into a brand-new store.
-    let (spill, recovery) =
-        ObsSpill::open_with(&spill_path, SPILL_BUDGET).ctx("reopen spill")?;
+    let (spill, recovery) = ObsSpill::open_with(&spill_path, SPILL_BUDGET).ctx("reopen spill")?;
     if recovery.epoch == 0 {
         return Err(sim_err("spill GC never compacted despite the tight budget"));
     }
@@ -1188,16 +1272,40 @@ pub(crate) fn obs_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     let mut report = ScenarioReport::new("obs_soak");
     report.int("events", TOTAL as i64, Gate::Exact);
     report.int("sealed_events", sealed_events as i64, Gate::Exact);
-    report.int("spilled_chunks", pre_kill.spilled_chunks as i64, Gate::Exact);
+    report.int(
+        "spilled_chunks",
+        pre_kill.spilled_chunks as i64,
+        Gate::Exact,
+    );
     report.int("rollup_rows", pre_kill.rollup_rows as i64, Gate::Exact);
     report.int("matched_total", matched_total as i64, Gate::Exact);
     report.int("rollup_cells", rollup_cells as i64, Gate::Exact);
-    report.int("recovered_chunks", recovery.chunks.len() as i64, Gate::Exact);
-    report.int("recovered_chunk_events", recovery.events() as i64, Gate::Exact);
-    report.int("recovered_rollup_cells", recovery.rollups.len() as i64, Gate::Exact);
+    report.int(
+        "recovered_chunks",
+        recovery.chunks.len() as i64,
+        Gate::Exact,
+    );
+    report.int(
+        "recovered_chunk_events",
+        recovery.events() as i64,
+        Gate::Exact,
+    );
+    report.int(
+        "recovered_rollup_cells",
+        recovery.rollups.len() as i64,
+        Gate::Exact,
+    );
     report.int("spill_epoch", recovery.epoch as i64, Gate::Exact);
-    report.int("corrupt_records", recovery.corrupt_records as i64, Gate::Exact);
-    report.int("rehydrated_matched", got.aggregates.matched as i64, Gate::Exact);
+    report.int(
+        "corrupt_records",
+        recovery.corrupt_records as i64,
+        Gate::Exact,
+    );
+    report.int(
+        "rehydrated_matched",
+        got.aggregates.matched as i64,
+        Gate::Exact,
+    );
     report.int("sealed_window_identical", 1, Gate::Exact);
     Ok(report)
 }
@@ -1245,9 +1353,16 @@ pub(crate) fn stream_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
 
     let mut rng = SeedRng::new(ctx.rng_seed());
     let mut synth = |seq: usize| -> Event {
-        let kind = if rng.below(4) == 0 { EventKind::Learn } else { EventKind::Infer };
-        let accuracy =
-            if rng.below(4) == 0 { f32::NAN } else { rng.below(65) as f32 / 64.0 };
+        let kind = if rng.below(4) == 0 {
+            EventKind::Learn
+        } else {
+            EventKind::Infer
+        };
+        let accuracy = if rng.below(4) == 0 {
+            f32::NAN
+        } else {
+            rng.below(65) as f32 / 64.0
+        };
         Event::new(kind, &format!("cam-{}", rng.below(3)))
             .with_seq(seq as u64)
             .with_time_us(1_000 * seq as u64)
@@ -1329,13 +1444,22 @@ pub(crate) fn stream_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
             resumed_tail.backfill.truncated
         )));
     }
-    if resumed_tail.backfill.events.iter().any(|e| e.order_key() <= cursor.key()) {
-        return Err(sim_err("back-fill leaked a row at or before the resume cursor"));
+    if resumed_tail
+        .backfill
+        .events
+        .iter()
+        .any(|e| e.order_key() <= cursor.key())
+    {
+        return Err(sim_err(
+            "back-fill leaked a row at or before the resume cursor",
+        ));
     }
     spliced.extend(resumed_tail.backfill.events.iter().cloned());
     let reference = store.query(&raw);
     if reference.truncated || reference.events.len() != RESUME_PREFIX + RESUME_MISSED {
-        return Err(sim_err("post-hoc reference query did not cover the full range"));
+        return Err(sim_err(
+            "post-hoc reference query did not cover the full range",
+        ));
     }
     let splice_bitexact = spliced.iter().map(bits).collect::<Vec<_>>()
         == reference.events.iter().map(bits).collect::<Vec<_>>();
@@ -1357,16 +1481,17 @@ pub(crate) fn stream_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
             .ctx("spawn observed shard")
         })
         .collect::<SimResult<_>>()?;
-    let config =
-        RouterConfig::tcp_loopback(shards.iter().map(|s| s.addr().clone()).collect())
-            .with_deployments(&TENANTS)
-            .with_obs(Obs::new(ObsConfig::default()));
+    let config = RouterConfig::tcp_loopback(shards.iter().map(|s| s.addr().clone()).collect())
+        .with_deployments(&TENANTS)
+        .with_obs(Obs::new(ObsConfig::default()));
     let (cluster_requests, cluster_events, cluster_dropped) =
         RouterServer::run(&config, |router| -> SimResult<(u64, u64, u64)> {
             let sub = WireClient::connect(router.addr()).ctx("subscriber connect")?;
-            sub.set_read_timeout(Some(Duration::from_millis(20))).ctx("read timeout")?;
-            let mut stream =
-                sub.obs_subscribe(&ObsQuery::all(), None).ctx("obs subscribe")?;
+            sub.set_read_timeout(Some(Duration::from_millis(20)))
+                .ctx("read timeout")?;
+            let mut stream = sub
+                .obs_subscribe(&ObsQuery::all(), None)
+                .ctx("obs subscribe")?;
 
             let mut client = WireClient::connect(router.addr()).ctx("connect")?;
             let mut requests = 0u64;

@@ -50,7 +50,10 @@ impl fmt::Display for StoreError {
         match self {
             StoreError::Io(e) => write!(f, "store I/O error: {e}"),
             StoreError::CorruptCheckpoint { deployment, detail } => {
-                write!(f, "checkpoint for deployment {deployment:?} is corrupt: {detail}")
+                write!(
+                    f,
+                    "checkpoint for deployment {deployment:?} is corrupt: {detail}"
+                )
             }
             StoreError::BadLogHeader { path, detail } => {
                 write!(f, "log file {path} has a bad header: {detail}")
@@ -107,12 +110,18 @@ mod tests {
         let e = StoreError::Gapped("t".into());
         assert!(e.to_string().contains("gapped"));
         assert!(e.source().is_none());
-        let e = StoreError::CorruptCheckpoint { deployment: "t".into(), detail: "magic".into() };
+        let e = StoreError::CorruptCheckpoint {
+            deployment: "t".into(),
+            detail: "magic".into(),
+        };
         assert!(e.to_string().contains("corrupt"));
         let e: StoreError = ServeError::InvalidRequest("dim".into()).into();
         assert!(matches!(e, StoreError::Codec(_)));
         assert!(e.source().is_some());
-        let e = StoreError::BadLogHeader { path: "x.wal".into(), detail: "short".into() };
+        let e = StoreError::BadLogHeader {
+            path: "x.wal".into(),
+            detail: "short".into(),
+        };
         assert!(e.to_string().contains("x.wal"));
     }
 }

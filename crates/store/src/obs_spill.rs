@@ -97,7 +97,6 @@ impl SpillRecovery {
             store.adopt_chunk(chunk);
         }
     }
-
 }
 
 /// A point-in-time snapshot of the spill's health.
@@ -170,14 +169,19 @@ impl SpillInner {
         // Evict oldest-first until the *surviving* records fit. The rollup
         // side only grows by bounded cells, so this converges.
         let mut evicted = 0usize;
-        let mut remaining_bytes: u64 =
-            chunks.iter().map(|b| b.len() as u64 + RECORD_OVERHEAD).sum();
+        let mut remaining_bytes: u64 = chunks
+            .iter()
+            .map(|b| b.len() as u64 + RECORD_OVERHEAD)
+            .sum();
         while evicted < chunks.len() && HEADER_LEN + remaining_bytes > self.byte_budget {
             remaining_bytes -= chunks[evicted].len() as u64 + RECORD_OVERHEAD;
             if let Some(events) = decode_chunk(&chunks[evicted]) {
                 for event in &events {
-                    let key = (Rollup::bucket_of(event.time_us), event.deployment.clone(),
-                        event.kind.code());
+                    let key = (
+                        Rollup::bucket_of(event.time_us),
+                        event.deployment.clone(),
+                        event.kind.code(),
+                    );
                     match cells.entry(key) {
                         std::collections::btree_map::Entry::Occupied(mut slot) => {
                             slot.get_mut().observe(event)
@@ -197,9 +201,16 @@ impl SpillInner {
             evicted += 1;
         }
         self.gc_chunks += evicted as u64;
-        let mut records: Vec<RawRecord> =
-            cells.values().map(|cell| (REC_ROLLUP, encode_rollup(cell))).collect();
-        records.extend(chunks.into_iter().skip(evicted).map(|body| (REC_CHUNK, body)));
+        let mut records: Vec<RawRecord> = cells
+            .values()
+            .map(|cell| (REC_ROLLUP, encode_rollup(cell)))
+            .collect();
+        records.extend(
+            chunks
+                .into_iter()
+                .skip(evicted)
+                .map(|body| (REC_CHUNK, body)),
+        );
         let epoch = self.log.epoch().wrapping_add(1);
         self.log.rewrite_with_epoch(&records, epoch)?;
         self.mirror = records;
@@ -239,7 +250,10 @@ impl ObsSpill {
         byte_budget: u64,
     ) -> Result<(ObsSpill, SpillRecovery), StoreError> {
         let (log, records) = OpLog::open(path)?;
-        let mut recovery = SpillRecovery { epoch: log.epoch(), ..SpillRecovery::default() };
+        let mut recovery = SpillRecovery {
+            epoch: log.epoch(),
+            ..SpillRecovery::default()
+        };
         let mut mirror = Vec::with_capacity(records.len());
         for (kind, body) in records {
             let ok = match kind {
@@ -280,8 +294,11 @@ impl ObsSpill {
     /// A snapshot of the spill's counters.
     pub fn stats(&self) -> SpillStats {
         let inner = self.inner.lock().expect("obs spill lock");
-        let chunk_records =
-            inner.mirror.iter().filter(|(kind, _)| *kind == REC_CHUNK).count() as u64;
+        let chunk_records = inner
+            .mirror
+            .iter()
+            .filter(|(kind, _)| *kind == REC_CHUNK)
+            .count() as u64;
         SpillStats {
             chunk_records,
             rollup_records: inner.mirror.len() as u64 - chunk_records,
@@ -353,7 +370,10 @@ mod tests {
         recovery.rehydrate_into(&store);
         let result = store.query(&ObsQuery::all());
         assert_eq!(result.aggregates.matched, 3);
-        assert_eq!(result.events.iter().map(|e| e.time_us).collect::<Vec<_>>(), [10, 20, 30]);
+        assert_eq!(
+            result.events.iter().map(|e| e.time_us).collect::<Vec<_>>(),
+            [10, 20, 30]
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -386,8 +406,9 @@ mod tests {
         let (spill, _) = ObsSpill::open_with(&path, 2048).unwrap();
         let mut appended = 0u64;
         for chunk in 0..20u64 {
-            let events: Vec<Event> =
-                (0..8).map(|i| event("t", chunk * 1_000 + i, appended + i)).collect();
+            let events: Vec<Event> = (0..8)
+                .map(|i| event("t", chunk * 1_000 + i, appended + i))
+                .collect();
             appended += 8;
             spill.spill_chunk(&events);
         }
@@ -395,7 +416,10 @@ mod tests {
         assert_eq!(stats.io_errors, 0);
         assert!(stats.gc_chunks > 0, "budget never triggered GC");
         assert!(stats.epoch > 0, "GC must bump the log epoch");
-        assert!(stats.bytes <= 2048 + 1024, "log failed to shrink near budget");
+        assert!(
+            stats.bytes <= 2048 + 1024,
+            "log failed to shrink near budget"
+        );
         assert!(stats.rollup_records > 0);
         drop(spill);
 
@@ -406,8 +430,7 @@ mod tests {
         assert_eq!(rolled + recovery.events(), appended);
         let store = ObsStore::new(ObsConfig::default());
         recovery.rehydrate_into(&store);
-        let result =
-            store.query(&ObsQuery::all().with_resolution(Resolution::Rollup));
+        let result = store.query(&ObsQuery::all().with_resolution(Resolution::Rollup));
         assert_eq!(result.aggregates.matched, appended);
         assert_eq!(result.aggregates.energy_mj.sum, appended as f64 * 0.25);
         let _ = std::fs::remove_file(&path);
@@ -418,7 +441,8 @@ mod tests {
         let path = temp_path("foreign-kind");
         {
             let (mut log, _) = OpLog::open(&path).unwrap();
-            log.append(REC_CHUNK, &encode_chunk(&[event("t", 10, 0)])).unwrap();
+            log.append(REC_CHUNK, &encode_chunk(&[event("t", 10, 0)]))
+                .unwrap();
             log.append(0x7f, b"someone else's record").unwrap();
             log.append(REC_CHUNK, b"not a chunk body").unwrap();
         }

@@ -92,7 +92,9 @@ fn parse_records(bytes: &[u8]) -> (Vec<RawRecord>, usize) {
     let mut valid = 0usize;
     let mut r = Reader::new(bytes);
     while let Ok(kind) = r.u8() {
-        let Ok(body) = r.bytes("record body") else { break };
+        let Ok(body) = r.bytes("record body") else {
+            break;
+        };
         let covered = &bytes[valid..r.offset()];
         if r.u32().ok() != Some(fnv1a(covered)) {
             break;
@@ -413,7 +415,10 @@ mod tests {
         log.append(1, b"tail").unwrap();
         drop(log);
         let (_, records) = OpLog::open(&path).unwrap();
-        assert_eq!(records, vec![(9, b"compacted".to_vec()), (1, b"tail".to_vec())]);
+        assert_eq!(
+            records,
+            vec![(9, b"compacted".to_vec()), (1, b"tail".to_vec())]
+        );
         let _ = std::fs::remove_file(&path);
     }
 

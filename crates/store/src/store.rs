@@ -200,9 +200,11 @@ impl Store {
                 continue;
             };
             let bytes = std::fs::read(&path)?;
-            let checkpoint = Checkpoint::decode(&bytes).map_err(|detail| {
-                StoreError::CorruptCheckpoint { deployment: name.clone(), detail }
-            })?;
+            let checkpoint =
+                Checkpoint::decode(&bytes).map_err(|detail| StoreError::CorruptCheckpoint {
+                    deployment: name.clone(),
+                    detail,
+                })?;
             let wal_path = path.with_extension("wal");
             let (mut wal, raw) = OpLog::open(&wal_path)?;
             wal.set_sync_policy(config.sync);
@@ -248,7 +250,11 @@ impl Store {
                 })),
             );
         }
-        Ok(Store { root, config, logs: Mutex::new(logs) })
+        Ok(Store {
+            root,
+            config,
+            logs: Mutex::new(logs),
+        })
     }
 
     /// The store's root directory.
@@ -258,8 +264,13 @@ impl Store {
 
     /// Sorted names of every persisted deployment.
     pub fn deployments(&self) -> Vec<String> {
-        let mut names: Vec<String> =
-            self.logs.lock().expect("store lock poisoned").keys().cloned().collect();
+        let mut names: Vec<String> = self
+            .logs
+            .lock()
+            .expect("store lock poisoned")
+            .keys()
+            .cloned()
+            .collect();
         names.sort_unstable();
         names
     }
@@ -345,7 +356,13 @@ impl Store {
             }
             let (seq, snapshot) = registry.snapshot_with_seq(&name)?;
             let (spent_mj, budget_mj) = registry.energy_state(&name)?;
-            let checkpoint = Checkpoint { epoch: 0, seq, spent_mj, budget_mj, snapshot };
+            let checkpoint = Checkpoint {
+                epoch: 0,
+                seq,
+                spent_mj,
+                budget_mj,
+                snapshot,
+            };
             let stem = encode_name(&name);
             let ckpt_path = self.root.join(format!("{stem}.ckpt"));
             checkpoint.write_to(&ckpt_path)?;
@@ -361,7 +378,10 @@ impl Store {
                 gapped: false,
                 compactions: 0,
             }));
-            self.logs.lock().expect("store lock poisoned").insert(name, log);
+            self.logs
+                .lock()
+                .expect("store lock poisoned")
+                .insert(name, log);
             attached += 1;
         }
         Ok(attached)
@@ -376,10 +396,7 @@ impl Store {
     /// # Errors
     ///
     /// See [`Store::recover`] and `Store::attach`.
-    pub fn bootstrap(
-        &self,
-        registry: &LearnerRegistry,
-    ) -> Result<Vec<RecoveryReport>, StoreError> {
+    pub fn bootstrap(&self, registry: &LearnerRegistry) -> Result<Vec<RecoveryReport>, StoreError> {
         let reports = self.recover(registry)?;
         self.attach(registry)?;
         Ok(reports)
@@ -490,7 +507,12 @@ impl Store {
     ) -> Result<(), StoreError> {
         self.journal(
             name,
-            WalRecord::Import { seq, snapshot: snapshot.to_vec(), spent_mj, budget_mj },
+            WalRecord::Import {
+                seq,
+                snapshot: snapshot.to_vec(),
+                spent_mj,
+                budget_mj,
+            },
         )
     }
 
@@ -603,7 +625,8 @@ impl CommitJournal for Store {
             spent_mj,
             budget_mj,
         };
-        self.journal(&commit.deployment, record).map_err(|e| e.to_string())
+        self.journal(&commit.deployment, record)
+            .map_err(|e| e.to_string())
     }
 
     fn journal_top_up(
@@ -613,8 +636,15 @@ impl CommitJournal for Store {
         spent_mj: f64,
         budget_mj: Option<f64>,
     ) -> Result<(), String> {
-        self.journal(deployment, WalRecord::TopUp { seq, spent_mj, budget_mj })
-            .map_err(|e| e.to_string())
+        self.journal(
+            deployment,
+            WalRecord::TopUp {
+                seq,
+                spent_mj,
+                budget_mj,
+            },
+        )
+        .map_err(|e| e.to_string())
     }
 
     fn durability_stats(&self, deployment: &str) -> Option<DurabilityStats> {
@@ -635,10 +665,19 @@ mod tests {
 
     #[test]
     fn name_encoding_roundtrips_hostile_names() {
-        for name in ["tenant-a", "UPPER_case-9", "sp ace", "sl/ash", "uni-ø", "%percent", ""] {
+        for name in [
+            "tenant-a",
+            "UPPER_case-9",
+            "sp ace",
+            "sl/ash",
+            "uni-ø",
+            "%percent",
+            "",
+        ] {
             let stem = encode_name(name);
             assert!(
-                stem.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'%'),
+                stem.bytes()
+                    .all(|b| b.is_ascii_alphanumeric() || b == b'-' || b == b'_' || b == b'%'),
                 "stem {stem:?} contains unsafe bytes"
             );
             assert_eq!(decode_name(&stem).as_deref(), Some(name));

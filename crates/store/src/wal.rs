@@ -31,8 +31,8 @@ use ofscil_serve::{
     encode_explicit_memory, encode_prototypes,
 };
 use ofscil_tensor::bytes::{
-    decode_exact, put_bytes, put_checksum, put_f64, put_u16, put_u64, split_checksum,
-    DecodeError, Reader,
+    decode_exact, put_bytes, put_checksum, put_f64, put_u16, put_u64, split_checksum, DecodeError,
+    Reader,
 };
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -110,21 +110,36 @@ impl WalRecord {
             encode_budget(budget_mj, body);
         };
         let kind = match self {
-            WalRecord::Learn { seq, total_classes, updates, spent_mj, budget_mj } => {
+            WalRecord::Learn {
+                seq,
+                total_classes,
+                updates,
+                spent_mj,
+                budget_mj,
+            } => {
                 put_u64(&mut body, *seq);
                 put_u64(&mut body, *total_classes);
                 meter(&mut body, *spent_mj, *budget_mj);
                 encode_prototypes(updates, &mut body);
                 KIND_LEARN
             }
-            WalRecord::Import { seq, snapshot, spent_mj, budget_mj } => {
+            WalRecord::Import {
+                seq,
+                snapshot,
+                spent_mj,
+                budget_mj,
+            } => {
                 body.reserve(snapshot.len());
                 put_u64(&mut body, *seq);
                 meter(&mut body, *spent_mj, *budget_mj);
                 put_bytes(&mut body, snapshot);
                 KIND_IMPORT
             }
-            WalRecord::TopUp { seq, spent_mj, budget_mj } => {
+            WalRecord::TopUp {
+                seq,
+                spent_mj,
+                budget_mj,
+            } => {
                 put_u64(&mut body, *seq);
                 meter(&mut body, *spent_mj, *budget_mj);
                 KIND_TOP_UP
@@ -233,7 +248,9 @@ impl Checkpoint {
         }
         let _reserved = r.u16().map_err(malformed)?;
         if stored != computed {
-            return Err(format!("checksum {stored:#010x} != computed {computed:#010x}"));
+            return Err(format!(
+                "checksum {stored:#010x} != computed {computed:#010x}"
+            ));
         }
         let mut fields = || -> Result<Checkpoint, DecodeError> {
             Ok(Checkpoint {
@@ -295,7 +312,10 @@ pub struct DeploymentState {
 /// Returns [`StoreError::Codec`] when the checkpoint snapshot (or an
 /// `Import` record's snapshot) does not decode — WAL-tail corruption never
 /// reaches here; it is truncated at open time.
-pub fn replay(checkpoint: &Checkpoint, records: &[WalRecord]) -> Result<DeploymentState, StoreError> {
+pub fn replay(
+    checkpoint: &Checkpoint,
+    records: &[WalRecord],
+) -> Result<DeploymentState, StoreError> {
     if records.is_empty() {
         return Ok(DeploymentState {
             seq: checkpoint.seq,
@@ -310,7 +330,13 @@ pub fn replay(checkpoint: &Checkpoint, records: &[WalRecord]) -> Result<Deployme
     let mut budget_mj = checkpoint.budget_mj;
     for record in records {
         match record {
-            WalRecord::Learn { seq: s, updates, spent_mj: sp, budget_mj: b, .. } => {
+            WalRecord::Learn {
+                seq: s,
+                updates,
+                spent_mj: sp,
+                budget_mj: b,
+                ..
+            } => {
                 if *s <= seq {
                     continue;
                 }
@@ -327,7 +353,12 @@ pub fn replay(checkpoint: &Checkpoint, records: &[WalRecord]) -> Result<Deployme
                 spent_mj = *sp;
                 budget_mj = *b;
             }
-            WalRecord::Import { seq: s, snapshot, spent_mj: sp, budget_mj: b } => {
+            WalRecord::Import {
+                seq: s,
+                snapshot,
+                spent_mj: sp,
+                budget_mj: b,
+            } => {
                 if *s <= seq {
                     continue;
                 }
@@ -336,13 +367,22 @@ pub fn replay(checkpoint: &Checkpoint, records: &[WalRecord]) -> Result<Deployme
                 spent_mj = *sp;
                 budget_mj = *b;
             }
-            WalRecord::TopUp { spent_mj: sp, budget_mj: b, .. } => {
+            WalRecord::TopUp {
+                spent_mj: sp,
+                budget_mj: b,
+                ..
+            } => {
                 spent_mj = *sp;
                 budget_mj = *b;
             }
         }
     }
-    Ok(DeploymentState { seq, snapshot: encode_explicit_memory(&em), spent_mj, budget_mj })
+    Ok(DeploymentState {
+        seq,
+        snapshot: encode_explicit_memory(&em),
+        spent_mj,
+        budget_mj,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -387,7 +427,13 @@ pub fn compact_records(records: &[WalRecord]) -> Vec<WalRecord> {
     let mut pending: Option<Pending> = None;
     for record in records {
         match record {
-            WalRecord::Learn { seq, total_classes, updates, spent_mj, budget_mj } => {
+            WalRecord::Learn {
+                seq,
+                total_classes,
+                updates,
+                spent_mj,
+                budget_mj,
+            } => {
                 let p = pending.get_or_insert_with(|| Pending {
                     updates: BTreeMap::new(),
                     seq: 0,
@@ -407,7 +453,11 @@ pub fn compact_records(records: &[WalRecord]) -> Vec<WalRecord> {
                 flush(pending.take(), &mut out);
                 out.push(record.clone());
             }
-            WalRecord::TopUp { spent_mj, budget_mj, .. } => match pending.as_mut() {
+            WalRecord::TopUp {
+                spent_mj,
+                budget_mj,
+                ..
+            } => match pending.as_mut() {
                 // The pending collapsed record is emitted *after* this
                 // top-up's position, so folding the meter state into it
                 // preserves last-writer-wins replay semantics.
@@ -458,7 +508,11 @@ mod tests {
                 spent_mj: f64::MIN_POSITIVE,
                 budget_mj: None,
             },
-            WalRecord::TopUp { seq: 8, spent_mj: 0.0, budget_mj: Some(55.25) },
+            WalRecord::TopUp {
+                seq: 8,
+                spent_mj: 0.0,
+                budget_mj: Some(55.25),
+            },
         ];
         for record in &records {
             let (kind, body) = record.encode();
@@ -466,7 +520,10 @@ mod tests {
             assert_eq!(&back, record);
         }
         // Unknown kinds and trailing bytes are rejected, not panics.
-        assert_eq!(WalRecord::decode(0x7f, &[]), Err(DecodeError::UnknownKind(0x7f)));
+        assert_eq!(
+            WalRecord::decode(0x7f, &[]),
+            Err(DecodeError::UnknownKind(0x7f))
+        );
         let (kind, mut body) = records[2].encode();
         body.push(0xab);
         assert_eq!(
@@ -507,7 +564,11 @@ mod tests {
                 spent_mj: 1.0,
                 budget_mj: Some(10.0),
             },
-            WalRecord::TopUp { seq: 1, spent_mj: 1.0, budget_mj: Some(20.0) },
+            WalRecord::TopUp {
+                seq: 1,
+                spent_mj: 1.0,
+                budget_mj: Some(20.0),
+            },
             WalRecord::Import {
                 seq: 2,
                 snapshot: encode_explicit_memory(&foreign),
@@ -565,11 +626,21 @@ mod tests {
                 budget_mj: Some(1000.0),
             });
         }
-        records.push(WalRecord::TopUp { seq: 50, spent_mj: 50.0, budget_mj: Some(2000.0) });
+        records.push(WalRecord::TopUp {
+            seq: 50,
+            spent_mj: 50.0,
+            budget_mj: Some(2000.0),
+        });
         let compacted = compact_records(&records);
         assert_eq!(compacted.len(), 1, "one collapsed record, not 51");
         match &compacted[0] {
-            WalRecord::Learn { seq, updates, spent_mj, budget_mj, .. } => {
+            WalRecord::Learn {
+                seq,
+                updates,
+                spent_mj,
+                budget_mj,
+                ..
+            } => {
                 assert_eq!(*seq, 50);
                 assert_eq!(updates.len(), 2);
                 assert_eq!(*spent_mj, 50.0);
@@ -578,7 +649,10 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let ckpt = empty_checkpoint(dim);
-        assert_eq!(replay(&ckpt, &records).unwrap(), replay(&ckpt, &compacted).unwrap());
+        assert_eq!(
+            replay(&ckpt, &records).unwrap(),
+            replay(&ckpt, &compacted).unwrap()
+        );
     }
 
     #[test]
@@ -612,12 +686,19 @@ mod tests {
         // learn | import | learn — nothing collapses across the barrier.
         assert_eq!(compacted.len(), 3);
         let ckpt = empty_checkpoint(dim);
-        assert_eq!(replay(&ckpt, &records).unwrap(), replay(&ckpt, &compacted).unwrap());
+        assert_eq!(
+            replay(&ckpt, &records).unwrap(),
+            replay(&ckpt, &compacted).unwrap()
+        );
     }
 
     #[test]
     fn lone_top_up_survives_compaction_verbatim() {
-        let records = vec![WalRecord::TopUp { seq: 0, spent_mj: 0.0, budget_mj: Some(5.0) }];
+        let records = vec![WalRecord::TopUp {
+            seq: 0,
+            spent_mj: 0.0,
+            budget_mj: Some(5.0),
+        }];
         assert_eq!(compact_records(&records), records);
     }
 }

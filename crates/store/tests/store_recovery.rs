@@ -59,7 +59,11 @@ fn random_ops(rng: &mut SeedRng, count: usize) -> Vec<WalRecord> {
         match rng.below(10) {
             0 => {
                 budget = Some(budget.unwrap_or(0.0) + 50.0);
-                records.push(WalRecord::TopUp { seq, spent_mj: spent, budget_mj: budget });
+                records.push(WalRecord::TopUp {
+                    seq,
+                    spent_mj: spent,
+                    budget_mj: budget,
+                });
             }
             1 => {
                 seq += 1;
@@ -99,7 +103,13 @@ fn random_ops(rng: &mut SeedRng, count: usize) -> Vec<WalRecord> {
 fn journal_records(store: &Store, records: &[WalRecord]) {
     for record in records {
         match record {
-            WalRecord::Learn { seq, total_classes, updates, spent_mj, budget_mj } => {
+            WalRecord::Learn {
+                seq,
+                total_classes,
+                updates,
+                spent_mj,
+                budget_mj,
+            } => {
                 let commit = LearnCommit {
                     deployment: "t".into(),
                     seq: *seq,
@@ -111,11 +121,24 @@ fn journal_records(store: &Store, records: &[WalRecord]) {
                 };
                 store.journal_learn(&commit, *spent_mj, *budget_mj).unwrap();
             }
-            WalRecord::Import { seq, snapshot, spent_mj, budget_mj } => {
-                store.journal_import("t", *seq, snapshot, *spent_mj, *budget_mj).unwrap();
+            WalRecord::Import {
+                seq,
+                snapshot,
+                spent_mj,
+                budget_mj,
+            } => {
+                store
+                    .journal_import("t", *seq, snapshot, *spent_mj, *budget_mj)
+                    .unwrap();
             }
-            WalRecord::TopUp { seq, spent_mj, budget_mj } => {
-                store.journal_top_up("t", *seq, *spent_mj, *budget_mj).unwrap();
+            WalRecord::TopUp {
+                seq,
+                spent_mj,
+                budget_mj,
+            } => {
+                store
+                    .journal_top_up("t", *seq, *spent_mj, *budget_mj)
+                    .unwrap();
             }
         }
     }
@@ -184,8 +207,8 @@ fn random_tail_damage_recovers_an_acknowledged_prefix_bit_exactly() {
         }
         std::fs::write(trial_dir.join("t.wal"), &damaged).unwrap();
 
-        let reopened = Store::open_with(&trial_dir, config.clone())
-            .expect("tail damage must never be fatal");
+        let reopened =
+            Store::open_with(&trial_dir, config.clone()).expect("tail damage must never be fatal");
         let state = reopened.latest_state("t").unwrap();
         let key = state_key(&state);
         let position = prefix_states.iter().position(|s| *s == key);
@@ -211,7 +234,11 @@ fn random_tail_damage_recovers_an_acknowledged_prefix_bit_exactly() {
     }
     // Sanity: the damage actually exercised different prefixes, not just
     // "everything survived" or "everything was wiped".
-    assert!(distinct.len() > 5, "only {} distinct prefixes hit", distinct.len());
+    assert!(
+        distinct.len() > 5,
+        "only {} distinct prefixes hit",
+        distinct.len()
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -276,7 +303,10 @@ fn checkpointing_and_compaction_preserve_the_replayed_state_on_disk() {
         store.bootstrap(&registry).unwrap();
         journal_records(&store, &records);
         if tag == "compacting" {
-            assert!(store.maintenance().unwrap() > 0, "compaction should have run");
+            assert!(
+                store.maintenance().unwrap() > 0,
+                "compaction should have run"
+            );
         }
         drop(store);
 
@@ -284,8 +314,14 @@ fn checkpointing_and_compaction_preserve_the_replayed_state_on_disk() {
         keys.push((tag, state_key(&reopened.latest_state("t").unwrap())));
         std::fs::remove_dir_all(&dir).unwrap();
     }
-    assert_eq!(keys[0].1, keys[1].1, "checkpointing changed the recovered state");
-    assert_eq!(keys[0].1, keys[2].1, "compaction changed the recovered state");
+    assert_eq!(
+        keys[0].1, keys[1].1,
+        "checkpointing changed the recovered state"
+    );
+    assert_eq!(
+        keys[0].1, keys[2].1,
+        "compaction changed the recovered state"
+    );
 }
 
 #[test]
@@ -326,7 +362,10 @@ fn stale_wal_generation_is_discarded_after_a_checkpoint_crash_window() {
         "stale-generation WAL records regressed the recovered state"
     );
     let stats = reopened.durability_stats("t").unwrap();
-    assert_eq!(stats.wal_records, 0, "stale records must be discarded, not replayed");
+    assert_eq!(
+        stats.wal_records, 0,
+        "stale records must be discarded, not replayed"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -354,14 +393,19 @@ fn bootstrap_reseeds_a_store_the_registry_has_outrun() {
     let ahead = registry_with_tenant(33);
     let proto: Vec<f32> = (0..DIM).map(|i| i as f32 / 8.0).collect();
     for class in 0..5 {
-        ahead.apply_prototype_updates("t", &[(class, proto.clone())]).unwrap();
+        ahead
+            .apply_prototype_updates("t", &[(class, proto.clone())])
+            .unwrap();
     }
     let live_seq = ahead.snapshot_with_seq("t").unwrap().0;
     assert!(live_seq > records[0].seq());
 
     let store = Store::open(&dir).unwrap();
     let reports = store.bootstrap(&ahead).unwrap();
-    assert!(reports.is_empty(), "nothing recovers backwards: {reports:?}");
+    assert!(
+        reports.is_empty(),
+        "nothing recovers backwards: {reports:?}"
+    );
     // The registry kept its live state; the store now baselines it exactly.
     assert_eq!(ahead.snapshot_with_seq("t").unwrap().0, live_seq);
     let state = store.latest_state("t").unwrap();
@@ -391,7 +435,9 @@ fn durability_counters_track_log_growth_checkpoints_and_compactions() {
     let registry = registry_with_tenant(5);
     let store = Store::open_with(
         &dir,
-        StoreConfig::default().with_checkpoint_interval(8).with_compact_min_records(3),
+        StoreConfig::default()
+            .with_checkpoint_interval(8)
+            .with_compact_min_records(3),
     )
     .unwrap();
     store.bootstrap(&registry).unwrap();

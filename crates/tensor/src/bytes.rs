@@ -167,7 +167,11 @@ impl fmt::Display for DecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DecodeError::UnknownKind(kind) => write!(f, "unknown message kind {kind:#04x}"),
-            DecodeError::Truncated { offset, needed, remaining } => write!(
+            DecodeError::Truncated {
+                offset,
+                needed,
+                remaining,
+            } => write!(
                 f,
                 "payload truncated at offset {offset}: need {needed} bytes, {remaining} remain"
             ),
@@ -179,7 +183,10 @@ impl fmt::Display for DecodeError {
                 write!(f, "field {field:?} carries invalid tag {tag:#04x}")
             }
             DecodeError::LengthOverflow { field, declared } => {
-                write!(f, "field {field:?} declares {declared} elements, more than fit")
+                write!(
+                    f,
+                    "field {field:?} declares {declared} elements, more than fit"
+                )
             }
             DecodeError::BadTensor(msg) => write!(f, "tensor payload invalid: {msg}"),
             DecodeError::ValueOverflow { field, value } => {
@@ -386,7 +393,9 @@ impl<'a> Reader<'a> {
     /// [`DecodeError::TrailingBytes`] when it is not.
     pub fn finish(self) -> Result<(), DecodeError> {
         if self.remaining() > 0 {
-            return Err(DecodeError::TrailingBytes { remaining: self.remaining() });
+            return Err(DecodeError::TrailingBytes {
+                remaining: self.remaining(),
+            });
         }
         Ok(())
     }
@@ -438,7 +447,10 @@ mod tests {
         assert_eq!(r.str().unwrap(), "tenant-α");
         assert_eq!(r.str16().unwrap(), "t");
         assert_eq!(r.bytes("blob").unwrap(), [1, 2, 3]);
-        assert_eq!(r.list("floats", 4, Reader::f32).unwrap(), [0.5, f32::INFINITY]);
+        assert_eq!(
+            r.list("floats", 4, Reader::f32).unwrap(),
+            [0.5, f32::INFINITY]
+        );
         assert!(r.flag("flag").unwrap());
         r.finish().unwrap();
     }
@@ -448,7 +460,11 @@ mod tests {
         let mut r = Reader::new(&[1, 2, 3]);
         assert_eq!(
             r.u32(),
-            Err(DecodeError::Truncated { offset: 0, needed: 4, remaining: 3 })
+            Err(DecodeError::Truncated {
+                offset: 0,
+                needed: 4,
+                remaining: 3
+            })
         );
         assert_eq!(r.u8().unwrap(), 1);
         assert_eq!(r.finish(), Err(DecodeError::TrailingBytes { remaining: 2 }));
@@ -466,18 +482,27 @@ mod tests {
         let mut r = Reader::new(&body);
         assert_eq!(
             r.checked_count("updates", 12),
-            Err(DecodeError::LengthOverflow { field: "updates", declared: u64::from(u32::MAX) })
+            Err(DecodeError::LengthOverflow {
+                field: "updates",
+                declared: u64::from(u32::MAX)
+            })
         );
         assert_eq!(
             Reader::new(&body).list("updates", 12, Reader::u64),
-            Err(DecodeError::LengthOverflow { field: "updates", declared: u64::from(u32::MAX) })
+            Err(DecodeError::LengthOverflow {
+                field: "updates",
+                declared: u64::from(u32::MAX)
+            })
         );
         assert!(Reader::new(&[]).prove("x", u64::MAX, usize::MAX).is_err());
         assert!(Reader::new(&[0; 8]).f32s(usize::MAX).is_err());
 
         assert_eq!(
             Reader::new(&[9]).flag("opt"),
-            Err(DecodeError::BadTag { field: "opt", tag: 9 })
+            Err(DecodeError::BadTag {
+                field: "opt",
+                tag: 9
+            })
         );
         let mut bad = Vec::new();
         put_bytes(&mut bad, &[0xff, 0xfe]);
@@ -495,7 +520,10 @@ mod tests {
         let mut out = Vec::new();
         put_str16(&mut out, &long);
         assert_eq!(out.len(), 2 + usize::from(u16::MAX));
-        assert_eq!(Reader::new(&out).str16().unwrap().len(), usize::from(u16::MAX));
+        assert_eq!(
+            Reader::new(&out).str16().unwrap().len(),
+            usize::from(u16::MAX)
+        );
     }
 
     #[test]
@@ -509,7 +537,10 @@ mod tests {
         let mut out = b"skipped|foobar".to_vec();
         put_checksum(&mut out, 8);
         let (covered, stored, computed) = split_checksum(&out[8..]).unwrap();
-        assert_eq!((covered, stored, computed), (&b"foobar"[..], 0xbf9c_f968, 0xbf9c_f968));
+        assert_eq!(
+            (covered, stored, computed),
+            (&b"foobar"[..], 0xbf9c_f968, 0xbf9c_f968)
+        );
         assert!(split_checksum(&[1, 2, 3]).is_none());
     }
 }

@@ -29,7 +29,14 @@ pub struct Conv2dGeometry {
 impl Conv2dGeometry {
     /// Creates a square-kernel geometry.
     pub fn new(in_h: usize, in_w: usize, kernel: usize, stride: usize, padding: usize) -> Self {
-        Conv2dGeometry { in_h, in_w, kernel_h: kernel, kernel_w: kernel, stride, padding }
+        Conv2dGeometry {
+            in_h,
+            in_w,
+            kernel_h: kernel,
+            kernel_w: kernel,
+            stride,
+            padding,
+        }
     }
 
     /// Output height of the convolution.
@@ -55,10 +62,14 @@ impl Conv2dGeometry {
     /// the padded input or the stride is zero.
     pub fn validate(&self) -> Result<()> {
         if self.stride == 0 {
-            return Err(TensorError::InvalidArgument("stride must be nonzero".into()));
+            return Err(TensorError::InvalidArgument(
+                "stride must be nonzero".into(),
+            ));
         }
         if self.kernel_h == 0 || self.kernel_w == 0 {
-            return Err(TensorError::InvalidArgument("kernel must be nonzero".into()));
+            return Err(TensorError::InvalidArgument(
+                "kernel must be nonzero".into(),
+            ));
         }
         if self.in_h + 2 * self.padding < self.kernel_h
             || self.in_w + 2 * self.padding < self.kernel_w
@@ -122,8 +133,8 @@ pub fn im2col(image: &Tensor, channels: usize, geom: &Conv2dGeometry) -> Result<
                         let ix = (ox * geom.stride + kw) as isize - geom.padding as isize;
                         let dst_idx = patch_row * out_h * out_w + oy * out_w + ox;
                         if iy >= 0 && iy < in_h && ix >= 0 && ix < in_w {
-                            out[dst_idx] =
-                                src[c * geom.in_h * geom.in_w + iy as usize * geom.in_w + ix as usize];
+                            out[dst_idx] = src
+                                [c * geom.in_h * geom.in_w + iy as usize * geom.in_w + ix as usize];
                         }
                     }
                 }
@@ -191,9 +202,12 @@ mod tests {
         let g = Conv2dGeometry::new(7, 7, 7, 1, 0);
         assert_eq!(g.out_pixels(), 1);
         assert!(Conv2dGeometry::new(4, 4, 5, 1, 0).validate().is_err());
-        assert!(Conv2dGeometry { stride: 0, ..Conv2dGeometry::new(4, 4, 3, 1, 1) }
-            .validate()
-            .is_err());
+        assert!(Conv2dGeometry {
+            stride: 0,
+            ..Conv2dGeometry::new(4, 4, 3, 1, 1)
+        }
+        .validate()
+        .is_err());
     }
 
     #[test]
@@ -215,7 +229,11 @@ mod tests {
             &[1, 3, 3],
         )
         .unwrap();
-        let g = Conv2dGeometry { kernel_h: 2, kernel_w: 2, ..Conv2dGeometry::new(3, 3, 2, 1, 0) };
+        let g = Conv2dGeometry {
+            kernel_h: 2,
+            kernel_w: 2,
+            ..Conv2dGeometry::new(3, 3, 2, 1, 0)
+        };
         let cols = im2col(&img, 1, &g).unwrap();
         assert_eq!(cols.dims(), &[4, 4]);
         // Patch rows: top-left, top-right, bottom-left, bottom-right of each
@@ -251,11 +269,8 @@ mod tests {
         )
         .unwrap();
         let cols = im2col(&x, channels, &g).unwrap();
-        let y = Tensor::from_vec(
-            (0..cols.len()).map(|_| rng.normal()).collect(),
-            cols.dims(),
-        )
-        .unwrap();
+        let y =
+            Tensor::from_vec((0..cols.len()).map(|_| rng.normal()).collect(), cols.dims()).unwrap();
         let dot = |a: &Tensor, b: &Tensor| -> f32 {
             a.as_slice()
                 .iter()

@@ -55,13 +55,23 @@ impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TensorError::LengthMismatch { expected, actual } => {
-                write!(f, "data length {actual} does not match shape volume {expected}")
+                write!(
+                    f,
+                    "data length {actual} does not match shape volume {expected}"
+                )
             }
             TensorError::ShapeMismatch { left, right, op } => {
                 write!(f, "shape mismatch in {op}: {left:?} vs {right:?}")
             }
-            TensorError::RankMismatch { expected, actual, op } => {
-                write!(f, "rank mismatch in {op}: expected rank {expected}, got {actual}")
+            TensorError::RankMismatch {
+                expected,
+                actual,
+                op,
+            } => {
+                write!(
+                    f,
+                    "rank mismatch in {op}: expected rank {expected}, got {actual}"
+                )
             }
             TensorError::IndexOutOfBounds { index, shape } => {
                 write!(f, "index {index:?} out of bounds for shape {shape:?}")
@@ -83,7 +93,10 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let err = TensorError::LengthMismatch { expected: 4, actual: 3 };
+        let err = TensorError::LengthMismatch {
+            expected: 4,
+            actual: 3,
+        };
         assert!(err.to_string().contains('4'));
         assert!(err.to_string().contains('3'));
 

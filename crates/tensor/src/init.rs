@@ -63,12 +63,14 @@ impl Initializer {
             Init::Uniform { bound } => (0..volume)
                 .map(|_| self.rng.uniform_range(-bound, bound))
                 .collect(),
-            Init::Normal { std_dev } => {
-                (0..volume).map(|_| self.rng.normal_with(0.0, std_dev)).collect()
-            }
+            Init::Normal { std_dev } => (0..volume)
+                .map(|_| self.rng.normal_with(0.0, std_dev))
+                .collect(),
             Init::KaimingNormal { fan_in } => {
                 let std_dev = (2.0 / fan_in.max(1) as f32).sqrt();
-                (0..volume).map(|_| self.rng.normal_with(0.0, std_dev)).collect()
+                (0..volume)
+                    .map(|_| self.rng.normal_with(0.0, std_dev))
+                    .collect()
             }
             Init::XavierUniform { fan_in, fan_out } => {
                 let bound = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
@@ -112,7 +114,13 @@ mod tests {
     #[test]
     fn xavier_respects_bound() {
         let mut init = Initializer::new(SeedRng::new(3));
-        let t = init.tensor(&[500], Init::XavierUniform { fan_in: 10, fan_out: 20 });
+        let t = init.tensor(
+            &[500],
+            Init::XavierUniform {
+                fan_in: 10,
+                fan_out: 20,
+            },
+        );
         let bound = (6.0f32 / 30.0).sqrt();
         assert!(t.as_slice().iter().all(|x| x.abs() <= bound + 1e-6));
     }

@@ -94,7 +94,6 @@ impl Tensor {
         }
         Tensor::from_vec(out, &[n, m])
     }
-
 }
 
 fn matrix_dims(t: &Tensor, op: &'static str) -> Result<(usize, usize)> {
@@ -137,12 +136,20 @@ mod tests {
         let mut rng = crate::SeedRng::new(3);
         let a: Vec<f32> = (0..96 * 64).map(|_| rng.normal()).collect();
         let b = Tensor::from_vec((0..64 * 80).map(|_| rng.normal()).collect(), &[64, 80]).unwrap();
-        let multi = Tensor::from_vec(a.clone(), &[96, 64]).unwrap().matmul(&b).unwrap();
+        let multi = Tensor::from_vec(a.clone(), &[96, 64])
+            .unwrap()
+            .matmul(&b)
+            .unwrap();
         for (i, a_row) in a.chunks(64).enumerate() {
-            let single = Tensor::from_vec(a_row.to_vec(), &[1, 64]).unwrap().matmul(&b).unwrap();
+            let single = Tensor::from_vec(a_row.to_vec(), &[1, 64])
+                .unwrap()
+                .matmul(&b)
+                .unwrap();
             let multi_row = &multi.as_slice()[i * 80..(i + 1) * 80];
-            let same =
-                multi_row.iter().zip(single.as_slice()).all(|(m, s)| m.to_bits() == s.to_bits());
+            let same = multi_row
+                .iter()
+                .zip(single.as_slice())
+                .all(|(m, s)| m.to_bits() == s.to_bits());
             assert!(same, "row {i}");
         }
     }
@@ -159,8 +166,17 @@ mod tests {
     #[test]
     fn matmul_with_an_empty_dimension() {
         // (m, k, n) with one of them zero; 4096 × 0 sits at the threading cut.
-        for (m, k, n) in [(0, 3, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0), (4096, 3, 0), (5000, 0, 0)] {
-            let c = Tensor::ones(&[m, k]).matmul(&Tensor::ones(&[k, n])).unwrap();
+        for (m, k, n) in [
+            (0, 3, 2),
+            (2, 0, 3),
+            (2, 3, 0),
+            (0, 0, 0),
+            (4096, 3, 0),
+            (5000, 0, 0),
+        ] {
+            let c = Tensor::ones(&[m, k])
+                .matmul(&Tensor::ones(&[k, n]))
+                .unwrap();
             assert_eq!(c.dims(), &[m, n]);
             assert!(c.as_slice().iter().all(|&v| v == 0.0), "{m}x{k}x{n}");
         }

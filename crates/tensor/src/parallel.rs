@@ -6,7 +6,10 @@
 /// cap keeps thread spawn overhead small for the modest matrix sizes used by
 /// the O-FSCIL models.
 pub fn recommended_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(1, 8)
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .clamp(1, 8)
 }
 
 #[cfg(test)]

@@ -30,7 +30,9 @@ impl Tensor {
         self.as_slice()
             .iter()
             .copied()
-            .fold(None, |acc: Option<f32>, x| Some(acc.map_or(x, |a| a.max(x))))
+            .fold(None, |acc: Option<f32>, x| {
+                Some(acc.map_or(x, |a| a.max(x)))
+            })
             .ok_or(TensorError::Empty("max"))
     }
 
@@ -43,7 +45,9 @@ impl Tensor {
         self.as_slice()
             .iter()
             .copied()
-            .fold(None, |acc: Option<f32>, x| Some(acc.map_or(x, |a| a.min(x))))
+            .fold(None, |acc: Option<f32>, x| {
+                Some(acc.map_or(x, |a| a.min(x)))
+            })
             .ok_or(TensorError::Empty("min"))
     }
 

@@ -30,7 +30,9 @@ pub struct SeedRng {
 impl SeedRng {
     /// Creates a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
-        SeedRng { inner: ChaCha8::from_seed(seed) }
+        SeedRng {
+            inner: ChaCha8::from_seed(seed),
+        }
     }
 
     /// Derives an independent child generator; useful for giving each
@@ -167,7 +169,11 @@ impl ChaCha8 {
         input[3] = 0x6b20_6574;
         input[4..12].copy_from_slice(&key);
         // Counter (words 12–13) and nonce (14–15) start at zero.
-        ChaCha8 { input, block: [0; 16], cursor: 16 }
+        ChaCha8 {
+            input,
+            block: [0; 16],
+            cursor: 16,
+        }
     }
 
     fn next_u32(&mut self) -> u32 {

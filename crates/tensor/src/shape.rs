@@ -24,7 +24,9 @@ pub struct Shape {
 impl Shape {
     /// Creates a shape from a slice of dimension extents.
     pub fn new(dims: &[usize]) -> Self {
-        Self { dims: dims.to_vec() }
+        Self {
+            dims: dims.to_vec(),
+        }
     }
 
     /// Returns the dimension extents.
@@ -58,19 +60,13 @@ impl Shape {
     /// Returns [`TensorError::IndexOutOfBounds`] when the index rank does not
     /// match or any component exceeds its extent.
     pub(crate) fn offset(&self, index: &[usize]) -> Result<usize> {
-        if index.len() != self.dims.len()
-            || index.iter().zip(&self.dims).any(|(i, d)| i >= d)
-        {
+        if index.len() != self.dims.len() || index.iter().zip(&self.dims).any(|(i, d)| i >= d) {
             return Err(TensorError::IndexOutOfBounds {
                 index: index.to_vec(),
                 shape: self.dims.clone(),
             });
         }
-        Ok(index
-            .iter()
-            .zip(self.strides())
-            .map(|(i, s)| i * s)
-            .sum())
+        Ok(index.iter().zip(self.strides()).map(|(i, s)| i * s).sum())
     }
 
     /// Returns `true` when the two shapes describe the same extents.

@@ -19,7 +19,10 @@ pub fn l2_norm(v: &[f32]) -> f32 {
 /// Returns [`TensorError::LengthMismatch`] when the lengths differ.
 pub fn cosine_similarity(a: &[f32], b: &[f32]) -> Result<f32> {
     if a.len() != b.len() {
-        return Err(TensorError::LengthMismatch { expected: a.len(), actual: b.len() });
+        return Err(TensorError::LengthMismatch {
+            expected: a.len(),
+            actual: b.len(),
+        });
     }
     let dot: f32 = a.iter().zip(b).map(|(x, y)| x * y).sum();
     let na = l2_norm(a);

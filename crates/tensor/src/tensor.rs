@@ -31,19 +31,28 @@ impl Tensor {
     /// Creates a tensor of zeros with the given shape.
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
-        Tensor { data: vec![0.0; shape.volume()], shape }
+        Tensor {
+            data: vec![0.0; shape.volume()],
+            shape,
+        }
     }
 
     /// Creates a tensor of ones with the given shape.
     pub fn ones(dims: &[usize]) -> Self {
         let shape = Shape::new(dims);
-        Tensor { data: vec![1.0; shape.volume()], shape }
+        Tensor {
+            data: vec![1.0; shape.volume()],
+            shape,
+        }
     }
 
     /// Creates a tensor filled with `value`.
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::new(dims);
-        Tensor { data: vec![value; shape.volume()], shape }
+        Tensor {
+            data: vec![value; shape.volume()],
+            shape,
+        }
     }
 
     /// Creates a square identity matrix of size `n`.
@@ -74,7 +83,10 @@ impl Tensor {
 
     /// Creates a rank-1 tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
-        Tensor { data: data.to_vec(), shape: Shape::new(&[data.len()]) }
+        Tensor {
+            data: data.to_vec(),
+            shape: Shape::new(&[data.len()]),
+        }
     }
 
     /// Returns the shape of the tensor.
@@ -140,7 +152,10 @@ impl Tensor {
                 actual: self.len(),
             });
         }
-        Ok(Tensor { data: self.data.clone(), shape })
+        Ok(Tensor {
+            data: self.data.clone(),
+            shape,
+        })
     }
 
     /// Reinterprets the tensor in place with a new shape of equal volume.
@@ -206,7 +221,10 @@ impl Tensor {
             });
         }
         if src.len() != cols {
-            return Err(TensorError::LengthMismatch { expected: cols, actual: src.len() });
+            return Err(TensorError::LengthMismatch {
+                expected: cols,
+                actual: src.len(),
+            });
         }
         self.data[i * cols..(i + 1) * cols].copy_from_slice(src);
         Ok(())
@@ -394,7 +412,10 @@ impl Tensor {
             .iter()
             .try_fold(1u64, |acc, &d| acc.checked_mul(d as u64))
             .filter(|&v| v <= u64::from(u32::MAX))
-            .ok_or(DecodeError::LengthOverflow { field: "tensor", declared: u64::MAX })?;
+            .ok_or(DecodeError::LengthOverflow {
+                field: "tensor",
+                declared: u64::MAX,
+            })?;
         let len = r.prove("tensor", len, 4)?;
         Tensor::from_vec(r.f32s(len)?, &dims).map_err(|e| DecodeError::BadTensor(e.to_string()))
     }
@@ -427,7 +448,10 @@ mod tests {
         let b = Tensor::from_vec(vec![5.0, 6.0, 7.0, 8.0], &[2, 2]).unwrap();
         let stacked = Tensor::stack(&[&a, &b]).unwrap();
         assert_eq!(stacked.dims(), &[2, 2, 2]);
-        assert_eq!(stacked.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        assert_eq!(
+            stacked.as_slice(),
+            &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]
+        );
         // Singleton stacks still gain the leading axis.
         assert_eq!(Tensor::stack(&[&a]).unwrap().dims(), &[1, 2, 2]);
         // Mismatched shapes and empty inputs are rejected.

@@ -89,8 +89,9 @@ fn matmul_is_bit_identical_to_the_scalar_reference() {
     for (m, k, n) in [(12, 17, 9), (96, 64, 80), (70, 150, 64)] {
         for case in 0..8 {
             // About a quarter exact zeros in A, so the zero skip is taken.
-            let a: Vec<f32> =
-                (0..m * k).map(|_| if rng.below(4) == 0 { 0.0 } else { rng.normal() }).collect();
+            let a: Vec<f32> = (0..m * k)
+                .map(|_| if rng.below(4) == 0 { 0.0 } else { rng.normal() })
+                .collect();
             let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
             let want = matmul_reference(&a, &b, m, k, n);
             let got = Tensor::from_vec(a, &[m, k])
@@ -98,7 +99,11 @@ fn matmul_is_bit_identical_to_the_scalar_reference() {
                 .matmul(&Tensor::from_vec(b, &[k, n]).unwrap())
                 .unwrap();
             assert_eq!(got.dims(), &[m, n]);
-            let same = got.as_slice().iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
+            let same = got
+                .as_slice()
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| g.to_bits() == w.to_bits());
             assert!(same, "{m}x{k}·{k}x{n} case {case}");
         }
     }
@@ -113,9 +118,15 @@ fn matmul_threading_is_equivalent() {
         let (m, k, n) = (rand_len(&mut rng, 40, 100), rand_len(&mut rng, 1, 160), 64);
         let a = small_vec(&mut rng, m * k);
         let b = Tensor::from_vec(small_vec(&mut rng, k * n), &[k, n]).unwrap();
-        let whole = Tensor::from_vec(a.clone(), &[m, k]).unwrap().matmul(&b).unwrap();
+        let whole = Tensor::from_vec(a.clone(), &[m, k])
+            .unwrap()
+            .matmul(&b)
+            .unwrap();
         for (i, a_row) in a.chunks(k).enumerate() {
-            let row = Tensor::from_vec(a_row.to_vec(), &[1, k]).unwrap().matmul(&b).unwrap();
+            let row = Tensor::from_vec(a_row.to_vec(), &[1, k])
+                .unwrap()
+                .matmul(&b)
+                .unwrap();
             let same = whole.as_slice()[i * n..(i + 1) * n]
                 .iter()
                 .zip(row.as_slice())
@@ -130,7 +141,11 @@ fn transpose_is_involution() {
     let mut rng = SeedRng::new(0x7A05);
     for case in 0..CASES {
         let t = Tensor::from_vec(small_vec(&mut rng, 7 * 9), &[7, 9]).unwrap();
-        assert_eq!(t.transpose().unwrap().transpose().unwrap(), t, "case {case}");
+        assert_eq!(
+            t.transpose().unwrap().transpose().unwrap(),
+            t,
+            "case {case}"
+        );
     }
 }
 
@@ -178,7 +193,10 @@ fn l2_normalized_rows_have_unit_or_zero_norm() {
         let n = t.l2_normalize_rows().unwrap();
         for i in 0..8 {
             let norm = ofscil_tensor::l2_norm(n.row(i).unwrap());
-            assert!(norm < 1e-6 || (norm - 1.0).abs() < 1e-3, "case {case} row {i}");
+            assert!(
+                norm < 1e-6 || (norm - 1.0).abs() < 1e-3,
+                "case {case} row {i}"
+            );
         }
     }
 }

@@ -2,12 +2,12 @@
 //! [`ServeClient`](ofscil_serve::ServeClient).
 
 use crate::codec::{decode_response, encode_request, ReplEvent, WireRequest, WireResponse};
-use ofscil_obs::{ObsCursor, ObsQuery, ObsResult, TailBatch};
 use crate::error::WireError;
 use crate::frame::{
     read_frame, read_frame_verbatim, ReadEvent, VerbatimEvent, DEFAULT_MAX_PAYLOAD,
 };
 use crate::net::{BoundAddr, WireStream};
+use ofscil_obs::{ObsCursor, ObsQuery, ObsResult, TailBatch};
 use ofscil_serve::{DeploymentExport, ServeRequest, ServeResponse};
 use std::io::Write;
 use std::sync::atomic::AtomicBool;
@@ -61,7 +61,8 @@ impl WireClient {
     /// rejected or failed, and a transport/codec error when the connection
     /// itself broke.
     pub fn call(&mut self, request: ServeRequest) -> Result<ServeResponse, WireError> {
-        self.stream.write_all(&encode_request(&WireRequest::Serve(request)))?;
+        self.stream
+            .write_all(&encode_request(&WireRequest::Serve(request)))?;
         self.stream.flush()?;
         match self.read_response(None)? {
             Some(WireResponse::Serve(response)) => Ok(response),
@@ -81,9 +82,10 @@ impl WireClient {
     /// Returns [`WireError::Remote`] for server-side refusals (unknown
     /// deployment) and a transport/codec error when the connection broke.
     pub fn export(&mut self, deployment: &str) -> Result<DeploymentExport, WireError> {
-        self.stream.write_all(&encode_request(&WireRequest::Export {
-            deployment: deployment.to_string(),
-        }))?;
+        self.stream
+            .write_all(&encode_request(&WireRequest::Export {
+                deployment: deployment.to_string(),
+            }))?;
         self.stream.flush()?;
         match self.read_response(None)? {
             Some(WireResponse::Export(export)) => Ok(export),
@@ -104,7 +106,8 @@ impl WireClient {
     /// deployment, dimension mismatch, read-only replica) and a
     /// transport/codec error when the connection broke.
     pub fn import(&mut self, export: &DeploymentExport) -> Result<u64, WireError> {
-        self.stream.write_all(&encode_request(&WireRequest::Import(export.clone())))?;
+        self.stream
+            .write_all(&encode_request(&WireRequest::Import(export.clone())))?;
         self.stream.flush()?;
         match self.read_response(None)? {
             Some(WireResponse::Imported { classes }) => Ok(classes),
@@ -150,7 +153,8 @@ impl WireClient {
     /// disabled (a typed `InvalidRequest`) and a transport/codec error when
     /// the connection broke.
     pub fn obs_query(&mut self, query: &ObsQuery) -> Result<ObsResult, WireError> {
-        self.stream.write_all(&encode_request(&WireRequest::ObsQuery(query.clone())))?;
+        self.stream
+            .write_all(&encode_request(&WireRequest::ObsQuery(query.clone())))?;
         self.stream.flush()?;
         match self.read_response(None)? {
             Some(WireResponse::Obs(result)) => Ok(*result),
@@ -178,10 +182,11 @@ impl WireClient {
         upstream: &str,
         follower: &str,
     ) -> Result<u64, WireError> {
-        self.stream.write_all(&encode_request(&WireRequest::AdvertiseFollower {
-            upstream: upstream.to_string(),
-            follower: follower.to_string(),
-        }))?;
+        self.stream
+            .write_all(&encode_request(&WireRequest::AdvertiseFollower {
+                upstream: upstream.to_string(),
+                follower: follower.to_string(),
+            }))?;
         self.stream.flush()?;
         match self.read_response(None)? {
             Some(WireResponse::Advertised { registered }) => Ok(registered),
@@ -205,9 +210,10 @@ impl WireClient {
     /// Returns [`WireError::Remote`] for server-side refusals (unknown
     /// deployment) and a transport/codec error when the connection broke.
     pub fn re_anchor(&mut self, deployment: &str) -> Result<(u64, Vec<u8>), WireError> {
-        self.stream.write_all(&encode_request(&WireRequest::ReAnchor {
-            deployment: deployment.to_string(),
-        }))?;
+        self.stream
+            .write_all(&encode_request(&WireRequest::ReAnchor {
+                deployment: deployment.to_string(),
+            }))?;
         self.stream.flush()?;
         match self.read_response(None)? {
             Some(WireResponse::Repl(ReplEvent::Full { seq, snapshot })) => Ok((seq, snapshot)),
@@ -228,9 +234,10 @@ impl WireClient {
     ///
     /// Returns [`WireError::Io`] when the subscription cannot be written.
     pub fn subscribe(mut self, deployment: &str) -> Result<ReplicationStream, WireError> {
-        self.stream.write_all(&encode_request(&WireRequest::Subscribe {
-            deployment: deployment.to_string(),
-        }))?;
+        self.stream
+            .write_all(&encode_request(&WireRequest::Subscribe {
+                deployment: deployment.to_string(),
+            }))?;
         self.stream.flush()?;
         Ok(ReplicationStream {
             stream: self.stream,
@@ -252,10 +259,11 @@ impl WireClient {
         query: &ObsQuery,
         cursor: Option<ObsCursor>,
     ) -> Result<ObsTailStream, WireError> {
-        self.stream.write_all(&encode_request(&WireRequest::ObsSubscribe {
-            query: query.clone(),
-            cursor,
-        }))?;
+        self.stream
+            .write_all(&encode_request(&WireRequest::ObsSubscribe {
+                query: query.clone(),
+                cursor,
+            }))?;
         self.stream.flush()?;
         Ok(ObsTailStream {
             stream: self.stream,
@@ -267,9 +275,7 @@ impl WireClient {
         stop: Option<&AtomicBool>,
     ) -> Result<Option<WireResponse>, WireError> {
         match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
-            ReadEvent::Frame(kind, payload) => {
-                Ok(Some(decode_response(kind, &payload)?))
-            }
+            ReadEvent::Frame(kind, payload) => Ok(Some(decode_response(kind, &payload)?)),
             ReadEvent::Eof | ReadEvent::Shutdown => Ok(None),
         }
     }

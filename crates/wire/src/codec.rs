@@ -239,7 +239,10 @@ pub fn encode_request(request: &WireRequest) -> Vec<u8> {
             put_str(&mut payload, deployment);
             KIND_REQ_STATS
         }
-        WireRequest::Serve(ServeRequest::TopUpBudget { deployment, energy_mj }) => {
+        WireRequest::Serve(ServeRequest::TopUpBudget {
+            deployment,
+            energy_mj,
+        }) => {
             put_str(&mut payload, deployment);
             put_f64(&mut payload, *energy_mj);
             KIND_REQ_TOP_UP
@@ -321,19 +324,25 @@ pub struct RequestPeek {
 /// deployment strings; never panics.
 pub fn peek_request(kind: u8, payload: &[u8]) -> Result<RequestPeek, PayloadError> {
     match kind {
-        KIND_REQ_INFER | KIND_REQ_LEARN | KIND_REQ_SNAPSHOT | KIND_REQ_STATS
-        | KIND_REQ_TOP_UP | KIND_REQ_SUBSCRIBE | KIND_REQ_EXPORT | KIND_REQ_IMPORT
-        | KIND_REQ_REANCHOR | KIND_REQ_OBS_QUERY | KIND_REQ_ADVERTISE
-        | KIND_REQ_OBS_SUBSCRIBE => {
-            Ok(RequestPeek {
-                deployment: Reader::new(payload).str()?,
-                streaming: matches!(kind, KIND_REQ_SUBSCRIBE | KIND_REQ_OBS_SUBSCRIBE),
-                write: matches!(kind, KIND_REQ_LEARN | KIND_REQ_TOP_UP | KIND_REQ_IMPORT),
-                scatter: kind == KIND_REQ_OBS_QUERY,
-                advertise: kind == KIND_REQ_ADVERTISE,
-                obs_tail: kind == KIND_REQ_OBS_SUBSCRIBE,
-            })
-        }
+        KIND_REQ_INFER
+        | KIND_REQ_LEARN
+        | KIND_REQ_SNAPSHOT
+        | KIND_REQ_STATS
+        | KIND_REQ_TOP_UP
+        | KIND_REQ_SUBSCRIBE
+        | KIND_REQ_EXPORT
+        | KIND_REQ_IMPORT
+        | KIND_REQ_REANCHOR
+        | KIND_REQ_OBS_QUERY
+        | KIND_REQ_ADVERTISE
+        | KIND_REQ_OBS_SUBSCRIBE => Ok(RequestPeek {
+            deployment: Reader::new(payload).str()?,
+            streaming: matches!(kind, KIND_REQ_SUBSCRIBE | KIND_REQ_OBS_SUBSCRIBE),
+            write: matches!(kind, KIND_REQ_LEARN | KIND_REQ_TOP_UP | KIND_REQ_IMPORT),
+            scatter: kind == KIND_REQ_OBS_QUERY,
+            advertise: kind == KIND_REQ_ADVERTISE,
+            obs_tail: kind == KIND_REQ_OBS_SUBSCRIBE,
+        }),
         other => Err(PayloadError::UnknownKind(other)),
     }
 }
@@ -358,26 +367,39 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<WireRequest, PayloadEr
                     labels: r.list("labels", 8, |r| r.usize("label"))?,
                 },
             }),
-            KIND_REQ_SNAPSHOT => {
-                WireRequest::Serve(ServeRequest::Snapshot { deployment: r.str()? })
-            }
-            KIND_REQ_STATS => WireRequest::Serve(ServeRequest::Stats { deployment: r.str()? }),
+            KIND_REQ_SNAPSHOT => WireRequest::Serve(ServeRequest::Snapshot {
+                deployment: r.str()?,
+            }),
+            KIND_REQ_STATS => WireRequest::Serve(ServeRequest::Stats {
+                deployment: r.str()?,
+            }),
             KIND_REQ_TOP_UP => WireRequest::Serve(ServeRequest::TopUpBudget {
                 deployment: r.str()?,
                 energy_mj: r.f64()?,
             }),
-            KIND_REQ_SUBSCRIBE => WireRequest::Subscribe { deployment: r.str()? },
-            KIND_REQ_EXPORT => WireRequest::Export { deployment: r.str()? },
+            KIND_REQ_SUBSCRIBE => WireRequest::Subscribe {
+                deployment: r.str()?,
+            },
+            KIND_REQ_EXPORT => WireRequest::Export {
+                deployment: r.str()?,
+            },
             KIND_REQ_IMPORT => WireRequest::Import(DeploymentExport::decode(r)?),
-            KIND_REQ_REANCHOR => WireRequest::ReAnchor { deployment: r.str()? },
+            KIND_REQ_REANCHOR => WireRequest::ReAnchor {
+                deployment: r.str()?,
+            },
             KIND_REQ_OBS_QUERY => WireRequest::ObsQuery(ObsQuery::decode(r)?),
             KIND_REQ_OBS_SUBSCRIBE => WireRequest::ObsSubscribe {
                 query: ObsQuery::decode(r)?,
-                cursor: if r.flag("obs cursor")? { Some(ObsCursor::decode(r)?) } else { None },
+                cursor: if r.flag("obs cursor")? {
+                    Some(ObsCursor::decode(r)?)
+                } else {
+                    None
+                },
             },
-            KIND_REQ_ADVERTISE => {
-                WireRequest::AdvertiseFollower { upstream: r.str()?, follower: r.str()? }
-            }
+            KIND_REQ_ADVERTISE => WireRequest::AdvertiseFollower {
+                upstream: r.str()?,
+                follower: r.str()?,
+            },
             other => return Err(PayloadError::UnknownKind(other)),
         })
     })
@@ -391,13 +413,20 @@ pub fn decode_request(kind: u8, payload: &[u8]) -> Result<WireRequest, PayloadEr
 pub fn encode_response(response: &WireResponse) -> Vec<u8> {
     let mut payload = Vec::new();
     let kind = match response {
-        WireResponse::Serve(ServeResponse::Prediction { class, similarity, batched_with }) => {
+        WireResponse::Serve(ServeResponse::Prediction {
+            class,
+            similarity,
+            batched_with,
+        }) => {
             put_u64(&mut payload, *class as u64);
             put_f32(&mut payload, *similarity);
             put_u64(&mut payload, *batched_with as u64);
             KIND_RESP_PREDICTION
         }
-        WireResponse::Serve(ServeResponse::Learned { classes, total_classes }) => {
+        WireResponse::Serve(ServeResponse::Learned {
+            classes,
+            total_classes,
+        }) => {
             put_u32(&mut payload, classes.len() as u32);
             for &class in classes {
                 put_u64(&mut payload, class as u64);
@@ -413,7 +442,10 @@ pub fn encode_response(response: &WireResponse) -> Vec<u8> {
             stats.encode(&mut payload);
             KIND_RESP_STATS
         }
-        WireResponse::Serve(ServeResponse::Budget { spent_mj, remaining_mj }) => {
+        WireResponse::Serve(ServeResponse::Budget {
+            spent_mj,
+            remaining_mj,
+        }) => {
             put_f64(&mut payload, *spent_mj);
             encode_budget(*remaining_mj, &mut payload);
             KIND_RESP_BUDGET
@@ -427,7 +459,11 @@ pub fn encode_response(response: &WireResponse) -> Vec<u8> {
             put_bytes(&mut payload, snapshot);
             KIND_REPL_FULL
         }
-        WireResponse::Repl(ReplEvent::Delta { seq, total_classes, updates }) => {
+        WireResponse::Repl(ReplEvent::Delta {
+            seq,
+            total_classes,
+            updates,
+        }) => {
             put_u64(&mut payload, *seq);
             put_u64(&mut payload, *total_classes);
             encode_prototypes(updates, &mut payload);
@@ -475,9 +511,9 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<WireResponse, Payload
                 classes: r.list("classes", 8, |r| r.usize("class"))?,
                 total_classes: r.usize("total_classes")?,
             }),
-            KIND_RESP_SNAPSHOT => {
-                WireResponse::Serve(ServeResponse::Snapshot { bytes: r.bytes("snapshot")? })
-            }
+            KIND_RESP_SNAPSHOT => WireResponse::Serve(ServeResponse::Snapshot {
+                bytes: r.bytes("snapshot")?,
+            }),
             KIND_RESP_STATS => {
                 WireResponse::Serve(ServeResponse::Stats(DeploymentStats::decode(r)?))
             }
@@ -497,7 +533,9 @@ pub fn decode_response(kind: u8, payload: &[u8]) -> Result<WireResponse, Payload
             }),
             KIND_RESP_EXPORT => WireResponse::Export(DeploymentExport::decode(r)?),
             KIND_RESP_IMPORTED => WireResponse::Imported { classes: r.u64()? },
-            KIND_RESP_ADVERTISED => WireResponse::Advertised { registered: r.u64()? },
+            KIND_RESP_ADVERTISED => WireResponse::Advertised {
+                registered: r.u64()?,
+            },
             KIND_RESP_OBS => WireResponse::Obs(Box::new(ObsResult::decode(r)?)),
             KIND_OBS_BATCH => WireResponse::Tail(TailBatch::decode(r)?),
             other => return Err(PayloadError::UnknownKind(other)),
@@ -540,14 +578,22 @@ mod tests {
                 labels: vec![7, 3],
             },
         }));
-        roundtrip_request(WireRequest::Serve(ServeRequest::Snapshot { deployment: "s".into() }));
-        roundtrip_request(WireRequest::Serve(ServeRequest::Stats { deployment: "".into() }));
+        roundtrip_request(WireRequest::Serve(ServeRequest::Snapshot {
+            deployment: "s".into(),
+        }));
+        roundtrip_request(WireRequest::Serve(ServeRequest::Stats {
+            deployment: "".into(),
+        }));
         roundtrip_request(WireRequest::Serve(ServeRequest::TopUpBudget {
             deployment: "t".into(),
             energy_mj: 12.75,
         }));
-        roundtrip_request(WireRequest::Subscribe { deployment: "repl".into() });
-        roundtrip_request(WireRequest::Export { deployment: "mover".into() });
+        roundtrip_request(WireRequest::Subscribe {
+            deployment: "repl".into(),
+        });
+        roundtrip_request(WireRequest::Export {
+            deployment: "mover".into(),
+        });
         roundtrip_request(WireRequest::Import(DeploymentExport {
             name: "mover".into(),
             seq: 17,
@@ -565,7 +611,9 @@ mod tests {
                 deferred: 4,
             },
         }));
-        roundtrip_request(WireRequest::ReAnchor { deployment: "lagging".into() });
+        roundtrip_request(WireRequest::ReAnchor {
+            deployment: "lagging".into(),
+        });
         roundtrip_request(WireRequest::ObsQuery(
             ObsQuery::deployment("tenant-a")
                 .with_time_range(1_000, 2_000)
@@ -586,7 +634,10 @@ mod tests {
             query: ObsQuery::deployment("tenant-a")
                 .with_kinds(&[EventKind::Infer, EventKind::SinkOverflow])
                 .with_limit(4096),
-            cursor: Some(ObsCursor { time_us: 123_456_789, seq: 42 }),
+            cursor: Some(ObsCursor {
+                time_us: 123_456_789,
+                seq: 42,
+            }),
         });
         roundtrip_request(WireRequest::AdvertiseFollower {
             upstream: "127.0.0.1:9001".into(),
@@ -610,20 +661,27 @@ mod tests {
             (
                 WireRequest::Serve(ServeRequest::LearnOnline {
                     deployment: "tenant-a".into(),
-                    batch: Batch { images: Tensor::zeros(&[1, 3, 2, 2]), labels: vec![0] },
+                    batch: Batch {
+                        images: Tensor::zeros(&[1, 3, 2, 2]),
+                        labels: vec![0],
+                    },
                 }),
                 false,
                 true,
                 false,
             ),
             (
-                WireRequest::Serve(ServeRequest::Snapshot { deployment: "tenant-a".into() }),
+                WireRequest::Serve(ServeRequest::Snapshot {
+                    deployment: "tenant-a".into(),
+                }),
                 false,
                 false,
                 false,
             ),
             (
-                WireRequest::Serve(ServeRequest::Stats { deployment: "tenant-a".into() }),
+                WireRequest::Serve(ServeRequest::Stats {
+                    deployment: "tenant-a".into(),
+                }),
                 false,
                 false,
                 false,
@@ -637,8 +695,22 @@ mod tests {
                 true,
                 false,
             ),
-            (WireRequest::Subscribe { deployment: "tenant-a".into() }, true, false, false),
-            (WireRequest::Export { deployment: "tenant-a".into() }, false, false, false),
+            (
+                WireRequest::Subscribe {
+                    deployment: "tenant-a".into(),
+                },
+                true,
+                false,
+                false,
+            ),
+            (
+                WireRequest::Export {
+                    deployment: "tenant-a".into(),
+                },
+                false,
+                false,
+                false,
+            ),
             (
                 WireRequest::Import(DeploymentExport {
                     name: "tenant-a".into(),
@@ -650,8 +722,20 @@ mod tests {
                 true,
                 false,
             ),
-            (WireRequest::ReAnchor { deployment: "tenant-a".into() }, false, false, false),
-            (WireRequest::ObsQuery(ObsQuery::deployment("tenant-a")), false, false, true),
+            (
+                WireRequest::ReAnchor {
+                    deployment: "tenant-a".into(),
+                },
+                false,
+                false,
+                false,
+            ),
+            (
+                WireRequest::ObsQuery(ObsQuery::deployment("tenant-a")),
+                false,
+                false,
+                true,
+            ),
             // A tail subscription streams but is NOT a scatter one-shot: the
             // router multiplexes it itself (peek.obs_tail, asserted below).
             (
@@ -720,13 +804,21 @@ mod tests {
                 classes: vec![0, 5, 9],
                 total_classes: 12,
             }),
-            WireResponse::Serve(ServeResponse::Snapshot { bytes: vec![1, 2, 3, 255] }),
-            WireResponse::Serve(ServeResponse::Budget { spent_mj: 3.5, remaining_mj: None }),
+            WireResponse::Serve(ServeResponse::Snapshot {
+                bytes: vec![1, 2, 3, 255],
+            }),
+            WireResponse::Serve(ServeResponse::Budget {
+                spent_mj: 3.5,
+                remaining_mj: None,
+            }),
             WireResponse::Serve(ServeResponse::Budget {
                 spent_mj: 0.0,
                 remaining_mj: Some(9.25),
             }),
-            WireResponse::Repl(ReplEvent::Full { seq: 7, snapshot: vec![9; 20] }),
+            WireResponse::Repl(ReplEvent::Full {
+                seq: 7,
+                snapshot: vec![9; 20],
+            }),
             WireResponse::Repl(ReplEvent::Delta {
                 seq: 8,
                 total_classes: 3,
@@ -738,7 +830,11 @@ mod tests {
                 snapshot: vec![7; 12],
                 spent_mj: 12.25,
                 budget_mj: None,
-                stats: ExportStats { infer_requests: 9, deferred: 1, ..ExportStats::default() },
+                stats: ExportStats {
+                    infer_requests: 9,
+                    deferred: 1,
+                    ..ExportStats::default()
+                },
             }),
             WireResponse::Imported { classes: 4 },
             WireResponse::Advertised { registered: 2 },
@@ -795,7 +891,10 @@ mod tests {
                         .with_time_us(3_001),
                 ],
                 rollups: vec![Rollup::new(60_000_000, "tenant-a", EventKind::Infer)],
-                cursor: ObsCursor { time_us: 3_001, seq: 12 },
+                cursor: ObsCursor {
+                    time_us: 3_001,
+                    seq: 12,
+                },
                 backfill: true,
                 truncated: true,
                 dropped: 5,
@@ -852,12 +951,16 @@ mod tests {
             ServeError::Execution("matmul failed".into()),
             ServeError::ShuttingDown,
             ServeError::QueueFull { depth: 64 },
-            ServeError::ReadOnlyReplica { deployment: "r".into() },
+            ServeError::ReadOnlyReplica {
+                deployment: "r".into(),
+            },
             ServeError::ShardUnavailable {
                 shard: "1 (tcp://127.0.0.1:9)".into(),
                 detail: "connection refused".into(),
             },
-            ServeError::ReplicationLagged { deployment: "t".into() },
+            ServeError::ReplicationLagged {
+                deployment: "t".into(),
+            },
         ] {
             let expect = format!("{error:?}");
             match roundtrip_response(&WireResponse::Error(error)) {
@@ -892,8 +995,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let image =
-            Tensor::from_vec(vec![f32::INFINITY, f32::NEG_INFINITY, -0.0, f32::NAN], &[4])
-                .unwrap();
+            Tensor::from_vec(vec![f32::INFINITY, f32::NEG_INFINITY, -0.0, f32::NAN], &[4]).unwrap();
         let request = WireRequest::Serve(ServeRequest::Infer {
             deployment: "t".into(),
             image: image.clone(),

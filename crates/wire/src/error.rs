@@ -123,7 +123,11 @@ impl fmt::Display for WireError {
             WireError::Remote(e) => write!(f, "remote error: {e}"),
             WireError::Runtime(e) => write!(f, "local runtime error: {e}"),
             WireError::Protocol(msg) => write!(f, "protocol violation: {msg}"),
-            WireError::ReplicationGap { deployment, expected, got } => write!(
+            WireError::ReplicationGap {
+                deployment,
+                expected,
+                got,
+            } => write!(
                 f,
                 "replication stream for {deployment:?} gapped: expected seq {expected}, got {got}"
             ),
@@ -174,10 +178,17 @@ mod tests {
         assert!(e.to_string().contains("0xff"));
         let e = WireError::Remote(ServeError::ShuttingDown);
         assert!(e.source().is_some());
-        let e = WireError::ReplicationGap { deployment: "t".into(), expected: 4, got: 9 };
+        let e = WireError::ReplicationGap {
+            deployment: "t".into(),
+            expected: 4,
+            got: 9,
+        };
         assert!(e.to_string().contains("expected seq 4"));
         assert!(e.source().is_none());
-        let e = WireError::Payload(PayloadError::LengthOverflow { field: "labels", declared: 9 });
+        let e = WireError::Payload(PayloadError::LengthOverflow {
+            field: "labels",
+            declared: 9,
+        });
         assert!(e.to_string().contains("labels"));
     }
 }

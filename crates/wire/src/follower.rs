@@ -150,7 +150,10 @@ impl Progress {
 
     fn record_error(&self, deployment: &str, error: &WireError) {
         let mut state = self.state.lock().expect("progress lock poisoned");
-        state.errors.entry(deployment.to_string()).or_insert_with(|| error.to_string());
+        state
+            .errors
+            .entry(deployment.to_string())
+            .or_insert_with(|| error.to_string());
         drop(state);
         self.changed.notify_all();
     }
@@ -298,12 +301,20 @@ impl Follower {
                     let sink = config.obs.as_ref().map(|obs| obs.sink().clone());
                     scope.spawn(move || {
                         tail_deployment(
-                            registry, upstream, deployment, progress, stop, resync_limit,
+                            registry,
+                            upstream,
+                            deployment,
+                            progress,
+                            stop,
+                            resync_limit,
                             sink.as_ref(),
                         );
                     });
                 }
-                let handle = FollowerHandle { server, progress: &progress };
+                let handle = FollowerHandle {
+                    server,
+                    progress: &progress,
+                };
                 let _stop_on_exit = crate::server::ShutdownOnDrop::new(&stop);
                 body(&handle)
             })
@@ -353,15 +364,14 @@ impl Follower {
     where
         F: FnOnce(&WireHandle) -> T,
     {
-        store.bootstrap(registry).map_err(|e| {
-            WireError::Protocol(format!("promotion bootstrap failed: {e}"))
-        })?;
+        store
+            .bootstrap(registry)
+            .map_err(|e| WireError::Protocol(format!("promotion bootstrap failed: {e}")))?;
         if let Some(obs) = obs {
             for name in registry.names() {
                 let seq = registry.replication_seq(&name).unwrap_or(0);
                 obs.sink().emit(
-                    ofscil_obs::Event::new(ofscil_obs::EventKind::Promotion, &name)
-                        .with_seq(seq),
+                    ofscil_obs::Event::new(ofscil_obs::EventKind::Promotion, &name).with_seq(seq),
                 );
             }
         }
@@ -399,10 +409,13 @@ fn tail_deployment(
     let mut resyncs = 0;
     loop {
         let resynced = resyncs > 0;
-        match tail_inner(registry, upstream, deployment, progress, stop, sink, resynced) {
+        match tail_inner(
+            registry, upstream, deployment, progress, stop, sink, resynced,
+        ) {
             Ok(()) => return,
             Err(error)
-                if resyncable(&error) && resyncs < resync_limit
+                if resyncable(&error)
+                    && resyncs < resync_limit
                     && !stop.load(Ordering::Acquire) =>
             {
                 resyncs += 1;
@@ -450,7 +463,11 @@ fn tail_inner(
                     }
                 }
             }
-            ReplEvent::Delta { seq, total_classes, updates } => {
+            ReplEvent::Delta {
+                seq,
+                total_classes,
+                updates,
+            } => {
                 let Some(applied) = anchor else {
                     return Err(WireError::Protocol(
                         "replication delta arrived before the full-snapshot anchor".into(),

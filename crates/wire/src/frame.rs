@@ -95,7 +95,10 @@ fn parse_header(header: &[u8], max_payload: usize) -> Result<(u8, usize), FrameE
     }
     let declared = u32::from_le_bytes(header[8..12].try_into().expect("length checked")) as usize;
     if declared > max_payload {
-        return Err(FrameError::Oversize { declared, max: max_payload });
+        return Err(FrameError::Oversize {
+            declared,
+            max: max_payload,
+        });
     }
     Ok((kind, declared))
 }
@@ -111,15 +114,23 @@ fn parse_header(header: &[u8], max_payload: usize) -> Result<(u8, usize), FrameE
 pub fn parse_frame(bytes: &[u8], max_payload: usize) -> Result<(u8, &[u8]), FrameError> {
     let min = HEADER_LEN + CHECKSUM_LEN;
     if bytes.len() < min {
-        return Err(FrameError::Truncated { needed: min, actual: bytes.len() });
+        return Err(FrameError::Truncated {
+            needed: min,
+            actual: bytes.len(),
+        });
     }
     let (kind, payload_len) = parse_header(&bytes[..HEADER_LEN], max_payload)?;
     let total = HEADER_LEN + payload_len + CHECKSUM_LEN;
     if bytes.len() < total {
-        return Err(FrameError::Truncated { needed: total, actual: bytes.len() });
+        return Err(FrameError::Truncated {
+            needed: total,
+            actual: bytes.len(),
+        });
     }
     if bytes.len() > total {
-        return Err(FrameError::TrailingBytes { remaining: bytes.len() - total });
+        return Err(FrameError::TrailingBytes {
+            remaining: bytes.len() - total,
+        });
     }
     let (covered, stored, computed) = split_checksum(bytes).expect("length checked");
     if stored != computed {
@@ -389,7 +400,10 @@ mod tests {
         // A hostile declared length is refused before allocation.
         assert!(matches!(
             parse_frame(&frame, 3),
-            Err(FrameError::Oversize { declared: 7, max: 3 })
+            Err(FrameError::Oversize {
+                declared: 7,
+                max: 3
+            })
         ));
     }
 

@@ -49,10 +49,18 @@ impl ServerThread {
     {
         let (addr_tx, addr_rx) = mpsc::channel();
         let (stop_tx, stop_rx) = mpsc::channel();
-        let join =
-            std::thread::spawn(move || serve(UntilStopped { addr: addr_tx, stop: stop_rx }));
+        let join = std::thread::spawn(move || {
+            serve(UntilStopped {
+                addr: addr_tx,
+                stop: stop_rx,
+            })
+        });
         match addr_rx.recv() {
-            Ok(addr) => Ok(ServerThread { addr, stop: stop_tx, join: Some(join) }),
+            Ok(addr) => Ok(ServerThread {
+                addr,
+                stop: stop_tx,
+                join: Some(join),
+            }),
             // The server never reached its body; join it for the reason.
             Err(_) => Err(match join.join() {
                 Ok(Err(error)) => error,

@@ -66,11 +66,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod codec;
 mod client;
+pub mod codec;
 mod error;
-pub mod frame;
 mod follower;
+pub mod frame;
 pub mod harness;
 pub mod net;
 mod server;

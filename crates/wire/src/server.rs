@@ -126,7 +126,9 @@ pub(crate) struct ReplHub {
 
 impl ReplHub {
     pub(crate) fn new() -> Self {
-        ReplHub { subscribers: Mutex::new(HashMap::new()) }
+        ReplHub {
+            subscribers: Mutex::new(HashMap::new()),
+        }
     }
 
     /// Registers a subscriber for one deployment's commits. Registration
@@ -149,7 +151,9 @@ impl ReplHub {
     /// full (a stalled socket must not grow the primary's memory).
     pub(crate) fn forward(&self, commit: LearnCommit) {
         let mut subscribers = self.subscribers.lock().expect("hub lock poisoned");
-        let Some(list) = subscribers.get_mut(&commit.deployment) else { return };
+        let Some(list) = subscribers.get_mut(&commit.deployment) else {
+            return;
+        };
         let commit = Arc::new(commit);
         list.retain(|tx| tx.try_send(Arc::clone(&commit)).is_ok());
         if list.is_empty() {
@@ -278,7 +282,8 @@ impl WireServer {
                     })?;
                 recovery.rehydrate_into(obs.store());
                 let spill = Arc::new(spill);
-                obs.store().set_spill(Arc::clone(&spill) as Arc<dyn ofscil_obs::ChunkSpill>);
+                obs.store()
+                    .set_spill(Arc::clone(&spill) as Arc<dyn ofscil_obs::ChunkSpill>);
                 Some(spill)
             }
             _ => None,
@@ -310,7 +315,14 @@ impl WireServer {
                 let accept_client = client.clone();
                 scope.spawn(move || {
                     accept_loop(
-                        scope, &listener, accept_client, registry, hub, store, obs, shutdown,
+                        scope,
+                        &listener,
+                        accept_client,
+                        registry,
+                        hub,
+                        store,
+                        obs,
+                        shutdown,
                         options,
                     );
                 });
@@ -401,7 +413,9 @@ fn observe_checkpoints(
 ) {
     use ofscil_serve::CommitJournal;
     for name in registry.names() {
-        let Some(stats) = store.durability_stats(&name) else { continue };
+        let Some(stats) = store.durability_stats(&name) else {
+            continue;
+        };
         let seen = checkpoint_seqs.entry(name.clone()).or_insert(0);
         if emit && stats.last_checkpoint_seq > *seen {
             obs.sink().emit(
@@ -470,8 +484,7 @@ fn serve_connection(
     options: ConnOptions,
 ) {
     loop {
-        let (kind, payload) = match read_frame(&mut stream, options.max_payload, Some(shutdown))
-        {
+        let (kind, payload) = match read_frame(&mut stream, options.max_payload, Some(shutdown)) {
             Ok(ReadEvent::Frame(kind, payload)) => (kind, payload),
             // Clean EOF, shutdown, or a frame-level error (the byte stream
             // can no longer be trusted): close the connection.
@@ -510,13 +523,21 @@ fn serve_connection(
                     // same discipline as learns), so the WAL cannot order a
                     // racing learn's record ahead of the import it ran
                     // after.
-                    let journaled = registry.import_deployment_with(&export, |seq, spent, budget| {
-                        journal_import(store, &export.name, seq, &export.snapshot, spent, budget)
-                    });
+                    let journaled =
+                        registry.import_deployment_with(&export, |seq, spent, budget| {
+                            journal_import(
+                                store,
+                                &export.name,
+                                seq,
+                                &export.snapshot,
+                                spent,
+                                budget,
+                            )
+                        });
                     match journaled {
-                        Ok((classes, Ok(()))) => {
-                            WireResponse::Imported { classes: classes as u64 }
-                        }
+                        Ok((classes, Ok(()))) => WireResponse::Imported {
+                            classes: classes as u64,
+                        },
                         // The in-memory import stands, but the caller must
                         // not believe it is durable — a router seeing this
                         // error keeps the old placement and can retry
@@ -552,18 +573,16 @@ fn serve_connection(
             // the frame before forwarding); reaching a plain shard means the
             // follower was pointed at the wrong address.
             Ok(WireRequest::AdvertiseFollower { .. }) => WireResponse::Error(
-                ServeError::InvalidRequest(
-                    "follower advertisement is a router operation".into(),
-                ),
+                ServeError::InvalidRequest("follower advertisement is a router operation".into()),
             ),
             // A one-shot anchor: the cheap checkpoint-served snapshot when a
             // store is attached, a live snapshot otherwise.
-            Ok(WireRequest::ReAnchor { deployment }) => match anchor_for(
-                &deployment, registry, store,
-            ) {
-                Ok((seq, snapshot)) => WireResponse::Repl(ReplEvent::Full { seq, snapshot }),
-                Err(error) => WireResponse::Error(error),
-            },
+            Ok(WireRequest::ReAnchor { deployment }) => {
+                match anchor_for(&deployment, registry, store) {
+                    Ok((seq, snapshot)) => WireResponse::Repl(ReplEvent::Full { seq, snapshot }),
+                    Err(error) => WireResponse::Error(error),
+                }
+            }
         };
         if stream.write_all(&encode_response(&response)).is_err() {
             return;
@@ -654,13 +673,20 @@ fn stream_obs_tail(
         let last = end == tail.backfill.events.len();
         let batch = TailBatch {
             events,
-            rollups: if offset == 0 { tail.backfill.rollups.clone() } else { Vec::new() },
+            rollups: if offset == 0 {
+                tail.backfill.rollups.clone()
+            } else {
+                Vec::new()
+            },
             cursor: high_water,
             backfill: true,
             truncated: tail.backfill.truncated,
             dropped: tail.dropped(),
         };
-        if stream.write_all(&encode_response(&WireResponse::Tail(batch))).is_err() {
+        if stream
+            .write_all(&encode_response(&WireResponse::Tail(batch)))
+            .is_err()
+        {
             return;
         }
         offset = end;
@@ -700,7 +726,10 @@ fn stream_obs_tail(
             truncated: false,
             dropped: tail.dropped(),
         };
-        if stream.write_all(&encode_response(&WireResponse::Tail(batch))).is_err() {
+        if stream
+            .write_all(&encode_response(&WireResponse::Tail(batch)))
+            .is_err()
+        {
             return;
         }
     }

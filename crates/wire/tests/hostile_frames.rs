@@ -14,13 +14,13 @@ use std::time::Duration;
 
 use ofscil_core::OFscilModel;
 use ofscil_nn::models::BackboneKind;
+use ofscil_obs::Event;
 use ofscil_router::harness::ShardProcess;
 use ofscil_router::{RouterConfig, RouterServer};
 use ofscil_serve::{
     DeploymentExport, DeploymentSpec, LearnerRegistry, ServeRequest, ServeResponse,
 };
 use ofscil_store::{ObsSpill, OpLog, WalRecord, REC_CHUNK};
-use ofscil_obs::Event;
 use ofscil_tensor::bytes::{put_u32, put_u64, Reader};
 use ofscil_tensor::SeedRng;
 use ofscil_wire::codec::{decode_request, decode_response, encode_request, WireRequest};
@@ -67,15 +67,21 @@ fn templates() -> Vec<Vec<u8>> {
             deployment: "tenant".into(),
             energy_mj: 3.5,
         })),
-        encode_request(&WireRequest::Subscribe { deployment: "tenant".into() }),
-        encode_request(&WireRequest::Export { deployment: "tenant".into() }),
+        encode_request(&WireRequest::Subscribe {
+            deployment: "tenant".into(),
+        }),
+        encode_request(&WireRequest::Export {
+            deployment: "tenant".into(),
+        }),
         encode_request(&WireRequest::Import(DeploymentExport {
             name: "tenant".into(),
             seq: 9,
             snapshot: vec![1, 2, 3, 4],
             ..DeploymentExport::default()
         })),
-        encode_request(&WireRequest::ReAnchor { deployment: "tenant".into() }),
+        encode_request(&WireRequest::ReAnchor {
+            deployment: "tenant".into(),
+        }),
     ]
 }
 
@@ -182,8 +188,14 @@ fn seeded_mutations_yield_typed_errors_never_panics() {
     // are mutations that produced a *well-formed* request (e.g. the
     // original kind back, or a kind flip between two string-only requests)
     // — legal, but they must stay a small minority.
-    assert!(parse_errors > 3_000, "only {parse_errors} frame-level rejections");
-    assert!(payload_errors > 2_000, "only {payload_errors} typed payload rejections");
+    assert!(
+        parse_errors > 3_000,
+        "only {parse_errors} frame-level rejections"
+    );
+    assert!(
+        payload_errors > 2_000,
+        "only {payload_errors} typed payload rejections"
+    );
     assert!(
         survivors < 100,
         "{survivors} mutations decoded cleanly — the mutation set is too weak"
@@ -214,8 +226,7 @@ fn declared_length_attacks_are_rejected_before_allocation() {
     // One past the configured cap is still over the cap.
     let cap = 1 << 10;
     let mut just_over = stats;
-    just_over[HEADER_LEN - 4..HEADER_LEN]
-        .copy_from_slice(&((cap as u32) + 1).to_le_bytes());
+    just_over[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&((cap as u32) + 1).to_le_bytes());
     assert!(matches!(
         parse_frame(&just_over, cap),
         Err(FrameError::Oversize { .. })
@@ -238,7 +249,10 @@ fn declared_length_attacks_are_rejected_before_allocation() {
     body[count_at..].copy_from_slice(&u32::MAX.to_le_bytes());
     assert_eq!(
         WalRecord::decode(kind, &body),
-        Err(PayloadError::LengthOverflow { field: "updates", declared: u64::from(u32::MAX) })
+        Err(PayloadError::LengthOverflow {
+            field: "updates",
+            declared: u64::from(u32::MAX)
+        })
     );
     // …one update whose prototype claims a gibibyte of floats…
     body[count_at..].copy_from_slice(&1u32.to_le_bytes());
@@ -246,7 +260,10 @@ fn declared_length_attacks_are_rejected_before_allocation() {
     put_u32(&mut body, 1 << 28);
     assert!(matches!(
         WalRecord::decode(kind, &body),
-        Err(PayloadError::LengthOverflow { field: "prototype", .. })
+        Err(PayloadError::LengthOverflow {
+            field: "prototype",
+            ..
+        })
     ));
     // …and a spill chunk declaring more events than its body can hold,
     // which the spill skips as one corrupt record instead of adopting.
@@ -255,10 +272,13 @@ fn declared_length_attacks_are_rejected_before_allocation() {
     chunk.extend_from_slice(&[0u8; 2 * Event::MIN_ENCODED_BYTES]);
     assert!(matches!(
         Event::decode_all(&mut Reader::new(&chunk)),
-        Err(PayloadError::LengthOverflow { field: "events", declared: 3 })
+        Err(PayloadError::LengthOverflow {
+            field: "events",
+            declared: 3
+        })
     ));
-    let path = std::env::temp_dir()
-        .join(format!("ofscil-hostile-spill-{}.log", std::process::id()));
+    let path =
+        std::env::temp_dir().join(format!("ofscil-hostile-spill-{}.log", std::process::id()));
     let _ = std::fs::remove_file(&path);
     {
         let (mut log, _) = OpLog::open(&path).unwrap();
@@ -309,7 +329,9 @@ fn corrupted_payloads_inside_valid_envelopes_decode_totally() {
 /// with garbage is as broken as one that crashes.
 fn deliver(addr: &std::net::SocketAddr, blob: &[u8]) -> Vec<WireResponse> {
     let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     // Write errors are expected: the server may slam the connection after
     // the first corrupt bytes.
     let _ = stream.write_all(blob);

@@ -26,7 +26,9 @@ use ofscil_wire::{
 fn random_name(rng: &mut SeedRng) -> String {
     const ALPHABET: &[&str] = &["a", "b", "Z", "7", "-", "_", "é", "λ", "учё", "tenant"];
     let len = rng.below(6);
-    (0..len).map(|_| ALPHABET[rng.below(ALPHABET.len())]).collect()
+    (0..len)
+        .map(|_| ALPHABET[rng.below(ALPHABET.len())])
+        .collect()
 }
 
 fn random_f32(rng: &mut SeedRng) -> f32 {
@@ -67,11 +69,11 @@ fn random_request(rng: &mut SeedRng) -> WireRequest {
             let samples = 1 + rng.below(4);
             let side = 1 + rng.below(4);
             let len = samples * 3 * side * side;
-            let images =
-                Tensor::from_vec((0..len).map(|_| random_f32(rng)).collect(), &[
-                    samples, 3, side, side,
-                ])
-                .expect("consistent dims");
+            let images = Tensor::from_vec(
+                (0..len).map(|_| random_f32(rng)).collect(),
+                &[samples, 3, side, side],
+            )
+            .expect("consistent dims");
             WireRequest::Serve(ServeRequest::LearnOnline {
                 deployment: random_name(rng),
                 batch: Batch {
@@ -80,14 +82,22 @@ fn random_request(rng: &mut SeedRng) -> WireRequest {
                 },
             })
         }
-        2 => WireRequest::Serve(ServeRequest::Snapshot { deployment: random_name(rng) }),
-        3 => WireRequest::Serve(ServeRequest::Stats { deployment: random_name(rng) }),
+        2 => WireRequest::Serve(ServeRequest::Snapshot {
+            deployment: random_name(rng),
+        }),
+        3 => WireRequest::Serve(ServeRequest::Stats {
+            deployment: random_name(rng),
+        }),
         4 => WireRequest::Serve(ServeRequest::TopUpBudget {
             deployment: random_name(rng),
             energy_mj: random_f64(rng),
         }),
-        5 => WireRequest::ReAnchor { deployment: random_name(rng) },
-        _ => WireRequest::Subscribe { deployment: random_name(rng) },
+        5 => WireRequest::ReAnchor {
+            deployment: random_name(rng),
+        },
+        _ => WireRequest::Subscribe {
+            deployment: random_name(rng),
+        },
     }
 }
 
@@ -104,8 +114,12 @@ fn random_error(rng: &mut SeedRng) -> ServeError {
         4 => ServeError::InvalidConfig(random_name(rng)),
         5 => ServeError::Execution(random_name(rng)),
         6 => ServeError::ShuttingDown,
-        7 => ServeError::QueueFull { depth: rng.below(1 << 20) },
-        _ => ServeError::ReadOnlyReplica { deployment: random_name(rng) },
+        7 => ServeError::QueueFull {
+            depth: rng.below(1 << 20),
+        },
+        _ => ServeError::ReadOnlyReplica {
+            deployment: random_name(rng),
+        },
     }
 }
 
@@ -155,7 +169,10 @@ fn random_response(rng: &mut SeedRng) -> WireResponse {
             let len = rng.below(96);
             let mut snapshot = vec![0u8; len];
             rng.fill_bytes(&mut snapshot);
-            WireResponse::Repl(ReplEvent::Full { seq: rng.next_u64() >> 8, snapshot })
+            WireResponse::Repl(ReplEvent::Full {
+                seq: rng.next_u64() >> 8,
+                snapshot,
+            })
         }
         _ => WireResponse::Repl(ReplEvent::Delta {
             seq: rng.next_u64() >> 8,
@@ -298,7 +315,9 @@ fn every_truncation_length_is_detected() {
 
 #[test]
 fn unknown_versions_and_kinds_are_typed() {
-    let frame = encode_request(&WireRequest::Subscribe { deployment: "t".into() });
+    let frame = encode_request(&WireRequest::Subscribe {
+        deployment: "t".into(),
+    });
 
     let mut versioned = frame.clone();
     versioned[4] = 0xfe;

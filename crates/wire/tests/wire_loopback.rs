@@ -39,7 +39,10 @@ fn full_request_surface_over_tcp() {
             })
             .unwrap();
         match learned {
-            ServeResponse::Learned { classes, total_classes } => {
+            ServeResponse::Learned {
+                classes,
+                total_classes,
+            } => {
                 assert_eq!(classes, vec![0, 1, 2]);
                 assert_eq!(total_classes, 3);
             }
@@ -57,14 +60,24 @@ fn full_request_surface_over_tcp() {
         }
 
         // Stats and snapshot flow through unchanged.
-        match client.call(ServeRequest::Stats { deployment: "tenant".into() }).unwrap() {
+        match client
+            .call(ServeRequest::Stats {
+                deployment: "tenant".into(),
+            })
+            .unwrap()
+        {
             ServeResponse::Stats(stats) => {
                 assert_eq!(stats.classes, 3);
                 assert_eq!(stats.learn_requests, 1);
             }
             other => panic!("unexpected response {other:?}"),
         }
-        match client.call(ServeRequest::Snapshot { deployment: "tenant".into() }).unwrap() {
+        match client
+            .call(ServeRequest::Snapshot {
+                deployment: "tenant".into(),
+            })
+            .unwrap()
+        {
             ServeResponse::Snapshot { bytes } => {
                 assert_eq!(bytes, registry.snapshot("tenant").unwrap());
             }
@@ -88,12 +101,23 @@ fn full_request_surface_over_tcp() {
                 image: Tensor::zeros(&[3, 4, 4]),
             })
             .unwrap_err();
-        assert!(matches!(err, WireError::Remote(ServeError::InvalidRequest(_))));
+        assert!(matches!(
+            err,
+            WireError::Remote(ServeError::InvalidRequest(_))
+        ));
 
         // The connection survives the errors; several clients at once work.
         let mut second = WireClient::connect(server.addr()).unwrap();
-        second.call(ServeRequest::Stats { deployment: "tenant".into() }).unwrap();
-        client.call(ServeRequest::Stats { deployment: "tenant".into() }).unwrap();
+        second
+            .call(ServeRequest::Stats {
+                deployment: "tenant".into(),
+            })
+            .unwrap();
+        client
+            .call(ServeRequest::Stats {
+                deployment: "tenant".into(),
+            })
+            .unwrap();
     })
     .unwrap();
 }
@@ -124,7 +148,10 @@ fn budget_errors_cross_the_wire_typed() {
         // Top up over the wire, then the request is admitted (and fails
         // only because the memory is empty — an execution error).
         client
-            .call(ServeRequest::TopUpBudget { deployment: "metered".into(), energy_mj: 1e6 })
+            .call(ServeRequest::TopUpBudget {
+                deployment: "metered".into(),
+                energy_mj: 1e6,
+            })
             .unwrap();
         let err = client
             .call(ServeRequest::Infer {
@@ -154,7 +181,12 @@ fn unix_domain_sockets_serve_the_same_protocol() {
                 batch: ofscil_serve::traffic::support_batch(IMAGE, &[4], 2),
             })
             .unwrap();
-        match client.call(ServeRequest::Stats { deployment: "tenant".into() }).unwrap() {
+        match client
+            .call(ServeRequest::Stats {
+                deployment: "tenant".into(),
+            })
+            .unwrap()
+        {
             ServeResponse::Stats(stats) => assert_eq!(stats.classes, 1),
             other => panic!("unexpected response {other:?}"),
         }

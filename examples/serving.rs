@@ -62,7 +62,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         let mut correct = 0usize;
         let mut largest = 0usize;
         for (i, pending) in pending.into_iter().enumerate() {
-            if let ServeResponse::Prediction { class, batched_with, .. } = pending.wait()? {
+            if let ServeResponse::Prediction {
+                class,
+                batched_with,
+                ..
+            } = pending.wait()?
+            {
                 correct += usize::from(class == i % 3);
                 largest = largest.max(batched_with);
             }
@@ -80,7 +85,11 @@ fn main() -> Result<(), Box<dyn Error>> {
             batch: support_batch(&[9], 5),
         });
         match outcome {
-            Err(ServeError::BudgetExhausted { required_mj, remaining_mj, .. }) => println!(
+            Err(ServeError::BudgetExhausted {
+                required_mj,
+                remaining_mj,
+                ..
+            }) => println!(
                 "wearable learn over budget rejected: needs {required_mj:.3} mJ, \
                  {remaining_mj:.3} mJ left"
             ),
@@ -101,9 +110,13 @@ fn main() -> Result<(), Box<dyn Error>> {
                 stats.energy_spent_mj
             );
         }
-        match client.call(ServeRequest::Snapshot { deployment: "wildlife-cam".into() })? {
+        match client.call(ServeRequest::Snapshot {
+            deployment: "wildlife-cam".into(),
+        })? {
             ServeResponse::Snapshot { bytes } => Ok(bytes),
-            other => Err(ServeError::Execution(format!("unexpected response {other:?}"))),
+            other => Err(ServeError::Execution(format!(
+                "unexpected response {other:?}"
+            ))),
         }
     })??;
 

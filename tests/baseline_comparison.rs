@@ -40,9 +40,15 @@ fn ofscil_is_competitive_with_every_baseline_head() {
     let mut euclid = NearestClassMean::new(SimilarityMetric::Euclidean);
     results.push((
         "ncm-euclid-projected",
-        run_baseline_protocol(&mut model, &benchmark, &mut euclid, FeatureSpace::Projected, 64)
-            .unwrap()
-            .average(),
+        run_baseline_protocol(
+            &mut model,
+            &benchmark,
+            &mut euclid,
+            FeatureSpace::Projected,
+            64,
+        )
+        .unwrap()
+        .average(),
     ));
 
     let mut etf = EtfHead::new(
@@ -52,9 +58,15 @@ fn ofscil_is_competitive_with_every_baseline_head() {
     );
     results.push((
         "etf-projected",
-        run_baseline_protocol(&mut model, &benchmark, &mut etf, FeatureSpace::Projected, 64)
-            .unwrap()
-            .average(),
+        run_baseline_protocol(
+            &mut model,
+            &benchmark,
+            &mut etf,
+            FeatureSpace::Projected,
+            64,
+        )
+        .unwrap()
+        .average(),
     ));
 
     for (name, avg) in &results {
@@ -78,10 +90,18 @@ fn baseline_heads_share_the_forgetting_trend() {
     let mut model = outcome.model;
     let benchmark = outcome.benchmark;
     let mut ncm = NearestClassMean::new(SimilarityMetric::Cosine);
-    let results =
-        run_baseline_protocol(&mut model, &benchmark, &mut ncm, FeatureSpace::Projected, 64)
-            .unwrap();
+    let results = run_baseline_protocol(
+        &mut model,
+        &benchmark,
+        &mut ncm,
+        FeatureSpace::Projected,
+        64,
+    )
+    .unwrap();
     // Accuracy over a growing class set does not increase overall.
     assert!(results.last_session() <= results.session0() + 0.05);
-    assert_eq!(results.accuracies.len(), benchmark.config().num_sessions + 1);
+    assert_eq!(
+        results.accuracies.len(),
+        benchmark.config().num_sessions + 1
+    );
 }

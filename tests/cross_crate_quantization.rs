@@ -62,7 +62,12 @@ fn prototype_precision_sweep_matches_figure3_shape() {
             .unwrap()
     };
     // Fig. 3: 8-bit and even 3-bit prototypes match full precision closely.
-    assert!((full - at(8)).abs() < 0.05, "8-bit dropped: {} vs {}", at(8), full);
+    assert!(
+        (full - at(8)).abs() < 0.05,
+        "8-bit dropped: {} vs {}",
+        at(8),
+        full
+    );
     assert!(full - at(3) < 0.10, "3-bit dropped: {} vs {}", at(3), full);
     // 1-bit (sign-only) storage loses accuracy — in the paper's Fig. 3 it is
     // the first precision that visibly degrades, and with the micro profile's

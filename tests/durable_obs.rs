@@ -52,7 +52,11 @@ impl Rng {
 fn random_event(rng: &mut Rng, i: u64) -> Event {
     let kinds = EventKind::ALL;
     let kind = kinds[rng.below(kinds.len() as u64) as usize];
-    let accuracy = if rng.below(4) == 0 { f32::NAN } else { rng.below(65) as f32 / 64.0 };
+    let accuracy = if rng.below(4) == 0 {
+        f32::NAN
+    } else {
+        rng.below(65) as f32 / 64.0
+    };
     Event::new(kind, &format!("tenant-{}", rng.below(3)))
         .with_seq(i)
         .with_time_us(i * 1_000 + rng.below(500))
@@ -115,7 +119,11 @@ fn mid_burst_kill_rehydrates_sealed_prefix_byte_identical() {
     // Recovery: a fresh generation opens the same spill and rehydrates into
     // a brand-new, empty store.
     let (spill2, recovery) = ObsSpill::open(&spill_path).unwrap();
-    assert_eq!(recovery.chunks.len(), TOTAL as usize / CHUNK, "every sealed chunk recovered");
+    assert_eq!(
+        recovery.chunks.len(),
+        TOTAL as usize / CHUNK,
+        "every sealed chunk recovered"
+    );
     let reborn = ObsStore::new(ObsConfig::default().with_chunk_events(CHUNK));
     recovery.rehydrate_into(&reborn);
     reborn.set_spill(Arc::new(spill2));
@@ -128,11 +136,18 @@ fn mid_burst_kill_rehydrates_sealed_prefix_byte_identical() {
     let got = reborn.query(&window);
     assert_eq!(want.events.len(), got.events.len());
     for (w, g) in want.events.iter().zip(&got.events) {
-        assert_eq!(bits(w), bits(g), "rehydrated event diverged from the reference");
+        assert_eq!(
+            bits(w),
+            bits(g),
+            "rehydrated event diverged from the reference"
+        );
     }
     assert_eq!(want.aggregates.matched, got.aggregates.matched);
     assert_eq!(want.aggregates.energy_mj.sum, got.aggregates.energy_mj.sum);
-    assert_eq!(want.aggregates.latency_us.sum, got.aggregates.latency_us.sum);
+    assert_eq!(
+        want.aggregates.latency_us.sum,
+        got.aggregates.latency_us.sum
+    );
 
     // The reborn store is live, not a museum: it keeps appending and keeps
     // spilling new sealed chunks after the recovery.
@@ -213,7 +228,11 @@ fn wire_restart_rehydrates_timeline_byte_identical() {
     };
     assert_eq!(want.events.len(), got.events.len());
     for (w, g) in want.events.iter().zip(&got.events) {
-        assert_eq!(bits(w), bits(g), "restarted timeline diverged from generation 1");
+        assert_eq!(
+            bits(w),
+            bits(g),
+            "restarted timeline diverged from generation 1"
+        );
     }
     assert_eq!(want.aggregates.matched, got.aggregates.matched);
     assert_eq!(
@@ -222,7 +241,10 @@ fn wire_restart_rehydrates_timeline_byte_identical() {
         "aggregate energy must survive the restart bit-exactly"
     );
     assert_eq!(got.dropped, 0, "the fresh pipeline shed nothing");
-    assert!(reborn_obs.store().appended() >= 6, "rehydrated events count as appended");
+    assert!(
+        reborn_obs.store().appended() >= 6,
+        "rehydrated events count as appended"
+    );
 
     reborn.stop();
     let _ = std::fs::remove_dir_all(&dir);

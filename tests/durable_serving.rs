@@ -55,7 +55,10 @@ fn support(classes: &[usize]) -> Batch {
 
 fn learn(client: &mut WireClient, deployment: &str, classes: &[usize]) {
     client
-        .call(ServeRequest::LearnOnline { deployment: deployment.into(), batch: support(classes) })
+        .call(ServeRequest::LearnOnline {
+            deployment: deployment.into(),
+            batch: support(classes),
+        })
         .unwrap();
 }
 
@@ -67,13 +70,20 @@ fn infer(client: &mut WireClient, deployment: &str, class: usize) -> (usize, u32
         })
         .unwrap()
     {
-        ServeResponse::Prediction { class, similarity, .. } => (class, similarity.to_bits()),
+        ServeResponse::Prediction {
+            class, similarity, ..
+        } => (class, similarity.to_bits()),
         other => panic!("unexpected response {other:?}"),
     }
 }
 
 fn wire_snapshot(client: &mut WireClient, deployment: &str) -> Vec<u8> {
-    match client.call(ServeRequest::Snapshot { deployment: deployment.into() }).unwrap() {
+    match client
+        .call(ServeRequest::Snapshot {
+            deployment: deployment.into(),
+        })
+        .unwrap()
+    {
         ServeResponse::Snapshot { bytes } => bytes,
         other => panic!("unexpected response {other:?}"),
     }
@@ -165,15 +175,20 @@ fn kill_and_recover(tag: &str, store_config: StoreConfig) {
     }
 
     // The recovered process serves — and predicts bit-identically.
-    WireServer::run_with_store(&registry, &WireConfig::tcp_loopback(), Some(&store), |server| {
-        let mut client = WireClient::connect(server.addr()).unwrap();
-        for (name, (_, want)) in names.iter().zip(&expected) {
-            let got = infer(&mut client, name, 1);
-            assert_eq!(got, *want, "{name}: post-recovery prediction diverged");
-        }
-        // New commits journal on top of the recovered log.
-        learn(&mut client, "tenant-a", &[5]);
-    })
+    WireServer::run_with_store(
+        &registry,
+        &WireConfig::tcp_loopback(),
+        Some(&store),
+        |server| {
+            let mut client = WireClient::connect(server.addr()).unwrap();
+            for (name, (_, want)) in names.iter().zip(&expected) {
+                let got = infer(&mut client, name, 1);
+                assert_eq!(got, *want, "{name}: post-recovery prediction diverged");
+            }
+            // New commits journal on top of the recovered log.
+            learn(&mut client, "tenant-a", &[5]);
+        },
+    )
     .unwrap();
     let final_seq = registry.snapshot_with_seq("tenant-a").unwrap().0;
     assert_eq!(store.latest_state("tenant-a").unwrap().seq, final_seq);
@@ -189,55 +204,70 @@ fn subscribers_and_reanchors_are_served_from_the_checkpoint() {
     // anchor comes from checkpoint + compacted tail, never a live snapshot.
     let store = Store::open_with(
         &dir,
-        StoreConfig::default().with_checkpoint_interval(4).with_compact_min_records(2),
+        StoreConfig::default()
+            .with_checkpoint_interval(4)
+            .with_compact_min_records(2),
     )
     .unwrap();
     store.bootstrap(&primary).unwrap();
 
-    WireServer::run_with_store(&primary, &WireConfig::tcp_loopback(), Some(&store), |server| {
-        let mut client = WireClient::connect(server.addr()).unwrap();
-        // Re-learn the same classes repeatedly: exactly the write pattern
-        // delta compaction collapses.
-        for round in 0..9 {
-            learn(&mut client, "tenant", &[round % 3, 3]);
-        }
-        let live = wire_snapshot(&mut client, "tenant");
-        let live_seq = primary.snapshot_with_seq("tenant").unwrap().0;
-
-        // The one-shot re-anchor answers from the store and matches the
-        // live state bit-exactly (every commit is journaled pre-reply).
-        let (seq, anchor) = client.re_anchor("tenant").unwrap();
-        assert_eq!(seq, live_seq);
-        assert_eq!(anchor, live, "checkpoint-served anchor diverged from live snapshot");
-
-        // Durability counters travel the wire: the checkpoint ran.
-        match client.call(ServeRequest::Stats { deployment: "tenant".into() }).unwrap() {
-            ServeResponse::Stats(stats) => {
-                let durability = stats.durability.expect("durable server reports counters");
-                assert!(durability.last_checkpoint_seq >= 4, "stats: {durability:?}");
+    WireServer::run_with_store(
+        &primary,
+        &WireConfig::tcp_loopback(),
+        Some(&store),
+        |server| {
+            let mut client = WireClient::connect(server.addr()).unwrap();
+            // Re-learn the same classes repeatedly: exactly the write pattern
+            // delta compaction collapses.
+            for round in 0..9 {
+                learn(&mut client, "tenant", &[round % 3, 3]);
             }
-            other => panic!("unexpected response {other:?}"),
-        }
+            let live = wire_snapshot(&mut client, "tenant");
+            let live_seq = primary.snapshot_with_seq("tenant").unwrap().0;
 
-        // A follower attaching now anchors from the checkpoint and still
-        // converges bit-exactly, through further live deltas.
-        let replica = registry_with(&["tenant"], None);
-        let config = FollowerConfig::new(server.addr().clone(), &["tenant"]);
-        Follower::run(&replica, &config, |follower| {
-            follower.wait_for_seq("tenant", live_seq, WAIT).unwrap();
-            learn(&mut client, "tenant", &[7]);
-            follower.wait_for_seq("tenant", live_seq + 1, WAIT).unwrap();
-            let mut to_follower = WireClient::connect(follower.addr()).unwrap();
+            // The one-shot re-anchor answers from the store and matches the
+            // live state bit-exactly (every commit is journaled pre-reply).
+            let (seq, anchor) = client.re_anchor("tenant").unwrap();
+            assert_eq!(seq, live_seq);
             assert_eq!(
-                wire_snapshot(&mut client, "tenant"),
-                wire_snapshot(&mut to_follower, "tenant")
+                anchor, live,
+                "checkpoint-served anchor diverged from live snapshot"
             );
-            let (p_class, p_sim) = infer(&mut client, "tenant", 7);
-            let (f_class, f_sim) = infer(&mut to_follower, "tenant", 7);
-            assert_eq!((p_class, p_sim), (f_class, f_sim));
-        })
-        .unwrap();
-    })
+
+            // Durability counters travel the wire: the checkpoint ran.
+            match client
+                .call(ServeRequest::Stats {
+                    deployment: "tenant".into(),
+                })
+                .unwrap()
+            {
+                ServeResponse::Stats(stats) => {
+                    let durability = stats.durability.expect("durable server reports counters");
+                    assert!(durability.last_checkpoint_seq >= 4, "stats: {durability:?}");
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
+
+            // A follower attaching now anchors from the checkpoint and still
+            // converges bit-exactly, through further live deltas.
+            let replica = registry_with(&["tenant"], None);
+            let config = FollowerConfig::new(server.addr().clone(), &["tenant"]);
+            Follower::run(&replica, &config, |follower| {
+                follower.wait_for_seq("tenant", live_seq, WAIT).unwrap();
+                learn(&mut client, "tenant", &[7]);
+                follower.wait_for_seq("tenant", live_seq + 1, WAIT).unwrap();
+                let mut to_follower = WireClient::connect(follower.addr()).unwrap();
+                assert_eq!(
+                    wire_snapshot(&mut client, "tenant"),
+                    wire_snapshot(&mut to_follower, "tenant")
+                );
+                let (p_class, p_sim) = infer(&mut client, "tenant", 7);
+                let (f_class, f_sim) = infer(&mut to_follower, "tenant", 7);
+                assert_eq!((p_class, p_sim), (f_class, f_sim));
+            })
+            .unwrap();
+        },
+    )
     .unwrap();
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -254,16 +284,21 @@ fn promoted_follower_accepts_writes_that_a_reattached_subscriber_replicates() {
         let primary = registry_with(&["tenant"], None);
         let store = Store::open(&primary_dir).unwrap();
         store.bootstrap(&primary).unwrap();
-        WireServer::run_with_store(&primary, &WireConfig::tcp_loopback(), Some(&store), |server| {
-            let mut client = WireClient::connect(server.addr()).unwrap();
-            learn(&mut client, "tenant", &[0, 1]);
-            let config = FollowerConfig::new(server.addr().clone(), &["tenant"]);
-            Follower::run(&replica, &config, |follower| {
-                learn(&mut client, "tenant", &[2]);
-                follower.wait_for_seq("tenant", 2, WAIT).unwrap()
-            })
-            .unwrap()
-        })
+        WireServer::run_with_store(
+            &primary,
+            &WireConfig::tcp_loopback(),
+            Some(&store),
+            |server| {
+                let mut client = WireClient::connect(server.addr()).unwrap();
+                learn(&mut client, "tenant", &[0, 1]);
+                let config = FollowerConfig::new(server.addr().clone(), &["tenant"]);
+                Follower::run(&replica, &config, |follower| {
+                    learn(&mut client, "tenant", &[2]);
+                    follower.wait_for_seq("tenant", 2, WAIT).unwrap()
+                })
+                .unwrap()
+            },
+        )
         .unwrap()
         // The primary "dies" here: its scope ended, its port is gone.
     };
@@ -272,41 +307,53 @@ fn promoted_follower_accepts_writes_that_a_reattached_subscriber_replicates() {
     // Failover: the follower promotes itself to a writable durable primary.
     // The fresh store adopts the follower's replicated sequence number.
     let store = Store::open(&promoted_dir).unwrap();
-    Follower::promote(&replica, &store, &WireConfig::tcp_loopback(), None, |server| {
-        let mut client = WireClient::connect(server.addr()).unwrap();
+    Follower::promote(
+        &replica,
+        &store,
+        &WireConfig::tcp_loopback(),
+        None,
+        |server| {
+            let mut client = WireClient::connect(server.addr()).unwrap();
 
-        // Writable: the promoted primary accepts the write a replica would
-        // have refused...
-        learn(&mut client, "tenant", &[3]);
+            // Writable: the promoted primary accepts the write a replica would
+            // have refused...
+            learn(&mut client, "tenant", &[3]);
 
-        // ...and a re-attached subscriber replicates it bit-exactly, with
-        // sequence numbers continuing from the adopted history.
-        let second_replica = registry_with(&["tenant"], None);
-        let config = FollowerConfig::new(server.addr().clone(), &["tenant"]);
-        Follower::run(&second_replica, &config, |follower| {
-            let applied = follower.wait_for_seq("tenant", 3, WAIT).unwrap();
-            assert_eq!(applied, 3, "promoted primary continues the adopted seq line");
-            learn(&mut client, "tenant", &[4]);
-            follower.wait_for_seq("tenant", 4, WAIT).unwrap();
-            let mut to_follower = WireClient::connect(follower.addr()).unwrap();
-            assert_eq!(
-                wire_snapshot(&mut client, "tenant"),
-                wire_snapshot(&mut to_follower, "tenant")
-            );
-            for class in 0..5 {
-                let p = infer(&mut client, "tenant", class);
-                let f = infer(&mut to_follower, "tenant", class);
-                assert_eq!(p, f, "class {class} diverged across promotion");
-            }
-        })
-        .unwrap();
-    })
+            // ...and a re-attached subscriber replicates it bit-exactly, with
+            // sequence numbers continuing from the adopted history.
+            let second_replica = registry_with(&["tenant"], None);
+            let config = FollowerConfig::new(server.addr().clone(), &["tenant"]);
+            Follower::run(&second_replica, &config, |follower| {
+                let applied = follower.wait_for_seq("tenant", 3, WAIT).unwrap();
+                assert_eq!(
+                    applied, 3,
+                    "promoted primary continues the adopted seq line"
+                );
+                learn(&mut client, "tenant", &[4]);
+                follower.wait_for_seq("tenant", 4, WAIT).unwrap();
+                let mut to_follower = WireClient::connect(follower.addr()).unwrap();
+                assert_eq!(
+                    wire_snapshot(&mut client, "tenant"),
+                    wire_snapshot(&mut to_follower, "tenant")
+                );
+                for class in 0..5 {
+                    let p = infer(&mut client, "tenant", class);
+                    let f = infer(&mut to_follower, "tenant", class);
+                    assert_eq!(p, f, "class {class} diverged across promotion");
+                }
+            })
+            .unwrap();
+        },
+    )
     .unwrap();
 
     // The promoted primary journaled its writes: the store replays to the
     // final state and could seed the *next* failover.
     assert_eq!(store.latest_state("tenant").unwrap().seq, 4);
-    assert_eq!(store.latest_state("tenant").unwrap().snapshot, replica.snapshot("tenant").unwrap());
+    assert_eq!(
+        store.latest_state("tenant").unwrap().snapshot,
+        replica.snapshot("tenant").unwrap()
+    );
 
     let _ = std::fs::remove_dir_all(&primary_dir);
     let _ = std::fs::remove_dir_all(&promoted_dir);

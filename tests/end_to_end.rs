@@ -94,8 +94,13 @@ fn online_learning_is_single_pass_and_expands_the_memory() {
     let novel_class = 19usize;
     let before = model.em().num_classes();
     let support = generator.generate_split(&[novel_class], 5, 0).unwrap();
-    model.learn_classes_online(&support.full_batch().unwrap()).unwrap();
-    assert_eq!(model.em().num_classes(), before.max(novel_class + 1).max(before));
+    model
+        .learn_classes_online(&support.full_batch().unwrap())
+        .unwrap();
+    assert_eq!(
+        model.em().num_classes(),
+        before.max(novel_class + 1).max(before)
+    );
     assert!(model.em().prototype(novel_class).is_ok());
 }
 

@@ -22,8 +22,16 @@ fn table1_cost_relations_hold() {
     // ~12.9 M. MACs: 25.9 / 45.4 / 149.2 / 525.3 M.
     assert_eq!(p1.params, p2.params);
     assert_eq!(p2.params, p4.params);
-    assert!((2.0..3.0).contains(&p1.params_millions()), "{}", p1.params_millions());
-    assert!((11.0..15.0).contains(&pr.params_millions()), "{}", pr.params_millions());
+    assert!(
+        (2.0..3.0).contains(&p1.params_millions()),
+        "{}",
+        p1.params_millions()
+    );
+    assert!(
+        (11.0..15.0).contains(&pr.params_millions()),
+        "{}",
+        pr.params_millions()
+    );
     assert!(p1.macs < p2.macs && p2.macs < p4.macs && p4.macs < pr.macs);
 
     // The paper's headline efficiency ratios: ResNet-12 vs MobileNetV2 x4 is
@@ -31,7 +39,10 @@ fn table1_cost_relations_hold() {
     let mac_ratio = pr.macs as f64 / p4.macs as f64;
     let param_ratio = pr.params as f64 / p4.params as f64;
     assert!((2.0..6.0).contains(&mac_ratio), "mac ratio {mac_ratio}");
-    assert!((4.0..7.0).contains(&param_ratio), "param ratio {param_ratio}");
+    assert!(
+        (4.0..7.0).contains(&param_ratio),
+        "param ratio {param_ratio}"
+    );
 }
 
 #[test]
@@ -39,7 +50,11 @@ fn table4_energy_ordering_and_magnitudes() {
     let executor = Gap9Executor::default();
     let mut rng = SeedRng::new(0);
     let mut energies = Vec::new();
-    for variant in [MobileNetVariant::X1, MobileNetVariant::X2, MobileNetVariant::X4] {
+    for variant in [
+        MobileNetVariant::X1,
+        MobileNetVariant::X2,
+        MobileNetVariant::X4,
+    ] {
         let backbone = mobilenet_v2(variant, &mut rng);
         let deployed = deploy_backbone(&backbone, 32, 32);
         let fcr = executor.fcr_inference(1280, 256, 8).unwrap();
@@ -66,10 +81,17 @@ fn table4_energy_ordering_and_magnitudes() {
     }
     // Larger stride profiles cost more energy per learned class (Table IV:
     // 11.35 / 12.75 / 22.75 mJ).
-    assert!(energies[0] < energies[1] && energies[1] < energies[2], "{energies:?}");
+    assert!(
+        energies[0] < energies[1] && energies[1] < energies[2],
+        "{energies:?}"
+    );
     // The headline: the baseline profile learns a class for on the order of
     // 12 mJ.
-    assert!((5.0..30.0).contains(&energies[0]), "per-class energy {} mJ", energies[0]);
+    assert!(
+        (5.0..30.0).contains(&energies[0]),
+        "per-class energy {} mJ",
+        energies[0]
+    );
 }
 
 #[test]
@@ -81,16 +103,29 @@ fn figure2_scaling_shapes() {
     // Backbone panels: MACs/cycle grows with cores and with the stride-relaxed
     // profiles (x4 > x2 > x1 at 8 cores).
     let mut at_8_cores = Vec::new();
-    for variant in [MobileNetVariant::X1, MobileNetVariant::X2, MobileNetVariant::X4] {
+    for variant in [
+        MobileNetVariant::X1,
+        MobileNetVariant::X2,
+        MobileNetVariant::X4,
+    ] {
         let deployed = deploy_backbone(&mobilenet_v2(variant, &mut rng), 32, 32);
-        let sweep = executor.macs_per_cycle_sweep(&deployed, &cores, false).unwrap();
+        let sweep = executor
+            .macs_per_cycle_sweep(&deployed, &cores, false)
+            .unwrap();
         for window in sweep.windows(2) {
-            assert!(window[1].1 > window[0].1, "{variant:?} not monotone: {sweep:?}");
+            assert!(
+                window[1].1 > window[0].1,
+                "{variant:?} not monotone: {sweep:?}"
+            );
         }
         at_8_cores.push(sweep.last().unwrap().1);
     }
     assert!(at_8_cores[0] < at_8_cores[1] && at_8_cores[1] < at_8_cores[2]);
-    assert!((3.5..8.0).contains(&at_8_cores[2]), "x4 at 8 cores: {}", at_8_cores[2]);
+    assert!(
+        (3.5..8.0).contains(&at_8_cores[2]),
+        "x4 at 8 cores: {}",
+        at_8_cores[2]
+    );
 
     // FCR panel: DMA-bound, so the gains from more cores are small and the
     // absolute MACs/cycle stays below 1.
@@ -100,7 +135,9 @@ fn figure2_scaling_shapes() {
     let fcr_gain = fcr_sweep.last().unwrap().1 / fcr_sweep[0].1;
     let backbone_gain = {
         let deployed = deploy_backbone(&mobilenet_v2(MobileNetVariant::X4, &mut rng), 32, 32);
-        let sweep = executor.macs_per_cycle_sweep(&deployed, &cores, false).unwrap();
+        let sweep = executor
+            .macs_per_cycle_sweep(&deployed, &cores, false)
+            .unwrap();
         sweep.last().unwrap().1 / sweep[0].1
     };
     assert!(
@@ -129,5 +166,8 @@ fn deployment_uses_the_device_memory_hierarchy() {
     assert!(deployed.total_weight_bytes() > config.l2_bytes as u64);
     assert!(deployed.total_weight_bytes() < config.l3_bytes as u64);
     // Single layers exceed L1 and therefore require tiling.
-    assert!(deployed.layers.iter().any(|l| l.working_set_bytes() > config.l1_bytes as u64));
+    assert!(deployed
+        .layers
+        .iter()
+        .any(|l| l.working_set_bytes() > config.l1_bytes as u64));
 }

@@ -78,7 +78,10 @@ const DELTA: &str = "\
 ";
 
 fn unhex(hex: &str) -> Vec<u8> {
-    (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
 }
 
 fn temp_file(tag: &str) -> PathBuf {
@@ -92,7 +95,11 @@ fn read_log(tag: &str, file: &[u8]) -> Vec<RawRecord> {
     let path = temp_file(tag);
     std::fs::write(&path, file).unwrap();
     let (log, records) = OpLog::open(&path).unwrap();
-    assert_eq!(log.bytes(), file.len() as u64, "{tag}: the fixture has a torn tail");
+    assert_eq!(
+        log.bytes(),
+        file.len() as u64,
+        "{tag}: the fixture has a torn tail"
+    );
     drop(log);
     let _ = std::fs::remove_file(&path);
     records
@@ -121,7 +128,10 @@ fn sample_memory() -> ExplicitMemory {
 fn snapshot(fixture: &[u8]) -> Vec<u8> {
     let want = sample_memory();
     let got = decode_explicit_memory(fixture).unwrap();
-    assert_eq!((got.dim(), got.precision(), got.classes()), (4, want.precision(), vec![0, 9]));
+    assert_eq!(
+        (got.dim(), got.precision(), got.classes()),
+        (4, want.precision(), vec![0, 9])
+    );
     for (class, prototype) in want.iter() {
         assert_eq!(got.prototype(class).unwrap(), prototype);
     }
@@ -146,14 +156,21 @@ fn wal_file(fixture: &[u8]) -> Vec<u8> {
             spent_mj: f64::MIN_POSITIVE,
             budget_mj: None,
         },
-        WalRecord::TopUp { seq: 8, spent_mj: 0.0, budget_mj: Some(55.25) },
+        WalRecord::TopUp {
+            seq: 8,
+            spent_mj: 0.0,
+            budget_mj: Some(55.25),
+        },
     ];
     let got: Vec<_> = read_log("wal-in", fixture)
         .iter()
         .map(|(kind, body)| WalRecord::decode(*kind, body).unwrap())
         .collect();
     assert_eq!(got, want);
-    write_log("wal-out", &want.iter().map(WalRecord::encode).collect::<Vec<_>>())
+    write_log(
+        "wal-out",
+        &want.iter().map(WalRecord::encode).collect::<Vec<_>>(),
+    )
 }
 
 fn checkpoint(fixture: &[u8]) -> Vec<u8> {
@@ -233,11 +250,13 @@ fn request(fixture: &[u8], want: WireRequest) -> Vec<u8> {
 }
 
 fn infer(fixture: &[u8]) -> Vec<u8> {
-    let image =
-        Tensor::from_vec(vec![0.25, -1.5, f32::MIN_POSITIVE, 3.0e7], &[1, 2, 2]).unwrap();
+    let image = Tensor::from_vec(vec![0.25, -1.5, f32::MIN_POSITIVE, 3.0e7], &[1, 2, 2]).unwrap();
     request(
         fixture,
-        WireRequest::Serve(ServeRequest::Infer { deployment: "tenant-α".into(), image }),
+        WireRequest::Serve(ServeRequest::Infer {
+            deployment: "tenant-α".into(),
+            image,
+        }),
     )
 }
 
@@ -248,7 +267,10 @@ fn learn_online(fixture: &[u8]) -> Vec<u8> {
         fixture,
         WireRequest::Serve(ServeRequest::LearnOnline {
             deployment: "t".into(),
-            batch: Batch { images, labels: vec![7, 3] },
+            batch: Batch {
+                images,
+                labels: vec![7, 3],
+            },
         }),
     )
 }
@@ -276,14 +298,26 @@ fn every_layout_decodes_from_and_encodes_to_its_parent_commit_fixture() {
         ("OFEM snapshot", SNAPSHOT, snapshot),
         ("WAL file: Learn, Import, TopUp records", WAL_FILE, wal_file),
         ("checkpoint file", CHECKPOINT, checkpoint),
-        ("spill file: chunk record, rollup record", SPILL_FILE, spill_file),
-        ("placement journal: override record", PLACEMENT_FILE, placement_file),
+        (
+            "spill file: chunk record, rollup record",
+            SPILL_FILE,
+            spill_file,
+        ),
+        (
+            "placement journal: override record",
+            PLACEMENT_FILE,
+            placement_file,
+        ),
         ("wire Infer", INFER, infer),
         ("wire LearnOnline", LEARN, learn_online),
         ("wire Delta", DELTA, delta),
     ];
     for (layout, hex, check) in table {
         let fixture = unhex(hex);
-        assert_eq!(check(&fixture), fixture, "{layout}: encode(value) drifted from the fixture");
+        assert_eq!(
+            check(&fixture),
+            fixture,
+            "{layout}: encode(value) drifted from the fixture"
+        );
     }
 }

@@ -144,10 +144,15 @@ fn drain_until_match(
 fn wire_cluster_tail_survives_shard_restart_bit_exact() {
     let base = temp_base("wire");
     let dirs = [base.join("shard0"), base.join("shard1")];
-    let mut shards: Vec<Option<ShardProcess>> =
-        dirs.iter().enumerate().map(|(i, dir)| Some(spawn_shard(40 + i as u64, dir))).collect();
-    let addrs: Vec<BoundAddr> =
-        shards.iter().map(|s| s.as_ref().unwrap().addr().clone()).collect();
+    let mut shards: Vec<Option<ShardProcess>> = dirs
+        .iter()
+        .enumerate()
+        .map(|(i, dir)| Some(spawn_shard(40 + i as u64, dir)))
+        .collect();
+    let addrs: Vec<BoundAddr> = shards
+        .iter()
+        .map(|s| s.as_ref().unwrap().addr().clone())
+        .collect();
     let router_obs = Obs::new(ObsConfig::default());
     let config = RouterConfig::tcp_loopback(addrs)
         .with_deployments(&TENANTS)
@@ -162,7 +167,8 @@ fn wire_cluster_tail_survives_shard_restart_bit_exact() {
         // Subscribe BEFORE any traffic: the back-fill is empty and every
         // serving row must arrive through the live stream.
         let sub = WireClient::connect(router.addr()).unwrap();
-        sub.set_read_timeout(Some(Duration::from_millis(20))).unwrap();
+        sub.set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
         let mut stream = sub.obs_subscribe(&ObsQuery::all(), None).unwrap();
 
         let mut client = WireClient::connect(router.addr()).unwrap();
@@ -194,7 +200,9 @@ fn wire_cluster_tail_survives_shard_restart_bit_exact() {
         shards[victim_shard].take().unwrap().stop();
         burst(&mut client, survivor_tenant, 1);
         let reborn = spawn_shard(40 + victim_shard as u64, &dirs[victim_shard]);
-        router.replace_shard(victim_shard, reborn.addr().clone()).unwrap();
+        router
+            .replace_shard(victim_shard, reborn.addr().clone())
+            .unwrap();
         shards[victim_shard] = Some(reborn);
 
         burst(&mut client, victim_tenant, 1);
@@ -203,8 +211,14 @@ fn wire_cluster_tail_survives_shard_restart_bit_exact() {
         // Traffic is quiesced: the post-hoc routed query over the full
         // range is now the ground truth the stream must converge to.
         let reference = router.obs_query(&ObsQuery::all());
-        assert_eq!(reference.shards_err, 0, "every shard answered the reference query");
-        assert!(!reference.truncated, "reference query must cover the full range");
+        assert_eq!(
+            reference.shards_err, 0,
+            "every shard answered the reference query"
+        );
+        assert!(
+            !reference.truncated,
+            "reference query must cover the full range"
+        );
         let mut expected: Vec<_> = reference.events.iter().map(bits).collect();
         expected.sort_unstable();
 
@@ -226,16 +240,15 @@ fn in_process_cluster_tail_resumes_and_counts() {
     let dir = base.join("shard0");
     let mut shard = Some(spawn_shard(7, &dir));
     let router_obs = Obs::new(ObsConfig::default());
-    let config =
-        RouterConfig::tcp_loopback(vec![shard.as_ref().unwrap().addr().clone()])
-            .with_deployments(&TENANTS)
-            .with_obs(router_obs.clone())
-            .with_pool(PoolConfig {
-                connect_attempts: 2,
-                backoff: Duration::from_millis(5),
-                cooldown: Duration::from_millis(100),
-                max_idle: 4,
-            });
+    let config = RouterConfig::tcp_loopback(vec![shard.as_ref().unwrap().addr().clone()])
+        .with_deployments(&TENANTS)
+        .with_obs(router_obs.clone())
+        .with_pool(PoolConfig {
+            connect_attempts: 2,
+            backoff: Duration::from_millis(5),
+            cooldown: Duration::from_millis(100),
+            max_idle: 4,
+        });
     RouterServer::run(&config, move |router| {
         let tail = router.cluster_tail(&ObsQuery::all(), None);
         assert_eq!(tail.legs(), 2, "one shard leg plus the router-local leg");
@@ -277,7 +290,11 @@ fn in_process_cluster_tail_resumes_and_counts() {
             tail.resumed() >= 1,
             "the shard leg must have resubscribed across the restart"
         );
-        assert_eq!(tail.dropped(), 0, "nothing shed in the non-adversarial path");
+        assert_eq!(
+            tail.dropped(),
+            0,
+            "nothing shed in the non-adversarial path"
+        );
         // The reborn shard must outlive the draining above.
         drop(shard);
     })

@@ -41,13 +41,20 @@ fn infer(client: &mut WireClient, class: usize) -> (usize, f32) {
         })
         .unwrap()
     {
-        ServeResponse::Prediction { class, similarity, .. } => (class, similarity),
+        ServeResponse::Prediction {
+            class, similarity, ..
+        } => (class, similarity),
         other => panic!("unexpected response {other:?}"),
     }
 }
 
 fn snapshot(client: &mut WireClient) -> Vec<u8> {
-    match client.call(ServeRequest::Snapshot { deployment: "tenant".into() }).unwrap() {
+    match client
+        .call(ServeRequest::Snapshot {
+            deployment: "tenant".into(),
+        })
+        .unwrap()
+    {
         ServeResponse::Snapshot { bytes } => bytes,
         other => panic!("unexpected response {other:?}"),
     }
@@ -124,11 +131,16 @@ fn follower_serves_bit_identical_reads_and_rejects_writes() {
                     energy_mj: 1.0,
                 })
                 .unwrap_err();
-            assert!(matches!(err, WireError::Remote(ServeError::ReadOnlyReplica { .. })));
+            assert!(matches!(
+                err,
+                WireError::Remote(ServeError::ReadOnlyReplica { .. })
+            ));
 
             // Reads after the rejected writes still see the replicated state.
             match to_follower
-                .call(ServeRequest::Stats { deployment: "tenant".into() })
+                .call(ServeRequest::Stats {
+                    deployment: "tenant".into(),
+                })
                 .unwrap()
             {
                 ServeResponse::Stats(stats) => assert_eq!(stats.classes, 5),
@@ -238,8 +250,8 @@ fn exhausted_resync_budget_surfaces_the_gap_error() {
             })
             .unwrap();
 
-        let config = FollowerConfig::new(primary_server.addr().clone(), &["tenant"])
-            .with_resync_limit(0);
+        let config =
+            FollowerConfig::new(primary_server.addr().clone(), &["tenant"]).with_resync_limit(0);
         Follower::run(&replica, &config, |follower| {
             follower.wait_for_seq("tenant", 1, WAIT).unwrap();
             let bytes = primary.snapshot("tenant").unwrap();
@@ -253,7 +265,10 @@ fn exhausted_resync_budget_surfaces_the_gap_error() {
             // With no resyncs allowed, the gap halts the tail and the error
             // is surfaced — the pre-resync behaviour, now opt-in.
             let err = follower.wait_for_seq("tenant", 3, WAIT).unwrap_err();
-            assert!(err.to_string().contains("gapped"), "unexpected error: {err}");
+            assert!(
+                err.to_string().contains("gapped"),
+                "unexpected error: {err}"
+            );
             assert!(follower.replication_error("tenant").is_some());
             assert_eq!(follower.resyncs("tenant"), 0);
         })

@@ -75,13 +75,20 @@ fn infer(client: &mut WireClient, deployment: &str, class: usize) -> (usize, u32
         })
         .unwrap()
     {
-        ServeResponse::Prediction { class, similarity, .. } => (class, similarity.to_bits()),
+        ServeResponse::Prediction {
+            class, similarity, ..
+        } => (class, similarity.to_bits()),
         other => panic!("unexpected response {other:?}"),
     }
 }
 
 fn snapshot(client: &mut WireClient, deployment: &str) -> Vec<u8> {
-    match client.call(ServeRequest::Snapshot { deployment: deployment.into() }).unwrap() {
+    match client
+        .call(ServeRequest::Snapshot {
+            deployment: deployment.into(),
+        })
+        .unwrap()
+    {
         ServeResponse::Snapshot { bytes } => bytes,
         other => panic!("unexpected response {other:?}"),
     }
@@ -119,7 +126,10 @@ fn requests_land_on_the_ring_assigned_shard() {
             .iter()
             .map(|name| router.shard_for(name).unwrap())
             .collect();
-        assert!(owners.len() >= 2, "all deployments collapsed onto one shard");
+        assert!(
+            owners.len() >= 2,
+            "all deployments collapsed onto one shard"
+        );
 
         // Scatter-gather statistics agree with the per-shard registries.
         let slices = router.cluster_stats();
@@ -130,7 +140,12 @@ fn requests_land_on_the_ring_assigned_shard() {
             .sum();
         assert_eq!(total_learns, DEPLOYMENTS.len() as u64);
         for slice in &slices {
-            assert!(slice.error.is_none(), "shard {} errored: {:?}", slice.shard, slice.error);
+            assert!(
+                slice.error.is_none(),
+                "shard {} errored: {:?}",
+                slice.shard,
+                slice.error
+            );
         }
     })
     .unwrap();
@@ -146,8 +161,9 @@ fn migration_is_bit_exact_and_atomically_remaps() {
         learn(&mut client, mover, &[3]);
 
         let before_snapshot = snapshot(&mut client, mover);
-        let before: Vec<(usize, u32)> =
-            (0..4).map(|class| infer(&mut client, mover, class)).collect();
+        let before: Vec<(usize, u32)> = (0..4)
+            .map(|class| infer(&mut client, mover, class))
+            .collect();
 
         let source = router.shard_for(mover).unwrap();
         let target = (source + 1) % 3;
@@ -170,7 +186,10 @@ fn migration_is_bit_exact_and_atomically_remaps() {
         for (class, (expected_class, expected_bits)) in before.iter().enumerate() {
             let (got_class, got_bits) = infer(&mut client, mover, class);
             assert_eq!(got_class, *expected_class);
-            assert_eq!(got_bits, *expected_bits, "class {class} similarity bits diverged");
+            assert_eq!(
+                got_bits, *expected_bits,
+                "class {class} similarity bits diverged"
+            );
         }
         // And it actually ran on the target shard: the billing state came
         // along in the export, so the target's counters continue from the
@@ -196,7 +215,10 @@ fn migration_is_bit_exact_and_atomically_remaps() {
 #[test]
 fn restarted_router_recovers_migrated_placement_from_the_journal() {
     let mut log_path = std::env::temp_dir();
-    log_path.push(format!("ofscil-router-placement-{}.log", std::process::id()));
+    log_path.push(format!(
+        "ofscil-router-placement-{}.log",
+        std::process::id()
+    ));
     let _ = std::fs::remove_file(&log_path);
 
     let (registries, shards) = spawn_shards(3);
@@ -281,11 +303,19 @@ fn killed_shard_yields_typed_shard_unavailable_not_a_hang() {
                 served_elsewhere += 1;
             }
         }
-        assert!(served_elsewhere > 0, "every deployment lived on the killed shard");
+        assert!(
+            served_elsewhere > 0,
+            "every deployment lived on the killed shard"
+        );
 
         // Probing reports the outage (and the survivors' health).
         for health in router.probe() {
-            assert_eq!(health.healthy, health.shard != victim, "shard {}", health.shard);
+            assert_eq!(
+                health.healthy,
+                health.shard != victim,
+                "shard {}",
+                health.shard
+            );
         }
 
         // Cluster stats degrade gracefully: the dead shard carries an error,
@@ -295,7 +325,12 @@ fn killed_shard_yields_typed_shard_unavailable_not_a_hang() {
             if slice.shard == victim {
                 assert!(slice.error.is_some());
             } else {
-                assert!(slice.error.is_none(), "shard {}: {:?}", slice.shard, slice.error);
+                assert!(
+                    slice.error.is_none(),
+                    "shard {}: {:?}",
+                    slice.shard,
+                    slice.error
+                );
             }
         }
 
@@ -427,9 +462,15 @@ fn add_and_drain_rebalance_with_live_migrations() {
         let (new_shard, moves) = router.add_shard(extra_addr.clone()).unwrap();
         assert_eq!(new_shard, 2);
         for report in &moves {
-            assert_eq!(report.to, new_shard, "rebalance moves keys onto the new shard only");
+            assert_eq!(
+                report.to, new_shard,
+                "rebalance moves keys onto the new shard only"
+            );
         }
-        assert!(!moves.is_empty(), "64 vnodes over 5 names should move something");
+        assert!(
+            !moves.is_empty(),
+            "64 vnodes over 5 names should move something"
+        );
 
         // Drain it again: its deployments migrate off, bit-exactly, and the
         // ring stops routing to it.
@@ -437,7 +478,11 @@ fn add_and_drain_rebalance_with_live_migrations() {
         assert_eq!(drained.len(), moves.len());
         for name in DEPLOYMENTS {
             assert_ne!(router.shard_for(name).unwrap(), new_shard);
-            assert_eq!(snapshot(&mut client, name), snapshots[name], "{name} diverged");
+            assert_eq!(
+                snapshot(&mut client, name),
+                snapshots[name],
+                "{name} diverged"
+            );
         }
 
         // Draining everything but one shard is refused at the brink.

@@ -63,7 +63,11 @@ fn concurrent_mixed_traffic_loses_nothing() {
                         }));
                         // ...and sprays inference at them.
                         for i in 0..3 {
-                            let target = if (who + round + i) % 2 == 0 { "alpha" } else { "beta" };
+                            let target = if (who + round + i) % 2 == 0 {
+                                "alpha"
+                            } else {
+                                "beta"
+                            };
                             mine.push(client.submit(ServeRequest::Infer {
                                 deployment: target.into(),
                                 image: class_image(who + round + i, 0.01),
@@ -119,10 +123,16 @@ fn concurrent_mixed_traffic_loses_nothing() {
 fn snapshot_replicates_across_deployments_under_load() {
     let registry = LearnerRegistry::new();
     registry
-        .register(DeploymentSpec::new("primary", (IMAGE, IMAGE)), micro_model(0))
+        .register(
+            DeploymentSpec::new("primary", (IMAGE, IMAGE)),
+            micro_model(0),
+        )
         .unwrap();
     registry
-        .register(DeploymentSpec::new("replica", (IMAGE, IMAGE)), micro_model(0))
+        .register(
+            DeploymentSpec::new("replica", (IMAGE, IMAGE)),
+            micro_model(0),
+        )
         .unwrap();
 
     let bytes = ServeRuntime::run(&registry, &ServeConfig::default(), |client| {
@@ -133,7 +143,9 @@ fn snapshot_replicates_across_deployments_under_load() {
             })
             .unwrap();
         match client
-            .call(ServeRequest::Snapshot { deployment: "primary".into() })
+            .call(ServeRequest::Snapshot {
+                deployment: "primary".into(),
+            })
             .unwrap()
         {
             ServeResponse::Snapshot { bytes } => bytes,

@@ -8,9 +8,15 @@ use ofscil::prelude::*;
 fn micro_experiment_runs_and_reports_finite_accuracies() {
     let outcome = run_experiment(&ExperimentConfig::micro(42)).expect("micro experiment must run");
     let accuracies = &outcome.sessions.accuracies;
-    assert!(!accuracies.is_empty(), "protocol must produce at least one session");
+    assert!(
+        !accuracies.is_empty(),
+        "protocol must produce at least one session"
+    );
     for (session, &acc) in accuracies.iter().enumerate() {
-        assert!(acc.is_finite(), "session {session} accuracy is not finite: {acc}");
+        assert!(
+            acc.is_finite(),
+            "session {session} accuracy is not finite: {acc}"
+        );
         assert!(
             (0.0..=1.0).contains(&acc),
             "session {session} accuracy out of range: {acc}"
