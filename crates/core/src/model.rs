@@ -292,6 +292,27 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_images_through_mobilenet_predict_do_not_panic() {
+        // A NaN or infinite pixel may poison the features (a non-finite
+        // activation times an exactly-zero weight is NaN), but predict must
+        // return, with one answer per image or an error.
+        let mut rng = SeedRng::new(2);
+        let mut model = OFscilModel::new(BackboneKind::MobileNetV2, 16, &mut rng);
+        let train = colour_dataset(1, 32);
+        model
+            .learn_classes_online(&train.full_batch().unwrap())
+            .unwrap();
+        let mut images = Tensor::full(&[4, 3, 32, 32], 0.5);
+        let plane = 3 * 32 * 32;
+        images.as_mut_slice()[..plane].fill(f32::NAN);
+        images.as_mut_slice()[plane + 17] = f32::INFINITY;
+        images.as_mut_slice()[2 * plane + 600] = f32::NEG_INFINITY;
+        if let Ok(predictions) = model.predict(&images) {
+            assert_eq!(predictions.len(), 4);
+        }
+    }
+
+    #[test]
     fn empty_batch_and_dataset_are_rejected() {
         let mut rng = SeedRng::new(1);
         let mut model = OFscilModel::new(BackboneKind::Micro, 16, &mut rng);

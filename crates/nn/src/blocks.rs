@@ -1,7 +1,7 @@
 //! Composite blocks: the MobileNetV2 inverted residual and the ResNet basic
 //! block used by the ResNet-12 backbone.
 
-use crate::layers::{BatchNorm, Conv2d, DepthwiseConv2d, Relu, Relu6, Sequential};
+use crate::layers::{BatchNorm, Conv2d, DepthwiseConv2d, PointwiseConv2d, Relu, Relu6, Sequential};
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{SeedRng, Tensor};
 
@@ -32,12 +32,9 @@ impl InvertedResidual {
         let hidden = in_channels * expansion;
         let mut body = Sequential::new(format!("inv_res({in_channels}→{out_channels})"));
         if expansion != 1 {
-            body.push(Box::new(Conv2d::new(
+            body.push(Box::new(PointwiseConv2d::new(
                 in_channels,
                 hidden,
-                1,
-                1,
-                0,
                 false,
                 rng,
             )));
@@ -49,12 +46,9 @@ impl InvertedResidual {
         )));
         body.push(Box::new(BatchNorm::new(hidden)));
         body.push(Box::new(Relu6::new()));
-        body.push(Box::new(Conv2d::new(
+        body.push(Box::new(PointwiseConv2d::new(
             hidden,
             out_channels,
-            1,
-            1,
-            0,
             false,
             rng,
         )));
@@ -160,15 +154,24 @@ impl ResNetBlock {
         }
         let shortcut = (stride != 1 || in_channels != out_channels).then(|| {
             let mut s = Sequential::new("shortcut");
-            s.push(Box::new(Conv2d::new(
-                in_channels,
-                out_channels,
-                1,
-                stride,
-                0,
-                false,
-                rng,
-            )));
+            if stride == 1 {
+                s.push(Box::new(PointwiseConv2d::new(
+                    in_channels,
+                    out_channels,
+                    false,
+                    rng,
+                )));
+            } else {
+                s.push(Box::new(Conv2d::new(
+                    in_channels,
+                    out_channels,
+                    1,
+                    stride,
+                    0,
+                    false,
+                    rng,
+                )));
+            }
             s.push(Box::new(BatchNorm::new(out_channels)));
             s
         });

@@ -1,12 +1,15 @@
 //! Fully connected layer.
+//!
+//! The weight is stored as `[in_features, out_features]`, the `Wᵀ` the
+//! forward multiplies by, so no call transposes it.
 
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{Axis, Init, Initializer, SeedRng, Tensor};
 
 /// A fully connected (dense) layer: `y = x · Wᵀ + b`.
 ///
-/// Weight shape is `[out_features, in_features]`, input shape `[batch,
-/// in_features]`.
+/// The weight is stored transposed, as `Wᵀ` of shape `[in_features,
+/// out_features]`; input shape is `[batch, in_features]`.
 #[derive(Debug)]
 pub struct Linear {
     in_features: usize,
@@ -17,18 +20,17 @@ pub struct Linear {
 }
 
 impl Linear {
-    /// Creates a new linear layer with Kaiming-normal weights.
+    /// Creates a new linear layer with Kaiming-normal weights, drawn in
+    /// `[out, in]` order and transposed once.
     pub fn new(in_features: usize, out_features: usize, bias: bool, rng: &mut SeedRng) -> Self {
         let mut init = Initializer::new(rng.fork(0x11ea));
-        let weight = Parameter::new(
-            "weight",
-            init.tensor(
-                &[out_features, in_features],
-                Init::KaimingNormal {
-                    fan_in: in_features,
-                },
-            ),
+        let drawn = init.tensor(
+            &[out_features, in_features],
+            Init::KaimingNormal {
+                fan_in: in_features,
+            },
         );
+        let weight = Parameter::new("weight", drawn.transpose().expect("a rank-2 draw"));
         let bias = bias.then(|| Parameter::new("bias", Tensor::zeros(&[out_features])));
         Linear {
             in_features,
@@ -49,7 +51,7 @@ impl Linear {
         self.out_features
     }
 
-    /// Immutable access to the weight matrix (`[out, in]`).
+    /// Immutable access to the weight matrix, stored as `Wᵀ` (`[in, out]`).
     pub fn weight(&self) -> &Tensor {
         &self.weight.value
     }
@@ -73,11 +75,11 @@ impl Layer for Linear {
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         self.check_input(input)?;
-        let wt = self.weight.value.transpose()?;
-        let mut out = input.matmul(&wt)?;
+        let mut out = input.matmul(&self.weight.value)?;
         if let Some(bias) = &self.bias {
-            let cols = self.out_features;
-            for row in out.as_mut_slice().chunks_mut(cols) {
+            // With no output features there are no rows to add the bias to;
+            // `max(1)` only keeps the chunk size legal.
+            for row in out.as_mut_slice().chunks_mut(self.out_features.max(1)) {
                 for (x, b) in row.iter_mut().zip(bias.value.as_slice()) {
                     *x += b;
                 }
@@ -99,14 +101,14 @@ impl Layer for Linear {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        // dW = gradᵀ · x, db = Σ_batch grad, dx = grad · W
-        let grad_w = grad_output.transpose()?.matmul(&input)?;
+        // d(Wᵀ) = xᵀ · grad, db = Σ_batch grad, dx = grad · W
+        let grad_w = input.transpose()?.matmul(grad_output)?;
         self.weight.accumulate_grad(&grad_w);
         if let Some(bias) = &mut self.bias {
             let grad_b = grad_output.sum_axis(Axis(0))?;
             bias.accumulate_grad(&grad_b);
         }
-        Ok(grad_output.matmul(&self.weight.value)?)
+        Ok(grad_output.matmul(&self.weight.value.transpose()?)?)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
@@ -250,5 +252,79 @@ mod tests {
         assert_eq!(layer.macs(&[10]), 40);
         let mut no_bias = Linear::new(10, 4, false, &mut rng);
         assert_eq!(no_bias.param_count(), 40);
+    }
+
+    #[test]
+    fn matches_an_out_in_reference_bit_for_bit() {
+        // The reference multiplies scalar by scalar on the `[out, in]`
+        // layout, summing each output in ascending order: `y = x · Wᵀ + b`,
+        // `dW = gradᵀ · x`, `db = Σ_batch grad`, `dx = grad · W`.
+        let mut rng = SeedRng::new(34);
+        let (d_in, d_out) = (7, 5);
+        let mut seeded = |n: usize| -> Vec<f32> {
+            let draw = |rng: &mut SeedRng| if rng.chance(0.2) { 0.0 } else { rng.normal() };
+            (0..n).map(|_| draw(&mut rng)).collect()
+        };
+        for batch in [0, 1, 3] {
+            for bias in [false, true] {
+                let mut layer = Linear::new(d_in, d_out, bias, &mut SeedRng::new(batch as u64));
+                let w = seeded(d_out * d_in);
+                let b = seeded(d_out);
+                layer.weight.value = Tensor::from_vec(w.clone(), &[d_out, d_in])
+                    .unwrap()
+                    .transpose()
+                    .unwrap();
+                if let Some(p) = &mut layer.bias {
+                    p.value = Tensor::from_slice(&b);
+                }
+                let (x, g) = (seeded(batch * d_in), seeded(batch * d_out));
+                let (mut y, mut dw, mut db, mut dx) = (vec![], vec![], vec![], vec![]);
+                for r in 0..batch {
+                    for o in 0..d_out {
+                        let dot = (0..d_in)
+                            .fold(0.0f32, |acc, i| acc + x[r * d_in + i] * w[o * d_in + i]);
+                        y.push(if bias { dot + b[o] } else { dot });
+                    }
+                    for i in 0..d_in {
+                        dx.push(
+                            (0..d_out)
+                                .fold(0.0f32, |acc, o| acc + g[r * d_out + o] * w[o * d_in + i]),
+                        );
+                    }
+                }
+                for o in 0..d_out {
+                    for i in 0..d_in {
+                        dw.push(
+                            (0..batch)
+                                .fold(0.0f32, |acc, r| acc + g[r * d_out + o] * x[r * d_in + i]),
+                        );
+                    }
+                    db.push((0..batch).fold(0.0f32, |acc, r| acc + g[r * d_out + o]));
+                }
+
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                let case = (batch, bias);
+                let x = Tensor::from_vec(x, &[batch, d_in]).unwrap();
+                let out = layer.forward(&x, Mode::Train).unwrap();
+                assert_eq!(bits(out.as_slice()), bits(&y), "y {case:?}");
+                let g = Tensor::from_vec(g, &[batch, d_out]).unwrap();
+                let grad_x = layer.backward(&g).unwrap();
+                assert_eq!(bits(grad_x.as_slice()), bits(&dx), "dx {case:?}");
+                let grad_w = layer.weight.grad.transpose().unwrap();
+                assert_eq!(bits(grad_w.as_slice()), bits(&dw), "dW {case:?}");
+                if let Some(p) = &layer.bias {
+                    assert_eq!(bits(p.grad.as_slice()), bits(&db), "db {case:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_output_features_give_an_empty_row_per_input() {
+        let mut layer = Linear::new(4, 0, true, &mut SeedRng::new(0));
+        let y = layer.forward(&Tensor::ones(&[3, 4]), Mode::Train).unwrap();
+        assert_eq!(y.dims(), &[3, 0]);
+        let grad_x = layer.backward(&Tensor::zeros(&[3, 0])).unwrap();
+        assert_eq!(grad_x, Tensor::zeros(&[3, 4]));
     }
 }

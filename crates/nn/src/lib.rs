@@ -9,10 +9,11 @@
 //! * the layers used by MobileNetV2 and ResNet-12 (standard and depthwise
 //!   convolutions, batch normalisation, ReLU/ReLU6, pooling, linear). A
 //!   standard convolution multiplies its weights with one `im2col` patch
-//!   matrix per image; a 1×1, stride-1, unpadded one multiplies them once
-//!   with the whole batch, whose images already are their patch matrices. A
-//!   depthwise convolution is a direct per-channel stencil with no patch
-//!   matrix or matmul,
+//!   matrix per image. A 1×1, stride-1, unpadded (pointwise) one is its own
+//!   layer: the batch's pixels are the rows of one matmul against a weight
+//!   stored `[in, out]`, as [`layers::Linear`] stores its own. A depthwise
+//!   convolution is a direct per-channel stencil with no patch matrix or
+//!   matmul,
 //! * composite blocks (inverted residual, ResNet basic block) and the backbone
 //!   model builders with the paper's stride profiles (Table I),
 //! * the three losses of the paper — cross entropy (with soft labels for

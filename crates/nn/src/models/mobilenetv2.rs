@@ -2,7 +2,7 @@
 
 use super::Backbone;
 use crate::blocks::InvertedResidual;
-use crate::layers::{BatchNorm, Conv2d, GlobalAvgPool, Relu6, Sequential};
+use crate::layers::{BatchNorm, Conv2d, GlobalAvgPool, PointwiseConv2d, Relu6, Sequential};
 use ofscil_tensor::SeedRng;
 
 /// The three MobileNetV2 stride profiles evaluated in the paper (Table I).
@@ -84,12 +84,9 @@ pub fn mobilenet_v2(variant: MobileNetVariant, rng: &mut SeedRng) -> Backbone {
     }
 
     // Head: 1x1 conv to d_a = 1280, then global pooling.
-    net.push(Box::new(Conv2d::new(
+    net.push(Box::new(PointwiseConv2d::new(
         c_in,
         LAST_CHANNELS,
-        1,
-        1,
-        0,
         false,
         rng,
     )));

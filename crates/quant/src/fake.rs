@@ -89,8 +89,49 @@ pub fn quantize_layer_weights(layer: &mut dyn Layer, bits: u8) -> Result<u64> {
 mod tests {
     use super::*;
     use ofscil_nn::layers::Linear;
+    use ofscil_nn::models::{mobilenet_v2, MobileNetVariant};
     use ofscil_nn::{Layer, Mode};
     use ofscil_tensor::{SeedRng, Tensor};
+
+    /// A rank-2 weight quantized on its own, through a `Linear` carrying it.
+    fn quantize_alone(value: &Tensor) -> Tensor {
+        let (rows, cols) = (value.dims()[0], value.dims()[1]);
+        let mut carrier = Linear::new(rows, cols, false, &mut SeedRng::new(0));
+        carrier.visit_params(&mut |p| p.value = value.clone());
+        quantize_layer_weights(&mut carrier, 8).unwrap();
+        carrier.weight().clone()
+    }
+
+    #[test]
+    fn weights_quantize_alike_in_either_layout() {
+        // Calibration sums squared errors in storage order, and the
+        // pointwise convolutions and the FCR store `[in, out]` where they
+        // once stored `[out, in]`. Every rank-2 weight of MobileNetV2 (its
+        // pointwise layers among them) and the FCR must quantize to the same
+        // values in both orders, at the ledger's seed 1 and simbench's seed 7.
+        for seed in [1, 7] {
+            let mut rng = SeedRng::new(seed);
+            let backbone = mobilenet_v2(MobileNetVariant::X1, &mut rng).net;
+            let fcr = Linear::new(1280, 256, true, &mut rng);
+            let mut checked = 0;
+            for mut layer in [Box::new(backbone) as Box<dyn Layer>, Box::new(fcr)] {
+                let mut before = Vec::new();
+                layer.visit_params(&mut |p| before.push(p.value.clone()));
+                quantize_layer_weights(layer.as_mut(), 8).unwrap();
+                let mut before = before.into_iter();
+                layer.visit_params(&mut |p| {
+                    let value = before.next().unwrap();
+                    if value.dims().len() == 2 {
+                        let other = quantize_alone(&value.transpose().unwrap());
+                        assert_eq!(p.value, other.transpose().unwrap(), "seed {seed}");
+                        checked += 1;
+                    }
+                });
+            }
+            // 34 pointwise + 17 depthwise + the stem, and the FCR.
+            assert_eq!(checked, 53, "seed {seed}");
+        }
+    }
 
     #[test]
     fn rejects_bad_bit_widths() {
