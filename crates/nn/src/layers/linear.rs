@@ -1,7 +1,7 @@
 //! Fully connected layer.
 //!
 //! The weight is stored as `[in_features, out_features]`, the `Wᵀ` the
-//! forward multiplies by, so no call transposes it.
+//! forward multiplies by, so inference never transposes it.
 
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{Axis, Init, Initializer, SeedRng, Tensor};
@@ -260,12 +260,12 @@ mod tests {
         // layout, summing each output in ascending order: `y = x · Wᵀ + b`,
         // `dW = gradᵀ · x`, `db = Σ_batch grad`, `dx = grad · W`.
         let mut rng = SeedRng::new(34);
-        let (d_in, d_out) = (7, 5);
         let mut seeded = |n: usize| -> Vec<f32> {
             let draw = |rng: &mut SeedRng| if rng.chance(0.2) { 0.0 } else { rng.normal() };
             (0..n).map(|_| draw(&mut rng)).collect()
         };
-        for batch in [0, 1, 3] {
+        // A one-feature output with several rows checks the bias per row.
+        for (d_in, d_out, batch) in [(7, 5, 0), (7, 5, 1), (7, 5, 3), (3, 1, 4)] {
             for bias in [false, true] {
                 let mut layer = Linear::new(d_in, d_out, bias, &mut SeedRng::new(batch as u64));
                 let w = seeded(d_out * d_in);
@@ -303,7 +303,7 @@ mod tests {
                 }
 
                 let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                let case = (batch, bias);
+                let case = (d_out, batch, bias);
                 let x = Tensor::from_vec(x, &[batch, d_in]).unwrap();
                 let out = layer.forward(&x, Mode::Train).unwrap();
                 assert_eq!(bits(out.as_slice()), bits(&y), "y {case:?}");
