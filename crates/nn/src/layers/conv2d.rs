@@ -278,6 +278,127 @@ mod tests {
     }
 
     #[test]
+    fn pointwise_convolutions_match_im2col_matmul_bit_for_bit() {
+        // A 1×1 `Conv2d` at stride 1 or 2 must equal the im2col + matmul
+        // product of each image; `PointwiseConv2d`'s tests use this lowering
+        // as their reference.
+        let mut rng = SeedRng::new(28);
+        for stride in [1, 2] {
+            let mut conv = Conv2d::new(5, 7, 1, stride, 0, true, &mut rng);
+            conv.bias.as_mut().unwrap().value =
+                Tensor::from_vec((0..7).map(|_| rng.normal()).collect(), &[7]).unwrap();
+            let data = (0..2 * 5 * 6 * 5).map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() });
+            let x = Tensor::from_vec(data.collect(), &[2, 5, 6, 5]).unwrap();
+            let y = conv.forward(&x, Mode::Eval).unwrap();
+            let geom = conv.geometry(6, 5);
+            let mut expected = Vec::new();
+            for image in x.as_slice().chunks(5 * 6 * 5) {
+                let image = Tensor::from_vec(image.to_vec(), &[5, 6, 5]).unwrap();
+                let product = conv
+                    .weight
+                    .value
+                    .matmul(&im2col(&image, 5, &geom).unwrap())
+                    .unwrap();
+                let bias = conv.bias.as_ref().unwrap().value.as_slice();
+                for (c, row) in product.as_slice().chunks(geom.out_pixels()).enumerate() {
+                    expected.extend(row.iter().map(|v| v + bias[c]));
+                }
+            }
+            assert_eq!(y.dims(), &[2, 7, geom.out_h(), geom.out_w()]);
+            let same = y
+                .as_slice()
+                .iter()
+                .zip(&expected)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "stride {stride}");
+        }
+    }
+
+    /// `dims`-shaped normal values, about one in five an exact zero.
+    fn seeded(rng: &mut SeedRng, dims: &[usize]) -> Tensor {
+        let n = dims.iter().product();
+        let data = (0..n)
+            .map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() })
+            .collect();
+        Tensor::from_vec(data, dims).unwrap()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn batched_pointwise_forward_matches_per_image_products_bit_for_bit() {
+        // Each image of a 1×1 batch must come out as its own
+        // `[c_out, c_in] · [c_in, hw]` product and its own batch-1 forward,
+        // and the batched backward must give the batch-1 gradients.
+        let mut rng = SeedRng::new(31);
+        let (c_in, c_out) = (6, 5);
+        for batch in [1, 2, 5] {
+            for (h, w) in [(1, 1), (2, 2), (5, 6)] {
+                for bias in [false, true] {
+                    let case = (batch, h, w, bias);
+                    let mut conv = Conv2d::new(c_in, c_out, 1, 1, 0, bias, &mut rng);
+                    conv.weight.value = seeded(&mut rng, &[c_out, c_in]);
+                    if let Some(bias) = &mut conv.bias {
+                        bias.value = seeded(&mut rng, &[c_out]);
+                    }
+                    let x = seeded(&mut rng, &[batch, c_in, h, w]);
+                    let y = conv.forward(&x, Mode::Train).unwrap();
+                    assert_eq!(y.dims(), &[batch, c_out, h, w]);
+                    let grad_y = seeded(&mut rng, y.dims());
+                    let grad_x = conv.backward(&grad_y).unwrap();
+                    let grad_w = conv.weight.grad.clone();
+                    let grad_b = conv.bias.as_ref().map(|b| b.grad.clone());
+
+                    conv.zero_grads();
+                    let (plane, out_plane) = (c_in * h * w, c_out * h * w);
+                    let (mut products, mut singles, mut single_grad_x) = (vec![], vec![], vec![]);
+                    for b in 0..batch {
+                        let image = &x.as_slice()[b * plane..(b + 1) * plane];
+                        let cols = Tensor::from_vec(image.to_vec(), &[c_in, h * w]).unwrap();
+                        let product = conv.weight.value.matmul(&cols).unwrap();
+                        for (c, row) in product.as_slice().chunks(h * w).enumerate() {
+                            let bias = conv.bias.as_ref().map(|b| b.value.as_slice()[c]);
+                            products.extend(row.iter().map(|&v| bias.map_or(v, |b| v + b)));
+                        }
+                        let single = Tensor::from_vec(image.to_vec(), &[1, c_in, h, w]).unwrap();
+                        let single = conv.forward(&single, Mode::Train).unwrap();
+                        singles.extend_from_slice(single.as_slice());
+                        let g = grad_y.as_slice()[b * out_plane..(b + 1) * out_plane].to_vec();
+                        let g = Tensor::from_vec(g, &[1, c_out, h, w]).unwrap();
+                        single_grad_x.extend_from_slice(conv.backward(&g).unwrap().as_slice());
+                    }
+                    assert_eq!(bits(y.as_slice()), bits(&products), "products {case:?}");
+                    assert_eq!(
+                        bits(y.as_slice()),
+                        bits(&singles),
+                        "batch-1 forwards {case:?}"
+                    );
+                    assert_eq!(
+                        bits(grad_x.as_slice()),
+                        bits(&single_grad_x),
+                        "grad_x {case:?}"
+                    );
+                    let single_grad_w = conv.weight.grad.as_slice();
+                    assert_eq!(
+                        bits(grad_w.as_slice()),
+                        bits(single_grad_w),
+                        "grad_w {case:?}"
+                    );
+                    if let (Some(grad_b), Some(bias)) = (grad_b, &conv.bias) {
+                        assert_eq!(
+                            bits(grad_b.as_slice()),
+                            bits(bias.grad.as_slice()),
+                            "{case:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn empty_batch_forward() {
         for kernel in [1, 3] {
             let mut conv = Conv2d::new(4, 3, kernel, 1, kernel / 2, true, &mut SeedRng::new(0));
