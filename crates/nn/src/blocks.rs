@@ -32,12 +32,7 @@ impl InvertedResidual {
         let hidden = in_channels * expansion;
         let mut body = Sequential::new(format!("inv_res({in_channels}→{out_channels})"));
         if expansion != 1 {
-            body.push(Box::new(PointwiseConv2d::new(
-                in_channels,
-                hidden,
-                false,
-                rng,
-            )));
+            body.push(Box::new(PointwiseConv2d::new(in_channels, hidden, rng)));
             body.push(Box::new(BatchNorm::new(hidden)));
             body.push(Box::new(Relu6::new()));
         }
@@ -46,12 +41,7 @@ impl InvertedResidual {
         )));
         body.push(Box::new(BatchNorm::new(hidden)));
         body.push(Box::new(Relu6::new()));
-        body.push(Box::new(PointwiseConv2d::new(
-            hidden,
-            out_channels,
-            false,
-            rng,
-        )));
+        body.push(Box::new(PointwiseConv2d::new(hidden, out_channels, rng)));
         body.push(Box::new(BatchNorm::new(out_channels)));
         let use_residual = stride == 1 && in_channels == out_channels;
         InvertedResidual {
@@ -158,7 +148,6 @@ impl ResNetBlock {
                 s.push(Box::new(PointwiseConv2d::new(
                     in_channels,
                     out_channels,
-                    false,
                     rng,
                 )));
             } else {

@@ -6,9 +6,10 @@
 //! c_out]`, with the weight stored once as `[in_channels, out_channels]`.
 //! The row kernel of `Tensor::matmul` then runs along the channel count
 //! (16–1280) rather than along `batch * h * w`, which is 4–20 on the late
-//! 2×2 maps of a 32×32 input. One transpose of the whole NCHW input, viewed
-//! as `[batch * c_in, hw]`, gathers the rows (pixel-major, then image), and
-//! one transpose of the product scatters them back.
+//! 2×2 maps of a 32×32 input. One transpose of the whole NCHW input,
+//! `[batch, c_in, h, w]` to `[h, w, batch, c_in]`, gathers the rows
+//! (pixel-major, then image) straight from the borrowed input, and one
+//! transpose of the product, `[h, w, batch, c_out]`, scatters them back.
 //!
 //! Every output sums the same products in the same ascending `c_in` order as
 //! `Conv2d`'s im2col + `[c_out, c_in] · [c_in, hw]` lowering of the same
@@ -21,7 +22,8 @@
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
-/// A 1×1, stride-1, unpadded convolution.
+/// A 1×1, stride-1, unpadded convolution without bias (every caller
+/// follows it with `BatchNorm`).
 ///
 /// * input: `[batch, in_channels, h, w]`
 /// * weight: `[in_channels, out_channels]`
@@ -31,7 +33,6 @@ pub(crate) struct PointwiseConv2d {
     in_channels: usize,
     out_channels: usize,
     weight: Parameter,
-    bias: Option<Parameter>,
     cached_input: Option<Tensor>,
 }
 
@@ -39,12 +40,7 @@ impl PointwiseConv2d {
     /// Creates a pointwise convolution with Kaiming-normal weights, drawn
     /// from the same stream and in the same `[out, in]` order as a 1×1
     /// `Conv2d`'s and transposed once.
-    pub(crate) fn new(
-        in_channels: usize,
-        out_channels: usize,
-        bias: bool,
-        rng: &mut SeedRng,
-    ) -> Self {
+    pub(crate) fn new(in_channels: usize, out_channels: usize, rng: &mut SeedRng) -> Self {
         let mut init = Initializer::new(rng.fork(0xc0c0));
         let drawn = init.tensor(
             &[out_channels, in_channels],
@@ -53,12 +49,10 @@ impl PointwiseConv2d {
             },
         );
         let weight = Parameter::new("weight", drawn.transpose().expect("a rank-2 draw"));
-        let bias = bias.then(|| Parameter::new("bias", Tensor::zeros(&[out_channels])));
         PointwiseConv2d {
             in_channels,
             out_channels,
             weight,
-            bias,
             cached_input: None,
         }
     }
@@ -88,22 +82,12 @@ impl Layer for PointwiseConv2d {
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         let (batch, hw) = self.check_input(input.dims())?;
-        let (c_in, c_out) = (self.in_channels, self.out_channels);
-        let mut rows = input.reshape(&[batch * c_in, hw])?.transpose()?;
-        rows.reshape_in_place(&[hw * batch, c_in])?;
+        let (h, w) = (input.dims()[2], input.dims()[3]);
+        let mut rows = input.transpose()?;
+        rows.reshape_in_place(&[hw * batch, self.in_channels])?;
         let mut product = rows.matmul(&self.weight.value)?;
-        product.reshape_in_place(&[hw, batch * c_out])?;
-        let mut out = product.transpose()?;
-        if let Some(bias) = &self.bias {
-            let bias = bias.value.as_slice();
-            for (i, plane) in out.as_mut_slice().chunks_mut(hw).enumerate() {
-                let bv = bias[i % c_out];
-                for x in plane {
-                    *x += bv;
-                }
-            }
-        }
-        out.reshape_in_place(&[batch, c_out, input.dims()[2], input.dims()[3]])?;
+        product.reshape_in_place(&[h, w, batch, self.out_channels])?;
+        let out = product.transpose()?;
         self.cached_input = mode.is_train().then(|| input.clone());
         Ok(out)
     }
@@ -132,13 +116,6 @@ impl Layer for PointwiseConv2d {
             let grad_y = Tensor::from_vec(g.to_vec(), &[c_out, hw])?;
             self.weight
                 .accumulate_grad(&x.matmul(&grad_y.transpose()?)?);
-            if let Some(bias) = &mut self.bias {
-                let mut gb = vec![0.0f32; c_out];
-                for (c, g) in gb.iter_mut().enumerate() {
-                    *g = grad_y.row(c)?.iter().sum();
-                }
-                bias.accumulate_grad(&Tensor::from_slice(&gb));
-            }
             let grad_x = self.weight.value.matmul(&grad_y)?;
             grad_input[b * plane..(b + 1) * plane].copy_from_slice(grad_x.as_slice());
         }
@@ -147,9 +124,6 @@ impl Layer for PointwiseConv2d {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
         visitor(&mut self.weight);
-        if let Some(bias) = &mut self.bias {
-            visitor(bias);
-        }
     }
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
@@ -166,12 +140,7 @@ impl Layer for PointwiseConv2d {
     }
 
     fn weight_count(&self) -> u64 {
-        let bias = if self.bias.is_some() {
-            self.out_channels
-        } else {
-            0
-        };
-        (self.out_channels * self.in_channels + bias) as u64
+        (self.out_channels * self.in_channels) as u64
     }
 }
 
@@ -193,7 +162,7 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The weight and bias parameters of a layer, in visiting order.
+    /// The parameters of a layer, in visiting order.
     fn params(layer: &mut dyn Layer) -> Vec<Parameter> {
         let mut out = Vec::new();
         layer.visit_params(&mut |p| out.push(p.clone()));
@@ -202,69 +171,58 @@ mod tests {
 
     #[test]
     fn draws_the_weights_of_a_1x1_conv2d() {
-        let pw = params(&mut PointwiseConv2d::new(6, 5, true, &mut SeedRng::new(9)));
-        let conv = params(&mut Conv2d::new(6, 5, 1, 1, 0, true, &mut SeedRng::new(9)));
+        let pw = params(&mut PointwiseConv2d::new(6, 5, &mut SeedRng::new(9)));
+        let conv = params(&mut Conv2d::new(6, 5, 1, 1, 0, false, &mut SeedRng::new(9)));
+        assert_eq!(pw.len(), 1);
         assert_eq!(pw[0].value.dims(), &[6, 5]);
         assert_eq!(pw[0].value.transpose().unwrap(), conv[0].value);
-        assert_eq!(pw[1].value, conv[1].value);
     }
 
     #[test]
     fn matches_the_conv2d_im2col_lowering_bit_for_bit() {
-        // The same weights through `Conv2d`'s per-image im2col + matmul:
-        // output, input gradient, (transposed) weight gradient and bias
-        // gradient must agree to the bit.
+        // The same weights through a bias-free `Conv2d`'s per-image im2col +
+        // matmul: output, input gradient and (transposed) weight gradient
+        // must agree to the bit.
         let mut rng = SeedRng::new(34);
         let (c_in, c_out) = (6, 5);
         for batch in [0, 1, 2, 5] {
             for (h, w) in [(1, 1), (2, 2), (5, 6)] {
-                for bias in [false, true] {
-                    let case = (batch, h, w, bias);
-                    let mut pw = PointwiseConv2d::new(c_in, c_out, bias, &mut rng);
-                    pw.weight.value = seeded(&mut rng, &[c_in, c_out]);
-                    if let Some(b) = &mut pw.bias {
-                        b.value = seeded(&mut rng, &[c_out]);
-                    }
-                    let mut conv = Conv2d::new(c_in, c_out, 1, 1, 0, bias, &mut rng);
-                    let mut reference = vec![pw.weight.value.transpose().unwrap()];
-                    reference.extend(pw.bias.as_ref().map(|b| b.value.clone()));
-                    let mut next = reference.into_iter();
-                    conv.visit_params(&mut |p| p.value = next.next().unwrap());
+                let case = (batch, h, w);
+                let mut pw = PointwiseConv2d::new(c_in, c_out, &mut rng);
+                pw.weight.value = seeded(&mut rng, &[c_in, c_out]);
+                let mut conv = Conv2d::new(c_in, c_out, 1, 1, 0, false, &mut rng);
+                let reference = pw.weight.value.transpose().unwrap();
+                conv.visit_params(&mut |p| p.value = reference.clone());
 
-                    let x = seeded(&mut rng, &[batch, c_in, h, w]);
-                    let y = pw.forward(&x, Mode::Train).unwrap();
-                    let want = conv.forward(&x, Mode::Train).unwrap();
-                    assert_eq!(y.dims(), want.dims(), "{case:?}");
-                    assert_eq!(bits(y.as_slice()), bits(want.as_slice()), "y {case:?}");
+                let x = seeded(&mut rng, &[batch, c_in, h, w]);
+                let y = pw.forward(&x, Mode::Train).unwrap();
+                let want = conv.forward(&x, Mode::Train).unwrap();
+                assert_eq!(y.dims(), want.dims(), "{case:?}");
+                assert_eq!(bits(y.as_slice()), bits(want.as_slice()), "y {case:?}");
 
-                    let grad_y = seeded(&mut rng, y.dims());
-                    let grad_x = pw.backward(&grad_y).unwrap();
-                    let want_x = conv.backward(&grad_y).unwrap();
-                    assert_eq!(grad_x.dims(), x.dims(), "{case:?}");
-                    assert_eq!(
-                        bits(grad_x.as_slice()),
-                        bits(want_x.as_slice()),
-                        "grad_x {case:?}"
-                    );
-                    let want = params(&mut conv);
-                    let grad_w = pw.weight.grad.transpose().unwrap();
-                    assert_eq!(
-                        bits(grad_w.as_slice()),
-                        bits(want[0].grad.as_slice()),
-                        "grad_w {case:?}"
-                    );
-                    if let Some(b) = &pw.bias {
-                        let want_b = want[1].grad.as_slice();
-                        assert_eq!(bits(b.grad.as_slice()), bits(want_b), "grad_b {case:?}");
-                    }
-                }
+                let grad_y = seeded(&mut rng, y.dims());
+                let grad_x = pw.backward(&grad_y).unwrap();
+                let want_x = conv.backward(&grad_y).unwrap();
+                assert_eq!(grad_x.dims(), x.dims(), "{case:?}");
+                assert_eq!(
+                    bits(grad_x.as_slice()),
+                    bits(want_x.as_slice()),
+                    "grad_x {case:?}"
+                );
+                let want = params(&mut conv);
+                let grad_w = pw.weight.grad.transpose().unwrap();
+                assert_eq!(
+                    bits(grad_w.as_slice()),
+                    bits(want[0].grad.as_slice()),
+                    "grad_w {case:?}"
+                );
             }
         }
     }
 
     #[test]
     fn shapes_names_and_counts() {
-        let mut pw = PointwiseConv2d::new(4, 8, true, &mut SeedRng::new(0));
+        let mut pw = PointwiseConv2d::new(4, 8, &mut SeedRng::new(0));
         assert_eq!(pw.name(), "conv2d(4→8, k1, s1, p0)");
         assert_eq!(pw.output_dims(&[2, 4, 3, 5]).unwrap(), vec![2, 8, 3, 5]);
         assert!(pw.output_dims(&[2, 4, 0, 5]).is_err());
@@ -272,13 +230,13 @@ mod tests {
             .forward(&Tensor::ones(&[2, 3, 3, 5]), Mode::Eval)
             .is_err());
         assert_eq!(pw.macs(&[4, 3, 5]), 8 * 4 * 15);
-        assert_eq!(pw.param_count(), 4 * 8 + 8);
-        assert_eq!(pw.weight_count(), 4 * 8 + 8);
+        assert_eq!(pw.param_count(), 4 * 8);
+        assert_eq!(pw.weight_count(), 4 * 8);
     }
 
     #[test]
     fn eval_forward_drops_the_train_cache() {
-        let mut pw = PointwiseConv2d::new(2, 3, true, &mut SeedRng::new(0));
+        let mut pw = PointwiseConv2d::new(2, 3, &mut SeedRng::new(0));
         crate::layer::assert_eval_drops_train_cache(&mut pw, &Tensor::ones(&[1, 2, 4, 4]));
     }
 }

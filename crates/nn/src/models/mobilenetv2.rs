@@ -84,12 +84,7 @@ pub fn mobilenet_v2(variant: MobileNetVariant, rng: &mut SeedRng) -> Backbone {
     }
 
     // Head: 1x1 conv to d_a = 1280, then global pooling.
-    net.push(Box::new(PointwiseConv2d::new(
-        c_in,
-        LAST_CHANNELS,
-        false,
-        rng,
-    )));
+    net.push(Box::new(PointwiseConv2d::new(c_in, LAST_CHANNELS, rng)));
     net.push(Box::new(BatchNorm::new(LAST_CHANNELS)));
     net.push(Box::new(Relu6::new()));
     net.push(Box::new(GlobalAvgPool::new()));

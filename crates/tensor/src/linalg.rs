@@ -81,16 +81,28 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// Transpose of a rank-2 tensor.
+    /// Transpose of a tensor of even rank, read as the matrix whose rows run
+    /// over its first half of axes: `[m, n]` becomes `[n, m]`, and an NCHW
+    /// batch `[b, c, h, w]` becomes `[h, w, b, c]`.
     ///
     /// Copies `TRANSPOSE_TILE`-square tiles, so the column-strided writes of
     /// one tile land in a few cache lines instead of one line per element.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
+    /// Returns [`TensorError::RankMismatch`] for a tensor of odd rank or of
+    /// rank 0.
     pub fn transpose(&self) -> Result<Tensor> {
-        let (m, n) = matrix_dims(self, "transpose")?;
+        let rank = self.dims().len();
+        if rank == 0 || rank % 2 == 1 {
+            return Err(TensorError::RankMismatch {
+                expected: (rank / 2 + 1) * 2,
+                actual: rank,
+                op: "transpose",
+            });
+        }
+        let (rows, cols) = self.dims().split_at(rank / 2);
+        let (m, n) = (rows.iter().product(), cols.iter().product());
         let src = self.as_slice();
         let mut out = vec![0.0f32; m * n];
         for i0 in (0..m).step_by(TRANSPOSE_TILE) {
@@ -103,7 +115,7 @@ impl Tensor {
                 }
             }
         }
-        Tensor::from_vec(out, &[n, m])
+        Tensor::from_vec(out, &[cols, rows].concat())
     }
 }
 
@@ -215,6 +227,26 @@ mod tests {
             let t = a.transpose().unwrap();
             assert_eq!(t.dims(), &[n, m]);
             assert_eq!(t.as_slice(), &naive[..], "{m}x{n}");
+        }
+    }
+
+    #[test]
+    fn transpose_swaps_the_halves_of_an_even_rank() {
+        let (b, c, h, w) = (2, 3, 4, 5);
+        let a = Tensor::from_vec(
+            (0..b * c * h * w).map(|x| x as f32).collect(),
+            &[b, c, h, w],
+        )
+        .unwrap();
+        let t = a.transpose().unwrap();
+        assert_eq!(t.dims(), &[h, w, b, c]);
+        for (i, j, y, x) in [(0, 0, 0, 0), (1, 2, 3, 4), (0, 1, 2, 3), (1, 0, 3, 0)] {
+            let want = a.at(&[i, j, y, x]).unwrap();
+            assert_eq!(t.at(&[y, x, i, j]).unwrap(), want);
+        }
+        assert_eq!(t.transpose().unwrap(), a);
+        for dims in [&[][..], &[4], &[2, 3, 4]] {
+            assert!(Tensor::zeros(dims).transpose().is_err(), "{dims:?}");
         }
     }
 
