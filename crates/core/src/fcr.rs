@@ -21,7 +21,7 @@ impl Fcr {
     /// Creates an FCR projecting `feature_dim` (d_a) to `projection_dim` (d_p).
     pub(crate) fn new(feature_dim: usize, projection_dim: usize, rng: &mut SeedRng) -> Self {
         Fcr {
-            linear: Linear::new(feature_dim, projection_dim, true, rng),
+            linear: Linear::new(feature_dim, projection_dim, rng),
         }
     }
 

@@ -114,7 +114,7 @@ pub fn pretrain(
         });
     }
     let projection_dim = model.projection_dim();
-    let mut fcc = Linear::new(projection_dim, num_base_classes, true, rng);
+    let mut fcc = Linear::new(projection_dim, num_base_classes, rng);
     let mut backbone_opt = Sgd::new(config.learning_rate, config.momentum, config.weight_decay);
     let mut fcr_opt = Sgd::new(config.learning_rate, config.momentum, config.weight_decay);
     let mut fcc_opt = Sgd::new(config.learning_rate, config.momentum, config.weight_decay);

@@ -12,9 +12,9 @@
 //! Observation is **push-driven**: the controller opens one streaming
 //! [`RateFeed`] at construction and folds its deltas into the trailing
 //! rates each tick, instead of issuing a windowed observability query per
-//! tick. If the stream dies the tick falls back to the polled
-//! [`ClusterSnapshot::capture`] and the feed resubscribes from its
-//! high-water cursor — the control loop keeps observing either way.
+//! tick. The feed's cluster tail lives as long as the router: each leg
+//! retries its shard until the tail is dropped or the router shuts down,
+//! so an outage pauses a leg's deltas without ending the feed.
 
 use crate::action::{ControlAction, CtrlError};
 use crate::config::CtrlConfig;
@@ -51,9 +51,6 @@ pub struct TickReport {
     pub executed: Vec<ControlAction>,
     /// Typed failures for the rest (retries already exhausted).
     pub failures: Vec<CtrlError>,
-    /// Whether this tick's trailing rates came from the streaming
-    /// [`RateFeed`] (`true`) or the polled fallback query (`false`).
-    pub pushed: bool,
 }
 
 impl TickReport {
@@ -78,7 +75,6 @@ pub struct Controller<'a, D: RecoveryDriver> {
     planner: Planner,
     executor: Executor,
     feed: RateFeed,
-    config: CtrlConfig,
     tick: u64,
 }
 
@@ -93,7 +89,6 @@ impl<'a, D: RecoveryDriver> Controller<'a, D> {
             planner: Planner::new(config.clone()),
             executor: Executor::new(&config),
             feed: RateFeed::subscribe(router, &config),
-            config,
             tick: 0,
         }
     }
@@ -108,27 +103,12 @@ impl<'a, D: RecoveryDriver> Controller<'a, D> {
         &self.feed
     }
 
-    /// Runs one control tick: fold the rate feed's deltas (or poll if the
-    /// stream is down) into a [`ClusterSnapshot`], plan, execute each action
-    /// (with retries), and stamp the successful ones into the observability
-    /// timeline.
+    /// Runs one control tick: fold the rate feed's deltas into a
+    /// [`ClusterSnapshot`], plan, execute each action (with retries), and
+    /// stamp the successful ones into the observability timeline.
     pub fn tick(&mut self) -> TickReport {
         self.tick += 1;
-        let (snapshot, pushed) = match self.feed.rates() {
-            Some(rates) => (
-                ClusterSnapshot::assemble(self.router, self.tick, &rates),
-                true,
-            ),
-            None => {
-                // Every leg exited (router shutting down, or the tail was
-                // opened before the ring had live shards): poll this tick,
-                // and splice a fresh subscription from the feed's cursor so
-                // the next tick can stream again.
-                let snapshot = ClusterSnapshot::capture(self.router, &self.config, self.tick);
-                self.feed.resubscribe(self.router, &self.config);
-                (snapshot, false)
-            }
-        };
+        let snapshot = ClusterSnapshot::assemble(self.router, self.tick, &self.feed.rates());
         let planned = self.planner.plan(&snapshot);
         let mut executed = Vec::new();
         let mut failures = Vec::new();
@@ -147,7 +127,6 @@ impl<'a, D: RecoveryDriver> Controller<'a, D> {
             planned,
             executed,
             failures,
-            pushed,
         }
     }
 

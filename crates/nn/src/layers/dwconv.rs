@@ -11,8 +11,9 @@
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
-/// Depthwise convolution: every input channel is convolved with its own
-/// `k x k` kernel; channel count is preserved.
+/// Depthwise convolution without bias (every caller follows it with
+/// `BatchNorm`): every input channel is convolved with its own `k x k`
+/// kernel; channel count is preserved.
 ///
 /// * input: `[batch, channels, h, w]`
 /// * weight: `[channels, k * k]`
@@ -24,7 +25,6 @@ pub(crate) struct DepthwiseConv2d {
     stride: usize,
     padding: usize,
     weight: Parameter,
-    bias: Option<Parameter>,
     cached_input: Option<Tensor>,
 }
 
@@ -35,7 +35,6 @@ impl DepthwiseConv2d {
         kernel: usize,
         stride: usize,
         padding: usize,
-        bias: bool,
         rng: &mut SeedRng,
     ) -> Self {
         let fan_in = kernel * kernel;
@@ -44,14 +43,12 @@ impl DepthwiseConv2d {
             "weight",
             init.tensor(&[channels, fan_in], Init::KaimingNormal { fan_in }),
         );
-        let bias = bias.then(|| Parameter::new("bias", Tensor::zeros(&[channels])));
         DepthwiseConv2d {
             channels,
             kernel,
             stride,
             padding,
             weight,
-            bias,
             cached_input: None,
         }
     }
@@ -149,11 +146,6 @@ impl Layer for DepthwiseConv2d {
                     }
                 }
             }
-            let bias = self
-                .bias
-                .as_ref()
-                .map_or(0.0, |bias| bias.value.as_slice()[c]);
-            y.iter_mut().for_each(|y| *y += bias);
         }
         self.cached_input = mode.is_train().then(|| input.clone());
         Tensor::from_vec(out, &[batch, self.channels, out_h, out_w]).map_err(NnError::from)
@@ -179,14 +171,12 @@ impl Layer for DepthwiseConv2d {
         let weight = self.weight.value.as_slice();
         let mut grad_input = vec![0.0f32; batch * self.channels * in_plane];
         let mut grad_weight = vec![0.0f32; self.channels * taps];
-        let mut grad_bias = vec![0.0f32; self.channels];
 
         for plane in 0..batch * self.channels {
             let c = plane % self.channels;
             let x = &input.as_slice()[plane * in_plane..(plane + 1) * in_plane];
             let g = &grad_output.as_slice()[plane * out_plane..(plane + 1) * out_plane];
             let gx = &mut grad_input[plane * in_plane..(plane + 1) * in_plane];
-            grad_bias[c] += g.iter().sum::<f32>();
             for t in 0..taps {
                 let (w, (len, runs)) = (weight[c * taps + t], tap_runs(&geom, t));
                 // dW sums the plane's products in row-major order and skips
@@ -212,17 +202,11 @@ impl Layer for DepthwiseConv2d {
         }
         self.weight
             .accumulate_grad(&Tensor::from_vec(grad_weight, self.weight.value.dims())?);
-        if let Some(bias) = &mut self.bias {
-            bias.accumulate_grad(&Tensor::from_slice(&grad_bias));
-        }
         Tensor::from_vec(grad_input, input.dims()).map_err(NnError::from)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
         visitor(&mut self.weight);
-        if let Some(bias) = &mut self.bias {
-            visitor(bias);
-        }
     }
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
@@ -241,12 +225,7 @@ impl Layer for DepthwiseConv2d {
     }
 
     fn weight_count(&self) -> u64 {
-        let bias = if self.bias.is_some() {
-            self.channels
-        } else {
-            0
-        };
-        (self.channels * self.kernel * self.kernel + bias) as u64
+        (self.channels * self.kernel * self.kernel) as u64
     }
 }
 
@@ -258,7 +237,7 @@ mod tests {
     #[test]
     fn forward_shape_preserves_channels() {
         let mut rng = SeedRng::new(0);
-        let mut dw = DepthwiseConv2d::new(4, 3, 2, 1, true, &mut rng);
+        let mut dw = DepthwiseConv2d::new(4, 3, 2, 1, &mut rng);
         let x = Tensor::ones(&[2, 4, 8, 8]);
         let y = dw.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 4, 4, 4]);
@@ -272,7 +251,7 @@ mod tests {
         // Zero the kernel for channel 1; its output must be exactly zero while
         // channel 0 stays non-zero.
         let mut rng = SeedRng::new(1);
-        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, false, &mut rng);
+        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, &mut rng);
         for x in dw.weight.value.as_mut_slice()[9..18].iter_mut() {
             *x = 0.0;
         }
@@ -288,7 +267,7 @@ mod tests {
     #[test]
     fn gradient_check() {
         let mut rng = SeedRng::new(3);
-        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, true, &mut rng);
+        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, &mut rng);
         let x = Tensor::from_vec(
             (0..2 * 2 * 5 * 5)
                 .map(|i| ((i % 5) as f32 - 2.0) * 0.4)
@@ -325,37 +304,34 @@ mod tests {
 
     /// The lowering the stencil replaces: per (image, channel) an `im2col`
     /// patch matrix and `[1, k²] · [k², n]` products, `col2im` for the input
-    /// gradient. Returns output, input, weight and bias gradients.
-    fn im2col_reference(dw: &DepthwiseConv2d, x: &Tensor, grad_y: &Tensor) -> [Vec<f32>; 4] {
+    /// gradient. Returns output, input and weight gradients.
+    fn im2col_reference(dw: &DepthwiseConv2d, x: &Tensor, grad_y: &Tensor) -> [Vec<f32>; 3] {
         let (channels, in_h, in_w) = (x.dims()[1], x.dims()[2], x.dims()[3]);
         let geom = dw.geometry(in_h, in_w);
         let (in_plane, out_plane, taps) = (in_h * in_w, geom.out_pixels(), dw.kernel * dw.kernel);
         let mut y = Vec::new();
         let mut gx = vec![0.0f32; x.len()];
         let mut gw = vec![0.0f32; channels * taps];
-        let mut gb = vec![0.0f32; channels];
         for plane in 0..x.len() / in_plane {
             let c = plane % channels;
             let image = x.as_slice()[plane * in_plane..(plane + 1) * in_plane].to_vec();
             let image = Tensor::from_vec(image, &[1, in_h, in_w]).unwrap();
             let cols = im2col(&image, 1, &geom).unwrap();
             let w = Tensor::from_vec(dw.weight.value.row(c).unwrap().to_vec(), &[1, taps]).unwrap();
-            let bias = dw.bias.as_ref().map_or(0.0, |b| b.value.as_slice()[c]);
-            y.extend(w.matmul(&cols).unwrap().as_slice().iter().map(|v| v + bias));
+            y.extend_from_slice(w.matmul(&cols).unwrap().as_slice());
             let g = &grad_y.as_slice()[plane * out_plane..(plane + 1) * out_plane];
             let g = Tensor::from_vec(g.to_vec(), &[1, out_plane]).unwrap();
             let gw_c = g.matmul(&cols.transpose().unwrap()).unwrap();
             for (acc, v) in gw[c * taps..(c + 1) * taps].iter_mut().zip(gw_c.as_slice()) {
                 *acc += v;
             }
-            gb[c] += g.sum();
             let img = col2im(&w.transpose().unwrap().matmul(&g).unwrap(), 1, &geom).unwrap();
             let gx_plane = &mut gx[plane * in_plane..(plane + 1) * in_plane];
             for (acc, v) in gx_plane.iter_mut().zip(img.as_slice()) {
                 *acc += v;
             }
         }
-        [y, gx, gw, gb]
+        [y, gx, gw]
     }
 
     #[test]
@@ -392,21 +368,15 @@ mod tests {
             (5, 4, 2, 2, 3, 2, 1),
         ];
         for &(batch, channels, h, w, k, s, p) in &shapes {
-            let mut dw = DepthwiseConv2d::new(channels, k, s, p, true, &mut rng);
+            let mut dw = DepthwiseConv2d::new(channels, k, s, p, &mut rng);
             dw.weight.value = seeded(&mut rng, &[channels, k * k]);
-            dw.bias.as_mut().unwrap().value = seeded(&mut rng, &[channels]);
             let x = seeded(&mut rng, &[batch, channels, h, w]);
             let y = dw.forward(&x, Mode::Train).unwrap();
             let grad_y = seeded(&mut rng, y.dims());
             let gx = dw.backward(&grad_y).unwrap();
             let expected = im2col_reference(&dw, &x, &grad_y);
-            let got = [
-                y.as_slice(),
-                gx.as_slice(),
-                dw.weight.grad.as_slice(),
-                dw.bias.as_ref().unwrap().grad.as_slice(),
-            ];
-            let names = ["output", "grad_input", "grad_weight", "grad_bias"];
+            let got = [y.as_slice(), gx.as_slice(), dw.weight.grad.as_slice()];
+            let names = ["output", "grad_input", "grad_weight"];
             for (what, (got, expected)) in names.iter().zip(got.iter().zip(&expected)) {
                 assert_eq!(got.len(), expected.len(), "{what}");
                 let same = got
@@ -425,14 +395,14 @@ mod tests {
     #[test]
     fn eval_forward_drops_the_train_cache() {
         let mut rng = SeedRng::new(4);
-        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, true, &mut rng);
+        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, &mut rng);
         crate::layer::assert_eval_drops_train_cache(&mut dw, &Tensor::ones(&[1, 2, 4, 4]));
     }
 
     #[test]
     fn macs_and_params() {
         let mut rng = SeedRng::new(0);
-        let mut dw = DepthwiseConv2d::new(32, 3, 1, 1, false, &mut rng);
+        let mut dw = DepthwiseConv2d::new(32, 3, 1, 1, &mut rng);
         assert_eq!(dw.macs(&[32, 16, 16]), 32 * 9 * 256);
         assert_eq!(dw.param_count(), 32 * 9);
     }

@@ -15,14 +15,14 @@ pub struct Linear {
     in_features: usize,
     out_features: usize,
     weight: Parameter,
-    bias: Option<Parameter>,
+    bias: Parameter,
     cached_input: Option<Tensor>,
 }
 
 impl Linear {
     /// Creates a new linear layer with Kaiming-normal weights, drawn in
-    /// `[out, in]` order and transposed once.
-    pub fn new(in_features: usize, out_features: usize, bias: bool, rng: &mut SeedRng) -> Self {
+    /// `[out, in]` order and transposed once, and a zero bias.
+    pub fn new(in_features: usize, out_features: usize, rng: &mut SeedRng) -> Self {
         let mut init = Initializer::new(rng.fork(0x11ea));
         let drawn = init.tensor(
             &[out_features, in_features],
@@ -31,7 +31,7 @@ impl Linear {
             },
         );
         let weight = Parameter::new("weight", drawn.transpose().expect("a rank-2 draw"));
-        let bias = bias.then(|| Parameter::new("bias", Tensor::zeros(&[out_features])));
+        let bias = Parameter::new("bias", Tensor::zeros(&[out_features]));
         Linear {
             in_features,
             out_features,
@@ -76,13 +76,11 @@ impl Layer for Linear {
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         self.check_input(input)?;
         let mut out = input.matmul(&self.weight.value)?;
-        if let Some(bias) = &self.bias {
-            // With no output features there are no rows to add the bias to;
-            // `max(1)` only keeps the chunk size legal.
-            for row in out.as_mut_slice().chunks_mut(self.out_features.max(1)) {
-                for (x, b) in row.iter_mut().zip(bias.value.as_slice()) {
-                    *x += b;
-                }
+        // With no output features there are no rows to add the bias to;
+        // `max(1)` only keeps the chunk size legal.
+        for row in out.as_mut_slice().chunks_mut(self.out_features.max(1)) {
+            for (x, b) in row.iter_mut().zip(self.bias.value.as_slice()) {
+                *x += b;
             }
         }
         self.cached_input = mode.is_train().then(|| input.clone());
@@ -104,18 +102,13 @@ impl Layer for Linear {
         // d(Wᵀ) = xᵀ · grad, db = Σ_batch grad, dx = grad · W
         let grad_w = input.transpose()?.matmul(grad_output)?;
         self.weight.accumulate_grad(&grad_w);
-        if let Some(bias) = &mut self.bias {
-            let grad_b = grad_output.sum_axis(Axis(0))?;
-            bias.accumulate_grad(&grad_b);
-        }
+        self.bias.accumulate_grad(&grad_output.sum_axis(Axis(0))?);
         Ok(grad_output.matmul(&self.weight.value.transpose()?)?)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
         visitor(&mut self.weight);
-        if let Some(bias) = &mut self.bias {
-            visitor(bias);
-        }
+        visitor(&mut self.bias);
     }
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
@@ -134,12 +127,7 @@ impl Layer for Linear {
     }
 
     fn weight_count(&self) -> u64 {
-        let bias = if self.bias.is_some() {
-            self.out_features
-        } else {
-            0
-        };
-        (self.in_features * self.out_features + bias) as u64
+        ((self.in_features + 1) * self.out_features) as u64
     }
 }
 
@@ -171,7 +159,7 @@ mod tests {
     #[test]
     fn forward_shape_and_bias() {
         let mut rng = SeedRng::new(0);
-        let mut layer = Linear::new(3, 5, true, &mut rng);
+        let mut layer = Linear::new(3, 5, &mut rng);
         let x = Tensor::ones(&[2, 3]);
         let y = layer.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 5]);
@@ -183,7 +171,7 @@ mod tests {
     #[test]
     fn known_small_case() {
         let mut rng = SeedRng::new(0);
-        let mut layer = Linear::new(2, 1, true, &mut rng);
+        let mut layer = Linear::new(2, 1, &mut rng);
         layer
             .weight
             .value
@@ -197,7 +185,7 @@ mod tests {
     #[test]
     fn backward_requires_forward() {
         let mut rng = SeedRng::new(0);
-        let mut layer = Linear::new(2, 2, false, &mut rng);
+        let mut layer = Linear::new(2, 2, &mut rng);
         assert!(matches!(
             layer.backward(&Tensor::ones(&[1, 2])),
             Err(NnError::NoForwardCache(_))
@@ -206,14 +194,14 @@ mod tests {
 
     #[test]
     fn eval_forward_drops_the_train_cache() {
-        let mut layer = Linear::new(3, 2, true, &mut SeedRng::new(0));
+        let mut layer = Linear::new(3, 2, &mut SeedRng::new(0));
         crate::layer::assert_eval_drops_train_cache(&mut layer, &Tensor::ones(&[2, 3]));
     }
 
     #[test]
     fn input_gradient_matches_finite_differences() {
         let mut rng = SeedRng::new(3);
-        let mut layer = Linear::new(4, 3, true, &mut rng);
+        let mut layer = Linear::new(4, 3, &mut rng);
         let x = Tensor::from_vec((0..8).map(|i| 0.25 * i as f32 - 1.0).collect(), &[2, 4]).unwrap();
         finite_diff_check(&mut layer, &x);
     }
@@ -221,7 +209,7 @@ mod tests {
     #[test]
     fn weight_gradient_matches_finite_differences() {
         let mut rng = SeedRng::new(5);
-        let mut layer = Linear::new(3, 2, true, &mut rng);
+        let mut layer = Linear::new(3, 2, &mut rng);
         let x = Tensor::from_vec(vec![0.5, -1.0, 2.0, 1.5, 0.0, -0.5], &[2, 3]).unwrap();
         let y = layer.forward(&x, Mode::Train).unwrap();
         layer.backward(&Tensor::ones(y.dims())).unwrap();
@@ -247,11 +235,10 @@ mod tests {
     #[test]
     fn param_count_and_macs() {
         let mut rng = SeedRng::new(0);
-        let mut layer = Linear::new(10, 4, true, &mut rng);
+        let mut layer = Linear::new(10, 4, &mut rng);
         assert_eq!(layer.param_count(), 44);
+        assert_eq!(layer.weight_count(), 44);
         assert_eq!(layer.macs(&[10]), 40);
-        let mut no_bias = Linear::new(10, 4, false, &mut rng);
-        assert_eq!(no_bias.param_count(), 40);
     }
 
     #[test]
@@ -266,62 +253,54 @@ mod tests {
         };
         // A one-feature output with several rows checks the bias per row.
         for (d_in, d_out, batch) in [(7, 5, 0), (7, 5, 1), (7, 5, 3), (3, 1, 4)] {
-            for bias in [false, true] {
-                let mut layer = Linear::new(d_in, d_out, bias, &mut SeedRng::new(batch as u64));
-                let w = seeded(d_out * d_in);
-                let b = seeded(d_out);
-                layer.weight.value = Tensor::from_vec(w.clone(), &[d_out, d_in])
-                    .unwrap()
-                    .transpose()
-                    .unwrap();
-                if let Some(p) = &mut layer.bias {
-                    p.value = Tensor::from_slice(&b);
-                }
-                let (x, g) = (seeded(batch * d_in), seeded(batch * d_out));
-                let (mut y, mut dw, mut db, mut dx) = (vec![], vec![], vec![], vec![]);
-                for r in 0..batch {
-                    for o in 0..d_out {
-                        let dot = (0..d_in)
-                            .fold(0.0f32, |acc, i| acc + x[r * d_in + i] * w[o * d_in + i]);
-                        y.push(if bias { dot + b[o] } else { dot });
-                    }
-                    for i in 0..d_in {
-                        dx.push(
-                            (0..d_out)
-                                .fold(0.0f32, |acc, o| acc + g[r * d_out + o] * w[o * d_in + i]),
-                        );
-                    }
-                }
+            let mut layer = Linear::new(d_in, d_out, &mut SeedRng::new(batch as u64));
+            let w = seeded(d_out * d_in);
+            let b = seeded(d_out);
+            layer.weight.value = Tensor::from_vec(w.clone(), &[d_out, d_in])
+                .unwrap()
+                .transpose()
+                .unwrap();
+            layer.bias.value = Tensor::from_slice(&b);
+            let (x, g) = (seeded(batch * d_in), seeded(batch * d_out));
+            let (mut y, mut dw, mut db, mut dx) = (vec![], vec![], vec![], vec![]);
+            for r in 0..batch {
                 for o in 0..d_out {
-                    for i in 0..d_in {
-                        dw.push(
-                            (0..batch)
-                                .fold(0.0f32, |acc, r| acc + g[r * d_out + o] * x[r * d_in + i]),
-                        );
-                    }
-                    db.push((0..batch).fold(0.0f32, |acc, r| acc + g[r * d_out + o]));
+                    let dot =
+                        (0..d_in).fold(0.0f32, |acc, i| acc + x[r * d_in + i] * w[o * d_in + i]);
+                    y.push(dot + b[o]);
                 }
-
-                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                let case = (d_out, batch, bias);
-                let x = Tensor::from_vec(x, &[batch, d_in]).unwrap();
-                let out = layer.forward(&x, Mode::Train).unwrap();
-                assert_eq!(bits(out.as_slice()), bits(&y), "y {case:?}");
-                let g = Tensor::from_vec(g, &[batch, d_out]).unwrap();
-                let grad_x = layer.backward(&g).unwrap();
-                assert_eq!(bits(grad_x.as_slice()), bits(&dx), "dx {case:?}");
-                let grad_w = layer.weight.grad.transpose().unwrap();
-                assert_eq!(bits(grad_w.as_slice()), bits(&dw), "dW {case:?}");
-                if let Some(p) = &layer.bias {
-                    assert_eq!(bits(p.grad.as_slice()), bits(&db), "db {case:?}");
+                for i in 0..d_in {
+                    dx.push(
+                        (0..d_out).fold(0.0f32, |acc, o| acc + g[r * d_out + o] * w[o * d_in + i]),
+                    );
                 }
             }
+            for o in 0..d_out {
+                for i in 0..d_in {
+                    dw.push(
+                        (0..batch).fold(0.0f32, |acc, r| acc + g[r * d_out + o] * x[r * d_in + i]),
+                    );
+                }
+                db.push((0..batch).fold(0.0f32, |acc, r| acc + g[r * d_out + o]));
+            }
+
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            let case = (d_out, batch);
+            let x = Tensor::from_vec(x, &[batch, d_in]).unwrap();
+            let out = layer.forward(&x, Mode::Train).unwrap();
+            assert_eq!(bits(out.as_slice()), bits(&y), "y {case:?}");
+            let g = Tensor::from_vec(g, &[batch, d_out]).unwrap();
+            let grad_x = layer.backward(&g).unwrap();
+            assert_eq!(bits(grad_x.as_slice()), bits(&dx), "dx {case:?}");
+            let grad_w = layer.weight.grad.transpose().unwrap();
+            assert_eq!(bits(grad_w.as_slice()), bits(&dw), "dW {case:?}");
+            assert_eq!(bits(layer.bias.grad.as_slice()), bits(&db), "db {case:?}");
         }
     }
 
     #[test]
     fn zero_output_features_give_an_empty_row_per_input() {
-        let mut layer = Linear::new(4, 0, true, &mut SeedRng::new(0));
+        let mut layer = Linear::new(4, 0, &mut SeedRng::new(0));
         let y = layer.forward(&Tensor::ones(&[3, 4]), Mode::Train).unwrap();
         assert_eq!(y.dims(), &[3, 0]);
         let grad_x = layer.backward(&Tensor::zeros(&[3, 0])).unwrap();

@@ -172,7 +172,7 @@ mod tests {
     #[test]
     fn draws_the_weights_of_a_1x1_conv2d() {
         let pw = params(&mut PointwiseConv2d::new(6, 5, &mut SeedRng::new(9)));
-        let conv = params(&mut Conv2d::new(6, 5, 1, 1, 0, false, &mut SeedRng::new(9)));
+        let conv = params(&mut Conv2d::new(6, 5, 1, 1, 0, &mut SeedRng::new(9)));
         assert_eq!(pw.len(), 1);
         assert_eq!(pw[0].value.dims(), &[6, 5]);
         assert_eq!(pw[0].value.transpose().unwrap(), conv[0].value);
@@ -190,7 +190,7 @@ mod tests {
                 let case = (batch, h, w);
                 let mut pw = PointwiseConv2d::new(c_in, c_out, &mut rng);
                 pw.weight.value = seeded(&mut rng, &[c_in, c_out]);
-                let mut conv = Conv2d::new(c_in, c_out, 1, 1, 0, false, &mut rng);
+                let mut conv = Conv2d::new(c_in, c_out, 1, 1, 0, &mut rng);
                 let reference = pw.weight.value.transpose().unwrap();
                 conv.visit_params(&mut |p| p.value = reference.clone());
 

@@ -135,9 +135,9 @@ mod tests {
     fn tiny_mlp() -> Sequential {
         let mut rng = SeedRng::new(0);
         Sequential::new("mlp")
-            .with(Linear::new(4, 8, true, &mut rng))
+            .with(Linear::new(4, 8, &mut rng))
             .with(Relu::new())
-            .with(Linear::new(8, 2, true, &mut rng))
+            .with(Linear::new(8, 2, &mut rng))
     }
 
     #[test]

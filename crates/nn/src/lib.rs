@@ -28,7 +28,7 @@
 //! use ofscil_nn::{layers::Linear, Layer, Mode};
 //! use ofscil_tensor::{SeedRng, Tensor};
 //!
-//! let mut layer = Linear::new(4, 2, true, &mut SeedRng::new(0));
+//! let mut layer = Linear::new(4, 2, &mut SeedRng::new(0));
 //! let x = Tensor::ones(&[3, 4]);
 //! let y = layer.forward(&x, Mode::Eval).unwrap();
 //! assert_eq!(y.dims(), &[3, 2]);

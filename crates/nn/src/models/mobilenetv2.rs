@@ -69,7 +69,7 @@ pub fn mobilenet_v2(variant: MobileNetVariant, rng: &mut SeedRng) -> Backbone {
     let mut net = Sequential::new(variant.label());
 
     // Stem: 3x3 conv, stride 1 for 32x32 inputs.
-    net.push(Box::new(Conv2d::new(3, STEM_CHANNELS, 3, 1, 1, false, rng)));
+    net.push(Box::new(Conv2d::new(3, STEM_CHANNELS, 3, 1, 1, rng)));
     net.push(Box::new(BatchNorm::new(STEM_CHANNELS)));
     net.push(Box::new(Relu6::new()));
 

@@ -106,7 +106,7 @@ pub(crate) fn micro_backbone(rng: &mut SeedRng) -> Backbone {
     let channels = [16usize, 32, 64];
     let mut c_in = 3usize;
     for &c_out in &channels {
-        net.push(Box::new(Conv2d::new(c_in, c_out, 3, 2, 1, false, rng)));
+        net.push(Box::new(Conv2d::new(c_in, c_out, 3, 2, 1, rng)));
         net.push(Box::new(BatchNorm::new(c_out)));
         net.push(Box::new(Relu::new()));
         c_in = c_out;

@@ -103,7 +103,7 @@ mod tests {
     /// returns the final loss.
     fn train_linear(optimizer: &mut dyn FnMut(&mut Linear), steps: usize) -> f32 {
         let mut rng = SeedRng::new(42);
-        let mut layer = Linear::new(2, 2, true, &mut rng);
+        let mut layer = Linear::new(2, 2, &mut rng);
         let x = Tensor::from_vec(vec![1.0, 0.0, 0.9, 0.1, 0.0, 1.0, 0.1, 0.9], &[4, 2]).unwrap();
         let labels = [0usize, 0, 1, 1];
         let mut final_loss = f32::INFINITY;
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn weight_decay_shrinks_weights() {
         let mut rng = SeedRng::new(0);
-        let mut layer = Linear::new(4, 4, false, &mut rng);
+        let mut layer = Linear::new(4, 4, &mut rng);
         let before = layer.weight().norm();
         let mut sgd = Sgd::new(0.1, 0.0, 0.5);
         // No data gradient: only the decay term acts.
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn frozen_parameters_are_untouched() {
         let mut rng = SeedRng::new(1);
-        let mut layer = Linear::new(3, 3, true, &mut rng);
+        let mut layer = Linear::new(3, 3, &mut rng);
         layer.set_trainable(false);
         let before = layer.weight().clone();
         let x = Tensor::ones(&[2, 3]);
@@ -158,7 +158,7 @@ mod tests {
     #[test]
     fn clip_gradient_norm_bounds_large_gradients() {
         let mut rng = SeedRng::new(3);
-        let mut layer = Linear::new(8, 8, true, &mut rng);
+        let mut layer = Linear::new(8, 8, &mut rng);
         let x = Tensor::full(&[4, 8], 100.0);
         let y = layer.forward(&x, Mode::Train).unwrap();
         layer.backward(&Tensor::full(y.dims(), 50.0)).unwrap();
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn step_zeroes_gradients() {
         let mut rng = SeedRng::new(2);
-        let mut layer = Linear::new(2, 2, true, &mut rng);
+        let mut layer = Linear::new(2, 2, &mut rng);
         let x = Tensor::ones(&[1, 2]);
         let y = layer.forward(&x, Mode::Train).unwrap();
         layer.backward(&Tensor::ones(y.dims())).unwrap();

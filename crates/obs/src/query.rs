@@ -516,9 +516,8 @@ pub struct DeploymentRate {
 /// sorted by descending request count, then name, hottest first. An empty
 /// slice yields an empty vector.
 ///
-/// The free-function form of [`ObsResult::trailing_rates`], for consumers
-/// that maintain their own event window — a control plane folding a live
-/// tail incrementally — rather than holding an `ObsResult`.
+/// A control plane folding a live tail incrementally keeps its own event
+/// window and calls this on it each tick.
 pub fn trailing_rates_of(events: &[Event], window_us: u64) -> Vec<DeploymentRate> {
     let Some(latest) = events.iter().map(|e| e.time_us).max() else {
         return Vec::new();
@@ -552,11 +551,6 @@ pub fn trailing_rates_of(events: &[Event], window_us: u64) -> Vec<DeploymentRate
 }
 
 impl ObsResult {
-    /// [`trailing_rates_of`] over the result's events.
-    pub fn trailing_rates(&self, window_us: u64) -> Vec<DeploymentRate> {
-        trailing_rates_of(&self.events, window_us)
-    }
-
     /// Appends the result: rows, aggregates (matched + three summaries),
     /// truncated flag, completeness counters, rollup cells, histogram.
     pub fn encode(&self, out: &mut Vec<u8>) {
@@ -874,11 +868,7 @@ mod tests {
 
     #[test]
     fn trailing_rates_window_kinds_and_order() {
-        let mut result = ObsResult {
-            shards_ok: 1,
-            ..ObsResult::default()
-        };
-        result.events = vec![
+        let events = vec![
             // Outside the trailing window (latest is 10_000, window 2_000 →
             // cutoff 8_000).
             Event::new(EventKind::Infer, "old")
@@ -898,7 +888,7 @@ mod tests {
             // NaN energy counts the request but not the energy.
             Event::new(EventKind::Infer, "warm").with_time_us(9_500),
         ];
-        let rates = result.trailing_rates(2_000);
+        let rates = trailing_rates_of(&events, 2_000);
         assert_eq!(rates.len(), 2);
         assert_eq!(
             (rates[0].deployment.as_str(), rates[0].requests),
@@ -912,7 +902,7 @@ mod tests {
         assert!((rates[1].energy_mj - 0.5).abs() < 1e-12);
         // Ties break by name, and the same events always give the same
         // answer (no wall clock involved).
-        assert_eq!(result.trailing_rates(2_000), rates);
-        assert!(ObsResult::default().trailing_rates(1_000).is_empty());
+        assert_eq!(trailing_rates_of(&events, 2_000), rates);
+        assert!(trailing_rates_of(&[], 1_000).is_empty());
     }
 }

@@ -96,8 +96,12 @@ mod tests {
     /// A rank-2 weight quantized on its own, through a `Linear` carrying it.
     fn quantize_alone(value: &Tensor) -> Tensor {
         let (rows, cols) = (value.dims()[0], value.dims()[1]);
-        let mut carrier = Linear::new(rows, cols, false, &mut SeedRng::new(0));
-        carrier.visit_params(&mut |p| p.value = value.clone());
+        let mut carrier = Linear::new(rows, cols, &mut SeedRng::new(0));
+        carrier.visit_params(&mut |p| {
+            if p.name() == "weight" {
+                p.value = value.clone();
+            }
+        });
         quantize_layer_weights(&mut carrier, 8).unwrap();
         carrier.weight().clone()
     }
@@ -112,7 +116,7 @@ mod tests {
         for seed in [1, 7] {
             let mut rng = SeedRng::new(seed);
             let backbone = mobilenet_v2(MobileNetVariant::X1, &mut rng).net;
-            let fcr = Linear::new(1280, 256, true, &mut rng);
+            let fcr = Linear::new(1280, 256, &mut rng);
             let mut checked = 0;
             for mut layer in [Box::new(backbone) as Box<dyn Layer>, Box::new(fcr)] {
                 let mut before = Vec::new();
@@ -172,7 +176,7 @@ mod tests {
     #[test]
     fn layer_weights_change_little_at_int8() {
         let mut rng = SeedRng::new(1);
-        let mut layer = Linear::new(16, 8, true, &mut rng);
+        let mut layer = Linear::new(16, 8, &mut rng);
         let before = layer.weight().clone();
         let x = Tensor::ones(&[2, 16]);
         let before_out = layer.forward(&x, Mode::Eval).unwrap();

@@ -26,17 +26,10 @@ impl ShardProcess {
     /// until [`ShardProcess::stop`] (or drop). The registry is shared —
     /// callers keep their own `Arc` clone to inspect or pre-load state.
     ///
-    /// # Errors
-    ///
-    /// Returns the server's bind error when the shard never came up.
-    pub fn spawn(registry: Arc<LearnerRegistry>, config: WireConfig) -> Result<Self, WireError> {
-        ShardProcess::spawn_observed(registry, config, None)
-    }
-
-    /// Like [`ShardProcess::spawn`], but with an observability handle: the
-    /// shard's server records its serving events into the handle's store and
-    /// answers `ObsQuery` requests from it. Handles are cheap clones over
-    /// one shared store — the caller keeps its own to query directly.
+    /// With an observability handle the shard's server records its serving
+    /// events into the handle's store and answers `ObsQuery` requests from
+    /// it. Handles are cheap clones over one shared store — the caller keeps
+    /// its own to query directly.
     ///
     /// # Errors
     ///
@@ -61,7 +54,7 @@ impl ShardProcess {
     /// The store is owned by the shard's thread for the server's lifetime,
     /// mirroring a real process owning its data directory. Call
     /// [`Store::bootstrap`](ofscil_store::Store::bootstrap) before handing
-    /// the store in, exactly as with `WireServer::run_with_store`.
+    /// the store in, exactly as with [`WireServer::run_observed`].
     ///
     /// # Errors
     ///
@@ -102,7 +95,9 @@ mod tests {
     #[test]
     fn shard_boots_serves_and_stops() {
         let registry = Arc::new(LearnerRegistry::new());
-        let shard = ShardProcess::spawn(Arc::clone(&registry), WireConfig::tcp_loopback()).unwrap();
+        let shard =
+            ShardProcess::spawn_observed(Arc::clone(&registry), WireConfig::tcp_loopback(), None)
+                .unwrap();
         let addr = shard.addr().clone();
         // Reachable while up...
         let mut client = WireClient::connect(&addr).unwrap();

@@ -62,7 +62,7 @@
 //!                 OFscilModel::new(BackboneKind::Micro, 32, &mut SeedRng::new(7)),
 //!             )
 //!             .unwrap();
-//!         ShardProcess::spawn(registry, WireConfig::tcp_loopback()).unwrap()
+//!         ShardProcess::spawn_observed(registry, WireConfig::tcp_loopback(), None).unwrap()
 //!     })
 //!     .collect();
 //! let config = RouterConfig::tcp_loopback(

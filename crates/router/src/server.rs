@@ -39,7 +39,7 @@ use ofscil_wire::{
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Duration;
 
@@ -775,12 +775,13 @@ impl RouterServer {
         });
 
         let (listener, addr) = WireListener::bind(&config.bind)?;
-        listener.set_nonblocking(true)?;
 
         let value = std::thread::scope(|scope| {
             let shared_ref = &shared;
             scope.spawn(move || {
-                accept_loop(scope, &listener, shared_ref);
+                listener.serve_connections(scope, &shared_ref.shutdown, POLL, move |stream| {
+                    serve_connection(stream, shared_ref);
+                });
             });
 
             let handle = RouterHandle {
@@ -800,35 +801,6 @@ impl RouterServer {
             let _ = std::fs::remove_file(path);
         }
         Ok(value)
-    }
-}
-
-/// Accepts client connections until shutdown, one scoped thread each.
-fn accept_loop<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    listener: &WireListener,
-    shared: &'scope Arc<Shared>,
-) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok(stream) => {
-                if stream.configure_for_server(POLL).is_err() {
-                    continue;
-                }
-                let shared = Arc::clone(shared);
-                scope.spawn(move || {
-                    serve_connection(stream, &shared);
-                });
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // Transient accept failures must not kill the listener.
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
     }
 }
 

@@ -86,10 +86,8 @@ impl ClusterTail {
         self.rx.try_recv().ok()
     }
 
-    /// Non-blocking receive that distinguishes "nothing buffered right now"
-    /// from "every leg has exited" — what a consumer with a polled fallback
-    /// (the control plane's rate feed) needs in order to know when to stop
-    /// trusting the stream.
+    /// The next leg batch if one is already buffered; never blocks. What
+    /// the control plane's rate feed drains each tick.
     ///
     /// # Errors
     ///

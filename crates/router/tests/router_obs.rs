@@ -44,10 +44,18 @@ fn fast_pool() -> PoolConfig {
 fn cluster_stats_marks_a_killed_shard_instead_of_failing() {
     let names: Vec<String> = (0..6).map(|i| format!("tenant-{i}")).collect();
     let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
-    let shard0 =
-        ShardProcess::spawn(registry_with(&name_refs, 1), WireConfig::tcp_loopback()).unwrap();
-    let shard1 =
-        ShardProcess::spawn(registry_with(&name_refs, 2), WireConfig::tcp_loopback()).unwrap();
+    let shard0 = ShardProcess::spawn_observed(
+        registry_with(&name_refs, 1),
+        WireConfig::tcp_loopback(),
+        None,
+    )
+    .unwrap();
+    let shard1 = ShardProcess::spawn_observed(
+        registry_with(&name_refs, 2),
+        WireConfig::tcp_loopback(),
+        None,
+    )
+    .unwrap();
     let config = RouterConfig::tcp_loopback(vec![shard0.addr().clone(), shard1.addr().clone()])
         .with_deployments(&name_refs)
         .with_pool(fast_pool());

@@ -19,7 +19,9 @@ fn single_shard_roundtrip() {
             OFscilModel::new(BackboneKind::Micro, 16, &mut rng),
         )
         .unwrap();
-    let shard = ShardProcess::spawn(Arc::clone(&registry), WireConfig::tcp_loopback()).unwrap();
+    let shard =
+        ShardProcess::spawn_observed(Arc::clone(&registry), WireConfig::tcp_loopback(), None)
+            .unwrap();
     let config = RouterConfig::tcp_loopback(vec![shard.addr().clone()]).with_deployments(&["t"]);
     RouterServer::run(&config, |router| {
         let mut client = WireClient::connect(router.addr()).unwrap();

@@ -69,11 +69,10 @@ impl DeploymentSpec {
 /// turned into an admission-control price list.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestPricing {
-    /// Energy of one inference (backbone + FCR forward) in millijoules.
+    /// Energy of one backbone + FCR forward pass in millijoules: the price
+    /// of one inference, and of each support sample of a learn (the
+    /// prototype accumulation is negligible next to the pass).
     pub infer_mj: f64,
-    /// Energy of learning from one support sample (one backbone + FCR pass;
-    /// the prototype accumulation is negligible next to it) in millijoules.
-    pub learn_sample_mj: f64,
 }
 
 /// Everything needed to re-derive a deployment's price list when its
@@ -139,16 +138,14 @@ fn derive_pricing(model: &OFscilModel, basis: &PricingBasis) -> Result<RequestPr
         scale_workload_to_fp32(&mut backbone);
         scale_workload_to_fp32(&mut fcr);
     }
-    let per_pass_mj = workload_energy_mj(&backbone, basis)? + workload_energy_mj(&fcr, basis)?;
     Ok(RequestPricing {
-        infer_mj: per_pass_mj,
-        learn_sample_mj: per_pass_mj,
+        infer_mj: workload_energy_mj(&backbone, basis)? + workload_energy_mj(&fcr, basis)?,
     })
 }
 
 /// Device-model energy of one coalesced inference batch of `batch` samples at
 /// the model's current execution precision, in millijoules.
-fn derive_batched_infer_mj(model: &OFscilModel, basis: &PricingBasis, batch: usize) -> Result<f64> {
+fn derive_batch_mj(model: &OFscilModel, basis: &PricingBasis, batch: usize) -> Result<f64> {
     let (height, width) = basis.image_hw;
     let mut backbone = deploy_backbone(model.backbone(), height, width);
     let mut fcr = deploy_fcr(model.backbone().feature_dim, model.projection_dim());
@@ -518,13 +515,14 @@ impl Deployment {
         *self.pricing.lock().expect("pricing lock poisoned")
     }
 
-    /// Device-model energy of one coalesced inference batch of `n` samples,
-    /// in millijoules. Activations and MACs scale with the batch while the
+    /// Device-model energy of `n` forward passes run as one batch, in
+    /// millijoules: a coalesced inference batch, or the support samples of
+    /// one learn. Activations and MACs scale with the batch while the
     /// weight traffic is paid once, so this undercuts `n` single passes —
     /// the amortization the budget meter settles after the batch runs.
     /// Clamped to at most `n` single passes (refunds can never go negative)
     /// and memoized per batch size.
-    pub(crate) fn batched_infer_mj(&self, n: usize) -> f64 {
+    pub(crate) fn batch_mj(&self, n: usize) -> f64 {
         if n <= 1 {
             return self.pricing().infer_mj;
         }
@@ -541,7 +539,7 @@ impl Deployment {
         // fp32-derived value can never be inserted after the clear.
         let model = self.model.lock().expect("model lock poisoned");
         let single = self.pricing().infer_mj;
-        let derived = derive_batched_infer_mj(&model, &self.basis, n);
+        let derived = derive_batch_mj(&model, &self.basis, n);
         let mj = derived.unwrap_or(single * n as f64).min(single * n as f64);
         self.batched_mj
             .lock()
@@ -550,38 +548,14 @@ impl Deployment {
         mj
     }
 
-    /// Energy to hand back once a coalesced batch of `n` inferences has run:
-    /// admission charged `n` single-sample passes, the batch actually cost
-    /// [`Deployment::batched_infer_mj`]. Zero for unbatched requests.
-    pub(crate) fn infer_batch_refund_mj(&self, n: usize) -> f64 {
+    /// Energy to hand back once a batch of `n` passes has run: admission
+    /// charged `n` single passes, the batch actually cost
+    /// [`Deployment::batch_mj`]. Zero for a single pass.
+    pub(crate) fn batch_refund_mj(&self, n: usize) -> f64 {
         if n <= 1 {
             return 0.0;
         }
-        (self.pricing().infer_mj * n as f64 - self.batched_infer_mj(n)).max(0.0)
-    }
-
-    /// Device-model energy of learning from a support batch of `n` samples,
-    /// in millijoules. A learn's device work per sample is the same
-    /// backbone-plus-FCR forward an inference runs (the prototype
-    /// accumulation is negligible next to it), and the `n` forwards of one
-    /// batch stream the weights **once** — so the batched learn shares the
-    /// coalesced-infer energy derivation and its memoized cache.
-    pub(crate) fn batched_learn_mj(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return self.pricing().learn_sample_mj;
-        }
-        self.batched_infer_mj(n)
-    }
-
-    /// Energy to hand back once a `LearnOnline` support batch of `n` samples
-    /// has run: admission charged `n` single-sample passes, the batch
-    /// actually cost [`Deployment::batched_learn_mj`]. Zero for single-shot
-    /// learns.
-    pub(crate) fn learn_batch_refund_mj(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        (self.pricing().learn_sample_mj * n as f64 - self.batched_learn_mj(n)).max(0.0)
+        (self.pricing().infer_mj * n as f64 - self.batch_mj(n)).max(0.0)
     }
 
     pub(crate) fn stats_snapshot(&self) -> DeploymentStats {
@@ -1106,7 +1080,6 @@ mod tests {
         let deployment = registry.resolve("t").unwrap();
         let pricing = deployment.pricing();
         assert!(pricing.infer_mj > 0.0);
-        assert!((pricing.learn_sample_mj - pricing.infer_mj).abs() < 1e-12);
         assert_eq!(deployment.image_dims, vec![3, 8, 8]);
     }
 
@@ -1210,24 +1183,24 @@ mod tests {
         let deployment = registry.resolve("t").unwrap();
         let single = deployment.pricing().infer_mj;
         // n == 1 is exactly the single-sample price, refund zero.
-        assert!((deployment.batched_infer_mj(1) - single).abs() < 1e-12);
-        assert_eq!(deployment.infer_batch_refund_mj(1), 0.0);
+        assert!((deployment.batch_mj(1) - single).abs() < 1e-12);
+        assert_eq!(deployment.batch_refund_mj(1), 0.0);
         // A real batch amortizes the weight traffic: strictly cheaper than n
         // independent passes, and the per-sample price keeps falling with n.
-        let batch8 = deployment.batched_infer_mj(8);
+        let batch8 = deployment.batch_mj(8);
         assert!(
             batch8 < 8.0 * single,
             "batch of 8 ({batch8}) must undercut {}",
             8.0 * single
         );
-        assert!(batch8 / 8.0 < deployment.batched_infer_mj(2) / 2.0);
-        let refund = deployment.infer_batch_refund_mj(8);
+        assert!(batch8 / 8.0 < deployment.batch_mj(2) / 2.0);
+        let refund = deployment.batch_refund_mj(8);
         assert!((refund - (8.0 * single - batch8)).abs() < 1e-9);
         // Memoized: the second call returns the identical value.
-        assert_eq!(deployment.batched_infer_mj(8), batch8);
+        assert_eq!(deployment.batch_mj(8), batch8);
         // Int8 conversion re-derives the cache at the quantized rate.
         registry.convert_to_int8("t").unwrap();
-        let int8_batch8 = deployment.batched_infer_mj(8);
+        let int8_batch8 = deployment.batch_mj(8);
         assert!(
             int8_batch8 < batch8,
             "int8 batch must be cheaper than fp32 batch"
@@ -1413,26 +1386,6 @@ mod tests {
                 .unwrap_err(),
             ServeError::InvalidRequest(_)
         ));
-    }
-
-    #[test]
-    fn batched_learn_shares_the_amortized_derivation() {
-        let registry = LearnerRegistry::new();
-        registry
-            .register(DeploymentSpec::new("t", (8, 8)), micro_model(0))
-            .unwrap();
-        let deployment = registry.resolve("t").unwrap();
-        let single = deployment.pricing().learn_sample_mj;
-        assert!((deployment.batched_learn_mj(1) - single).abs() < 1e-12);
-        assert_eq!(deployment.learn_batch_refund_mj(1), 0.0);
-        let batch6 = deployment.batched_learn_mj(6);
-        assert!(
-            batch6 < 6.0 * single,
-            "batched learn must undercut {} mJ",
-            6.0 * single
-        );
-        let refund = deployment.learn_batch_refund_mj(6);
-        assert!((refund - (6.0 * single - batch6)).abs() < 1e-9);
     }
 
     #[test]

@@ -302,7 +302,7 @@ fn price(deployment: &Deployment, request: &ServeRequest) -> f64 {
     match request {
         ServeRequest::Infer { .. } => deployment.pricing().infer_mj,
         ServeRequest::LearnOnline { batch, .. } => {
-            deployment.pricing().learn_sample_mj * batch.len() as f64
+            deployment.pricing().infer_mj * batch.len() as f64
         }
         _ => 0.0,
     }
@@ -654,11 +654,11 @@ fn run_infer_batch(deployment: &Deployment, items: Vec<InferItem>, obs: Option<&
             }
             // Admission charged n single-sample passes before the batch
             // formed; settle the spend at the batch's amortized cost.
-            deployment.meter.refund(deployment.infer_batch_refund_mj(n));
+            deployment.meter.refund(deployment.batch_refund_mj(n));
             // One Infer event per item: the batch's settled energy amortized
             // per item, the batch's latency, the prediction's similarity as
             // the accuracy proxy.
-            let per_item_mj = deployment.batched_infer_mj(n) / n as f64;
+            let per_item_mj = deployment.batch_mj(n) / n as f64;
             let latency_us = started.map_or(0, |started| started.elapsed().as_micros() as u64);
             for (item, (class, similarity)) in items.into_iter().zip(predictions) {
                 if let Some(obs) = obs {
@@ -700,7 +700,7 @@ fn run_learn(
     // (the derivation itself locks the model on a cache miss): admission
     // charged batch.len() single-sample passes, but the batch's forwards
     // stream the weights once.
-    let refund_mj = deployment.learn_batch_refund_mj(batch.len());
+    let refund_mj = deployment.batch_refund_mj(batch.len());
     // The commit (sequence number + post-commit prototypes) is assembled —
     // and journaled — while the model lock is still held, so replication and
     // the write-ahead log see mutations in exactly the order they happened,
@@ -759,7 +759,7 @@ fn run_learn(
                 obs.emit(
                     Event::new(EventKind::Learn, &deployment.name)
                         .with_seq(seq)
-                        .with_energy_mj(deployment.batched_learn_mj(batch.len()))
+                        .with_energy_mj(deployment.batch_mj(batch.len()))
                         .with_latency_us(
                             started.map_or(0, |started| started.elapsed().as_micros() as u64),
                         ),
@@ -1662,7 +1662,7 @@ mod tests {
     fn learn_batches_are_settled_at_the_amortized_price() {
         let registry = registry_with(&["t"]);
         let deployment = registry.resolve("t").unwrap();
-        let single = deployment.pricing().learn_sample_mj;
+        let single = deployment.pricing().infer_mj;
         let shots = 4usize;
         let classes = 2usize;
         let n = shots * classes;
@@ -1678,7 +1678,7 @@ mod tests {
         // Admission charged n single-sample passes; the settled spend is the
         // batch's amortized energy (weights streamed once).
         let (spent, _) = deployment.meter.state();
-        let amortized = deployment.batched_learn_mj(n);
+        let amortized = deployment.batch_mj(n);
         assert!(
             (spent - amortized).abs() < 1e-9,
             "spent {spent} mJ, expected amortized {amortized} mJ"
@@ -1716,7 +1716,7 @@ mod tests {
 
         // The spend settled at the batch's amortized energy, not n passes.
         let (spent, _) = deployment.meter.state();
-        let amortized = deployment.batched_infer_mj(n);
+        let amortized = deployment.batch_mj(n);
         assert!(
             (spent - amortized).abs() < 1e-9,
             "spent {spent} mJ, expected amortized {amortized} mJ"

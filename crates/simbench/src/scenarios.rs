@@ -202,37 +202,34 @@ pub(crate) fn diurnal(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     let mut offered = 0u64;
     let mut peak_tick = 0u64;
     let mut correct = 0u64;
-    WireServer::run(
-        &registry,
-        &WireConfig::tcp_loopback(),
-        |handle| -> SimResult<()> {
-            let mut client = WireClient::connect(handle.addr()).ctx("connect")?;
-            client
-                .call(ServeRequest::LearnOnline {
-                    deployment: "diurnal".into(),
-                    batch: traffic::support_batch(SIDE, &[0, 1, 2], 3),
-                })
-                .ctx("seed classes")?;
-            for t in 0..TICKS {
-                let load = curve.requests_at(t);
-                peak_tick = peak_tick.max(load);
-                for _ in 0..load {
-                    let class = rng.below(3);
-                    let response = client
-                        .call(ServeRequest::Infer {
-                            deployment: "diurnal".into(),
-                            image: traffic::class_image(SIDE, class, 0.01),
-                        })
-                        .ctx("diurnal infer")?;
-                    offered += 1;
-                    if predicted(response)? == class {
-                        correct += 1;
-                    }
+    let config = WireConfig::tcp_loopback();
+    WireServer::run_observed(&registry, &config, None, None, |handle| -> SimResult<()> {
+        let mut client = WireClient::connect(handle.addr()).ctx("connect")?;
+        client
+            .call(ServeRequest::LearnOnline {
+                deployment: "diurnal".into(),
+                batch: traffic::support_batch(SIDE, &[0, 1, 2], 3),
+            })
+            .ctx("seed classes")?;
+        for t in 0..TICKS {
+            let load = curve.requests_at(t);
+            peak_tick = peak_tick.max(load);
+            for _ in 0..load {
+                let class = rng.below(3);
+                let response = client
+                    .call(ServeRequest::Infer {
+                        deployment: "diurnal".into(),
+                        image: traffic::class_image(SIDE, class, 0.01),
+                    })
+                    .ctx("diurnal infer")?;
+                offered += 1;
+                if predicted(response)? == class {
+                    correct += 1;
                 }
             }
-            Ok(())
-        },
-    )
+        }
+        Ok(())
+    })
     .ctx("wire server")??;
 
     let measured_mean = offered as f64 / TICKS as f64;
@@ -271,47 +268,44 @@ pub(crate) fn learn_storm(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
     let mut learns = 0u64;
     let mut infers = 0u64;
     let mut snapshot_sizes = Vec::new();
-    WireServer::run(
-        &registry,
-        &WireConfig::tcp_loopback(),
-        |handle| -> SimResult<()> {
-            let mut client = WireClient::connect(handle.addr()).ctx("connect")?;
-            for storm in 0..STORMS {
-                // Each storm introduces three new classes, then hammers them
-                // with redundant learns (the bursty part).
-                let classes = [3 * storm, 3 * storm + 1, 3 * storm + 2];
-                for _ in 0..LEARNS_PER_STORM {
-                    client
-                        .call(ServeRequest::LearnOnline {
-                            deployment: "storm".into(),
-                            batch: traffic::support_batch(SIDE, &classes, 2),
-                        })
-                        .ctx("storm learn")?;
-                    learns += 1;
-                }
-                for _ in 0..INFERS_PER_LULL {
-                    let class = classes[rng.below(classes.len())];
-                    client
-                        .call(ServeRequest::Infer {
-                            deployment: "storm".into(),
-                            image: traffic::class_image(SIDE, class, 0.01),
-                        })
-                        .ctx("lull infer")?;
-                    infers += 1;
-                }
-                let response = client
-                    .call(ServeRequest::Snapshot {
+    let config = WireConfig::tcp_loopback();
+    WireServer::run_observed(&registry, &config, None, None, |handle| -> SimResult<()> {
+        let mut client = WireClient::connect(handle.addr()).ctx("connect")?;
+        for storm in 0..STORMS {
+            // Each storm introduces three new classes, then hammers them
+            // with redundant learns (the bursty part).
+            let classes = [3 * storm, 3 * storm + 1, 3 * storm + 2];
+            for _ in 0..LEARNS_PER_STORM {
+                client
+                    .call(ServeRequest::LearnOnline {
                         deployment: "storm".into(),
+                        batch: traffic::support_batch(SIDE, &classes, 2),
                     })
-                    .ctx("storm snapshot")?;
-                match response {
-                    ServeResponse::Snapshot { bytes } => snapshot_sizes.push(bytes.len()),
-                    other => return Err(sim_err(format!("expected snapshot, got {other:?}"))),
-                }
+                    .ctx("storm learn")?;
+                learns += 1;
             }
-            Ok(())
-        },
-    )
+            for _ in 0..INFERS_PER_LULL {
+                let class = classes[rng.below(classes.len())];
+                client
+                    .call(ServeRequest::Infer {
+                        deployment: "storm".into(),
+                        image: traffic::class_image(SIDE, class, 0.01),
+                    })
+                    .ctx("lull infer")?;
+                infers += 1;
+            }
+            let response = client
+                .call(ServeRequest::Snapshot {
+                    deployment: "storm".into(),
+                })
+                .ctx("storm snapshot")?;
+            match response {
+                ServeResponse::Snapshot { bytes } => snapshot_sizes.push(bytes.len()),
+                other => return Err(sim_err(format!("expected snapshot, got {other:?}"))),
+            }
+        }
+        Ok(())
+    })
     .ctx("wire server")??;
 
     if !snapshot_sizes.windows(2).all(|w| w[0] < w[1]) {
@@ -693,7 +687,7 @@ pub(crate) fn budget_exhaustion(_ctx: &ScenarioCtx) -> SimResult<ScenarioReport>
     let registries = [make_registry()?, make_registry()?];
     let shards: Vec<ShardProcess> = registries
         .iter()
-        .map(|r| ShardProcess::spawn(Arc::clone(r), WireConfig::tcp_loopback()))
+        .map(|r| ShardProcess::spawn_observed(Arc::clone(r), WireConfig::tcp_loopback(), None))
         .collect::<Result<_, _>>()
         .ctx("spawn shards")?;
     let config = RouterConfig::tcp_loopback(shards.iter().map(|s| s.addr().clone()).collect())
@@ -705,9 +699,10 @@ pub(crate) fn budget_exhaustion(_ctx: &ScenarioCtx) -> SimResult<ScenarioReport>
         for name in DEPLOYMENTS {
             let owner = router.shard_for(name).ctx("owner")?;
             let pricing = registries[owner].pricing(name).ctx("pricing")?;
-            // Admit exactly two single-sample learns and two infers; the
-            // 0.4-pass slack absorbs float noise without admitting a fifth.
-            let budget = 2.0 * pricing.learn_sample_mj + 2.4 * pricing.infer_mj;
+            // Admit exactly two single-sample learns and two infers, one
+            // pass each; the 0.4-pass slack absorbs float noise without
+            // admitting a fifth.
+            let budget = 2.0 * pricing.infer_mj + 2.4 * pricing.infer_mj;
             registries[owner].top_up(name, budget).ctx("top up")?;
 
             let learn = |client: &mut WireClient, class: usize| {

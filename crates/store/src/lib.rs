@@ -59,7 +59,7 @@
 //! let recovered = store.bootstrap(&registry).unwrap();
 //! println!("recovered {} deployments", recovered.len());
 //! // Hand `&store` to `ServeRuntime::run_with` as `ServeHooks::journal` (or
-//! // `WireServer::run_with_store`) and every commit is durable.
+//! // to `WireServer::run_observed`) and every commit is durable.
 //! ```
 
 #![forbid(unsafe_code)]

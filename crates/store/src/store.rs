@@ -18,7 +18,7 @@ pub struct StoreConfig {
     pub(crate) checkpoint_interval: u64,
     /// Logs holding at least this many records are delta-compacted by
     /// [`Store::maintenance`] — the hook a background maintenance thread
-    /// polls (the wire server runs one; see `WireServer::run_with_store`).
+    /// polls (the wire server runs one; see `WireServer::run_observed`).
     pub(crate) compact_min_records: u64,
     /// When WAL appends are pushed to stable storage — see [`SyncPolicy`].
     /// Applied to every deployment's log as it is opened or attached.

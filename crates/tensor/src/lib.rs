@@ -44,7 +44,7 @@ pub use parallel::recommended_threads;
 pub use reduce::Axis;
 pub use rng::SeedRng;
 pub use shape::Shape;
-pub use similarity::{cosine_similarity, l2_norm, log_softmax, relu, softmax};
+pub use similarity::{cosine_similarity, l2_norm, log_softmax, softmax};
 pub use tensor::Tensor;
 
 /// Result alias used across the tensor crate.

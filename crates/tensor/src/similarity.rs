@@ -33,11 +33,6 @@ pub fn cosine_similarity(a: &[f32], b: &[f32]) -> Result<f32> {
     Ok(dot / (na * nb))
 }
 
-/// Rectified linear unit applied element-wise to a copy of the input.
-pub fn relu(t: &Tensor) -> Tensor {
-    t.map(|x| x.max(0.0))
-}
-
 /// Numerically stable softmax over a single vector.
 pub fn softmax(logits: &[f32]) -> Vec<f32> {
     if logits.is_empty() {
@@ -67,32 +62,6 @@ impl Tensor {
     /// Returns [`TensorError::LengthMismatch`] when the lengths differ.
     pub fn cosine(&self, other: &Tensor) -> Result<f32> {
         cosine_similarity(self.as_slice(), other.as_slice())
-    }
-
-    /// Row-wise L2 normalisation of a rank-2 tensor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::RankMismatch`] for non-matrices.
-    pub fn l2_normalize_rows(&self) -> Result<Tensor> {
-        if self.dims().len() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: self.dims().len(),
-                op: "l2_normalize_rows",
-            });
-        }
-        let cols = self.dims()[1];
-        let mut out = self.clone();
-        for row in out.as_mut_slice().chunks_mut(cols) {
-            let n = l2_norm(row);
-            if n > 1e-12 {
-                for x in row {
-                    *x /= n;
-                }
-            }
-        }
-        Ok(out)
     }
 }
 
@@ -136,20 +105,5 @@ mod tests {
         for (a, b) in p.iter().zip(&lp) {
             assert!((a.ln() - b).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn relu_clamps_negatives() {
-        let t = Tensor::from_slice(&[-1.0, 0.0, 2.0]);
-        assert_eq!(relu(&t).as_slice(), &[0.0, 0.0, 2.0]);
-    }
-
-    #[test]
-    fn row_normalisation() {
-        let t = Tensor::from_vec(vec![3.0, 4.0, 0.0, 0.0], &[2, 2]).unwrap();
-        let n = t.l2_normalize_rows().unwrap();
-        assert!((l2_norm(n.row(0).unwrap()) - 1.0).abs() < 1e-6);
-        assert_eq!(n.row(1).unwrap(), &[0.0, 0.0]);
-        assert!(Tensor::zeros(&[3]).l2_normalize_rows().is_err());
     }
 }

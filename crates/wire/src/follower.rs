@@ -338,8 +338,8 @@ impl Follower {
     ///   state is recovered from the log first (recovery never moves state
     ///   backwards), and the rest are checkpointed as above.
     ///
-    /// The promoted server then runs exactly like
-    /// [`WireServer::run_with_store`]: writable, journaled, serving
+    /// The promoted server then runs exactly like a store-backed
+    /// [`WireServer::run_observed`]: writable, journaled, serving
     /// replication subscribers from its checkpoints.
     ///
     /// With an observability handle, one `Promotion` event is emitted per

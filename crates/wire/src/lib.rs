@@ -28,11 +28,11 @@
 //!   its own socket while rejecting writes with a typed `ReadOnlyReplica`
 //!   error. [`Follower::promote`] turns a replica into a writable,
 //!   durably-journaled primary for failover,
-//! * durability — [`WireServer::run_with_store`] backs the server with an
-//!   `ofscil_store` WAL + checkpoint store: commits are journaled before
-//!   their replies, replication subscribers (and the one-shot `ReAnchor`
-//!   request) are anchored from the latest checkpoint instead of a live
-//!   snapshot, and a background thread runs the store's delta compaction.
+//! * durability — given an `ofscil_store` WAL + checkpoint store,
+//!   [`WireServer::run_observed`] journals commits before their replies,
+//!   anchors replication subscribers (and the one-shot `ReAnchor` request)
+//!   from the latest checkpoint instead of a live snapshot, and runs the
+//!   store's delta compaction on a background thread.
 //!
 //! # Example
 //!
@@ -51,7 +51,7 @@
 //!         OFscilModel::new(BackboneKind::Micro, 32, &mut rng),
 //!     )
 //!     .unwrap();
-//! WireServer::run(&registry, &WireConfig::tcp_loopback(), |server| {
+//! WireServer::run_observed(&registry, &WireConfig::tcp_loopback(), None, None, |server| {
 //!     // Any process that can reach `server.addr()` is now a tenant.
 //!     let mut client = WireClient::connect(server.addr()).unwrap();
 //!     let response = client.call(ServeRequest::Infer {

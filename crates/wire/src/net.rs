@@ -3,6 +3,8 @@
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread::Scope;
 use std::time::Duration;
 
 #[cfg(unix)]
@@ -63,10 +65,10 @@ impl std::fmt::Display for BoundAddr {
     }
 }
 
-/// A bound listening socket.
+/// A bound, nonblocking listening socket.
 ///
 /// Public so layers above the wire protocol (the `ofscil_router` frontend)
-/// can accept connections and speak frames themselves.
+/// can run the same accept loop and speak frames themselves.
 pub enum WireListener {
     /// A bound TCP listener.
     Tcp(TcpListener),
@@ -76,11 +78,13 @@ pub enum WireListener {
 }
 
 impl WireListener {
-    /// Binds per the configuration and reports the concrete bound address.
+    /// Binds per the configuration, nonblocking so the accept loop can poll
+    /// a shutdown flag, and reports the concrete bound address.
     pub fn bind(bind: &WireBind) -> io::Result<(WireListener, BoundAddr)> {
         match bind {
             WireBind::Tcp(addr) => {
                 let listener = TcpListener::bind(addr)?;
+                listener.set_nonblocking(true)?;
                 let local = listener.local_addr()?;
                 Ok((WireListener::Tcp(listener), BoundAddr::Tcp(local)))
             }
@@ -90,22 +94,49 @@ impl WireListener {
                 // behind; rebinding over it is the expected operation.
                 let _ = std::fs::remove_file(path);
                 let listener = UnixListener::bind(path)?;
+                listener.set_nonblocking(true)?;
                 Ok((WireListener::Unix(listener), BoundAddr::Unix(path.clone())))
             }
         }
     }
 
-    /// Switches the listener between blocking and nonblocking accepts.
-    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        match self {
-            WireListener::Tcp(l) => l.set_nonblocking(nonblocking),
-            #[cfg(unix)]
-            WireListener::Unix(l) => l.set_nonblocking(nonblocking),
+    /// The accept loop of every frame-speaking server: accepts connections
+    /// until `shutdown` is raised and serves each on its own thread of
+    /// `scope`, by a clone of `serve`. Accepted sockets get the server
+    /// tuning of [`WireStream`]'s `configure_for_server` (a socket that
+    /// refuses it is dropped), with `read_timeout` between bytes so
+    /// connection threads can poll `shutdown` too.
+    ///
+    /// No pending connection, and any accept error, backs off 2 ms and
+    /// keeps accepting: per-connection failures (a peer that reset before
+    /// accept completed, transient fd exhaustion, EINTR) must not kill the
+    /// listener, and a genuinely broken listener just loops until shutdown,
+    /// which costs nothing.
+    pub fn serve_connections<'scope, F>(
+        &self,
+        scope: &'scope Scope<'scope, '_>,
+        shutdown: &AtomicBool,
+        read_timeout: Duration,
+        serve: F,
+    ) where
+        F: FnOnce(WireStream) + Clone + Send + 'scope,
+    {
+        while !shutdown.load(Ordering::Acquire) {
+            match self.accept() {
+                Ok(stream) => {
+                    if stream.configure_for_server(read_timeout).is_err() {
+                        continue;
+                    }
+                    let serve = serve.clone();
+                    scope.spawn(move || serve(stream));
+                }
+                Err(_) => std::thread::sleep(Duration::from_millis(2)),
+            }
         }
     }
 
-    /// Accepts one connection (honouring the listener's blocking mode).
-    pub fn accept(&self) -> io::Result<WireStream> {
+    /// Accepts one pending connection.
+    fn accept(&self) -> io::Result<WireStream> {
         match self {
             WireListener::Tcp(l) => {
                 let (stream, _) = l.accept()?;
@@ -155,7 +186,7 @@ impl WireStream {
     /// so a peer that stops reading (full TCP window) cannot pin a
     /// connection thread — and with it the server's teardown — forever; the
     /// blocked write errors out and the connection is dropped instead.
-    pub fn configure_for_server(&self, read_timeout: Duration) -> io::Result<()> {
+    fn configure_for_server(&self, read_timeout: Duration) -> io::Result<()> {
         if let WireStream::Tcp(stream) = self {
             stream.set_nodelay(true)?;
         }

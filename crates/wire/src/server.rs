@@ -99,7 +99,7 @@ impl WireConfig {
     }
 }
 
-/// Handle the body of [`WireServer::run`] receives.
+/// Handle the body of [`WireServer::run_observed`] receives.
 #[derive(Debug)]
 pub struct WireHandle {
     addr: BoundAddr,
@@ -188,23 +188,7 @@ impl WireServer {
     /// address. Clients in other processes connect with
     /// [`WireClient`](crate::WireClient).
     ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Io`] when binding fails and
-    /// [`WireError::Runtime`] when the serve configuration is invalid.
-    pub fn run<T, F>(
-        registry: &LearnerRegistry,
-        config: &WireConfig,
-        body: F,
-    ) -> Result<T, WireError>
-    where
-        F: FnOnce(&WireHandle) -> T,
-    {
-        WireServer::run_with_store(registry, config, None, body)
-    }
-
-    /// Like [`WireServer::run`], but backed by a durable
-    /// [`Store`](ofscil_store::Store):
+    /// With a durable [`Store`](ofscil_store::Store):
     ///
     /// * every committed `LearnOnline` and budget top-up is journaled to the
     ///   store's write-ahead log before its reply (via the serve runtime's
@@ -222,24 +206,7 @@ impl WireServer {
     /// attach) *before* serving — keeping recovery explicit means a test or
     /// an operator can inspect what was restored.
     ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::Io`] when binding fails and
-    /// [`WireError::Runtime`] when the serve configuration is invalid.
-    pub fn run_with_store<T, F>(
-        registry: &LearnerRegistry,
-        config: &WireConfig,
-        store: Option<&Store>,
-        body: F,
-    ) -> Result<T, WireError>
-    where
-        F: FnOnce(&WireHandle) -> T,
-    {
-        WireServer::run_observed(registry, config, store, None, body)
-    }
-
-    /// Like [`WireServer::run_with_store`], but with an observability handle
-    /// attached:
+    /// With an observability handle:
     ///
     /// * the serving runtime emits `Infer`/`Learn`/`Reject`/`TopUp` events
     ///   into the handle's non-blocking [`EventSink`](ofscil_obs::EventSink)
@@ -290,7 +257,6 @@ impl WireServer {
         };
 
         let (listener, addr) = WireListener::bind(&config.bind)?;
-        listener.set_nonblocking(true)?;
         let (sink, commits) = mpsc::channel::<LearnCommit>();
         let shutdown = AtomicBool::new(false);
         let hub = ReplHub::new();
@@ -312,19 +278,13 @@ impl WireServer {
                 if let Some(store) = store {
                     scope.spawn(move || maintenance_loop(store, registry, obs, shutdown));
                 }
-                let accept_client = client.clone();
+                let client = client.clone();
                 scope.spawn(move || {
-                    accept_loop(
-                        scope,
-                        &listener,
-                        accept_client,
-                        registry,
-                        hub,
-                        store,
-                        obs,
-                        shutdown,
-                        options,
-                    );
+                    listener.serve_connections(scope, shutdown, POLL, move |stream| {
+                        serve_connection(
+                            stream, &client, registry, hub, store, obs, shutdown, options,
+                        );
+                    });
                 });
 
                 let handle = WireHandle { addr: addr.clone() };
@@ -357,7 +317,7 @@ impl WireServer {
     }
 }
 
-/// Per-connection serving options the accept loop hands every connection.
+/// Per-connection serving options every connection is served with.
 #[derive(Clone, Copy)]
 struct ConnOptions {
     max_payload: usize,
@@ -425,48 +385,6 @@ fn observe_checkpoints(
             );
         }
         *seen = stats.last_checkpoint_seq;
-    }
-}
-
-/// Accepts connections until shutdown, spawning one scoped thread each.
-#[allow(clippy::too_many_arguments)]
-fn accept_loop<'scope, 'env>(
-    scope: &'scope std::thread::Scope<'scope, 'env>,
-    listener: &WireListener,
-    client: ServeClient,
-    registry: &'env LearnerRegistry,
-    hub: &'scope ReplHub,
-    store: Option<&'scope Store>,
-    obs: Option<&'scope Obs>,
-    shutdown: &'scope AtomicBool,
-    options: ConnOptions,
-) {
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok(stream) => {
-                if stream.configure_for_server(POLL).is_err() {
-                    continue;
-                }
-                let client = client.clone();
-                scope.spawn(move || {
-                    serve_connection(
-                        stream, &client, registry, hub, store, obs, shutdown, options,
-                    );
-                });
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            // Per-connection failures (a peer that reset before accept
-            // completed, transient fd exhaustion, EINTR) must not kill the
-            // listener: back off briefly and keep accepting. A genuinely
-            // broken listener shows up as this loop erroring until shutdown,
-            // which costs nothing.
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
     }
 }
 

@@ -379,33 +379,39 @@ fn hostile_barrage(addr: &BoundAddr, seed: u64, frames: usize) {
 #[test]
 fn wire_server_rejects_hostile_frames_and_keeps_serving() {
     let registry = registry_with(&["tenant"]);
-    WireServer::run(&registry, &WireConfig::tcp_loopback(), |server| {
-        let mut client = WireClient::connect(server.addr()).unwrap();
-        client
-            .call(ServeRequest::LearnOnline {
-                deployment: "tenant".into(),
-                batch: ofscil_serve::traffic::support_batch(IMAGE, &[0, 1, 2], 3),
-            })
-            .unwrap();
+    WireServer::run_observed(
+        &registry,
+        &WireConfig::tcp_loopback(),
+        None,
+        None,
+        |server| {
+            let mut client = WireClient::connect(server.addr()).unwrap();
+            client
+                .call(ServeRequest::LearnOnline {
+                    deployment: "tenant".into(),
+                    batch: ofscil_serve::traffic::support_batch(IMAGE, &[0, 1, 2], 3),
+                })
+                .unwrap();
 
-        hostile_barrage(server.addr(), 0x5eed_0001, 60);
+            hostile_barrage(server.addr(), 0x5eed_0001, 60);
 
-        // The barrage must not have leaked into the accepted counters…
-        let stats = registry.stats("tenant").unwrap();
-        assert_eq!(stats.accepted(), 1, "only the seeding learn was accepted");
-        // …and the server still answers a fresh client correctly.
-        let mut fresh = WireClient::connect(server.addr()).unwrap();
-        match fresh
-            .call(ServeRequest::Infer {
-                deployment: "tenant".into(),
-                image: ofscil_serve::traffic::class_image(IMAGE, 2, 0.01),
-            })
-            .unwrap()
-        {
-            ServeResponse::Prediction { class, .. } => assert_eq!(class, 2),
-            other => panic!("unexpected response {other:?}"),
-        }
-    })
+            // The barrage must not have leaked into the accepted counters…
+            let stats = registry.stats("tenant").unwrap();
+            assert_eq!(stats.accepted(), 1, "only the seeding learn was accepted");
+            // …and the server still answers a fresh client correctly.
+            let mut fresh = WireClient::connect(server.addr()).unwrap();
+            match fresh
+                .call(ServeRequest::Infer {
+                    deployment: "tenant".into(),
+                    image: ofscil_serve::traffic::class_image(IMAGE, 2, 0.01),
+                })
+                .unwrap()
+            {
+                ServeResponse::Prediction { class, .. } => assert_eq!(class, 2),
+                other => panic!("unexpected response {other:?}"),
+            }
+        },
+    )
     .unwrap();
 }
 
@@ -415,8 +421,12 @@ fn wire_server_rejects_hostile_frames_and_keeps_serving() {
 #[test]
 fn router_rejects_hostile_frames_and_keeps_serving() {
     let shard_registry = Arc::new(registry_with(&["tenant"]));
-    let shard =
-        ShardProcess::spawn(Arc::clone(&shard_registry), WireConfig::tcp_loopback()).unwrap();
+    let shard = ShardProcess::spawn_observed(
+        Arc::clone(&shard_registry),
+        WireConfig::tcp_loopback(),
+        None,
+    )
+    .unwrap();
     let config =
         RouterConfig::tcp_loopback(vec![shard.addr().clone()]).with_deployments(&["tenant"]);
     RouterServer::run(&config, |router| {

@@ -28,97 +28,103 @@ fn registry_with(names: &[&str]) -> LearnerRegistry {
 #[test]
 fn full_request_surface_over_tcp() {
     let registry = registry_with(&["tenant"]);
-    WireServer::run(&registry, &WireConfig::tcp_loopback(), |server| {
-        let mut client = WireClient::connect(server.addr()).unwrap();
+    WireServer::run_observed(
+        &registry,
+        &WireConfig::tcp_loopback(),
+        None,
+        None,
+        |server| {
+            let mut client = WireClient::connect(server.addr()).unwrap();
 
-        // Learn, then infer — the same typed API as the in-process client.
-        let learned = client
-            .call(ServeRequest::LearnOnline {
-                deployment: "tenant".into(),
-                batch: ofscil_serve::traffic::support_batch(IMAGE, &[0, 1, 2], 3),
-            })
-            .unwrap();
-        match learned {
-            ServeResponse::Learned {
-                classes,
-                total_classes,
-            } => {
-                assert_eq!(classes, vec![0, 1, 2]);
-                assert_eq!(total_classes, 3);
+            // Learn, then infer — the same typed API as the in-process client.
+            let learned = client
+                .call(ServeRequest::LearnOnline {
+                    deployment: "tenant".into(),
+                    batch: ofscil_serve::traffic::support_batch(IMAGE, &[0, 1, 2], 3),
+                })
+                .unwrap();
+            match learned {
+                ServeResponse::Learned {
+                    classes,
+                    total_classes,
+                } => {
+                    assert_eq!(classes, vec![0, 1, 2]);
+                    assert_eq!(total_classes, 3);
+                }
+                other => panic!("unexpected response {other:?}"),
             }
-            other => panic!("unexpected response {other:?}"),
-        }
-        let prediction = client
-            .call(ServeRequest::Infer {
-                deployment: "tenant".into(),
-                image: ofscil_serve::traffic::class_image(IMAGE, 1, 0.02),
-            })
-            .unwrap();
-        match prediction {
-            ServeResponse::Prediction { class, .. } => assert_eq!(class, 1),
-            other => panic!("unexpected response {other:?}"),
-        }
-
-        // Stats and snapshot flow through unchanged.
-        match client
-            .call(ServeRequest::Stats {
-                deployment: "tenant".into(),
-            })
-            .unwrap()
-        {
-            ServeResponse::Stats(stats) => {
-                assert_eq!(stats.classes, 3);
-                assert_eq!(stats.learn_requests, 1);
+            let prediction = client
+                .call(ServeRequest::Infer {
+                    deployment: "tenant".into(),
+                    image: ofscil_serve::traffic::class_image(IMAGE, 1, 0.02),
+                })
+                .unwrap();
+            match prediction {
+                ServeResponse::Prediction { class, .. } => assert_eq!(class, 1),
+                other => panic!("unexpected response {other:?}"),
             }
-            other => panic!("unexpected response {other:?}"),
-        }
-        match client
-            .call(ServeRequest::Snapshot {
-                deployment: "tenant".into(),
-            })
-            .unwrap()
-        {
-            ServeResponse::Snapshot { bytes } => {
-                assert_eq!(bytes, registry.snapshot("tenant").unwrap());
+
+            // Stats and snapshot flow through unchanged.
+            match client
+                .call(ServeRequest::Stats {
+                    deployment: "tenant".into(),
+                })
+                .unwrap()
+            {
+                ServeResponse::Stats(stats) => {
+                    assert_eq!(stats.classes, 3);
+                    assert_eq!(stats.learn_requests, 1);
+                }
+                other => panic!("unexpected response {other:?}"),
             }
-            other => panic!("unexpected response {other:?}"),
-        }
+            match client
+                .call(ServeRequest::Snapshot {
+                    deployment: "tenant".into(),
+                })
+                .unwrap()
+            {
+                ServeResponse::Snapshot { bytes } => {
+                    assert_eq!(bytes, registry.snapshot("tenant").unwrap());
+                }
+                other => panic!("unexpected response {other:?}"),
+            }
 
-        // Typed errors survive the wire.
-        let err = client
-            .call(ServeRequest::Infer {
-                deployment: "ghost".into(),
-                image: Tensor::zeros(&[3, IMAGE, IMAGE]),
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            WireError::Remote(ServeError::UnknownDeployment(ref name)) if name == "ghost"
-        ));
-        let err = client
-            .call(ServeRequest::Infer {
-                deployment: "tenant".into(),
-                image: Tensor::zeros(&[3, 4, 4]),
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            WireError::Remote(ServeError::InvalidRequest(_))
-        ));
+            // Typed errors survive the wire.
+            let err = client
+                .call(ServeRequest::Infer {
+                    deployment: "ghost".into(),
+                    image: Tensor::zeros(&[3, IMAGE, IMAGE]),
+                })
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                WireError::Remote(ServeError::UnknownDeployment(ref name)) if name == "ghost"
+            ));
+            let err = client
+                .call(ServeRequest::Infer {
+                    deployment: "tenant".into(),
+                    image: Tensor::zeros(&[3, 4, 4]),
+                })
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                WireError::Remote(ServeError::InvalidRequest(_))
+            ));
 
-        // The connection survives the errors; several clients at once work.
-        let mut second = WireClient::connect(server.addr()).unwrap();
-        second
-            .call(ServeRequest::Stats {
-                deployment: "tenant".into(),
-            })
-            .unwrap();
-        client
-            .call(ServeRequest::Stats {
-                deployment: "tenant".into(),
-            })
-            .unwrap();
-    })
+            // The connection survives the errors; several clients at once work.
+            let mut second = WireClient::connect(server.addr()).unwrap();
+            second
+                .call(ServeRequest::Stats {
+                    deployment: "tenant".into(),
+                })
+                .unwrap();
+            client
+                .call(ServeRequest::Stats {
+                    deployment: "tenant".into(),
+                })
+                .unwrap();
+        },
+    )
     .unwrap();
 }
 
@@ -133,34 +139,40 @@ fn budget_errors_cross_the_wire_typed() {
             OFscilModel::new(BackboneKind::Micro, 16, &mut rng),
         )
         .unwrap();
-    WireServer::run(&registry, &WireConfig::tcp_loopback(), |server| {
-        let mut client = WireClient::connect(server.addr()).unwrap();
-        let err = client
-            .call(ServeRequest::Infer {
-                deployment: "metered".into(),
-                image: Tensor::zeros(&[3, IMAGE, IMAGE]),
-            })
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            WireError::Remote(ServeError::BudgetExhausted { .. })
-        ));
-        // Top up over the wire, then the request is admitted (and fails
-        // only because the memory is empty — an execution error).
-        client
-            .call(ServeRequest::TopUpBudget {
-                deployment: "metered".into(),
-                energy_mj: 1e6,
-            })
-            .unwrap();
-        let err = client
-            .call(ServeRequest::Infer {
-                deployment: "metered".into(),
-                image: Tensor::zeros(&[3, IMAGE, IMAGE]),
-            })
-            .unwrap_err();
-        assert!(matches!(err, WireError::Remote(ServeError::Execution(_))));
-    })
+    WireServer::run_observed(
+        &registry,
+        &WireConfig::tcp_loopback(),
+        None,
+        None,
+        |server| {
+            let mut client = WireClient::connect(server.addr()).unwrap();
+            let err = client
+                .call(ServeRequest::Infer {
+                    deployment: "metered".into(),
+                    image: Tensor::zeros(&[3, IMAGE, IMAGE]),
+                })
+                .unwrap_err();
+            assert!(matches!(
+                err,
+                WireError::Remote(ServeError::BudgetExhausted { .. })
+            ));
+            // Top up over the wire, then the request is admitted (and fails
+            // only because the memory is empty — an execution error).
+            client
+                .call(ServeRequest::TopUpBudget {
+                    deployment: "metered".into(),
+                    energy_mj: 1e6,
+                })
+                .unwrap();
+            let err = client
+                .call(ServeRequest::Infer {
+                    deployment: "metered".into(),
+                    image: Tensor::zeros(&[3, IMAGE, IMAGE]),
+                })
+                .unwrap_err();
+            assert!(matches!(err, WireError::Remote(ServeError::Execution(_))));
+        },
+    )
     .unwrap();
 }
 
@@ -173,7 +185,7 @@ fn unix_domain_sockets_serve_the_same_protocol() {
     let path = dir.join("serve.sock");
     let registry = registry_with(&["tenant"]);
     let config = WireConfig::tcp_loopback().with_bind(WireBind::Unix(path.clone()));
-    WireServer::run(&registry, &config, |server| {
+    WireServer::run_observed(&registry, &config, None, None, |server| {
         let mut client = WireClient::connect(server.addr()).unwrap();
         client
             .call(ServeRequest::LearnOnline {
@@ -200,14 +212,20 @@ fn unix_domain_sockets_serve_the_same_protocol() {
 #[test]
 fn subscribe_to_unknown_deployment_is_a_typed_remote_error() {
     let registry = registry_with(&["tenant"]);
-    WireServer::run(&registry, &WireConfig::tcp_loopback(), |server| {
-        let client = WireClient::connect(server.addr()).unwrap();
-        let mut stream = client.subscribe("ghost").unwrap();
-        let err = stream.next_event(None).unwrap_err();
-        assert!(matches!(
-            err,
-            WireError::Remote(ServeError::UnknownDeployment(ref name)) if name == "ghost"
-        ));
-    })
+    WireServer::run_observed(
+        &registry,
+        &WireConfig::tcp_loopback(),
+        None,
+        None,
+        |server| {
+            let client = WireClient::connect(server.addr()).unwrap();
+            let mut stream = client.subscribe("ghost").unwrap();
+            let err = stream.next_event(None).unwrap_err();
+            assert!(matches!(
+                err,
+                WireError::Remote(ServeError::UnknownDeployment(ref name)) if name == "ghost"
+            ));
+        },
+    )
     .unwrap();
 }

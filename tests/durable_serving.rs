@@ -121,10 +121,11 @@ fn kill_and_recover(tag: &str, store_config: StoreConfig) {
         let registry = registry_with(&names, Some(1e6));
         let store = Store::open_with(&dir, store_config.clone()).unwrap();
         assert!(store.bootstrap(&registry).unwrap().is_empty());
-        let (identities, predictions) = WireServer::run_with_store(
+        let (identities, predictions) = WireServer::run_observed(
             &registry,
             &WireConfig::tcp_loopback(),
             Some(&store),
+            None,
             |server| {
                 let mut client = WireClient::connect(server.addr()).unwrap();
                 learn(&mut client, "tenant-a", &[0, 1]);
@@ -175,10 +176,11 @@ fn kill_and_recover(tag: &str, store_config: StoreConfig) {
     }
 
     // The recovered process serves — and predicts bit-identically.
-    WireServer::run_with_store(
+    WireServer::run_observed(
         &registry,
         &WireConfig::tcp_loopback(),
         Some(&store),
+        None,
         |server| {
             let mut client = WireClient::connect(server.addr()).unwrap();
             for (name, (_, want)) in names.iter().zip(&expected) {
@@ -211,10 +213,11 @@ fn subscribers_and_reanchors_are_served_from_the_checkpoint() {
     .unwrap();
     store.bootstrap(&primary).unwrap();
 
-    WireServer::run_with_store(
+    WireServer::run_observed(
         &primary,
         &WireConfig::tcp_loopback(),
         Some(&store),
+        None,
         |server| {
             let mut client = WireClient::connect(server.addr()).unwrap();
             // Re-learn the same classes repeatedly: exactly the write pattern
@@ -284,10 +287,11 @@ fn promoted_follower_accepts_writes_that_a_reattached_subscriber_replicates() {
         let primary = registry_with(&["tenant"], None);
         let store = Store::open(&primary_dir).unwrap();
         store.bootstrap(&primary).unwrap();
-        WireServer::run_with_store(
+        WireServer::run_observed(
             &primary,
             &WireConfig::tcp_loopback(),
             Some(&store),
+            None,
             |server| {
                 let mut client = WireClient::connect(server.addr()).unwrap();
                 learn(&mut client, "tenant", &[0, 1]);

@@ -17,6 +17,7 @@ use ofscil::router::harness::ShardProcess;
 use ofscil::serve::traffic;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -282,8 +283,15 @@ fn in_process_cluster_tail_resumes_and_counts() {
                 sorted.len(),
                 expected.len()
             );
-            if let Ok(batch) = tail.recv_timeout(Duration::from_millis(100)) {
-                rows.extend(batch.events);
+            // Legs exit only when the tail is dropped or the router shuts
+            // down — not across the shard outage above. The controller's
+            // rate feed has no second observation path because of this.
+            match tail.recv_timeout(Duration::from_millis(100)) {
+                Ok(batch) => rows.extend(batch.events),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => {
+                    panic!("a leg exited while the router is up")
+                }
             }
         }
         assert!(

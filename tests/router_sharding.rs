@@ -41,7 +41,8 @@ fn spawn_shards(n: usize) -> (Vec<Arc<LearnerRegistry>>, Vec<ShardProcess>) {
     let shards = registries
         .iter()
         .map(|registry| {
-            ShardProcess::spawn(Arc::clone(registry), WireConfig::tcp_loopback()).unwrap()
+            ShardProcess::spawn_observed(Arc::clone(registry), WireConfig::tcp_loopback(), None)
+                .unwrap()
         })
         .collect();
     (registries, shards)
@@ -377,7 +378,8 @@ fn budget_rejections_stay_out_of_throughput_counters_across_the_cluster() {
     let shards: Vec<ShardProcess> = registries
         .iter()
         .map(|registry| {
-            ShardProcess::spawn(Arc::clone(registry), WireConfig::tcp_loopback()).unwrap()
+            ShardProcess::spawn_observed(Arc::clone(registry), WireConfig::tcp_loopback(), None)
+                .unwrap()
         })
         .collect();
 
@@ -444,8 +446,12 @@ fn add_and_drain_rebalance_with_live_migrations() {
     let config = router_config(&shards[..2]);
     // A third backend stands ready to join the ring mid-run.
     let extra_registry = shard_registry();
-    let extra =
-        ShardProcess::spawn(Arc::clone(&extra_registry), WireConfig::tcp_loopback()).unwrap();
+    let extra = ShardProcess::spawn_observed(
+        Arc::clone(&extra_registry),
+        WireConfig::tcp_loopback(),
+        None,
+    )
+    .unwrap();
     let extra_addr = extra.addr().clone();
     shards.push(extra);
 
