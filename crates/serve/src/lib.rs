@@ -22,21 +22,21 @@
 //!   batch size follows load, and a `LearnOnline`/`Snapshot`/`Stats` ends
 //!   the run just by sitting in the queue (the perf ledger's
 //!   `serve.batch_gain` is the batched-vs-sequential ratio),
-//! * energy-budget admission — every request is priced in millijoules on the
-//!   GAP9 cost model ([`RequestPricing`]); once a deployment's budget is
-//!   spent, work is rejected or deferred per [`BudgetPolicy`], turning the
-//!   paper's 12 mJ/class headline into a runtime policy. Batches are
-//!   settled at their **amortized** energy after running: the batch
-//!   streams the weights once, so the meter refunds the difference to `n`
-//!   independent passes,
+//! * energy-budget admission — every request is priced in millijoules on
+//!   the GAP9 cost model ([`LearnerRegistry::pricing`]); once a deployment's
+//!   budget is spent, work is rejected or deferred per [`BudgetPolicy`],
+//!   turning the paper's 12 mJ/class headline into a runtime policy.
+//!   Batches are settled at their **amortized** energy after running: the
+//!   batch streams the weights once, so the meter refunds the difference to
+//!   `n` independent passes,
 //! * [`snapshot`] — the byte layouts of everything this system persists or
 //!   replicates: the explicit-memory snapshot (bit-exact round trip for warm
 //!   restart), the prototype list of one committed learn, the energy budget,
 //! * [`ServeHooks`] — what [`ServeRuntime::run_with`] attaches to a session:
-//!   `commits` streams every committed `LearnOnline` as a sequence-numbered
-//!   [`LearnCommit`] (with a runtime configured
-//!   [`read_only`](ServeConfig::read_only) serving replica traffic,
-//!   `ofscil_wire` builds its socket server and follower mode on this);
+//!   `commits` is called with every committed `LearnOnline` as a
+//!   sequence-numbered [`LearnCommit`] (`ofscil_wire` hands each one
+//!   straight to its replication hub, and builds follower mode on a runtime
+//!   configured [`read_only`](ServeConfig::read_only));
 //!   `journal` writes every commit and budget top-up to a [`CommitJournal`]
 //!   under the deployment's model lock, so record order provably matches
 //!   mutation order (`ofscil_store` implements the trait with a WAL +
@@ -93,7 +93,6 @@ pub use error::ServeError;
 pub use journal::{CommitJournal, DurabilityStats};
 pub use registry::{
     BudgetPolicy, DeploymentExport, DeploymentSpec, DeploymentStats, ExportStats, LearnerRegistry,
-    RequestPricing,
 };
 pub use request::{PendingResponse, ServeRequest, ServeResponse};
 pub use runtime::{LearnCommit, ServeClient, ServeHooks, ServeRuntime};

@@ -64,25 +64,6 @@ impl DeploymentSpec {
     }
 }
 
-/// Energy prices of one deployment's request types, derived from the GAP9
-/// cost model at registration time. This is the paper's 12 mJ/class headline
-/// turned into an admission-control price list.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RequestPricing {
-    /// Energy of one backbone + FCR forward pass in millijoules: the price
-    /// of one inference, and of each support sample of a learn (the
-    /// prototype accumulation is negligible next to the pass).
-    pub infer_mj: f64,
-}
-
-/// Everything needed to re-derive a deployment's price list when its
-/// execution precision changes (fp32 → int8 conversion).
-#[derive(Debug, Clone)]
-struct PricingBasis {
-    gap9: Gap9Config,
-    image_hw: (usize, usize),
-}
-
 /// Cluster cores assumed when pricing requests on the GAP9 model: the full
 /// 8-core cluster.
 const PRICING_CORES: usize = 8;
@@ -104,11 +85,18 @@ fn scale_workload_to_fp32(workload: &mut NetworkWorkload) {
     }
 }
 
-/// Energy of one forward pass of `workload` on the device model, in
+/// Energy of one backbone + FCR forward pass on the device model, in
 /// millijoules.
-fn workload_energy_mj(workload: &NetworkWorkload, basis: &PricingBasis) -> Result<f64> {
-    let estimate = estimate_execution(workload, &basis.gap9, PRICING_CORES, false)?;
-    Ok(PowerModel::new(basis.gap9.clone()).energy_mj(&estimate))
+fn pass_energy_mj(
+    backbone: &NetworkWorkload,
+    fcr: &NetworkWorkload,
+    gap9: &Gap9Config,
+) -> Result<f64> {
+    let power = PowerModel::new(gap9.clone());
+    let energy_mj = |workload| -> Result<f64> {
+        Ok(power.energy_mj(&estimate_execution(workload, gap9, PRICING_CORES, false)?))
+    };
+    Ok(energy_mj(backbone)? + energy_mj(fcr)?)
 }
 
 /// Scales a single-sample workload to a coalesced batch of `batch` samples:
@@ -127,35 +115,65 @@ fn scale_workload_to_batch(workload: &mut NetworkWorkload, batch: usize) {
     }
 }
 
-/// Derives the price list for the model at its *current* execution precision:
-/// an fp32 model pays fp32 byte traffic; once converted to int8 the same
-/// deployment is re-priced at the cheaper quantized rate.
-fn derive_pricing(model: &OFscilModel, basis: &PricingBasis) -> Result<RequestPricing> {
-    let (height, width) = basis.image_hw;
-    let mut backbone = deploy_backbone(model.backbone(), height, width);
-    let mut fcr = deploy_fcr(model.backbone().feature_dim, model.projection_dim());
-    if !model.is_int8() {
-        scale_workload_to_fp32(&mut backbone);
-        scale_workload_to_fp32(&mut fcr);
-    }
-    Ok(RequestPricing {
-        infer_mj: workload_energy_mj(&backbone, basis)? + workload_energy_mj(&fcr, basis)?,
-    })
+/// One deployment's energy prices on the GAP9 cost model, at the model's
+/// current execution precision. This is the paper's 12 mJ/class headline
+/// turned into an admission-control price list. Int8 conversion builds a
+/// new table and swaps it in whole.
+#[derive(Debug)]
+struct PriceTable {
+    /// Deployed backbone workload: fp32 byte traffic until the model
+    /// converts to int8, the quantized rate after.
+    backbone: NetworkWorkload,
+    /// Deployed FCR workload, at the same precision.
+    fcr: NetworkWorkload,
+    /// The device model the workloads are priced on.
+    gap9: Gap9Config,
+    /// Energy of one backbone + FCR forward pass in millijoules: the price
+    /// of one inference, and of each support sample of a learn (the
+    /// prototype accumulation is negligible next to the pass).
+    infer_mj: f64,
+    /// Memoized batch prices by pass count.
+    batched_mj: HashMap<usize, f64>,
 }
 
-/// Device-model energy of one coalesced inference batch of `batch` samples at
-/// the model's current execution precision, in millijoules.
-fn derive_batch_mj(model: &OFscilModel, basis: &PricingBasis, batch: usize) -> Result<f64> {
-    let (height, width) = basis.image_hw;
-    let mut backbone = deploy_backbone(model.backbone(), height, width);
-    let mut fcr = deploy_fcr(model.backbone().feature_dim, model.projection_dim());
-    if !model.is_int8() {
-        scale_workload_to_fp32(&mut backbone);
-        scale_workload_to_fp32(&mut fcr);
+impl PriceTable {
+    /// Prices `model` for `[channels, height, width]` inputs on `gap9`: an
+    /// fp32 model pays fp32 byte traffic, an int8 model the quantized rate.
+    fn new(model: &OFscilModel, image_dims: &[usize], gap9: Gap9Config) -> Result<PriceTable> {
+        let mut backbone = deploy_backbone(model.backbone(), image_dims[1], image_dims[2]);
+        let mut fcr = deploy_fcr(model.backbone().feature_dim, model.projection_dim());
+        if !model.is_int8() {
+            scale_workload_to_fp32(&mut backbone);
+            scale_workload_to_fp32(&mut fcr);
+        }
+        let infer_mj = pass_energy_mj(&backbone, &fcr, &gap9)?;
+        Ok(PriceTable {
+            backbone,
+            fcr,
+            gap9,
+            infer_mj,
+            batched_mj: HashMap::new(),
+        })
     }
-    scale_workload_to_batch(&mut backbone, batch);
-    scale_workload_to_batch(&mut fcr, batch);
-    Ok(workload_energy_mj(&backbone, basis)? + workload_energy_mj(&fcr, basis)?)
+
+    /// See [`Deployment::batch_mj`].
+    fn batch_mj(&mut self, n: usize) -> f64 {
+        if n <= 1 {
+            return self.infer_mj;
+        }
+        if let Some(&mj) = self.batched_mj.get(&n) {
+            return mj;
+        }
+        let passes = self.infer_mj * n as f64;
+        let (mut backbone, mut fcr) = (self.backbone.clone(), self.fcr.clone());
+        scale_workload_to_batch(&mut backbone, n);
+        scale_workload_to_batch(&mut fcr, n);
+        let mj = pass_energy_mj(&backbone, &fcr, &self.gap9)
+            .unwrap_or(passes)
+            .min(passes);
+        self.batched_mj.insert(n, mj);
+        mj
+    }
 }
 
 /// Throughput counters carried inside a [`DeploymentExport`], mirroring the
@@ -466,37 +484,38 @@ impl EnergyMeter {
         inner.spent_mj = spent_mj;
         inner.budget_mj = budget_mj;
     }
-
-    fn budget(&self) -> Option<f64> {
-        self.inner.lock().expect("meter lock poisoned").budget_mj
-    }
 }
 
-/// One registered deployment: the model behind its own lock, the per-
-/// deployment FIFO work queue, and the immutable admission metadata the
-/// dispatcher reads without locking either.
+/// A deployment's model together with its replication sequence number,
+/// behind one lock: the sequence order matches the order of memory
+/// mutations because both only change while that lock is held.
+#[derive(Debug)]
+pub(crate) struct Tenant {
+    pub model: OFscilModel,
+    /// Incremented once per committed `LearnOnline` (and per other memory
+    /// mutation); a snapshot taken at `seq` contains every mutation
+    /// numbered `<= seq`.
+    pub seq: u64,
+}
+
+/// One registered deployment: five locks, one per piece of state (the
+/// tenant, the FIFO work queue, the counters, the meter and the prices),
+/// plus the immutable admission metadata the dispatcher reads without
+/// locking. Code that holds the tenant lock together with another takes the
+/// tenant lock first.
 pub(crate) struct Deployment {
     pub name: String,
-    pub model: Mutex<OFscilModel>,
+    pub tenant: Mutex<Tenant>,
     pub work: Mutex<crate::batch::WorkQueue>,
     /// Lifetime counters, in the form a migration exports them.
     pub stats: Mutex<ExportStats>,
     pub(crate) meter: EnergyMeter,
-    /// Current price list; swapped atomically when the deployment converts
-    /// to int8 and is re-priced at the cheaper quantized rate.
-    pub(crate) pricing: Mutex<RequestPricing>,
+    /// Current prices; swapped whole when the deployment converts to int8
+    /// and is re-priced at the cheaper quantized rate.
+    prices: Mutex<PriceTable>,
     pub policy: BudgetPolicy,
     /// `[channels, height, width]` every `Infer` image must match.
     pub(crate) image_dims: Vec<usize>,
-    /// Replication sequence number: incremented once per committed
-    /// `LearnOnline`, read/written only while the model lock is held so the
-    /// sequence order matches the order of memory mutations exactly.
-    pub(crate) repl_seq: Mutex<u64>,
-    /// Memoized coalesced-batch energies by batch size; cleared whenever the
-    /// deployment is re-priced (int8 conversion).
-    batched_mj: Mutex<HashMap<usize, f64>>,
-    /// Inputs for re-deriving the price list on precision changes.
-    basis: PricingBasis,
 }
 
 impl std::fmt::Debug for Deployment {
@@ -510,9 +529,14 @@ impl std::fmt::Debug for Deployment {
 }
 
 impl Deployment {
-    /// The current request price list.
-    pub(crate) fn pricing(&self) -> RequestPricing {
-        *self.pricing.lock().expect("pricing lock poisoned")
+    fn prices(&self) -> std::sync::MutexGuard<'_, PriceTable> {
+        self.prices.lock().expect("prices lock poisoned")
+    }
+
+    /// Energy of one forward pass in millijoules: the price of one
+    /// inference, and of each support sample of a learn.
+    pub(crate) fn infer_mj(&self) -> f64 {
+        self.prices().infer_mj
     }
 
     /// Device-model energy of `n` forward passes run as one batch, in
@@ -521,31 +545,9 @@ impl Deployment {
     /// weight traffic is paid once, so this undercuts `n` single passes —
     /// the amortization the budget meter settles after the batch runs.
     /// Clamped to at most `n` single passes (refunds can never go negative)
-    /// and memoized per batch size.
+    /// and memoized per batch size. Never takes the model lock.
     pub(crate) fn batch_mj(&self, n: usize) -> f64 {
-        if n <= 1 {
-            return self.pricing().infer_mj;
-        }
-        if let Some(&mj) = self
-            .batched_mj
-            .lock()
-            .expect("batch cache poisoned")
-            .get(&n)
-        {
-            return mj;
-        }
-        // Derive and memoize while holding the model lock: int8 conversion
-        // re-prices and clears this cache under the same lock, so a stale
-        // fp32-derived value can never be inserted after the clear.
-        let model = self.model.lock().expect("model lock poisoned");
-        let single = self.pricing().infer_mj;
-        let derived = derive_batch_mj(&model, &self.basis, n);
-        let mj = derived.unwrap_or(single * n as f64).min(single * n as f64);
-        self.batched_mj
-            .lock()
-            .expect("batch cache poisoned")
-            .insert(n, mj);
-        mj
+        self.prices().batch_mj(n)
     }
 
     /// Energy to hand back once a batch of `n` passes has run: admission
@@ -555,18 +557,20 @@ impl Deployment {
         if n <= 1 {
             return 0.0;
         }
-        (self.pricing().infer_mj * n as f64 - self.batch_mj(n)).max(0.0)
+        let mut prices = self.prices();
+        (prices.infer_mj * n as f64 - prices.batch_mj(n)).max(0.0)
     }
 
     pub(crate) fn stats_snapshot(&self) -> DeploymentStats {
         let classes = self
-            .model
+            .tenant
             .lock()
             .expect("model lock poisoned")
+            .model
             .em()
             .num_classes();
         let stats = self.stats.lock().expect("stats lock poisoned");
-        let (spent, _) = self.meter.state();
+        let (spent, budget) = self.meter.spent_and_budget();
         DeploymentStats {
             name: self.name.clone(),
             classes,
@@ -579,7 +583,7 @@ impl Deployment {
             rejected_learn: stats.rejected_learn,
             deferred: stats.deferred,
             energy_spent_mj: spent,
-            energy_budget_mj: self.meter.budget(),
+            energy_budget_mj: budget,
             durability: None,
         }
     }
@@ -630,26 +634,19 @@ impl LearnerRegistry {
     /// Returns [`ServeError::DuplicateDeployment`] when the name is taken and
     /// a pricing error when the spec's device model cannot price the model.
     pub fn register(&self, spec: DeploymentSpec, model: OFscilModel) -> Result<()> {
-        let basis = PricingBasis {
-            gap9: spec.gap9.clone(),
-            image_hw: spec.image_hw,
-        };
-        let pricing = derive_pricing(&model, &basis)?;
         let (height, width) = spec.image_hw;
         let image_dims = vec![model.backbone().in_channels, height, width];
+        let prices = PriceTable::new(&model, &image_dims, spec.gap9)?;
 
         let deployment = Arc::new(Deployment {
             name: spec.name.clone(),
-            model: Mutex::new(model),
+            tenant: Mutex::new(Tenant { model, seq: 0 }),
             work: Mutex::new(crate::batch::WorkQueue::default()),
             stats: Mutex::new(ExportStats::default()),
             meter: EnergyMeter::new(spec.energy_budget_mj),
-            pricing: Mutex::new(pricing),
+            prices: Mutex::new(prices),
             policy: spec.budget_policy,
             image_dims,
-            repl_seq: Mutex::new(0),
-            batched_mj: Mutex::new(HashMap::new()),
-            basis,
         });
 
         let shard = &self.shards[shard_of(&spec.name, self.shards.len())];
@@ -711,8 +708,8 @@ impl LearnerRegistry {
     /// Returns [`ServeError::UnknownDeployment`] for unknown names.
     pub fn with_model<T>(&self, name: &str, f: impl FnOnce(&mut OFscilModel) -> T) -> Result<T> {
         let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
-        Ok(f(&mut model))
+        let mut tenant = deployment.tenant.lock().expect("model lock poisoned");
+        Ok(f(&mut tenant.model))
     }
 
     /// Point-in-time statistics of a deployment.
@@ -722,15 +719,6 @@ impl LearnerRegistry {
     /// Returns [`ServeError::UnknownDeployment`] for unknown names.
     pub fn stats(&self, name: &str) -> Result<DeploymentStats> {
         Ok(self.resolve(name)?.stats_snapshot())
-    }
-
-    /// Serializes a deployment's explicit memory with the snapshot codec.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::UnknownDeployment`] for unknown names.
-    pub fn snapshot(&self, name: &str) -> Result<Vec<u8>> {
-        self.with_model(name, |model| encode_explicit_memory(model.em()))
     }
 
     /// Serializes a deployment's explicit memory together with its current
@@ -744,9 +732,8 @@ impl LearnerRegistry {
     /// Returns [`ServeError::UnknownDeployment`] for unknown names.
     pub fn snapshot_with_seq(&self, name: &str) -> Result<(u64, Vec<u8>)> {
         let deployment = self.resolve(name)?;
-        let model = deployment.model.lock().expect("model lock poisoned");
-        let seq = *deployment.repl_seq.lock().expect("repl seq lock poisoned");
-        Ok((seq, encode_explicit_memory(model.em())))
+        let tenant = deployment.tenant.lock().expect("model lock poisoned");
+        Ok((tenant.seq, encode_explicit_memory(tenant.model.em())))
     }
 
     /// Exports a deployment's migratable serving state: the explicit-memory
@@ -814,59 +801,56 @@ impl LearnerRegistry {
         export: &DeploymentExport,
         f: impl FnOnce(u64, f64, Option<f64>) -> T,
     ) -> Result<(usize, T)> {
-        self.install(&export.name, &export.snapshot, |deployment| {
-            let seq = {
-                let mut seq = deployment.repl_seq.lock().expect("repl seq lock poisoned");
-                *seq = export.seq.max(*seq + 1);
-                *seq
-            };
+        self.install(&export.name, &export.snapshot, |deployment, seq| {
+            *seq = export.seq.max(*seq + 1);
             // Billing state rides the export: the meter and throughput
             // counters are adopted exactly, so a controller-driven migration
             // preserves the tenant's spend history and budget instead of
             // resetting them.
             deployment.meter.recover(export.spent_mj, export.budget_mj);
             *deployment.stats.lock().expect("stats lock poisoned") = export.stats;
-            f(seq, export.spent_mj, export.budget_mj)
+            f(*seq, export.spent_mj, export.budget_mj)
         })
     }
 
     /// The one install body behind restore, import and recovery. Decodes
     /// `snapshot`, checks it against the deployment's projection head, swaps
-    /// it in as the explicit memory bit-exactly, and hands the deployment to
-    /// `after` **while the model lock is still held** — so the sequence
-    /// number, meter state and counters the caller adopts become visible
-    /// together with the memory they describe. Returns the number of
-    /// restored classes and `after`'s value.
+    /// it in as the explicit memory bit-exactly, and hands the deployment and
+    /// its sequence number to `after` **while the model lock is still held**
+    /// — so the sequence number, meter state and counters the caller adopts
+    /// become visible together with the memory they describe. Returns the
+    /// number of restored classes and `after`'s value.
     fn install<T>(
         &self,
         name: &str,
         snapshot: &[u8],
-        after: impl FnOnce(&Deployment) -> T,
+        after: impl FnOnce(&Deployment, &mut u64) -> T,
     ) -> Result<(usize, T)> {
         let em = decode_explicit_memory(snapshot)?;
         let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
-        if em.dim() != model.projection_dim() {
+        let mut tenant = deployment.tenant.lock().expect("model lock poisoned");
+        if em.dim() != tenant.model.projection_dim() {
             return Err(ServeError::InvalidRequest(format!(
                 "snapshot dimension {} does not match deployment projection dimension {}",
                 em.dim(),
-                model.projection_dim()
+                tenant.model.projection_dim()
             )));
         }
         let classes = em.num_classes();
-        *model.em_mut() = em;
-        Ok((classes, after(&deployment)))
+        *tenant.model.em_mut() = em;
+        Ok((classes, after(&deployment, &mut tenant.seq)))
     }
 
     /// A deployment's current replication sequence number — the cheap
-    /// seq-only read (no snapshot serialization) bootstrap paths use.
+    /// seq-only read (no snapshot serialization) bootstrap paths use. Takes
+    /// the model lock, which orders it against every mutation.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownDeployment`] for unknown names.
     pub fn replication_seq(&self, name: &str) -> Result<u64> {
         let deployment = self.resolve(name)?;
-        let seq = *deployment.repl_seq.lock().expect("repl seq lock poisoned");
+        let seq = deployment.tenant.lock().expect("model lock poisoned").seq;
         Ok(seq)
     }
 
@@ -888,51 +872,48 @@ impl LearnerRegistry {
         updates: &[(usize, Vec<f32>)],
     ) -> Result<usize> {
         let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
+        let mut tenant = deployment.tenant.lock().expect("model lock poisoned");
         for (class, prototype) in updates {
-            model.em_mut().restore_prototype(*class, prototype)?;
+            tenant.model.em_mut().restore_prototype(*class, prototype)?;
         }
-        // Every explicit-memory mutation advances the replication sequence
-        // (still under the model lock), so this deployment's own snapshot
-        // anchor keeps its "seq s contains every mutation <= s" meaning.
-        *deployment.repl_seq.lock().expect("repl seq lock poisoned") += 1;
-        Ok(model.em().num_classes())
+        // Every explicit-memory mutation advances the replication sequence,
+        // so this deployment's own snapshot anchor keeps its "seq s contains
+        // every mutation <= s" meaning.
+        tenant.seq += 1;
+        Ok(tenant.model.em().num_classes())
     }
 
-    /// The deployment's current request price list.
+    /// The deployment's current price of one forward pass in millijoules:
+    /// one inference, or each support sample of a learn. Derived from the
+    /// backbone and FCR on the GAP9 cost model — the paper's 12 mJ/class
+    /// headline turned into an admission-control price.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownDeployment`] for unknown names.
-    pub fn pricing(&self, name: &str) -> Result<RequestPricing> {
-        Ok(self.resolve(name)?.pricing())
+    pub fn pricing(&self, name: &str) -> Result<f64> {
+        Ok(self.resolve(name)?.infer_mj())
     }
 
     /// Converts a deployment's model to simulated int8 execution and
-    /// re-derives its price list at the quantized rate, so the energy-budget
-    /// meter charges subsequent requests the cheaper int8 price. Returns the
-    /// new price list.
+    /// re-prices it at the quantized rate, so the energy-budget meter
+    /// charges subsequent requests the cheaper int8 price. Returns the new
+    /// price of one forward pass in millijoules.
     ///
     /// # Errors
     ///
     /// Returns [`ServeError::UnknownDeployment`] for unknown names, a model
     /// error when weight calibration fails, and a pricing error when the
-    /// stored pricing basis no longer validates.
-    pub fn convert_to_int8(&self, name: &str) -> Result<RequestPricing> {
+    /// device model no longer validates.
+    pub fn convert_to_int8(&self, name: &str) -> Result<f64> {
         let deployment = self.resolve(name)?;
-        let mut model = deployment.model.lock().expect("model lock poisoned");
-        if !model.is_int8() {
-            model.convert_to_int8()?;
+        let mut tenant = deployment.tenant.lock().expect("model lock poisoned");
+        if !tenant.model.is_int8() {
+            tenant.model.convert_to_int8()?;
         }
-        let pricing = derive_pricing(&model, &deployment.basis)?;
-        *deployment.pricing.lock().expect("pricing lock poisoned") = pricing;
-        // The memoized batch energies were derived at the old precision.
-        deployment
-            .batched_mj
-            .lock()
-            .expect("batch cache poisoned")
-            .clear();
-        Ok(pricing)
+        let mut prices = deployment.prices();
+        *prices = PriceTable::new(&tenant.model, &deployment.image_dims, prices.gap9.clone())?;
+        Ok(prices.infer_mj)
     }
 
     /// Restores a deployment's explicit memory from snapshot bytes (warm
@@ -949,10 +930,8 @@ impl LearnerRegistry {
     /// [`ServeError::InvalidRequest`] when the snapshot's dimensionality does
     /// not match the deployment's projection head.
     pub fn restore(&self, name: &str, bytes: &[u8]) -> Result<usize> {
-        self.install(name, bytes, |deployment| {
-            *deployment.repl_seq.lock().expect("repl seq lock poisoned") += 1;
-        })
-        .map(|(classes, ())| classes)
+        self.install(name, bytes, |_, seq| *seq += 1)
+            .map(|(classes, ())| classes)
     }
 
     /// Like [`LearnerRegistry::restore`], but adopts `seq` as the
@@ -968,10 +947,8 @@ impl LearnerRegistry {
     /// [`ServeError::InvalidRequest`] when the snapshot's dimensionality does
     /// not match the deployment's projection head.
     pub fn restore_at(&self, name: &str, bytes: &[u8], seq: u64) -> Result<usize> {
-        self.install(name, bytes, |deployment| {
-            *deployment.repl_seq.lock().expect("repl seq lock poisoned") = seq;
-        })
-        .map(|(classes, ())| classes)
+        self.install(name, bytes, |_, s| *s = seq)
+            .map(|(classes, ())| classes)
     }
 
     /// Returns a deployment's raw `(spent, budget)` energy-meter state — the
@@ -1007,8 +984,8 @@ impl LearnerRegistry {
         spent_mj: f64,
         budget_mj: Option<f64>,
     ) -> Result<usize> {
-        self.install(name, snapshot, |deployment| {
-            *deployment.repl_seq.lock().expect("repl seq lock poisoned") = seq;
+        self.install(name, snapshot, |deployment, s| {
+            *s = seq;
             deployment.meter.recover(spent_mj, budget_mj);
         })
         .map(|(classes, ())| classes)
@@ -1078,8 +1055,7 @@ mod tests {
             .register(DeploymentSpec::new("t", (8, 8)), micro_model(0))
             .unwrap();
         let deployment = registry.resolve("t").unwrap();
-        let pricing = deployment.pricing();
-        assert!(pricing.infer_mj > 0.0);
+        assert!(deployment.infer_mj() > 0.0);
         assert_eq!(deployment.image_dims, vec![3, 8, 8]);
     }
 
@@ -1092,10 +1068,8 @@ mod tests {
         let fp32 = registry.pricing("t").unwrap();
         let int8 = registry.convert_to_int8("t").unwrap();
         assert!(
-            int8.infer_mj < fp32.infer_mj,
-            "int8 price {} must undercut fp32 price {}",
-            int8.infer_mj,
-            fp32.infer_mj
+            int8 < fp32,
+            "int8 price {int8} must undercut fp32 price {fp32}"
         );
         assert_eq!(registry.pricing("t").unwrap(), int8);
         assert!(registry.with_model("t", |m| m.is_int8()).unwrap());
@@ -1109,7 +1083,7 @@ mod tests {
             .register(DeploymentSpec::new("pre", (8, 8)), pre)
             .unwrap();
         let pre_pricing = registry.pricing("pre").unwrap();
-        assert!((pre_pricing.infer_mj - int8.infer_mj).abs() < 1e-12);
+        assert!((pre_pricing - int8).abs() < 1e-12);
     }
 
     #[test]
@@ -1119,28 +1093,28 @@ mod tests {
             .register(DeploymentSpec::new("t", (8, 8)), micro_model(0))
             .unwrap();
         let fp32 = registry.pricing("t").unwrap();
-        let int8_estimate = fp32.infer_mj / FP32_BYTES_PER_INT8 as f64;
+        let int8_estimate = fp32 / FP32_BYTES_PER_INT8 as f64;
         // A budget below the fp32 price but comfortably above the int8 one.
         let registry = LearnerRegistry::new();
         registry
             .register(
                 DeploymentSpec::new("t", (8, 8))
-                    .with_energy_budget(fp32.infer_mj * 0.9, BudgetPolicy::Reject),
+                    .with_energy_budget(fp32 * 0.9, BudgetPolicy::Reject),
                 micro_model(0),
             )
             .unwrap();
         let deployment = registry.resolve("t").unwrap();
         assert!(deployment
             .meter
-            .try_spend(registry.pricing("t").unwrap().infer_mj)
+            .try_spend(registry.pricing("t").unwrap())
             .is_err());
         let int8 = registry.convert_to_int8("t").unwrap();
-        assert!(int8.infer_mj < fp32.infer_mj * 0.9);
+        assert!(int8 < fp32 * 0.9);
         assert!(
-            int8.infer_mj > int8_estimate * 0.5,
+            int8 > int8_estimate * 0.5,
             "sanity: int8 price in plausible range"
         );
-        deployment.meter.try_spend(int8.infer_mj).unwrap();
+        deployment.meter.try_spend(int8).unwrap();
     }
 
     #[test]
@@ -1151,7 +1125,10 @@ mod tests {
             .unwrap();
         let (seq, bytes) = registry.snapshot_with_seq("a").unwrap();
         assert_eq!(seq, 0);
-        assert_eq!(bytes, registry.snapshot("a").unwrap());
+        let encoded = registry
+            .with_model("a", |m| encode_explicit_memory(m.em()))
+            .unwrap();
+        assert_eq!(bytes, encoded);
         let proto: Vec<f32> = (0..16).map(|i| i as f32 / 8.0 - 1.0).collect();
         let classes = registry
             .apply_prototype_updates("a", &[(3, proto.clone()), (7, proto.clone())])
@@ -1181,7 +1158,7 @@ mod tests {
             .register(DeploymentSpec::new("t", (8, 8)), micro_model(0))
             .unwrap();
         let deployment = registry.resolve("t").unwrap();
-        let single = deployment.pricing().infer_mj;
+        let single = deployment.infer_mj();
         // n == 1 is exactly the single-sample price, refund zero.
         assert!((deployment.batch_mj(1) - single).abs() < 1e-12);
         assert_eq!(deployment.batch_refund_mj(1), 0.0);
@@ -1199,13 +1176,41 @@ mod tests {
         // Memoized: the second call returns the identical value.
         assert_eq!(deployment.batch_mj(8), batch8);
         // Int8 conversion re-derives the cache at the quantized rate.
-        registry.convert_to_int8("t").unwrap();
+        let int8 = registry.convert_to_int8("t").unwrap();
         let int8_batch8 = deployment.batch_mj(8);
         assert!(
             int8_batch8 < batch8,
             "int8 batch must be cheaper than fp32 batch"
         );
-        assert!(int8_batch8 < 8.0 * deployment.pricing().infer_mj);
+        assert!(int8_batch8 < 8.0 * int8);
+        // A batch of one is the single-pass price, bit for bit.
+        assert_eq!(deployment.batch_mj(1).to_bits(), int8.to_bits());
+        assert_eq!(
+            deployment.batch_mj(1).to_bits(),
+            registry.pricing("t").unwrap().to_bits()
+        );
+    }
+
+    #[test]
+    fn batch_mj_answers_while_the_model_lock_is_held() {
+        let registry = LearnerRegistry::new();
+        registry
+            .register(DeploymentSpec::new("t", (8, 8)), micro_model(0))
+            .unwrap();
+        let deployment = registry.resolve("t").unwrap();
+        let held = deployment.tenant.lock().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let deployment = &deployment;
+            // 7 passes: no batch price is memoized yet, so this derives one.
+            scope.spawn(move || tx.send(deployment.batch_mj(7)).unwrap());
+            let answered = rx.recv_timeout(std::time::Duration::from_secs(10));
+            // Release before asserting, so a failure reports instead of
+            // leaving the pricing thread blocked on the lock forever.
+            drop(held);
+            let mj = answered.expect("batch_mj must not wait for the model lock");
+            assert!(mj > 0.0 && mj < 7.0 * deployment.infer_mj());
+        });
     }
 
     #[test]
@@ -1254,8 +1259,8 @@ mod tests {
         // The imported side answers with identical snapshot bytes and carries
         // the exported sequence number forward.
         assert_eq!(
-            registry.snapshot("a").unwrap(),
-            registry.snapshot("b").unwrap()
+            registry.snapshot_with_seq("a").unwrap().1,
+            registry.snapshot_with_seq("b").unwrap().1
         );
         let (seq, _) = registry.snapshot_with_seq("b").unwrap();
         assert_eq!(seq, 2);
@@ -1360,7 +1365,7 @@ mod tests {
         registry
             .apply_prototype_updates("a", &[(3, proto.clone())])
             .unwrap();
-        let snapshot = registry.snapshot("a").unwrap();
+        let snapshot = registry.snapshot_with_seq("a").unwrap().1;
 
         // A second registry plays the post-crash fresh process.
         let registry2 = LearnerRegistry::new();
@@ -1376,7 +1381,7 @@ mod tests {
         let (spent, budget) = registry2.energy_state("a").unwrap();
         assert_eq!(spent.to_bits(), 12.5f64.to_bits());
         assert_eq!(budget.map(f64::to_bits), Some(99.0f64.to_bits()));
-        assert_eq!(registry2.snapshot("a").unwrap(), snapshot);
+        assert_eq!(registry2.snapshot_with_seq("a").unwrap().1, snapshot);
 
         // Mismatched dimensionality stays a typed error.
         let foreign = ofscil_core::ExplicitMemory::new(99);
@@ -1439,7 +1444,7 @@ mod tests {
                 model.em_mut().set_prototype(4, &proto).unwrap();
             })
             .unwrap();
-        let bytes = registry.snapshot("a").unwrap();
+        let (_, bytes) = registry.snapshot_with_seq("a").unwrap();
         let restored = registry.restore("b", &bytes).unwrap();
         assert_eq!(restored, 1);
         let classes = registry

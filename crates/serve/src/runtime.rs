@@ -156,12 +156,14 @@ pub struct ServeRuntime;
 /// observability events are emitted. `ServeHooks::default()` attaches none.
 #[derive(Clone, Copy, Default)]
 pub struct ServeHooks<'a> {
-    /// Every committed `LearnOnline` is delivered here as a
-    /// sequence-numbered [`LearnCommit`] — the hook a replication frontend
-    /// tails to stream snapshot deltas to followers. Read from the worker
-    /// pool; a receiver that disconnects mid-run is ignored (commits are
-    /// dropped, serving continues).
-    pub commits: Option<&'a mpsc::Sender<LearnCommit>>,
+    /// Every committed `LearnOnline` is handed here as a sequence-numbered
+    /// [`LearnCommit`] — the hook a replication frontend uses to stream
+    /// snapshot deltas to followers. Called on the worker that ran the
+    /// learn, after the model lock is released and before the reply is
+    /// sent. A deployment runs on one worker at a time, so one deployment's
+    /// commits arrive in sequence order. The call must not block: it
+    /// holds up that deployment's queue.
+    pub commits: Option<&'a (dyn Fn(LearnCommit) + Sync)>,
     /// Every committed `LearnOnline` and budget top-up is written here
     /// before its reply is sent — commits **under the deployment's model
     /// lock**, so the journal's record order provably matches the order of
@@ -300,10 +302,8 @@ fn dispatch_loop(
 /// millijoules (the list is re-derived when a deployment converts to int8).
 fn price(deployment: &Deployment, request: &ServeRequest) -> f64 {
     match request {
-        ServeRequest::Infer { .. } => deployment.pricing().infer_mj,
-        ServeRequest::LearnOnline { batch, .. } => {
-            deployment.pricing().infer_mj * batch.len() as f64
-        }
+        ServeRequest::Infer { .. } => deployment.infer_mj(),
+        ServeRequest::LearnOnline { batch, .. } => deployment.infer_mj() * batch.len() as f64,
         _ => 0.0,
     }
 }
@@ -404,11 +404,10 @@ fn route(
                 // a newer one and win the replay). Top-ups are rare
                 // control-plane operations, so briefly parking the
                 // dispatcher behind a learn in flight is acceptable.
-                let _model = deployment.model.lock().expect("model lock poisoned");
+                let tenant = deployment.tenant.lock().expect("model lock poisoned");
                 deployment.meter.top_up(energy_mj);
-                let seq = *deployment.repl_seq.lock().expect("repl seq lock poisoned");
                 let (spent_mj, budget_mj) = deployment.meter.spent_and_budget();
-                journal.journal_top_up(&deployment.name, seq, spent_mj, budget_mj)
+                journal.journal_top_up(&deployment.name, tenant.seq, spent_mj, budget_mj)
             }
             None => {
                 deployment.meter.top_up(energy_mj);
@@ -629,7 +628,8 @@ fn run_infer_batch(deployment: &Deployment, items: Vec<InferItem>, obs: Option<&
     let outcome = Tensor::stack(&images)
         .map_err(|e| e.to_string())
         .and_then(|batch| {
-            let mut model = deployment.model.lock().expect("model lock poisoned");
+            let mut tenant = deployment.tenant.lock().expect("model lock poisoned");
+            let model = &mut tenant.model;
             let theta_p = model
                 .extract_features(&batch, Mode::Eval)
                 .map_err(|e| e.to_string())?;
@@ -691,45 +691,43 @@ fn run_learn(
     hooks: ServeHooks<'_>,
 ) {
     let ServeHooks {
-        commits: sink,
+        commits,
         journal,
         obs,
     } = hooks;
     let started = obs.map(|_| std::time::Instant::now());
-    // The amortized settlement is derived *before* taking the model lock
-    // (the derivation itself locks the model on a cache miss): admission
-    // charged batch.len() single-sample passes, but the batch's forwards
-    // stream the weights once.
-    let refund_mj = deployment.batch_refund_mj(batch.len());
     // The commit (sequence number + post-commit prototypes) is assembled —
     // and journaled — while the model lock is still held, so replication and
     // the write-ahead log see mutations in exactly the order they happened,
     // with the exact stored bit patterns.
     let outcome = {
-        let mut model = deployment.model.lock().expect("model lock poisoned");
-        model
+        let mut tenant = deployment.tenant.lock().expect("model lock poisoned");
+        tenant
+            .model
             .learn_classes_online(batch)
             .map_err(|e| e.to_string())
             .and_then(|()| {
                 let mut classes = batch.labels.clone();
                 classes.sort_unstable();
                 classes.dedup();
-                let total_classes = model.em().num_classes();
-                let seq = {
-                    let mut seq = deployment.repl_seq.lock().expect("repl seq lock poisoned");
-                    *seq += 1;
-                    *seq
-                };
-                // Settle the meter before the journal reads it, so the
-                // journaled energy state is the post-commit truth.
-                deployment.meter.refund(refund_mj);
-                let commit = (sink.is_some() || journal.is_some()).then(|| LearnCommit {
+                let total_classes = tenant.model.em().num_classes();
+                tenant.seq += 1;
+                let seq = tenant.seq;
+                // Admission charged batch.len() single-sample passes, but the
+                // batch's forwards stream the weights once. Settle the meter
+                // before the journal reads it, so the journaled energy state
+                // is the post-commit truth.
+                deployment
+                    .meter
+                    .refund(deployment.batch_refund_mj(batch.len()));
+                let commit = (commits.is_some() || journal.is_some()).then(|| LearnCommit {
                     deployment: deployment.name.clone(),
                     seq,
                     updates: classes
                         .iter()
                         .map(|&class| {
-                            let prototype = model
+                            let prototype = tenant
+                                .model
                                 .em()
                                 .prototype(class)
                                 .expect("class was just learned")
@@ -765,9 +763,8 @@ fn run_learn(
                         ),
                 );
             }
-            if let (Some(sink), Some(commit)) = (sink, commit) {
-                // A sink that hung up just stops replicating; serving goes on.
-                let _ = sink.send(commit);
+            if let (Some(forward), Some(commit)) = (commits, commit) {
+                forward(commit);
             }
             let _ = reply.send(Ok(ServeResponse::Learned {
                 classes,
@@ -782,8 +779,8 @@ fn run_learn(
 
 fn run_snapshot(deployment: &Deployment, reply: &Reply) {
     let bytes = {
-        let model = deployment.model.lock().expect("model lock poisoned");
-        encode_explicit_memory(model.em())
+        let tenant = deployment.tenant.lock().expect("model lock poisoned");
+        encode_explicit_memory(tenant.model.em())
     };
     deployment
         .stats
@@ -1059,7 +1056,7 @@ mod tests {
             }
         })
         .unwrap();
-        assert_eq!(bytes, registry.snapshot("t").unwrap());
+        assert_eq!(bytes, registry.snapshot_with_seq("t").unwrap().1);
         assert_eq!(registry.stats("t").unwrap().snapshots, 1);
     }
 
@@ -1130,10 +1127,10 @@ mod tests {
         client: &ServeClient,
         deployment: &'a Deployment,
     ) -> (
-        std::sync::MutexGuard<'a, ofscil_core::OFscilModel>,
+        std::sync::MutexGuard<'a, crate::registry::Tenant>,
         PendingResponse,
     ) {
-        let held = deployment.model.lock().unwrap();
+        let held = deployment.tenant.lock().unwrap();
         let parked = client.submit(ServeRequest::Stats {
             deployment: deployment.name.clone(),
         });
@@ -1464,8 +1461,9 @@ mod tests {
     fn replicated_run_streams_sequence_numbered_commits() {
         let registry = registry_with(&["t"]);
         let (sink, commits) = mpsc::channel();
+        let forward = move |commit| sink.send(commit).unwrap();
         let hooks = ServeHooks {
-            commits: Some(&sink),
+            commits: Some(&forward),
             ..ServeHooks::default()
         };
         ServeRuntime::run_with(&registry, &ServeConfig::default(), hooks, |client| {
@@ -1662,7 +1660,7 @@ mod tests {
     fn learn_batches_are_settled_at_the_amortized_price() {
         let registry = registry_with(&["t"]);
         let deployment = registry.resolve("t").unwrap();
-        let single = deployment.pricing().infer_mj;
+        let single = deployment.infer_mj();
         let shots = 4usize;
         let classes = 2usize;
         let n = shots * classes;
@@ -1696,7 +1694,7 @@ mod tests {
             .unwrap()
             .unwrap();
         let deployment = registry.resolve("t").unwrap();
-        let single = deployment.pricing().infer_mj;
+        let single = deployment.infer_mj();
         let n = 6;
 
         // Simulate admission: n requests each charged the single-sample rate.

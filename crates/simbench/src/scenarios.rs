@@ -698,11 +698,11 @@ pub(crate) fn budget_exhaustion(_ctx: &ScenarioCtx) -> SimResult<ScenarioReport>
         let mut offered = 0u64;
         for name in DEPLOYMENTS {
             let owner = router.shard_for(name).ctx("owner")?;
-            let pricing = registries[owner].pricing(name).ctx("pricing")?;
+            let pass_mj = registries[owner].pricing(name).ctx("pricing")?;
             // Admit exactly two single-sample learns and two infers, one
             // pass each; the 0.4-pass slack absorbs float noise without
             // admitting a fifth.
-            let budget = 2.0 * pricing.infer_mj + 2.4 * pricing.infer_mj;
+            let budget = 2.0 * pass_mj + 2.4 * pass_mj;
             registries[owner].top_up(name, budget).ctx("top up")?;
 
             let learn = |client: &mut WireClient, class: usize| {

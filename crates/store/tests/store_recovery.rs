@@ -178,7 +178,7 @@ fn random_tail_damage_recovers_an_acknowledged_prefix_bit_exactly() {
         seq: 0,
         spent_mj: 0.0,
         budget_mj: Some(1e6),
-        snapshot: registry.snapshot("t").unwrap(),
+        snapshot: registry.snapshot_with_seq("t").unwrap().1,
     };
     let prefix_states: Vec<_> = (0..=records.len())
         .map(|k| state_key(&replay(&ckpt0, &records[..k]).unwrap()))
@@ -224,7 +224,7 @@ fn random_tail_damage_recovers_an_acknowledged_prefix_bit_exactly() {
         let fresh = registry_with_tenant(7);
         let reports = reopened.recover(&fresh).unwrap();
         assert_eq!(reports.len(), 1);
-        assert_eq!(fresh.snapshot("t").unwrap(), state.snapshot);
+        assert_eq!(fresh.snapshot_with_seq("t").unwrap().1, state.snapshot);
         assert_eq!(fresh.snapshot_with_seq("t").unwrap().0, state.seq);
         let (spent, budget) = fresh.energy_state("t").unwrap();
         assert_eq!(spent.to_bits(), state.spent_mj.to_bits());
@@ -410,7 +410,7 @@ fn bootstrap_reseeds_a_store_the_registry_has_outrun() {
     assert_eq!(ahead.snapshot_with_seq("t").unwrap().0, live_seq);
     let state = store.latest_state("t").unwrap();
     assert_eq!(state.seq, live_seq);
-    assert_eq!(state.snapshot, ahead.snapshot("t").unwrap());
+    assert_eq!(state.snapshot, ahead.snapshot_with_seq("t").unwrap().1);
 
     // Future journaling extends the fresh base, not the stale one.
     store

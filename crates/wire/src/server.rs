@@ -7,7 +7,7 @@
 //!                          └─ Subscribe: register with the replication hub,
 //!                             send one full snapshot, then stream deltas
 //!
-//!  ServeRuntime ──LearnCommit sink──▶ hub thread ──fan-out──▶ subscribers
+//!  ServeRuntime worker ──LearnCommit──▶ replication hub ──fan-out──▶ subscribers
 //! ```
 //!
 //! Everything is `std` and blocking: one thread per connection inside a
@@ -37,8 +37,8 @@ use std::time::Duration;
 const POLL: Duration = Duration::from_millis(20);
 
 /// Raises a shutdown flag when dropped — including during unwinding, so a
-/// panicking server body still releases the accept, hub and connection
-/// threads its scope must join (the panic propagates instead of
+/// panicking server body still releases the accept, maintenance and
+/// connection threads its scope must join (the panic propagates instead of
 /// deadlocking the teardown). Shared by every scoped server in this crate
 /// and by frame-speaking frontends above it (the `ofscil_router` frontend).
 pub struct ShutdownOnDrop<'a> {
@@ -118,7 +118,7 @@ impl WireHandle {
 /// (with a typed error frame) and must resubscribe for a fresh anchor.
 const REPL_QUEUE_DEPTH: usize = 1024;
 
-/// Fan-out point between the runtime's commit sink and the per-subscriber
+/// Fan-out point between the runtime's commits hook and the per-subscriber
 /// replication streams.
 pub(crate) struct ReplHub {
     subscribers: Mutex<HashMap<String, Vec<mpsc::SyncSender<Arc<LearnCommit>>>>>,
@@ -162,20 +162,6 @@ impl ReplHub {
     }
 }
 
-fn hub_loop(hub: &ReplHub, commits: mpsc::Receiver<LearnCommit>, shutdown: &AtomicBool) {
-    loop {
-        match commits.recv_timeout(POLL) {
-            Ok(commit) => hub.forward(commit),
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
 /// The socket frontend: binds a listener, serves connections for exactly
 /// the duration of the body, then tears everything down deterministically.
 #[derive(Debug)]
@@ -187,6 +173,12 @@ impl WireServer {
     /// duration of `body`, which receives the handle carrying the bound
     /// address. Clients in other processes connect with
     /// [`WireClient`](crate::WireClient).
+    ///
+    /// Every committed `LearnOnline` goes straight from the serve worker
+    /// that ran it to the replication hub, through the runtime's
+    /// [`ServeHooks::commits`] hook. The hub only `try_send`s into each
+    /// subscriber's bounded queue, so a stalled follower never holds up a
+    /// worker; it is dropped instead.
     ///
     /// With a durable [`Store`](ofscil_store::Store):
     ///
@@ -257,12 +249,11 @@ impl WireServer {
         };
 
         let (listener, addr) = WireListener::bind(&config.bind)?;
-        let (sink, commits) = mpsc::channel::<LearnCommit>();
         let shutdown = AtomicBool::new(false);
         let hub = ReplHub::new();
 
         let hooks = ServeHooks {
-            commits: Some(&sink),
+            commits: Some(&|commit| hub.forward(commit)),
             journal: store.map(|s| s as &dyn ofscil_serve::CommitJournal),
             obs: obs.map(|o| o.sink()),
         };
@@ -274,7 +265,6 @@ impl WireServer {
                     max_payload: config.max_payload,
                     read_only: config.serve.read_only,
                 };
-                scope.spawn(move || hub_loop(hub, commits, shutdown));
                 if let Some(store) = store {
                     scope.spawn(move || maintenance_loop(store, registry, obs, shutdown));
                 }
@@ -291,9 +281,9 @@ impl WireServer {
                 let _shutdown_on_exit = ShutdownOnDrop::new(shutdown);
                 body(&handle)
                 // The guard raises the flag on return *and* on panic; the
-                // scope then joins the accept loop, the hub, the maintenance
-                // thread and every connection thread, all of which poll it
-                // within `POLL`.
+                // scope then joins the accept loop, the maintenance thread
+                // and every connection thread, all of which poll it within
+                // `POLL`.
             })
         })
         .map_err(WireError::Runtime)?;

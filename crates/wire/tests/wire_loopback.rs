@@ -84,7 +84,7 @@ fn full_request_surface_over_tcp() {
                 .unwrap()
             {
                 ServeResponse::Snapshot { bytes } => {
-                    assert_eq!(bytes, registry.snapshot("tenant").unwrap());
+                    assert_eq!(bytes, registry.snapshot_with_seq("tenant").unwrap().1);
                 }
                 other => panic!("unexpected response {other:?}"),
             }

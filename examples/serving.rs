@@ -127,10 +127,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // how DMA-bound the backbone is — 4x the bytes, same MACs).
     let fp32 = registry.pricing("wildlife-cam")?;
     let int8 = registry.convert_to_int8("wildlife-cam")?;
-    println!(
-        "int8 conversion re-priced inference: {:.4} -> {:.4} mJ per request",
-        fp32.infer_mj, int8.infer_mj
-    );
+    println!("int8 conversion re-priced inference: {fp32:.4} -> {int8:.4} mJ per request");
 
     // -- Warm restart: a brand-new model picks up the snapshot -------------
     println!("snapshot: {} bytes", snapshot.len());

@@ -356,7 +356,7 @@ fn promoted_follower_accepts_writes_that_a_reattached_subscriber_replicates() {
     assert_eq!(store.latest_state("tenant").unwrap().seq, 4);
     assert_eq!(
         store.latest_state("tenant").unwrap().snapshot,
-        replica.snapshot("tenant").unwrap()
+        replica.snapshot_with_seq("tenant").unwrap().1
     );
 
     let _ = std::fs::remove_dir_all(&primary_dir);

@@ -176,8 +176,8 @@ fn follower_serves_bit_identical_reads_and_rejects_writes() {
 
     // The replica registry holds the replicated memory after shutdown.
     assert_eq!(
-        primary.snapshot("tenant").unwrap(),
-        replica.snapshot("tenant").unwrap()
+        primary.snapshot_with_seq("tenant").unwrap().1,
+        replica.snapshot_with_seq("tenant").unwrap().1
     );
 }
 
@@ -208,7 +208,7 @@ fn follower_resyncs_from_a_fresh_anchor_after_a_replication_gap() {
                 // Mutate the primary's memory outside the commit stream: a
                 // restore bumps the replication sequence without emitting a
                 // delta, so the follower's next delta skips a number.
-                let bytes = primary.snapshot("tenant").unwrap();
+                let bytes = primary.snapshot_with_seq("tenant").unwrap().1;
                 primary.restore("tenant", &bytes).unwrap();
                 to_primary
                     .call(ServeRequest::LearnOnline {
@@ -271,7 +271,7 @@ fn exhausted_resync_budget_surfaces_the_gap_error() {
                 .with_resync_limit(0);
             Follower::run(&replica, &config, |follower| {
                 follower.wait_for_seq("tenant", 1, WAIT).unwrap();
-                let bytes = primary.snapshot("tenant").unwrap();
+                let bytes = primary.snapshot_with_seq("tenant").unwrap().1;
                 primary.restore("tenant", &bytes).unwrap();
                 to_primary
                     .call(ServeRequest::LearnOnline {

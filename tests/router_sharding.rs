@@ -179,8 +179,8 @@ fn migration_is_bit_exact_and_atomically_remaps() {
         assert_eq!(snapshot(&mut client, mover), before_snapshot);
         // Same bytes directly on the two registries.
         assert_eq!(
-            registries[source].snapshot(mover).unwrap(),
-            registries[target].snapshot(mover).unwrap()
+            registries[source].snapshot_with_seq(mover).unwrap().1,
+            registries[target].snapshot_with_seq(mover).unwrap().1
         );
 
         // Inference on the new shard is bit-identical.
@@ -389,7 +389,7 @@ fn budget_rejections_stay_out_of_throughput_counters_across_the_cluster() {
         // Admit exactly one single-sample learn and one infer (both cost one
         // backbone+FCR pass); the half-pass slack keeps float noise harmless
         // while refusing any third pass.
-        let pass_mj = registries[owner].pricing(victim).unwrap().infer_mj;
+        let pass_mj = registries[owner].pricing(victim).unwrap();
         registries[owner].top_up(victim, 2.5 * pass_mj).unwrap();
 
         let mut client = WireClient::connect(router.addr()).unwrap();

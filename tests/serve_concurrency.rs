@@ -158,7 +158,7 @@ fn snapshot_replicates_across_deployments_under_load() {
     // byte-identical to the primary's.
     let restored = registry.restore("replica", &bytes).unwrap();
     assert_eq!(restored, 3);
-    assert_eq!(registry.snapshot("replica").unwrap(), bytes);
+    assert_eq!(registry.snapshot_with_seq("replica").unwrap().1, bytes);
 
     // The replica serves predictions from the replicated memory alone.
     ServeRuntime::run(&registry, &ServeConfig::default(), |client| {
