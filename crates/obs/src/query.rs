@@ -18,8 +18,8 @@ pub(crate) const AUTO_RAW_WINDOW_US: u64 = 10 * ROLLUP_BUCKET_US;
 
 /// What granularity a query wants its matches materialized at.
 ///
-/// Aggregates are identical at every resolution (rollup cells fold the same
-/// values through the same `Summary::observe` path); the resolution only
+/// Aggregates are identical at every resolution (a rollup cell is an
+/// [`ObsAggregates`] folded row by row, like a raw scan's); the resolution only
 /// decides whether the result carries raw [`Event`] rows, per-minute
 /// [`Rollup`] rows, or a time-partitioned mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -262,6 +262,15 @@ impl Summary {
         self.count = self.count.saturating_add(other.count);
     }
 
+    /// Removes one previously-observed value from the sum and count;
+    /// non-finite values were never observed, so they are skipped again.
+    fn retract(&mut self, value: f64) {
+        if value.is_finite() {
+            self.sum -= value;
+            self.count = self.count.saturating_sub(1);
+        }
+    }
+
     /// Mean of the observed values; NaN when empty.
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -301,7 +310,8 @@ impl Default for Summary {
 }
 
 /// Aggregates over every row a query matched — including rows past the
-/// event-list cap.
+/// event-list cap. The same four values are a [`Rollup`] cell's contents,
+/// so every fold, merge, retraction and codec of them lives here.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsAggregates {
     /// Rows matched.
@@ -318,18 +328,59 @@ pub struct ObsAggregates {
 impl ObsAggregates {
     /// Folds one matching event in.
     pub fn observe(&mut self, event: &Event) {
-        self.matched += 1;
-        self.energy_mj.observe(event.energy_mj);
-        self.latency_us.observe(event.latency_us as f64);
-        self.accuracy.observe(f64::from(event.accuracy));
+        self.observe_row(event.energy_mj, event.latency_us, event.accuracy);
     }
 
-    /// Folds another aggregate in, saturating like [`Summary::merge`].
+    /// Folds one row's value columns in — [`ObsAggregates::observe`]
+    /// without materializing the [`Event`].
+    pub(crate) fn observe_row(&mut self, energy_mj: f64, latency_us: u64, accuracy: f32) {
+        self.matched += 1;
+        self.energy_mj.observe(energy_mj);
+        self.latency_us.observe(latency_us as f64);
+        self.accuracy.observe(f64::from(accuracy));
+    }
+
+    /// Folds another aggregate in, saturating like [`Summary::merge`]: the
+    /// other side may have been decoded from a peer or a spill file.
     pub(crate) fn merge(&mut self, other: &ObsAggregates) {
         self.matched = self.matched.saturating_add(other.matched);
         self.energy_mj.merge(&other.energy_mj);
         self.latency_us.merge(&other.latency_us);
         self.accuracy.merge(&other.accuracy);
+    }
+
+    /// Removes one previously-observed event (a deduplicated or trimmed
+    /// row). Min/max stay valid because the retracted row was identical to
+    /// one that remains. Counts saturate at zero: a part decoded from a
+    /// peer may carry rows its aggregates never counted.
+    pub(crate) fn retract(&mut self, event: &Event) {
+        self.matched = self.matched.saturating_sub(1);
+        self.energy_mj.retract(event.energy_mj);
+        self.latency_us.retract(event.latency_us as f64);
+        self.accuracy.retract(f64::from(event.accuracy));
+    }
+
+    /// Appends matched, then the energy, latency and accuracy summaries:
+    /// 104 bytes.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.matched);
+        self.energy_mj.encode(out);
+        self.latency_us.encode(out);
+        self.accuracy.encode(out);
+    }
+
+    /// Inverse of [`ObsAggregates::encode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DecodeError::Truncated`] for a short body.
+    pub(crate) fn decode(r: &mut Reader<'_>) -> Result<ObsAggregates, DecodeError> {
+        Ok(ObsAggregates {
+            matched: r.u64()?,
+            energy_mj: Summary::decode(r)?,
+            latency_us: Summary::decode(r)?,
+            accuracy: Summary::decode(r)?,
+        })
     }
 }
 
@@ -408,7 +459,7 @@ pub fn sort_dedup_events(events: &mut Vec<Event>, mut on_dup: impl FnMut(&Event)
 impl ObsResult {
     /// Merges per-shard results into one timeline: events re-sorted by
     /// `(time_us, seq)` and re-capped at `limit`, aggregates and counters
-    /// summed, rollup cells absorbed by `(bucket, deployment, kind)` key.
+    /// summed, rollup cells merged by `(bucket, deployment, kind)` key.
     /// This is the stitch that makes a migrated tenant's history whole
     /// again.
     ///
@@ -435,22 +486,17 @@ impl ObsResult {
             cells.extend(part.rollups);
         }
         let aggregates = &mut merged.aggregates;
-        sort_dedup_events(&mut merged.events, |event| {
-            aggregates.matched = aggregates.matched.saturating_sub(1);
-            retract(&mut aggregates.energy_mj, event.energy_mj);
-            retract(&mut aggregates.latency_us, event.latency_us as f64);
-            retract(&mut aggregates.accuracy, f64::from(event.accuracy));
-        });
+        sort_dedup_events(&mut merged.events, |event| aggregates.retract(event));
         if merged.events.len() > limit {
             merged.events.truncate(limit);
             merged.truncated = true;
         }
         // Rollup cells with the same key from different shards are
-        // complementary slices of the same minute — absorb, don't drop.
+        // complementary slices of the same minute — merge, don't drop.
         cells.sort_by_key(|a| a.key());
         for cell in cells {
             match merged.rollups.last_mut() {
-                Some(prev) if prev.key() == cell.key() => prev.absorb(&cell),
+                Some(prev) if prev.key() == cell.key() => prev.values.merge(&cell.values),
                 _ => merged.rollups.push(cell),
             }
         }
@@ -476,23 +522,9 @@ impl ObsResult {
             if event.order_key() > cursor.key() {
                 return true;
             }
-            aggregates.matched = aggregates.matched.saturating_sub(1);
-            retract(&mut aggregates.energy_mj, event.energy_mj);
-            retract(&mut aggregates.latency_us, event.latency_us as f64);
-            retract(&mut aggregates.accuracy, f64::from(event.accuracy));
+            aggregates.retract(event);
             false
         });
-    }
-}
-
-/// Removes one previously-observed value from a summary's sum and count.
-/// Min/max stay valid because the retracted row was identical to one that
-/// remains. The count saturates at zero: a part decoded from a peer may
-/// carry rows its aggregates never counted.
-fn retract(summary: &mut Summary, value: f64) {
-    if value.is_finite() {
-        summary.sum -= value;
-        summary.count = summary.count.saturating_sub(1);
     }
 }
 
@@ -555,10 +587,7 @@ impl ObsResult {
     /// truncated flag, completeness counters, rollup cells, histogram.
     pub fn encode(&self, out: &mut Vec<u8>) {
         Event::encode_all(&self.events, out);
-        put_u64(out, self.aggregates.matched);
-        self.aggregates.energy_mj.encode(out);
-        self.aggregates.latency_us.encode(out);
-        self.aggregates.accuracy.encode(out);
+        self.aggregates.encode(out);
         out.push(u8::from(self.truncated));
         put_u64(out, self.appended);
         put_u64(out, self.dropped);
@@ -575,16 +604,9 @@ impl ObsResult {
     /// Returns a typed [`DecodeError`]; row and cell counts are proved
     /// against the body before their vectors are allocated.
     pub fn decode(r: &mut Reader<'_>) -> Result<ObsResult, DecodeError> {
-        let events = Event::decode_all(r)?;
-        let aggregates = ObsAggregates {
-            matched: r.u64()?,
-            energy_mj: Summary::decode(r)?,
-            latency_us: Summary::decode(r)?,
-            accuracy: Summary::decode(r)?,
-        };
         Ok(ObsResult {
-            events,
-            aggregates,
+            events: Event::decode_all(r)?,
+            aggregates: ObsAggregates::decode(r)?,
             truncated: r.flag("truncated")?,
             appended: r.u64()?,
             dropped: r.u64()?,
@@ -701,7 +723,7 @@ mod tests {
         // NaN accuracy rows never entered the accuracy summary.
         assert_eq!(merged.aggregates.accuracy.count, 0);
         assert_eq!((merged.shards_ok, merged.appended), (2, 2));
-        // Rollup cells with one key collapse into one absorbed cell.
+        // Rollup cells with one key collapse into one merged cell.
         assert_eq!(merged.rollups.len(), 1);
 
         // A *distinct* event colliding on (deployment, time, seq, kind) but
@@ -753,7 +775,7 @@ mod tests {
         full.aggregates.energy_mj.count = u64::MAX;
         full.latency_hist.counts = [u64::MAX; crate::histogram::LATENCY_BUCKETS];
         let mut cell = Rollup::new(0, "t", EventKind::Infer);
-        cell.count = u64::MAX;
+        cell.values.matched = u64::MAX;
         full.rollups = vec![cell];
         let merged = ObsResult::merge(vec![full.clone(), full], 16);
         assert_eq!(merged.appended, u64::MAX);
@@ -761,7 +783,7 @@ mod tests {
         assert_eq!(merged.latency_hist.counts[0], u64::MAX);
         assert_eq!(merged.latency_hist.total(), u64::MAX);
         assert_eq!(merged.latency_hist.p50_us(), 0);
-        assert_eq!(merged.rollups[0].count, u64::MAX);
+        assert_eq!(merged.rollups[0].values.matched, u64::MAX);
         // The retried row was retracted once from the saturated counts.
         assert_eq!(merged.aggregates.matched, u64::MAX - 1);
         assert_eq!(merged.aggregates.energy_mj.count, u64::MAX - 1);
@@ -853,7 +875,7 @@ mod tests {
         );
         // The rolled-up minute is still there, untouched by the splice.
         assert_eq!(merged.rollups.len(), 1);
-        assert_eq!(merged.rollups[0].count, 2);
+        assert_eq!(merged.rollups[0].values.matched, 2);
         assert!(!merged.truncated);
     }
 

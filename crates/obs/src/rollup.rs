@@ -1,15 +1,15 @@
 //! Downsampled per-minute rollup rows for long-horizon timelines.
 //!
-//! A [`Rollup`] is one `(minute bucket, deployment, kind)` cell holding the
-//! count and the min/max/sum summaries of every event folded into it. The
-//! store folds each chunk it seals into these cells, so a query over a long
-//! horizon can be answered from a handful of rollup rows instead of a raw
-//! scan — with aggregates **exactly** equal to the raw scan's (summaries
-//! fold the same values through the same [`Summary::observe`] path, just
-//! grouped differently).
+//! A [`Rollup`] is one `(minute bucket, deployment, kind)` key around an
+//! [`ObsAggregates`]: the count and the min/max/sum summaries of every event
+//! folded into it. The store folds each chunk it seals into these cells, so
+//! a query over a long horizon can be answered from a handful of rollup rows
+//! instead of a raw scan — with aggregates **exactly** equal to the raw
+//! scan's (a cell and a scan fold the same values through the same
+//! [`ObsAggregates`] fold, just grouped differently).
 
 use crate::event::{Event, EventKind};
-use crate::query::Summary;
+use crate::query::ObsAggregates;
 use ofscil_tensor::bytes::{put_str16, put_u32, put_u64, DecodeError, Reader};
 
 /// Width of one rollup bucket: a minute of microseconds.
@@ -25,15 +25,9 @@ pub struct Rollup {
     pub deployment: String,
     /// Event kind the cell counts.
     pub kind: EventKind,
-    /// Events folded in.
-    pub count: u64,
-    /// Energy column, millijoules.
-    pub energy_mj: Summary,
-    /// Latency column, microseconds.
-    pub(crate) latency_us: Summary,
-    /// Accuracy column; NaN rows are skipped, so `accuracy.count` can be
-    /// below `count`.
-    pub(crate) accuracy: Summary,
+    /// What the cell holds: `matched` counts the events folded in, and the
+    /// accuracy summary skips NaN rows, so its count can be below that.
+    pub values: ObsAggregates,
 }
 
 impl Rollup {
@@ -48,31 +42,14 @@ impl Rollup {
             bucket_us,
             deployment: deployment.to_string(),
             kind,
-            count: 0,
-            energy_mj: Summary::empty(),
-            latency_us: Summary::empty(),
-            accuracy: Summary::empty(),
+            values: ObsAggregates::default(),
         }
     }
 
     /// Folds one event in. The caller is responsible for routing the event
-    /// to the right cell; the fold itself mirrors
-    /// [`ObsAggregates::observe`](crate::ObsAggregates::observe) so rollup
-    /// aggregates stay exactly equal to raw-scan aggregates.
+    /// to the right cell.
     pub fn observe(&mut self, event: &Event) {
-        self.count += 1;
-        self.energy_mj.observe(event.energy_mj);
-        self.latency_us.observe(event.latency_us as f64);
-        self.accuracy.observe(f64::from(event.accuracy));
-    }
-
-    /// Folds another cell with the same key in (for merging shard results
-    /// or epoch-compacted spill rows).
-    pub fn absorb(&mut self, other: &Rollup) {
-        self.count = self.count.saturating_add(other.count);
-        self.energy_mj.merge(&other.energy_mj);
-        self.latency_us.merge(&other.latency_us);
-        self.accuracy.merge(&other.accuracy);
+        self.values.observe(event);
     }
 
     /// The grouping key: bucket, then deployment, then kind code — the sort
@@ -92,10 +69,7 @@ impl Rollup {
         put_u64(out, self.bucket_us);
         put_str16(out, &self.deployment);
         out.push(self.kind.code());
-        put_u64(out, self.count);
-        self.energy_mj.encode(out);
-        self.latency_us.encode(out);
-        self.accuracy.encode(out);
+        self.values.encode(out);
     }
 
     /// Inverse of [`Rollup::encode`].
@@ -116,10 +90,7 @@ impl Rollup {
             bucket_us,
             deployment,
             kind,
-            count: r.u64()?,
-            energy_mj: Summary::decode(r)?,
-            latency_us: Summary::decode(r)?,
-            accuracy: Summary::decode(r)?,
+            values: ObsAggregates::decode(r)?,
         })
     }
 
@@ -186,7 +157,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_and_absorb_match_a_flat_fold() {
+    fn observe_and_merge_match_a_flat_fold() {
         let events = [
             Event::new(EventKind::Infer, "t")
                 .with_energy_mj(0.5)
@@ -200,16 +171,16 @@ mod tests {
         split_a.observe(&events[0]);
         let mut split_b = Rollup::new(0, "t", EventKind::Infer);
         split_b.observe(&events[1]);
-        split_a.absorb(&split_b);
+        split_a.values.merge(&split_b.values);
 
         let mut flat = Rollup::new(0, "t", EventKind::Infer);
         for event in &events {
             flat.observe(event);
         }
         assert_eq!(split_a, flat);
-        assert_eq!(flat.count, 2);
-        assert_eq!(flat.energy_mj.sum, 0.75);
-        assert_eq!(flat.accuracy.count, 1);
+        assert_eq!(flat.values.matched, 2);
+        assert_eq!(flat.values.energy_mj.sum, 0.75);
+        assert_eq!(flat.values.accuracy.count, 1);
         assert_eq!(flat.key(), (0, "t".to_string(), 0));
     }
 }

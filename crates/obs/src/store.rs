@@ -10,7 +10,7 @@
 
 use crate::event::{Event, EventKind};
 use crate::histogram::LatencyHistogram;
-use crate::query::{ObsQuery, ObsResult, Resolution, Summary, AUTO_RAW_WINDOW_US};
+use crate::query::{ObsAggregates, ObsQuery, ObsResult, Resolution, AUTO_RAW_WINDOW_US};
 use crate::rollup::{Rollup, ROLLUP_BUCKET_US};
 use crate::tail::{ObsCursor, ObsTail, TailCounters};
 use std::collections::{BTreeMap, HashMap};
@@ -186,27 +186,6 @@ struct SealedChunk {
     max_time: u64,
 }
 
-/// One in-memory rollup cell: the value columns of a [`Rollup`], keyed
-/// externally by `(bucket, deployment id, kind code)`.
-#[derive(Debug, Clone, Default)]
-struct RollupCell {
-    count: u64,
-    energy_mj: Summary,
-    latency_us: Summary,
-    accuracy: Summary,
-}
-
-impl RollupCell {
-    /// Mirrors [`ObsAggregates::observe`](crate::ObsAggregates::observe) so
-    /// rollup aggregates stay exactly equal to raw-scan aggregates.
-    fn observe_row(&mut self, energy_mj: f64, latency_us: u64, accuracy: f32) {
-        self.count += 1;
-        self.energy_mj.observe(energy_mj);
-        self.latency_us.observe(latency_us as f64);
-        self.accuracy.observe(f64::from(accuracy));
-    }
-}
-
 /// One registered live-tail subscriber: its filter, its bounded channel,
 /// and the transition state the [`SinkOverflow`](EventKind::SinkOverflow)
 /// marker is edge-triggered from.
@@ -229,9 +208,10 @@ struct StoreInner {
     active: Columns,
     sealed: Vec<SealedChunk>,
     /// Per-minute cells folded from every sealed chunk, keyed by
-    /// `(bucket, deployment id, kind code)`. Never GC'd — this is the
-    /// downsampled history that outlives the raw chunks.
-    rollups: BTreeMap<(u64, u32, u8), RollupCell>,
+    /// `(bucket, deployment id, kind code)`: a [`Rollup`]'s values without
+    /// its key. Never GC'd — this is the downsampled history that outlives
+    /// the raw chunks.
+    rollups: BTreeMap<(u64, u32, u8), ObsAggregates>,
     /// Durability hook; sealed (not adopted) chunks are handed to it.
     spill: Option<Arc<dyn ChunkSpill>>,
     /// Latest event timestamp ever seen (appends and adoptions); anchors
@@ -480,11 +460,7 @@ impl ObsStore {
         let mut inner = self.inner.lock().expect("obs store lock");
         let id = inner.intern(&rollup.deployment);
         let key = (rollup.bucket_us, id, rollup.kind.code());
-        let cell = inner.rollups.entry(key).or_default();
-        cell.count += rollup.count;
-        cell.energy_mj.merge(&rollup.energy_mj);
-        cell.latency_us.merge(&rollup.latency_us);
-        cell.accuracy.merge(&rollup.accuracy);
+        inner.rollups.entry(key).or_default().merge(&rollup.values);
         inner.latest_time = inner.latest_time.max(rollup.bucket_us);
     }
 
@@ -683,7 +659,7 @@ impl ObsStore {
             let in_span = |bucket: u64| {
                 bucket.saturating_add(ROLLUP_BUCKET_US - 1) >= roll_min && bucket <= roll_max
             };
-            let mut cells: BTreeMap<(u64, u32, u8), RollupCell> = BTreeMap::new();
+            let mut cells: BTreeMap<(u64, u32, u8), ObsAggregates> = BTreeMap::new();
             for (&(bucket, dep, kind), cell) in &inner.rollups {
                 if !in_span(bucket) || !query.matches_kind_code(kind) {
                     continue;
@@ -710,19 +686,13 @@ impl ObsStore {
                     inner.active.accuracy[i],
                 );
             }
-            for ((bucket, dep, kind), cell) in cells {
-                result.aggregates.matched += cell.count;
-                result.aggregates.energy_mj.merge(&cell.energy_mj);
-                result.aggregates.latency_us.merge(&cell.latency_us);
-                result.aggregates.accuracy.merge(&cell.accuracy);
+            for ((bucket, dep, kind), values) in cells {
+                result.aggregates.merge(&values);
                 result.rollups.push(Rollup {
                     bucket_us: bucket,
                     deployment: inner.names.get(dep as usize).cloned().unwrap_or_default(),
                     kind: EventKind::from_code(kind).unwrap_or(EventKind::Infer),
-                    count: cell.count,
-                    energy_mj: cell.energy_mj,
-                    latency_us: cell.latency_us,
-                    accuracy: cell.accuracy,
+                    values,
                 });
             }
         }
@@ -886,7 +856,7 @@ mod tests {
         assert!(!rolled.rollups.is_empty());
         assert_eq!(rolled.aggregates, raw.aggregates);
         assert_eq!(
-            rolled.rollups.iter().map(|r| r.count).sum::<u64>(),
+            rolled.rollups.iter().map(|r| r.values.matched).sum::<u64>(),
             raw.aggregates.matched
         );
         assert_eq!(store.counters().rollup_rows as usize, 2);
@@ -903,6 +873,26 @@ mod tests {
         assert!(tight.counters().gc_chunks > 0);
         let rolled = tight.query(&ObsQuery::deployment("t").with_resolution(Resolution::Rollup));
         assert_eq!(rolled.aggregates.matched, 6, "rollups outlive GC'd chunks");
+    }
+
+    /// Rollup cells come back from a spill file, so their counts are only as
+    /// sane as its bytes: two checksum-valid cells whose counts sum past
+    /// `u64::MAX` saturate instead of panicking (debug) or wrapping
+    /// (release), whether they share a key (merged at adoption) or not
+    /// (merged by the query).
+    #[test]
+    fn adopted_rollup_counts_saturate() {
+        for second_bucket in [0, ROLLUP_BUCKET_US] {
+            let store = ObsStore::new(ObsConfig::default());
+            let mut first = Rollup::new(0, "t", EventKind::Infer);
+            first.values.matched = u64::MAX - 1;
+            let mut second = Rollup::new(second_bucket, "t", EventKind::Infer);
+            second.values.matched = 5;
+            store.adopt_rollup(&first);
+            store.adopt_rollup(&second);
+            let result = store.query(&ObsQuery::all().with_resolution(Resolution::Rollup));
+            assert_eq!(result.aggregates.matched, u64::MAX);
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ fn assert_resolutions_agree(store: &ObsStore, query: &ObsQuery, seed: u64) {
         "seed {seed}: raw resolution returned cells"
     );
     assert_eq!(
-        rolled.rollups.iter().map(|r| r.count).sum::<u64>(),
+        rolled.rollups.iter().map(|r| r.values.matched).sum::<u64>(),
         raw.aggregates.matched,
         "seed {seed}: cell counts disagree with matched rows"
     );

@@ -1216,7 +1216,7 @@ pub(crate) fn obs_soak(ctx: &ScenarioCtx) -> SimResult<ScenarioReport> {
         if rolled.aggregates != raw.aggregates || auto.aggregates != raw.aggregates {
             return Err(sim_err(format!("resolutions disagree for {query:?}")));
         }
-        if rolled.rollups.iter().map(|r| r.count).sum::<u64>() != raw.aggregates.matched {
+        if rolled.rollups.iter().map(|r| r.values.matched).sum::<u64>() != raw.aggregates.matched {
             return Err(sim_err(format!("rollup cells lost rows for {query:?}")));
         }
         matched_total += raw.aggregates.matched;

@@ -9,21 +9,23 @@
 //!
 //! * **chunk** ([`REC_CHUNK`]): one sealed, time-sorted chunk, row by row,
 //! * **rollup** ([`REC_ROLLUP`]): one per-minute [`Rollup`] cell — what a
-//!   chunk becomes when the spill's byte budget evicts it. Eviction folds
-//!   the oldest chunk records into rollup cells and rewrites the log under
-//!   a bumped header epoch (temporary sibling + rename, like every other
-//!   compaction in this crate), so raw history ages into downsampled
-//!   history instead of vanishing.
+//!   chunk becomes when the spill's byte budget evicts it. Eviction reads
+//!   the file back, folds the oldest chunk records into rollup cells and
+//!   rewrites the log under a bumped header epoch (temporary sibling +
+//!   rename, like every other compaction in this crate), so raw history
+//!   ages into downsampled history instead of vanishing.
+//!
+//! The file is the only copy of what was spilled: [`ObsSpill`] keeps two
+//! record counts in memory, not the records.
 //!
 //! [`ObsSpill`] implements `ofscil_obs`'s `ChunkSpill` hook, swallowing its
 //! own I/O errors into a counter — observability durability must never fail
 //! the serving path that triggered a seal.
 
 use crate::error::StoreError;
-use crate::oplog::{OpLog, RawRecord};
-use ofscil_obs::{ChunkSpill, Event, ObsStore, Rollup};
+use crate::oplog::{OpLog, RawRecord, HEADER_LEN, RECORD_OVERHEAD};
+use ofscil_obs::{ChunkSpill, Event, ObsConfig, ObsQuery, ObsStore, Resolution, Rollup};
 use ofscil_tensor::bytes::decode_exact;
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -39,11 +41,6 @@ pub const REC_ROLLUP: u8 = 2;
 /// Default byte budget of the spill file before eviction folds the oldest
 /// chunks into rollup records.
 pub(crate) const DEFAULT_SPILL_BUDGET: u64 = 16 * 1024 * 1024;
-
-/// kind (1) + length (4) + checksum (4) — [`OpLog`]'s framing overhead,
-/// mirrored here for byte accounting of the in-memory record mirror.
-const RECORD_OVERHEAD: u64 = 9;
-const HEADER_LEN: u64 = 16;
 
 fn encode_chunk(events: &[Event]) -> Vec<u8> {
     let mut body = Vec::new();
@@ -120,100 +117,67 @@ pub struct SpillStats {
 #[derive(Debug)]
 struct SpillInner {
     log: OpLog,
-    /// In-memory mirror of the log's records, in file order — [`OpLog`]
-    /// hands its records out once at open, so GC keeps its own copy to
-    /// rewrite from. Bounded by the byte budget, same as the file.
-    mirror: Vec<RawRecord>,
     byte_budget: u64,
+    chunk_records: u64,
+    rollup_records: u64,
     gc_chunks: u64,
     io_errors: u64,
 }
 
 impl SpillInner {
-    fn mirror_bytes(&self) -> u64 {
-        HEADER_LEN
-            + self
-                .mirror
-                .iter()
-                .map(|(_, body)| body.len() as u64 + RECORD_OVERHEAD)
-                .sum::<u64>()
-    }
-
-    /// Folds the oldest chunk records into rollup cells until the log fits
-    /// the budget, then rewrites the file under a bumped epoch. Rollup
-    /// records always survive — they are the already-compacted form.
+    /// Once the file outgrows the budget, reads it back, folds the oldest
+    /// chunk records into rollup cells until the remaining chunk records
+    /// fit, and rewrites the file under a bumped epoch. The rewrite holds
+    /// exactly what a reopen would recover: rollup records always survive
+    /// (they are the already-compacted form), while foreign record kinds
+    /// and undecodable bodies are dropped.
     fn gc(&mut self) -> Result<(), StoreError> {
-        if self.mirror_bytes() <= self.byte_budget {
+        if self.log.bytes() <= self.byte_budget {
             return Ok(());
         }
-        let mut cells: BTreeMap<(u64, String, u8), Rollup> = BTreeMap::new();
-        let mut absorb = |rollup: Rollup| match cells.entry(rollup.key()) {
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                slot.get_mut().absorb(&rollup)
-            }
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(rollup);
-            }
-        };
+        // The cells are folded by the store a rehydrate adopts into, so a
+        // compacted minute answers exactly like the raw rows it replaces.
+        let cells = ObsStore::new(ObsConfig::default());
         let mut chunks: Vec<Vec<u8>> = Vec::new();
-        for (kind, body) in &self.mirror {
-            match *kind {
+        for (kind, body) in self.log.read_records()? {
+            match kind {
+                REC_CHUNK if decode_chunk(&body).is_some() => chunks.push(body),
                 REC_ROLLUP => {
-                    if let Some(rollup) = decode_rollup(body) {
-                        absorb(rollup);
+                    if let Some(rollup) = decode_rollup(&body) {
+                        cells.adopt_rollup(&rollup);
                     }
                 }
-                _ => chunks.push(body.clone()),
+                _ => {}
             }
         }
-        // Evict oldest-first until the *surviving* records fit. The rollup
-        // side only grows by bounded cells, so this converges.
+        // Evict oldest-first until the *surviving* chunk records fit.
+        let record_bytes = |body: &Vec<u8>| (body.len() + RECORD_OVERHEAD) as u64;
+        let mut kept: u64 = chunks.iter().map(record_bytes).sum();
         let mut evicted = 0usize;
-        let mut remaining_bytes: u64 = chunks
-            .iter()
-            .map(|b| b.len() as u64 + RECORD_OVERHEAD)
-            .sum();
-        while evicted < chunks.len() && HEADER_LEN + remaining_bytes > self.byte_budget {
-            remaining_bytes -= chunks[evicted].len() as u64 + RECORD_OVERHEAD;
+        while evicted < chunks.len() && HEADER_LEN as u64 + kept > self.byte_budget {
+            kept -= record_bytes(&chunks[evicted]);
             if let Some(events) = decode_chunk(&chunks[evicted]) {
-                for event in &events {
-                    let key = (
-                        Rollup::bucket_of(event.time_us),
-                        event.deployment.clone(),
-                        event.kind.code(),
-                    );
-                    match cells.entry(key) {
-                        std::collections::btree_map::Entry::Occupied(mut slot) => {
-                            slot.get_mut().observe(event)
-                        }
-                        std::collections::btree_map::Entry::Vacant(slot) => {
-                            let mut cell = Rollup::new(
-                                Rollup::bucket_of(event.time_us),
-                                &event.deployment,
-                                event.kind,
-                            );
-                            cell.observe(event);
-                            slot.insert(cell);
-                        }
-                    }
-                }
+                cells.adopt_chunk(&events);
             }
             evicted += 1;
         }
-        self.gc_chunks += evicted as u64;
-        let mut records: Vec<RawRecord> = cells
-            .values()
+        let rollups = cells
+            .query(
+                &ObsQuery::all()
+                    .with_resolution(Resolution::Rollup)
+                    .with_limit(u32::MAX),
+            )
+            .rollups;
+        let records: Vec<RawRecord> = rollups
+            .iter()
             .map(|cell| (REC_ROLLUP, encode_rollup(cell)))
+            .chain(chunks.drain(evicted..).map(|body| (REC_CHUNK, body)))
             .collect();
-        records.extend(
-            chunks
-                .into_iter()
-                .skip(evicted)
-                .map(|body| (REC_CHUNK, body)),
-        );
         let epoch = self.log.epoch().wrapping_add(1);
         self.log.rewrite_with_epoch(&records, epoch)?;
-        self.mirror = records;
+        self.gc_chunks += evicted as u64;
+        self.rollup_records = rollups.len() as u64;
+        self.chunk_records = (records.len() - rollups.len()) as u64;
         Ok(())
     }
 }
@@ -221,6 +185,9 @@ impl SpillInner {
 /// The durable side of an observability pipeline: an [`OpLog`]-backed spill
 /// file that sealed chunks are appended to, with budget-driven compaction
 /// into rollup records. Implements `ofscil_obs`'s [`ChunkSpill`] hook.
+///
+/// The handle holds no copy of the file's records, only their counts; its
+/// GC reads the file back.
 #[derive(Debug)]
 pub struct ObsSpill {
     inner: Mutex<SpillInner>,
@@ -254,36 +221,22 @@ impl ObsSpill {
             epoch: log.epoch(),
             ..SpillRecovery::default()
         };
-        let mut mirror = Vec::with_capacity(records.len());
         for (kind, body) in records {
-            let ok = match kind {
-                REC_CHUNK => match decode_chunk(&body) {
-                    Some(events) => {
-                        recovery.chunks.push(events);
-                        true
-                    }
-                    None => false,
-                },
-                REC_ROLLUP => match decode_rollup(&body) {
-                    Some(rollup) => {
-                        recovery.rollups.push(rollup);
-                        true
-                    }
-                    None => false,
-                },
-                _ => false,
+            let decoded = match kind {
+                REC_CHUNK => decode_chunk(&body).map(|events| recovery.chunks.push(events)),
+                REC_ROLLUP => decode_rollup(&body).map(|rollup| recovery.rollups.push(rollup)),
+                _ => None,
             };
-            if ok {
-                mirror.push((kind, body));
-            } else {
+            if decoded.is_none() {
                 recovery.corrupt_records += 1;
             }
         }
         let spill = ObsSpill {
             inner: Mutex::new(SpillInner {
                 log,
-                mirror,
                 byte_budget: byte_budget.max(1),
+                chunk_records: recovery.chunks.len() as u64,
+                rollup_records: recovery.rollups.len() as u64,
                 gc_chunks: 0,
                 io_errors: 0,
             }),
@@ -294,14 +247,9 @@ impl ObsSpill {
     /// A snapshot of the spill's counters.
     pub fn stats(&self) -> SpillStats {
         let inner = self.inner.lock().expect("obs spill lock");
-        let chunk_records = inner
-            .mirror
-            .iter()
-            .filter(|(kind, _)| *kind == REC_CHUNK)
-            .count() as u64;
         SpillStats {
-            chunk_records,
-            rollup_records: inner.mirror.len() as u64 - chunk_records,
+            chunk_records: inner.chunk_records,
+            rollup_records: inner.rollup_records,
             bytes: inner.log.bytes(),
             epoch: inner.log.epoch(),
             gc_chunks: inner.gc_chunks,
@@ -314,13 +262,11 @@ impl ChunkSpill for ObsSpill {
     fn spill_chunk(&self, events: &[Event]) {
         let body = encode_chunk(events);
         let mut inner = self.inner.lock().expect("obs spill lock");
-        match inner.log.append(REC_CHUNK, &body) {
-            Ok(()) => inner.mirror.push((REC_CHUNK, body)),
-            Err(_) => {
-                inner.io_errors += 1;
-                return;
-            }
+        if inner.log.append(REC_CHUNK, &body).is_err() {
+            inner.io_errors += 1;
+            return;
         }
+        inner.chunk_records += 1;
         if inner.gc().is_err() {
             inner.io_errors += 1;
         }
@@ -426,7 +372,7 @@ mod tests {
         // Nothing was lost: chunks + rollups still account for every event.
         let (_spill, recovery) = ObsSpill::open_with(&path, 2048).unwrap();
         assert_eq!(recovery.corrupt_records, 0);
-        let rolled: u64 = recovery.rollups.iter().map(|r| r.count).sum();
+        let rolled: u64 = recovery.rollups.iter().map(|r| r.values.matched).sum();
         assert_eq!(rolled + recovery.events(), appended);
         let store = ObsStore::new(ObsConfig::default());
         recovery.rehydrate_into(&store);
@@ -449,6 +395,52 @@ mod tests {
         let (_spill, recovery) = ObsSpill::open(&path).unwrap();
         assert_eq!(recovery.chunks.len(), 1);
         assert_eq!(recovery.corrupt_records, 2);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// GC reads the file back instead of a copy, so it meets whatever is on
+    /// disk: its rewrite must hold exactly what a reopen recovers — the
+    /// foreign record and the undecodable chunk body are gone, every
+    /// decodable event is still accounted for, and the record counts the
+    /// spill reported before closing are the ones a reopen finds.
+    #[test]
+    fn gc_rewrites_exactly_what_a_reopen_recovers() {
+        let path = temp_path("gc-foreign");
+        {
+            let (mut log, _) = OpLog::open(&path).unwrap();
+            log.append(REC_CHUNK, &encode_chunk(&[event("t", 10, 0)]))
+                .unwrap();
+            log.append(0x7f, b"someone else's record").unwrap();
+            log.append(REC_CHUNK, b"not a chunk body").unwrap();
+        }
+        let (spill, recovery) = ObsSpill::open_with(&path, 2048).unwrap();
+        assert_eq!(recovery.corrupt_records, 2);
+        let mut appended = recovery.events();
+        while spill.stats().gc_chunks == 0 {
+            assert!(appended < 1_000, "budget never triggered GC");
+            let events: Vec<Event> = (0..8)
+                .map(|i| event("t", 1_000 * appended + i, appended + i))
+                .collect();
+            appended += 8;
+            spill.spill_chunk(&events);
+        }
+        let before = spill.stats();
+        assert_eq!(before.io_errors, 0);
+        drop(spill);
+
+        let (spill, recovery) = ObsSpill::open_with(&path, 2048).unwrap();
+        assert_eq!(recovery.corrupt_records, 0);
+        let rolled: u64 = recovery.rollups.iter().map(|r| r.values.matched).sum();
+        assert_eq!(rolled + recovery.events(), appended);
+        assert_eq!(
+            (before.chunk_records, before.rollup_records),
+            (recovery.chunks.len() as u64, recovery.rollups.len() as u64)
+        );
+        let after = spill.stats();
+        assert_eq!(
+            (after.chunk_records, after.rollup_records),
+            (before.chunk_records, before.rollup_records)
+        );
         let _ = std::fs::remove_file(&path);
     }
 }

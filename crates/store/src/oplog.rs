@@ -68,9 +68,10 @@ pub(crate) const LOG_MAGIC: [u8; 4] = *b"OFLG";
 /// Current record-log format version.
 pub(crate) const LOG_VERSION: u16 = 1;
 
-const HEADER_LEN: usize = 16;
+/// File header: magic (4) + version (2) + reserved (2) + epoch (8).
+pub(crate) const HEADER_LEN: usize = 16;
 /// kind (1) + length (4) + checksum (4).
-const RECORD_OVERHEAD: usize = 9;
+pub(crate) const RECORD_OVERHEAD: usize = 9;
 
 /// One raw log record: the kind byte plus an opaque body the layer above
 /// interprets (WAL records, placement overrides).
@@ -306,6 +307,17 @@ impl OpLog {
         self.appends_since_sync = 0;
         self.last_sync = Instant::now();
         Ok(())
+    }
+
+    /// Reads the log's intact records back from disk, for a layer that
+    /// keeps no copy of what it appended (the obs spill's GC).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StoreError::Io`] when the file cannot be read.
+    pub(crate) fn read_records(&self) -> Result<Vec<RawRecord>, StoreError> {
+        let bytes = std::fs::read(&self.path)?;
+        Ok(parse_records(bytes.get(HEADER_LEN..).unwrap_or_default()).0)
     }
 
     /// The generation epoch stamped in the log's header.
