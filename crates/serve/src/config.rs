@@ -1,14 +1,15 @@
 //! Runtime configuration for the serving loop.
 
 use crate::{Result, ServeError};
-use ofscil_tensor::recommended_threads;
 
 /// Configuration of a [`ServeRuntime`](crate::ServeRuntime).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Number of worker threads executing jobs. Workers for *different*
     /// deployments run concurrently; requests for the same deployment are
-    /// serialized by the deployment's own lock.
+    /// serialized by the deployment's own lock. Workers are the only threads
+    /// a served forward runs on: the kernels under it start none. Defaults to
+    /// the available cores, capped at 8.
     pub workers: usize,
     /// Maximum number of `Infer` requests a worker takes off one
     /// deployment's queue at a time and runs as a single batched forward
@@ -40,6 +41,14 @@ impl Default for ServeConfig {
             read_only: false,
         }
     }
+}
+
+/// The default worker count: one per available core, at most 8.
+fn recommended_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .clamp(1, 8)
 }
 
 impl ServeConfig {
@@ -78,6 +87,12 @@ impl ServeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn recommended_threads_is_positive() {
+        assert!(recommended_threads() >= 1);
+        assert!(recommended_threads() <= 8);
+    }
 
     #[test]
     fn defaults_are_valid() {

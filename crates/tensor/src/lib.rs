@@ -8,8 +8,8 @@
 //!
 //! The design goals, in order, are correctness, determinism (every stochastic
 //! routine takes an explicit seed or RNG), and reasonable single-node
-//! performance (a K-blocked [`Tensor::matmul`] that splits large products
-//! by rows over `std::thread::scope` threads).
+//! performance (a K-blocked [`Tensor::matmul`] on the calling thread; the
+//! crate starts no threads, so callers choose the parallelism).
 //!
 //! # Example
 //!
@@ -30,7 +30,6 @@ mod conv;
 mod error;
 mod init;
 mod linalg;
-mod parallel;
 mod reduce;
 mod rng;
 mod shape;
@@ -40,7 +39,6 @@ mod tensor;
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use init::{Init, Initializer};
-pub use parallel::recommended_threads;
 pub use reduce::Axis;
 pub use rng::SeedRng;
 pub use shape::Shape;

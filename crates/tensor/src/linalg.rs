@@ -1,12 +1,9 @@
 //! Matrix multiplication and related linear-algebra kernels.
 
-use crate::{recommended_threads, Result, Tensor, TensorError};
+use crate::{Result, Tensor, TensorError};
 
 /// Block size along the shared (K) dimension of [`Tensor::matmul`].
 const BLOCK_K: usize = 64;
-
-/// Output count from which [`Tensor::matmul`] splits its rows over threads.
-const PARALLEL_MIN_OUTPUTS: usize = 4096;
 
 /// Tile edge of [`Tensor::transpose`]: a 32×32 f32 tile is 4 KiB.
 const TRANSPOSE_TILE: usize = 32;
@@ -14,10 +11,11 @@ const TRANSPOSE_TILE: usize = 32;
 impl Tensor {
     /// Matrix product `self · other` for rank-2 tensors.
     ///
-    /// K is blocked at 64, and from 4096 outputs the rows are split over
-    /// [`recommended_threads`] scoped threads. Every output sums its products
-    /// in ascending k order on either path, so the thread count never changes
-    /// a bit of the result.
+    /// One loop on the calling thread, with K blocked at 64: within a block,
+    /// each row of `self` adds its nonzero entries times the matching rows of
+    /// `other` into its output row. Every output sums its products in
+    /// ascending k order, so row i of a product equals the 1-row product of
+    /// row i bit for bit, whatever the other rows hold.
     ///
     /// # Errors
     ///
@@ -33,49 +31,25 @@ impl Tensor {
                 op: "matmul",
             });
         }
-        if n == 0 {
-            // No output columns: the row kernel below would divide by `n`.
-            return Tensor::from_vec(Vec::new(), &[m, 0]);
-        }
         let a = self.as_slice();
         let b = other.as_slice();
         let mut out = vec![0.0f32; m * n];
-
-        let kernel = |row_start: usize, rows: &mut [f32]| {
-            let row_count = rows.len() / n;
-            for bk in (0..k).step_by(BLOCK_K) {
-                let k_end = (bk + BLOCK_K).min(k);
-                for local_i in 0..row_count {
-                    let i = row_start / n + local_i;
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut rows[local_i * n..(local_i + 1) * n];
-                    for kk in bk..k_end {
-                        let aik = a_row[kk];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b[kk * n..(kk + 1) * n];
-                        for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += aik * bv;
-                        }
+        for bk in (0..k).step_by(BLOCK_K) {
+            let k_end = (bk + BLOCK_K).min(k);
+            for i in 0..m {
+                let a_row = &a[i * k..(i + 1) * k];
+                let out_row = &mut out[i * n..(i + 1) * n];
+                for kk in bk..k_end {
+                    let aik = a_row[kk];
+                    if aik == 0.0 {
+                        continue;
+                    }
+                    let b_row = &b[kk * n..(kk + 1) * n];
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
+                        *o += aik * bv;
                     }
                 }
             }
-        };
-
-        // Parallelise over output rows: each worker owns whole rows so no
-        // synchronisation is needed.
-        let threads = recommended_threads();
-        if threads <= 1 || m * n < PARALLEL_MIN_OUTPUTS {
-            kernel(0, &mut out);
-        } else {
-            let rows_per_chunk = m.div_ceil(threads).max(1);
-            std::thread::scope(|scope| {
-                for (chunk_idx, rows) in out.chunks_mut(rows_per_chunk * n).enumerate() {
-                    let kernel = &kernel;
-                    scope.spawn(move || kernel(chunk_idx * rows_per_chunk * n, rows));
-                }
-            });
         }
 
         Tensor::from_vec(out, &[m, n])
@@ -152,32 +126,6 @@ mod tests {
     }
 
     #[test]
-    fn matmul_parallel_matches_single() {
-        // 96×80 outputs split their rows over threads; each 1×64·64×80 row
-        // product (80 outputs) stays on the calling thread. The two paths
-        // must agree bit for bit.
-        let mut rng = crate::SeedRng::new(3);
-        let a: Vec<f32> = (0..96 * 64).map(|_| rng.normal()).collect();
-        let b = Tensor::from_vec((0..64 * 80).map(|_| rng.normal()).collect(), &[64, 80]).unwrap();
-        let multi = Tensor::from_vec(a.clone(), &[96, 64])
-            .unwrap()
-            .matmul(&b)
-            .unwrap();
-        for (i, a_row) in a.chunks(64).enumerate() {
-            let single = Tensor::from_vec(a_row.to_vec(), &[1, 64])
-                .unwrap()
-                .matmul(&b)
-                .unwrap();
-            let multi_row = &multi.as_slice()[i * 80..(i + 1) * 80];
-            let same = multi_row
-                .iter()
-                .zip(single.as_slice())
-                .all(|(m, s)| m.to_bits() == s.to_bits());
-            assert!(same, "row {i}");
-        }
-    }
-
-    #[test]
     fn matmul_shape_errors() {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 2]);
@@ -188,7 +136,8 @@ mod tests {
 
     #[test]
     fn matmul_with_an_empty_dimension() {
-        // (m, k, n) with one of them zero; 4096 × 0 sits at the threading cut.
+        // (m, k, n) with one of them zero. The n = 0 cases need no guard: the
+        // kernel loops over rows and never divides by n.
         for (m, k, n) in [
             (0, 3, 2),
             (2, 0, 3),

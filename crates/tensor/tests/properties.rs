@@ -83,9 +83,8 @@ fn matmul_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f
 #[test]
 fn matmul_is_bit_identical_to_the_scalar_reference() {
     let mut rng = SeedRng::new(0x6E77);
-    // 12×9 outputs stay on the calling thread; 96×80 and 70×64 reach the
-    // 4096-output cut and split their rows over threads. K = 150 spans three
-    // 64-wide K blocks.
+    // K = 17 fits inside one 64-wide K block, K = 64 fills exactly one and
+    // K = 150 spans three.
     for (m, k, n) in [(12, 17, 9), (96, 64, 80), (70, 150, 64)] {
         for case in 0..8 {
             // About a quarter exact zeros in A, so the zero skip is taken.
@@ -110,12 +109,17 @@ fn matmul_is_bit_identical_to_the_scalar_reference() {
 }
 
 #[test]
-fn matmul_threading_is_equivalent() {
+fn matmul_rows_do_not_depend_on_the_other_rows() {
+    // A coalesced serving batch answers each request with one row of a
+    // batched product, so row i must equal the 1-row product bit for bit.
     let mut rng = SeedRng::new(0x7EAD);
-    for case in 0..CASES {
-        // m×64 outputs fall on both sides of the 4096-output threading cut;
-        // each 1×k·k×64 row product stays on the calling thread.
-        let (m, k, n) = (rand_len(&mut rng, 40, 100), rand_len(&mut rng, 1, 160), 64);
+    for case in 0..=CASES {
+        // Random m×k·k×64 products, then one fixed 96×64·64×80.
+        let (m, k, n) = if case < CASES {
+            (rand_len(&mut rng, 40, 100), rand_len(&mut rng, 1, 160), 64)
+        } else {
+            (96, 64, 80)
+        };
         let a = small_vec(&mut rng, m * k);
         let b = Tensor::from_vec(small_vec(&mut rng, k * n), &[k, n]).unwrap();
         let whole = Tensor::from_vec(a.clone(), &[m, k])
