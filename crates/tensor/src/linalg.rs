@@ -126,6 +126,32 @@ mod tests {
     }
 
     #[test]
+    fn matmul_parallel_matches_single() {
+        // A 96×64·64×80 batch and its 1×64·64×80 row products, all on the
+        // calling thread, must agree bit for bit: coalesced serving answers
+        // each request with one row of the batched product.
+        let mut rng = crate::SeedRng::new(3);
+        let a: Vec<f32> = (0..96 * 64).map(|_| rng.normal()).collect();
+        let b = Tensor::from_vec((0..64 * 80).map(|_| rng.normal()).collect(), &[64, 80]).unwrap();
+        let multi = Tensor::from_vec(a.clone(), &[96, 64])
+            .unwrap()
+            .matmul(&b)
+            .unwrap();
+        for (i, a_row) in a.chunks(64).enumerate() {
+            let single = Tensor::from_vec(a_row.to_vec(), &[1, 64])
+                .unwrap()
+                .matmul(&b)
+                .unwrap();
+            let multi_row = &multi.as_slice()[i * 80..(i + 1) * 80];
+            let same = multi_row
+                .iter()
+                .zip(single.as_slice())
+                .all(|(m, s)| m.to_bits() == s.to_bits());
+            assert!(same, "row {i}");
+        }
+    }
+
+    #[test]
     fn matmul_shape_errors() {
         let a = Tensor::zeros(&[2, 3]);
         let b = Tensor::zeros(&[4, 2]);
