@@ -1,20 +1,38 @@
 //! Composite blocks: the MobileNetV2 inverted residual and the ResNet basic
 //! block used by the ResNet-12 backbone.
 
-use crate::layers::{BatchNorm, Conv2d, DepthwiseConv2d, PointwiseConv2d, Relu, Relu6, Sequential};
+use crate::layers::{
+    nchw_to_rows, rows_to_nchw, BatchNorm, Conv2d, DepthwiseConv2d, PointwiseConv2d, Relu, Relu6,
+    Sequential,
+};
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{SeedRng, Tensor};
 
 /// MobileNetV2 inverted residual block: 1×1 expansion → 3×3 depthwise →
 /// 1×1 linear projection, with an identity skip connection when the stride is
 /// one and the channel count is preserved.
+///
+/// NCHW at the boundary, rows inside: the block transposes its
+/// `[batch, c, h, w]` input once into pixel-major rows `[batch * h * w, c]`,
+/// runs expand → BN → ReLU6 → depthwise → BN → ReLU6 → project → BN on those
+/// rows (the convolutions' row forms and BatchNorm's `[batch, features]`
+/// path), transposes the result back once and adds the skip. Its parameters
+/// are visited in that layer order.
 #[derive(Debug)]
 pub(crate) struct InvertedResidual {
-    body: Sequential,
+    /// The expansion convolution, its BN and ReLU6; absent for `t = 1`.
+    expand: Option<(PointwiseConv2d, BatchNorm, Relu6)>,
+    depthwise: DepthwiseConv2d,
+    depthwise_bn: BatchNorm,
+    depthwise_relu: Relu6,
+    project: PointwiseConv2d,
+    project_bn: BatchNorm,
     use_residual: bool,
     in_channels: usize,
     out_channels: usize,
     stride: usize,
+    /// `[batch, h, w]` of the last training forward's input.
+    cached_dims: Option<[usize; 3]>,
 }
 
 impl InvertedResidual {
@@ -30,25 +48,42 @@ impl InvertedResidual {
         rng: &mut SeedRng,
     ) -> Self {
         let hidden = in_channels * expansion;
-        let mut body = Sequential::new(format!("inv_res({in_channels}→{out_channels})"));
-        if expansion != 1 {
-            body.push(Box::new(PointwiseConv2d::new(in_channels, hidden, rng)));
-            body.push(Box::new(BatchNorm::new(hidden)));
-            body.push(Box::new(Relu6::new()));
-        }
-        body.push(Box::new(DepthwiseConv2d::new(hidden, 3, stride, 1, rng)));
-        body.push(Box::new(BatchNorm::new(hidden)));
-        body.push(Box::new(Relu6::new()));
-        body.push(Box::new(PointwiseConv2d::new(hidden, out_channels, rng)));
-        body.push(Box::new(BatchNorm::new(out_channels)));
-        let use_residual = stride == 1 && in_channels == out_channels;
+        let expand = (expansion != 1).then(|| {
+            (
+                PointwiseConv2d::new(in_channels, hidden, rng),
+                BatchNorm::new(hidden),
+                Relu6::new(),
+            )
+        });
         InvertedResidual {
-            body,
-            use_residual,
+            expand,
+            depthwise: DepthwiseConv2d::new(hidden, 3, stride, 1, rng),
+            depthwise_bn: BatchNorm::new(hidden),
+            depthwise_relu: Relu6::new(),
+            project: PointwiseConv2d::new(hidden, out_channels, rng),
+            project_bn: BatchNorm::new(out_channels),
+            use_residual: stride == 1 && in_channels == out_channels,
             in_channels,
             out_channels,
             stride,
+            cached_dims: None,
         }
+    }
+
+    /// The layers in execution order, for the shape and cost walks.
+    fn layers(&self) -> Vec<&dyn Layer> {
+        let mut layers: Vec<&dyn Layer> = Vec::with_capacity(8);
+        if let Some((conv, bn, relu)) = &self.expand {
+            layers.extend([conv as &dyn Layer, bn, relu]);
+        }
+        layers.extend([
+            &self.depthwise as &dyn Layer,
+            &self.depthwise_bn,
+            &self.depthwise_relu,
+            &self.project,
+            &self.project_bn,
+        ]);
+        layers
     }
 }
 
@@ -64,37 +99,99 @@ impl Layer for InvertedResidual {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out = self.body.forward(input, mode)?;
-        if self.use_residual {
-            Ok(out.add(input)?)
-        } else {
-            Ok(out)
+        let out_dims = self.output_dims(input.dims())?;
+        let (batch, h, w) = (input.dims()[0], input.dims()[2], input.dims()[3]);
+        let mut x = nchw_to_rows(input);
+        if let Some((conv, bn, relu)) = &mut self.expand {
+            x = conv.forward_rows(x, (h, w), mode)?;
+            x = bn.forward(&x, mode)?;
+            x = relu.forward(&x, mode)?;
         }
+        x = self.depthwise.forward_rows(x, (h, w), mode)?;
+        x = self.depthwise_bn.forward(&x, mode)?;
+        x = self.depthwise_relu.forward(&x, mode)?;
+        let (out_h, out_w) = (out_dims[2], out_dims[3]);
+        x = self.project.forward_rows(x, (out_h, out_w), mode)?;
+        x = self.project_bn.forward(&x, mode)?;
+        let mut out = rows_to_nchw(&x, batch, out_h, out_w);
+        if self.use_residual {
+            for (y, &skip) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
+                *y += skip;
+            }
+        }
+        self.cached_dims = mode.is_train().then_some([batch, h, w]);
+        Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let grad_body = self.body.backward(grad_output)?;
-        if self.use_residual {
-            Ok(grad_body.add(grad_output)?)
-        } else {
-            Ok(grad_body)
+        let [batch, h, w] = self
+            .cached_dims
+            .take()
+            .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
+        let out_dims = self.output_dims(&[batch, self.in_channels, h, w])?;
+        if grad_output.dims() != out_dims.as_slice() {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                expected: format!("{out_dims:?}"),
+                actual: grad_output.dims().to_vec(),
+            });
         }
+        let mut g = nchw_to_rows(grad_output);
+        g = self.project_bn.backward(&g)?;
+        g = self.project.backward_rows(&g)?;
+        g = self.depthwise_relu.backward(&g)?;
+        g = self.depthwise_bn.backward(&g)?;
+        g = self.depthwise.backward_rows(&g)?;
+        if let Some((conv, bn, relu)) = &mut self.expand {
+            g = relu.backward(&g)?;
+            g = bn.backward(&g)?;
+            g = conv.backward_rows(&g)?;
+        }
+        let mut grad_input = rows_to_nchw(&g, batch, h, w);
+        if self.use_residual {
+            for (gx, &skip) in grad_input
+                .as_mut_slice()
+                .iter_mut()
+                .zip(grad_output.as_slice())
+            {
+                *gx += skip;
+            }
+        }
+        Ok(grad_input)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
-        self.body.visit_params(visitor);
+        if let Some((conv, bn, _)) = &mut self.expand {
+            conv.visit_params(visitor);
+            bn.visit_params(visitor);
+        }
+        self.depthwise.visit_params(visitor);
+        self.depthwise_bn.visit_params(visitor);
+        self.project.visit_params(visitor);
+        self.project_bn.visit_params(visitor);
     }
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
-        self.body.output_dims(input)
+        self.layers()
+            .iter()
+            .try_fold(input.to_vec(), |shape, layer| layer.output_dims(&shape))
     }
 
     fn macs(&self, input: &[usize]) -> u64 {
-        self.body.macs(input)
+        let mut shape = [&[1], input].concat();
+        let mut total = 0;
+        for layer in self.layers() {
+            total += layer.macs(&shape[1..]);
+            match layer.output_dims(&shape) {
+                Ok(next) => shape = next,
+                Err(_) => break,
+            }
+        }
+        total
     }
 
     fn weight_count(&self) -> u64 {
-        self.body.weight_count()
+        self.layers().iter().map(|layer| layer.weight_count()).sum()
     }
 }
 

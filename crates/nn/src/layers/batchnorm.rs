@@ -9,6 +9,12 @@ use ofscil_tensor::Tensor;
 /// statistics over `batch * h * w` elements) or `[batch, features]`
 /// activations (per-feature statistics over the batch).
 ///
+/// The rank-2 path is also the row path: the MobileNetV2 inverted residual
+/// hands it pixel-major rows `[batch * h * w, channels]`, and its loops run
+/// channel-innermost so they vectorise. Each channel's statistics are summed
+/// over rows in (image, pixel) order, the order the 4-D path sums the same
+/// activations in, so both layouts give the same bits.
+///
 /// In [`Mode::Train`] batch statistics are used and running statistics are
 /// updated with exponential momentum; in [`Mode::Eval`] the running statistics
 /// are used.
@@ -75,31 +81,7 @@ impl Layer for BatchNorm {
         let src = input.as_slice();
 
         let batch_stats = mode.is_train().then(|| {
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            for b in 0..batch {
-                for (ch, m) in mean.iter_mut().enumerate() {
-                    let base = (b * c + ch) * spatial;
-                    for s in 0..spatial {
-                        *m += src[base + s];
-                    }
-                }
-            }
-            for m in &mut mean {
-                *m /= count;
-            }
-            for b in 0..batch {
-                for ch in 0..c {
-                    let base = (b * c + ch) * spatial;
-                    for s in 0..spatial {
-                        let d = src[base + s] - mean[ch];
-                        var[ch] += d * d;
-                    }
-                }
-            }
-            for v in &mut var {
-                *v /= count;
-            }
+            let (mean, var) = batch_statistics(src, [batch, c, spatial], count);
             // Update running statistics.
             for ch in 0..c {
                 let rm = &mut self.running_mean.value.as_mut_slice()[ch];
@@ -120,11 +102,22 @@ impl Layer for BatchNorm {
         let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
         // `out` holds x̂ until the affine pass; only training keeps a copy.
         let mut out = vec![0.0f32; src.len()];
-        for b in 0..batch {
-            for ch in 0..c {
-                let base = (b * c + ch) * spatial;
-                for s in 0..spatial {
-                    out[base + s] = (src[base + s] - mean[ch]) * inv_std[ch];
+        if spatial == 1 {
+            for (out, src) in out
+                .chunks_exact_mut(c.max(1))
+                .zip(src.chunks_exact(c.max(1)))
+            {
+                for (((y, &x), &m), &s) in out.iter_mut().zip(src).zip(mean).zip(&inv_std) {
+                    *y = (x - m) * s;
+                }
+            }
+        } else {
+            for b in 0..batch {
+                for ch in 0..c {
+                    let base = (b * c + ch) * spatial;
+                    for s in 0..spatial {
+                        out[base + s] = (src[base + s] - mean[ch]) * inv_std[ch];
+                    }
                 }
             }
         }
@@ -139,11 +132,19 @@ impl Layer for BatchNorm {
 
         let gamma = self.gamma.value.as_slice();
         let beta = self.beta.value.as_slice();
-        for b in 0..batch {
-            for ch in 0..c {
-                let base = (b * c + ch) * spatial;
-                for x in &mut out[base..base + spatial] {
-                    *x = gamma[ch] * *x + beta[ch];
+        if spatial == 1 {
+            for out in out.chunks_exact_mut(c.max(1)) {
+                for ((x, &g), &b) in out.iter_mut().zip(gamma).zip(beta) {
+                    *x = g * *x + b;
+                }
+            }
+        } else {
+            for b in 0..batch {
+                for ch in 0..c {
+                    let base = (b * c + ch) * spatial;
+                    for x in &mut out[base..base + spatial] {
+                        *x = gamma[ch] * *x + beta[ch];
+                    }
                 }
             }
         }
@@ -172,12 +173,22 @@ impl Layer for BatchNorm {
         // Per-channel sums needed by the closed-form BN backward pass.
         let mut sum_dy = vec![0.0f32; c];
         let mut sum_dy_xhat = vec![0.0f32; c];
-        for b in 0..batch {
-            for ch in 0..c {
-                let base = (b * c + ch) * spatial;
-                for s in 0..spatial {
-                    sum_dy[ch] += dy[base + s];
-                    sum_dy_xhat[ch] += dy[base + s] * xh[base + s];
+        if spatial == 1 {
+            for (dy, xh) in dy.chunks_exact(c.max(1)).zip(xh.chunks_exact(c.max(1))) {
+                let sums = sum_dy.iter_mut().zip(sum_dy_xhat.iter_mut());
+                for ((s, sx), (&dy, &xh)) in sums.zip(dy.iter().zip(xh)) {
+                    *s += dy;
+                    *sx += dy * xh;
+                }
+            }
+        } else {
+            for b in 0..batch {
+                for ch in 0..c {
+                    let base = (b * c + ch) * spatial;
+                    for s in 0..spatial {
+                        sum_dy[ch] += dy[base + s];
+                        sum_dy_xhat[ch] += dy[base + s] * xh[base + s];
+                    }
                 }
             }
         }
@@ -186,15 +197,35 @@ impl Layer for BatchNorm {
         self.beta.accumulate_grad(&Tensor::from_slice(&sum_dy));
 
         let mut grad_input = vec![0.0f32; dy.len()];
-        for b in 0..batch {
-            for ch in 0..c {
-                let base = (b * c + ch) * spatial;
-                let scale = gamma[ch] * cache.inv_std[ch];
-                for s in 0..spatial {
-                    grad_input[base + s] = scale
-                        * (dy[base + s]
-                            - sum_dy[ch] / count
-                            - xh[base + s] * sum_dy_xhat[ch] / count);
+        if spatial == 1 {
+            let scale: Vec<f32> = gamma
+                .iter()
+                .zip(&cache.inv_std)
+                .map(|(g, s)| g * s)
+                .collect();
+            let mean_dy: Vec<f32> = sum_dy.iter().map(|s| s / count).collect();
+            let rows = grad_input
+                .chunks_exact_mut(c.max(1))
+                .zip(dy.chunks_exact(c.max(1)));
+            for ((gx, dy), xh) in rows.zip(xh.chunks_exact(c.max(1))) {
+                let per_channel = scale.iter().zip(&mean_dy).zip(&sum_dy_xhat);
+                for ((gx, (&dy, &xh)), ((&scale, &mean_dy), &sum_dy_xhat)) in
+                    gx.iter_mut().zip(dy.iter().zip(xh)).zip(per_channel)
+                {
+                    *gx = scale * (dy - mean_dy - xh * sum_dy_xhat / count);
+                }
+            }
+        } else {
+            for b in 0..batch {
+                for ch in 0..c {
+                    let base = (b * c + ch) * spatial;
+                    let scale = gamma[ch] * cache.inv_std[ch];
+                    for s in 0..spatial {
+                        grad_input[base + s] = scale
+                            * (dy[base + s]
+                                - sum_dy[ch] / count
+                                - xh[base + s] * sum_dy_xhat[ch] / count);
+                    }
                 }
             }
         }
@@ -218,6 +249,59 @@ impl Layer for BatchNorm {
         // convolution; γ and β still need to be resident.
         2 * self.channels as u64
     }
+}
+
+/// Per-channel batch mean and (biased) variance over `count` elements, each
+/// channel's sums taken in (image, pixel) order. Rows `[batch, c]`
+/// (`spatial == 1`) are summed channel-innermost, which vectorises.
+fn batch_statistics(
+    src: &[f32],
+    [batch, c, spatial]: [usize; 3],
+    count: f32,
+) -> (Vec<f32>, Vec<f32>) {
+    let mut mean = vec![0.0f32; c];
+    let mut var = vec![0.0f32; c];
+    if spatial == 1 {
+        for row in src.chunks_exact(c.max(1)) {
+            for (m, &x) in mean.iter_mut().zip(row) {
+                *m += x;
+            }
+        }
+        for m in &mut mean {
+            *m /= count;
+        }
+        for row in src.chunks_exact(c.max(1)) {
+            for ((v, &x), &m) in var.iter_mut().zip(row).zip(&mean) {
+                let d = x - m;
+                *v += d * d;
+            }
+        }
+    } else {
+        for b in 0..batch {
+            for (ch, m) in mean.iter_mut().enumerate() {
+                let base = (b * c + ch) * spatial;
+                for s in 0..spatial {
+                    *m += src[base + s];
+                }
+            }
+        }
+        for m in &mut mean {
+            *m /= count;
+        }
+        for b in 0..batch {
+            for ch in 0..c {
+                let base = (b * c + ch) * spatial;
+                for s in 0..spatial {
+                    let d = src[base + s] - mean[ch];
+                    var[ch] += d * d;
+                }
+            }
+        }
+    }
+    for v in &mut var {
+        *v /= count;
+    }
+    (mean, var)
 }
 
 #[cfg(test)]

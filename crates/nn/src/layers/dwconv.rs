@@ -1,13 +1,32 @@
 //! Depthwise 2-D convolution (channel multiplier 1), the core of the
 //! MobileNetV2 inverted-residual block.
 //!
-//! Each channel is a direct stencil over its own plane: the taps of its
-//! `k x k` kernel are applied in ascending `(kh, kw)` order, each only to the
-//! output pixels whose input lies inside the image, so no patch matrix is
-//! built and the zero padding costs nothing. Every output sums the same
-//! products in the same order as a per-channel `im2col` + `[1, k²] · [k², n]`
-//! matmul would, so the results are bit for bit those of that lowering.
+//! The convolution runs channels-last, on pixel-major rows `[batch * h * w,
+//! c]` (image by image, one row of channels per pixel), as the inverted
+//! residual holds its activations. Each output row is a stencil over the
+//! input rows its `k x k` taps reach: tap by tap in ascending `(kh, kw)`
+//! order, each tap scales a whole input row by its weight row and adds it,
+//! so the arithmetic runs along the channels and vectorises however small
+//! the plane (2×2 and 4×4 on the late stages of a 32×32 input). Taps whose
+//! input falls in the zero padding are left out, so the padding costs
+//! nothing. The weight is stored `[k * k, channels]`, one row per tap: drawn
+//! in the `[channels, k * k]` order of a per-channel kernel and transposed
+//! once. The NCHW [`Layer`] wrapper transposes its input into rows and the
+//! output back.
+//!
+//! Every output sums the same products in the same order as a per-channel
+//! `im2col` + `[1, k²] · [k², n]` matmul would, so the results are bit for
+//! bit those of that lowering; the weight gradient sums each image's
+//! products in row-major output order and adds the images in order, as
+//! that lowering does.
+//!
+//! Zero taps are skipped, as `Tensor::matmul` skips zero factors, so a
+//! non-finite input under a zero tap never turns into NaN. The test is made
+//! once per tap row: a row that holds no exact zero runs the plain
+//! vectorised loop, and only a row that holds one takes the per-channel
+//! skip.
 
+use super::{nchw_to_rows, rows_to_nchw};
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
@@ -15,9 +34,9 @@ use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 /// `BatchNorm`): every input channel is convolved with its own `k x k`
 /// kernel; channel count is preserved.
 ///
-/// * input: `[batch, channels, h, w]`
-/// * weight: `[channels, k * k]`
-/// * output: `[batch, channels, h', w']`
+/// * input: `[batch, channels, h, w]`, or rows `[batch * h * w, channels]`
+/// * weight: `[k * k, channels]`
+/// * output: `[batch, channels, h', w']`, or rows `[batch * h' * w', channels]`
 #[derive(Debug)]
 pub(crate) struct DepthwiseConv2d {
     channels: usize,
@@ -25,7 +44,8 @@ pub(crate) struct DepthwiseConv2d {
     stride: usize,
     padding: usize,
     weight: Parameter,
-    cached_input: Option<Tensor>,
+    /// The input rows of the last training forward and their plane `(h, w)`.
+    cached_rows: Option<(Tensor, (usize, usize))>,
 }
 
 impl DepthwiseConv2d {
@@ -39,17 +59,15 @@ impl DepthwiseConv2d {
     ) -> Self {
         let fan_in = kernel * kernel;
         let mut init = Initializer::new(rng.fork(0xd00d));
-        let weight = Parameter::new(
-            "weight",
-            init.tensor(&[channels, fan_in], Init::KaimingNormal { fan_in }),
-        );
+        let drawn = init.tensor(&[channels, fan_in], Init::KaimingNormal { fan_in });
+        let weight = Parameter::new("weight", drawn.transpose().expect("a rank-2 draw"));
         DepthwiseConv2d {
             channels,
             kernel,
             stride,
             padding,
             weight,
-            cached_input: None,
+            cached_rows: None,
         }
     }
 
@@ -68,35 +86,145 @@ impl DepthwiseConv2d {
         }
         Ok((dims[0], dims[2], dims[3]))
     }
-}
 
-/// The pixels kernel tap `t` reaches on one plane, leaving out those whose
-/// input falls in the zero padding: the run length and, per output row, the
-/// offsets of the run's first output and first input. A run's outputs are
-/// contiguous and its inputs `stride` apart.
-fn tap_runs(geom: &Conv2dGeometry, t: usize) -> (usize, impl Iterator<Item = (usize, usize)>) {
-    let (s, p, in_w, out_w) = (geom.stride, geom.padding, geom.in_w, geom.out_w());
-    // The output coordinates `o` whose input `o * s + tap - p` lies in `0..len`.
-    let reach = |tap: usize, len: usize, out: usize| {
-        p.saturating_sub(tap).div_ceil(s)..(len + p).saturating_sub(tap).div_ceil(s).min(out)
-    };
-    let (kh, kw) = (t / geom.kernel_w, t % geom.kernel_w);
-    let cols = reach(kw, in_w, out_w);
-    let rows = if cols.is_empty() {
-        0..0
-    } else {
-        reach(kh, geom.in_h, geom.out_h())
-    };
-    let (len, start) = (cols.len(), cols.start);
-    (
-        len,
-        rows.map(move |oy| {
-            (
-                oy * out_w + start,
-                (oy * s + kh - p) * in_w + start * s + kw - p,
-            )
-        }),
-    )
+    /// The input pixel tap `t` of output pixel `(oy, ox)` reads, or `None`
+    /// where it falls in the zero padding.
+    fn tap_input(&self, geom: &Conv2dGeometry, t: usize, oy: usize, ox: usize) -> Option<usize> {
+        let (kh, kw) = (t / self.kernel, t % self.kernel);
+        let iy = (oy * self.stride + kh).checked_sub(self.padding)?;
+        let ix = (ox * self.stride + kw).checked_sub(self.padding)?;
+        (iy < geom.in_h && ix < geom.in_w).then_some(iy * geom.in_w + ix)
+    }
+
+    /// For each tap row of the weight, whether it holds an exact zero.
+    fn zero_taps(&self) -> Vec<bool> {
+        let c = self.channels;
+        let weight = self.weight.value.as_slice();
+        (0..self.kernel * self.kernel)
+            .map(|t| weight[t * c..(t + 1) * c].contains(&0.0))
+            .collect()
+    }
+
+    /// The row form: input rows `[batch * h * w, channels]` of images of
+    /// plane `(h, w)` to output rows `[batch * h' * w', channels]`. A
+    /// training forward keeps `rows` for the backward.
+    pub(crate) fn forward_rows(
+        &mut self,
+        rows: Tensor,
+        (in_h, in_w): (usize, usize),
+        mode: Mode,
+    ) -> Result<Tensor> {
+        let geom = self.geometry(in_h, in_w);
+        geom.validate()?;
+        let (c, pixels) = (self.channels, in_h * in_w);
+        let (in_len, out_pixels) = (pixels * c, geom.out_pixels());
+        // A plane with no pixel has no rows to count images by.
+        if rows.dims().len() != 2
+            || rows.dims()[1] != c
+            || pixels == 0
+            || rows.dims()[0] % pixels != 0
+        {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                expected: format!("[batch * {pixels}, {c}], pixels > 0"),
+                actual: rows.dims().to_vec(),
+            });
+        }
+        let batch = rows.dims()[0] / pixels;
+        let weight = self.weight.value.as_slice();
+        let zero_taps = self.zero_taps();
+        let mut out = vec![0.0f32; batch * out_pixels * c];
+        for b in 0..batch {
+            let x = &rows.as_slice()[b * in_len..][..in_len];
+            for o in 0..out_pixels {
+                let (oy, ox) = (o / geom.out_w(), o % geom.out_w());
+                let y = &mut out[(b * out_pixels + o) * c..][..c];
+                for (t, &has_zero) in zero_taps.iter().enumerate() {
+                    let Some(i) = self.tap_input(&geom, t, oy, ox) else {
+                        continue;
+                    };
+                    let taps = y.iter_mut().zip(&weight[t * c..][..c]);
+                    let products = taps.zip(&x[i * c..][..c]);
+                    if has_zero {
+                        products
+                            .filter(|((_, &w), _)| w != 0.0)
+                            .for_each(|((y, &w), &x)| *y += w * x);
+                    } else {
+                        products.for_each(|((y, &w), &x)| *y += w * x);
+                    }
+                }
+            }
+        }
+        self.cached_rows = mode.is_train().then_some((rows, (in_h, in_w)));
+        Tensor::from_vec(out, &[batch * out_pixels, c]).map_err(NnError::from)
+    }
+
+    /// The backward of [`Self::forward_rows`]: takes the output gradient as
+    /// rows, accumulates the weight gradient and returns the input gradient
+    /// as rows.
+    pub(crate) fn backward_rows(&mut self, grad_rows: &Tensor) -> Result<Tensor> {
+        let (rows, (in_h, in_w)) = self
+            .cached_rows
+            .take()
+            .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
+        let geom = self.geometry(in_h, in_w);
+        let c = self.channels;
+        let (in_len, out_pixels) = (in_h * in_w * c, geom.out_pixels());
+        let batch = rows.dims()[0] / (in_h * in_w);
+        if grad_rows.dims() != [batch * out_pixels, c] {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                expected: format!("[{}, {c}]", batch * out_pixels),
+                actual: grad_rows.dims().to_vec(),
+            });
+        }
+        let taps = self.kernel * self.kernel;
+        let weight = self.weight.value.as_slice();
+        let zero_taps = self.zero_taps();
+        let mut grad_input = vec![0.0f32; rows.len()];
+        let mut grad_weight = vec![0.0f32; taps * c];
+        let mut image_dw = vec![0.0f32; taps * c];
+        for b in 0..batch {
+            let x = &rows.as_slice()[b * in_len..][..in_len];
+            let g = &grad_rows.as_slice()[b * out_pixels * c..][..out_pixels * c];
+            let gx = &mut grad_input[b * in_len..][..in_len];
+            image_dw.fill(0.0);
+            // Tap by tap, so each input pixel takes its taps' shares in
+            // ascending order, as `col2im` would add them.
+            for (t, &has_zero) in zero_taps.iter().enumerate() {
+                let w = &weight[t * c..][..c];
+                let dw = &mut image_dw[t * c..][..c];
+                for o in 0..out_pixels {
+                    let (oy, ox) = (o / geom.out_w(), o % geom.out_w());
+                    let Some(i) = self.tap_input(&geom, t, oy, ox) else {
+                        continue;
+                    };
+                    let g = &g[o * c..][..c];
+                    // dW sums the image's products in row-major output order
+                    // and skips zero output gradients, as `Tensor::matmul` would.
+                    dw.iter_mut()
+                        .zip(g)
+                        .zip(&x[i * c..][..c])
+                        .filter(|((_, &g), _)| g != 0.0)
+                        .for_each(|((dw, &g), &x)| *dw += g * x);
+                    let shares = gx[i * c..][..c].iter_mut().zip(w).zip(g);
+                    if has_zero {
+                        shares
+                            .filter(|((_, &w), _)| w != 0.0)
+                            .for_each(|((gx, &w), &g)| *gx += w * g);
+                    } else {
+                        shares.for_each(|((gx, &w), &g)| *gx += w * g);
+                    }
+                }
+            }
+            for (acc, &dw) in grad_weight.iter_mut().zip(&image_dw) {
+                *acc += dw;
+            }
+        }
+        self.weight
+            .accumulate_grad(&Tensor::from_vec(grad_weight, self.weight.value.dims())?);
+        Tensor::from_vec(grad_input, rows.dims()).map_err(NnError::from)
+    }
 }
 
 impl Layer for DepthwiseConv2d {
@@ -111,52 +239,17 @@ impl Layer for DepthwiseConv2d {
         let (batch, in_h, in_w) = self.check_input(input.dims())?;
         let geom = self.geometry(in_h, in_w);
         geom.validate()?;
-        let (out_h, out_w) = (geom.out_h(), geom.out_w());
-        let (in_plane, out_plane) = (in_h * in_w, out_h * out_w);
-        let (taps, s) = (self.kernel * self.kernel, self.stride);
-        let mut out = vec![0.0f32; batch * self.channels * out_plane];
-        // A tap's runs depend on the geometry alone: one table serves every plane.
-        let table: Vec<(usize, Vec<(usize, usize)>)> = (0..taps)
-            .map(|t| {
-                let (len, runs) = tap_runs(&geom, t);
-                (len, runs.collect())
-            })
-            .collect();
-
-        for plane in 0..batch * self.channels {
-            let c = plane % self.channels;
-            let x = &input.as_slice()[plane * in_plane..(plane + 1) * in_plane];
-            let y = &mut out[plane * out_plane..(plane + 1) * out_plane];
-            let weights = &self.weight.value.as_slice()[c * taps..(c + 1) * taps];
-            // Zero taps are skipped, as `Tensor::matmul` skips zero factors:
-            // a non-finite input under a zero tap never turns into NaN.
-            for (t, &w) in weights.iter().enumerate().filter(|&(_, &w)| w != 0.0) {
-                let (len, runs) = (table[t].0, &table[t].1);
-                for &(o, i) in runs {
-                    let y = &mut y[o..o + len];
-                    // Contiguous inputs zip as slices, which vectorises.
-                    if s == 1 {
-                        y.iter_mut()
-                            .zip(&x[i..i + len])
-                            .for_each(|(y, &x)| *y += w * x);
-                    } else {
-                        y.iter_mut()
-                            .zip(x[i..].iter().step_by(s))
-                            .for_each(|(y, &x)| *y += w * x);
-                    }
-                }
-            }
-        }
-        self.cached_input = mode.is_train().then(|| input.clone());
-        Tensor::from_vec(out, &[batch, self.channels, out_h, out_w]).map_err(NnError::from)
+        let out = self.forward_rows(nchw_to_rows(input), (in_h, in_w), mode)?;
+        Ok(rows_to_nchw(&out, batch, geom.out_h(), geom.out_w()))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .take()
+        let (rows, (in_h, in_w)) = self
+            .cached_rows
+            .as_ref()
             .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
-        let (batch, in_h, in_w) = self.check_input(input.dims())?;
+        let (in_h, in_w) = (*in_h, *in_w);
+        let batch = rows.dims()[0] / (in_h * in_w);
         let geom = self.geometry(in_h, in_w);
         let (out_h, out_w) = (geom.out_h(), geom.out_w());
         if grad_output.dims() != [batch, self.channels, out_h, out_w] {
@@ -166,43 +259,8 @@ impl Layer for DepthwiseConv2d {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        let (in_plane, out_plane) = (in_h * in_w, out_h * out_w);
-        let (taps, s) = (self.kernel * self.kernel, self.stride);
-        let weight = self.weight.value.as_slice();
-        let mut grad_input = vec![0.0f32; batch * self.channels * in_plane];
-        let mut grad_weight = vec![0.0f32; self.channels * taps];
-
-        for plane in 0..batch * self.channels {
-            let c = plane % self.channels;
-            let x = &input.as_slice()[plane * in_plane..(plane + 1) * in_plane];
-            let g = &grad_output.as_slice()[plane * out_plane..(plane + 1) * out_plane];
-            let gx = &mut grad_input[plane * in_plane..(plane + 1) * in_plane];
-            for t in 0..taps {
-                let (w, (len, runs)) = (weight[c * taps + t], tap_runs(&geom, t));
-                // dW sums the plane's products in row-major order and skips
-                // zero output gradients, as `Tensor::matmul` would; dx takes
-                // each tap's share in ascending tap order, as `col2im` would.
-                let mut dw = 0.0f32;
-                for (o, i) in runs {
-                    let g = &g[o..o + len];
-                    let products = g.iter().zip(x[i..].iter().step_by(s));
-                    dw = products
-                        .filter(|(&g, _)| g != 0.0)
-                        .fold(dw, |dw, (g, x)| dw + g * x);
-                    if w != 0.0 {
-                        gx[i..]
-                            .iter_mut()
-                            .step_by(s)
-                            .zip(g)
-                            .for_each(|(gx, g)| *gx += w * g);
-                    }
-                }
-                grad_weight[c * taps + t] += dw;
-            }
-        }
-        self.weight
-            .accumulate_grad(&Tensor::from_vec(grad_weight, self.weight.value.dims())?);
-        Tensor::from_vec(grad_input, input.dims()).map_err(NnError::from)
+        let grad_rows = self.backward_rows(&nchw_to_rows(grad_output))?;
+        Ok(rows_to_nchw(&grad_rows, batch, in_h, in_w))
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
@@ -252,10 +310,10 @@ mod tests {
         // channel 0 stays non-zero.
         let mut rng = SeedRng::new(1);
         let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, &mut rng);
-        for x in dw.weight.value.as_mut_slice()[9..18].iter_mut() {
-            *x = 0.0;
+        // Weight rows are taps: channel 0 is the even column, channel 1 the odd.
+        for tap in dw.weight.value.as_mut_slice().chunks_mut(2) {
+            tap.copy_from_slice(&[1.0, 0.0]);
         }
-        dw.weight.value.as_mut_slice()[..9].copy_from_slice(&[1.0; 9]);
         let x = Tensor::ones(&[1, 2, 4, 4]);
         let y = dw.forward(&x, Mode::Eval).unwrap();
         let ch0: f32 = y.as_slice()[..16].iter().sum();
@@ -317,7 +375,10 @@ mod tests {
             let image = x.as_slice()[plane * in_plane..(plane + 1) * in_plane].to_vec();
             let image = Tensor::from_vec(image, &[1, in_h, in_w]).unwrap();
             let cols = im2col(&image, 1, &geom).unwrap();
-            let w = Tensor::from_vec(dw.weight.value.row(c).unwrap().to_vec(), &[1, taps]).unwrap();
+            let w: Vec<f32> = (0..taps)
+                .map(|t| dw.weight.value.at(&[t, c]).unwrap())
+                .collect();
+            let w = Tensor::from_vec(w, &[1, taps]).unwrap();
             y.extend_from_slice(w.matmul(&cols).unwrap().as_slice());
             let g = &grad_y.as_slice()[plane * out_plane..(plane + 1) * out_plane];
             let g = Tensor::from_vec(g.to_vec(), &[1, out_plane]).unwrap();
@@ -369,13 +430,14 @@ mod tests {
         ];
         for &(batch, channels, h, w, k, s, p) in &shapes {
             let mut dw = DepthwiseConv2d::new(channels, k, s, p, &mut rng);
-            dw.weight.value = seeded(&mut rng, &[channels, k * k]);
+            dw.weight.value = seeded(&mut rng, &[k * k, channels]);
             let x = seeded(&mut rng, &[batch, channels, h, w]);
             let y = dw.forward(&x, Mode::Train).unwrap();
             let grad_y = seeded(&mut rng, y.dims());
             let gx = dw.backward(&grad_y).unwrap();
             let expected = im2col_reference(&dw, &x, &grad_y);
-            let got = [y.as_slice(), gx.as_slice(), dw.weight.grad.as_slice()];
+            let grad_w = dw.weight.grad.transpose().unwrap();
+            let got = [y.as_slice(), gx.as_slice(), grad_w.as_slice()];
             let names = ["output", "grad_input", "grad_weight"];
             for (what, (got, expected)) in names.iter().zip(got.iter().zip(&expected)) {
                 assert_eq!(got.len(), expected.len(), "{what}");
@@ -390,6 +452,38 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_infinite_input_under_a_zero_tap_stays_out_of_the_rows() {
+        // Channel 1's centre tap is zero, so the centre tap row takes the
+        // skip path while every other row runs the plain loop. An infinite
+        // pixel at the centre of channel 1 must not turn into NaN.
+        let mut rng = SeedRng::new(5);
+        let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, &mut rng);
+        dw.weight.value = Tensor::ones(&[9, 2]);
+        let centre = 4;
+        dw.weight.value.set(&[centre, 1], 0.0).unwrap();
+        let (h, w) = (3, 3);
+        let mut rows = Tensor::zeros(&[h * w, 2]);
+        rows.set(&[centre, 1], f32::INFINITY).unwrap();
+        let y = dw.forward_rows(rows, (h, w), Mode::Train).unwrap();
+        // Channel 1's centre output reads the infinite pixel only through the
+        // zero tap: it stays 0, not NaN. Its other outputs see it through a
+        // one and are infinite. Channel 0 never sees it.
+        for pixel in 0..h * w {
+            let want = if pixel == centre { 0.0 } else { f32::INFINITY };
+            assert_eq!(y.at(&[pixel, 1]).unwrap(), want, "pixel {pixel}");
+            assert_eq!(y.at(&[pixel, 0]).unwrap(), 0.0, "pixel {pixel}");
+        }
+        // The backward skips the zero tap the same way: an infinite output
+        // gradient at the centre reaches no input pixel through it.
+        let mut grad = Tensor::zeros(&[h * w, 2]);
+        grad.set(&[centre, 1], f32::INFINITY).unwrap();
+        let gx = dw.backward_rows(&grad).unwrap();
+        assert_eq!(gx.at(&[centre, 1]).unwrap(), 0.0);
+        assert_eq!(gx.at(&[0, 1]).unwrap(), f32::INFINITY);
+        assert!(gx.as_slice().iter().all(|v| !v.is_nan()));
     }
 
     #[test]

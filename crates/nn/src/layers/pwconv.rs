@@ -1,39 +1,44 @@
 //! Pointwise (1×1, stride-1, unpadded) convolution, the expand and project
 //! convolutions of the MobileNetV2 inverted residual and its 1280-wide head.
 //!
-//! A pointwise convolution mixes channels pixel by pixel, so the forward
-//! multiplies the batch's pixels as rows, `rows[hw * batch, c_in] · W[c_in,
-//! c_out]`, with the weight stored once as `[in_channels, out_channels]`.
-//! The row kernel of `Tensor::matmul` then runs along the channel count
-//! (16–1280) rather than along `batch * h * w`, which is 4–20 on the late
-//! 2×2 maps of a 32×32 input. One transpose of the whole NCHW input,
-//! `[batch, c_in, h, w]` to `[h, w, batch, c_in]`, gathers the rows
-//! (pixel-major, then image) straight from the borrowed input, and one
-//! transpose of the product, `[h, w, batch, c_out]`, scatters them back.
+//! A pointwise convolution mixes channels pixel by pixel, so its row form is
+//! exactly `rows[batch * h * w, c_in] · W[c_in, c_out]`, with the weight
+//! stored once as `[in_channels, out_channels]` and the rows pixel-major
+//! (image by image, one row of channels per pixel). The row kernel of
+//! `Tensor::matmul` then runs along the channel count (16–1280) rather than
+//! along `h * w`, which is 4 on the late 2×2 maps of a 32×32 input. The
+//! inverted residual keeps its activations in rows and calls the row form
+//! directly; only the NCHW [`Layer`] wrapper, used by the MobileNetV2 head
+//! and the ResNet-12 shortcuts, transposes its input into rows and the
+//! product back.
 //!
 //! Every output sums the same products in the same ascending `c_in` order as
 //! `Conv2d`'s im2col + `[c_out, c_in] · [c_in, hw]` lowering of the same
-//! convolution, so for finite operands the results are bit for bit those of
-//! that lowering, and so are the backward's gradients. One difference: the
-//! matmul skips exact zeros of its left operand, which is now the activation
-//! rather than the weight, so a non-finite activation under an exactly-zero
-//! weight yields NaN where the weight-major product skipped it.
+//! convolution, and the weight gradient is formed per image and added in
+//! image order as that lowering adds it, so for finite operands the results
+//! are bit for bit those of that lowering, and so are the backward's
+//! gradients. One difference: the matmul skips exact zeros of its left
+//! operand, which is now the activation (or the output gradient) rather than
+//! the weight, so a non-finite value under an exactly-zero weight yields NaN
+//! where the weight-major product skipped it.
 
+use super::{nchw_to_rows, rows_to_nchw};
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
 /// A 1×1, stride-1, unpadded convolution without bias (every caller
 /// follows it with `BatchNorm`).
 ///
-/// * input: `[batch, in_channels, h, w]`
+/// * input: `[batch, in_channels, h, w]`, or rows `[batch * h * w, in_channels]`
 /// * weight: `[in_channels, out_channels]`
-/// * output: `[batch, out_channels, h, w]`
+/// * output: `[batch, out_channels, h, w]`, or rows `[batch * h * w, out_channels]`
 #[derive(Debug)]
 pub(crate) struct PointwiseConv2d {
     in_channels: usize,
     out_channels: usize,
     weight: Parameter,
-    cached_input: Option<Tensor>,
+    /// The input rows of the last training forward and their plane `(h, w)`.
+    cached_rows: Option<(Tensor, (usize, usize))>,
 }
 
 impl PointwiseConv2d {
@@ -53,7 +58,7 @@ impl PointwiseConv2d {
             in_channels,
             out_channels,
             weight,
-            cached_input: None,
+            cached_rows: None,
         }
     }
 
@@ -70,6 +75,61 @@ impl PointwiseConv2d {
         Conv2dGeometry::new(dims[2], dims[3], 1, 1, 0).validate()?;
         Ok((dims[0], dims[2] * dims[3]))
     }
+
+    /// The row form: `rows[batch * h * w, in_channels] · W`, for images of
+    /// plane `(h, w)`. A training forward keeps `rows` for the backward.
+    pub(crate) fn forward_rows(
+        &mut self,
+        rows: Tensor,
+        plane: (usize, usize),
+        mode: Mode,
+    ) -> Result<Tensor> {
+        Conv2dGeometry::new(plane.0, plane.1, 1, 1, 0).validate()?;
+        let pixels = plane.0 * plane.1;
+        if rows.dims().len() != 2
+            || rows.dims()[1] != self.in_channels
+            || rows.dims()[0] % pixels != 0
+        {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                expected: format!("[batch * {pixels}, {}]", self.in_channels),
+                actual: rows.dims().to_vec(),
+            });
+        }
+        let out = rows.matmul(&self.weight.value)?;
+        self.cached_rows = mode.is_train().then_some((rows, plane));
+        Ok(out)
+    }
+
+    /// The backward of [`Self::forward_rows`]: takes the output gradient as
+    /// rows `[batch * h * w, out_channels]`, accumulates the weight gradient
+    /// image by image and returns the input gradient as rows.
+    pub(crate) fn backward_rows(&mut self, grad_rows: &Tensor) -> Result<Tensor> {
+        let (rows, (h, w)) = self
+            .cached_rows
+            .take()
+            .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
+        let (c_in, c_out, pixels) = (self.in_channels, self.out_channels, h * w);
+        let n = rows.dims()[0];
+        if grad_rows.dims() != [n, c_out] {
+            return Err(NnError::BadInput {
+                layer: self.name(),
+                expected: format!("[{n}, {c_out}]"),
+                actual: grad_rows.dims().to_vec(),
+            });
+        }
+        let grad_input = grad_rows.matmul(&self.weight.value.transpose()?)?;
+        // dW = Σ_image x_imageᵀ · g_image: the products of each image sum
+        // in ascending pixel order, and the images add up in order.
+        for b in 0..n / pixels {
+            let x = &rows.as_slice()[b * pixels * c_in..][..pixels * c_in];
+            let x = Tensor::from_vec(x.to_vec(), &[pixels, c_in])?.transpose()?;
+            let g = &grad_rows.as_slice()[b * pixels * c_out..][..pixels * c_out];
+            let g = Tensor::from_vec(g.to_vec(), &[pixels, c_out])?;
+            self.weight.accumulate_grad(&x.matmul(&g)?);
+        }
+        Ok(grad_input)
+    }
 }
 
 impl Layer for PointwiseConv2d {
@@ -81,25 +141,20 @@ impl Layer for PointwiseConv2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (batch, hw) = self.check_input(input.dims())?;
+        let (batch, _) = self.check_input(input.dims())?;
         let (h, w) = (input.dims()[2], input.dims()[3]);
-        let mut rows = input.transpose()?;
-        rows.reshape_in_place(&[hw * batch, self.in_channels])?;
-        let mut product = rows.matmul(&self.weight.value)?;
-        product.reshape_in_place(&[h, w, batch, self.out_channels])?;
-        let out = product.transpose()?;
-        self.cached_input = mode.is_train().then(|| input.clone());
-        Ok(out)
+        let product = self.forward_rows(nchw_to_rows(input), (h, w), mode)?;
+        Ok(rows_to_nchw(&product, batch, h, w))
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .take()
+        let (rows, (h, w)) = self
+            .cached_rows
+            .as_ref()
             .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
-        let (batch, hw) = self.check_input(input.dims())?;
-        let (c_in, c_out) = (self.in_channels, self.out_channels);
-        let out_dims = [batch, c_out, input.dims()[2], input.dims()[3]];
+        let (h, w) = (*h, *w);
+        let batch = rows.dims()[0] / (h * w);
+        let out_dims = [batch, self.out_channels, h, w];
         if grad_output.dims() != out_dims {
             return Err(NnError::BadInput {
                 layer: self.name(),
@@ -107,19 +162,8 @@ impl Layer for PointwiseConv2d {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        let (plane, out_plane) = (c_in * hw, c_out * hw);
-        let mut grad_input = vec![0.0f32; batch * plane];
-        for b in 0..batch {
-            let x = &input.as_slice()[b * plane..(b + 1) * plane];
-            let x = Tensor::from_vec(x.to_vec(), &[c_in, hw])?;
-            let g = &grad_output.as_slice()[b * out_plane..(b + 1) * out_plane];
-            let grad_y = Tensor::from_vec(g.to_vec(), &[c_out, hw])?;
-            self.weight
-                .accumulate_grad(&x.matmul(&grad_y.transpose()?)?);
-            let grad_x = self.weight.value.matmul(&grad_y)?;
-            grad_input[b * plane..(b + 1) * plane].copy_from_slice(grad_x.as_slice());
-        }
-        Tensor::from_vec(grad_input, input.dims()).map_err(NnError::from)
+        let grad_rows = self.backward_rows(&nchw_to_rows(grad_output))?;
+        Ok(rows_to_nchw(&grad_rows, batch, h, w))
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {

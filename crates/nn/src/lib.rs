@@ -12,10 +12,12 @@
 //!   matrix per image. A 1×1, stride-1, unpadded (pointwise) one is its own
 //!   layer: the batch's pixels are the rows of one matmul against a weight
 //!   stored `[in, out]`, as [`layers::Linear`] stores its own. A depthwise
-//!   convolution is a direct per-channel stencil with no patch matrix or
+//!   convolution is a direct channels-last stencil with no patch matrix or
 //!   matmul,
 //! * composite blocks (inverted residual, ResNet basic block) and the backbone
-//!   model builders with the paper's stride profiles (Table I),
+//!   model builders with the paper's stride profiles (Table I). The inverted
+//!   residual is NCHW at its boundary and runs its convolutions, batch
+//!   norms and activations on pixel-major rows `[batch * h * w, c]` inside,
 //! * the three losses of the paper — cross entropy (with soft labels for
 //!   Mixup/CutMix), the feature-orthogonality regulariser (Eq. 1) and the
 //!   multi-margin loss on cosine logits (Eq. 4),
