@@ -16,6 +16,20 @@ impl GlobalAvgPool {
     pub(crate) fn new() -> Self {
         GlobalAvgPool { cached_dims: None }
     }
+
+    /// The `(batch, channels, h * w)` of a `[batch, channels, h, w]` input.
+    /// An empty plane has no average (its mean would be `0 / 0`), so it is
+    /// rejected as `Conv2d` rejects it.
+    fn check_input(&self, dims: &[usize]) -> Result<(usize, usize, usize)> {
+        match *dims {
+            [batch, channels, h, w] if h * w > 0 => Ok((batch, channels, h * w)),
+            _ => Err(NnError::BadInput {
+                layer: self.name(),
+                expected: "[batch, channels, h > 0, w > 0]".into(),
+                actual: dims.to_vec(),
+            }),
+        }
+    }
 }
 
 impl Layer for GlobalAvgPool {
@@ -25,15 +39,7 @@ impl Layer for GlobalAvgPool {
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         let dims = input.dims();
-        if dims.len() != 4 {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                expected: "[batch, channels, h, w]".into(),
-                actual: dims.to_vec(),
-            });
-        }
-        let (batch, channels, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-        let spatial = h * w;
+        let (batch, channels, spatial) = self.check_input(dims)?;
         let mut out = vec![0.0f32; batch * channels];
         for b in 0..batch {
             for c in 0..channels {
@@ -76,14 +82,8 @@ impl Layer for GlobalAvgPool {
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Parameter)) {}
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
-        if input.len() != 4 {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                expected: "[batch, channels, h, w]".into(),
-                actual: input.to_vec(),
-            });
-        }
-        Ok(vec![input[0], input[1]])
+        let (batch, channels, _) = self.check_input(input)?;
+        Ok(vec![batch, channels])
     }
 }
 
@@ -250,5 +250,19 @@ mod tests {
         assert!(pool.forward(&Tensor::ones(&[2, 3]), Mode::Eval).is_err());
         assert!(pool.output_dims(&[2, 3]).is_err());
         assert!(pool.backward(&Tensor::ones(&[1, 2])).is_err());
+    }
+
+    #[test]
+    fn global_avg_pool_rejects_an_empty_plane() {
+        // An empty plane has no mean: it is an input error, not NaN features.
+        let mut pool = GlobalAvgPool::new();
+        for dims in [[2, 3, 0, 4], [2, 3, 4, 0]] {
+            let err = pool.forward(&Tensor::zeros(&dims), Mode::Train);
+            assert!(matches!(err, Err(NnError::BadInput { .. })), "{err:?}");
+            assert!(pool.output_dims(&dims).is_err());
+        }
+        // An empty batch of non-empty planes is still fine.
+        let y = pool.forward(&Tensor::zeros(&[0, 3, 2, 2]), Mode::Eval);
+        assert_eq!(y.unwrap().dims(), &[0, 3]);
     }
 }
