@@ -81,7 +81,48 @@ impl Layer for BatchNorm {
         let src = input.as_slice();
 
         let batch_stats = mode.is_train().then(|| {
-            let (mean, var) = batch_statistics(src, [batch, c, spatial], count);
+            let mut mean = vec![0.0f32; c];
+            let mut var = vec![0.0f32; c];
+            if spatial == 1 {
+                for row in src.chunks_exact(c.max(1)) {
+                    for (m, &x) in mean.iter_mut().zip(row) {
+                        *m += x;
+                    }
+                }
+                for m in &mut mean {
+                    *m /= count;
+                }
+                for row in src.chunks_exact(c.max(1)) {
+                    for ((v, &x), &m) in var.iter_mut().zip(row).zip(&mean) {
+                        let d = x - m;
+                        *v += d * d;
+                    }
+                }
+            } else {
+                for b in 0..batch {
+                    for (ch, m) in mean.iter_mut().enumerate() {
+                        let base = (b * c + ch) * spatial;
+                        for s in 0..spatial {
+                            *m += src[base + s];
+                        }
+                    }
+                }
+                for m in &mut mean {
+                    *m /= count;
+                }
+                for b in 0..batch {
+                    for ch in 0..c {
+                        let base = (b * c + ch) * spatial;
+                        for s in 0..spatial {
+                            let d = src[base + s] - mean[ch];
+                            var[ch] += d * d;
+                        }
+                    }
+                }
+            }
+            for v in &mut var {
+                *v /= count;
+            }
             // Update running statistics.
             for ch in 0..c {
                 let rm = &mut self.running_mean.value.as_mut_slice()[ch];
@@ -251,59 +292,6 @@ impl Layer for BatchNorm {
     }
 }
 
-/// Per-channel batch mean and (biased) variance over `count` elements, each
-/// channel's sums taken in (image, pixel) order. Rows `[batch, c]`
-/// (`spatial == 1`) are summed channel-innermost, which vectorises.
-fn batch_statistics(
-    src: &[f32],
-    [batch, c, spatial]: [usize; 3],
-    count: f32,
-) -> (Vec<f32>, Vec<f32>) {
-    let mut mean = vec![0.0f32; c];
-    let mut var = vec![0.0f32; c];
-    if spatial == 1 {
-        for row in src.chunks_exact(c.max(1)) {
-            for (m, &x) in mean.iter_mut().zip(row) {
-                *m += x;
-            }
-        }
-        for m in &mut mean {
-            *m /= count;
-        }
-        for row in src.chunks_exact(c.max(1)) {
-            for ((v, &x), &m) in var.iter_mut().zip(row).zip(&mean) {
-                let d = x - m;
-                *v += d * d;
-            }
-        }
-    } else {
-        for b in 0..batch {
-            for (ch, m) in mean.iter_mut().enumerate() {
-                let base = (b * c + ch) * spatial;
-                for s in 0..spatial {
-                    *m += src[base + s];
-                }
-            }
-        }
-        for m in &mut mean {
-            *m /= count;
-        }
-        for b in 0..batch {
-            for ch in 0..c {
-                let base = (b * c + ch) * spatial;
-                for s in 0..spatial {
-                    let d = src[base + s] - mean[ch];
-                    var[ch] += d * d;
-                }
-            }
-        }
-    }
-    for v in &mut var {
-        *v /= count;
-    }
-    (mean, var)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,6 +387,49 @@ mod tests {
             .is_err());
         assert!(bn.output_dims(&[2, 3]).is_err());
         assert_eq!(bn.output_dims(&[2, 4]).unwrap(), vec![2, 4]);
+    }
+
+    #[test]
+    fn rows_and_planes_give_the_same_bits() {
+        // The same activations as NCHW planes and as pixel-major rows: every
+        // output, running statistic and gradient must agree to the bit,
+        // through a training step and an eval forward.
+        let mut rng = SeedRng::new(41);
+        for (batch, c, h, w) in [(1, 3, 2, 2), (2, 5, 3, 4), (3, 2, 1, 1), (2, 40, 2, 3)] {
+            let case = (batch, c, h, w);
+            let draw = |rng: &mut SeedRng, dims: &[usize]| {
+                let n = dims.iter().product();
+                Tensor::from_vec((0..n).map(|_| rng.normal_with(1.0, 2.0)).collect(), dims).unwrap()
+            };
+            let x = draw(&mut rng, &[batch, c, h, w]);
+            let grad = draw(&mut rng, &[batch, c, h, w]);
+            let (mut planes, mut rows) = (BatchNorm::new(c), BatchNorm::new(c));
+            for bn in [&mut planes, &mut rows] {
+                bn.gamma.value =
+                    Tensor::from_vec((0..c).map(|i| 0.5 + i as f32).collect(), &[c]).unwrap();
+            }
+            let as_rows = crate::layers::nchw_to_rows;
+            let back = |t: &Tensor| crate::layers::rows_to_nchw(t, batch, h, w);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+            let y = planes.forward(&x, Mode::Train).unwrap();
+            let y_rows = rows.forward(&as_rows(&x), Mode::Train).unwrap();
+            assert_eq!(bits(&y), bits(&back(&y_rows)), "train output {case:?}");
+            let gx = planes.backward(&grad).unwrap();
+            let gx_rows = rows.backward(&as_rows(&grad)).unwrap();
+            assert_eq!(bits(&gx), bits(&back(&gx_rows)), "grad_input {case:?}");
+            let mut params = Vec::new();
+            for bn in [&mut planes, &mut rows] {
+                let mut visited = Vec::new();
+                bn.visit_params(&mut |p| visited.extend([bits(&p.value), bits(&p.grad)]));
+                params.push(visited);
+            }
+            assert_eq!(params[0], params[1], "parameters {case:?}");
+
+            let y = planes.forward(&x, Mode::Eval).unwrap();
+            let y_rows = rows.forward(&as_rows(&x), Mode::Eval).unwrap();
+            assert_eq!(bits(&y), bits(&back(&y_rows)), "eval output {case:?}");
+        }
     }
 
     #[test]
