@@ -2,8 +2,8 @@
 //! block used by the ResNet-12 backbone.
 
 use crate::layers::{
-    nchw_to_rows, rows_to_nchw, BatchNorm, Conv2d, DepthwiseConv2d, PointwiseConv2d, Relu, Relu6,
-    Sequential,
+    chained_macs, nchw_to_rows, rows_to_nchw, BatchNorm, Conv2d, DepthwiseConv2d, PointwiseConv2d,
+    Relu, Relu6, Sequential,
 };
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{SeedRng, Tensor};
@@ -178,16 +178,7 @@ impl Layer for InvertedResidual {
     }
 
     fn macs(&self, input: &[usize]) -> u64 {
-        let mut shape = [&[1], input].concat();
-        let mut total = 0;
-        for layer in self.layers() {
-            total += layer.macs(&shape[1..]);
-            match layer.output_dims(&shape) {
-                Ok(next) => shape = next,
-                Err(_) => break,
-            }
-        }
-        total
+        chained_macs(self.layers(), input)
     }
 
     fn weight_count(&self) -> u64 {

@@ -17,6 +17,7 @@ pub(crate) use dwconv::DepthwiseConv2d;
 pub use linear::Linear;
 pub(crate) use pool::{GlobalAvgPool, MaxPool2d};
 pub(crate) use pwconv::PointwiseConv2d;
+pub(crate) use sequential::chained_macs;
 pub use sequential::Sequential;
 
 use ofscil_tensor::Tensor;
@@ -25,7 +26,8 @@ use ofscil_tensor::Tensor;
 const TILE: usize = 32;
 
 /// An NCHW batch `[batch, c, h, w]` as pixel-major rows `[batch * h * w, c]`:
-/// image by image, pixel by pixel, one row of channels per pixel.
+/// image by image, pixel by pixel, one row of channels per pixel. Callers
+/// check the rank first.
 pub(crate) fn nchw_to_rows(input: &Tensor) -> Tensor {
     let (batch, c) = (input.dims()[0], input.dims()[1]);
     let pixels = input.dims()[2] * input.dims()[3];

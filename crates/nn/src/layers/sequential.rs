@@ -105,25 +105,30 @@ impl Layer for Sequential {
     }
 
     fn macs(&self, input: &[usize]) -> u64 {
-        let mut shape = {
-            let mut v = vec![1usize];
-            v.extend_from_slice(input);
-            v
-        };
-        let mut total = 0u64;
-        for layer in &self.layers {
-            total += layer.macs(&shape[1..]);
-            match layer.output_dims(&shape) {
-                Ok(next) => shape = next,
-                Err(_) => return total,
-            }
-        }
-        total
+        chained_macs(self.layers.iter().map(|l| &**l as &dyn Layer), input)
     }
 
     fn weight_count(&self) -> u64 {
         self.layers.iter().map(|l| l.weight_count()).sum()
     }
+}
+
+/// The MACs of running `layers` in order on one sample of batch-less shape
+/// `input`, stopping at the first layer that rejects its input.
+pub(crate) fn chained_macs<'a>(
+    layers: impl IntoIterator<Item = &'a dyn Layer>,
+    input: &[usize],
+) -> u64 {
+    let mut shape = [&[1], input].concat();
+    let mut total = 0u64;
+    for layer in layers {
+        total += layer.macs(&shape[1..]);
+        match layer.output_dims(&shape) {
+            Ok(next) => shape = next,
+            Err(_) => break,
+        }
+    }
+    total
 }
 
 #[cfg(test)]
