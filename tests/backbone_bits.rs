@@ -4,9 +4,9 @@
 //!
 //! Three things are pinned:
 //! * the eval features of all five backbones at batch 1 and 3;
-//! * one training forward + backward of MobileNetV2 and Micro at batch 2: the
-//!   input gradient, every trainable parameter's gradient and every BN
-//!   running statistic, in `visit_params` order;
+//! * one training forward + backward of MobileNetV2, ResNet-12 and Micro at
+//!   batch 2: the input gradient, every trainable parameter's gradient and
+//!   every BN running statistic, in `visit_params` order;
 //! * the GAP9 deployment rows (`deploy_backbone`) of each backbone.
 //!
 //! Gradients are read through one plain SGD step (learning rate 1, no
@@ -46,6 +46,9 @@ const GOLDEN: &[(&str, u64)] = &[
     ("MobileNetV2 grad_input", 0x0628c58815141bbb),
     ("MobileNetV2 param grads", 0xbfc1c75d95cc9c8a),
     ("MobileNetV2 running stats", 0x26c578792920ed13),
+    ("ResNet12 grad_input", 0x7558276e9779b05e),
+    ("ResNet12 param grads", 0xa7e2fc2248827e96),
+    ("ResNet12 running stats", 0xcf1e3047ccc32156),
     ("Micro grad_input", 0x96719482060e1410),
     ("Micro param grads", 0xf9a43296a07bc40a),
     ("Micro running stats", 0xac6b7fdee1e30358),
@@ -154,7 +157,11 @@ fn eval_features_keep_their_bits() {
 #[test]
 fn one_training_step_keeps_its_bits() {
     let mut actual = Vec::new();
-    for kind in [BackboneKind::MobileNetV2, BackboneKind::Micro] {
+    for kind in [
+        BackboneKind::MobileNetV2,
+        BackboneKind::ResNet12,
+        BackboneKind::Micro,
+    ] {
         let [input, grads, stats] = train_step(kind);
         let label = kind.label();
         actual.push((format!("{label} grad_input"), input));
