@@ -3,9 +3,7 @@
 
 use crate::codec::{decode_response, encode_request, ReplEvent, WireRequest, WireResponse};
 use crate::error::WireError;
-use crate::frame::{
-    read_frame, read_frame_verbatim, ReadEvent, VerbatimEvent, DEFAULT_MAX_PAYLOAD,
-};
+use crate::frame::{read_frame_verbatim, VerbatimEvent, DEFAULT_MAX_PAYLOAD};
 use crate::net::{BoundAddr, WireStream};
 use ofscil_obs::{ObsCursor, ObsQuery, ObsResult, TailBatch};
 use ofscil_serve::{DeploymentExport, ServeRequest, ServeResponse};
@@ -274,9 +272,9 @@ impl WireClient {
         &mut self,
         stop: Option<&AtomicBool>,
     ) -> Result<Option<WireResponse>, WireError> {
-        match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
-            ReadEvent::Frame(kind, payload) => Ok(Some(decode_response(kind, &payload)?)),
-            ReadEvent::Eof | ReadEvent::Shutdown => Ok(None),
+        match read_frame_verbatim(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
+            VerbatimEvent::Frame(frame) => Ok(Some(decode_response(frame.kind, frame.payload())?)),
+            VerbatimEvent::Eof | VerbatimEvent::Shutdown => Ok(None),
         }
     }
 }
@@ -302,9 +300,9 @@ impl ReplicationStream {
         &mut self,
         stop: Option<&AtomicBool>,
     ) -> Result<Option<ReplEvent>, WireError> {
-        match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
-            ReadEvent::Eof | ReadEvent::Shutdown => Ok(None),
-            ReadEvent::Frame(kind, payload) => match decode_response(kind, &payload)? {
+        match read_frame_verbatim(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
+            VerbatimEvent::Eof | VerbatimEvent::Shutdown => Ok(None),
+            VerbatimEvent::Frame(frame) => match decode_response(frame.kind, frame.payload())? {
                 WireResponse::Repl(event) => Ok(Some(event)),
                 WireResponse::Error(error) => Err(WireError::Remote(error)),
                 other => Err(WireError::Protocol(format!(
@@ -337,9 +335,9 @@ impl ObsTailStream {
         &mut self,
         stop: Option<&AtomicBool>,
     ) -> Result<Option<TailBatch>, WireError> {
-        match read_frame(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
-            ReadEvent::Eof | ReadEvent::Shutdown => Ok(None),
-            ReadEvent::Frame(kind, payload) => match decode_response(kind, &payload)? {
+        match read_frame_verbatim(&mut self.stream, DEFAULT_MAX_PAYLOAD, stop)? {
+            VerbatimEvent::Eof | VerbatimEvent::Shutdown => Ok(None),
+            VerbatimEvent::Frame(frame) => match decode_response(frame.kind, frame.payload())? {
                 WireResponse::Tail(batch) => Ok(Some(batch)),
                 WireResponse::Error(error) => Err(WireError::Remote(error)),
                 other => Err(WireError::Protocol(format!(

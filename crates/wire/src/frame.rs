@@ -139,19 +139,9 @@ pub fn parse_frame(bytes: &[u8], max_payload: usize) -> Result<(u8, &[u8]), Fram
     Ok((kind, &covered[HEADER_LEN..]))
 }
 
-/// What a blocking frame read produced.
-#[derive(Debug)]
-pub enum ReadEvent {
-    /// One complete, checksum-verified frame: `(kind, payload)`.
-    Frame(u8, Vec<u8>),
-    /// The peer closed the connection cleanly (EOF on a frame boundary).
-    Eof,
-    /// The shutdown flag was raised while waiting for bytes.
-    Shutdown,
-}
-
-/// A complete, checksum-verified frame kept as its raw bytes — what a
-/// forwarder relays to the next hop without re-encoding.
+/// A complete, checksum-verified frame kept as its raw bytes: a server
+/// decodes [`VerbatimFrame::payload`] in place, and a forwarder relays the
+/// bytes to the next hop without re-encoding.
 #[derive(Debug)]
 pub struct VerbatimFrame {
     /// The message kind (header byte 6).
@@ -223,40 +213,16 @@ fn read_exact_interruptible(
     Ok(Fill::Done)
 }
 
-/// Reads one frame from a stream, blocking until it is complete.
+/// Reads one frame from a stream, blocking until it is complete, and keeps
+/// the validated frame as raw bytes: a reader decodes
+/// [`VerbatimFrame::payload`] in place, and a forwarder (the `ofscil_router`
+/// frontend) relays the bytes to the next hop byte-identically — no payload
+/// copy, no checksum recomputation.
 ///
 /// When the socket carries a read timeout, every timeout window polls
-/// `shutdown`; a raised flag yields [`ReadEvent::Shutdown`] so server
+/// `shutdown`; a raised flag yields [`VerbatimEvent::Shutdown`] so server
 /// connection threads terminate promptly without abandoning a half-read
 /// frame by accident.
-///
-/// Public so frame-speaking frontends above this crate (the `ofscil_router`
-/// consistent-hash router) can read frames off their own accepted sockets.
-///
-/// # Errors
-///
-/// Returns a typed [`WireError`] for transport failures and for every way
-/// the frame bytes can be wrong; never panics.
-pub fn read_frame(
-    stream: &mut impl Read,
-    max_payload: usize,
-    shutdown: Option<&AtomicBool>,
-) -> Result<ReadEvent, WireError> {
-    Ok(match read_frame_verbatim(stream, max_payload, shutdown)? {
-        VerbatimEvent::Eof => ReadEvent::Eof,
-        VerbatimEvent::Shutdown => ReadEvent::Shutdown,
-        VerbatimEvent::Frame(frame) => {
-            let mut bytes = frame.bytes;
-            bytes.truncate(bytes.len() - CHECKSUM_LEN);
-            bytes.drain(..HEADER_LEN);
-            ReadEvent::Frame(frame.kind, bytes)
-        }
-    })
-}
-
-/// Like [`read_frame`], but keeps the complete validated frame as raw bytes,
-/// so a forwarder (the `ofscil_router` frontend) can relay it to the next
-/// hop byte-identically — no payload copy, no checksum recomputation.
 ///
 /// # Errors
 ///
@@ -300,16 +266,16 @@ mod tests {
         assert_eq!(payload, b"hello wire");
 
         let mut cursor = std::io::Cursor::new(frame);
-        match read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD, None).unwrap() {
-            ReadEvent::Frame(kind, payload) => {
-                assert_eq!(kind, 0x41);
-                assert_eq!(payload, b"hello wire");
+        match read_frame_verbatim(&mut cursor, DEFAULT_MAX_PAYLOAD, None).unwrap() {
+            VerbatimEvent::Frame(frame) => {
+                assert_eq!(frame.kind, 0x41);
+                assert_eq!(frame.payload(), b"hello wire");
             }
             _ => panic!("expected a frame"),
         }
         // The stream is now at EOF.
-        match read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD, None).unwrap() {
-            ReadEvent::Eof => {}
+        match read_frame_verbatim(&mut cursor, DEFAULT_MAX_PAYLOAD, None).unwrap() {
+            VerbatimEvent::Eof => {}
             _ => panic!("expected EOF"),
         }
     }
@@ -413,7 +379,7 @@ mod tests {
         frame[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut cursor = std::io::Cursor::new(frame);
         assert!(matches!(
-            read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD, None),
+            read_frame_verbatim(&mut cursor, DEFAULT_MAX_PAYLOAD, None),
             Err(WireError::Frame(FrameError::Oversize { .. }))
         ));
     }
@@ -423,7 +389,7 @@ mod tests {
         let frame = frame_bytes(0x01, b"payload");
         let mut cursor = std::io::Cursor::new(frame[..frame.len() - 2].to_vec());
         assert!(matches!(
-            read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD, None),
+            read_frame_verbatim(&mut cursor, DEFAULT_MAX_PAYLOAD, None),
             Err(WireError::Io(_))
         ));
     }

@@ -79,8 +79,6 @@ pub use client::{ObsTailStream, ReplicationStream, WireClient};
 pub use codec::{peek_request, ReplEvent, RequestPeek, WireRequest, WireResponse};
 pub use error::{FrameError, PayloadError, WireError};
 pub use follower::{Follower, FollowerConfig, FollowerHandle};
-pub use frame::{
-    read_frame, read_frame_verbatim, ReadEvent, VerbatimEvent, VerbatimFrame, DEFAULT_MAX_PAYLOAD,
-};
+pub use frame::{read_frame_verbatim, VerbatimEvent, VerbatimFrame, DEFAULT_MAX_PAYLOAD};
 pub use net::{BoundAddr, WireBind, WireListener, WireStream};
 pub use server::{ShutdownOnDrop, WireConfig, WireHandle, WireServer};

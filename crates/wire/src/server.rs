@@ -20,7 +20,7 @@
 
 use crate::codec::{decode_request, encode_response, ReplEvent, WireRequest, WireResponse};
 use crate::error::WireError;
-use crate::frame::{read_frame, ReadEvent, DEFAULT_MAX_PAYLOAD};
+use crate::frame::{read_frame_verbatim, VerbatimEvent, DEFAULT_MAX_PAYLOAD};
 use crate::net::{BoundAddr, WireBind, WireListener, WireStream};
 use ofscil_obs::{Event, EventKind, Obs, ObsCursor, ObsQuery, TailBatch};
 use ofscil_serve::{
@@ -392,13 +392,13 @@ fn serve_connection(
     options: ConnOptions,
 ) {
     loop {
-        let (kind, payload) = match read_frame(&mut stream, options.max_payload, Some(shutdown)) {
-            Ok(ReadEvent::Frame(kind, payload)) => (kind, payload),
+        let frame = match read_frame_verbatim(&mut stream, options.max_payload, Some(shutdown)) {
+            Ok(VerbatimEvent::Frame(frame)) => frame,
             // Clean EOF, shutdown, or a frame-level error (the byte stream
             // can no longer be trusted): close the connection.
-            Ok(ReadEvent::Eof | ReadEvent::Shutdown) | Err(_) => return,
+            Ok(VerbatimEvent::Eof | VerbatimEvent::Shutdown) | Err(_) => return,
         };
-        let response = match decode_request(kind, &payload) {
+        let response = match decode_request(frame.kind, frame.payload()) {
             // The frame envelope was intact, so the stream is still
             // synchronized: answer with a typed error and keep serving.
             Err(e) => WireResponse::Error(ServeError::InvalidRequest(format!(

@@ -220,7 +220,7 @@ fn declared_length_attacks_are_rejected_before_allocation() {
     // not try to buffer the declared length.
     let mut cursor = Cursor::new(huge.clone());
     assert!(matches!(
-        ofscil_wire::frame::read_frame(&mut cursor, DEFAULT_MAX_PAYLOAD, None),
+        ofscil_wire::frame::read_frame_verbatim(&mut cursor, DEFAULT_MAX_PAYLOAD, None),
         Err(ofscil_wire::WireError::Frame(FrameError::Oversize { .. }))
     ));
     // One past the configured cap is still over the cap.
