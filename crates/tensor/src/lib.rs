@@ -39,6 +39,7 @@ mod tensor;
 pub use conv::{col2im, im2col, Conv2dGeometry};
 pub use error::TensorError;
 pub use init::{Init, Initializer};
+pub use linalg::transpose_into;
 pub use reduce::Axis;
 pub use rng::SeedRng;
 pub use shape::Shape;

@@ -5,8 +5,39 @@ use crate::{Result, Tensor, TensorError};
 /// Block size along the shared (K) dimension of [`Tensor::matmul`].
 const BLOCK_K: usize = 64;
 
-/// Tile edge of [`Tensor::transpose`]: a 32×32 f32 tile is 4 KiB.
+/// Tile edge of [`transpose_into`]: a 32×32 f32 tile is 4 KiB.
 const TRANSPOSE_TILE: usize = 32;
+
+/// Writes the transpose of the row-major `[rows, cols]` matrix `src` into
+/// `dst`, row-major `[cols, rows]`.
+///
+/// Copies `TRANSPOSE_TILE`-square tiles, so the column-strided writes of one
+/// tile land in a few cache lines instead of one line per element. This is
+/// the one transpose loop of the workspace: [`Tensor::transpose`] runs it,
+/// and so does every change between an image's channel planes `[c, h * w]`
+/// and its channels-last pixels `[h * w, c]`.
+///
+/// # Panics
+///
+/// Panics when `src` or `dst` does not hold exactly `rows * cols` values.
+pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
+    assert!(
+        src.len() == rows * cols && dst.len() == rows * cols,
+        "transpose_into: {} and {} values for a {rows}x{cols} matrix",
+        src.len(),
+        dst.len()
+    );
+    for i0 in (0..rows).step_by(TRANSPOSE_TILE) {
+        for j0 in (0..cols).step_by(TRANSPOSE_TILE) {
+            let j1 = (j0 + TRANSPOSE_TILE).min(cols);
+            for i in i0..(i0 + TRANSPOSE_TILE).min(rows) {
+                for (j, &v) in (j0..j1).zip(&src[i * cols + j0..i * cols + j1]) {
+                    dst[j * rows + i] = v;
+                }
+            }
+        }
+    }
+}
 
 impl Tensor {
     /// Matrix product `self · other` for rank-2 tensors.
@@ -55,41 +86,18 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// Transpose of a tensor of even rank, read as the matrix whose rows run
-    /// over its first half of axes: `[m, n]` becomes `[n, m]`, and an NCHW
-    /// batch `[b, c, h, w]` becomes `[h, w, b, c]`.
-    ///
-    /// Copies `TRANSPOSE_TILE`-square tiles, so the column-strided writes of
-    /// one tile land in a few cache lines instead of one line per element.
+    /// Transpose of a matrix: `[m, n]` becomes `[n, m]`, through
+    /// [`transpose_into`].
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] for a tensor of odd rank or of
-    /// rank 0.
+    /// Returns [`TensorError::RankMismatch`] for a tensor that is not a
+    /// matrix.
     pub fn transpose(&self) -> Result<Tensor> {
-        let rank = self.dims().len();
-        if rank == 0 || rank % 2 == 1 {
-            return Err(TensorError::RankMismatch {
-                expected: (rank / 2 + 1) * 2,
-                actual: rank,
-                op: "transpose",
-            });
-        }
-        let (rows, cols) = self.dims().split_at(rank / 2);
-        let (m, n) = (rows.iter().product(), cols.iter().product());
-        let src = self.as_slice();
+        let (m, n) = matrix_dims(self, "transpose")?;
         let mut out = vec![0.0f32; m * n];
-        for i0 in (0..m).step_by(TRANSPOSE_TILE) {
-            for j0 in (0..n).step_by(TRANSPOSE_TILE) {
-                let j1 = (j0 + TRANSPOSE_TILE).min(n);
-                for i in i0..(i0 + TRANSPOSE_TILE).min(m) {
-                    for (j, &v) in (j0..j1).zip(&src[i * n + j0..i * n + j1]) {
-                        out[j * m + i] = v;
-                    }
-                }
-            }
-        }
-        Tensor::from_vec(out, &[cols, rows].concat())
+        transpose_into(self.as_slice(), m, n, &mut out);
+        Tensor::from_vec(out, &[n, m])
     }
 }
 
@@ -206,22 +214,23 @@ mod tests {
     }
 
     #[test]
-    fn transpose_swaps_the_halves_of_an_even_rank() {
-        let (b, c, h, w) = (2, 3, 4, 5);
-        let a = Tensor::from_vec(
-            (0..b * c * h * w).map(|x| x as f32).collect(),
-            &[b, c, h, w],
-        )
-        .unwrap();
+    fn transpose_takes_a_matrix_and_rejects_every_other_rank() {
+        let a = Tensor::from_vec((0..6).map(|x| x as f32).collect(), &[2, 3]).unwrap();
         let t = a.transpose().unwrap();
-        assert_eq!(t.dims(), &[h, w, b, c]);
-        for (i, j, y, x) in [(0, 0, 0, 0), (1, 2, 3, 4), (0, 1, 2, 3), (1, 0, 3, 0)] {
-            let want = a.at(&[i, j, y, x]).unwrap();
-            assert_eq!(t.at(&[y, x, i, j]).unwrap(), want);
-        }
-        assert_eq!(t.transpose().unwrap(), a);
-        for dims in [&[][..], &[4], &[2, 3, 4]] {
-            assert!(Tensor::zeros(dims).transpose().is_err(), "{dims:?}");
+        assert_eq!(t.dims(), &[3, 2]);
+        assert_eq!(t.as_slice(), &[0.0, 3.0, 1.0, 4.0, 2.0, 5.0]);
+        for dims in [&[][..], &[4], &[2, 3, 4], &[2, 3, 4, 5]] {
+            assert!(
+                matches!(
+                    Tensor::zeros(dims).transpose(),
+                    Err(TensorError::RankMismatch {
+                        expected: 2,
+                        op: "transpose",
+                        ..
+                    })
+                ),
+                "{dims:?}"
+            );
         }
     }
 
