@@ -1,9 +1,9 @@
 //! Composite blocks: the MobileNetV2 inverted residual and the ResNet basic
-//! block used by the ResNet-12 backbone.
+//! block used by the ResNet-12 backbone. Both take and return channels-last
+//! activations `[batch, h, w, c]`, as their layers do.
 
 use crate::layers::{
-    chained_macs, nchw_to_rows, rows_to_nchw, BatchNorm, Conv2d, DepthwiseConv2d, PointwiseConv2d,
-    Relu, Relu6, Sequential,
+    chained_macs, BatchNorm, Conv2d, DepthwiseConv2d, PointwiseConv2d, Relu, Relu6, Sequential,
 };
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{SeedRng, Tensor};
@@ -12,12 +12,10 @@ use ofscil_tensor::{SeedRng, Tensor};
 /// 1×1 linear projection, with an identity skip connection when the stride is
 /// one and the channel count is preserved.
 ///
-/// NCHW at the boundary, rows inside: the block transposes its
-/// `[batch, c, h, w]` input once into pixel-major rows `[batch * h * w, c]`,
-/// runs expand → BN → ReLU6 → depthwise → BN → ReLU6 → project → BN on those
-/// rows (the convolutions' row forms and BatchNorm's `[batch, features]`
-/// path), transposes the result back once and adds the skip. Its parameters
-/// are visited in that layer order.
+/// Runs expand → BN → ReLU6 → depthwise → BN → ReLU6 → project → BN and adds
+/// the skip. The convolutions are handed the tensors the block owns, so only
+/// the first one copies the block's input. Its parameters are visited in
+/// that layer order.
 #[derive(Debug)]
 pub(crate) struct InvertedResidual {
     /// The expansion convolution, its BN and ReLU6; absent for `t = 1`.
@@ -31,8 +29,6 @@ pub(crate) struct InvertedResidual {
     in_channels: usize,
     out_channels: usize,
     stride: usize,
-    /// `[batch, h, w]` of the last training forward's input.
-    cached_dims: Option<[usize; 3]>,
 }
 
 impl InvertedResidual {
@@ -66,7 +62,6 @@ impl InvertedResidual {
             in_channels,
             out_channels,
             stride,
-            cached_dims: None,
         }
     }
 
@@ -99,65 +94,43 @@ impl Layer for InvertedResidual {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let out_dims = self.output_dims(input.dims())?;
-        let (batch, h, w) = (input.dims()[0], input.dims()[2], input.dims()[3]);
-        let mut x = nchw_to_rows(input);
-        if let Some((conv, bn, relu)) = &mut self.expand {
-            x = conv.forward_rows(x, (h, w), mode)?;
-            x = bn.forward(&x, mode)?;
-            x = relu.forward(&x, mode)?;
-        }
-        x = self.depthwise.forward_rows(x, (h, w), mode)?;
+        let mut x = match &mut self.expand {
+            Some((conv, bn, relu)) => {
+                let x = conv.forward(input, mode)?;
+                relu.forward(&bn.forward(&x, mode)?, mode)?
+            }
+            None => input.clone(),
+        };
+        x = self.depthwise.forward_owned(x, mode)?;
         x = self.depthwise_bn.forward(&x, mode)?;
         x = self.depthwise_relu.forward(&x, mode)?;
-        let (out_h, out_w) = (out_dims[2], out_dims[3]);
-        x = self.project.forward_rows(x, (out_h, out_w), mode)?;
-        x = self.project_bn.forward(&x, mode)?;
-        let mut out = rows_to_nchw(&x, batch, out_h, out_w);
+        x = self.project.forward_owned(x, mode)?;
+        let mut out = self.project_bn.forward(&x, mode)?;
         if self.use_residual {
             for (y, &skip) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
                 *y += skip;
             }
         }
-        self.cached_dims = mode.is_train().then_some([batch, h, w]);
         Ok(out)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let [batch, h, w] = self
-            .cached_dims
-            .take()
-            .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
-        let out_dims = self.output_dims(&[batch, self.in_channels, h, w])?;
-        if grad_output.dims() != out_dims.as_slice() {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                expected: format!("{out_dims:?}"),
-                actual: grad_output.dims().to_vec(),
-            });
-        }
-        let mut g = nchw_to_rows(grad_output);
-        g = self.project_bn.backward(&g)?;
-        g = self.project.backward_rows(&g)?;
+        let mut g = self.project_bn.backward(grad_output)?;
+        g = self.project.backward_owned(g)?;
         g = self.depthwise_relu.backward(&g)?;
         g = self.depthwise_bn.backward(&g)?;
-        g = self.depthwise.backward_rows(&g)?;
+        g = self.depthwise.backward(&g)?;
         if let Some((conv, bn, relu)) = &mut self.expand {
             g = relu.backward(&g)?;
             g = bn.backward(&g)?;
-            g = conv.backward_rows(&g)?;
+            g = conv.backward_owned(g)?;
         }
-        let mut grad_input = rows_to_nchw(&g, batch, h, w);
         if self.use_residual {
-            for (gx, &skip) in grad_input
-                .as_mut_slice()
-                .iter_mut()
-                .zip(grad_output.as_slice())
-            {
+            for (gx, &skip) in g.as_mut_slice().iter_mut().zip(grad_output.as_slice()) {
                 *gx += skip;
             }
         }
-        Ok(grad_input)
+        Ok(g)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
@@ -333,10 +306,10 @@ mod tests {
         let y = strided
             .forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval)
             .unwrap();
-        assert_eq!(y.dims(), &[1, 16, 4, 4]);
+        assert_eq!(y.dims(), &[1, 4, 4, 16]);
         assert_eq!(
             strided.output_dims(&[1, 8, 8, 8]).unwrap(),
-            vec![1, 16, 4, 4]
+            vec![1, 4, 4, 16]
         );
     }
 
@@ -352,7 +325,7 @@ mod tests {
     fn inverted_residual_backward_flows() {
         let mut rng = SeedRng::new(2);
         let mut blk = InvertedResidual::new(4, 4, 1, 2, &mut rng);
-        let x = Tensor::ones(&[1, 4, 6, 6]);
+        let x = Tensor::ones(&[1, 6, 6, 4]);
         let y = blk.forward(&x, Mode::Train).unwrap();
         let g = blk.backward(&Tensor::ones(y.dims())).unwrap();
         assert_eq!(g.dims(), x.dims());
@@ -380,7 +353,7 @@ mod tests {
         let y = down
             .forward(&Tensor::ones(&[1, 8, 8, 8]), Mode::Eval)
             .unwrap();
-        assert_eq!(y.dims(), &[1, 16, 4, 4]);
+        assert_eq!(y.dims(), &[1, 4, 4, 16]);
         // Projection shortcut adds parameters.
         assert!(down.param_count() > 0);
     }
@@ -402,7 +375,7 @@ mod tests {
     fn resnet_block_backward_flows() {
         let mut rng = SeedRng::new(5);
         let mut blk = ResNetBlock::new(3, 6, 2, 3, &mut rng);
-        let x = Tensor::ones(&[2, 3, 8, 8]);
+        let x = Tensor::ones(&[2, 8, 8, 3]);
         let y = blk.forward(&x, Mode::Train).unwrap();
         let g = blk.backward(&Tensor::ones(y.dims())).unwrap();
         assert_eq!(g.dims(), x.dims());

@@ -1,19 +1,17 @@
-//! Batch normalisation over the channel dimension.
+//! Batch normalisation over the channel dimension, the last axis of a
+//! channels-last activation.
 
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::Tensor;
 
 /// Batch normalisation.
 ///
-/// Accepts either `[batch, channels, h, w]` activations (per-channel
-/// statistics over `batch * h * w` elements) or `[batch, features]`
-/// activations (per-feature statistics over the batch).
-///
-/// The rank-2 path is also the row path: the MobileNetV2 inverted residual
-/// hands it pixel-major rows `[batch * h * w, channels]`, and its loops run
-/// channel-innermost so they vectorise. Each channel's statistics are summed
-/// over rows in (image, pixel) order, the order the 4-D path sums the same
-/// activations in, so both layouts give the same bits.
+/// Accepts channels-last `[batch, h, w, channels]` activations or flat
+/// `[batch, features]` ones. Either way the input is a stack of rows of
+/// `channels` values (one per pixel, or one per sample), and each channel's
+/// statistics are taken over all rows. The loops run channel-innermost, so
+/// they vectorise, and sum each channel over the rows in (image, pixel)
+/// order.
 ///
 /// In [`Mode::Train`] batch statistics are used and running statistics are
 /// updated with exponential momentum; in [`Mode::Eval`] the running statistics
@@ -34,7 +32,6 @@ pub(crate) struct BatchNorm {
 struct BnCache {
     x_hat: Tensor,
     inv_std: Vec<f32>,
-    dims: Vec<usize>,
 }
 
 impl BatchNorm {
@@ -52,15 +49,16 @@ impl BatchNorm {
         }
     }
 
-    fn layout(&self, dims: &[usize]) -> Result<(usize, usize)> {
-        // Returns (groups, spatial): groups = batch, spatial = h*w (or 1).
-        match dims {
-            [batch, c] if *c == self.channels => Ok((*batch, 1)),
-            [batch, c, h, w] if *c == self.channels => Ok((*batch, h * w)),
+    /// The number of rows of a `[batch, channels]` or `[batch, h, w,
+    /// channels]` input.
+    fn rows(&self, dims: &[usize]) -> Result<usize> {
+        match *dims {
+            [batch, c] if c == self.channels => Ok(batch),
+            [batch, h, w, c] if c == self.channels => Ok(batch * h * w),
             _ => Err(NnError::BadInput {
                 layer: self.name(),
                 expected: format!(
-                    "[batch, {}] or [batch, {}, h, w]",
+                    "[batch, {}] or [batch, h, w, {}]",
                     self.channels, self.channels
                 ),
                 actual: dims.to_vec(),
@@ -75,60 +73,38 @@ impl Layer for BatchNorm {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (batch, spatial) = self.layout(input.dims())?;
-        let count = (batch * spatial) as f32;
-        let c = self.channels;
+        let count = self.rows(input.dims())? as f32;
+        let c = self.channels.max(1);
         let src = input.as_slice();
 
         let batch_stats = mode.is_train().then(|| {
-            let mut mean = vec![0.0f32; c];
-            let mut var = vec![0.0f32; c];
-            if spatial == 1 {
-                for row in src.chunks_exact(c.max(1)) {
-                    for (m, &x) in mean.iter_mut().zip(row) {
-                        *m += x;
-                    }
+            let mut mean = vec![0.0f32; self.channels];
+            let mut var = vec![0.0f32; self.channels];
+            for row in src.chunks_exact(c) {
+                for (m, &x) in mean.iter_mut().zip(row) {
+                    *m += x;
                 }
-                for m in &mut mean {
-                    *m /= count;
-                }
-                for row in src.chunks_exact(c.max(1)) {
-                    for ((v, &x), &m) in var.iter_mut().zip(row).zip(&mean) {
-                        let d = x - m;
-                        *v += d * d;
-                    }
-                }
-            } else {
-                for b in 0..batch {
-                    for (ch, m) in mean.iter_mut().enumerate() {
-                        let base = (b * c + ch) * spatial;
-                        for s in 0..spatial {
-                            *m += src[base + s];
-                        }
-                    }
-                }
-                for m in &mut mean {
-                    *m /= count;
-                }
-                for b in 0..batch {
-                    for ch in 0..c {
-                        let base = (b * c + ch) * spatial;
-                        for s in 0..spatial {
-                            let d = src[base + s] - mean[ch];
-                            var[ch] += d * d;
-                        }
-                    }
+            }
+            for m in &mut mean {
+                *m /= count;
+            }
+            for row in src.chunks_exact(c) {
+                for ((v, &x), &m) in var.iter_mut().zip(row).zip(&mean) {
+                    let d = x - m;
+                    *v += d * d;
                 }
             }
             for v in &mut var {
                 *v /= count;
             }
             // Update running statistics.
-            for ch in 0..c {
-                let rm = &mut self.running_mean.value.as_mut_slice()[ch];
-                *rm = (1.0 - self.momentum) * *rm + self.momentum * mean[ch];
-                let rv = &mut self.running_var.value.as_mut_slice()[ch];
-                *rv = (1.0 - self.momentum) * *rv + self.momentum * var[ch];
+            let running = self.running_mean.value.as_mut_slice().iter_mut();
+            for (rm, &m) in running.zip(&mean) {
+                *rm = (1.0 - self.momentum) * *rm + self.momentum * m;
+            }
+            let running = self.running_var.value.as_mut_slice().iter_mut();
+            for (rv, &v) in running.zip(&var) {
+                *rv = (1.0 - self.momentum) * *rv + self.momentum * v;
             }
             (mean, var)
         });
@@ -143,50 +119,24 @@ impl Layer for BatchNorm {
         let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + self.eps).sqrt()).collect();
         // `out` holds x̂ until the affine pass; only training keeps a copy.
         let mut out = vec![0.0f32; src.len()];
-        if spatial == 1 {
-            for (out, src) in out
-                .chunks_exact_mut(c.max(1))
-                .zip(src.chunks_exact(c.max(1)))
-            {
-                for (((y, &x), &m), &s) in out.iter_mut().zip(src).zip(mean).zip(&inv_std) {
-                    *y = (x - m) * s;
-                }
-            }
-        } else {
-            for b in 0..batch {
-                for ch in 0..c {
-                    let base = (b * c + ch) * spatial;
-                    for s in 0..spatial {
-                        out[base + s] = (src[base + s] - mean[ch]) * inv_std[ch];
-                    }
-                }
+        for (out, src) in out.chunks_exact_mut(c).zip(src.chunks_exact(c)) {
+            for (((y, &x), &m), &s) in out.iter_mut().zip(src).zip(mean).zip(&inv_std) {
+                *y = (x - m) * s;
             }
         }
         self.cache = match mode {
             Mode::Train => Some(BnCache {
                 x_hat: Tensor::from_vec(out.clone(), input.dims())?,
                 inv_std,
-                dims: input.dims().to_vec(),
             }),
             Mode::Eval => None,
         };
 
         let gamma = self.gamma.value.as_slice();
         let beta = self.beta.value.as_slice();
-        if spatial == 1 {
-            for out in out.chunks_exact_mut(c.max(1)) {
-                for ((x, &g), &b) in out.iter_mut().zip(gamma).zip(beta) {
-                    *x = g * *x + b;
-                }
-            }
-        } else {
-            for b in 0..batch {
-                for ch in 0..c {
-                    let base = (b * c + ch) * spatial;
-                    for x in &mut out[base..base + spatial] {
-                        *x = gamma[ch] * *x + beta[ch];
-                    }
-                }
+        for out in out.chunks_exact_mut(c) {
+            for ((x, &g), &b) in out.iter_mut().zip(gamma).zip(beta) {
+                *x = g * *x + b;
             }
         }
         Tensor::from_vec(out, input.dims()).map_err(NnError::from)
@@ -197,80 +147,52 @@ impl Layer for BatchNorm {
             .cache
             .take()
             .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
-        if grad_output.dims() != cache.dims.as_slice() {
+        if grad_output.dims() != cache.x_hat.dims() {
             return Err(NnError::BadInput {
                 layer: self.name(),
-                expected: format!("{:?}", cache.dims),
+                expected: format!("{:?}", cache.x_hat.dims()),
                 actual: grad_output.dims().to_vec(),
             });
         }
-        let (batch, spatial) = self.layout(&cache.dims)?;
-        let count = (batch * spatial) as f32;
-        let c = self.channels;
+        let count = self.rows(grad_output.dims())? as f32;
+        let c = self.channels.max(1);
         let dy = grad_output.as_slice();
         let xh = cache.x_hat.as_slice();
-        let gamma: Vec<f32> = self.gamma.value.as_slice().to_vec();
 
         // Per-channel sums needed by the closed-form BN backward pass.
-        let mut sum_dy = vec![0.0f32; c];
-        let mut sum_dy_xhat = vec![0.0f32; c];
-        if spatial == 1 {
-            for (dy, xh) in dy.chunks_exact(c.max(1)).zip(xh.chunks_exact(c.max(1))) {
-                let sums = sum_dy.iter_mut().zip(sum_dy_xhat.iter_mut());
-                for ((s, sx), (&dy, &xh)) in sums.zip(dy.iter().zip(xh)) {
-                    *s += dy;
-                    *sx += dy * xh;
-                }
-            }
-        } else {
-            for b in 0..batch {
-                for ch in 0..c {
-                    let base = (b * c + ch) * spatial;
-                    for s in 0..spatial {
-                        sum_dy[ch] += dy[base + s];
-                        sum_dy_xhat[ch] += dy[base + s] * xh[base + s];
-                    }
-                }
+        let mut sum_dy = vec![0.0f32; self.channels];
+        let mut sum_dy_xhat = vec![0.0f32; self.channels];
+        for (dy, xh) in dy.chunks_exact(c).zip(xh.chunks_exact(c)) {
+            let sums = sum_dy.iter_mut().zip(sum_dy_xhat.iter_mut());
+            for ((s, sx), (&dy, &xh)) in sums.zip(dy.iter().zip(xh)) {
+                *s += dy;
+                *sx += dy * xh;
             }
         }
         self.gamma
             .accumulate_grad(&Tensor::from_slice(&sum_dy_xhat));
         self.beta.accumulate_grad(&Tensor::from_slice(&sum_dy));
 
+        let scale: Vec<f32> = self
+            .gamma
+            .value
+            .as_slice()
+            .iter()
+            .zip(&cache.inv_std)
+            .map(|(g, s)| g * s)
+            .collect();
+        let mean_dy: Vec<f32> = sum_dy.iter().map(|s| s / count).collect();
         let mut grad_input = vec![0.0f32; dy.len()];
-        if spatial == 1 {
-            let scale: Vec<f32> = gamma
-                .iter()
-                .zip(&cache.inv_std)
-                .map(|(g, s)| g * s)
-                .collect();
-            let mean_dy: Vec<f32> = sum_dy.iter().map(|s| s / count).collect();
-            let rows = grad_input
-                .chunks_exact_mut(c.max(1))
-                .zip(dy.chunks_exact(c.max(1)));
-            for ((gx, dy), xh) in rows.zip(xh.chunks_exact(c.max(1))) {
-                let per_channel = scale.iter().zip(&mean_dy).zip(&sum_dy_xhat);
-                for ((gx, (&dy, &xh)), ((&scale, &mean_dy), &sum_dy_xhat)) in
-                    gx.iter_mut().zip(dy.iter().zip(xh)).zip(per_channel)
-                {
-                    *gx = scale * (dy - mean_dy - xh * sum_dy_xhat / count);
-                }
-            }
-        } else {
-            for b in 0..batch {
-                for ch in 0..c {
-                    let base = (b * c + ch) * spatial;
-                    let scale = gamma[ch] * cache.inv_std[ch];
-                    for s in 0..spatial {
-                        grad_input[base + s] = scale
-                            * (dy[base + s]
-                                - sum_dy[ch] / count
-                                - xh[base + s] * sum_dy_xhat[ch] / count);
-                    }
-                }
+        let rows = grad_input.chunks_exact_mut(c).zip(dy.chunks_exact(c));
+        for ((gx, dy), xh) in rows.zip(xh.chunks_exact(c)) {
+            let per_channel = scale.iter().zip(&mean_dy).zip(&sum_dy_xhat);
+            for ((gx, (&dy, &xh)), ((&scale, &mean_dy), &sum_dy_xhat)) in
+                gx.iter_mut().zip(dy.iter().zip(xh)).zip(per_channel)
+            {
+                *gx = scale * (dy - mean_dy - xh * sum_dy_xhat / count);
             }
         }
-        Tensor::from_vec(grad_input, &cache.dims).map_err(NnError::from)
+        Tensor::from_vec(grad_input, grad_output.dims()).map_err(NnError::from)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
@@ -281,7 +203,7 @@ impl Layer for BatchNorm {
     }
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
-        self.layout(input)?;
+        self.rows(input)?;
         Ok(input.to_vec())
     }
 
@@ -302,10 +224,10 @@ mod tests {
         let mut bn = BatchNorm::new(3);
         let mut rng = SeedRng::new(0);
         let x = Tensor::from_vec(
-            (0..4 * 3 * 4 * 4)
+            (0..4 * 4 * 4 * 3)
                 .map(|_| rng.normal_with(5.0, 3.0))
                 .collect(),
-            &[4, 3, 4, 4],
+            &[4, 4, 4, 3],
         )
         .unwrap();
         let y = bn.forward(&x, Mode::Train).unwrap();
@@ -314,7 +236,7 @@ mod tests {
             let mut vals = Vec::new();
             for b in 0..4 {
                 for s in 0..16 {
-                    vals.push(y.as_slice()[(b * 3 + ch) * 16 + s]);
+                    vals.push(y.as_slice()[(b * 16 + s) * 3 + ch]);
                 }
             }
             let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
@@ -359,13 +281,13 @@ mod tests {
         bn.running_mean.value = draw(-1.0, 1.0);
         bn.running_var.value = draw(0.1, 4.0);
         let x = Tensor::from_vec(
-            (0..2 * 3 * 5).map(|_| rng.normal()).collect(),
-            &[2, 3, 5, 1],
+            (0..2 * 5 * 3).map(|_| rng.normal()).collect(),
+            &[2, 5, 1, 3],
         )
         .unwrap();
         let y = bn.forward(&x, Mode::Eval).unwrap();
         for (i, (&got, &xv)) in y.as_slice().iter().zip(x.as_slice()).enumerate() {
-            let ch = (i / 5) % 3;
+            let ch = i % 3;
             let m = bn.running_mean.value.as_slice()[ch];
             let x_hat = (xv - m) * (1.0 / (bn.running_var.value.as_slice()[ch] + 1e-5).sqrt());
             let expected = bn.gamma.value.as_slice()[ch] * x_hat + bn.beta.value.as_slice()[ch];
@@ -375,7 +297,7 @@ mod tests {
 
     #[test]
     fn eval_forward_drops_the_train_cache() {
-        let x = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[2, 2, 3, 1]).unwrap();
+        let x = Tensor::from_vec((0..12).map(|i| i as f32).collect(), &[2, 3, 1, 2]).unwrap();
         crate::layer::assert_eval_drops_train_cache(&mut BatchNorm::new(2), &x);
     }
 
@@ -383,16 +305,80 @@ mod tests {
     fn rejects_wrong_channel_count() {
         let mut bn = BatchNorm::new(4);
         assert!(bn
-            .forward(&Tensor::ones(&[2, 3, 4, 4]), Mode::Train)
+            .forward(&Tensor::ones(&[2, 4, 4, 3]), Mode::Train)
             .is_err());
         assert!(bn.output_dims(&[2, 3]).is_err());
         assert_eq!(bn.output_dims(&[2, 4]).unwrap(), vec![2, 4]);
+        assert_eq!(bn.output_dims(&[2, 3, 5, 4]).unwrap(), vec![2, 3, 5, 4]);
+    }
+
+    /// The per-plane loops BatchNorm ran on NCHW activations before it went
+    /// channels-last, for a fresh layer of weight `gamma` on `x`: the train
+    /// output, input gradient (upstream `dy`), γ and β gradients and running
+    /// statistics, then the eval output.
+    fn planes_reference(x: &Tensor, dy: &Tensor, gamma: &[f32]) -> [Vec<f32>; 7] {
+        let &[batch, c, h, w] = x.dims() else {
+            unreachable!("NCHW")
+        };
+        let spatial = h * w;
+        let count = (batch * spatial) as f32;
+        let ch = |i: usize| (i / spatial) % c;
+        let (x, dy) = (x.as_slice(), dy.as_slice());
+        let (mut mean, mut var) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for (i, &v) in x.iter().enumerate() {
+            mean[ch(i)] += v;
+        }
+        mean.iter_mut().for_each(|m| *m /= count);
+        for (i, &v) in x.iter().enumerate() {
+            let d = v - mean[ch(i)];
+            var[ch(i)] += d * d;
+        }
+        var.iter_mut().for_each(|v| *v /= count);
+        let update = |old: f32, new: &[f32]| -> Vec<f32> {
+            new.iter()
+                .map(|&n| (1.0 - 0.1f32) * old + 0.1 * n)
+                .collect()
+        };
+        let (running_mean, running_var) = (update(0.0, &mean), update(1.0, &var));
+        let normalise = |mean: &[f32], var: &[f32]| -> (Vec<f32>, Vec<f32>) {
+            let inv_std: Vec<f32> = var.iter().map(|v| 1.0 / (v + 1e-5).sqrt()).collect();
+            let x_hat: Vec<f32> = (0..x.len())
+                .map(|i| (x[i] - mean[ch(i)]) * inv_std[ch(i)])
+                .collect();
+            let y = (0..x.len())
+                .map(|i| gamma[ch(i)] * x_hat[i] + 0.0)
+                .collect();
+            (x_hat, y)
+        };
+        let (x_hat, y) = normalise(&mean, &var);
+        let (mut sum_dy, mut sum_dy_xhat) = (vec![0.0f32; c], vec![0.0f32; c]);
+        for i in 0..x.len() {
+            sum_dy[ch(i)] += dy[i];
+            sum_dy_xhat[ch(i)] += dy[i] * x_hat[i];
+        }
+        let grad_input = (0..x.len())
+            .map(|i| {
+                let scale = gamma[ch(i)] * (1.0 / (var[ch(i)] + 1e-5).sqrt());
+                scale * (dy[i] - sum_dy[ch(i)] / count - x_hat[i] * sum_dy_xhat[ch(i)] / count)
+            })
+            .collect();
+        let (_, eval) = normalise(&running_mean, &running_var);
+        [
+            y,
+            grad_input,
+            sum_dy_xhat,
+            sum_dy,
+            running_mean,
+            running_var,
+            eval,
+        ]
     }
 
     #[test]
     fn rows_and_planes_give_the_same_bits() {
-        // The same activations as NCHW planes and as pixel-major rows: every
-        // output, running statistic and gradient must agree to the bit,
+        // The same activations as channels-last planes `[batch, h, w, c]` and
+        // as rows `[batch * h * w, c]`: every output, running statistic and
+        // gradient must agree to the bit with the NCHW per-plane loops,
         // through a training step and an eval forward.
         let mut rng = SeedRng::new(41);
         for (batch, c, h, w) in [(1, 3, 2, 2), (2, 5, 3, 4), (3, 2, 1, 1), (2, 40, 2, 3)] {
@@ -403,32 +389,40 @@ mod tests {
             };
             let x = draw(&mut rng, &[batch, c, h, w]);
             let grad = draw(&mut rng, &[batch, c, h, w]);
-            let (mut planes, mut rows) = (BatchNorm::new(c), BatchNorm::new(c));
-            for bn in [&mut planes, &mut rows] {
-                bn.gamma.value =
-                    Tensor::from_vec((0..c).map(|i| 0.5 + i as f32).collect(), &[c]).unwrap();
+            let gamma: Vec<f32> = (0..c).map(|i| 0.5 + i as f32).collect();
+            let want = planes_reference(&x, &grad, &gamma);
+            let bits = |v: &[f32]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let planes = |t: &Tensor| {
+                let t = t.reshape(&[batch, h, w, c]).unwrap();
+                bits(crate::layers::to_nchw(&t).as_slice())
+            };
+            for dims in [vec![batch, h, w, c], vec![batch * h * w, c]] {
+                let layout = |t: &Tensor| {
+                    let t = crate::layers::to_channels_last(t);
+                    t.reshape(&dims).unwrap()
+                };
+                let mut bn = BatchNorm::new(c);
+                bn.gamma.value = Tensor::from_slice(&gamma);
+                let y = bn.forward(&layout(&x), Mode::Train).unwrap();
+                assert_eq!(y.dims(), dims.as_slice(), "{case:?}");
+                assert_eq!(planes(&y), bits(&want[0]), "train output {case:?} {dims:?}");
+                let gx = bn.backward(&layout(&grad)).unwrap();
+                assert_eq!(planes(&gx), bits(&want[1]), "grad_input {case:?} {dims:?}");
+                let params = [
+                    &bn.gamma.grad,
+                    &bn.beta.grad,
+                    &bn.running_mean.value,
+                    &bn.running_var.value,
+                ];
+                for (what, (p, want)) in ["γ grad", "β grad", "running mean", "running var"]
+                    .iter()
+                    .zip(params.iter().zip(&want[2..6]))
+                {
+                    assert_eq!(bits(p.as_slice()), bits(want), "{what} {case:?} {dims:?}");
+                }
+                let y = bn.forward(&layout(&x), Mode::Eval).unwrap();
+                assert_eq!(planes(&y), bits(&want[6]), "eval output {case:?} {dims:?}");
             }
-            let as_rows = crate::layers::nchw_to_rows;
-            let back = |t: &Tensor| crate::layers::rows_to_nchw(t, batch, h, w);
-            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-
-            let y = planes.forward(&x, Mode::Train).unwrap();
-            let y_rows = rows.forward(&as_rows(&x), Mode::Train).unwrap();
-            assert_eq!(bits(&y), bits(&back(&y_rows)), "train output {case:?}");
-            let gx = planes.backward(&grad).unwrap();
-            let gx_rows = rows.backward(&as_rows(&grad)).unwrap();
-            assert_eq!(bits(&gx), bits(&back(&gx_rows)), "grad_input {case:?}");
-            let mut params = Vec::new();
-            for bn in [&mut planes, &mut rows] {
-                let mut visited = Vec::new();
-                bn.visit_params(&mut |p| visited.extend([bits(&p.value), bits(&p.grad)]));
-                params.push(visited);
-            }
-            assert_eq!(params[0], params[1], "parameters {case:?}");
-
-            let y = planes.forward(&x, Mode::Eval).unwrap();
-            let y_rows = rows.forward(&as_rows(&x), Mode::Eval).unwrap();
-            assert_eq!(bits(&y), bits(&back(&y_rows)), "eval output {case:?}");
         }
     }
 

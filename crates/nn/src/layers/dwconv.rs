@@ -1,18 +1,16 @@
 //! Depthwise 2-D convolution (channel multiplier 1), the core of the
 //! MobileNetV2 inverted-residual block.
 //!
-//! The convolution runs channels-last, on pixel-major rows `[batch * h * w,
-//! c]` (image by image, one row of channels per pixel), as the inverted
-//! residual holds its activations. Each output row is a stencil over the
-//! input rows its `k x k` taps reach: tap by tap in ascending `(kh, kw)`
-//! order, each tap scales a whole input row by its weight row and adds it,
-//! so the arithmetic runs along the channels and vectorises however small
-//! the plane (2×2 and 4×4 on the late stages of a 32×32 input). Taps whose
-//! input falls in the zero padding are left out, so the padding costs
-//! nothing. The weight is stored `[k * k, channels]`, one row per tap: drawn
-//! in the `[channels, k * k]` order of a per-channel kernel and transposed
-//! once. The NCHW [`Layer`] wrapper transposes its input into rows and the
-//! output back.
+//! The convolution runs on channels-last activations `[batch, h, w, c]`,
+//! pixel by pixel, one row of channels per pixel. Each output row is a
+//! stencil over the input rows its `k x k` taps reach: tap by tap in
+//! ascending `(kh, kw)` order, each tap scales a whole input row by its
+//! weight row and adds it, so the arithmetic runs along the channels and
+//! vectorises however small the plane (2×2 and 4×4 on the late stages of a
+//! 32×32 input). Taps whose input falls in the zero padding are left out, so
+//! the padding costs nothing. The weight is stored `[k * k, channels]`, one
+//! row per tap: drawn in the `[channels, k * k]` order of a per-channel
+//! kernel and transposed once.
 //!
 //! Every output sums the same products in the same order as a per-channel
 //! `im2col` + `[1, k²] · [k², n]` matmul would, so the results are bit for
@@ -26,7 +24,6 @@
 //! vectorised loop, and only a row that holds one takes the per-channel
 //! skip.
 
-use super::{nchw_to_rows, rows_to_nchw};
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
@@ -34,9 +31,9 @@ use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 /// `BatchNorm`): every input channel is convolved with its own `k x k`
 /// kernel; channel count is preserved.
 ///
-/// * input: `[batch, channels, h, w]`, or rows `[batch * h * w, channels]`
+/// * input: `[batch, h, w, channels]`
 /// * weight: `[k * k, channels]`
-/// * output: `[batch, channels, h', w']`, or rows `[batch * h' * w', channels]`
+/// * output: `[batch, h', w', channels]`
 #[derive(Debug)]
 pub(crate) struct DepthwiseConv2d {
     channels: usize,
@@ -44,8 +41,8 @@ pub(crate) struct DepthwiseConv2d {
     stride: usize,
     padding: usize,
     weight: Parameter,
-    /// The input rows of the last training forward and their plane `(h, w)`.
-    cached_rows: Option<(Tensor, (usize, usize))>,
+    /// The input of the last training forward.
+    cached_input: Option<Tensor>,
 }
 
 impl DepthwiseConv2d {
@@ -67,7 +64,7 @@ impl DepthwiseConv2d {
             stride,
             padding,
             weight,
-            cached_rows: None,
+            cached_input: None,
         }
     }
 
@@ -76,15 +73,20 @@ impl DepthwiseConv2d {
         Conv2dGeometry::new(in_h, in_w, self.kernel, self.stride, self.padding)
     }
 
-    fn check_input(&self, dims: &[usize]) -> Result<(usize, usize, usize)> {
-        if dims.len() != 4 || dims[1] != self.channels {
-            return Err(NnError::BadInput {
+    /// The `(batch, geometry)` of a `[batch, h, w, channels]` input.
+    fn check_input(&self, dims: &[usize]) -> Result<(usize, Conv2dGeometry)> {
+        match *dims {
+            [batch, h, w, c] if c == self.channels => {
+                let geom = self.geometry(h, w);
+                geom.validate()?;
+                Ok((batch, geom))
+            }
+            _ => Err(NnError::BadInput {
                 layer: self.name(),
-                expected: format!("[batch, {}, h, w]", self.channels),
+                expected: format!("[batch, h, w, {}]", self.channels),
                 actual: dims.to_vec(),
-            });
+            }),
         }
-        Ok((dims[0], dims[2], dims[3]))
     }
 
     /// The input pixel tap `t` of output pixel `(oy, ox)` reads, or `None`
@@ -105,37 +107,17 @@ impl DepthwiseConv2d {
             .collect()
     }
 
-    /// The row form: input rows `[batch * h * w, channels]` of images of
-    /// plane `(h, w)` to output rows `[batch * h' * w', channels]`. A
-    /// training forward keeps `rows` for the backward.
-    pub(crate) fn forward_rows(
-        &mut self,
-        rows: Tensor,
-        (in_h, in_w): (usize, usize),
-        mode: Mode,
-    ) -> Result<Tensor> {
-        let geom = self.geometry(in_h, in_w);
-        geom.validate()?;
-        let (c, pixels) = (self.channels, in_h * in_w);
-        let (in_len, out_pixels) = (pixels * c, geom.out_pixels());
-        // A plane with no pixel has no rows to count images by.
-        if rows.dims().len() != 2
-            || rows.dims()[1] != c
-            || pixels == 0
-            || rows.dims()[0] % pixels != 0
-        {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                expected: format!("[batch * {pixels}, {c}], pixels > 0"),
-                actual: rows.dims().to_vec(),
-            });
-        }
-        let batch = rows.dims()[0] / pixels;
+    /// [`Layer::forward`] on an input the caller hands over, so a training
+    /// forward keeps it for the backward without a copy.
+    pub(crate) fn forward_owned(&mut self, input: Tensor, mode: Mode) -> Result<Tensor> {
+        let (batch, geom) = self.check_input(input.dims())?;
+        let c = self.channels;
+        let (in_len, out_pixels) = (geom.in_h * geom.in_w * c, geom.out_pixels());
         let weight = self.weight.value.as_slice();
         let zero_taps = self.zero_taps();
         let mut out = vec![0.0f32; batch * out_pixels * c];
         for b in 0..batch {
-            let x = &rows.as_slice()[b * in_len..][..in_len];
+            let x = &input.as_slice()[b * in_len..][..in_len];
             for o in 0..out_pixels {
                 let (oy, ox) = (o / geom.out_w(), o % geom.out_w());
                 let y = &mut out[(b * out_pixels + o) * c..][..c];
@@ -155,38 +137,48 @@ impl DepthwiseConv2d {
                 }
             }
         }
-        self.cached_rows = mode.is_train().then_some((rows, (in_h, in_w)));
-        Tensor::from_vec(out, &[batch * out_pixels, c]).map_err(NnError::from)
+        self.cached_input = mode.is_train().then_some(input);
+        Tensor::from_vec(out, &[batch, geom.out_h(), geom.out_w(), c]).map_err(NnError::from)
+    }
+}
+
+impl Layer for DepthwiseConv2d {
+    fn name(&self) -> String {
+        format!(
+            "dwconv2d({}, k{}, s{})",
+            self.channels, self.kernel, self.stride
+        )
     }
 
-    /// The backward of [`Self::forward_rows`]: takes the output gradient as
-    /// rows, accumulates the weight gradient and returns the input gradient
-    /// as rows.
-    pub(crate) fn backward_rows(&mut self, grad_rows: &Tensor) -> Result<Tensor> {
-        let (rows, (in_h, in_w)) = self
-            .cached_rows
+    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        self.forward_owned(input.clone(), mode)
+    }
+
+    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
+        let input = self
+            .cached_input
             .take()
             .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
-        let geom = self.geometry(in_h, in_w);
+        let (batch, geom) = self.check_input(input.dims())?;
         let c = self.channels;
-        let (in_len, out_pixels) = (in_h * in_w * c, geom.out_pixels());
-        let batch = rows.dims()[0] / (in_h * in_w);
-        if grad_rows.dims() != [batch * out_pixels, c] {
+        let (in_len, out_pixels) = (geom.in_h * geom.in_w * c, geom.out_pixels());
+        let (out_h, out_w) = (geom.out_h(), geom.out_w());
+        if grad_output.dims() != [batch, out_h, out_w, c] {
             return Err(NnError::BadInput {
                 layer: self.name(),
-                expected: format!("[{}, {c}]", batch * out_pixels),
-                actual: grad_rows.dims().to_vec(),
+                expected: format!("[{batch}, {out_h}, {out_w}, {c}]"),
+                actual: grad_output.dims().to_vec(),
             });
         }
         let taps = self.kernel * self.kernel;
         let weight = self.weight.value.as_slice();
         let zero_taps = self.zero_taps();
-        let mut grad_input = vec![0.0f32; rows.len()];
+        let mut grad_input = vec![0.0f32; input.len()];
         let mut grad_weight = vec![0.0f32; taps * c];
         let mut image_dw = vec![0.0f32; taps * c];
         for b in 0..batch {
-            let x = &rows.as_slice()[b * in_len..][..in_len];
-            let g = &grad_rows.as_slice()[b * out_pixels * c..][..out_pixels * c];
+            let x = &input.as_slice()[b * in_len..][..in_len];
+            let g = &grad_output.as_slice()[b * out_pixels * c..][..out_pixels * c];
             let gx = &mut grad_input[b * in_len..][..in_len];
             image_dw.fill(0.0);
             // Tap by tap, so each input pixel takes its taps' shares in
@@ -195,7 +187,7 @@ impl DepthwiseConv2d {
                 let w = &weight[t * c..][..c];
                 let dw = &mut image_dw[t * c..][..c];
                 for o in 0..out_pixels {
-                    let (oy, ox) = (o / geom.out_w(), o % geom.out_w());
+                    let (oy, ox) = (o / out_w, o % out_w);
                     let Some(i) = self.tap_input(&geom, t, oy, ox) else {
                         continue;
                     };
@@ -223,44 +215,7 @@ impl DepthwiseConv2d {
         }
         self.weight
             .accumulate_grad(&Tensor::from_vec(grad_weight, self.weight.value.dims())?);
-        Tensor::from_vec(grad_input, rows.dims()).map_err(NnError::from)
-    }
-}
-
-impl Layer for DepthwiseConv2d {
-    fn name(&self) -> String {
-        format!(
-            "dwconv2d({}, k{}, s{})",
-            self.channels, self.kernel, self.stride
-        )
-    }
-
-    fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (batch, in_h, in_w) = self.check_input(input.dims())?;
-        let geom = self.geometry(in_h, in_w);
-        geom.validate()?;
-        let out = self.forward_rows(nchw_to_rows(input), (in_h, in_w), mode)?;
-        Ok(rows_to_nchw(&out, batch, geom.out_h(), geom.out_w()))
-    }
-
-    fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let (rows, (in_h, in_w)) = self
-            .cached_rows
-            .as_ref()
-            .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
-        let (in_h, in_w) = (*in_h, *in_w);
-        let batch = rows.dims()[0] / (in_h * in_w);
-        let geom = self.geometry(in_h, in_w);
-        let (out_h, out_w) = (geom.out_h(), geom.out_w());
-        if grad_output.dims() != [batch, self.channels, out_h, out_w] {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                expected: format!("[{batch}, {}, {out_h}, {out_w}]", self.channels),
-                actual: grad_output.dims().to_vec(),
-            });
-        }
-        let grad_rows = self.backward_rows(&nchw_to_rows(grad_output))?;
-        Ok(rows_to_nchw(&grad_rows, batch, in_h, in_w))
+        Tensor::from_vec(grad_input, input.dims()).map_err(NnError::from)
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
@@ -268,17 +223,16 @@ impl Layer for DepthwiseConv2d {
     }
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
-        let (batch, in_h, in_w) = self.check_input(input)?;
-        let geom = self.geometry(in_h, in_w);
-        geom.validate()?;
-        Ok(vec![batch, self.channels, geom.out_h(), geom.out_w()])
+        let (batch, geom) = self.check_input(input)?;
+        Ok(vec![batch, geom.out_h(), geom.out_w(), self.channels])
     }
 
     fn macs(&self, input: &[usize]) -> u64 {
-        if input.len() != 3 {
+        // `input` is the batch-less shape [h, w, channels].
+        let &[h, w, _] = input else {
             return 0;
-        }
-        let geom = self.geometry(input[1], input[2]);
+        };
+        let geom = self.geometry(h, w);
         (self.channels * self.kernel * self.kernel) as u64 * geom.out_pixels() as u64
     }
 
@@ -290,17 +244,18 @@ impl Layer for DepthwiseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layers::{to_channels_last, to_nchw};
     use ofscil_tensor::{col2im, im2col};
 
     #[test]
     fn forward_shape_preserves_channels() {
         let mut rng = SeedRng::new(0);
         let mut dw = DepthwiseConv2d::new(4, 3, 2, 1, &mut rng);
-        let x = Tensor::ones(&[2, 4, 8, 8]);
+        let x = Tensor::ones(&[2, 8, 8, 4]);
         let y = dw.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 4, 4, 4]);
         assert!(dw
-            .forward(&Tensor::ones(&[2, 3, 8, 8]), Mode::Eval)
+            .forward(&Tensor::ones(&[2, 8, 8, 3]), Mode::Eval)
             .is_err());
     }
 
@@ -314,10 +269,10 @@ mod tests {
         for tap in dw.weight.value.as_mut_slice().chunks_mut(2) {
             tap.copy_from_slice(&[1.0, 0.0]);
         }
-        let x = Tensor::ones(&[1, 2, 4, 4]);
+        let x = Tensor::ones(&[1, 4, 4, 2]);
         let y = dw.forward(&x, Mode::Eval).unwrap();
-        let ch0: f32 = y.as_slice()[..16].iter().sum();
-        let ch1: f32 = y.as_slice()[16..].iter().sum();
+        let ch0: f32 = y.as_slice().iter().step_by(2).sum();
+        let ch1: f32 = y.as_slice().iter().skip(1).step_by(2).sum();
         assert!(ch0 > 0.0);
         assert_eq!(ch1, 0.0);
     }
@@ -330,7 +285,7 @@ mod tests {
             (0..2 * 2 * 5 * 5)
                 .map(|i| ((i % 5) as f32 - 2.0) * 0.4)
                 .collect(),
-            &[2, 2, 5, 5],
+            &[2, 5, 5, 2],
         )
         .unwrap();
         let y = dw.forward(&x, Mode::Train).unwrap();
@@ -360,9 +315,10 @@ mod tests {
         }
     }
 
-    /// The lowering the stencil replaces: per (image, channel) an `im2col`
-    /// patch matrix and `[1, k²] · [k², n]` products, `col2im` for the input
-    /// gradient. Returns output, input and weight gradients.
+    /// The lowering the stencil replaces, on NCHW operands: per (image,
+    /// channel) an `im2col` patch matrix and `[1, k²] · [k², n]` products,
+    /// `col2im` for the input gradient. Returns output, input and weight
+    /// gradients, the first two NCHW.
     fn im2col_reference(dw: &DepthwiseConv2d, x: &Tensor, grad_y: &Tensor) -> [Vec<f32>; 3] {
         let (channels, in_h, in_w) = (x.dims()[1], x.dims()[2], x.dims()[3]);
         let geom = dw.geometry(in_h, in_w);
@@ -431,10 +387,11 @@ mod tests {
         for &(batch, channels, h, w, k, s, p) in &shapes {
             let mut dw = DepthwiseConv2d::new(channels, k, s, p, &mut rng);
             dw.weight.value = seeded(&mut rng, &[k * k, channels]);
+            // NCHW operands, fed to the stencil channels-last.
             let x = seeded(&mut rng, &[batch, channels, h, w]);
-            let y = dw.forward(&x, Mode::Train).unwrap();
+            let y = to_nchw(&dw.forward(&to_channels_last(&x), Mode::Train).unwrap());
             let grad_y = seeded(&mut rng, y.dims());
-            let gx = dw.backward(&grad_y).unwrap();
+            let gx = to_nchw(&dw.backward(&to_channels_last(&grad_y)).unwrap());
             let expected = im2col_reference(&dw, &x, &grad_y);
             let grad_w = dw.weight.grad.transpose().unwrap();
             let got = [y.as_slice(), gx.as_slice(), grad_w.as_slice()];
@@ -467,7 +424,9 @@ mod tests {
         let (h, w) = (3, 3);
         let mut rows = Tensor::zeros(&[h * w, 2]);
         rows.set(&[centre, 1], f32::INFINITY).unwrap();
-        let y = dw.forward_rows(rows, (h, w), Mode::Train).unwrap();
+        rows.reshape_in_place(&[1, h, w, 2]).unwrap();
+        let mut y = dw.forward_owned(rows, Mode::Train).unwrap();
+        y.reshape_in_place(&[h * w, 2]).unwrap();
         // Channel 1's centre output reads the infinite pixel only through the
         // zero tap: it stays 0, not NaN. Its other outputs see it through a
         // one and are infinite. Channel 0 never sees it.
@@ -480,7 +439,9 @@ mod tests {
         // gradient at the centre reaches no input pixel through it.
         let mut grad = Tensor::zeros(&[h * w, 2]);
         grad.set(&[centre, 1], f32::INFINITY).unwrap();
-        let gx = dw.backward_rows(&grad).unwrap();
+        grad.reshape_in_place(&[1, h, w, 2]).unwrap();
+        let mut gx = dw.backward(&grad).unwrap();
+        gx.reshape_in_place(&[h * w, 2]).unwrap();
         assert_eq!(gx.at(&[centre, 1]).unwrap(), 0.0);
         assert_eq!(gx.at(&[0, 1]).unwrap(), f32::INFINITY);
         assert!(gx.as_slice().iter().all(|v| !v.is_nan()));
@@ -490,14 +451,14 @@ mod tests {
     fn eval_forward_drops_the_train_cache() {
         let mut rng = SeedRng::new(4);
         let mut dw = DepthwiseConv2d::new(2, 3, 1, 1, &mut rng);
-        crate::layer::assert_eval_drops_train_cache(&mut dw, &Tensor::ones(&[1, 2, 4, 4]));
+        crate::layer::assert_eval_drops_train_cache(&mut dw, &Tensor::ones(&[1, 4, 4, 2]));
     }
 
     #[test]
     fn macs_and_params() {
         let mut rng = SeedRng::new(0);
         let mut dw = DepthwiseConv2d::new(32, 3, 1, 1, &mut rng);
-        assert_eq!(dw.macs(&[32, 16, 16]), 32 * 9 * 256);
+        assert_eq!(dw.macs(&[16, 16, 32]), 32 * 9 * 256);
         assert_eq!(dw.param_count(), 32 * 9);
     }
 }

@@ -1,5 +1,10 @@
 //! Primitive layers: convolutions, batch normalisation, activations, pooling,
 //! linear projections and the [`Sequential`] container.
+//!
+//! Feature maps are channels-last, `[batch, h, w, c]`, between every pair of
+//! layers; flat activations are `[batch, features]`. A backbone changes its
+//! NCHW images to channels-last once on entry (`to_channels_last`) and its
+//! input gradient back once on exit (`to_nchw`).
 
 mod activation;
 mod batchnorm;
@@ -20,49 +25,39 @@ pub(crate) use pwconv::PointwiseConv2d;
 pub(crate) use sequential::chained_macs;
 pub use sequential::Sequential;
 
-use ofscil_tensor::Tensor;
+use ofscil_tensor::{transpose_into, Tensor};
 
-/// Tile edge of [`transpose_planes`]: a 32×32 f32 tile is 4 KiB.
-const TILE: usize = 32;
-
-/// An NCHW batch `[batch, c, h, w]` as pixel-major rows `[batch * h * w, c]`:
-/// image by image, pixel by pixel, one row of channels per pixel. Callers
-/// check the rank first.
-pub(crate) fn nchw_to_rows(input: &Tensor) -> Tensor {
-    let (batch, c) = (input.dims()[0], input.dims()[1]);
-    let pixels = input.dims()[2] * input.dims()[3];
-    let rows = transpose_planes(input.as_slice(), batch, c, pixels);
-    Tensor::from_vec(rows, &[batch * pixels, c]).expect("same element count")
+/// An NCHW batch `[batch, c, h, w]` in the channels-last layout
+/// `[batch, h, w, c]` every layer takes: image by image, pixel by pixel, one
+/// row of channels per pixel. Callers check the rank first.
+pub(crate) fn to_channels_last(nchw: &Tensor) -> Tensor {
+    let &[batch, c, h, w] = nchw.dims() else {
+        unreachable!("callers check the rank")
+    };
+    transpose_images(nchw, c, h * w, &[batch, h, w, c])
 }
 
-/// Pixel-major rows `[batch * h * w, c]` back into an NCHW batch
-/// `[batch, c, h, w]`.
-pub(crate) fn rows_to_nchw(rows: &Tensor, batch: usize, h: usize, w: usize) -> Tensor {
-    let c = rows.dims()[1];
-    let planes = transpose_planes(rows.as_slice(), batch, h * w, c);
-    Tensor::from_vec(planes, &[batch, c, h, w]).expect("same element count")
+/// A channels-last batch `[batch, h, w, c]` back in NCHW `[batch, c, h, w]`.
+pub(crate) fn to_nchw(nhwc: &Tensor) -> Tensor {
+    let &[batch, h, w, c] = nhwc.dims() else {
+        unreachable!("callers check the rank")
+    };
+    transpose_images(nhwc, h * w, c, &[batch, c, h, w])
 }
 
-/// Transposes each of the `planes` row-major `[rows, cols]` matrices that
-/// `src` holds back to back into `[cols, rows]`, one tile at a time so the
-/// strided writes of a tile land in a few cache lines.
-fn transpose_planes(src: &[f32], planes: usize, rows: usize, cols: usize) -> Vec<f32> {
-    let plane = rows * cols;
-    let mut out = vec![0.0f32; planes * plane];
-    for p in 0..planes {
-        let (src, dst) = (&src[p * plane..][..plane], &mut out[p * plane..][..plane]);
-        for i0 in (0..rows).step_by(TILE) {
-            for j0 in (0..cols).step_by(TILE) {
-                let j1 = (j0 + TILE).min(cols);
-                for i in i0..(i0 + TILE).min(rows) {
-                    for (j, &v) in (j0..j1).zip(&src[i * cols + j0..i * cols + j1]) {
-                        dst[j * rows + i] = v;
-                    }
-                }
-            }
-        }
+/// Transposes each image of `src`, a row-major `[rows, cols]` matrix, into
+/// `[cols, rows]`, giving a tensor of `dims`.
+fn transpose_images(src: &Tensor, rows: usize, cols: usize, dims: &[usize]) -> Tensor {
+    let image = (rows * cols).max(1);
+    let mut out = vec![0.0f32; src.len()];
+    for (src, dst) in src
+        .as_slice()
+        .chunks_exact(image)
+        .zip(out.chunks_exact_mut(image))
+    {
+        transpose_into(src, rows, cols, dst);
     }
-    out
+    Tensor::from_vec(out, dims).expect("same element count")
 }
 
 #[cfg(test)]
@@ -75,16 +70,16 @@ mod tests {
         for dims in [[2, 3, 2, 5], [1, 40, 6, 7], [3, 5, 9, 4], [0, 4, 2, 2]] {
             let n = dims.iter().product();
             let x = Tensor::from_vec((0..n).map(|v| v as f32).collect(), &dims).unwrap();
-            let rows = nchw_to_rows(&x);
+            let nhwc = to_channels_last(&x);
             let (c, pixels) = (dims[1], dims[2] * dims[3]);
-            assert_eq!(rows.dims(), &[dims[0] * pixels, c]);
-            for (r, row) in rows.as_slice().chunks(c).enumerate() {
+            assert_eq!(nhwc.dims(), &[dims[0], dims[2], dims[3], c]);
+            for (r, row) in nhwc.as_slice().chunks(c).enumerate() {
                 let (b, p) = (r / pixels, r % pixels);
                 for (ch, &v) in row.iter().enumerate() {
                     assert_eq!(v, x.as_slice()[(b * c + ch) * pixels + p], "{dims:?}");
                 }
             }
-            assert_eq!(rows_to_nchw(&rows, dims[0], dims[2], dims[3]), x);
+            assert_eq!(to_nchw(&nhwc), x);
         }
     }
 }

@@ -1,11 +1,13 @@
-//! Pooling layers.
+//! Pooling layers, on channels-last feature maps `[batch, h, w, channels]`.
 
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::Tensor;
 
-/// Global average pooling: `[batch, channels, h, w] -> [batch, channels]`.
+/// Global average pooling: `[batch, h, w, channels] -> [batch, channels]`.
 ///
 /// Used as the final spatial reduction of both backbones before the FCR.
+/// Each channel's pixels are summed in ascending order from the start value
+/// of `Iterator::sum`, one pixel row of channels at a time.
 #[derive(Debug, Default)]
 pub(crate) struct GlobalAvgPool {
     cached_dims: Option<Vec<usize>>,
@@ -17,15 +19,15 @@ impl GlobalAvgPool {
         GlobalAvgPool { cached_dims: None }
     }
 
-    /// The `(batch, channels, h * w)` of a `[batch, channels, h, w]` input.
+    /// The `(batch, h * w, channels)` of a `[batch, h, w, channels]` input.
     /// An empty plane has no average (its mean would be `0 / 0`), so it is
     /// rejected as `Conv2d` rejects it.
     fn check_input(&self, dims: &[usize]) -> Result<(usize, usize, usize)> {
         match *dims {
-            [batch, channels, h, w] if h * w > 0 => Ok((batch, channels, h * w)),
+            [batch, h, w, channels] if h * w > 0 => Ok((batch, h * w, channels)),
             _ => Err(NnError::BadInput {
                 layer: self.name(),
-                expected: "[batch, channels, h > 0, w > 0]".into(),
+                expected: "[batch, h > 0, w > 0, channels]".into(),
                 actual: dims.to_vec(),
             }),
         }
@@ -39,13 +41,20 @@ impl Layer for GlobalAvgPool {
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
         let dims = input.dims();
-        let (batch, channels, spatial) = self.check_input(dims)?;
-        let mut out = vec![0.0f32; batch * channels];
-        for b in 0..batch {
-            for c in 0..channels {
-                let base = (b * channels + c) * spatial;
-                out[b * channels + c] =
-                    input.as_slice()[base..base + spatial].iter().sum::<f32>() / spatial as f32;
+        let (batch, spatial, channels) = self.check_input(dims)?;
+        let start: f32 = std::iter::empty::<f32>().sum();
+        let mut out = vec![start; batch * channels];
+        if channels > 0 {
+            let images = input.as_slice().chunks_exact(spatial * channels);
+            for (sums, image) in out.chunks_exact_mut(channels).zip(images) {
+                for pixel in image.chunks_exact(channels) {
+                    for (s, &x) in sums.iter_mut().zip(pixel) {
+                        *s += x;
+                    }
+                }
+                for s in sums {
+                    *s /= spatial as f32;
+                }
             }
         }
         self.cached_dims = mode.is_train().then(|| dims.to_vec());
@@ -57,7 +66,7 @@ impl Layer for GlobalAvgPool {
             .cached_dims
             .take()
             .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
-        let (batch, channels, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let (batch, spatial, channels) = self.check_input(&dims)?;
         if grad_output.dims() != [batch, channels] {
             return Err(NnError::BadInput {
                 layer: self.name(),
@@ -65,15 +74,11 @@ impl Layer for GlobalAvgPool {
                 actual: grad_output.dims().to_vec(),
             });
         }
-        let spatial = h * w;
-        let mut grad = vec![0.0f32; batch * channels * spatial];
-        for b in 0..batch {
-            for c in 0..channels {
-                let g = grad_output.as_slice()[b * channels + c] / spatial as f32;
-                let base = (b * channels + c) * spatial;
-                for s in 0..spatial {
-                    grad[base + s] = g;
-                }
+        let mut grad = Vec::with_capacity(batch * spatial * channels);
+        for g in grad_output.as_slice().chunks_exact(channels.max(1)) {
+            let share: Vec<f32> = g.iter().map(|g| g / spatial as f32).collect();
+            for _ in 0..spatial {
+                grad.extend_from_slice(&share);
             }
         }
         Tensor::from_vec(grad, &dims).map_err(NnError::from)
@@ -82,15 +87,17 @@ impl Layer for GlobalAvgPool {
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Parameter)) {}
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
-        let (batch, channels, _) = self.check_input(input)?;
+        let (batch, _, channels) = self.check_input(input)?;
         Ok(vec![batch, channels])
     }
 }
 
-/// 2×2 max pooling with stride 2: `[batch, c, h, w] -> [batch, c, h/2, w/2]`.
+/// 2×2 max pooling with stride 2: `[batch, h, w, c] -> [batch, h/2, w/2, c]`.
 ///
 /// Used between the stages of the ResNet-12 backbone (the convolutions run at
-/// full stage resolution and the pooling performs the downsampling).
+/// full stage resolution and the pooling performs the downsampling). Each
+/// channel scans its window in row-major order and keeps the first maximum,
+/// one pixel row of channels at a time.
 #[derive(Debug, Default)]
 pub(crate) struct MaxPool2d {
     cache: Option<(Vec<usize>, Vec<usize>)>, // (input dims, argmax indices)
@@ -103,14 +110,14 @@ impl MaxPool2d {
     }
 
     fn check(&self, dims: &[usize]) -> Result<(usize, usize, usize, usize)> {
-        if dims.len() != 4 || dims[2] < 2 || dims[3] < 2 {
-            return Err(NnError::BadInput {
+        match *dims {
+            [batch, h, w, channels] if h >= 2 && w >= 2 => Ok((batch, h, w, channels)),
+            _ => Err(NnError::BadInput {
                 layer: self.name(),
-                expected: "[batch, channels, h>=2, w>=2]".into(),
+                expected: "[batch, h>=2, w>=2, channels]".into(),
                 actual: dims.to_vec(),
-            });
+            }),
         }
-        Ok((dims[0], dims[1], dims[2], dims[3]))
     }
 }
 
@@ -120,36 +127,38 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (batch, channels, h, w) = self.check(input.dims())?;
+        let (batch, h, w, c) = self.check(input.dims())?;
         let (oh, ow) = (h / 2, w / 2);
         let src = input.as_slice();
-        let mut out = vec![0.0f32; batch * channels * oh * ow];
+        let mut out = vec![0.0f32; batch * oh * ow * c];
         let mut argmax = vec![0usize; out.len()];
         for b in 0..batch {
-            for c in 0..channels {
-                let base = (b * channels + c) * h * w;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best_idx = base + (2 * oy) * w + 2 * ox;
-                        let mut best = src[best_idx];
-                        for dy in 0..2 {
-                            for dx in 0..2 {
-                                let idx = base + (2 * oy + dy) * w + (2 * ox + dx);
-                                if src[idx] > best {
-                                    best = src[idx];
-                                    best_idx = idx;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let dst = ((b * oh + oy) * ow + ox) * c;
+                    let (best, best_idx) = (&mut out[dst..][..c], &mut argmax[dst..][..c]);
+                    let first = ((b * h + 2 * oy) * w + 2 * ox) * c;
+                    best.copy_from_slice(&src[first..][..c]);
+                    for (ch, idx) in best_idx.iter_mut().enumerate() {
+                        *idx = first + ch;
+                    }
+                    for dy in 0..2 {
+                        for dx in 0..2 {
+                            let at = ((b * h + 2 * oy + dy) * w + 2 * ox + dx) * c;
+                            let window = best.iter_mut().zip(best_idx.iter_mut());
+                            for (ch, (best, idx)) in window.enumerate() {
+                                if src[at + ch] > *best {
+                                    *best = src[at + ch];
+                                    *idx = at + ch;
                                 }
                             }
                         }
-                        let dst = (b * channels + c) * oh * ow + oy * ow + ox;
-                        out[dst] = best;
-                        argmax[dst] = best_idx;
                     }
                 }
             }
         }
         self.cache = mode.is_train().then(|| (input.dims().to_vec(), argmax));
-        Tensor::from_vec(out, &[batch, channels, oh, ow]).map_err(NnError::from)
+        Tensor::from_vec(out, &[batch, oh, ow, c]).map_err(NnError::from)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
@@ -174,8 +183,8 @@ impl Layer for MaxPool2d {
     fn visit_params(&mut self, _visitor: &mut dyn FnMut(&mut Parameter)) {}
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
-        let (batch, channels, h, w) = self.check(input)?;
-        Ok(vec![batch, channels, h / 2, w / 2])
+        let (batch, h, w, channels) = self.check(input)?;
+        Ok(vec![batch, h / 2, w / 2, channels])
     }
 }
 
@@ -191,14 +200,14 @@ mod tests {
                 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0,
                 16.0,
             ],
-            &[1, 1, 4, 4],
+            &[1, 4, 4, 1],
         )
         .unwrap();
         let y = pool.forward(&x, Mode::Train).unwrap();
-        assert_eq!(y.dims(), &[1, 1, 2, 2]);
+        assert_eq!(y.dims(), &[1, 2, 2, 1]);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
         // Backward routes gradients to the argmax positions only.
-        let g = pool.backward(&Tensor::ones(&[1, 1, 2, 2])).unwrap();
+        let g = pool.backward(&Tensor::ones(&[1, 2, 2, 1])).unwrap();
         assert_eq!(g.sum(), 4.0);
         assert_eq!(g.as_slice()[5], 1.0);
         assert_eq!(g.as_slice()[0], 0.0);
@@ -208,17 +217,17 @@ mod tests {
     fn max_pool_rejects_small_inputs() {
         let mut pool = MaxPool2d::new();
         assert!(pool
-            .forward(&Tensor::ones(&[1, 1, 1, 4]), Mode::Eval)
+            .forward(&Tensor::ones(&[1, 1, 4, 1]), Mode::Eval)
             .is_err());
         assert!(pool.output_dims(&[1, 1, 4]).is_err());
-        assert!(pool.backward(&Tensor::ones(&[1, 1, 2, 2])).is_err());
+        assert!(pool.backward(&Tensor::ones(&[1, 2, 2, 1])).is_err());
     }
 
     #[test]
     fn averages_spatial_extent() {
         let mut pool = GlobalAvgPool::new();
-        // 2 samples × 1 channel × 2×2 spatial.
-        let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 1, 2, 2]).unwrap();
+        // 2 samples × 2×2 spatial × 1 channel.
+        let x = Tensor::from_vec((0..8).map(|v| v as f32).collect(), &[2, 2, 2, 1]).unwrap();
         let y = pool.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 1]);
         assert_eq!(y.as_slice(), &[1.5, 5.5]);
@@ -233,13 +242,33 @@ mod tests {
             .backward(&Tensor::from_vec(vec![4.0, 8.0], &[1, 2]).unwrap())
             .unwrap();
         assert_eq!(g.dims(), &[1, 2, 2, 2]);
-        assert_eq!(&g.as_slice()[..4], &[1.0, 1.0, 1.0, 1.0]);
-        assert_eq!(&g.as_slice()[4..], &[2.0, 2.0, 2.0, 2.0]);
+        assert_eq!(g.as_slice(), &[1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0]);
+    }
+
+    #[test]
+    fn each_mean_keeps_the_bits_of_iterator_sum() {
+        // Every mean is its channel's pixels summed by `Iterator::sum`, in
+        // ascending pixel order, over the plane size; an all `-0.0` channel
+        // keeps the sign that sum's start value gives it.
+        let mut rng = ofscil_tensor::SeedRng::new(9);
+        let (batch, pixels, c) = (2, 5 * 3, 4);
+        let mut data: Vec<f32> = (0..batch * pixels * c).map(|_| rng.normal()).collect();
+        for pixel in 0..pixels {
+            data[pixel * c + 3] = -0.0;
+        }
+        let x = Tensor::from_vec(data, &[batch, 5, 3, c]).unwrap();
+        let y = GlobalAvgPool::new().forward(&x, Mode::Eval).unwrap();
+        for (i, &got) in y.as_slice().iter().enumerate() {
+            let (b, ch) = (i / c, i % c);
+            let channel = (0..pixels).map(|p| x.as_slice()[(b * pixels + p) * c + ch]);
+            let want = channel.sum::<f32>() / pixels as f32;
+            assert_eq!(got.to_bits(), want.to_bits(), "image {b} channel {ch}");
+        }
     }
 
     #[test]
     fn eval_forward_drops_the_train_cache() {
-        let x = Tensor::ones(&[1, 2, 4, 4]);
+        let x = Tensor::ones(&[1, 4, 4, 2]);
         crate::layer::assert_eval_drops_train_cache(&mut GlobalAvgPool::new(), &x);
         crate::layer::assert_eval_drops_train_cache(&mut MaxPool2d::new(), &x);
     }
@@ -256,13 +285,13 @@ mod tests {
     fn global_avg_pool_rejects_an_empty_plane() {
         // An empty plane has no mean: it is an input error, not NaN features.
         let mut pool = GlobalAvgPool::new();
-        for dims in [[2, 3, 0, 4], [2, 3, 4, 0]] {
+        for dims in [[2, 0, 4, 3], [2, 4, 0, 3]] {
             let err = pool.forward(&Tensor::zeros(&dims), Mode::Train);
             assert!(matches!(err, Err(NnError::BadInput { .. })), "{err:?}");
             assert!(pool.output_dims(&dims).is_err());
         }
         // An empty batch of non-empty planes is still fine.
-        let y = pool.forward(&Tensor::zeros(&[0, 3, 2, 2]), Mode::Eval);
+        let y = pool.forward(&Tensor::zeros(&[0, 2, 2, 3]), Mode::Eval);
         assert_eq!(y.unwrap().dims(), &[0, 3]);
     }
 }

@@ -1,16 +1,16 @@
 //! Pointwise (1×1, stride-1, unpadded) convolution, the expand and project
-//! convolutions of the MobileNetV2 inverted residual and its 1280-wide head.
+//! convolutions of the MobileNetV2 inverted residual, its 1280-wide head and
+//! the ResNet-12 shortcuts.
 //!
-//! A pointwise convolution mixes channels pixel by pixel, so its row form is
-//! exactly `rows[batch * h * w, c_in] · W[c_in, c_out]`, with the weight
-//! stored once as `[in_channels, out_channels]` and the rows pixel-major
-//! (image by image, one row of channels per pixel). The row kernel of
+//! A pointwise convolution mixes channels pixel by pixel, so on a
+//! channels-last batch `[batch, h, w, c_in]`, read as its pixel rows
+//! `[batch * h * w, c_in]`, it is exactly `rows · W[c_in, c_out]`, with the
+//! weight stored once as `[in_channels, out_channels]`. The row kernel of
 //! `Tensor::matmul` then runs along the channel count (16–1280) rather than
 //! along `h * w`, which is 4 on the late 2×2 maps of a 32×32 input. The
-//! inverted residual keeps its activations in rows and calls the row form
-//! directly; only the NCHW [`Layer`] wrapper, used by the MobileNetV2 head
-//! and the ResNet-12 shortcuts, transposes its input into rows and the
-//! product back.
+//! layer reshapes the tensors it owns in place, so the only copy is the one
+//! [`Layer::forward`] and [`Layer::backward`] make of their borrowed
+//! argument; the inverted residual hands its own tensors over and skips it.
 //!
 //! Every output sums the same products in the same ascending `c_in` order as
 //! `Conv2d`'s im2col + `[c_out, c_in] · [c_in, hw]` lowering of the same
@@ -22,23 +22,23 @@
 //! the weight, so a non-finite value under an exactly-zero weight yields NaN
 //! where the weight-major product skipped it.
 
-use super::{nchw_to_rows, rows_to_nchw};
 use crate::{Layer, Mode, NnError, Parameter, Result};
 use ofscil_tensor::{Conv2dGeometry, Init, Initializer, SeedRng, Tensor};
 
 /// A 1×1, stride-1, unpadded convolution without bias (every caller
 /// follows it with `BatchNorm`).
 ///
-/// * input: `[batch, in_channels, h, w]`, or rows `[batch * h * w, in_channels]`
+/// * input: `[batch, h, w, in_channels]`
 /// * weight: `[in_channels, out_channels]`
-/// * output: `[batch, out_channels, h, w]`, or rows `[batch * h * w, out_channels]`
+/// * output: `[batch, h, w, out_channels]`
 #[derive(Debug)]
 pub(crate) struct PointwiseConv2d {
     in_channels: usize,
     out_channels: usize,
     weight: Parameter,
-    /// The input rows of the last training forward and their plane `(h, w)`.
-    cached_rows: Option<(Tensor, (usize, usize))>,
+    /// The input rows `[batch * h * w, in_channels]` of the last training
+    /// forward and its `[batch, h, w]`.
+    cached_rows: Option<(Tensor, [usize; 3])>,
 }
 
 impl PointwiseConv2d {
@@ -62,72 +62,62 @@ impl PointwiseConv2d {
         }
     }
 
-    /// The batch and plane size of a `[batch, in_channels, h, w]` input; an
-    /// empty plane is rejected as `Conv2d` rejects it.
-    fn check_input(&self, dims: &[usize]) -> Result<(usize, usize)> {
-        if dims.len() != 4 || dims[1] != self.in_channels {
-            return Err(NnError::BadInput {
+    /// The `[batch, h, w]` of a `[batch, h, w, in_channels]` input; an empty
+    /// plane is rejected as `Conv2d` rejects it.
+    fn check_input(&self, dims: &[usize]) -> Result<[usize; 3]> {
+        match *dims {
+            [batch, h, w, c] if c == self.in_channels => {
+                Conv2dGeometry::new(h, w, 1, 1, 0).validate()?;
+                Ok([batch, h, w])
+            }
+            _ => Err(NnError::BadInput {
                 layer: self.name(),
-                expected: format!("[batch, {}, h, w]", self.in_channels),
+                expected: format!("[batch, h, w, {}]", self.in_channels),
                 actual: dims.to_vec(),
-            });
+            }),
         }
-        Conv2dGeometry::new(dims[2], dims[3], 1, 1, 0).validate()?;
-        Ok((dims[0], dims[2] * dims[3]))
     }
 
-    /// The row form: `rows[batch * h * w, in_channels] · W`, for images of
-    /// plane `(h, w)`. A training forward keeps `rows` for the backward.
-    pub(crate) fn forward_rows(
-        &mut self,
-        rows: Tensor,
-        plane: (usize, usize),
-        mode: Mode,
-    ) -> Result<Tensor> {
-        Conv2dGeometry::new(plane.0, plane.1, 1, 1, 0).validate()?;
-        let pixels = plane.0 * plane.1;
-        if rows.dims().len() != 2
-            || rows.dims()[1] != self.in_channels
-            || rows.dims()[0] % pixels != 0
-        {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                expected: format!("[batch * {pixels}, {}]", self.in_channels),
-                actual: rows.dims().to_vec(),
-            });
-        }
-        let out = rows.matmul(&self.weight.value)?;
-        self.cached_rows = mode.is_train().then_some((rows, plane));
+    /// [`Layer::forward`] on an input the caller hands over: `input · W`
+    /// over its pixel rows. A training forward keeps the input for the
+    /// backward.
+    pub(crate) fn forward_owned(&mut self, mut input: Tensor, mode: Mode) -> Result<Tensor> {
+        let [batch, h, w] = self.check_input(input.dims())?;
+        input.reshape_in_place(&[batch * h * w, self.in_channels])?;
+        let mut out = input.matmul(&self.weight.value)?;
+        out.reshape_in_place(&[batch, h, w, self.out_channels])?;
+        self.cached_rows = mode.is_train().then_some((input, [batch, h, w]));
         Ok(out)
     }
 
-    /// The backward of [`Self::forward_rows`]: takes the output gradient as
-    /// rows `[batch * h * w, out_channels]`, accumulates the weight gradient
-    /// image by image and returns the input gradient as rows.
-    pub(crate) fn backward_rows(&mut self, grad_rows: &Tensor) -> Result<Tensor> {
-        let (rows, (h, w)) = self
+    /// [`Layer::backward`] on an output gradient the caller hands over:
+    /// accumulates the weight gradient image by image and returns the input
+    /// gradient.
+    pub(crate) fn backward_owned(&mut self, mut grad: Tensor) -> Result<Tensor> {
+        let (rows, [batch, h, w]) = self
             .cached_rows
             .take()
             .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
         let (c_in, c_out, pixels) = (self.in_channels, self.out_channels, h * w);
-        let n = rows.dims()[0];
-        if grad_rows.dims() != [n, c_out] {
+        if grad.dims() != [batch, h, w, c_out] {
             return Err(NnError::BadInput {
                 layer: self.name(),
-                expected: format!("[{n}, {c_out}]"),
-                actual: grad_rows.dims().to_vec(),
+                expected: format!("[{batch}, {h}, {w}, {c_out}]"),
+                actual: grad.dims().to_vec(),
             });
         }
-        let grad_input = grad_rows.matmul(&self.weight.value.transpose()?)?;
+        grad.reshape_in_place(&[batch * pixels, c_out])?;
+        let mut grad_input = grad.matmul(&self.weight.value.transpose()?)?;
         // dW = Σ_image x_imageᵀ · g_image: the products of each image sum
         // in ascending pixel order, and the images add up in order.
-        for b in 0..n / pixels {
+        for b in 0..batch {
             let x = &rows.as_slice()[b * pixels * c_in..][..pixels * c_in];
             let x = Tensor::from_vec(x.to_vec(), &[pixels, c_in])?.transpose()?;
-            let g = &grad_rows.as_slice()[b * pixels * c_out..][..pixels * c_out];
+            let g = &grad.as_slice()[b * pixels * c_out..][..pixels * c_out];
             let g = Tensor::from_vec(g.to_vec(), &[pixels, c_out])?;
             self.weight.accumulate_grad(&x.matmul(&g)?);
         }
+        grad_input.reshape_in_place(&[batch, h, w, c_in])?;
         Ok(grad_input)
     }
 }
@@ -141,29 +131,11 @@ impl Layer for PointwiseConv2d {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let (batch, _) = self.check_input(input.dims())?;
-        let (h, w) = (input.dims()[2], input.dims()[3]);
-        let product = self.forward_rows(nchw_to_rows(input), (h, w), mode)?;
-        Ok(rows_to_nchw(&product, batch, h, w))
+        self.forward_owned(input.clone(), mode)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        let (rows, (h, w)) = self
-            .cached_rows
-            .as_ref()
-            .ok_or_else(|| NnError::NoForwardCache(self.name()))?;
-        let (h, w) = (*h, *w);
-        let batch = rows.dims()[0] / (h * w);
-        let out_dims = [batch, self.out_channels, h, w];
-        if grad_output.dims() != out_dims {
-            return Err(NnError::BadInput {
-                layer: self.name(),
-                expected: format!("{out_dims:?}"),
-                actual: grad_output.dims().to_vec(),
-            });
-        }
-        let grad_rows = self.backward_rows(&nchw_to_rows(grad_output))?;
-        Ok(rows_to_nchw(&grad_rows, batch, h, w))
+        self.backward_owned(grad_output.clone())
     }
 
     fn visit_params(&mut self, visitor: &mut dyn FnMut(&mut Parameter)) {
@@ -171,16 +143,16 @@ impl Layer for PointwiseConv2d {
     }
 
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>> {
-        self.check_input(input)?;
-        Ok(vec![input[0], self.out_channels, input[2], input[3]])
+        let [batch, h, w] = self.check_input(input)?;
+        Ok(vec![batch, h, w, self.out_channels])
     }
 
     fn macs(&self, input: &[usize]) -> u64 {
-        // `input` is the batch-less shape [channels, h, w].
-        if input.len() != 3 {
+        // `input` is the batch-less shape [h, w, channels].
+        let &[h, w, _] = input else {
             return 0;
-        }
-        (self.out_channels * self.in_channels * input[1] * input[2]) as u64
+        };
+        (self.out_channels * self.in_channels * h * w) as u64
     }
 
     fn weight_count(&self) -> u64 {
@@ -191,7 +163,7 @@ impl Layer for PointwiseConv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::Conv2d;
+    use crate::layers::{to_channels_last, Conv2d};
 
     /// `dims`-shaped normal values, about one in five an exact zero.
     fn seeded(rng: &mut SeedRng, dims: &[usize]) -> Tensor {
@@ -226,7 +198,9 @@ mod tests {
     fn matches_the_conv2d_im2col_lowering_bit_for_bit() {
         // The same weights through a bias-free `Conv2d`'s per-image im2col +
         // matmul: output, input gradient and (transposed) weight gradient
-        // must agree to the bit.
+        // must agree to the bit. The operands are drawn NCHW and fed to both
+        // channels-last; `Conv2d`'s own 1×1 tests pin its channels-last
+        // results to the NCHW im2col products.
         let mut rng = SeedRng::new(34);
         let (c_in, c_out) = (6, 5);
         for batch in [0, 1, 2, 5] {
@@ -238,13 +212,13 @@ mod tests {
                 let reference = pw.weight.value.transpose().unwrap();
                 conv.visit_params(&mut |p| p.value = reference.clone());
 
-                let x = seeded(&mut rng, &[batch, c_in, h, w]);
+                let x = to_channels_last(&seeded(&mut rng, &[batch, c_in, h, w]));
                 let y = pw.forward(&x, Mode::Train).unwrap();
                 let want = conv.forward(&x, Mode::Train).unwrap();
                 assert_eq!(y.dims(), want.dims(), "{case:?}");
                 assert_eq!(bits(y.as_slice()), bits(want.as_slice()), "y {case:?}");
 
-                let grad_y = seeded(&mut rng, y.dims());
+                let grad_y = to_channels_last(&seeded(&mut rng, &[batch, c_out, h, w]));
                 let grad_x = pw.backward(&grad_y).unwrap();
                 let want_x = conv.backward(&grad_y).unwrap();
                 assert_eq!(grad_x.dims(), x.dims(), "{case:?}");
@@ -268,12 +242,12 @@ mod tests {
     fn shapes_names_and_counts() {
         let mut pw = PointwiseConv2d::new(4, 8, &mut SeedRng::new(0));
         assert_eq!(pw.name(), "conv2d(4→8, k1, s1, p0)");
-        assert_eq!(pw.output_dims(&[2, 4, 3, 5]).unwrap(), vec![2, 8, 3, 5]);
-        assert!(pw.output_dims(&[2, 4, 0, 5]).is_err());
+        assert_eq!(pw.output_dims(&[2, 3, 5, 4]).unwrap(), vec![2, 3, 5, 8]);
+        assert!(pw.output_dims(&[2, 0, 5, 4]).is_err());
         assert!(pw
-            .forward(&Tensor::ones(&[2, 3, 3, 5]), Mode::Eval)
+            .forward(&Tensor::ones(&[2, 3, 5, 3]), Mode::Eval)
             .is_err());
-        assert_eq!(pw.macs(&[4, 3, 5]), 8 * 4 * 15);
+        assert_eq!(pw.macs(&[3, 5, 4]), 8 * 4 * 15);
         assert_eq!(pw.param_count(), 4 * 8);
         assert_eq!(pw.weight_count(), 4 * 8);
     }
@@ -281,6 +255,6 @@ mod tests {
     #[test]
     fn eval_forward_drops_the_train_cache() {
         let mut pw = PointwiseConv2d::new(2, 3, &mut SeedRng::new(0));
-        crate::layer::assert_eval_drops_train_cache(&mut pw, &Tensor::ones(&[1, 2, 4, 4]));
+        crate::layer::assert_eval_drops_train_cache(&mut pw, &Tensor::ones(&[1, 4, 4, 2]));
     }
 }

@@ -69,22 +69,25 @@ impl Layer for Sequential {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(input.clone());
+        };
+        let mut x = first.forward(input, mode)?;
+        for layer in rest {
             x = layer.forward(&x, mode)?;
         }
         Ok(x)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
-        if self.layers.is_empty() {
+        let Some((last, rest)) = self.layers.split_last_mut() else {
             return Err(NnError::InvalidConfig(format!(
                 "sequential {} has no layers",
                 self.name
             )));
-        }
-        let mut grad = grad_output.clone();
-        for layer in self.layers.iter_mut().rev() {
+        };
+        let mut grad = last.backward(grad_output)?;
+        for layer in rest.iter_mut().rev() {
             grad = layer.backward(&grad)?;
         }
         Ok(grad)
@@ -177,6 +180,9 @@ mod tests {
         let mut s = Sequential::new("empty");
         assert!(s.backward(&Tensor::ones(&[1])).is_err());
         assert!(s.is_empty());
+        // Its forward is the identity, as a copy of the input.
+        let x = Tensor::from_vec(vec![1.0, -2.0], &[1, 2]).unwrap();
+        assert_eq!(s.forward(&x, Mode::Eval).unwrap(), x);
     }
 
     #[test]

@@ -146,7 +146,7 @@ mod tests {
         let mut rng = SeedRng::new(0);
         let bb = mobilenet_v2(MobileNetVariant::X1, &mut rng);
         assert_eq!(bb.feature_dim, 1280);
-        assert_eq!(bb.net.output_dims(&[1, 3, 32, 32]).unwrap(), vec![1, 1280]);
+        assert_eq!(bb.net.output_dims(&[1, 32, 32, 3]).unwrap(), vec![1, 1280]);
     }
 
     #[test]

@@ -7,13 +7,20 @@ mod resnet;
 pub use mobilenetv2::{mobilenet_v2, MobileNetVariant};
 pub use resnet::resnet12;
 
-use crate::layers::Sequential;
-use crate::{Layer, Mode, Result};
+use crate::layers::{to_channels_last, to_nchw, Sequential};
+use crate::{Layer, Mode, NnError, Result};
 use ofscil_tensor::{SeedRng, Tensor};
 
 /// A feature-extraction backbone: a [`Sequential`] network mapping images
 /// `[batch, channels, h, w]` to flat features `[batch, feature_dim]` (the
 /// paper's θ_a of dimension d_a).
+///
+/// NCHW is the layout at the edge only. [`Backbone::forward`] changes the
+/// images to channels-last `[batch, h, w, channels]` once on entry, and
+/// every layer of `net` takes and returns channels-last activations, so
+/// `net` itself (and its shape walks) reads `[batch, h, w, channels]`.
+/// [`Backbone::backward`] changes the input gradient back to NCHW once on
+/// exit.
 #[derive(Debug)]
 pub struct Backbone {
     /// Display name (matches the paper's Table I rows).
@@ -27,22 +34,32 @@ pub struct Backbone {
 }
 
 impl Backbone {
-    /// Runs the backbone on a batch of images.
+    /// Runs the backbone on a batch of NCHW images `[batch, channels, h, w]`.
     ///
     /// # Errors
     ///
     /// Returns an error when the input shape is incompatible.
     pub fn forward(&mut self, images: &Tensor, mode: Mode) -> Result<Tensor> {
-        self.net.forward(images, mode)
+        match *images.dims() {
+            [_, c, _, _] if c == self.in_channels => {
+                self.net.forward(&to_channels_last(images), mode)
+            }
+            _ => Err(NnError::BadInput {
+                layer: self.name.clone(),
+                expected: format!("[batch, {}, h, w]", self.in_channels),
+                actual: images.dims().to_vec(),
+            }),
+        }
     }
 
-    /// Propagates gradients back through the backbone.
+    /// Propagates gradients back through the backbone, returning the
+    /// gradient with respect to the NCHW images.
     ///
     /// # Errors
     ///
     /// Returns an error when no forward pass was cached.
     pub fn backward(&mut self, grad: &Tensor) -> Result<Tensor> {
-        self.net.backward(grad)
+        Ok(to_nchw(&self.net.backward(grad)?))
     }
 
     /// Total number of trainable parameters.
@@ -52,7 +69,7 @@ impl Backbone {
 
     /// MACs for one sample of the given spatial size.
     pub fn macs(&self, height: usize, width: usize) -> u64 {
-        self.net.macs(&[self.in_channels, height, width])
+        self.net.macs(&[height, width, self.in_channels])
     }
 }
 

@@ -62,6 +62,6 @@ mod tests {
         let mut rng = SeedRng::new(0);
         let bb = resnet12(&mut rng);
         assert_eq!(bb.feature_dim, 640);
-        assert_eq!(bb.net.output_dims(&[1, 3, 32, 32]).unwrap(), vec![1, 640]);
+        assert_eq!(bb.net.output_dims(&[1, 32, 32, 3]).unwrap(), vec![1, 640]);
     }
 }

@@ -71,7 +71,8 @@ pub struct LayerSummary {
     pub macs: u64,
     /// Weight parameters that must be resident to execute the layer.
     pub weight_params: u64,
-    /// Batch-less input dims (e.g. `[channels, h, w]`).
+    /// Batch-less input dims, channels-last for a feature map
+    /// (`[h, w, channels]`) and `[features]` for a flat activation.
     pub(crate) input_dims: Vec<usize>,
     /// Batch-less output dims.
     pub(crate) output_dims: Vec<usize>,
@@ -88,24 +89,23 @@ impl LayerSummary {
         self.output_dims.iter().product::<usize>() as u64
     }
 
-    /// Spatial extent of the output (product of trailing two dims for
-    /// feature maps, 1 for flat activations); the unit of spatial
-    /// parallelisation on a multi-core cluster.
+    /// Spatial extent of the output (`h * w` of a `[h, w, channels]` feature
+    /// map, 1 for a flat activation); the unit of spatial parallelisation on
+    /// a multi-core cluster.
     pub fn output_spatial(&self) -> u64 {
-        if self.output_dims.len() >= 3 {
-            let n = self.output_dims.len();
-            (self.output_dims[n - 2] * self.output_dims[n - 1]) as u64
-        } else {
-            1
+        match self.output_dims[..] {
+            [h, w, _] => (h * w) as u64,
+            _ => 1,
         }
     }
 }
 
 /// Summarises every top-level layer of a backbone at the given input
-/// resolution — the input to the GAP9 tiling and latency model.
+/// resolution — the input to the GAP9 tiling and latency model. The shapes
+/// are those `Backbone::net` walks, channels-last.
 pub fn layer_summaries(backbone: &Backbone, height: usize, width: usize) -> Vec<LayerSummary> {
     let mut summaries = Vec::new();
-    let mut shape = vec![1usize, backbone.in_channels, height, width];
+    let mut shape = vec![1usize, height, width, backbone.in_channels];
     for layer in backbone.net.iter() {
         let macs = layer.macs(&shape[1..]);
         let weight_params = layer.weight_count();
@@ -174,7 +174,9 @@ mod tests {
             assert_eq!(window[0].output_dims, window[1].input_dims);
         }
         // First layer consumes the image.
-        assert_eq!(summaries[0].input_dims, vec![3, 16, 16]);
+        assert_eq!(summaries[0].input_dims, vec![16, 16, 3]);
+        assert_eq!(summaries[0].output_dims, vec![8, 8, 16]);
+        assert_eq!(summaries[0].output_spatial(), 64);
         // Final layer produces the flat feature vector.
         assert_eq!(summaries.last().unwrap().output_dims, vec![64]);
         assert_eq!(summaries.last().unwrap().output_spatial(), 1);
