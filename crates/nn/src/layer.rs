@@ -30,6 +30,12 @@ impl Mode {
 ///
 /// Containers ([`crate::layers::Sequential`], the residual blocks) implement
 /// the same trait, so whole backbones are just `Layer`s.
+///
+/// Every layer of a backbone takes and returns feature maps channels-last,
+/// `[batch, h, w, channels]`, and flat activations as `[batch, features]`;
+/// the same holds for the gradients of `backward`. Only
+/// [`crate::models::Backbone`] sees NCHW images, and changes their layout
+/// once on entry.
 pub trait Layer: Send {
     /// Human-readable layer name (used in error messages and profiling).
     fn name(&self) -> String;
@@ -63,8 +69,8 @@ pub trait Layer: Send {
     fn output_dims(&self, input: &[usize]) -> Result<Vec<usize>>;
 
     /// Number of multiply-accumulate operations for one sample with the given
-    /// (batch-less) input dimensions. Defaults to zero for parameter-free
-    /// layers.
+    /// batch-less input dimensions, `[h, w, channels]` for a feature map.
+    /// Defaults to zero for parameter-free layers.
     fn macs(&self, _input: &[usize]) -> u64 {
         0
     }

@@ -15,9 +15,11 @@
 //!   convolution is a direct channels-last stencil with no patch matrix or
 //!   matmul,
 //! * composite blocks (inverted residual, ResNet basic block) and the backbone
-//!   model builders with the paper's stride profiles (Table I). The inverted
-//!   residual is NCHW at its boundary and runs its convolutions, batch
-//!   norms and activations on pixel-major rows `[batch * h * w, c]` inside,
+//!   model builders with the paper's stride profiles (Table I). Activations
+//!   are channels-last, `[batch, h, w, c]`, between every pair of layers: a
+//!   backbone changes its NCHW images to that layout once on entry and its
+//!   input gradient back once on exit, and only a standard convolution's
+//!   per-image patch matrices still read channel planes,
 //! * the three losses of the paper — cross entropy (with soft labels for
 //!   Mixup/CutMix), the feature-orthogonality regulariser (Eq. 1) and the
 //!   multi-margin loss on cosine logits (Eq. 4),

@@ -148,6 +148,10 @@ mod tests {
         let x = Tensor::ones(&[2, 3, 16, 16]);
         let y = bb.forward(&x, Mode::Eval).unwrap();
         assert_eq!(y.dims(), &[2, 64]);
+        // The edge takes NCHW images only: channels-last ones are rejected.
+        assert!(bb
+            .forward(&Tensor::ones(&[2, 16, 16, 3]), Mode::Eval)
+            .is_err());
         assert!(bb.param_count() > 0);
         assert!(bb.macs(16, 16) > 0);
     }

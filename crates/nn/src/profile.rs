@@ -74,7 +74,7 @@ pub struct LayerSummary {
     /// Batch-less input dims, channels-last for a feature map
     /// (`[h, w, channels]`) and `[features]` for a flat activation.
     pub(crate) input_dims: Vec<usize>,
-    /// Batch-less output dims.
+    /// Batch-less output dims, in the same layout as `input_dims`.
     pub(crate) output_dims: Vec<usize>,
 }
 

@@ -8,25 +8,16 @@ const BLOCK_K: usize = 64;
 /// Tile edge of [`transpose_into`]: a 32×32 f32 tile is 4 KiB.
 const TRANSPOSE_TILE: usize = 32;
 
-/// Writes the transpose of the row-major `[rows, cols]` matrix `src` into
-/// `dst`, row-major `[cols, rows]`.
-///
-/// Copies `TRANSPOSE_TILE`-square tiles, so the column-strided writes of one
-/// tile land in a few cache lines instead of one line per element. This is
-/// the one transpose loop of the workspace: [`Tensor::transpose`] runs it,
-/// and so does every change between an image's channel planes `[c, h * w]`
-/// and its channels-last pixels `[h * w, c]`.
+/// Writes the row-major `[rows, cols]` matrix `src` transposed into `dst`,
+/// copying `TRANSPOSE_TILE`-square tiles so the column-strided writes of a
+/// tile land in a few cache lines. [`Tensor::transpose`] and every change
+/// between an image's planes `[c, h * w]` and its pixels `[h * w, c]` run it.
 ///
 /// # Panics
 ///
-/// Panics when `src` or `dst` does not hold exactly `rows * cols` values.
+/// Panics unless `src` and `dst` each hold exactly `rows * cols` values.
 pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-    assert!(
-        src.len() == rows * cols && dst.len() == rows * cols,
-        "transpose_into: {} and {} values for a {rows}x{cols} matrix",
-        src.len(),
-        dst.len()
-    );
+    assert_eq!((src.len(), dst.len()), (rows * cols, rows * cols));
     for i0 in (0..rows).step_by(TRANSPOSE_TILE) {
         for j0 in (0..cols).step_by(TRANSPOSE_TILE) {
             let j1 = (j0 + TRANSPOSE_TILE).min(cols);
@@ -86,13 +77,11 @@ impl Tensor {
         Tensor::from_vec(out, &[m, n])
     }
 
-    /// Transpose of a matrix: `[m, n]` becomes `[n, m]`, through
-    /// [`transpose_into`].
+    /// Transpose of a matrix: `[m, n]` becomes `[n, m]`.
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::RankMismatch`] for a tensor that is not a
-    /// matrix.
+    /// Returns [`TensorError::RankMismatch`] for any other rank.
     pub fn transpose(&self) -> Result<Tensor> {
         let (m, n) = matrix_dims(self, "transpose")?;
         let mut out = vec![0.0f32; m * n];
@@ -232,6 +221,12 @@ mod tests {
                 "{dims:?}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic]
+    fn transpose_into_rejects_a_destination_of_another_size() {
+        transpose_into(&[0.0; 6], 2, 3, &mut [0.0; 5]);
     }
 
     #[test]
