@@ -94,10 +94,13 @@ impl Layer for InvertedResidual {
     }
 
     fn forward(&mut self, input: &Tensor, mode: Mode) -> Result<Tensor> {
+        // Each step replaces `x`, so no more than two activations of the
+        // block are alive at once.
         let mut x = match &mut self.expand {
             Some((conv, bn, relu)) => {
-                let x = conv.forward(input, mode)?;
-                relu.forward(&bn.forward(&x, mode)?, mode)?
+                let mut x = conv.forward(input, mode)?;
+                x = bn.forward(&x, mode)?;
+                relu.forward(&x, mode)?
             }
             None => input.clone(),
         };
@@ -105,13 +108,13 @@ impl Layer for InvertedResidual {
         x = self.depthwise_bn.forward(&x, mode)?;
         x = self.depthwise_relu.forward(&x, mode)?;
         x = self.project.forward_owned(x, mode)?;
-        let mut out = self.project_bn.forward(&x, mode)?;
+        x = self.project_bn.forward(&x, mode)?;
         if self.use_residual {
-            for (y, &skip) in out.as_mut_slice().iter_mut().zip(input.as_slice()) {
+            for (y, &skip) in x.as_mut_slice().iter_mut().zip(input.as_slice()) {
                 *y += skip;
             }
         }
-        Ok(out)
+        Ok(x)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor> {
