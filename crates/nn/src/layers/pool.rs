@@ -44,17 +44,16 @@ impl Layer for GlobalAvgPool {
         let (batch, spatial, channels) = self.check_input(dims)?;
         let start: f32 = std::iter::empty::<f32>().sum();
         let mut out = vec![start; batch * channels];
-        if channels > 0 {
-            let images = input.as_slice().chunks_exact(spatial * channels);
-            for (sums, image) in out.chunks_exact_mut(channels).zip(images) {
-                for pixel in image.chunks_exact(channels) {
-                    for (s, &x) in sums.iter_mut().zip(pixel) {
-                        *s += x;
-                    }
+        let c = channels.max(1);
+        let images = input.as_slice().chunks_exact(spatial * c);
+        for (sums, image) in out.chunks_exact_mut(c).zip(images) {
+            for pixel in image.chunks_exact(c) {
+                for (s, &x) in sums.iter_mut().zip(pixel) {
+                    *s += x;
                 }
-                for s in sums {
-                    *s /= spatial as f32;
-                }
+            }
+            for s in sums {
+                *s /= spatial as f32;
             }
         }
         self.cached_dims = mode.is_train().then(|| dims.to_vec());
