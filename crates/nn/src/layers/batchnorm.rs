@@ -312,10 +312,11 @@ mod tests {
         assert_eq!(bn.output_dims(&[2, 3, 5, 4]).unwrap(), vec![2, 3, 5, 4]);
     }
 
-    /// The per-plane loops BatchNorm ran on NCHW activations before it went
-    /// channels-last, for a fresh layer of weight `gamma` on `x`: the train
-    /// output, input gradient (upstream `dy`), γ and β gradients and running
-    /// statistics, then the eval output.
+    /// The reference the channels-last rows must match bit for bit: batch
+    /// normalisation as per-plane loops over NCHW activations `x`, for a
+    /// fresh layer of weight `gamma`. Returns the train output, input
+    /// gradient (upstream `dy`), γ and β gradients and running statistics,
+    /// then the eval output.
     fn planes_reference(x: &Tensor, dy: &Tensor, gamma: &[f32]) -> [Vec<f32>; 7] {
         let &[batch, c, h, w] = x.dims() else {
             unreachable!("NCHW")
